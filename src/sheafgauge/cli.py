@@ -21,7 +21,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .complexes import GraphValidationError, graph_from_json
-from .fileio import SchemaVersionError, read_json, write_csv, write_json
+from .fileio import write_csv, write_json
 from .operators import (
     VERTEX_LEVEL,
     channel_set,
@@ -146,7 +146,10 @@ def _resolve_sheaf(cfg: RunConfig):
         except (ValueError, KeyError) as exc:
             raise CliInputError(f"{cfg.input}: {exc}")
     if cfg.generator:
-        return _generated_sheaf(cfg)
+        try:
+            return _generated_sheaf(cfg)
+        except ValueError as exc:
+            raise CliInputError(f"generator {cfg.generator}: {exc}")
     raise CliInputError("need --input or --generator")
 
 
@@ -225,18 +228,16 @@ def cmd_diagnose(args) -> int:
     refs = []
     for name, witness_map in sorted(report.local_maps.items()):
         filename = f"local_witness_{name}.csv"
-        _write_witness_csv(_out(cfg, filename), witness_map, sheaf)
+        _write_witness_csv(_out(cfg, filename), witness_map)
         refs.append(filename)
     write_json(_out(cfg, "report.json"), report.to_json_dict(localization_refs=refs))
     return 0
 
 
-def _write_witness_csv(path, witness_map, sheaf):
-    cells = sheaf.complex.cells(witness_map.degree)
-    rows = [
-        (i, witness_map.degree, witness_map.delta, witness_map.scores[cell])
-        for i, cell in enumerate(cells)
-    ]
+def _write_witness_csv(path, witness_map):
+    """One row per cell, numbered in the canonical cell order of the map."""
+    rows = [(i, witness_map.degree, witness_map.delta, score)
+            for i, score in enumerate(witness_map.scores.values())]
     write_csv(path, ("cell_id", "degree", "delta", "score"), rows)
 
 
@@ -262,12 +263,7 @@ def cmd_experiment(args) -> int:
     payload["params"].update({"cli": cfg.to_json_dict()})
     write_json(_out(cfg, f"experiment_{name}.json"), payload)
     for panel, witness_map in sorted(heatmaps.items()):
-        rows = [
-            (i, witness_map.degree, witness_map.delta, witness_map.scores[cell])
-            for i, cell in enumerate(sorted(witness_map.scores))
-        ]
-        write_csv(_out(cfg, f"heatmap_{panel}.csv"),
-                  ("cell_id", "degree", "delta", "score"), rows)
+        _write_witness_csv(_out(cfg, f"heatmap_{panel}.csv"), witness_map)
     return 0
 
 
@@ -423,7 +419,7 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SchemaVersionError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -142,20 +142,15 @@ class DiagnosticsReport:
         }
 
 
-def _channel_report(name, lap, cfg: DiagnosticsConfig, auxiliary=False):
-    spectrum = eigendecompose(lap)
-    dims = kernel_dim(spectrum)
+def _channel_report(name, lap, spectrum, cfg: DiagnosticsConfig, auxiliary=False):
+    spectrum_used, flag = spectrum, False
     if cfg.normalize:
-        normalized = normalize_spectrum(lap)
-        spectrum_used = eigendecompose(normalized.operator)
-        flag = not normalized.was_zero
-    else:
-        spectrum_used = spectrum
-        flag = False
+        normalized = normalize_spectrum(lap, spectrum)
+        spectrum_used, flag = normalized.spectrum, not normalized.was_zero
     report = ChannelReport(
         channel=name,
         operator=lap.provenance,
-        kernel_dim=dims,
+        kernel_dim=kernel_dim(spectrum),
         spectral_gap=spectral_gap(spectrum_used),
         global_witness=global_witness(spectrum_used, cfg.witness),
         normalized=flag,
@@ -166,27 +161,37 @@ def _channel_report(name, lap, cfg: DiagnosticsConfig, auxiliary=False):
 
 def run_diagnostics(sheaf: CellSheaf, grounding: GroundingMorphism,
                     cfg: DiagnosticsConfig | None = None) -> DiagnosticsReport:
-    """All four taxonomy channels under one normalization policy."""
+    """All four taxonomy channels under one normalization policy.
+
+    Each operator is built and decomposed once; the local maps use the raw
+    spectra, ``spectra`` those the reports read (normalized if asked).
+    """
     cfg = cfg or DiagnosticsConfig()
     channels = channel_set(sheaf, grounding)
     reports = {}
     spectra = {}
+    raw = {}
     for name, lap, auxiliary in (
         ("local_feasibility", channels.l0, False),
         ("intrinsic_obstruction", channels.l1, False),
         ("relative_cone", channels.relative, False),
         ("ground_utilization", channels.utilization, True),
     ):
-        reports[name], spectra[name] = _channel_report(name, lap, cfg, auxiliary)
+        raw[name] = eigendecompose(lap)
+        reports[name], spectra[name] = _channel_report(name, lap, raw[name], cfg, auxiliary)
     if grounding.mode == VERTEX_LEVEL:
         defect = incidence_defect(sheaf, grounding).total
     else:
         defect = channels.coupling_norm
     local_maps = {}
     if cfg.with_local:
-        local_maps["base_j0"] = local_witness(sheaf, 0, cfg.witness)
-        local_maps["base_j1"] = local_witness(sheaf, 1, cfg.witness)
-        local_maps["relative_cone"] = local_witness_relative(sheaf, grounding, cfg.witness)
+        wcfg = cfg.witness
+        local_maps["base_j0"] = local_witness(sheaf, 0, wcfg, channels.l0,
+                                              raw["local_feasibility"])
+        local_maps["base_j1"] = local_witness(sheaf, 1, wcfg, channels.l1,
+                                              raw["intrinsic_obstruction"])
+        local_maps["relative_cone"] = local_witness_relative(sheaf, grounding, wcfg, channels,
+                                                             raw["relative_cone"])
     return DiagnosticsReport(reports, defect, {}, spectra, local_maps)
 
 
@@ -300,8 +305,9 @@ def experiment_existence(n: int = N_DEFAULT, stalk_dim: int = 1) -> ExperimentRe
 
 
 def _gap_and_witness(sheaf):
-    spectrum = eigendecompose(laplacian(sheaf, 0))
-    normalized = eigendecompose(normalize_spectrum(laplacian(sheaf, 0)).operator)
+    lap = laplacian(sheaf, 0)
+    spectrum = eigendecompose(lap)
+    normalized = normalize_spectrum(lap, spectrum).spectrum
     return spectral_gap(spectrum), global_witness(normalized, WitnessConfig())
 
 
@@ -338,11 +344,13 @@ def experiment_magnitude(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
 
 def _fixture_maps(sheaf, cfg: WitnessConfig):
     grounding = grounding_from_padding(sheaf)
+    channels = channel_set(sheaf, grounding)
+    spectrum0 = eigendecompose(channels.l0)
     return {
-        "base_j0": local_witness(sheaf, 0, cfg),
-        "base_j1": local_witness(sheaf, 1, cfg),
-        "relative_cone": local_witness_relative(sheaf, grounding, cfg),
-        "edge_energy": coface_energy_map(sheaf, 0, cfg),
+        "base_j0": local_witness(sheaf, 0, cfg, channels.l0, spectrum0),
+        "base_j1": local_witness(sheaf, 1, cfg, channels.l1),
+        "relative_cone": local_witness_relative(sheaf, grounding, cfg, channels),
+        "edge_energy": coface_energy_map(sheaf, 0, cfg, channels.l0, spectrum0),
     }
 
 

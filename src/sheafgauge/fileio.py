@@ -9,10 +9,6 @@ import tempfile
 SCHEMA_VERSION = "1"
 
 
-class SchemaVersionError(ValueError):
-    pass
-
-
 def atomic_write_text(path, text: str):
     """Write via a temp file in the same directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -32,15 +28,6 @@ def write_json(path, payload: dict):
     body = dict(payload)
     body.setdefault("schema_version", SCHEMA_VERSION)
     atomic_write_text(path, json.dumps(body, sort_keys=True, indent=2) + "\n")
-
-
-def read_json(path) -> dict:
-    with open(path) as handle:
-        data = json.load(handle)
-    version = data.get("schema_version")
-    if version is not None and version != SCHEMA_VERSION:
-        raise SchemaVersionError(f"unsupported schema version {version!r} in {path}")
-    return data
 
 
 def write_csv(path, header, rows):

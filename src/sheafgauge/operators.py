@@ -587,10 +587,6 @@ class LesReport:
     betti_cone: tuple
 
 
-def _harmonic_basis(matrix):
-    return numerical_kernel(matrix)
-
-
 def _induced(op, source_basis, target_basis):
     if source_basis.shape[1] == 0 or target_basis.shape[1] == 0:
         return np.zeros((target_basis.shape[1], source_basis.shape[1]))
@@ -612,9 +608,9 @@ def verify_long_exact_sequence(sheaf: CellSheaf, grounding: GroundingMorphism,
     wsheaf = constant_sheaf(sheaf.complex, w)
     cone = algebraic_cone(sheaf, grounding, target=TARGET_CONSTANT, augmented=False)
 
-    harm_f = {j: _harmonic_basis(laplacian(sheaf, j).matrix) for j in (0, 1, 2)}
-    harm_w = {j: _harmonic_basis(laplacian(wsheaf, j).matrix) for j in (0, 1, 2)}
-    harm_c = {n: _harmonic_basis(cone.laplacian(n).matrix) for n in (-1, 0, 1, 2)}
+    harm_f = {j: numerical_kernel(laplacian(sheaf, j).matrix) for j in (0, 1, 2)}
+    harm_w = {j: numerical_kernel(laplacian(wsheaf, j).matrix) for j in (0, 1, 2)}
+    harm_c = {n: numerical_kernel(cone.laplacian(n).matrix) for n in (-1, 0, 1, 2)}
 
     def eps_map(j):
         return _induced(grounding.cochain_block(sheaf, j), harm_f[j], harm_w[j])

@@ -183,9 +183,11 @@ def node_stalks_from_features(features, cfg: FeaturePipelineConfig | None = None
             f = f[:, None]
         if f.size == 0:
             raise ValueError(f"feature matrix of vertex {vertex} is empty")
-        if np.isnan(f).any():
-            raise ValueError(f"feature matrix of vertex {vertex} contains NaN")
+        if not np.isfinite(f).all():
+            raise ValueError(f"feature matrix of vertex {vertex} contains NaN or inf")
         arrays[vertex] = f
+    if not arrays:
+        raise ValueError("no feature matrices given; the pipeline needs at least one vertex")
     ambient = max(f.shape[0] for f in arrays.values())
     stalks = {}
     for vertex in sorted(arrays):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    ChannelSet,
     GroundingMorphism,
     SheafLaplacian,
     channel_set,
@@ -83,13 +84,22 @@ def harmonic_space(spectrum: Spectrum, delta: float) -> np.ndarray:
     return spectrum.eigenvectors[:, spectrum.eigenvalues <= cut]
 
 
+def _harmonic_dims(spectrum: Spectrum, deltas) -> np.ndarray:
+    """dim H_delta for each delta, counted on the ascending eigenvalues alone."""
+    deltas = np.asarray(deltas, dtype=float)
+    if np.any(deltas < 0):
+        raise ValueError("delta must be non-negative")
+    cuts = np.maximum(deltas, spectrum.threshold)
+    return np.searchsorted(spectrum.eigenvalues, cuts, side="right")
+
+
 def is_almost_non_exact(spectrum: Spectrum, probe_delta: float) -> bool:
     """Trivial kernel, yet nonzero delta-harmonic space at the probe."""
     if probe_delta <= 0:
         raise ValueError("probe_delta must be positive")
     if kernel_dim(spectrum) > 0:
         return False
-    return harmonic_space(spectrum, probe_delta).shape[1] > 0
+    return bool(_harmonic_dims(spectrum, probe_delta) > 0)
 
 
 def indicator_profile(spectrum: Spectrum, grid) -> list[int]:
@@ -97,7 +107,7 @@ def indicator_profile(spectrum: Spectrum, grid) -> list[int]:
     grid = list(grid)
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be ascending")
-    return [int(harmonic_space(spectrum, d).shape[1]) for d in grid]
+    return _harmonic_dims(spectrum, grid).tolist()
 
 
 class HarmonicFiltration:
@@ -107,7 +117,7 @@ class HarmonicFiltration:
         self.spectrum = spectrum
 
     def dim_at(self, delta: float) -> int:
-        return int(harmonic_space(self.spectrum, delta).shape[1])
+        return int(_harmonic_dims(self.spectrum, delta))
 
     def basis_at(self, delta: float) -> np.ndarray:
         return harmonic_space(self.spectrum, delta)
@@ -183,42 +193,29 @@ def global_witness(spectrum: Spectrum, cfg: WitnessConfig) -> float:
 
 
 def _clusters(eigenvalues: np.ndarray, lam_max: float):
-    """Indices grouped into numerically degenerate clusters."""
-    gap_tol = 1e-8 * max(lam_max, 1.0)
-    clusters = []
-    current = [0]
-    for i in range(1, eigenvalues.size):
-        if eigenvalues[i] - eigenvalues[i - 1] < gap_tol:
-            current.append(i)
-        else:
-            clusters.append(current)
-            current = [i]
-    if eigenvalues.size:
-        clusters.append(current)
-    return clusters
+    """Index arrays of the numerically degenerate clusters of ascending eigenvalues."""
+    if eigenvalues.size == 0:
+        return []
+    breaks = np.flatnonzero(np.diff(eigenvalues) >= 1e-8 * max(lam_max, 1.0)) + 1
+    return np.split(np.arange(eigenvalues.size), breaks)
 
 
 def _admitted_modes(spectrum: Spectrum, delta: float, cfg: WitnessConfig):
-    """(index, weight) pairs admitted at threshold delta, kernel excluded.
+    """Indices and weights of the modes admitted at threshold delta, kernel excluded.
 
     Clusters enter or leave as a block: a cluster is kernel iff its smallest
-    member is, and admitted iff its smallest member is <= delta.
+    member is, and admitted iff its smallest member is <= delta. The gap
+    weight admits the first positive cluster only, with unit weights.
     """
     ev = spectrum.eigenvalues
+    positive = [c for c in _clusters(ev, spectrum.lambda_max) if ev[c[0]] > spectrum.threshold]
     admitted = []
-    positive_clusters = [
-        c for c in _clusters(ev, spectrum.lambda_max) if ev[c[0]] > spectrum.threshold
-    ]
-    for rank, cluster in enumerate(positive_clusters):
+    for cluster in positive[:1] if cfg.weight == "gap" else positive:
         if ev[cluster[0]] > delta:
             break
-        if cfg.weight == "gap":
-            if rank > 0:
-                break
-            admitted.extend((i, 1.0) for i in cluster)
-        else:
-            admitted.extend((i, cfg.weight_value(float(ev[i]))) for i in cluster)
-    return admitted
+        admitted.extend(cluster.tolist())
+    weights = [1.0 if cfg.weight == "gap" else cfg.weight_value(float(ev[i])) for i in admitted]
+    return admitted, weights
 
 
 @dataclass(frozen=True)
@@ -237,6 +234,61 @@ class LocalWitnessMap:
         return np.array(list(self.scores.values()))
 
 
+def _block_energy(sheaf: CellSheaf, j: int, image: np.ndarray, weights: np.ndarray):
+    """Weighted squared norm of each degree-j cell block of the rows of ``image``.
+
+    Rows are summed by owning cell, so a zero-dimensional stalk scores 0.
+    """
+    sizes = [sheaf.stalk_dim(cell) for cell in sheaf.complex.cells(j)]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return np.bincount(owner, weights=(image**2) @ weights, minlength=len(sizes))
+
+
+def _incidence_index(sheaf: CellSheaf, j: int):
+    """Index arrays (coface, face) over the incidences of degree j + 1 on degree j."""
+    face_index = {cell: i for i, cell in enumerate(sheaf.complex.cells(j))}
+    pairs = [(k, face_index[face])
+             for k, coface in enumerate(sheaf.complex.cells(j + 1))
+             for face in sheaf.complex.faces(coface)]
+    return np.array(pairs, dtype=int).reshape(-1, 2).T
+
+
+def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray, weights: np.ndarray,
+                    eps: np.ndarray | None = None) -> dict:
+    """Per-cell witness scores of the weighted mode columns in degree j.
+
+    Every cell receives the block energy of d_j V at each of its cofaces and
+    of d_{j-1}^T V at each of its faces; with ``eps``, each cell also
+    receives the energy of its own column block of eps.
+    """
+    cells = sheaf.complex.cells(j)
+    scores = np.zeros(len(cells))
+    if j <= 1:
+        energy = _block_energy(sheaf, j + 1, coboundary(sheaf, j).matrix @ vectors, weights)
+        coface, face = _incidence_index(sheaf, j)
+        scores += np.bincount(face, weights=energy[coface], minlength=len(cells))
+    if j >= 1:
+        energy = _block_energy(sheaf, j - 1, coboundary(sheaf, j - 1).matrix.T @ vectors, weights)
+        cell, face = _incidence_index(sheaf, j - 1)
+        scores += np.bincount(cell, weights=energy[face], minlength=len(cells))
+    if eps is not None:
+        # every column block of eps spans all rows of W: one product per cell
+        for k, block in enumerate(sheaf.cell_slices(j).values()):
+            scores[k] += float(np.sum((eps[:, block] @ vectors[block]) ** 2, axis=0) @ weights)
+    return dict(zip(cells, scores.tolist()))
+
+
+def _degree_modes(sheaf, j, cfg, operator, spectrum):
+    """Operator, delta1, admitted eigenvector columns V and their weights w;
+    the degree-j Laplacian and its spectrum are built when not given."""
+    cfg = cfg or WitnessConfig()
+    operator = operator if operator is not None else laplacian(sheaf, j)
+    spectrum = spectrum if spectrum is not None else eigendecompose(operator)
+    delta = cfg.resolve_delta1(spectrum)
+    indices, weights = _admitted_modes(spectrum, delta, cfg)
+    return operator, delta, spectrum.eigenvectors[:, indices], np.array(weights, dtype=float)
+
+
 def local_witness(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None,
                   operator: SheafLaplacian | None = None,
                   spectrum: Spectrum | None = None) -> LocalWitnessMap:
@@ -246,31 +298,8 @@ def local_witness(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None,
     the full squared component of d_j v at each coface of e plus the full
     squared component of d_{j-1}^T v at each face of e.
     """
-    cfg = cfg or WitnessConfig()
-    if operator is None:
-        operator = laplacian(sheaf, j)
-    if spectrum is None:
-        spectrum = eigendecompose(operator)
-    delta = cfg.resolve_delta1(spectrum)
-    cells = sheaf.complex.cells(j)
-    scores = {cell: 0.0 for cell in cells}
-    modes = _admitted_modes(spectrum, delta, cfg)
-    up = coboundary(sheaf, j) if j <= 1 and sheaf.cochain_dim(j + 1) else None
-    down = coboundary(sheaf, j - 1) if j >= 1 else None
-    for index, weight in modes:
-        v = spectrum.eigenvectors[:, index]
-        if up is not None:
-            image = up.matrix @ v
-            for coface in sheaf.complex.cells(j + 1):
-                component = float(np.sum(image[up.row_slices[coface]] ** 2))
-                for face in sheaf.complex.faces(coface):
-                    scores[face] += weight * component
-        if down is not None:
-            image = down.matrix.T @ v
-            for cell in cells:
-                for face in sheaf.complex.faces(cell):
-                    component = float(np.sum(image[down.col_slices[face]] ** 2))
-                    scores[cell] += weight * component
+    operator, delta, vectors, weights = _degree_modes(sheaf, j, cfg, operator, spectrum)
+    scores = _witness_scores(sheaf, j, vectors, weights)
     return LocalWitnessMap(j, delta, operator.provenance, scores)
 
 
@@ -284,56 +313,27 @@ def coface_energy_map(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None
     j = 0 it localizes inconsistency to edges, which the vertex-level
     witness then aggregates to nodes.
     """
-    cfg = cfg or WitnessConfig()
-    if operator is None:
-        operator = laplacian(sheaf, j)
-    if spectrum is None:
-        spectrum = eigendecompose(operator)
-    delta = cfg.resolve_delta1(spectrum)
-    up = coboundary(sheaf, j)
-    scores = {cell: 0.0 for cell in sheaf.complex.cells(j + 1)}
-    for index, weight in _admitted_modes(spectrum, delta, cfg):
-        image = up.matrix @ spectrum.eigenvectors[:, index]
-        for coface in scores:
-            scores[coface] += weight * float(np.sum(image[up.row_slices[coface]] ** 2))
+    _, delta, vectors, weights = _degree_modes(sheaf, j, cfg, operator, spectrum)
+    energy = _block_energy(sheaf, j + 1, coboundary(sheaf, j).matrix @ vectors, weights)
+    scores = dict(zip(sheaf.complex.cells(j + 1), energy.tolist()))
     return LocalWitnessMap(j + 1, delta, "coface-energy", scores)
 
 
 def local_witness_relative(sheaf: CellSheaf, grounding: GroundingMorphism,
-                           cfg: WitnessConfig | None = None) -> LocalWitnessMap:
+                           cfg: WitnessConfig | None = None,
+                           channels: ChannelSet | None = None,
+                           spectrum: Spectrum | None = None) -> LocalWitnessMap:
     """Edge-level witness of the relative cone channel L_1 + eps^T eps.
 
     The grounding energy of a mode decomposes over the cone triangles of the
     grounded complex, one per base edge, so each edge e additionally
-    receives ||eps_e x_e||^2 from its own column block of eps.
+    receives ||eps_e x_e||^2 from its own column block of eps. ``channels``
+    and ``spectrum`` take the prebuilt channel set of (sheaf, grounding) and
+    the spectrum of its relative operator.
     """
-    cfg = cfg or WitnessConfig()
-    channels = channel_set(sheaf, grounding)
-    spectrum = eigendecompose(channels.relative)
-    delta = cfg.resolve_delta1(spectrum)
-    cells = sheaf.complex.cells(1)
-    slices = sheaf.cell_slices(1)
-    scores = {cell: 0.0 for cell in cells}
-    modes = _admitted_modes(spectrum, delta, cfg)
-    up = coboundary(sheaf, 1) if sheaf.cochain_dim(2) else None
-    down = coboundary(sheaf, 0)
-    eps = channels.eps
-    for index, weight in modes:
-        v = spectrum.eigenvectors[:, index]
-        if up is not None:
-            image = up.matrix @ v
-            for coface in sheaf.complex.cells(2):
-                component = float(np.sum(image[up.row_slices[coface]] ** 2))
-                for face in sheaf.complex.faces(coface):
-                    scores[face] += weight * component
-        image = down.matrix.T @ v
-        for cell in cells:
-            for face in sheaf.complex.faces(cell):
-                component = float(np.sum(image[down.col_slices[face]] ** 2))
-                scores[cell] += weight * component
-        for cell in cells:
-            block = eps[:, slices[cell]] @ v[slices[cell]]
-            scores[cell] += weight * float(np.sum(block**2))
+    channels = channels if channels is not None else channel_set(sheaf, grounding)
+    _, delta, vectors, weights = _degree_modes(sheaf, 1, cfg, channels.relative, spectrum)
+    scores = _witness_scores(sheaf, 1, vectors, weights, eps=channels.eps)
     return LocalWitnessMap(1, delta, "relative-cone", scores)
 
 
@@ -347,20 +347,29 @@ class NormalizationResult:
     operator: SheafLaplacian
     scale: float
     was_zero: bool
+    spectrum: Spectrum
 
 
-def normalize_spectrum(lap: SheafLaplacian) -> NormalizationResult:
+def normalize_spectrum(lap: SheafLaplacian,
+                       spectrum: Spectrum | None = None) -> NormalizationResult:
     """Rescale so trace/rank = 1; kernel, eigenvectors and ordering unchanged.
 
-    The zero operator is returned untouched with a flag.
+    ``spectrum``, when given, is the spectrum of ``lap``; the normalized
+    spectrum is derived from it as (lambda / scale, same eigenvectors), so
+    no second eigendecomposition runs. The zero operator is returned
+    untouched with a flag.
     """
-    spectrum = eigendecompose(lap)
+    if spectrum is None:
+        spectrum = eigendecompose(lap)
     rank = spectrum.dim - kernel_dim(spectrum)
     if rank == 0:
-        return NormalizationResult(lap, 1.0, True)
+        return NormalizationResult(lap, 1.0, True, spectrum)
     scale = float(np.trace(lap.matrix)) / rank
     scaled = SheafLaplacian(lap.matrix / scale, lap.degree, lap.provenance)
-    return NormalizationResult(scaled, scale, False)
+    eigenvalues = spectrum.eigenvalues / scale
+    normalized = Spectrum(eigenvalues, spectrum.eigenvectors,
+                          zero_threshold(float(eigenvalues[-1])), spectrum.provenance)
+    return NormalizationResult(scaled, scale, False, normalized)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,14 @@ def test_diagnose_rejects_unknown_generator(tmp_path, capsys):
     assert "unknown generator" in capsys.readouterr().err
 
 
+def test_diagnose_bad_generator_parameter_is_input_error(tmp_path, capsys):
+    assert run(["diagnose", "--generator", "trivial", "--n", "2",
+                "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: generator trivial:") and "n >= 3" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_experiment_unknown_name_lists_valid(tmp_path, capsys):
     assert run(["experiment", "bogus", "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err

@@ -71,6 +71,69 @@ def test_run_diagnostics_local_maps():
     assert set(report.local_maps) == {"base_j0", "base_j1", "relative_cone"}
 
 
+def _count_calls(monkeypatch, name, modules):
+    """Wrap ``name`` in every module that binds it; return the shared counter."""
+    counter = {"calls": 0}
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        counter["calls"] += 1
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return counter
+
+
+def _feature_fixture():
+    from sheafgauge.complexes import Graph
+    from sheafgauge.sheaves import build_sheaf_from_features
+
+    rng = np.random.default_rng(11)
+    edges = [(u, v) for u in range(9) for v in range(u + 1, 9) if rng.random() < 0.5]
+    basis, _ = np.linalg.qr(rng.normal(size=(5, 3)))
+    features = {v: basis + 0.05 * rng.normal(size=(5, 3)) for v in range(9)}
+    return build_sheaf_from_features(Graph(9, edges), features)
+
+
+def test_run_diagnostics_decomposes_each_channel_once(monkeypatch):
+    from sheafgauge import diagnostics, spectral
+
+    sheaf = _feature_fixture()
+    eigh_calls = _count_calls(monkeypatch, "eigendecompose", [spectral, diagnostics])
+    channel_calls = _count_calls(monkeypatch, "channel_set", [spectral, diagnostics])
+    for normalize in (False, True):
+        eigh_calls["calls"] = channel_calls["calls"] = 0
+        run_diagnostics(sheaf, make_grounding(sheaf, "padding"),
+                        DiagnosticsConfig(normalize=normalize, with_local=True))
+        assert eigh_calls["calls"] == 4
+        assert channel_calls["calls"] == 1
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("grounding_name", ["padding", "deficient"])
+def test_run_diagnostics_local_maps_equal_standalone(normalize, grounding_name):
+    from sheafgauge.spectral import local_witness, local_witness_relative
+
+    sheaf = _feature_fixture()
+    grounding = make_grounding(sheaf, grounding_name)
+    cfg = WitnessConfig(weight="uniform")
+    report = run_diagnostics(sheaf, grounding,
+                             DiagnosticsConfig(witness=cfg, normalize=normalize, with_local=True))
+    standalone = {
+        "base_j0": local_witness(sheaf, 0, cfg),
+        "base_j1": local_witness(sheaf, 1, cfg),
+        "relative_cone": local_witness_relative(sheaf, grounding, cfg),
+    }
+    assert set(report.local_maps) == set(standalone)
+    for name, expected in standalone.items():
+        actual = report.local_maps[name]
+        assert (actual.degree, actual.delta, actual.channel) == \
+            (expected.degree, expected.delta, expected.channel)
+        a, e = actual.as_array(), expected.as_array()
+        assert np.all(np.abs(a - e) <= 1e-12 * max(float(np.max(np.abs(e))), 1e-300)), name
+
+
 def test_separation_full_rank():
     sheaf = trivial_bundle(10)
     report = separation_check(sheaf, grounding_identity_c1(sheaf))

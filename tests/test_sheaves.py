@@ -65,6 +65,9 @@ def test_node_stalk_errors():
         node_stalks_from_features({3: np.zeros((0, 2))})
     with pytest.raises(ValueError, match="NaN"):
         node_stalks_from_features({0: np.array([[np.nan, 1.0]])})
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="vertex 5 contains NaN or inf"):
+            node_stalks_from_features({0: np.eye(2), 5: np.array([[bad, 1.0]])})
 
 
 def test_edge_stalk_identical_planes():
@@ -208,6 +211,11 @@ def test_build_sheaf_random_graph_functoriality():
 def test_build_sheaf_missing_features():
     with pytest.raises(ValueError, match="missing"):
         build_sheaf_from_features(Graph(3, [(0, 1)]), {0: np.eye(2)})
+
+
+def test_build_sheaf_empty_graph_rejected():
+    with pytest.raises(ValueError, match="no feature matrices given"):
+        build_sheaf_from_features(Graph(0, []), {})
 
 
 def test_line_bundle_trivial_kernel_matches_stalk_dim():

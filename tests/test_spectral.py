@@ -157,6 +157,36 @@ def test_indicator_profile_monotone_and_jump_locations():
                        atol=1e-8)
 
 
+def test_counted_dims_match_harmonic_space_basis():
+    # oracle: the eigenvalue count equals the column count of the basis copy
+    rng = np.random.default_rng(7)
+    for trial in range(30):
+        clusters = rng.uniform(0.0, 5.0, size=rng.integers(1, 8))
+        values = np.sort(np.concatenate([
+            np.zeros(rng.integers(0, 3)),
+            np.repeat(clusters, rng.integers(1, 4, size=clusters.size)),
+            rng.uniform(0.0, 1e-4, size=rng.integers(0, 3)),
+        ]))
+        if values.size == 0:
+            continue
+        threshold = float(rng.choice([1e-10, 1e-4, 0.5]))
+        s = Spectrum(values, np.eye(values.size), threshold, "random")
+        below = rng.uniform(0.0, threshold, size=3)
+        grid = sorted(set(values.tolist()) | set(below.tolist())
+                      | {0.0, threshold, float(values[-1]) + 1.0})
+        expected = [harmonic_space(s, d).shape[1] for d in grid]
+        assert indicator_profile(s, grid) == expected, trial
+        filtration = HarmonicFiltration(s)
+        assert [filtration.dim_at(d) for d in grid] == expected, trial
+        for d in grid[1:]:
+            basis_count = harmonic_space(s, d).shape[1]
+            assert is_almost_non_exact(s, d) == (kernel_dim(s) == 0 and basis_count > 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        indicator_profile(single_edge_spectrum(), [-1.0, 0.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        HarmonicFiltration(single_edge_spectrum()).dim_at(-0.5)
+
+
 # ---------------------------------------------------------------------------
 # Global witness
 # ---------------------------------------------------------------------------
@@ -270,6 +300,133 @@ def test_local_witness_relative_channel():
     assert any(v > 0 for v in witness.scores.values())
 
 
+def test_clusters_match_loop_reference():
+    from sheafgauge.spectral import _clusters
+
+    def loop_clusters(eigenvalues, lam_max):
+        gap_tol = 1e-8 * max(lam_max, 1.0)
+        clusters, current = [], [0]
+        for i in range(1, eigenvalues.size):
+            if eigenvalues[i] - eigenvalues[i - 1] < gap_tol:
+                current.append(i)
+            else:
+                clusters.append(current)
+                current = [i]
+        return clusters + [current] if eigenvalues.size else clusters
+
+    rng = np.random.default_rng(3)
+    cases = [np.array([0.0, 1e-8, 0.5])]  # a spacing exactly at the tolerance splits
+    for _ in range(50):
+        base = np.sort(rng.uniform(0.0, 4.0, size=rng.integers(0, 6)))
+        jitter = rng.choice([0.0, 1e-12, 5e-9, 2e-8], size=(base.size, 3))
+        cases.append(np.sort((base[:, None] + jitter).reshape(-1)))
+    for values in cases:
+        lam_max = float(values[-1]) if values.size else 0.0
+        assert [c.tolist() for c in _clusters(values, lam_max)] == \
+            loop_clusters(values, lam_max)
+
+
+def _loop_up_down(sheaf, j, spectrum, modes, scores):
+    """Per-mode, per-cell reference for the coboundary terms of the witness."""
+    up = coboundary(sheaf, j) if j <= 1 and sheaf.cochain_dim(j + 1) else None
+    down = coboundary(sheaf, j - 1) if j >= 1 else None
+    for index, weight in modes:
+        v = spectrum.eigenvectors[:, index]
+        if up is not None:
+            image = up.matrix @ v
+            for coface in sheaf.complex.cells(j + 1):
+                component = float(np.sum(image[up.row_slices[coface]] ** 2))
+                for face in sheaf.complex.faces(coface):
+                    scores[face] += weight * component
+        if down is not None:
+            image = down.matrix.T @ v
+            for cell in sheaf.complex.cells(j):
+                for face in sheaf.complex.faces(cell):
+                    component = float(np.sum(image[down.col_slices[face]] ** 2))
+                    scores[cell] += weight * component
+    return scores
+
+
+def _loop_witnesses(sheaf, j, cfg):
+    """Loop references of local_witness, coface_energy_map and, in degree 1,
+    local_witness_relative under the padding grounding."""
+    from sheafgauge.spectral import _admitted_modes
+
+    spectrum = eigendecompose(laplacian(sheaf, j))
+    delta = cfg.resolve_delta1(spectrum)
+    modes = list(zip(*_admitted_modes(spectrum, delta, cfg)))
+    witness = _loop_up_down(sheaf, j, spectrum, modes,
+                            {cell: 0.0 for cell in sheaf.complex.cells(j)})
+    coface = None
+    if j <= 1:
+        up = coboundary(sheaf, j)
+        coface = {cell: 0.0 for cell in sheaf.complex.cells(j + 1)}
+        for index, weight in modes:
+            image = up.matrix @ spectrum.eigenvectors[:, index]
+            for cell in coface:
+                coface[cell] += weight * float(np.sum(image[up.row_slices[cell]] ** 2))
+    relative = None
+    if j == 1:
+        channels = channel_set(sheaf, grounding_from_padding(sheaf))
+        rel_spectrum = eigendecompose(channels.relative)
+        rel_modes = list(zip(*_admitted_modes(rel_spectrum, cfg.resolve_delta1(rel_spectrum),
+                                              cfg)))
+        relative = _loop_up_down(sheaf, 1, rel_spectrum, rel_modes,
+                                 {cell: 0.0 for cell in sheaf.complex.cells(1)})
+        slices = sheaf.cell_slices(1)
+        for index, weight in rel_modes:
+            v = rel_spectrum.eigenvectors[:, index]
+            for cell in sheaf.complex.cells(1):
+                block = channels.eps[:, slices[cell]] @ v[slices[cell]]
+                relative[cell] += weight * float(np.sum(block**2))
+    return witness, coface, relative
+
+
+def _assert_scores_close(actual, expected):
+    assert list(actual) == list(expected)
+    a = np.array(list(actual.values()))
+    e = np.array(list(expected.values()))
+    scale = max(float(np.max(np.abs(e))), 1e-300) if e.size else 1.0
+    assert np.all(np.abs(a - e) <= 1e-12 * scale)
+    assert np.array_equal(a == 0.0, e == 0.0)
+
+
+def _feature_sheaf(seed):
+    from sheafgauge.sheaves import build_sheaf_from_features
+
+    rng = np.random.default_rng(seed)
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.6]
+    frame, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    features = {v: frame[:, :3] + 0.05 * rng.normal(size=(5, 3)) for v in range(6)}
+    features[6] = frame[:, 3:]  # orthogonal to the rest: zero-dim edge stalks
+    return build_sheaf_from_features(Graph(7, edges), features)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mobius_bundle(9, 2),
+    lambda: hidden_twist_bundle(11, 0.3),
+    lambda: trivial_bundle(8),
+    lambda: constant_sheaf(build_clique_complex(Graph(5, [(0, 1), (0, 2), (1, 2), (1, 3),
+                                                          (2, 3), (3, 4), (0, 4)])), 2),
+    lambda: _feature_sheaf(3),
+], ids=["mobius", "hidden-twist", "trivial", "clique-complex", "feature-sheaf"])
+def test_vectorized_witnesses_match_loop_reference(make):
+    sheaf = make()
+    configs = [WitnessConfig(), WitnessConfig(delta1=3.0, weight="uniform"),
+               WitnessConfig(weight="heat"), WitnessConfig(delta1=1e-9, weight="inverse")]
+    degrees = (0, 1, 2) if sheaf.complex.triangles else (0, 1)
+    for cfg in configs:
+        for j in degrees:
+            witness, coface, relative = _loop_witnesses(sheaf, j, cfg)
+            _assert_scores_close(local_witness(sheaf, j, cfg).scores, witness)
+            if coface is not None:
+                _assert_scores_close(coface_energy_map(sheaf, j, cfg).scores, coface)
+            if relative is not None:
+                grounding = grounding_from_padding(sheaf)
+                _assert_scores_close(local_witness_relative(sheaf, grounding, cfg).scores,
+                                     relative)
+
+
 def test_local_witness_degenerate_cluster_block_rule():
     # delta cutting through a degenerate pair admits or excludes it whole
     sheaf = trivial_bundle(10)
@@ -305,6 +462,14 @@ def test_normalize_preserves_kernel_and_order():
         mass = float(np.trace(result.operator.matrix))
         rank = after.dim - kernel_dim(after)
         assert abs(mass / rank - 1.0) < 1e-10
+        # the spectrum derived without a second eigh agrees with a fresh one
+        derived = normalize_spectrum(lap, before).spectrum
+        assert np.allclose(derived.eigenvalues, after.eigenvalues, rtol=0,
+                           atol=1e-12 * after.lambda_max)
+        assert derived.eigenvectors is before.eigenvectors
+        assert abs(derived.threshold - after.threshold) <= 1e-12 * after.threshold
+        assert kernel_dim(derived) == kernel_dim(after)
+        assert result.spectrum.eigenvalues.tolist() == derived.eigenvalues.tolist()
 
 
 def test_normalize_zero_operator_flagged():
