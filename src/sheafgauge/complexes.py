@@ -2,9 +2,9 @@
 
 Cells are sorted vertex tuples: ``(v,)`` for vertices, ``(u, v)`` for edges
 and ``(u, v, w)`` for triangles. Incidence signs follow the alternating-sum
-convention induced by the global vertex order. Cone cells added by
+rule induced by the global vertex order. Cone cells added by
 :func:`cone_complex` are oriented apex-first, which flips the sign pattern
-on cone edges relative to the sorted convention (the apex index is largest,
+on cone edges relative to the sorted orientation (the apex index is largest,
 but the apex comes first in the orientation order).
 """
 

@@ -10,8 +10,6 @@ an explicit seed range.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +40,7 @@ from .spectral import (
     coface_energy_map,
     eigendecompose,
     global_witness,
+    harmonic_space,
     kernel_dim,
     local_witness,
     local_witness_relative,
@@ -57,24 +56,6 @@ NUM_SEEDS_DEFAULT = 20
 DEFECT_EDGE_DEFAULT = (0, 1)
 
 GROUNDING_NAMES = ("fullrank", "deficient", "padding", "zero")
-
-
-def thread_count() -> int:
-    """Worker cap from SHEAFGAUGE_THREADS; defaults to 1."""
-    raw = os.environ.get("SHEAFGAUGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _ordered_map(fn, items):
-    items = list(items)
-    workers = thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def make_grounding(sheaf: CellSheaf, name: str) -> GroundingMorphism:
@@ -239,7 +220,7 @@ def separation_check(sheaf: CellSheaf, grounding: GroundingMorphism) -> Separati
         dim_b = harmonics.shape[1] - numerical_rank(channels.eps @ harmonics)
     else:
         dim_b = 0
-    relative_kernel = numerical_kernel(channels.relative.matrix)
+    relative_kernel = harmonic_space(spectrum, 0.0)
     if relative_kernel.shape[1] and harmonics.shape[1]:
         stacked = np.hstack([relative_kernel, harmonics])
         dim_c = relative_kernel.shape[1] + harmonics.shape[1] - numerical_rank(stacked)
@@ -320,10 +301,8 @@ def experiment_magnitude(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
     fraction of seeds on which the twist gap stays below the noise gap.
     """
     twist_gap, twist_witness = _gap_and_witness(hidden_twist_bundle(n, tau))
-    seeds = list(range(seed, seed + num_seeds))
-    noisy = _ordered_map(
-        lambda s: _gap_and_witness(noisy_trivial_bundle(n, sigma, s)), seeds
-    )
+    noisy = [_gap_and_witness(noisy_trivial_bundle(n, sigma, s))
+             for s in range(seed, seed + num_seeds)]
     noise_gaps = [g for g, _ in noisy]
     fraction = float(np.mean([twist_gap < g for g in noise_gaps]))
     rows = (
@@ -375,8 +354,7 @@ def experiment_localization(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
         noisy_maps = _fixture_maps(noisy_trivial_bundle(n, sigma, s), cfg)
         return participation_ratio(noisy_maps["edge_energy"].scores), noisy_maps
 
-    seeds = list(range(seed, seed + num_seeds))
-    outcomes = _ordered_map(noise_pr, seeds)
+    outcomes = [noise_pr(s) for s in range(seed, seed + num_seeds)]
     fractions = [twist_pr < pr for pr, _ in outcomes]
     fraction = float(np.mean(fractions)) if fractions else 0.0
     heatmaps = {f"hidden_twist_{k}": v for k, v in twist_maps.items()}

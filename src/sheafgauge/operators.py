@@ -19,6 +19,10 @@ from .sheaves import CellSheaf, Stalk, constant_sheaf
 ZERO_ABS = 1e-10
 ZERO_REL = 1e-8
 
+#: Incidence defect up to which a grounding counts as a sheaf morphism, the
+#: hypothesis of the cone equivalence and the long exact sequence.
+COMPATIBILITY_TOL = 1e-8
+
 VERTEX_LEVEL = "vertex-level"
 COCHAIN_C1 = "cochain-on-c1"
 
@@ -27,7 +31,15 @@ TARGET_CONCENTRATED = "concentrated"
 
 
 def zero_threshold(scale: float) -> float:
-    """Numerical-zero cutoff: lambda counts as zero iff lambda <= this."""
+    """Numerical-zero cutoff: lambda counts as zero iff lambda <= this.
+
+    With ``scale = lambda_max`` the rule is lambda <= 1e-10 + 1e-8 * lambda_max.
+    Kernel dimensions are invariant under rescaling L -> s * L as long as
+    s * lambda_plus_min stays above 10 * zero_threshold(s * lambda_max)
+    (lambda_plus_min: the smallest positive eigenvalue). Below that range
+    the absolute term dominates: the trivial 10-cycle L_0 scaled by 1e-12
+    reports kernel dimension 10 instead of 1.
+    """
     return ZERO_ABS + ZERO_REL * max(float(scale), 0.0)
 
 
@@ -58,8 +70,6 @@ def numerical_kernel(symmetric_matrix) -> np.ndarray:
 class Coboundary:
     degree: int
     matrix: np.ndarray
-    row_cells: tuple
-    col_cells: tuple
     row_slices: dict
     col_slices: dict
 
@@ -75,7 +85,7 @@ def coboundary(sheaf: CellSheaf, j: int) -> Coboundary:
         for face in sheaf.complex.faces(coface):
             sign = sheaf.complex.incidence_sign(coface, face)
             matrix[rows[coface], cols[face]] = sign * sheaf.restriction(face, coface)
-    return Coboundary(j, matrix, sheaf.complex.cells(j + 1), sheaf.complex.cells(j), rows, cols)
+    return Coboundary(j, matrix, rows, cols)
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ class SheafLaplacian:
         return self.matrix.shape[0]
 
 
-def laplacian(sheaf: CellSheaf, j: int, provenance: str = "base") -> SheafLaplacian:
+def laplacian(sheaf: CellSheaf, j: int) -> SheafLaplacian:
     """L_j = d^{j-1} (d^{j-1})^T + (d^j)^T d^j on C^j; down term absent for j = 0."""
     if j not in (0, 1, 2):
         raise ValueError(f"laplacian degree must be 0, 1 or 2, got {j}")
@@ -101,7 +111,7 @@ def laplacian(sheaf: CellSheaf, j: int, provenance: str = "base") -> SheafLaplac
     if j <= 1:
         up = coboundary(sheaf, j).matrix
         m += up.T @ up
-    return SheafLaplacian(0.5 * (m + m.T), j, provenance)
+    return SheafLaplacian(0.5 * (m + m.T), j)
 
 
 def consistency_energy(lap: SheafLaplacian, x) -> float:
@@ -178,15 +188,19 @@ class GroundingMorphism:
             matrix[i * w : (i + 1) * w, cols[cell]] = self.cell_maps[cell]
         return matrix
 
+    def _stacked_cell_maps(self, sheaf: CellSheaf, j: int) -> np.ndarray:
+        """C^j(F) -> W: the degree-j cell maps side by side."""
+        cols = sheaf.cell_slices(j)
+        matrix = np.zeros((self.target_dim, sheaf.cochain_dim(j)))
+        for cell in sheaf.complex.cells(j):
+            matrix[:, cols[cell]] = self.cell_maps[cell]
+        return matrix
+
     def aggregated_vertex_map(self, sheaf: CellSheaf) -> np.ndarray:
         """epsilon_0 into a single copy of W: horizontal stack of vertex maps."""
         if self.cell_maps is None:
             raise GroundingModeError("aggregated map needs a vertex-level grounding")
-        cols = sheaf.cell_slices(0)
-        matrix = np.zeros((self.target_dim, sheaf.cochain_dim(0)))
-        for cell in sheaf.complex.cells(0):
-            matrix[:, cols[cell]] = self.cell_maps[cell]
-        return matrix
+        return self._stacked_cell_maps(sheaf, 0)
 
     def c1_map(self, sheaf: CellSheaf) -> np.ndarray:
         """Map C^1(F) -> W; vertex-level groundings convert via their edge blocks."""
@@ -197,27 +211,17 @@ class GroundingMorphism:
                     f"C^1 has dim {sheaf.cochain_dim(1)}"
                 )
             return self.c1_matrix
-        cols = sheaf.cell_slices(1)
-        matrix = np.zeros((self.target_dim, sheaf.cochain_dim(1)))
-        for cell in sheaf.complex.cells(1):
-            matrix[:, cols[cell]] = self.cell_maps[cell]
-        return matrix
+        return self._stacked_cell_maps(sheaf, 1)
 
 
-def grounding_from_padding(sheaf: CellSheaf, mode: str = VERTEX_LEVEL) -> GroundingMorphism:
+def grounding_from_padding(sheaf: CellSheaf) -> GroundingMorphism:
     """Embed every stalk into W = R^{d_max} by zero-padding its basis."""
     d_max = sheaf.max_ambient_dim
     cell_maps = {}
     for cell, stalk in sheaf.stalks.items():
         pad = np.zeros((d_max - stalk.ambient_dim, stalk.dim))
         cell_maps[cell] = np.vstack([stalk.basis, pad])
-    grounding = GroundingMorphism(d_max, VERTEX_LEVEL, cell_maps=cell_maps)
-    if mode == VERTEX_LEVEL:
-        return grounding
-    if mode == COCHAIN_C1:
-        return GroundingMorphism(d_max, COCHAIN_C1, cell_maps=cell_maps,
-                                 c1_matrix=grounding.c1_map(sheaf))
-    raise GroundingModeError(f"unknown grounding mode {mode!r}")
+    return GroundingMorphism(d_max, VERTEX_LEVEL, cell_maps=cell_maps)
 
 
 def grounding_identity_c1(sheaf: CellSheaf) -> GroundingMorphism:
@@ -344,11 +348,11 @@ def incidence_defect(sheaf: CellSheaf, grounding: GroundingMorphism,
 class MappingCone:
     """Algebraic mapping cone of a grounding morphism.
 
-    Standard convention: Cone^n = C^{n+1}(F) + C^n(W) with
-    d(a, b) = (-d_F a, -eps a + d_W b). The translated convention shifts by
-    one and flips the sign: Cone[1]^n = C^n(F) + C^{n-1}(W) with
-    d(x, y) = (d_F x, eps x - d_W y). With an augmented grounding complex
-    the translated cone is degreewise identical to the geometric cone.
+    Cone^n = C^{n+1}(F) + C^n(W) with d(a, b) = (-d_F a, -eps a + d_W b).
+    The translated cone Cone[1]^n = Cone^{n-1} has differential
+    -d^{n-1}: (x, y) -> (d_F x, eps x - d_W y). With an augmented grounding
+    complex the translated cone is degreewise identical to the geometric
+    cone.
     """
 
     target: str
@@ -356,33 +360,29 @@ class MappingCone:
     f_dims: dict
     w_dims: dict
     d_std: dict
-    d_translated: dict
     defect_total: float
     is_complex: bool
     d_squared_residual: float
 
-    def dim(self, n: int, convention: str = "std") -> int:
-        if convention == "std":
-            return self.f_dims.get(n + 1, 0) + self.w_dims.get(n, 0)
-        return self.f_dims.get(n, 0) + self.w_dims.get(n - 1, 0)
+    def dim(self, n: int) -> int:
+        return self.f_dims.get(n + 1, 0) + self.w_dims.get(n, 0)
 
-    def differential(self, n: int, convention: str = "std") -> np.ndarray:
-        table = self.d_std if convention == "std" else self.d_translated
-        if n in table:
-            return table[n]
-        return np.zeros((self.dim(n + 1, convention), self.dim(n, convention)))
+    def differential(self, n: int) -> np.ndarray:
+        if n in self.d_std:
+            return self.d_std[n]
+        return np.zeros((self.dim(n + 1), self.dim(n)))
 
-    def laplacian(self, n: int, convention: str = "std") -> SheafLaplacian:
-        down = self.differential(n - 1, convention)
-        up = self.differential(n, convention)
+    def laplacian(self, n: int) -> SheafLaplacian:
+        down = self.differential(n - 1)
+        up = self.differential(n)
         m = down @ down.T + up.T @ up
         return SheafLaplacian(0.5 * (m + m.T), n, provenance="algebraic-cone")
 
-    def betti(self, n: int, convention: str = "std") -> int:
+    def betti(self, n: int) -> int:
         return (
-            self.dim(n, convention)
-            - numerical_rank(self.differential(n, convention))
-            - numerical_rank(self.differential(n - 1, convention))
+            self.dim(n)
+            - numerical_rank(self.differential(n))
+            - numerical_rank(self.differential(n - 1))
         )
 
 
@@ -411,7 +411,7 @@ def _grounding_complex(sheaf, grounding, target, augmented):
 
 def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism,
                    target: str = TARGET_CONSTANT, augmented: bool = False) -> MappingCone:
-    """Assemble the mapping cone differentials in both sign conventions.
+    """Assemble the mapping cone differentials.
 
     If the incidence defect is nonzero the cone is flagged non-complex and
     the d^2 residual is reported instead of asserted.
@@ -437,7 +437,6 @@ def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism,
         return eps.get(j, np.zeros((wd(j), fd(j))))
 
     d_std = {}
-    d_translated = {}
     for n in range(-2, 3):
         rows, cols = fd(n + 2) + wd(n + 1), fd(n + 1) + wd(n)
         if rows and cols:
@@ -446,14 +445,6 @@ def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism,
             m[fd(n + 2) :, : fd(n + 1)] = -epsm(n + 1)
             m[fd(n + 2) :, fd(n + 1) :] = dwm(n)
             d_std[n] = m
-    for n in range(-1, 4):
-        rows, cols = fd(n + 1) + wd(n), fd(n) + wd(n - 1)
-        if rows and cols:
-            m = np.zeros((rows, cols))
-            m[: fd(n + 1), : fd(n)] = dfm(n)
-            m[fd(n + 1) :, : fd(n)] = epsm(n)
-            m[fd(n + 1) :, fd(n) :] = -dwm(n - 1)
-            d_translated[n] = m
 
     defect = incidence_defect(sheaf, grounding, target).total
     residual = 0.0
@@ -467,7 +458,6 @@ def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism,
         f_dims=f_dims,
         w_dims=w_dims,
         d_std=d_std,
-        d_translated=d_translated,
         defect_total=defect,
         is_complex=residual <= 1e-10 * scale,
         d_squared_residual=residual,
@@ -535,8 +525,7 @@ def _cone_layout_index(geo_sheaf, base_sheaf, w, degree):
     return index
 
 
-def verify_cone_equivalence(sheaf: CellSheaf, grounding: GroundingMorphism,
-                            defect_tol: float = 1e-8) -> ConeEquivalenceReport:
+def verify_cone_equivalence(sheaf: CellSheaf, grounding: GroundingMorphism) -> ConeEquivalenceReport:
     """Check that the geometric cone realizes the translated mapping cone.
 
     Requires a compatible grounding (zero incidence defect); otherwise the
@@ -545,7 +534,7 @@ def verify_cone_equivalence(sheaf: CellSheaf, grounding: GroundingMorphism,
     exactly the apex stalk.
     """
     defect = incidence_defect(sheaf, grounding, TARGET_CONSTANT)
-    if defect.total > defect_tol:
+    if defect.total > COMPATIBILITY_TOL:
         return ConeEquivalenceReport("hypothesis-not-met", defect.total, None, None)
     geo = geometric_cone_sheaf(sheaf, grounding)
     cone = algebraic_cone(sheaf, grounding, target=TARGET_CONSTANT, augmented=True)
@@ -554,7 +543,7 @@ def verify_cone_equivalence(sheaf: CellSheaf, grounding: GroundingMorphism,
     residuals = {}
     for j in (0, 1):
         geometric = coboundary(geo, j).matrix
-        translated = cone.d_translated[j]
+        translated = -cone.differential(j - 1)
         reordered = translated[np.ix_(index[j + 1], index[j])]
         residuals[j] = float(np.max(np.abs(geometric - reordered))) if geometric.size else 0.0
     worst = max(residuals.values())
@@ -593,8 +582,7 @@ def _induced(op, source_basis, target_basis):
     return target_basis.T @ (op @ source_basis)
 
 
-def verify_long_exact_sequence(sheaf: CellSheaf, grounding: GroundingMorphism,
-                               defect_tol: float = 1e-8) -> LesReport:
+def verify_long_exact_sequence(sheaf: CellSheaf, grounding: GroundingMorphism) -> LesReport:
     """Rank exactness of ... -> H^j(F) -> H^j(W) -> H^j(cone) -> H^{j+1}(F) -> ...
 
     Cohomology is represented by harmonic bases; the maps are eps, the
@@ -602,7 +590,7 @@ def verify_long_exact_sequence(sheaf: CellSheaf, grounding: GroundingMorphism,
     node means rank(in) + rank(out) = dim and the composite vanishes.
     """
     defect = incidence_defect(sheaf, grounding, TARGET_CONSTANT)
-    if defect.total > defect_tol:
+    if defect.total > COMPATIBILITY_TOL:
         return LesReport("hypothesis-not-met", defect.total, (), (), (), ())
     w = grounding.target_dim
     wsheaf = constant_sheaf(sheaf.complex, w)
@@ -727,16 +715,11 @@ def verify_block_decomposition(sheaf: CellSheaf, grounding: GroundingMorphism) -
     upper[:f2, f2:] = d1 @ eps.T
     upper[f2:, :f2] = eps @ d1.T
     upper[f2:, f2:] = eps @ eps.T
+    relative = np.linalg.eigvalsh(channels.relative.matrix)
     cone_spectrum = np.sort(
-        np.concatenate([
-            np.linalg.eigvalsh(channels.relative.matrix),
-            np.linalg.eigvalsh(0.5 * (upper + upper.T)),
-        ])
+        np.concatenate([relative, np.linalg.eigvalsh(0.5 * (upper + upper.T))])
     )
-    block_parts = [
-        np.linalg.eigvalsh(channels.relative.matrix),
-        np.linalg.eigvalsh(channels.utilization.matrix),
-    ]
+    block_parts = [relative, np.linalg.eigvalsh(channels.utilization.matrix)]
     if f2:
         block_parts.append(np.linalg.eigvalsh(d1 @ d1.T))
     block_spectrum = np.sort(np.concatenate(block_parts))

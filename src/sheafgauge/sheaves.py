@@ -59,15 +59,6 @@ class Stalk:
 
 
 @dataclass(frozen=True)
-class RestrictionMap:
-    """Linear map from a face stalk into a coface stalk (coordinate form)."""
-
-    matrix: np.ndarray
-    source: tuple | None = None
-    target: tuple | None = None
-
-
-@dataclass(frozen=True)
 class FeaturePipelineConfig:
     svd_tol: float = 1e-8
     edge_align_tol: float = 0.9
@@ -210,9 +201,9 @@ def edge_stalk_intersection(bu: Stalk, bv: Stalk, cfg: FeaturePipelineConfig | N
 
     Singular directions of Bu^T Bv with singular value above
     ``edge_align_tol`` are nearly aligned in both stalks; their mean
-    directions span the edge stalk. Restrictions are coordinate
-    projections onto that basis, so the construction is symmetric in
-    (u, v) up to basis.
+    directions span the edge stalk. Returns ``(stalk, rho_u, rho_v)``; the
+    restriction matrices are coordinate projections onto that basis, so the
+    construction is symmetric in (u, v) up to basis.
     """
     cfg = cfg or FeaturePipelineConfig()
     if bu.ambient_dim != bv.ambient_dim:
@@ -231,9 +222,7 @@ def edge_stalk_intersection(bu: Stalk, bv: Stalk, cfg: FeaturePipelineConfig | N
         else:
             mean_directions = bu.basis @ u[:, keep] + bv.basis @ vt[keep, :].T
             stalk = Stalk(_polar_orthonormalize(mean_directions))
-    rho_u = RestrictionMap(stalk.basis.T @ bu.basis)
-    rho_v = RestrictionMap(stalk.basis.T @ bv.basis)
-    return stalk, rho_u, rho_v
+    return stalk, stalk.basis.T @ bu.basis, stalk.basis.T @ bv.basis
 
 
 def triangle_stalk_soft_intersection(b_uv, b_vw, b_uw, cfg: FeaturePipelineConfig | None = None):
@@ -241,7 +230,8 @@ def triangle_stalk_soft_intersection(b_uv, b_vw, b_uw, cfg: FeaturePipelineConfi
 
     Builds T = (P_uv P_vw P_uw)^T (P_uv P_vw P_uw) from the edge-stalk
     projectors and keeps eigenvectors whose eigenvalue, raised to
-    ``tri_exponent``, exceeds ``tri_eig_tol``.
+    ``tri_exponent``, exceeds ``tri_eig_tol``. Returns the stalk and the
+    three restriction matrices from the edge stalks, in argument order.
     """
     cfg = cfg or FeaturePipelineConfig()
     dims = {b_uv.ambient_dim, b_vw.ambient_dim, b_uw.ambient_dim}
@@ -260,7 +250,7 @@ def triangle_stalk_soft_intersection(b_uv, b_vw, b_uw, cfg: FeaturePipelineConfi
     keep = keep[np.argsort(-eigenvalues[keep])]
     basis = eigenvectors[:, keep] if keep.size else np.zeros((ambient, 0))
     stalk = Stalk(basis)
-    rhos = tuple(RestrictionMap(stalk.basis.T @ b.basis) for b in (b_uv, b_vw, b_uw))
+    rhos = tuple(stalk.basis.T @ b.basis for b in (b_uv, b_vw, b_uw))
     return (stalk,) + rhos
 
 
@@ -277,16 +267,16 @@ def build_sheaf_from_features(g: Graph, features, cfg: FeaturePipelineConfig | N
     for u, v in complex_.edges:
         stalk, rho_u, rho_v = edge_stalk_intersection(node_stalks[u], node_stalks[v], cfg)
         stalks[(u, v)] = stalk
-        restrictions[((u,), (u, v))] = rho_u.matrix
-        restrictions[((v,), (u, v))] = rho_v.matrix
+        restrictions[((u,), (u, v))] = rho_u
+        restrictions[((v,), (u, v))] = rho_v
     for u, v, w in complex_.triangles:
         stalk, r_uv, r_vw, r_uw = triangle_stalk_soft_intersection(
             stalks[(u, v)], stalks[(v, w)], stalks[(u, w)], cfg
         )
         stalks[(u, v, w)] = stalk
-        restrictions[((u, v), (u, v, w))] = r_uv.matrix
-        restrictions[((v, w), (u, v, w))] = r_vw.matrix
-        restrictions[((u, w), (u, v, w))] = r_uw.matrix
+        restrictions[((u, v), (u, v, w))] = r_uv
+        restrictions[((v, w), (u, v, w))] = r_vw
+        restrictions[((u, w), (u, v, w))] = r_uw
     sheaf = CellSheaf(complex_, stalks, restrictions)
     sheaf.validated = not validate_sheaf(sheaf, FUNCTORIALITY_TOL)
     return sheaf

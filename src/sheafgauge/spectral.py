@@ -26,6 +26,11 @@ from .sheaves import CellSheaf, constant_sheaf
 
 ZERO_PSD_REL = 1e-8
 
+#: Cone reduction: largest intertwining or commutator residual for which
+#: the hypotheses hold, and the slack allowed in the two bounds.
+COMMUTATION_TOL = 1e-8
+BOUND_SLACK = 1e-8
+
 
 class AsymmetricOperatorError(ValueError):
     pass
@@ -544,9 +549,8 @@ def _pairwise_spread(ev_a, ev_b):
     return float(max(np.max(ev_a) - np.min(ev_b), np.max(ev_b) - np.min(ev_a), 0.0))
 
 
-def verify_cone_reduction(side_a: ConeReductionSide, side_b: ConeReductionSide,
-                          hypothesis_tol: float = 1e-8,
-                          slack: float = 1e-8) -> ConeReductionReport:
+def verify_cone_reduction(side_a: ConeReductionSide,
+                          side_b: ConeReductionSide) -> ConeReductionReport:
     """Check the interleaving bound eta + v (and eta + theta) for cone spectra.
 
     eta is the measured interleaving of the base filtrations, v the largest
@@ -564,7 +568,7 @@ def verify_cone_reduction(side_a: ConeReductionSide, side_b: ConeReductionSide,
         "commutator_f_b": comm_b[0],
         "commutator_w_b": comm_b[1],
     }
-    if max(residuals.values()) > hypothesis_tol:
+    if max(residuals.values()) > COMMUTATION_TOL:
         return ConeReductionReport("hypothesis-not-met", residuals)
 
     def spec(m):
@@ -579,8 +583,8 @@ def verify_cone_reduction(side_a: ConeReductionSide, side_b: ConeReductionSide,
     v_bound = max(_pairwise_spread(gram_f_a, gram_f_b), _pairwise_spread(gram_w_a, gram_w_b))
     theta = max(_profile_eta(gram_f_a, gram_f_b), _profile_eta(gram_w_a, gram_w_b))
     measured = _profile_eta(side_a.cone_spectrum(), side_b.cone_spectrum())
-    bound_v = measured <= eta + v_bound + slack
-    bound_theta = measured <= eta + theta + slack if math.isfinite(theta) else None
+    bound_v = measured <= eta + v_bound + BOUND_SLACK
+    bound_theta = measured <= eta + theta + BOUND_SLACK if math.isfinite(theta) else None
     status = "pass" if bound_v and (bound_theta is not False) else "fail"
     return ConeReductionReport(status, residuals, eta, v_bound, theta, measured,
                                bound_v, bound_theta)

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from sheafgauge.diagnostics import (
     participation_ratio,
     run_diagnostics,
     separation_check,
-    thread_count,
 )
 from sheafgauge.operators import grounding_identity_c1, grounding_killing_kernel, grounding_zero_c1
 from sheafgauge.sheaves import mobius_bundle, trivial_bundle
@@ -208,13 +206,6 @@ def test_participation_ratio():
     assert participation_ratio([0.0, 0.0]) == 0.0
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("SHEAFGAUGE_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("SHEAFGAUGE_THREADS", "bogus")
-    assert thread_count() == 1
-
-
 def test_experiment_existence_rows():
     result = experiment_existence(10)
     by_name = {r["construction"]: r for r in result.rows}
@@ -282,11 +273,3 @@ def test_experiments_deterministic():
     c = experiment_localization(num_seeds=3)[0].to_json_dict()
     d = experiment_localization(num_seeds=3)[0].to_json_dict()
     assert c == d
-
-
-def test_experiments_thread_invariant(monkeypatch):
-    monkeypatch.delenv("SHEAFGAUGE_THREADS", raising=False)
-    serial = experiment_magnitude(num_seeds=6).to_json_dict()
-    monkeypatch.setenv("SHEAFGAUGE_THREADS", "3")
-    threaded = experiment_magnitude(num_seeds=6).to_json_dict()
-    assert serial == threaded

@@ -75,8 +75,8 @@ def test_edge_stalk_identical_planes():
     b = Stalk(_orth(rng, 5, 2))
     stalk, rho_u, rho_v = edge_stalk_intersection(b, b)
     assert stalk.dim == 2
-    assert np.allclose(rho_u.matrix, rho_v.matrix)
-    assert np.allclose(rho_u.matrix.T @ rho_u.matrix, np.eye(2), atol=1e-10)
+    assert np.allclose(rho_u, rho_v)
+    assert np.allclose(rho_u.T @ rho_u, np.eye(2), atol=1e-10)
 
 
 def test_edge_stalk_orthogonal_lines():
@@ -122,8 +122,8 @@ def test_edge_stalk_unequal_node_dims():
     bv = Stalk(plane)
     stalk, rho_u, rho_v = edge_stalk_intersection(bu, bv)
     assert stalk.dim == 2
-    assert rho_u.matrix.shape == (2, 3)
-    assert rho_v.matrix.shape == (2, 2)
+    assert rho_u.shape == (2, 3)
+    assert rho_v.shape == (2, 2)
 
 
 def test_edge_stalk_ambient_mismatch():

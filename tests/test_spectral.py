@@ -11,8 +11,15 @@ from sheafgauge.operators import (
     grounding_from_padding,
     grounding_identity_c1,
     laplacian,
+    zero_threshold,
 )
-from sheafgauge.sheaves import constant_sheaf, hidden_twist_bundle, mobius_bundle, trivial_bundle
+from sheafgauge.sheaves import (
+    constant_sheaf,
+    hidden_twist_bundle,
+    mobius_bundle,
+    noisy_trivial_bundle,
+    trivial_bundle,
+)
 from sheafgauge.spectral import (
     AsymmetricOperatorError,
     HarmonicFiltration,
@@ -128,6 +135,42 @@ def test_kernel_dim_gap_zero_operator():
     s = spectrum_of([0.0, 0.0, 0.0])
     assert kernel_dim(s) == 3
     assert spectral_gap(s) == math.inf
+
+
+RESCALING_FIXTURES = {
+    "trivial": lambda: trivial_bundle(10),
+    "mobius": lambda: mobius_bundle(10),
+    "hidden-twist": lambda: hidden_twist_bundle(10, 0.3),
+    "noisy-trivial": lambda: noisy_trivial_bundle(10, 0.25, seed=0),
+}
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("name", sorted(RESCALING_FIXTURES))
+def test_kernel_dim_invariant_under_rescaling(name, degree):
+    # Documented range: s * L reports the kernel of L whenever its smallest
+    # positive eigenvalue stays a decade above the cutoff at that scale.
+    lap = laplacian(RESCALING_FIXTURES[name](), degree)
+    spectrum = eigendecompose(lap)
+    lambda_plus, lambda_max = spectral_gap(spectrum), spectrum.lambda_max
+    covered = []
+    for k in range(-12, 7):
+        s = 10.0**k
+        if s * lambda_plus <= 10 * zero_threshold(s * lambda_max):
+            continue
+        scaled = eigendecompose(SheafLaplacian(s * lap.matrix, degree))
+        assert kernel_dim(scaled) == kernel_dim(spectrum), f"scale 1e{k}"
+        covered.append(k)
+    # every fixture's range reaches at least 1e-4 .. 1e6
+    assert covered == list(range(covered[0], 7)) and covered[0] <= -4
+
+
+def test_kernel_dim_below_rescaling_range():
+    # Out of range: every eigenvalue of 1e-12 * L0 is below the absolute
+    # floor, so the whole trivial 10-cycle counts as kernel.
+    lap = laplacian(trivial_bundle(10), 0)
+    assert kernel_dim(eigendecompose(lap)) == 1
+    assert kernel_dim(eigendecompose(SheafLaplacian(1e-12 * lap.matrix, 0))) == 10
 
 
 def test_is_almost_non_exact_mobius():
