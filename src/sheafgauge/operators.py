@@ -99,19 +99,24 @@ class SheafLaplacian:
         return self.matrix.shape[0]
 
 
+def _hodge_laplacian(n: int, j: int, down: np.ndarray | None,
+                     up: np.ndarray | None) -> SheafLaplacian:
+    """down down^T + up^T up on an n-dimensional cochain space, symmetrized."""
+    m = np.zeros((n, n))
+    if down is not None:
+        m += down @ down.T
+    if up is not None:
+        m += up.T @ up
+    return SheafLaplacian(0.5 * (m + m.T), j)
+
+
 def laplacian(sheaf: CellSheaf, j: int) -> SheafLaplacian:
     """L_j = d^{j-1} (d^{j-1})^T + (d^j)^T d^j on C^j; down term absent for j = 0."""
     if j not in (0, 1, 2):
         raise ValueError(f"laplacian degree must be 0, 1 or 2, got {j}")
-    n = sheaf.cochain_dim(j)
-    m = np.zeros((n, n))
-    if j >= 1:
-        down = coboundary(sheaf, j - 1).matrix
-        m += down @ down.T
-    if j <= 1:
-        up = coboundary(sheaf, j).matrix
-        m += up.T @ up
-    return SheafLaplacian(0.5 * (m + m.T), j)
+    down = coboundary(sheaf, j - 1).matrix if j >= 1 else None
+    up = coboundary(sheaf, j).matrix if j <= 1 else None
+    return _hodge_laplacian(sheaf.cochain_dim(j), j, down, up)
 
 
 def consistency_energy(lap: SheafLaplacian, x) -> float:
@@ -678,11 +683,12 @@ class ChannelSet:
 
 def channel_set(sheaf: CellSheaf, grounding: GroundingMorphism) -> ChannelSet:
     eps = grounding.c1_map(sheaf)
-    l0 = laplacian(sheaf, 0)
-    l1 = laplacian(sheaf, 1)
+    d0 = coboundary(sheaf, 0).matrix
+    d1 = coboundary(sheaf, 1).matrix
+    l0 = _hodge_laplacian(sheaf.cochain_dim(0), 0, None, d0)
+    l1 = _hodge_laplacian(sheaf.cochain_dim(1), 1, d0, d1)
     relative = SheafLaplacian(l1.matrix + eps.T @ eps, 1, provenance="channel")
     utilization = SheafLaplacian(eps @ eps.T, 0, provenance="channel")
-    d1 = coboundary(sheaf, 1).matrix
     coupling = float(np.linalg.norm(d1 @ eps.T)) if d1.size else 0.0
     return ChannelSet(l0, l1, relative, utilization, eps, coupling)
 

@@ -393,19 +393,45 @@ _CONTAIN_TOL = 1e-8
 _EDGE_SLACK = 1e-12
 
 
-def _subspace_contained(spec_a: Spectrum, spec_b: Spectrum, eta: float) -> bool:
-    """H_delta(a) inside H_{delta+eta}(b) at every jump of a."""
-    for lam in np.unique(spec_a.eigenvalues):
-        cut_a = max(float(lam), spec_a.threshold)
-        va = spec_a.eigenvectors[:, spec_a.eigenvalues <= cut_a]
-        if va.shape[1] == 0:
-            continue
-        cut_b = max(cut_a + eta + _EDGE_SLACK, spec_b.threshold)
-        qb = spec_b.eigenvectors[:, spec_b.eigenvalues <= cut_b]
-        residual = va - qb @ (qb.T @ va) if qb.shape[1] else va
-        if float(np.linalg.norm(residual, 2)) > _CONTAIN_TOL:
-            return False
-    return True
+def _contained(overlap: np.ndarray, widest: np.ndarray, total: np.ndarray,
+               k: int, m: int) -> bool:
+    """||overlap[k:, :m]||_2 <= _CONTAIN_TOL, settled by cheap bounds when possible.
+
+    The squared spectral norm lies between the largest squared column norm
+    (``widest``) and the squared Frobenius norm (``total``).
+    """
+    tol2 = _CONTAIN_TOL * _CONTAIN_TOL
+    if widest[k, m - 1] > tol2:
+        return False
+    if total[k, m - 1] <= tol2:
+        return True
+    return float(np.linalg.norm(overlap[k:, :m], 2)) <= _CONTAIN_TOL
+
+
+def _containment_requirements(spec_a: Spectrum, spec_b: Spectrum, overlap: np.ndarray):
+    """Per jump of a: cut_a and the eigenvalue of b up to which H(a) must reach.
+
+    ``overlap`` is V_b^T V_a. With V_b orthonormal, the residual of the
+    first m a-modes against the first k b-modes is ||overlap[k:, :m]||_2,
+    which never rises with k and never falls with m, so one sweep finds the
+    fewest admissible b-modes k(m) for every jump. The jump then requires
+    lambda_b[k(m) - 1] <= max(cut_a + eta + _EDGE_SLACK, threshold_b).
+    """
+    ev_a, ev_b = spec_a.eigenvalues, spec_b.eigenvalues
+    cuts = np.maximum(np.unique(ev_a), spec_a.threshold)
+    modes = np.searchsorted(ev_a, cuts, side="right")
+    # tail[k, j] = sum_{i >= k} overlap[i, j]^2, summed from the small end
+    tail = np.cumsum((overlap * overlap)[::-1], axis=0)[::-1]
+    widest = np.maximum.accumulate(tail, axis=1)
+    total = np.cumsum(tail, axis=1)
+    n = ev_b.shape[0]
+    needs = np.empty(cuts.shape[0])
+    k = 0
+    for i, m in enumerate(modes.tolist()):
+        while k < n and not _contained(overlap, widest, total, k, m):
+            k += 1
+        needs[i] = ev_b[k - 1]  # k >= 1: all of overlap[:, :m] has norm 1
+    return cuts, needs
 
 
 def _profile_eta(ev_a: np.ndarray, ev_b: np.ndarray) -> float:
@@ -425,6 +451,20 @@ def interleaving_shift(a, b, mode: str | None = None) -> InterleavingResult:
     such that each profile dominates the other after shifting, infinite if
     the total dimensions differ). Pass ``mode`` to force ``"subspace"`` or
     ``"dimension-profile"``.
+
+    Subspace mode needs ascending eigenvalues with square orthonormal
+    eigenvector matrices, as ``eigendecompose`` returns them. With
+    M = V_b^T V_a, the first m modes of a lie in the first k modes of b
+    within ``_CONTAIN_TOL`` iff ||M[k:, :m]||_2 <= ``_CONTAIN_TOL``. One
+    sweep over the jumps of a finds the fewest such k for each, and M^T
+    does the same for b in a. eta is the smallest of 0 and the pairwise
+    eigenvalue gaps |lambda_a - lambda_b| at which every jump's k-th
+    b-eigenvalue is at most max(cut_a + eta + ``_EDGE_SLACK``, threshold_b).
+    The cost is one n x n product, O(n^2) running sums and a few small
+    norms. The whole of b contains every a-mode, so ``certified`` is False
+    (eta infinite) only when rounding leaves even the largest gap short of
+    the top eigenvalue: that needs eigenvalues of order 1e4 or more, where
+    the float spacing exceeds ``_EDGE_SLACK``.
     """
     spec_a = a.spectrum if isinstance(a, HarmonicFiltration) else a
     spec_b = b.spectrum if isinstance(b, HarmonicFiltration) else b
@@ -438,28 +478,29 @@ def interleaving_shift(a, b, mode: str | None = None) -> InterleavingResult:
         raise ValueError(f"unknown interleaving mode {mode!r}")
     if not same_space:
         raise ValueError("subspace interleaving needs a common ambient space")
-    candidates = {0.0}
-    for la in spec_a.eigenvalues:
-        for lb in spec_b.eigenvalues:
-            candidates.add(abs(float(la) - float(lb)))
-    ordered = sorted(candidates)
+    ev_a, ev_b = spec_a.eigenvalues, spec_b.eigenvalues
+    overlap = spec_b.eigenvectors.T @ spec_a.eigenvectors
+    requirements = [
+        (*_containment_requirements(spec_a, spec_b, overlap), spec_b.threshold),
+        (*_containment_requirements(spec_b, spec_a, overlap.T), spec_a.threshold),
+    ]
+    candidates = np.unique(np.append(0.0, np.abs(np.subtract.outer(ev_a, ev_b))))
 
     def works(eta):
-        return _subspace_contained(spec_a, spec_b, eta) and _subspace_contained(
-            spec_b, spec_a, eta
-        )
+        return all(bool(np.all(needs <= np.maximum(cuts + eta + _EDGE_SLACK, threshold)))
+                   for cuts, needs, threshold in requirements)
 
-    # containment is monotone in eta: bisect over the candidate list
-    lo, hi = 0, len(ordered) - 1
-    if not works(ordered[hi]):
+    # every requirement is monotone in eta: bisect over the candidates
+    lo, hi = 0, candidates.shape[0] - 1
+    if not works(candidates[hi]):
         return InterleavingResult(math.inf, "subspace", False)
     while lo < hi:
         mid = (lo + hi) // 2
-        if works(ordered[mid]):
+        if works(candidates[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return InterleavingResult(ordered[lo], "subspace", True)
+    return InterleavingResult(float(candidates[lo]), "subspace", True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,14 @@ from __future__ import annotations
 
 import sys
 
+from hypothesis import settings
+
+# Property tests replay the same examples on every run and write no example
+# database, so tier-1 stays deterministic and leaves no files behind.
+settings.register_profile("sheafgauge", derandomize=True, deadline=None, max_examples=60,
+                          database=None)
+settings.load_profile("sheafgauge")
+
 _CRITERIA: list[tuple[str, str, bool]] = []
 
 

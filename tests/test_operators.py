@@ -457,6 +457,26 @@ def test_channel_set_relative_is_l1_plus_gram():
     assert np.array_equal(channels.relative.matrix, channels.l1.matrix + gram)
 
 
+def test_channel_set_assembles_each_coboundary_once(monkeypatch):
+    from sheafgauge import operators
+
+    calls = []
+    original = operators.coboundary
+    monkeypatch.setattr(operators, "coboundary",
+                        lambda sheaf, j: calls.append(j) or original(sheaf, j))
+    rng = np.random.default_rng(3)
+    basis, _ = np.linalg.qr(rng.normal(size=(5, 3)))
+    features = {v: basis + 0.05 * rng.normal(size=(5, 3)) for v in range(6)}
+    feature_sheaf = build_sheaf_from_features(complete_graph(6), features)
+    for sheaf in (trivial_bundle(8, 2), mobius_bundle(7), feature_sheaf):
+        calls.clear()
+        channels = channel_set(sheaf, grounding_from_padding(sheaf))
+        assert sorted(calls) == [0, 1]
+        # bit-equal to the standalone operators
+        assert np.array_equal(channels.l0.matrix, laplacian(sheaf, 0).matrix)
+        assert np.array_equal(channels.l1.matrix, laplacian(sheaf, 1).matrix)
+
+
 def test_rank_deficient_grounding_opens_kernel():
     sheaf = trivial_bundle(10)
     channels = channel_set(sheaf, grounding_killing_kernel(sheaf))
