@@ -249,16 +249,19 @@ def cmd_experiment(args) -> int:
         return 1
     cfg = _config_from_args(args, f"experiment:{name}")
     heatmaps = {}
-    if name == "existence":
-        result = diag.experiment_existence(cfg.n, cfg.stalk_dim or 1)
-    elif name == "magnitude":
-        result = diag.experiment_magnitude(cfg.n, cfg.tau, cfg.sigma, cfg.seed)
-    elif name == "localization":
-        result, heatmaps = diag.experiment_localization(
-            cfg.n, cfg.tau, cfg.sigma, cfg.seed, cfg=_witness_config(cfg)
-        )
-    else:
-        result = diag.experiment_relativity(cfg.n, cfg.stalk_dim or 1)
+    try:
+        if name == "existence":
+            result = diag.experiment_existence(cfg.n, cfg.stalk_dim or 1)
+        elif name == "magnitude":
+            result = diag.experiment_magnitude(cfg.n, cfg.tau, cfg.sigma, cfg.seed)
+        elif name == "localization":
+            result, heatmaps = diag.experiment_localization(
+                cfg.n, cfg.tau, cfg.sigma, cfg.seed, cfg=_witness_config(cfg)
+            )
+        else:
+            result = diag.experiment_relativity(cfg.n, cfg.stalk_dim or 1)
+    except diag.ExperimentParameterError as exc:
+        raise CliInputError(f"experiment {name}: {exc}")
     payload = result.to_json_dict()
     payload["params"].update({"cli": cfg.to_json_dict()})
     write_json(_out(cfg, f"experiment_{name}.json"), payload)

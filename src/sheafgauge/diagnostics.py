@@ -29,6 +29,7 @@ from .operators import (
 )
 from .sheaves import (
     CellSheaf,
+    check_cycle_length,
     hidden_twist_bundle,
     mobius_bundle,
     noisy_trivial_bundle,
@@ -167,9 +168,9 @@ def run_diagnostics(sheaf: CellSheaf, grounding: GroundingMorphism,
     local_maps = {}
     if cfg.with_local:
         wcfg = cfg.witness
-        local_maps["base_j0"] = local_witness(sheaf, 0, wcfg, channels.l0,
+        local_maps["base_j0"] = local_witness(sheaf, 0, wcfg, channels,
                                               raw["local_feasibility"])
-        local_maps["base_j1"] = local_witness(sheaf, 1, wcfg, channels.l1,
+        local_maps["base_j1"] = local_witness(sheaf, 1, wcfg, channels,
                                               raw["intrinsic_obstruction"])
         local_maps["relative_cone"] = local_witness_relative(sheaf, grounding, wcfg, channels,
                                                              raw["relative_cone"])
@@ -235,6 +236,21 @@ def separation_check(sheaf: CellSheaf, grounding: GroundingMorphism) -> Separati
 # ---------------------------------------------------------------------------
 
 
+class ExperimentParameterError(ValueError):
+    """An experiment parameter is out of range; raised before any work is done."""
+
+
+def _check_params(n, sigma=0.0, seed=0, num_seeds=1):
+    """Raise ExperimentParameterError on the first parameter out of range."""
+    try:
+        check_cycle_length(n)
+    except ValueError as exc:
+        raise ExperimentParameterError(str(exc)) from None
+    for name, value, low in (("sigma", sigma, 0), ("seed", seed, 0), ("num_seeds", num_seeds, 1)):
+        if value < low:
+            raise ExperimentParameterError(f"{name} must be at least {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     experiment: str
@@ -267,6 +283,7 @@ def _lambda_min(spectrum: Spectrum) -> float:
 
 def experiment_existence(n: int = N_DEFAULT, stalk_dim: int = 1) -> ExperimentResult:
     """Trivial vs Mobius on the n-cycle: kernel presence decides existence."""
+    _check_params(n)
     rows = []
     for name, sheaf in (("trivial", trivial_bundle(n, stalk_dim)),
                         ("mobius", mobius_bundle(n, stalk_dim))):
@@ -300,6 +317,7 @@ def experiment_magnitude(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
     Both constructions have trivial kernel; the verdict is the ensemble
     fraction of seeds on which the twist gap stays below the noise gap.
     """
+    _check_params(n, sigma, seed, num_seeds)
     twist_gap, twist_witness = _gap_and_witness(hidden_twist_bundle(n, tau))
     noisy = [_gap_and_witness(noisy_trivial_bundle(n, sigma, s))
              for s in range(seed, seed + num_seeds)]
@@ -326,10 +344,10 @@ def _fixture_maps(sheaf, cfg: WitnessConfig):
     channels = channel_set(sheaf, grounding)
     spectrum0 = eigendecompose(channels.l0)
     return {
-        "base_j0": local_witness(sheaf, 0, cfg, channels.l0, spectrum0),
-        "base_j1": local_witness(sheaf, 1, cfg, channels.l1),
+        "base_j0": local_witness(sheaf, 0, cfg, channels, spectrum0),
+        "base_j1": local_witness(sheaf, 1, cfg, channels),
         "relative_cone": local_witness_relative(sheaf, grounding, cfg, channels),
-        "edge_energy": coface_energy_map(sheaf, 0, cfg, channels.l0, spectrum0),
+        "edge_energy": coface_energy_map(sheaf, 0, cfg, channels, spectrum0),
     }
 
 
@@ -344,6 +362,7 @@ def experiment_localization(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
     edge-attributed energy of the admitted degree-0 modes: twist argmax at
     the defect edge and a lower participation ratio than noise on most seeds.
     """
+    _check_params(n, sigma, seed, num_seeds)
     cfg = cfg or WitnessConfig()
     twist = hidden_twist_bundle(n, tau)
     twist_maps = _fixture_maps(twist, cfg)
@@ -355,8 +374,7 @@ def experiment_localization(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
         return participation_ratio(noisy_maps["edge_energy"].scores), noisy_maps
 
     outcomes = [noise_pr(s) for s in range(seed, seed + num_seeds)]
-    fractions = [twist_pr < pr for pr, _ in outcomes]
-    fraction = float(np.mean(fractions)) if fractions else 0.0
+    fraction = float(np.mean([twist_pr < pr for pr, _ in outcomes]))
     heatmaps = {f"hidden_twist_{k}": v for k, v in twist_maps.items()}
     heatmaps.update({f"noisy_trivial_{k}": v for k, v in outcomes[0][1].items()})
     rows = (
@@ -377,6 +395,7 @@ def experiment_localization(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
 
 def experiment_relativity(n: int = N_DEFAULT, stalk_dim: int = 1) -> ExperimentResult:
     """Same sheaf, two groundings: only the cone channel tells them apart."""
+    _check_params(n)
     sheaf = trivial_bundle(n, stalk_dim)
     groundings = {
         "fullrank": grounding_identity_c1(sheaf),

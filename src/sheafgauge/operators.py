@@ -75,16 +75,19 @@ class Coboundary:
 
 
 def coboundary(sheaf: CellSheaf, j: int) -> Coboundary:
-    """Signed block matrix C^j -> C^{j+1}: block (c, f) = sign(c, f) * rho_{f->c}."""
+    """Signed block matrix C^j -> C^{j+1}: block (c, f) = sign(c, f) * rho_{f->c}.
+
+    One pass over the incidence table writes every block of degree j.
+    """
     if j not in (0, 1):
         raise ValueError(f"coboundary degree must be 0 or 1, got {j}")
     rows = sheaf.cell_slices(j + 1)
     cols = sheaf.cell_slices(j)
     matrix = np.zeros((sheaf.cochain_dim(j + 1), sheaf.cochain_dim(j)))
-    for coface in sheaf.complex.cells(j + 1):
-        for face in sheaf.complex.faces(coface):
-            sign = sheaf.complex.incidence_sign(coface, face)
-            matrix[rows[coface], cols[face]] = sign * sheaf.restriction(face, coface)
+    restrictions = sheaf.restrictions
+    for (coface, face), sign in sheaf.complex.incidences.items():
+        if len(face) == j + 1:
+            matrix[rows[coface], cols[face]] = sign * restrictions[(face, coface)]
     return Coboundary(j, matrix, rows, cols)
 
 
@@ -664,15 +667,19 @@ def verify_long_exact_sequence(sheaf: CellSheaf, grounding: GroundingMorphism) -
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """The four taxonomy operators.
+    """The four taxonomy operators and the coboundaries they are built from.
 
     ``relative`` = L_1 + eps^T eps is the cone-degree Hodge Laplacian of the
     grounded complex; ``utilization`` = eps eps^T is an auxiliary Gram
     operator on W, not a sheaf Laplacian. ``coupling_norm`` = ||d_1 eps^T||
     measures the failure of the block decomposition on complexes with
-    triangles (it vanishes identically on cycle complexes).
+    triangles (it vanishes identically on cycle complexes). ``d0`` and
+    ``d1`` are the coboundary matrices of the sheaf, for consumers that
+    need them next to the operators.
     """
 
+    d0: np.ndarray
+    d1: np.ndarray
     l0: SheafLaplacian
     l1: SheafLaplacian
     relative: SheafLaplacian
@@ -690,7 +697,7 @@ def channel_set(sheaf: CellSheaf, grounding: GroundingMorphism) -> ChannelSet:
     relative = SheafLaplacian(l1.matrix + eps.T @ eps, 1, provenance="channel")
     utilization = SheafLaplacian(eps @ eps.T, 0, provenance="channel")
     coupling = float(np.linalg.norm(d1 @ eps.T)) if d1.size else 0.0
-    return ChannelSet(l0, l1, relative, utilization, eps, coupling)
+    return ChannelSet(d0, d1, l0, l1, relative, utilization, eps, coupling)
 
 
 @dataclass(frozen=True)
@@ -713,7 +720,7 @@ def verify_block_decomposition(sheaf: CellSheaf, grounding: GroundingMorphism) -
     """
     channels = channel_set(sheaf, grounding)
     eps = channels.eps
-    d1 = coboundary(sheaf, 1).matrix
+    d1 = channels.d1
     f2 = sheaf.cochain_dim(2)
     w = eps.shape[0]
     upper = np.zeros((f2 + w, f2 + w))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,6 +29,10 @@ FUNCTORIALITY_TOL = 1e-8
 #: mode concentrates its mismatch on the defect instead of spreading the
 #: phase around the cycle (concentration wins for weight^2 << 1/n).
 HIDDEN_TWIST_WEIGHT = 0.1
+
+
+_NO_OWNER = np.zeros(0, dtype=int)
+_NO_OWNER.flags.writeable = False
 
 
 class AmbientMismatchError(ValueError):
@@ -78,7 +83,11 @@ class CellSheaf:
     """Stalks per cell plus restriction maps per codimension-1 incidence.
 
     ``restrictions`` maps ``(face, coface)`` to a matrix of shape
-    ``(stalk_dim(coface), stalk_dim(face))``. Immutable after construction.
+    ``(stalk_dim(coface), stalk_dim(face))``. Stalks are fixed at
+    construction, and so is the cochain layout computed from them once
+    there: the slice of every cell inside C^j and the dimension of C^j.
+    Restrictions may be replaced afterwards (the generators and the noise
+    model do so), so no operator assembled from them is ever cached here.
     """
 
     def __init__(self, complex_: CliqueComplex, stalks, restrictions, validated=False):
@@ -86,15 +95,29 @@ class CellSheaf:
         self.stalks = dict(stalks)
         self.restrictions = {k: np.asarray(m, dtype=float) for k, m in restrictions.items()}
         self.validated = validated
+        dims = {cell: stalk.dim for cell, stalk in self.stalks.items()}
         for (coface, face) in complex_.incidences:
             if (face, coface) not in self.restrictions:
                 raise ValueError(f"missing restriction for incidence {face} < {coface}")
             m = self.restrictions[(face, coface)]
-            expected = (self.stalk_dim(coface), self.stalk_dim(face))
+            expected = (dims[coface], dims[face])
             if m.shape != expected:
                 raise ValueError(
                     f"restriction {face} -> {coface} has shape {m.shape}, expected {expected}"
                 )
+        self._slices = {}
+        self._owners = {}
+        for j in (0, 1, 2):
+            cells = complex_.cells(j)
+            sizes = [dims[cell] for cell in cells]
+            slices = self._slices[j] = {}
+            offset = 0
+            for cell, d in zip(cells, sizes):
+                slices[cell] = slice(offset, offset + d)
+                offset += d
+            owner = np.repeat(np.arange(len(cells)), sizes)
+            owner.flags.writeable = False
+            self._owners[j] = owner
 
     def stalk_dim(self, cell):
         return self.stalks[tuple(cell)].dim
@@ -103,17 +126,16 @@ class CellSheaf:
         return self.restrictions[(tuple(face), tuple(coface))]
 
     def cochain_dim(self, j):
-        return sum(self.stalk_dim(c) for c in self.complex.cells(j))
+        return self.cochain_owner(j).shape[0]
 
     def cell_slices(self, j):
-        """Canonical-order slices of each degree-j cell inside C^j."""
-        slices = {}
-        offset = 0
-        for cell in self.complex.cells(j):
-            d = self.stalk_dim(cell)
-            slices[cell] = slice(offset, offset + d)
-            offset += d
-        return slices
+        """Canonical-order slices of each degree-j cell inside C^j, read-only."""
+        return MappingProxyType(self._slices.get(j, {}))
+
+    def cochain_owner(self, j):
+        """Read-only index, in ``complex.cells(j)``, of the cell owning each
+        coordinate of C^j."""
+        return self._owners.get(j, _NO_OWNER)
 
     @property
     def max_ambient_dim(self):
@@ -300,18 +322,30 @@ def rotation_matrix(theta: float, dim: int = 2):
     return q
 
 
+def check_cycle_length(n: int):
+    """Raise ValueError unless a bundle on the n-cycle can be built (n >= 4)."""
+    if n < 4:
+        raise ValueError(
+            f"cycle bundles need n >= 4, got n = {n}: the clique complex of the "
+            "3-cycle fills in the triangle (0, 1, 2), and a cycle bundle has no "
+            "restriction maps into triangles"
+        )
+
+
 def _cycle_sheaf(n: int, stalk_dim: int, edge_maps):
     """Sheaf on the n-cycle: identity from the lower endpoint, ``edge_maps[e]``
-    from the higher endpoint."""
+    from the higher endpoint. Every cell shares one stalk object."""
+    check_cycle_length(n)
     complex_ = build_clique_complex(cycle_graph(n))
     eye = np.eye(stalk_dim)
+    stalk = Stalk(eye)
     stalks = {}
     restrictions = {}
     for v in complex_.vertices:
-        stalks[(v,)] = Stalk(eye)
+        stalks[(v,)] = stalk
     for e in complex_.edges:
         u, v = e
-        stalks[e] = Stalk(eye)
+        stalks[e] = stalk
         restrictions[((u,), e)] = eye.copy()
         restrictions[((v,), e)] = np.asarray(edge_maps.get(e, eye), dtype=float)
     return CellSheaf(complex_, stalks, restrictions, validated=True)
@@ -322,10 +356,10 @@ def make_line_bundle(n: int, stalk_dim: int = 1, edge_twists=None) -> CellSheaf:
 
     The restriction from the lower endpoint of each edge is the identity;
     from the higher endpoint it is the twist (default identity). Scalars
-    are accepted for dimension-1 twists.
+    are accepted for dimension-1 twists. Needs n >= 4: the clique complex
+    of the 3-cycle fills in its triangle, to which a bundle on the cycle
+    gives no restriction maps.
     """
-    if n < 3:
-        raise ValueError("cycle bundles need n >= 3")
     twists = {}
     for edge, raw in (edge_twists or {}).items():
         t = np.atleast_2d(np.asarray(raw, dtype=float))
@@ -412,13 +446,15 @@ def noisy_trivial_bundle(n: int, sigma: float, seed: int, stalk_dim: int = 2) ->
 
 
 def constant_sheaf(complex_: CliqueComplex, dim: int) -> CellSheaf:
-    """Constant sheaf: stalk R^dim everywhere, identity restrictions."""
+    """Constant sheaf: stalk R^dim everywhere (one shared stalk object),
+    identity restrictions."""
     eye = np.eye(dim)
+    stalk = Stalk(eye)
     stalks = {}
     restrictions = {}
     for d in (0, 1, 2):
         for cell in complex_.cells(d):
-            stalks[cell] = Stalk(eye)
+            stalks[cell] = stalk
     for (coface, face) in complex_.incidences:
         restrictions[(face, coface)] = eye.copy()
     return CellSheaf(complex_, stalks, restrictions, validated=True)

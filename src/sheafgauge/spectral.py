@@ -244,9 +244,8 @@ def _block_energy(sheaf: CellSheaf, j: int, image: np.ndarray, weights: np.ndarr
 
     Rows are summed by owning cell, so a zero-dimensional stalk scores 0.
     """
-    sizes = [sheaf.stalk_dim(cell) for cell in sheaf.complex.cells(j)]
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    return np.bincount(owner, weights=(image**2) @ weights, minlength=len(sizes))
+    return np.bincount(sheaf.cochain_owner(j), weights=(image**2) @ weights,
+                       minlength=len(sheaf.complex.cells(j)))
 
 
 def _incidence_index(sheaf: CellSheaf, j: int):
@@ -259,21 +258,23 @@ def _incidence_index(sheaf: CellSheaf, j: int):
 
 
 def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray, weights: np.ndarray,
+                    down: np.ndarray | None, up: np.ndarray | None,
                     eps: np.ndarray | None = None) -> dict:
     """Per-cell witness scores of the weighted mode columns in degree j.
 
+    ``down`` is d_{j-1} and ``up`` is d_j, None where degree j has none.
     Every cell receives the block energy of d_j V at each of its cofaces and
     of d_{j-1}^T V at each of its faces; with ``eps``, each cell also
     receives the energy of its own column block of eps.
     """
     cells = sheaf.complex.cells(j)
     scores = np.zeros(len(cells))
-    if j <= 1:
-        energy = _block_energy(sheaf, j + 1, coboundary(sheaf, j).matrix @ vectors, weights)
+    if up is not None:
+        energy = _block_energy(sheaf, j + 1, up @ vectors, weights)
         coface, face = _incidence_index(sheaf, j)
         scores += np.bincount(face, weights=energy[coface], minlength=len(cells))
-    if j >= 1:
-        energy = _block_energy(sheaf, j - 1, coboundary(sheaf, j - 1).matrix.T @ vectors, weights)
+    if down is not None:
+        energy = _block_energy(sheaf, j - 1, down.T @ vectors, weights)
         cell, face = _incidence_index(sheaf, j - 1)
         scores += np.bincount(cell, weights=energy[face], minlength=len(cells))
     if eps is not None:
@@ -281,6 +282,22 @@ def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray, weights: np.n
         for k, block in enumerate(sheaf.cell_slices(j).values()):
             scores[k] += float(np.sum((eps[:, block] @ vectors[block]) ** 2, axis=0) @ weights)
     return dict(zip(cells, scores.tolist()))
+
+
+def _channel_laplacian(channels: ChannelSet | None, j: int) -> SheafLaplacian | None:
+    """L_j from the channel set, None without one; it holds degrees 0 and 1."""
+    if channels is None:
+        return None
+    if j not in (0, 1):
+        raise ValueError(f"a channel set holds degrees 0 and 1, not {j}")
+    return channels.l1 if j else channels.l0
+
+
+def _coboundary_matrix(sheaf: CellSheaf, j: int, channels: ChannelSet | None) -> np.ndarray:
+    """d_j from the channel set when given, assembled otherwise."""
+    if channels is None:
+        return coboundary(sheaf, j).matrix
+    return channels.d1 if j else channels.d0
 
 
 def _degree_modes(sheaf, j, cfg, operator, spectrum):
@@ -295,31 +312,39 @@ def _degree_modes(sheaf, j, cfg, operator, spectrum):
 
 
 def local_witness(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None,
-                  operator: SheafLaplacian | None = None,
+                  channels: ChannelSet | None = None,
                   spectrum: Spectrum | None = None) -> LocalWitnessMap:
     """Per-cell attribution of admitted low-energy mode energy in degree j.
 
     Each admitted eigenvector v contributes, to every cell e of degree j,
     the full squared component of d_j v at each coface of e plus the full
-    squared component of d_{j-1}^T v at each face of e.
+    squared component of d_{j-1}^T v at each face of e. ``channels`` (for
+    j = 0 or 1) supplies L_j and the coboundaries, ``spectrum`` the
+    spectrum of L_j; what is not given is built here.
     """
-    operator, delta, vectors, weights = _degree_modes(sheaf, j, cfg, operator, spectrum)
-    scores = _witness_scores(sheaf, j, vectors, weights)
+    operator, delta, vectors, weights = _degree_modes(
+        sheaf, j, cfg, _channel_laplacian(channels, j), spectrum)
+    down = _coboundary_matrix(sheaf, j - 1, channels) if j >= 1 else None
+    up = _coboundary_matrix(sheaf, j, channels) if j <= 1 else None
+    scores = _witness_scores(sheaf, j, vectors, weights, down, up)
     return LocalWitnessMap(j, delta, operator.provenance, scores)
 
 
 def coface_energy_map(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None,
-                      operator: SheafLaplacian | None = None,
+                      channels: ChannelSet | None = None,
                       spectrum: Spectrum | None = None) -> LocalWitnessMap:
     """Per-coface energy of the admitted degree-j modes, before aggregation.
 
     The degree-j witness attributes ||(d_j v)[c]||^2 to every face of c;
     this map reports the components on the (j+1)-cells themselves. For
     j = 0 it localizes inconsistency to edges, which the vertex-level
-    witness then aggregates to nodes.
+    witness then aggregates to nodes. ``channels`` and ``spectrum`` are
+    taken as in :func:`local_witness`.
     """
-    _, delta, vectors, weights = _degree_modes(sheaf, j, cfg, operator, spectrum)
-    energy = _block_energy(sheaf, j + 1, coboundary(sheaf, j).matrix @ vectors, weights)
+    _, delta, vectors, weights = _degree_modes(
+        sheaf, j, cfg, _channel_laplacian(channels, j), spectrum)
+    up = _coboundary_matrix(sheaf, j, channels)
+    energy = _block_energy(sheaf, j + 1, up @ vectors, weights)
     scores = dict(zip(sheaf.complex.cells(j + 1), energy.tolist()))
     return LocalWitnessMap(j + 1, delta, "coface-energy", scores)
 
@@ -338,7 +363,8 @@ def local_witness_relative(sheaf: CellSheaf, grounding: GroundingMorphism,
     """
     channels = channels if channels is not None else channel_set(sheaf, grounding)
     _, delta, vectors, weights = _degree_modes(sheaf, 1, cfg, channels.relative, spectrum)
-    scores = _witness_scores(sheaf, 1, vectors, weights, eps=channels.eps)
+    scores = _witness_scores(sheaf, 1, vectors, weights, channels.d0, channels.d1,
+                             eps=channels.eps)
     return LocalWitnessMap(1, delta, "relative-cone", scores)
 
 

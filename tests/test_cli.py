@@ -109,8 +109,43 @@ def test_diagnose_bad_generator_parameter_is_input_error(tmp_path, capsys):
     assert run(["diagnose", "--generator", "trivial", "--n", "2",
                 "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: generator trivial:") and "n >= 3" in err
+    assert err.startswith("error: generator trivial:") and "n >= 4" in err
     assert not (tmp_path / "x").exists()
+
+
+def test_diagnose_three_cycle_names_the_filled_triangle(tmp_path, capsys):
+    assert run(["diagnose", "--generator", "mobius", "--n", "3",
+                "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: generator mobius: cycle bundles need n >= 4")
+    assert "triangle (0, 1, 2)" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["existence", "--n", "2"], "n >= 4"),
+    (["existence", "--n", "3"], "triangle (0, 1, 2)"),
+    (["relativity", "--n", "3"], "n >= 4"),
+    (["magnitude", "--n", "6", "--seed", "-1"], "seed must be at least 0"),
+    (["localization", "--n", "6", "--sigma", "-0.5"], "sigma must be at least 0"),
+])
+def test_experiment_bad_parameter_is_input_error(tmp_path, capsys, args, message):
+    assert run(["experiment"] + args + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: experiment {args[0]}:") and message in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_experiment_fault_during_computation_exits_two(tmp_path, capsys, monkeypatch):
+    from sheafgauge import diagnostics
+    from sheafgauge.spectral import PsdViolationError
+
+    def failing(_lap):
+        raise PsdViolationError("negative eigenvalue -1.000e+00")
+
+    monkeypatch.setattr(diagnostics, "eigendecompose", failing)
+    assert run(["experiment", "magnitude", "--n", "6", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("validation error: negative eigenvalue")
 
 
 def test_experiment_unknown_name_lists_valid(tmp_path, capsys):

@@ -222,6 +222,62 @@ def test_experiment_existence_n4_closed_form():
     assert mobius["kernel_dim"] == 0
 
 
+def _record_coboundary_degrees(monkeypatch):
+    """Record the degree of every coboundary assembly, wherever it is bound."""
+    from sheafgauge import operators, spectral
+
+    degrees = []
+    original = operators.coboundary
+
+    def recorded(sheaf, j):
+        degrees.append(j)
+        return original(sheaf, j)
+
+    for module in (operators, spectral):
+        monkeypatch.setattr(module, "coboundary", recorded)
+    return degrees
+
+
+def test_run_diagnostics_with_local_assembles_each_coboundary_once(monkeypatch):
+    degrees = _record_coboundary_degrees(monkeypatch)
+    for sheaf in (_feature_fixture(), trivial_bundle(8, 2)):
+        degrees.clear()
+        run_diagnostics(sheaf, make_grounding(sheaf, "padding"),
+                        DiagnosticsConfig(with_local=True))
+        assert sorted(degrees) == [0, 1]
+
+
+def test_fixture_maps_assemble_two_coboundaries_per_fixture(monkeypatch):
+    from sheafgauge.diagnostics import _fixture_maps
+    from sheafgauge.sheaves import hidden_twist_bundle, noisy_trivial_bundle
+
+    degrees = _record_coboundary_degrees(monkeypatch)
+    for sheaf in (hidden_twist_bundle(12, 0.3), noisy_trivial_bundle(12, 0.25, 4)):
+        degrees.clear()
+        _fixture_maps(sheaf, WitnessConfig())
+        assert sorted(degrees) == [0, 1]
+
+
+@pytest.mark.parametrize("experiment", [experiment_magnitude, experiment_localization])
+@pytest.mark.parametrize("num_seeds", [0, -3])
+def test_ensembles_reject_empty_seed_range(experiment, num_seeds):
+    with pytest.raises(ValueError, match="num_seeds must be at least 1"):
+        experiment(n=8, num_seeds=num_seeds)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: experiment_existence(3),
+    lambda: experiment_relativity(2),
+    lambda: experiment_magnitude(n=8, seed=-1),
+    lambda: experiment_localization(n=8, sigma=-0.5),
+], ids=["existence-n", "relativity-n", "magnitude-seed", "localization-sigma"])
+def test_experiments_reject_bad_parameters_before_work(call):
+    from sheafgauge.diagnostics import ExperimentParameterError
+
+    with pytest.raises(ExperimentParameterError):
+        call()
+
+
 def test_experiment_magnitude_default_ordering():
     result = experiment_magnitude(num_seeds=8)
     assert result.verdict["ordering_majority"]

@@ -33,6 +33,7 @@ from sheafgauge.sheaves import (
     Stalk,
     build_sheaf_from_features,
     constant_sheaf,
+    hidden_twist_bundle,
     make_line_bundle,
     mobius_bundle,
     noisy_trivial_bundle,
@@ -86,6 +87,68 @@ def test_d1_d0_vanishes_exactly_on_k3():
     d0 = coboundary(sheaf, 0).matrix
     d1 = coboundary(sheaf, 1).matrix
     assert np.max(np.abs(d1 @ d0)) == 0.0
+
+
+def _fresh_slices(sheaf, j):
+    """Cell slices of C^j and its dimension, recomputed from the stalks."""
+    slices, offset = {}, 0
+    for cell in sheaf.complex.cells(j):
+        d = sheaf.stalk_dim(cell)
+        slices[cell] = slice(offset, offset + d)
+        offset += d
+    return slices, offset
+
+
+def _reference_coboundary(sheaf, j):
+    """Per-coface assembly through faces(), incidence_sign() and restriction()."""
+    rows, row_dim = _fresh_slices(sheaf, j + 1)
+    cols, col_dim = _fresh_slices(sheaf, j)
+    matrix = np.zeros((row_dim, col_dim))
+    for coface in sheaf.complex.cells(j + 1):
+        for face in sheaf.complex.faces(coface):
+            sign = sheaf.complex.incidence_sign(coface, face)
+            matrix[rows[coface], cols[face]] = sign * sheaf.restriction(face, coface)
+    return matrix
+
+
+def _zero_stalk_feature_sheaf():
+    rng = np.random.default_rng(4)
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.6]
+    frame, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    features = {v: frame[:, :3] + 0.05 * rng.normal(size=(5, 3)) for v in range(6)}
+    features[6] = frame[:, 3:]  # orthogonal to the rest: zero-dim edge stalks
+    sheaf = build_sheaf_from_features(Graph(7, edges), features)
+    assert min(sheaf.stalk_dim(e) for e in sheaf.complex.edges) == 0
+    return sheaf
+
+
+def _triangle_constant_sheaf():
+    g = Graph(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (2, 4), (4, 5)])
+    return constant_sheaf(build_clique_complex(g), 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: trivial_bundle(9, 2),
+    lambda: mobius_bundle(8, 2),
+    lambda: hidden_twist_bundle(10, 0.3),
+    lambda: noisy_trivial_bundle(11, 0.25, 5),
+    lambda: constant_sheaf(build_clique_complex(complete_graph(5)), 1),
+    _triangle_constant_sheaf,
+    _zero_stalk_feature_sheaf,
+    lambda: geometric_cone_sheaf(mobius_bundle(6, 2),
+                                 grounding_from_padding(mobius_bundle(6, 2))),
+    lambda: geometric_cone_sheaf(_triangle_constant_sheaf(),
+                                 constant_grounding(_triangle_constant_sheaf(), 3, seed=2)),
+], ids=["trivial", "mobius", "hidden-twist", "noisy-trivial", "constant-k5",
+        "constant-triangles", "feature-zero-stalks", "cone-mobius", "cone-constant"])
+def test_coboundary_bit_identical_to_reference(make):
+    sheaf = make()
+    for j in (0, 1):
+        d = coboundary(sheaf, j).matrix
+        reference = _reference_coboundary(sheaf, j)
+        assert d.shape == reference.shape
+        # tobytes() also tells a signed zero from an unsigned one
+        assert d.tobytes() == reference.tobytes()
 
 
 def test_coboundary_degree_out_of_range():
@@ -475,6 +538,18 @@ def test_channel_set_assembles_each_coboundary_once(monkeypatch):
         # bit-equal to the standalone operators
         assert np.array_equal(channels.l0.matrix, laplacian(sheaf, 0).matrix)
         assert np.array_equal(channels.l1.matrix, laplacian(sheaf, 1).matrix)
+
+
+def test_block_decomposition_assembles_two_coboundaries(monkeypatch):
+    from sheafgauge import operators
+
+    calls = []
+    original = operators.coboundary
+    monkeypatch.setattr(operators, "coboundary",
+                        lambda sheaf, j: calls.append(j) or original(sheaf, j))
+    sheaf = constant_sheaf(build_clique_complex(complete_graph(5)), 2)
+    verify_block_decomposition(sheaf, grounding_identity_c1(sheaf))
+    assert sorted(calls) == [0, 1]
 
 
 def test_rank_deficient_grounding_opens_kernel():

@@ -235,6 +235,81 @@ def test_line_bundle_too_short():
         make_line_bundle(2)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: trivial_bundle(3),
+    lambda: mobius_bundle(3, 2),
+    lambda: hidden_twist_bundle(3, 0.3),
+    lambda: noisy_trivial_bundle(3, 0.25, 0),
+], ids=["trivial", "mobius", "hidden-twist", "noisy-trivial"])
+def test_cycle_generators_reject_the_filled_triangle(make):
+    with pytest.raises(ValueError, match=r"n >= 4.*triangle \(0, 1, 2\)"):
+        make()
+
+
+def test_cycle_generators_share_one_stalk():
+    for sheaf in (trivial_bundle(6, 2), hidden_twist_bundle(6, 0.3),
+                  constant_sheaf(build_clique_complex(complete_graph(4)), 2)):
+        assert len({id(stalk) for stalk in sheaf.stalks.values()}) == 1
+
+
+def _fresh_layout(sheaf, j):
+    """Cell slices of C^j and its dimension, recomputed from the stalks."""
+    slices, offset = {}, 0
+    for cell in sheaf.complex.cells(j):
+        d = sheaf.stalk_dim(cell)
+        slices[cell] = slice(offset, offset + d)
+        offset += d
+    return slices, offset
+
+
+def _layout_fixtures():
+    rng = np.random.default_rng(2)
+    frame = _orth(rng, 5, 5)
+    features = {v: frame[:, :3] + 0.05 * rng.normal(size=(5, 3)) for v in range(5)}
+    features[5] = frame[:, 3:]  # orthogonal to the rest: zero-dim edge stalks
+    edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if rng.random() < 0.7]
+    return (hidden_twist_bundle(7, 0.3), mobius_bundle(5, 3),
+            constant_sheaf(build_clique_complex(complete_graph(5)), 2),
+            build_sheaf_from_features(Graph(6, edges), features))
+
+
+def test_layout_matches_fresh_recomputation():
+    for sheaf in _layout_fixtures():
+        for j in (-1, 0, 1, 2, 3):
+            slices, dim = _fresh_layout(sheaf, j)
+            assert dict(sheaf.cell_slices(j)) == slices
+            assert list(sheaf.cell_slices(j)) == list(slices)
+            assert sheaf.cochain_dim(j) == dim
+            owner = sheaf.cochain_owner(j)
+            assert owner.shape == (dim,)
+            for k, cell in enumerate(sheaf.complex.cells(j)):
+                assert np.all(owner[slices[cell]] == k)
+
+
+def test_layout_cannot_be_mutated_through_its_accessors():
+    sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
+    before = {j: dict(sheaf.cell_slices(j)) for j in (0, 1, 2)}
+    slices = sheaf.cell_slices(1)
+    with pytest.raises(TypeError):
+        slices[(0, 1)] = slice(0, 0)
+    with pytest.raises(TypeError):
+        del slices[(0, 1)]
+    with pytest.raises(ValueError):
+        sheaf.cochain_owner(1)[0] = 5
+    assert {j: dict(sheaf.cell_slices(j)) for j in (0, 1, 2)} == before
+    assert [sheaf.cochain_dim(j) for j in (0, 1, 2)] == [8, 12, 8]
+
+
+def test_replaced_restriction_reaches_the_operators():
+    # the layout is cached, operators are not: a replaced restriction shows up
+    sheaf = trivial_bundle(6, 2)
+    before = laplacian(sheaf, 0).matrix
+    sheaf.restrictions[((1,), (0, 1))] = rotation_matrix(0.4)
+    after = laplacian(sheaf, 0).matrix
+    assert not np.array_equal(before, after)
+    assert kernel_dim(eigendecompose(laplacian(sheaf, 0))) == 0
+
+
 def test_mobius_bundle_kills_kernel():
     spectrum = eigendecompose(laplacian(mobius_bundle(10), 0))
     assert kernel_dim(spectrum) == 0

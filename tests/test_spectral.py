@@ -470,6 +470,24 @@ def test_vectorized_witnesses_match_loop_reference(make):
                                      relative)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: hidden_twist_bundle(11, 0.3),
+    lambda: constant_sheaf(build_clique_complex(Graph(5, [(0, 1), (0, 2), (1, 2), (1, 3),
+                                                          (2, 3), (3, 4), (0, 4)])), 2),
+    lambda: _feature_sheaf(3),
+], ids=["hidden-twist", "clique-complex", "feature-sheaf"])
+def test_witnesses_from_channel_set_equal_standalone(make):
+    # the channel set's L_j, d0 and d1 are the standalone ones, bit for bit
+    sheaf = make()
+    channels = channel_set(sheaf, grounding_from_padding(sheaf))
+    for cfg in (WitnessConfig(), WitnessConfig(delta1=3.0, weight="uniform")):
+        for j in (0, 1):
+            assert local_witness(sheaf, j, cfg, channels) == local_witness(sheaf, j, cfg)
+            assert coface_energy_map(sheaf, j, cfg, channels) == coface_energy_map(sheaf, j, cfg)
+    with pytest.raises(ValueError, match="degrees 0 and 1"):
+        local_witness(sheaf, 2, WitnessConfig(), channels)
+
+
 def test_local_witness_degenerate_cluster_block_rule():
     # delta cutting through a degenerate pair admits or excludes it whole
     sheaf = trivial_bundle(10)
