@@ -24,9 +24,12 @@ from .complexes import GraphValidationError, graph_from_json
 from .fileio import write_csv, write_json
 from .operators import (
     VERTEX_LEVEL,
+    algebraic_cone,
     channel_set,
     coboundary,
     laplacian,
+    verify_cone_equivalence,
+    verify_long_exact_sequence,
 )
 from .sheaves import (
     FeaturePipelineConfig,
@@ -45,7 +48,6 @@ from .spectral import (
     indicator_profile,
     verify_cone_reduction,
 )
-from .operators import verify_cone_equivalence, verify_long_exact_sequence
 
 GENERATORS = ("trivial", "mobius", "hidden-twist", "noisy-trivial")
 EXPERIMENTS = ("existence", "magnitude", "localization", "relativity")
@@ -277,19 +279,20 @@ def cmd_verify(args) -> int:
     checks = {}
 
     if grounding.mode == VERTEX_LEVEL:
-        cone_report = verify_cone_equivalence(sheaf, grounding)
+        cone = algebraic_cone(sheaf, grounding)
+        cone_report = verify_cone_equivalence(cone)
         checks["cone_equivalence"] = {
             "status": cone_report.status,
             "defect_norm": cone_report.defect_norm,
             "max_residual": cone_report.max_residual,
         }
-        les = verify_long_exact_sequence(sheaf, grounding)
+        les = verify_long_exact_sequence(cone)
         checks["long_exact_sequence"] = {
             "status": les.status,
             "defect_norm": les.defect_norm,
             "betti_cone": list(les.betti_cone),
         }
-        side = cone_reduction_side(sheaf, grounding)
+        side = cone_reduction_side(cone)
         reduction = verify_cone_reduction(side, side)
         checks["cone_reduction"] = {
             "status": reduction.status,

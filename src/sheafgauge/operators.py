@@ -26,9 +26,6 @@ COMPATIBILITY_TOL = 1e-8
 VERTEX_LEVEL = "vertex-level"
 COCHAIN_C1 = "cochain-on-c1"
 
-TARGET_CONSTANT = "constant"
-TARGET_CONCENTRATED = "concentrated"
-
 
 def zero_threshold(scale: float) -> float:
     """Numerical-zero cutoff: lambda counts as zero iff lambda <= this.
@@ -196,22 +193,8 @@ class GroundingMorphism:
             matrix[i * w : (i + 1) * w, cols[cell]] = self.cell_maps[cell]
         return matrix
 
-    def _stacked_cell_maps(self, sheaf: CellSheaf, j: int) -> np.ndarray:
-        """C^j(F) -> W: the degree-j cell maps side by side."""
-        cols = sheaf.cell_slices(j)
-        matrix = np.zeros((self.target_dim, sheaf.cochain_dim(j)))
-        for cell in sheaf.complex.cells(j):
-            matrix[:, cols[cell]] = self.cell_maps[cell]
-        return matrix
-
-    def aggregated_vertex_map(self, sheaf: CellSheaf) -> np.ndarray:
-        """epsilon_0 into a single copy of W: horizontal stack of vertex maps."""
-        if self.cell_maps is None:
-            raise GroundingModeError("aggregated map needs a vertex-level grounding")
-        return self._stacked_cell_maps(sheaf, 0)
-
     def c1_map(self, sheaf: CellSheaf) -> np.ndarray:
-        """Map C^1(F) -> W; vertex-level groundings convert via their edge blocks."""
+        """Map C^1(F) -> W; vertex-level groundings set their edge maps side by side."""
         if self.mode == COCHAIN_C1:
             if self.c1_matrix.shape[1] != sheaf.cochain_dim(1):
                 raise GroundingModeError(
@@ -219,7 +202,11 @@ class GroundingMorphism:
                     f"C^1 has dim {sheaf.cochain_dim(1)}"
                 )
             return self.c1_matrix
-        return self._stacked_cell_maps(sheaf, 1)
+        cols = sheaf.cell_slices(1)
+        matrix = np.zeros((self.target_dim, sheaf.cochain_dim(1)))
+        for cell in sheaf.complex.cells(1):
+            matrix[:, cols[cell]] = self.cell_maps[cell]
+        return matrix
 
 
 def grounding_from_padding(sheaf: CellSheaf) -> GroundingMorphism:
@@ -227,8 +214,9 @@ def grounding_from_padding(sheaf: CellSheaf) -> GroundingMorphism:
     d_max = sheaf.max_ambient_dim
     cell_maps = {}
     for cell, stalk in sheaf.stalks.items():
-        pad = np.zeros((d_max - stalk.ambient_dim, stalk.dim))
-        cell_maps[cell] = np.vstack([stalk.basis, pad])
+        block = np.zeros((d_max, stalk.dim))
+        block[: stalk.ambient_dim] = stalk.basis
+        cell_maps[cell] = block
     return GroundingMorphism(d_max, VERTEX_LEVEL, cell_maps=cell_maps)
 
 
@@ -311,40 +299,30 @@ def propagate_cycle_grounding(sheaf: CellSheaf, seed: int,
 
 @dataclass(frozen=True)
 class IncidenceDefect:
-    """Failure of the grounding to commute with the coboundary structure.
+    """Failure of the grounding to commute with the restriction maps.
 
-    For the constant target the blocks are keyed by (face, coface) and equal
-    eps_coface rho - eps_face. For the degree-0 concentrated target (d_W = 0)
-    the relevant residual is eps_0 d_0^T, keyed per edge; it is the coupling
-    that obstructs the block decomposition of the cone Laplacian.
+    The target is the constant sheaf W on the same complex, whose restrictions
+    are identities, so the block of the incidence face < coface, keyed by
+    (face, coface), is eps_coface rho_{face->coface} - eps_face. ``total`` is
+    the Frobenius norm of all blocks together; the grounding is a sheaf
+    morphism iff it vanishes.
     """
 
-    target: str
     blocks: dict
     total: float
 
 
-def incidence_defect(sheaf: CellSheaf, grounding: GroundingMorphism,
-                     target: str = TARGET_CONSTANT) -> IncidenceDefect:
+def incidence_defect(sheaf: CellSheaf, grounding: GroundingMorphism) -> IncidenceDefect:
+    """Per-incidence commutation defect of a vertex-level grounding into W."""
     if grounding.mode != VERTEX_LEVEL:
         raise GroundingModeError("incidence defect needs a vertex-level grounding")
     blocks = {}
-    if target == TARGET_CONSTANT:
-        for (coface, face) in sheaf.complex.incidences:
-            delta = grounding.cell_map(coface) @ sheaf.restriction(face, coface) \
-                - grounding.cell_map(face)
-            blocks[(face, coface)] = delta
-    elif target == TARGET_CONCENTRATED:
-        for e in sheaf.complex.edges:
-            delta = np.zeros((grounding.target_dim, sheaf.stalk_dim(e)))
-            for vcell in sheaf.complex.faces(e):
-                sign = sheaf.complex.incidence_sign(e, vcell)
-                delta += sign * grounding.cell_map(vcell) @ sheaf.restriction(vcell, e).T
-            blocks[e] = delta
-    else:
-        raise ValueError(f"unknown grounding target {target!r}")
+    for (coface, face) in sheaf.complex.incidences:
+        delta = grounding.cell_map(coface) @ sheaf.restriction(face, coface) \
+            - grounding.cell_map(face)
+        blocks[(face, coface)] = delta
     total = math.sqrt(sum(float(np.sum(b * b)) for b in blocks.values()))
-    return IncidenceDefect(target, blocks, total)
+    return IncidenceDefect(blocks, total)
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +332,29 @@ def incidence_defect(sheaf: CellSheaf, grounding: GroundingMorphism,
 
 @dataclass
 class MappingCone:
-    """Algebraic mapping cone of a grounding morphism.
+    """Algebraic mapping cone of a vertex-level grounding F -> W.
 
+    W is the constant sheaf with stalk R^w (w = ``grounding.target_dim``) on
+    the complex of F, and eps the grounding's block-diagonal cochain maps.
     Cone^n = C^{n+1}(F) + C^n(W) with d(a, b) = (-d_F a, -eps a + d_W b).
     The translated cone Cone[1]^n = Cone^{n-1} has differential
-    -d^{n-1}: (x, y) -> (d_F x, eps x - d_W y). With an augmented grounding
-    complex the translated cone is degreewise identical to the geometric
-    cone.
+    -d^{n-1}: (x, y) -> (d_F x, eps x - d_W y).
+
+    The cone is the one assembly of the grounded complex: next to its
+    differentials ``d_std`` it keeps the blocks they are built from, ``d_f``
+    and ``d_w`` (coboundaries of F and W in degrees 0 and 1) and ``eps``
+    (degrees 0-2), and the incidence defect ``defect_total``. The
+    certificates (cone equivalence, long exact sequence, cone reduction)
+    read these instead of assembling their own.
     """
 
-    target: str
-    augmented: bool
+    sheaf: CellSheaf
+    grounding: GroundingMorphism
     f_dims: dict
     w_dims: dict
+    d_f: dict
+    d_w: dict
+    eps: dict
     d_std: dict
     defect_total: float
     is_complex: bool
@@ -386,6 +374,14 @@ class MappingCone:
         m = down @ down.T + up.T @ up
         return SheafLaplacian(0.5 * (m + m.T), n, provenance="algebraic-cone")
 
+    def f_laplacian(self, j: int) -> SheafLaplacian:
+        """L_j of F from ``d_f``; the same bits as ``laplacian(sheaf, j)``."""
+        return _hodge_laplacian(self.f_dims[j], j, self.d_f.get(j - 1), self.d_f.get(j))
+
+    def w_laplacian(self, j: int) -> SheafLaplacian:
+        """L_j of W from ``d_w``; the same bits as ``laplacian`` of the constant sheaf."""
+        return _hodge_laplacian(self.w_dims[j], j, self.d_w.get(j - 1), self.d_w.get(j))
+
     def betti(self, n: int) -> int:
         return (
             self.dim(n)
@@ -394,40 +390,22 @@ class MappingCone:
         )
 
 
-def _grounding_complex(sheaf, grounding, target, augmented):
-    """Cochain data of the grounding target: dims, differentials, eps per degree."""
-    w = grounding.target_dim
-    f_dims = {j: sheaf.cochain_dim(j) for j in (0, 1, 2)}
-    if target == TARGET_CONSTANT:
-        wsheaf = constant_sheaf(sheaf.complex, w)
-        w_dims = {j: wsheaf.cochain_dim(j) for j in (0, 1, 2)}
-        d_w = {0: coboundary(wsheaf, 0).matrix, 1: coboundary(wsheaf, 1).matrix}
-        eps = {j: grounding.cochain_block(sheaf, j) for j in (0, 1, 2)}
-        if augmented:
-            w_dims[-1] = w
-            d_w[-1] = np.vstack([np.eye(w)] * len(sheaf.complex.vertices))
-    elif target == TARGET_CONCENTRATED:
-        if augmented:
-            raise ValueError("augmentation only applies to the constant target")
-        w_dims = {0: w}
-        d_w = {}
-        eps = {0: grounding.aggregated_vertex_map(sheaf)}
-    else:
-        raise ValueError(f"unknown grounding target {target!r}")
-    return f_dims, w_dims, d_w, eps
+def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism) -> MappingCone:
+    """Assemble the mapping cone of a vertex-level grounding into constant W.
 
-
-def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism,
-                   target: str = TARGET_CONSTANT, augmented: bool = False) -> MappingCone:
-    """Assemble the mapping cone differentials.
-
-    If the incidence defect is nonzero the cone is flagged non-complex and
-    the d^2 residual is reported instead of asserted.
+    Each block is assembled once: the coboundaries of F and W, the cochain
+    blocks of eps and the incidence defect. If the defect is nonzero the
+    cone is flagged non-complex and the d^2 residual is reported instead of
+    asserted.
     """
     if grounding.mode != VERTEX_LEVEL:
         raise GroundingModeError("the algebraic cone needs a vertex-level grounding")
-    f_dims, w_dims, d_w, eps = _grounding_complex(sheaf, grounding, target, augmented)
-    d_f = {0: coboundary(sheaf, 0).matrix, 1: coboundary(sheaf, 1).matrix}
+    wsheaf = constant_sheaf(sheaf.complex, grounding.target_dim)
+    f_dims = {j: sheaf.cochain_dim(j) for j in (0, 1, 2)}
+    w_dims = {j: wsheaf.cochain_dim(j) for j in (0, 1, 2)}
+    d_f = {j: coboundary(sheaf, j).matrix for j in (0, 1)}
+    d_w = {j: coboundary(wsheaf, j).matrix for j in (0, 1)}
+    eps = {j: grounding.cochain_block(sheaf, j) for j in (0, 1, 2)}
 
     def fd(j):
         return f_dims.get(j, 0)
@@ -441,30 +419,30 @@ def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism,
     def dwm(j):
         return d_w.get(j, np.zeros((wd(j + 1), wd(j))))
 
-    def epsm(j):
-        return eps.get(j, np.zeros((wd(j), fd(j))))
-
     d_std = {}
-    for n in range(-2, 3):
+    for n in (-1, 0, 1):
         rows, cols = fd(n + 2) + wd(n + 1), fd(n + 1) + wd(n)
         if rows and cols:
             m = np.zeros((rows, cols))
             m[: fd(n + 2), : fd(n + 1)] = -dfm(n + 1)
-            m[fd(n + 2) :, : fd(n + 1)] = -epsm(n + 1)
+            m[fd(n + 2) :, : fd(n + 1)] = -eps[n + 1]
             m[fd(n + 2) :, fd(n + 1) :] = dwm(n)
             d_std[n] = m
 
-    defect = incidence_defect(sheaf, grounding, target).total
+    defect = incidence_defect(sheaf, grounding).total
     residual = 0.0
     for n in sorted(d_std):
         if n + 1 in d_std:
             residual = max(residual, float(np.max(np.abs(d_std[n + 1] @ d_std[n]))))
     scale = max([1.0] + [float(np.max(np.abs(m))) for m in d_std.values()])
     return MappingCone(
-        target=target,
-        augmented=augmented,
+        sheaf=sheaf,
+        grounding=grounding,
         f_dims=f_dims,
         w_dims=w_dims,
+        d_f=d_f,
+        d_w=d_w,
+        eps=eps,
         d_std=d_std,
         defect_total=defect,
         is_complex=residual <= 1e-10 * scale,
@@ -533,30 +511,34 @@ def _cone_layout_index(geo_sheaf, base_sheaf, w, degree):
     return index
 
 
-def verify_cone_equivalence(sheaf: CellSheaf, grounding: GroundingMorphism) -> ConeEquivalenceReport:
+def verify_cone_equivalence(cone: MappingCone) -> ConeEquivalenceReport:
     """Check that the geometric cone realizes the translated mapping cone.
 
-    Requires a compatible grounding (zero incidence defect); otherwise the
-    hypotheses fail and the defect norm is reported instead. The algebraic
-    side uses the augmented grounding complex, whose extra degree -1 slot is
-    exactly the apex stalk.
+    Requires a compatible grounding (``cone.defect_total`` at most
+    COMPATIBILITY_TOL); otherwise the hypothesis fails and the defect norm is
+    reported instead. The geometric cone has an apex stalk W that the cone
+    lacks, so its degree -1 differential is augmented here: one more column
+    block, zero over C^1(F) and the identity on W for every vertex over
+    C^0(W).
     """
-    defect = incidence_defect(sheaf, grounding, TARGET_CONSTANT)
-    if defect.total > COMPATIBILITY_TOL:
-        return ConeEquivalenceReport("hypothesis-not-met", defect.total, None, None)
+    if cone.defect_total > COMPATIBILITY_TOL:
+        return ConeEquivalenceReport("hypothesis-not-met", cone.defect_total, None, None)
+    sheaf, grounding = cone.sheaf, cone.grounding
     geo = geometric_cone_sheaf(sheaf, grounding)
-    cone = algebraic_cone(sheaf, grounding, target=TARGET_CONSTANT, augmented=True)
     w = grounding.target_dim
+    augmentation = np.vstack([np.zeros((cone.f_dims[1], w))]
+                             + [np.eye(w)] * len(sheaf.complex.vertices))
+    translated = {0: -np.hstack([cone.differential(-1), augmentation]),
+                  1: -cone.differential(0)}
     index = {j: _cone_layout_index(geo, sheaf, w, j) for j in (0, 1, 2)}
     residuals = {}
     for j in (0, 1):
         geometric = coboundary(geo, j).matrix
-        translated = -cone.differential(j - 1)
-        reordered = translated[np.ix_(index[j + 1], index[j])]
+        reordered = translated[j][np.ix_(index[j + 1], index[j])]
         residuals[j] = float(np.max(np.abs(geometric - reordered))) if geometric.size else 0.0
     worst = max(residuals.values())
     status = "pass" if worst < 1e-12 else "fail"
-    return ConeEquivalenceReport(status, defect.total, worst, residuals)
+    return ConeEquivalenceReport(status, cone.defect_total, worst, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -590,26 +572,25 @@ def _induced(op, source_basis, target_basis):
     return target_basis.T @ (op @ source_basis)
 
 
-def verify_long_exact_sequence(sheaf: CellSheaf, grounding: GroundingMorphism) -> LesReport:
+def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
     """Rank exactness of ... -> H^j(F) -> H^j(W) -> H^j(cone) -> H^{j+1}(F) -> ...
 
-    Cohomology is represented by harmonic bases; the maps are eps, the
-    inclusion i(c) = (0, c) and the projection q(b, c) = -b. Exactness at a
-    node means rank(in) + rank(out) = dim and the composite vanishes.
+    Cohomology is represented by harmonic bases: kernels of the Laplacians of
+    F and W built from the cone's ``d_f`` and ``d_w``, and of the cone's own
+    Laplacians. The maps are ``cone.eps``, the inclusion i(c) = (0, c) and the
+    projection q(b, c) = -b. Exactness at a node means rank(in) + rank(out) =
+    dim and the composite vanishes. The hypothesis is a compatible grounding,
+    read from ``cone.defect_total``.
     """
-    defect = incidence_defect(sheaf, grounding, TARGET_CONSTANT)
-    if defect.total > COMPATIBILITY_TOL:
-        return LesReport("hypothesis-not-met", defect.total, (), (), (), ())
-    w = grounding.target_dim
-    wsheaf = constant_sheaf(sheaf.complex, w)
-    cone = algebraic_cone(sheaf, grounding, target=TARGET_CONSTANT, augmented=False)
+    if cone.defect_total > COMPATIBILITY_TOL:
+        return LesReport("hypothesis-not-met", cone.defect_total, (), (), (), ())
 
-    harm_f = {j: numerical_kernel(laplacian(sheaf, j).matrix) for j in (0, 1, 2)}
-    harm_w = {j: numerical_kernel(laplacian(wsheaf, j).matrix) for j in (0, 1, 2)}
+    harm_f = {j: numerical_kernel(cone.f_laplacian(j).matrix) for j in (0, 1, 2)}
+    harm_w = {j: numerical_kernel(cone.w_laplacian(j).matrix) for j in (0, 1, 2)}
     harm_c = {n: numerical_kernel(cone.laplacian(n).matrix) for n in (-1, 0, 1, 2)}
 
     def eps_map(j):
-        return _induced(grounding.cochain_block(sheaf, j), harm_f[j], harm_w[j])
+        return _induced(cone.eps[j], harm_f[j], harm_w[j])
 
     def i_map(j):
         f_dim = cone.f_dims.get(j + 1, 0)
@@ -652,7 +633,7 @@ def verify_long_exact_sequence(sheaf: CellSheaf, grounding: GroundingMorphism) -
 
     return LesReport(
         "pass" if all_exact else "fail",
-        defect.total,
+        cone.defect_total,
         tuple(nodes),
         tuple(harm_f[j].shape[1] for j in (0, 1, 2)),
         tuple(harm_w[j].shape[1] for j in (0, 1, 2)),

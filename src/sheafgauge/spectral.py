@@ -16,13 +16,14 @@ import numpy as np
 from .operators import (
     ChannelSet,
     GroundingMorphism,
+    MappingCone,
     SheafLaplacian,
     channel_set,
     coboundary,
     laplacian,
     zero_threshold,
 )
-from .sheaves import CellSheaf, constant_sheaf
+from .sheaves import CellSheaf
 
 ZERO_PSD_REL = 1e-8
 
@@ -123,9 +124,6 @@ class HarmonicFiltration:
 
     def dim_at(self, delta: float) -> int:
         return int(_harmonic_dims(self.spectrum, delta))
-
-    def basis_at(self, delta: float) -> np.ndarray:
-        return harmonic_space(self.spectrum, delta)
 
     @property
     def jumps(self) -> np.ndarray:
@@ -564,15 +562,17 @@ class ConeReductionSide:
         return np.sort(np.concatenate(parts))
 
 
-def cone_reduction_side(sheaf: CellSheaf, grounding: GroundingMorphism) -> ConeReductionSide:
-    """Cone-degree-0 blocks of a grounded sheaf with constant target."""
-    eps0 = grounding.cochain_block(sheaf, 0)
-    eps1 = grounding.cochain_block(sheaf, 1)
-    wsheaf = constant_sheaf(sheaf.complex, grounding.target_dim)
-    base_f = laplacian(sheaf, 1).matrix
-    base_w = laplacian(wsheaf, 0).matrix
-    d_f0 = coboundary(sheaf, 0).matrix
-    d_w0 = coboundary(wsheaf, 0).matrix
+def cone_reduction_side(cone: MappingCone) -> ConeReductionSide:
+    """Cone-degree-0 blocks of a grounded sheaf with constant target.
+
+    Every block is read from the cone: L_1(F) and L_0(W) from its ``d_f`` and
+    ``d_w``, the grounding penalties and the intertwining residual from its
+    ``eps`` and degree-0 coboundaries.
+    """
+    eps0, eps1 = cone.eps[0], cone.eps[1]
+    base_f = cone.f_laplacian(1).matrix
+    base_w = cone.w_laplacian(0).matrix
+    d_f0, d_w0 = cone.d_f[0], cone.d_w[0]
     residual = float(np.max(np.abs(d_w0.T @ eps1 - eps0 @ d_f0.T))) if eps1.size else 0.0
     return ConeReductionSide(base_f, eps1.T @ eps1, base_w, eps0 @ eps0.T, residual)
 

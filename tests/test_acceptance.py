@@ -16,6 +16,7 @@ from sheafgauge.diagnostics import (
 )
 from sheafgauge.operators import (
     SheafLaplacian,
+    algebraic_cone,
     betti_numbers,
     constant_grounding,
     grounding_from_padding,
@@ -182,11 +183,12 @@ def test_criterion_5_cone_equivalence():
     assert len(fixtures) == 10
     ok = True
     for sheaf, grounding in fixtures:
-        report = verify_cone_equivalence(sheaf, grounding)
+        report = verify_cone_equivalence(algebraic_cone(sheaf, grounding))
         if report.status != "pass" or report.max_residual >= 1e-12:
             ok = False
     incompatible = mobius_bundle(8)
-    report = verify_cone_equivalence(incompatible, grounding_from_padding(incompatible))
+    report = verify_cone_equivalence(
+        algebraic_cone(incompatible, grounding_from_padding(incompatible)))
     ok = ok and report.status == "hypothesis-not-met" and report.defect_norm > 0
     record_criterion(
         "C5",
@@ -198,8 +200,10 @@ def test_criterion_5_cone_equivalence():
 
 def test_criterion_6_long_exact_sequence():
     k4 = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
-    identity = verify_long_exact_sequence(k4, constant_grounding(k4, matrix=np.eye(2)))
-    zero = verify_long_exact_sequence(k4, constant_grounding(k4, matrix=np.zeros((2, 2))))
+    identity = verify_long_exact_sequence(
+        algebraic_cone(k4, constant_grounding(k4, matrix=np.eye(2))))
+    zero = verify_long_exact_sequence(
+        algebraic_cone(k4, constant_grounding(k4, matrix=np.zeros((2, 2)))))
     betti_f, betti_w = zero.betti_f, zero.betti_w
     additivity = zero.betti_cone == (
         betti_f[0],
@@ -211,13 +215,14 @@ def test_criterion_6_long_exact_sequence():
     count = 0
     for seed in range(5):
         sheaf = _trivial_holonomy_bundle(5 + seed, 2, seed=seed)
-        report = verify_long_exact_sequence(sheaf, propagate_cycle_grounding(sheaf, seed=seed))
+        report = verify_long_exact_sequence(
+            algebraic_cone(sheaf, propagate_cycle_grounding(sheaf, seed=seed)))
         ok = ok and report.status == "pass"
         count += 1
     for seed in range(5):
         sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
-        report = verify_long_exact_sequence(sheaf, constant_grounding(sheaf, target_dim=3,
-                                                                      seed=seed))
+        report = verify_long_exact_sequence(
+            algebraic_cone(sheaf, constant_grounding(sheaf, target_dim=3, seed=seed)))
         ok = ok and report.status == "pass"
         count += 1
     ok = ok and count == 10

@@ -244,11 +244,53 @@ def test_verify_exits_three_on_failed_check(tmp_path, monkeypatch):
 
     monkeypatch.setattr(
         cli, "verify_cone_equivalence",
-        lambda sheaf, grounding: ConeEquivalenceReport("fail", 0.0, 1.0, {}),
+        lambda cone: ConeEquivalenceReport("fail", 0.0, 1.0, {}),
     )
     code = run(["verify", "--generator", "trivial", "--n", "6",
                 "--grounding", "padding", "--out", str(tmp_path / "v")])
     assert code == 3
+
+
+ASSEMBLY_FUNCTIONS = ("algebraic_cone", "incidence_defect", "constant_sheaf", "laplacian",
+                      "coboundary")
+
+
+def _count_assemblies(monkeypatch):
+    """Count calls of each assembly function in every sheafgauge module binding it."""
+    import sheafgauge.operators as operators
+    import sheafgauge.sheaves as sheaves
+
+    counts = {}
+    for name in ASSEMBLY_FUNCTIONS:
+        original = getattr(sheaves if name == "constant_sheaf" else operators, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for key, module in sorted(sys.modules.items()):
+            if key.startswith("sheafgauge") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_verify_assembles_one_cone(tmp_path, monkeypatch):
+    from sheafgauge.complexes import build_clique_complex, complete_graph
+    from sheafgauge.sheaves import constant_sheaf, sheaf_to_json
+
+    sheaf_path = tmp_path / "k5.json"
+    sheaf_path.write_text(sheaf_to_json(constant_sheaf(build_clique_complex(complete_graph(5)), 2)))
+    counts = _count_assemblies(monkeypatch)
+    assert run(["verify", "--input", str(sheaf_path), "--grounding", "padding",
+                "--out", str(tmp_path / "padding")]) == 0
+    # d0 and d1 of F, of W, of the geometric cone and of the channel set
+    assert counts == {"algebraic_cone": 1, "incidence_defect": 1, "constant_sheaf": 1,
+                      "laplacian": 0, "coboundary": 8}
+    counts.update(dict.fromkeys(counts, 0))
+    assert run(["verify", "--input", str(sheaf_path), "--grounding", "fullrank",
+                "--out", str(tmp_path / "fullrank")]) == 0
+    assert counts["algebraic_cone"] == 0
 
 
 def test_run_config_round_trip():

@@ -5,9 +5,12 @@ import pytest
 
 from sheafgauge.complexes import Graph, build_clique_complex, complete_graph, cycle_graph
 from sheafgauge.operators import (
-    TARGET_CONCENTRATED,
-    TARGET_CONSTANT,
+    COMPATIBILITY_TOL,
+    VERTEX_LEVEL,
+    ConeEquivalenceReport,
     GroundingModeError,
+    GroundingMorphism,
+    _cone_layout_index,
     algebraic_cone,
     betti_numbers,
     channel_set,
@@ -39,7 +42,13 @@ from sheafgauge.sheaves import (
     noisy_trivial_bundle,
     trivial_bundle,
 )
-from sheafgauge.spectral import eigendecompose, kernel_dim, spectral_gap
+from sheafgauge.spectral import (
+    ConeReductionSide,
+    cone_reduction_side,
+    eigendecompose,
+    kernel_dim,
+    spectral_gap,
+)
 
 
 def single_edge_sheaf():
@@ -297,21 +306,42 @@ def test_padding_grounding_rank():
                                        for v in sheaf.complex.vertices)
 
 
+def _padding_by_vstack(sheaf):
+    """Reference padding: every stalk basis stacked over its zero pad."""
+    d_max = sheaf.max_ambient_dim
+    return {cell: np.vstack([stalk.basis, np.zeros((d_max - stalk.ambient_dim, stalk.dim))])
+            for cell, stalk in sheaf.stalks.items()}
+
+
+def _unequal_ambient_sheaf():
+    """One edge whose stalks sit in R^3, R^2 and R^4."""
+    complex_ = build_clique_complex(Graph(2, [(0, 1)]))
+    rng = np.random.default_rng(12)
+    stalks = {
+        (0,): Stalk(random_orthogonal(rng, 3)[:, :2]),
+        (1,): Stalk(np.eye(2)),
+        (0, 1): Stalk(random_orthogonal(rng, 4)[:, :1]),
+    }
+    restrictions = {((0,), (0, 1)): rng.normal(size=(1, 2)),
+                    ((1,), (0, 1)): rng.normal(size=(1, 2))}
+    return CellSheaf(complex_, stalks, restrictions)
+
+
+def test_padding_grounding_bit_identical_to_vstack():
+    for sheaf in (trivial_bundle(7, 2), _unequal_ambient_sheaf()):
+        grounding = grounding_from_padding(sheaf)
+        reference = _padding_by_vstack(sheaf)
+        assert grounding.cell_maps.keys() == reference.keys()
+        for cell, block in reference.items():
+            assert grounding.cell_maps[cell].shape == block.shape
+            assert grounding.cell_maps[cell].tobytes() == block.tobytes()
+
+
 def test_incidence_defect_constant_embedding_commutes():
     sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
     grounding = constant_grounding(sheaf, matrix=np.vstack([np.eye(2), np.zeros((1, 2))]))
-    defect = incidence_defect(sheaf, grounding, TARGET_CONSTANT)
+    defect = incidence_defect(sheaf, grounding)
     assert defect.total == 0.0
-
-
-def test_incidence_defect_concentrated_scalar_example():
-    sheaf = single_edge_sheaf()
-    cell_maps = {(0,): np.array([[1.0]]), (1,): np.array([[2.0]]), (0, 1): np.array([[1.0]])}
-    from sheafgauge.operators import VERTEX_LEVEL, GroundingMorphism
-
-    grounding = GroundingMorphism(1, VERTEX_LEVEL, cell_maps=cell_maps)
-    defect = incidence_defect(sheaf, grounding, TARGET_CONCENTRATED)
-    assert defect.total > 0.0
 
 
 def test_incidence_defect_matches_assembled_commutator():
@@ -319,7 +349,7 @@ def test_incidence_defect_matches_assembled_commutator():
     rng = np.random.default_rng(3)
     sheaf = trivial_holonomy_bundle(6, 2, seed=3)
     grounding = grounding_from_padding(sheaf)
-    defect = incidence_defect(sheaf, grounding, TARGET_CONSTANT)
+    defect = incidence_defect(sheaf, grounding)
     wsheaf = constant_sheaf(sheaf.complex, grounding.target_dim)
     commutator = (
         grounding.cochain_block(sheaf, 1) @ coboundary(sheaf, 0).matrix
@@ -331,7 +361,7 @@ def test_incidence_defect_matches_assembled_commutator():
 def test_propagated_grounding_is_compatible():
     sheaf = trivial_holonomy_bundle(8, 2, seed=4)
     grounding = propagate_cycle_grounding(sheaf, seed=5, target_dim=3)
-    assert incidence_defect(sheaf, grounding, TARGET_CONSTANT).total < 1e-12
+    assert incidence_defect(sheaf, grounding).total < 1e-12
 
 
 def test_propagated_grounding_obstructed_by_holonomy():
@@ -419,7 +449,7 @@ def test_geometric_cone_kernel_for_constant_full_rank_grounding():
 def test_cone_equivalence_constant_case():
     sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
     grounding = constant_grounding(sheaf, matrix=np.eye(2))
-    report = verify_cone_equivalence(sheaf, grounding)
+    report = verify_cone_equivalence(algebraic_cone(sheaf, grounding))
     assert report.status == "pass"
     assert report.max_residual == 0.0
 
@@ -431,14 +461,14 @@ def test_cone_equivalence_mobius_zero_grounding():
 
     cell_maps = {cell: np.zeros((2, sheaf.stalk_dim(cell))) for cell in sheaf.stalks}
     grounding = GroundingMorphism(2, VERTEX_LEVEL, cell_maps=cell_maps)
-    report = verify_cone_equivalence(sheaf, grounding)
+    report = verify_cone_equivalence(algebraic_cone(sheaf, grounding))
     assert report.status == "pass"
     assert report.max_residual < 1e-12
 
 
 def test_cone_equivalence_reports_defect_on_incompatible():
     sheaf = mobius_bundle(8)
-    report = verify_cone_equivalence(sheaf, grounding_from_padding(sheaf))
+    report = verify_cone_equivalence(algebraic_cone(sheaf, grounding_from_padding(sheaf)))
     assert report.status == "hypothesis-not-met"
     assert report.defect_norm > 0.1
     assert report.max_residual is None
@@ -448,17 +478,19 @@ def test_cone_equivalence_random_compatible_fixtures():
     for seed in range(5):
         sheaf = trivial_holonomy_bundle(6 + seed, 2, seed=seed)
         grounding = propagate_cycle_grounding(sheaf, seed=seed + 100)
-        report = verify_cone_equivalence(sheaf, grounding)
+        report = verify_cone_equivalence(algebraic_cone(sheaf, grounding))
         assert report.status == "pass"
         assert report.max_residual < 1e-12
 
 
 def test_les_identity_and_zero():
     sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
-    identity = verify_long_exact_sequence(sheaf, constant_grounding(sheaf, matrix=np.eye(2)))
+    identity = verify_long_exact_sequence(
+        algebraic_cone(sheaf, constant_grounding(sheaf, matrix=np.eye(2))))
     assert identity.status == "pass"
     assert identity.betti_cone == (0, 0, 0, 0)
-    zero = verify_long_exact_sequence(sheaf, constant_grounding(sheaf, matrix=np.zeros((2, 2))))
+    zero = verify_long_exact_sequence(
+        algebraic_cone(sheaf, constant_grounding(sheaf, matrix=np.zeros((2, 2)))))
     assert zero.status == "pass"
     betti_f, betti_w = zero.betti_f, zero.betti_w
     assert zero.betti_cone == (
@@ -475,21 +507,105 @@ def test_les_random_compatible_morphisms():
     for seed in range(5):
         sheaf = trivial_holonomy_bundle(5 + seed, 2, seed=seed)
         reports.append(
-            verify_long_exact_sequence(sheaf, propagate_cycle_grounding(sheaf, seed=seed))
+            verify_long_exact_sequence(
+                algebraic_cone(sheaf, propagate_cycle_grounding(sheaf, seed=seed)))
         )
     for seed in range(5):
         sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
         grounding = constant_grounding(sheaf, target_dim=3, seed=seed)
-        reports.append(verify_long_exact_sequence(sheaf, grounding))
+        reports.append(verify_long_exact_sequence(algebraic_cone(sheaf, grounding)))
     for report in reports:
         assert report.status == "pass"
         for node in report.nodes:
             assert node.exact
 
 
+def _reference_cone_equivalence(sheaf, grounding):
+    """Cone equivalence from its own assembly: the incidence defect, the
+    augmented translated cone (degree -1 carries the apex column, one
+    identity per vertex over C^0(W)) and the residual loop."""
+    defect = incidence_defect(sheaf, grounding).total
+    if defect > COMPATIBILITY_TOL:
+        return ConeEquivalenceReport("hypothesis-not-met", defect, None, None)
+    w = grounding.target_dim
+    wsheaf = constant_sheaf(sheaf.complex, w)
+    f = [sheaf.cochain_dim(j) for j in (0, 1, 2)]
+    wd = [wsheaf.cochain_dim(j) for j in (0, 1)]
+    d_minus1 = np.zeros((f[1] + wd[0], f[0] + w))
+    d_minus1[: f[1], : f[0]] = -coboundary(sheaf, 0).matrix
+    d_minus1[f[1] :, : f[0]] = -grounding.cochain_block(sheaf, 0)
+    d_minus1[f[1] :, f[0] :] = np.vstack([np.eye(w)] * len(sheaf.complex.vertices))
+    d_zero = np.zeros((f[2] + wd[1], f[1] + wd[0]))
+    d_zero[: f[2], : f[1]] = -coboundary(sheaf, 1).matrix
+    d_zero[f[2] :, : f[1]] = -grounding.cochain_block(sheaf, 1)
+    d_zero[f[2] :, f[1] :] = coboundary(wsheaf, 0).matrix
+    geo = geometric_cone_sheaf(sheaf, grounding)
+    index = {j: _cone_layout_index(geo, sheaf, w, j) for j in (0, 1, 2)}
+    residuals = {}
+    for j, differential in ((0, d_minus1), (1, d_zero)):
+        geometric = coboundary(geo, j).matrix
+        reordered = (-differential)[np.ix_(index[j + 1], index[j])]
+        residuals[j] = float(np.max(np.abs(geometric - reordered))) if geometric.size else 0.0
+    worst = max(residuals.values())
+    return ConeEquivalenceReport("pass" if worst < 1e-12 else "fail", defect, worst, residuals)
+
+
+def _shared_cone_fixtures():
+    k4 = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
+    fixtures = [(k4, constant_grounding(k4, matrix=np.eye(2))),
+                (k4, constant_grounding(k4, matrix=np.zeros((2, 2))))]
+    fixtures += [(k4, constant_grounding(k4, target_dim=3, seed=seed)) for seed in range(5)]
+    for seed in range(5):
+        sheaf = trivial_holonomy_bundle(5 + seed, 2, seed=seed)
+        fixtures.append((sheaf, propagate_cycle_grounding(sheaf, seed=seed)))
+    mobius = mobius_bundle(8)
+    zero_maps = {cell: np.zeros((2, mobius.stalk_dim(cell))) for cell in mobius.stalks}
+    fixtures.append((mobius, GroundingMorphism(2, VERTEX_LEVEL, cell_maps=zero_maps)))
+    fixtures.append((mobius, grounding_from_padding(mobius)))
+    return fixtures
+
+
+def test_cone_equivalence_equals_reference_assembly():
+    statuses = []
+    for sheaf, grounding in _shared_cone_fixtures():
+        report = verify_cone_equivalence(algebraic_cone(sheaf, grounding))
+        reference = _reference_cone_equivalence(sheaf, grounding)
+        assert report.status == reference.status
+        assert report.defect_norm == reference.defect_norm
+        assert report.max_residual == reference.max_residual
+        assert report.residual_by_degree == reference.residual_by_degree
+        statuses.append(report.status)
+    assert statuses == ["pass"] * 13 + ["hypothesis-not-met"]
+
+
+def test_cone_laplacians_bit_identical_to_standalone():
+    for sheaf, grounding in _shared_cone_fixtures():
+        cone = algebraic_cone(sheaf, grounding)
+        wsheaf = constant_sheaf(sheaf.complex, grounding.target_dim)
+        for j in (0, 1, 2):
+            assert cone.f_laplacian(j).matrix.tobytes() == laplacian(sheaf, j).matrix.tobytes()
+            assert cone.w_laplacian(j).matrix.tobytes() == laplacian(wsheaf, j).matrix.tobytes()
+
+
+def test_cone_reduction_side_equals_standalone_assembly():
+    for sheaf, grounding in _shared_cone_fixtures():
+        side = cone_reduction_side(algebraic_cone(sheaf, grounding))
+        eps0 = grounding.cochain_block(sheaf, 0)
+        eps1 = grounding.cochain_block(sheaf, 1)
+        wsheaf = constant_sheaf(sheaf.complex, grounding.target_dim)
+        d_f0 = coboundary(sheaf, 0).matrix
+        d_w0 = coboundary(wsheaf, 0).matrix
+        reference = ConeReductionSide(
+            laplacian(sheaf, 1).matrix, eps1.T @ eps1, laplacian(wsheaf, 0).matrix,
+            eps0 @ eps0.T, float(np.max(np.abs(d_w0.T @ eps1 - eps0 @ d_f0.T))))
+        for name in ("base_f", "gram_f", "base_w", "gram_w"):
+            assert getattr(side, name).tobytes() == getattr(reference, name).tobytes()
+        assert side.intertwine_residual == reference.intertwine_residual
+
+
 def test_les_hypothesis_violation():
     sheaf = mobius_bundle(6)
-    report = verify_long_exact_sequence(sheaf, grounding_from_padding(sheaf))
+    report = verify_long_exact_sequence(algebraic_cone(sheaf, grounding_from_padding(sheaf)))
     assert report.status == "hypothesis-not-met"
 
 

@@ -6,6 +6,7 @@ import pytest
 from sheafgauge.complexes import Graph, build_clique_complex
 from sheafgauge.operators import (
     SheafLaplacian,
+    algebraic_cone,
     channel_set,
     coboundary,
     grounding_from_padding,
@@ -602,7 +603,7 @@ def test_interleaving_profile_infinite_for_unequal_dims():
 
 def test_cone_reduction_identical_sides():
     sheaf = trivial_bundle(8, 2)
-    side = cone_reduction_side(sheaf, grounding_from_padding(sheaf))
+    side = cone_reduction_side(algebraic_cone(sheaf, grounding_from_padding(sheaf)))
     report = verify_cone_reduction(side, side)
     assert report.status == "pass"
     assert report.eta == 0.0
