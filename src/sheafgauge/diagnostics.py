@@ -29,10 +29,10 @@ from .operators import (
 )
 from .sheaves import (
     CellSheaf,
+    add_restriction_noise,
     check_cycle_length,
     hidden_twist_bundle,
     mobius_bundle,
-    noisy_trivial_bundle,
     trivial_bundle,
 )
 from .spectral import (
@@ -309,6 +309,13 @@ def _gap_and_witness(sheaf):
     return spectral_gap(spectrum), global_witness(normalized, WitnessConfig())
 
 
+def _noisy_members(n, sigma, seed, num_seeds):
+    """The noisy trivial bundles of seeds seed .. seed + num_seeds - 1, each
+    ``noisy_trivial_bundle(n, sigma, s)`` bit-for-bit, all on one complex."""
+    base = trivial_bundle(n, 2)
+    return [add_restriction_noise(base, sigma, s) for s in range(seed, seed + num_seeds)]
+
+
 def experiment_magnitude(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
                          sigma: float = SIGMA_DEFAULT, seed: int = SEED_DEFAULT,
                          num_seeds: int = NUM_SEEDS_DEFAULT) -> ExperimentResult:
@@ -319,8 +326,7 @@ def experiment_magnitude(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
     """
     _check_params(n, sigma, seed, num_seeds)
     twist_gap, twist_witness = _gap_and_witness(hidden_twist_bundle(n, tau))
-    noisy = [_gap_and_witness(noisy_trivial_bundle(n, sigma, s))
-             for s in range(seed, seed + num_seeds)]
+    noisy = [_gap_and_witness(sheaf) for sheaf in _noisy_members(n, sigma, seed, num_seeds)]
     noise_gaps = [g for g, _ in noisy]
     fraction = float(np.mean([twist_gap < g for g in noise_gaps]))
     rows = (
@@ -358,30 +364,28 @@ def experiment_localization(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
     """Local witness maps of the twist and noise fixtures, plus localization verdicts.
 
     Returns (result, heatmaps) where heatmaps maps panel names to witness maps
-    for the twist fixture and the first noise seed. The verdicts compare the
-    edge-attributed energy of the admitted degree-0 modes: twist argmax at
-    the defect edge and a lower participation ratio than noise on most seeds.
+    for the twist fixture and the first noise seed; only those two fixtures
+    get the full panel set. The verdicts compare the edge-attributed energy
+    of the admitted degree-0 modes: twist argmax at the defect edge and a
+    lower participation ratio than noise on most seeds. The other seeds
+    compute that edge-energy map alone, from L_0 and d_0.
     """
     _check_params(n, sigma, seed, num_seeds)
     cfg = cfg or WitnessConfig()
-    twist = hidden_twist_bundle(n, tau)
-    twist_maps = _fixture_maps(twist, cfg)
+    twist_maps = _fixture_maps(hidden_twist_bundle(n, tau), cfg)
+    first, *rest = _noisy_members(n, sigma, seed, num_seeds)
+    noise_maps = _fixture_maps(first, cfg)
+    edge_maps = [noise_maps["edge_energy"]] + [coface_energy_map(sheaf, 0, cfg) for sheaf in rest]
     twist_pr = participation_ratio(twist_maps["edge_energy"].scores)
+    noise_prs = [participation_ratio(m.scores) for m in edge_maps]
     argmax_edge = twist_maps["edge_energy"].argmax()
-
-    def noise_pr(s):
-        noisy_maps = _fixture_maps(noisy_trivial_bundle(n, sigma, s), cfg)
-        return participation_ratio(noisy_maps["edge_energy"].scores), noisy_maps
-
-    outcomes = [noise_pr(s) for s in range(seed, seed + num_seeds)]
-    fraction = float(np.mean([twist_pr < pr for pr, _ in outcomes]))
+    fraction = float(np.mean([twist_pr < pr for pr in noise_prs]))
     heatmaps = {f"hidden_twist_{k}": v for k, v in twist_maps.items()}
-    heatmaps.update({f"noisy_trivial_{k}": v for k, v in outcomes[0][1].items()})
+    heatmaps.update({f"noisy_trivial_{k}": v for k, v in noise_maps.items()})
     rows = (
         {"construction": "hidden_twist", "participation_ratio": twist_pr,
          "argmax_cell": list(argmax_edge) if argmax_edge else None},
-        {"construction": "noisy_trivial",
-         "participation_ratio": float(np.median([pr for pr, _ in outcomes]))},
+        {"construction": "noisy_trivial", "participation_ratio": float(np.median(noise_prs))},
     )
     verdict = {
         "argmax_at_defect": argmax_edge == DEFECT_EDGE_DEFAULT,

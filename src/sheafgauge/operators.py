@@ -110,13 +110,18 @@ def _hodge_laplacian(n: int, j: int, down: np.ndarray | None,
     return SheafLaplacian(0.5 * (m + m.T), j)
 
 
-def laplacian(sheaf: CellSheaf, j: int) -> SheafLaplacian:
-    """L_j = d^{j-1} (d^{j-1})^T + (d^j)^T d^j on C^j; down term absent for j = 0."""
+def degree_coboundaries(sheaf: CellSheaf, j: int):
+    """(d_{j-1}, d_j) around degree j, each assembled once; None where absent."""
     if j not in (0, 1, 2):
         raise ValueError(f"laplacian degree must be 0, 1 or 2, got {j}")
     down = coboundary(sheaf, j - 1).matrix if j >= 1 else None
     up = coboundary(sheaf, j).matrix if j <= 1 else None
-    return _hodge_laplacian(sheaf.cochain_dim(j), j, down, up)
+    return down, up
+
+
+def laplacian(sheaf: CellSheaf, j: int) -> SheafLaplacian:
+    """L_j = d^{j-1} (d^{j-1})^T + (d^j)^T d^j on C^j; down term absent for j = 0."""
+    return _hodge_laplacian(sheaf.cochain_dim(j), j, *degree_coboundaries(sheaf, j))
 
 
 def consistency_energy(lap: SheafLaplacian, x) -> float:

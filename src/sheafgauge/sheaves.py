@@ -86,8 +86,8 @@ class CellSheaf:
     ``(stalk_dim(coface), stalk_dim(face))``. Stalks are fixed at
     construction, and so is the cochain layout computed from them once
     there: the slice of every cell inside C^j and the dimension of C^j.
-    Restrictions may be replaced afterwards (the generators and the noise
-    model do so), so no operator assembled from them is ever cached here.
+    Restrictions may be replaced afterwards (the hidden-twist generator does
+    so), so no operator assembled from them is ever cached here.
     """
 
     def __init__(self, complex_: CliqueComplex, stalks, restrictions, validated=False):
@@ -140,14 +140,6 @@ class CellSheaf:
     @property
     def max_ambient_dim(self):
         return max((s.ambient_dim for s in self.stalks.values()), default=0)
-
-    def copy(self):
-        return CellSheaf(
-            self.complex,
-            dict(self.stalks),
-            {k: m.copy() for k, m in self.restrictions.items()},
-            validated=self.validated,
-        )
 
 
 @dataclass(frozen=True)
@@ -418,27 +410,30 @@ def add_restriction_noise(sheaf: CellSheaf, sigma: float, seed: int) -> CellShea
     order, and acts in a random 2-plane of the edge stalk (the full plane
     when the stalk is 2-dimensional). Stalks of dimension < 2 admit no
     small orthogonal perturbation and are left untouched. Deterministic
-    given the seed; sigma = 0 returns the sheaf unchanged bit-for-bit.
+    given the seed; sigma = 0 returns the sheaf unchanged bit-for-bit. The
+    result shares the complex and the stalks of ``sheaf`` and holds copies
+    of the restrictions the noise leaves alone.
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    noisy = sheaf.copy()
-    if sigma == 0:
-        return noisy
-    rng = np.random.default_rng(seed)
-    for e in noisy.complex.edges:
-        theta = rng.normal(0.0, sigma)
-        dim = noisy.stalk_dim(e)
-        if dim < 2:
-            continue
-        if dim == 2:
-            q = rotation_matrix(theta)
-        else:
-            plane, _ = np.linalg.qr(rng.normal(size=(dim, 2)))
-            q = np.eye(dim) + plane @ (rotation_matrix(theta) - np.eye(2)) @ plane.T
-        u, v = e
-        noisy.restrictions[((v,), e)] = q @ noisy.restrictions[((v,), e)]
-    return noisy
+    rotated = {}
+    if sigma > 0:
+        rng = np.random.default_rng(seed)
+        for e in sheaf.complex.edges:
+            theta = rng.normal(0.0, sigma)
+            dim = sheaf.stalk_dim(e)
+            if dim < 2:
+                continue
+            if dim == 2:
+                q = rotation_matrix(theta)
+            else:
+                plane, _ = np.linalg.qr(rng.normal(size=(dim, 2)))
+                q = np.eye(dim) + plane @ (rotation_matrix(theta) - np.eye(2)) @ plane.T
+            key = ((e[1],), e)
+            rotated[key] = q @ sheaf.restrictions[key]
+    restrictions = {k: rotated[k] if k in rotated else m.copy()
+                    for k, m in sheaf.restrictions.items()}
+    return CellSheaf(sheaf.complex, sheaf.stalks, restrictions, validated=sheaf.validated)
 
 
 def noisy_trivial_bundle(n: int, sigma: float, seed: int, stalk_dim: int = 2) -> CellSheaf:

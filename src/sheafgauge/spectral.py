@@ -18,9 +18,9 @@ from .operators import (
     GroundingMorphism,
     MappingCone,
     SheafLaplacian,
+    _hodge_laplacian,
     channel_set,
-    coboundary,
-    laplacian,
+    degree_coboundaries,
     zero_threshold,
 )
 from .sheaves import CellSheaf
@@ -196,11 +196,12 @@ def global_witness(spectrum: Spectrum, cfg: WitnessConfig) -> float:
 
 
 def _clusters(eigenvalues: np.ndarray, lam_max: float):
-    """Index arrays of the numerically degenerate clusters of ascending eigenvalues."""
+    """Start and end indices of the numerically degenerate clusters of ascending
+    eigenvalues: cluster k is ``range(starts[k], ends[k])``."""
     if eigenvalues.size == 0:
-        return []
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
     breaks = np.flatnonzero(np.diff(eigenvalues) >= 1e-8 * max(lam_max, 1.0)) + 1
-    return np.split(np.arange(eigenvalues.size), breaks)
+    return np.r_[0, breaks], np.r_[breaks, eigenvalues.size]
 
 
 def _admitted_modes(spectrum: Spectrum, delta: float, cfg: WitnessConfig):
@@ -208,16 +209,23 @@ def _admitted_modes(spectrum: Spectrum, delta: float, cfg: WitnessConfig):
 
     Clusters enter or leave as a block: a cluster is kernel iff its smallest
     member is, and admitted iff its smallest member is <= delta. The gap
-    weight admits the first positive cluster only, with unit weights.
+    weight admits the first positive cluster only, with unit weights. The
+    smallest members ascend, so the admitted clusters are one run of them.
     """
     ev = spectrum.eigenvalues
-    positive = [c for c in _clusters(ev, spectrum.lambda_max) if ev[c[0]] > spectrum.threshold]
-    admitted = []
-    for cluster in positive[:1] if cfg.weight == "gap" else positive:
-        if ev[cluster[0]] > delta:
-            break
-        admitted.extend(cluster.tolist())
-    weights = [1.0 if cfg.weight == "gap" else cfg.weight_value(float(ev[i])) for i in admitted]
+    starts, ends = _clusters(ev, spectrum.lambda_max)
+    smallest = ev[starts]
+    first = int(np.searchsorted(smallest, spectrum.threshold, side="right"))
+    stop = int(np.searchsorted(smallest, delta, side="right"))
+    if cfg.weight == "gap":
+        stop = min(stop, first + 1)
+    if stop <= first:
+        return np.zeros(0, dtype=int), []
+    admitted = np.arange(starts[first], ends[stop - 1])
+    if cfg.weight == "gap":
+        weights = [1.0] * admitted.size
+    else:
+        weights = [cfg.weight_value(lam) for lam in ev[admitted].tolist()]
     return admitted, weights
 
 
@@ -282,31 +290,29 @@ def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray, weights: np.n
     return dict(zip(cells, scores.tolist()))
 
 
-def _channel_laplacian(channels: ChannelSet | None, j: int) -> SheafLaplacian | None:
-    """L_j from the channel set, None without one; it holds degrees 0 and 1."""
-    if channels is None:
-        return None
-    if j not in (0, 1):
-        raise ValueError(f"a channel set holds degrees 0 and 1, not {j}")
-    return channels.l1 if j else channels.l0
+def _degree_operators(sheaf: CellSheaf, j: int, channels: ChannelSet | None):
+    """L_j, d_{j-1} and d_j (None where degree j has none).
+
+    They come from the channel set when given, which holds degrees 0 and 1.
+    Otherwise each coboundary is assembled once and L_j is built from them
+    with the float operations of ``laplacian``, so it has the same bits.
+    """
+    if channels is not None:
+        if j not in (0, 1):
+            raise ValueError(f"a channel set holds degrees 0 and 1, not {j}")
+        return (channels.l1, channels.d0, channels.d1) if j else (channels.l0, None, channels.d0)
+    down, up = degree_coboundaries(sheaf, j)
+    return _hodge_laplacian(sheaf.cochain_dim(j), j, down, up), down, up
 
 
-def _coboundary_matrix(sheaf: CellSheaf, j: int, channels: ChannelSet | None) -> np.ndarray:
-    """d_j from the channel set when given, assembled otherwise."""
-    if channels is None:
-        return coboundary(sheaf, j).matrix
-    return channels.d1 if j else channels.d0
-
-
-def _degree_modes(sheaf, j, cfg, operator, spectrum):
-    """Operator, delta1, admitted eigenvector columns V and their weights w;
-    the degree-j Laplacian and its spectrum are built when not given."""
+def _degree_modes(cfg, operator, spectrum):
+    """delta1, admitted eigenvector columns V and their weights w of the
+    operator; its spectrum is computed when not given."""
     cfg = cfg or WitnessConfig()
-    operator = operator if operator is not None else laplacian(sheaf, j)
     spectrum = spectrum if spectrum is not None else eigendecompose(operator)
     delta = cfg.resolve_delta1(spectrum)
     indices, weights = _admitted_modes(spectrum, delta, cfg)
-    return operator, delta, spectrum.eigenvectors[:, indices], np.array(weights, dtype=float)
+    return delta, spectrum.eigenvectors[:, indices], np.array(weights, dtype=float)
 
 
 def local_witness(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None,
@@ -320,10 +326,8 @@ def local_witness(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None,
     j = 0 or 1) supplies L_j and the coboundaries, ``spectrum`` the
     spectrum of L_j; what is not given is built here.
     """
-    operator, delta, vectors, weights = _degree_modes(
-        sheaf, j, cfg, _channel_laplacian(channels, j), spectrum)
-    down = _coboundary_matrix(sheaf, j - 1, channels) if j >= 1 else None
-    up = _coboundary_matrix(sheaf, j, channels) if j <= 1 else None
+    operator, down, up = _degree_operators(sheaf, j, channels)
+    delta, vectors, weights = _degree_modes(cfg, operator, spectrum)
     scores = _witness_scores(sheaf, j, vectors, weights, down, up)
     return LocalWitnessMap(j, delta, operator.provenance, scores)
 
@@ -334,14 +338,15 @@ def coface_energy_map(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None
     """Per-coface energy of the admitted degree-j modes, before aggregation.
 
     The degree-j witness attributes ||(d_j v)[c]||^2 to every face of c;
-    this map reports the components on the (j+1)-cells themselves. For
-    j = 0 it localizes inconsistency to edges, which the vertex-level
-    witness then aggregates to nodes. ``channels`` and ``spectrum`` are
-    taken as in :func:`local_witness`.
+    this map reports the components on the (j+1)-cells themselves, for
+    j = 0 or 1. For j = 0 it localizes inconsistency to edges, which the
+    vertex-level witness then aggregates to nodes. ``channels`` and
+    ``spectrum`` are taken as in :func:`local_witness`.
     """
-    _, delta, vectors, weights = _degree_modes(
-        sheaf, j, cfg, _channel_laplacian(channels, j), spectrum)
-    up = _coboundary_matrix(sheaf, j, channels)
+    if j not in (0, 1):
+        raise ValueError(f"coface energy needs degree 0 or 1, got {j}")
+    operator, _, up = _degree_operators(sheaf, j, channels)
+    delta, vectors, weights = _degree_modes(cfg, operator, spectrum)
     energy = _block_energy(sheaf, j + 1, up @ vectors, weights)
     scores = dict(zip(sheaf.complex.cells(j + 1), energy.tolist()))
     return LocalWitnessMap(j + 1, delta, "coface-energy", scores)
@@ -360,7 +365,7 @@ def local_witness_relative(sheaf: CellSheaf, grounding: GroundingMorphism,
     the spectrum of its relative operator.
     """
     channels = channels if channels is not None else channel_set(sheaf, grounding)
-    _, delta, vectors, weights = _degree_modes(sheaf, 1, cfg, channels.relative, spectrum)
+    delta, vectors, weights = _degree_modes(cfg, channels.relative, spectrum)
     scores = _witness_scores(sheaf, 1, vectors, weights, channels.d0, channels.d1,
                              eps=channels.eps)
     return LocalWitnessMap(1, delta, "relative-cone", scores)

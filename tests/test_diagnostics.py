@@ -234,7 +234,8 @@ def _record_coboundary_degrees(monkeypatch):
         return original(sheaf, j)
 
     for module in (operators, spectral):
-        monkeypatch.setattr(module, "coboundary", recorded)
+        if hasattr(module, "coboundary"):
+            monkeypatch.setattr(module, "coboundary", recorded)
     return degrees
 
 
@@ -256,6 +257,96 @@ def test_fixture_maps_assemble_two_coboundaries_per_fixture(monkeypatch):
         degrees.clear()
         _fixture_maps(sheaf, WitnessConfig())
         assert sorted(degrees) == [0, 1]
+
+
+def test_standalone_witnesses_assemble_each_coboundary_once(monkeypatch):
+    from sheafgauge.sheaves import hidden_twist_bundle
+    from sheafgauge.spectral import coface_energy_map, local_witness
+
+    degrees = _record_coboundary_degrees(monkeypatch)
+    cfg = WitnessConfig()
+    for sheaf in (_feature_fixture(), hidden_twist_bundle(12, 0.3)):
+        degrees.clear()
+        coface_energy_map(sheaf, 0, cfg)
+        assert degrees == [0]
+        degrees.clear()
+        local_witness(sheaf, 1, cfg)
+        assert sorted(degrees) == [0, 1]
+
+
+def _reference_localization(n, tau, sigma, seed, num_seeds, cfg):
+    """Every member through ``_fixture_maps``: rows, verdict and heatmaps."""
+    from sheafgauge.diagnostics import _fixture_maps
+    from sheafgauge.sheaves import hidden_twist_bundle, noisy_trivial_bundle
+
+    twist_maps = _fixture_maps(hidden_twist_bundle(n, tau), cfg)
+    noise_maps = [_fixture_maps(noisy_trivial_bundle(n, sigma, s), cfg)
+                  for s in range(seed, seed + num_seeds)]
+    twist_pr = participation_ratio(twist_maps["edge_energy"].scores)
+    noise_prs = [participation_ratio(m["edge_energy"].scores) for m in noise_maps]
+    argmax_edge = twist_maps["edge_energy"].argmax()
+    fraction = float(np.mean([twist_pr < pr for pr in noise_prs]))
+    rows = [
+        {"construction": "hidden_twist", "participation_ratio": twist_pr,
+         "argmax_cell": list(argmax_edge) if argmax_edge else None},
+        {"construction": "noisy_trivial", "participation_ratio": float(np.median(noise_prs))},
+    ]
+    verdict = {
+        "argmax_at_defect": argmax_edge == (0, 1),
+        "twist_more_localized_fraction": fraction,
+        "localization_majority": fraction > 0.5,
+        "localization_80pct": fraction >= 0.8,
+    }
+    heatmaps = {f"hidden_twist_{k}": v for k, v in twist_maps.items()}
+    heatmaps.update({f"noisy_trivial_{k}": v for k, v in noise_maps[0].items()})
+    return rows, verdict, heatmaps
+
+
+@pytest.mark.parametrize("cfg", [WitnessConfig(), WitnessConfig(weight="uniform"),
+                                 WitnessConfig(delta1=0.5, weight="inverse")],
+                         ids=["gap", "uniform", "inverse-delta1"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_experiment_localization_equals_full_panel_reference(cfg, seed):
+    result, heatmaps = experiment_localization(12, 0.3, 0.25, seed, 5, cfg)
+    rows, verdict, expected_maps = _reference_localization(12, 0.3, 0.25, seed, 5, cfg)
+    assert [dict(r) for r in result.rows] == rows
+    assert dict(result.verdict) == verdict
+    assert list(heatmaps) == list(expected_maps)
+    for name, expected in expected_maps.items():
+        actual = heatmaps[name]
+        assert (actual.degree, actual.delta, actual.channel) == \
+            (expected.degree, expected.delta, expected.channel), name
+        assert actual.scores == expected.scores, name
+
+
+@pytest.mark.parametrize("num_seeds", [1, 2, 5])
+def test_experiment_localization_decomposes_full_panels_twice(monkeypatch, num_seeds):
+    # three spectra (L0, L1, relative) for the twist and the first noise
+    # seed, L0 alone for every other seed
+    from sheafgauge import diagnostics, spectral
+
+    calls = _count_calls(monkeypatch, "eigendecompose", [spectral, diagnostics])
+    channel_calls = _count_calls(monkeypatch, "channel_set", [spectral, diagnostics])
+    experiment_localization(n=12, num_seeds=num_seeds)
+    assert calls["calls"] == 6 + (num_seeds - 1)
+    assert channel_calls["calls"] == 2
+
+
+@pytest.mark.parametrize("experiment", [experiment_magnitude, experiment_localization])
+def test_ensemble_members_share_one_complex(monkeypatch, experiment):
+    from sheafgauge import diagnostics
+
+    members = []
+    original = diagnostics.add_restriction_noise
+
+    def recorded(sheaf, sigma, seed):
+        members.append(original(sheaf, sigma, seed))
+        return members[-1]
+
+    monkeypatch.setattr(diagnostics, "add_restriction_noise", recorded)
+    experiment(n=12, seed=3, num_seeds=4)
+    assert len(members) == 4
+    assert all(member.complex is members[0].complex for member in members)
 
 
 @pytest.mark.parametrize("experiment", [experiment_magnitude, experiment_localization])

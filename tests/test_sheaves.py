@@ -360,6 +360,53 @@ def test_restriction_noise_kills_kernel():
         assert kernel_dim(eigendecompose(laplacian(noisy, 0))) == 0
 
 
+def _copy_then_compose(sheaf, sigma, seed):
+    """Reference noise model: copy every restriction, then compose each edge's
+    higher-endpoint map with the seeded rotation."""
+    restrictions = {k: m.copy() for k, m in sheaf.restrictions.items()}
+    if sigma == 0:
+        return restrictions
+    rng = np.random.default_rng(seed)
+    for e in sheaf.complex.edges:
+        theta = rng.normal(0.0, sigma)
+        dim = sheaf.stalk_dim(e)
+        if dim < 2:
+            continue
+        if dim == 2:
+            q = rotation_matrix(theta)
+        else:
+            plane, _ = np.linalg.qr(rng.normal(size=(dim, 2)))
+            q = np.eye(dim) + plane @ (rotation_matrix(theta) - np.eye(2)) @ plane.T
+        key = ((e[1],), e)
+        restrictions[key] = q @ restrictions[key]
+    return restrictions
+
+
+def _assert_restrictions_equal(actual, expected):
+    assert list(actual) == list(expected)
+    for key, m in expected.items():
+        assert np.array_equal(actual[key], m), key
+
+
+@pytest.mark.parametrize("stalk_dim", [1, 2, 3])
+@pytest.mark.parametrize("sigma", [0.0, 0.25])
+def test_restriction_noise_equals_copy_then_compose(stalk_dim, sigma):
+    twist = hidden_twist_bundle(7, 0.4, stalk_dim) if stalk_dim >= 2 else mobius_bundle(7)
+    for seed in range(3):
+        _assert_restrictions_equal(
+            noisy_trivial_bundle(9, sigma, seed, stalk_dim).restrictions,
+            _copy_then_compose(trivial_bundle(9, stalk_dim), sigma, seed))
+        for base in (trivial_bundle(9, stalk_dim), twist):
+            noisy = add_restriction_noise(base, sigma, seed)
+            _assert_restrictions_equal(noisy.restrictions,
+                                       _copy_then_compose(base, sigma, seed))
+            # one construction on the same complex and stalks, no shared arrays
+            assert noisy.complex is base.complex
+            assert noisy.stalks == base.stalks
+            assert noisy.validated == base.validated
+            assert all(noisy.restrictions[k] is not m for k, m in base.restrictions.items())
+
+
 def test_restriction_noise_rejects_negative_sigma():
     with pytest.raises(ValueError):
         add_restriction_noise(trivial_bundle(5, 2), -0.1, seed=0)

@@ -366,8 +366,53 @@ def test_clusters_match_loop_reference():
         cases.append(np.sort((base[:, None] + jitter).reshape(-1)))
     for values in cases:
         lam_max = float(values[-1]) if values.size else 0.0
-        assert [c.tolist() for c in _clusters(values, lam_max)] == \
+        starts, ends = _clusters(values, lam_max)
+        assert [list(range(a, b)) for a, b in zip(starts, ends)] == \
             loop_clusters(values, lam_max)
+
+
+def _split_admitted_modes(spectrum, delta, cfg):
+    """Reference: clusters as np.split index arrays, admitted by a loop."""
+    ev = spectrum.eigenvalues
+    if ev.size == 0:
+        clusters = []
+    else:
+        breaks = np.flatnonzero(np.diff(ev) >= 1e-8 * max(spectrum.lambda_max, 1.0)) + 1
+        clusters = np.split(np.arange(ev.size), breaks)
+    positive = [c for c in clusters if ev[c[0]] > spectrum.threshold]
+    admitted = []
+    for cluster in positive[:1] if cfg.weight == "gap" else positive:
+        if ev[cluster[0]] > delta:
+            break
+        admitted.extend(cluster.tolist())
+    weights = [1.0 if cfg.weight == "gap" else cfg.weight_value(float(ev[i])) for i in admitted]
+    return admitted, weights
+
+
+def test_admitted_modes_equal_split_reference():
+    from sheafgauge.spectral import WEIGHTS, _admitted_modes
+
+    rng = np.random.default_rng(12)
+    cases = [np.zeros(0), np.zeros(4), np.full(3, 1e-12),  # empty; kernel only
+             np.array([0.0, 1e-8, 0.5]), np.array([0.0, 0.0, 0.3, 0.3, 0.3, 1.0])]
+    for _ in range(60):
+        lows = np.sort(rng.uniform(0.0, 4.0, size=rng.integers(1, 6)))
+        kernel = np.zeros(rng.integers(0, 3))
+        jitter = rng.choice([0.0, 1e-12, 5e-9, 2e-8], size=(lows.size, rng.integers(1, 4)))
+        cases.append(np.sort(np.concatenate([kernel, (lows[:, None] + jitter).reshape(-1)])))
+    for values in cases:
+        # the numerical-zero cutoff, and a cutoff landing exactly on an eigenvalue
+        thresholds = [zero_threshold(float(values[-1]) if values.size else 0.0)]
+        thresholds += [float(rng.choice(values))] if values.size else []
+        for threshold in thresholds:
+            spectrum = Spectrum(values, np.eye(values.size), threshold)
+            deltas = [0.0, 1e-20, 0.3, 1.0, 5.0] + values.tolist()
+            for weight in WEIGHTS:
+                cfg = WitnessConfig(weight=weight)
+                for delta in deltas + [cfg.resolve_delta1(spectrum)]:
+                    indices, weights = _admitted_modes(spectrum, delta, cfg)
+                    expected = _split_admitted_modes(spectrum, delta, cfg)
+                    assert (list(indices), weights) == expected
 
 
 def _loop_up_down(sheaf, j, spectrum, modes, scores):
