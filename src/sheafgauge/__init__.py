@@ -75,7 +75,6 @@ from .sheaves import (
     validate_sheaf,
 )
 from .spectral import (
-    HarmonicFiltration,
     InterleavingResult,
     LocalWitnessMap,
     Spectrum,

@@ -104,7 +104,10 @@ def _config_from_args(args, command) -> RunConfig:
 
 
 def _witness_config(cfg: RunConfig) -> WitnessConfig:
-    return WitnessConfig(delta0=cfg.delta0, delta1=cfg.delta1, weight=cfg.weight)
+    try:
+        return WitnessConfig(delta0=cfg.delta0, delta1=cfg.delta1, weight=cfg.weight)
+    except ValueError as exc:
+        raise CliInputError(str(exc))
 
 
 def _pipeline_config(cfg: RunConfig) -> FeaturePipelineConfig:
@@ -208,12 +211,12 @@ def cmd_build(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = _config_from_args(args, "diagnose")
-    sheaf = _resolve_sheaf(cfg)
-    grounding = diag.make_grounding(sheaf, cfg.grounding)
     dcfg = diag.DiagnosticsConfig(
         witness=_witness_config(cfg), normalize=cfg.normalize,
         with_local=bool(getattr(args, "heatmap", False)),
     )
+    sheaf = _resolve_sheaf(cfg)
+    grounding = diag.make_grounding(sheaf, cfg.grounding)
     report = diag.run_diagnostics(sheaf, grounding, dcfg)
     report.params.update(cfg.to_json_dict())
 

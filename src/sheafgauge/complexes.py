@@ -117,13 +117,9 @@ class CliqueComplex:
         self.incidences = dict(incidences)
         self.apex = apex
         self._faces = {}
-        self._cofaces = {}
         for (cell, face), _sign in self.incidences.items():
             self._faces.setdefault(cell, []).append(face)
-            self._cofaces.setdefault(face, []).append(cell)
         for lst in self._faces.values():
-            lst.sort()
-        for lst in self._cofaces.values():
             lst.sort()
 
     def cells(self, dim):
@@ -143,9 +139,6 @@ class CliqueComplex:
 
     def faces(self, cell):
         return tuple(self._faces.get(tuple(cell), ()))
-
-    def cofaces(self, cell):
-        return tuple(self._cofaces.get(tuple(cell), ()))
 
     def __repr__(self):
         return (

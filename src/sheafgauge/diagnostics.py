@@ -28,6 +28,7 @@ from .operators import (
     numerical_rank,
 )
 from .sheaves import (
+    HIDDEN_TWIST_DEFECT_EDGE,
     CellSheaf,
     add_restriction_noise,
     check_cycle_length,
@@ -54,7 +55,7 @@ TAU_DEFAULT = 0.3
 SIGMA_DEFAULT = 0.25
 SEED_DEFAULT = 0
 NUM_SEEDS_DEFAULT = 20
-DEFECT_EDGE_DEFAULT = (0, 1)
+DEFECT_EDGE_DEFAULT = HIDDEN_TWIST_DEFECT_EDGE
 
 GROUNDING_NAMES = ("fullrank", "deficient", "padding", "zero")
 
@@ -124,14 +125,14 @@ class DiagnosticsReport:
         }
 
 
-def _channel_report(name, lap, spectrum, cfg: DiagnosticsConfig, auxiliary=False):
+def _channel_report(name, operator, lap, spectrum, cfg: DiagnosticsConfig, auxiliary):
     spectrum_used, flag = spectrum, False
     if cfg.normalize:
         normalized = normalize_spectrum(lap, spectrum)
         spectrum_used, flag = normalized.spectrum, not normalized.was_zero
     report = ChannelReport(
         channel=name,
-        operator=lap.provenance,
+        operator=operator,
         kernel_dim=kernel_dim(spectrum),
         spectral_gap=spectral_gap(spectrum_used),
         global_witness=global_witness(spectrum_used, cfg.witness),
@@ -153,14 +154,15 @@ def run_diagnostics(sheaf: CellSheaf, grounding: GroundingMorphism,
     reports = {}
     spectra = {}
     raw = {}
-    for name, lap, auxiliary in (
-        ("local_feasibility", channels.l0, False),
-        ("intrinsic_obstruction", channels.l1, False),
-        ("relative_cone", channels.relative, False),
-        ("ground_utilization", channels.utilization, True),
+    for name, operator, lap, auxiliary in (
+        ("local_feasibility", "base", channels.l0, False),
+        ("intrinsic_obstruction", "base", channels.l1, False),
+        ("relative_cone", "channel", channels.relative, False),
+        ("ground_utilization", "channel", channels.utilization, True),
     ):
         raw[name] = eigendecompose(lap)
-        reports[name], spectra[name] = _channel_report(name, lap, raw[name], cfg, auxiliary)
+        reports[name], spectra[name] = _channel_report(name, operator, lap, raw[name], cfg,
+                                                       auxiliary)
     if grounding.mode == VERTEX_LEVEL:
         defect = incidence_defect(sheaf, grounding).total
     else:
@@ -240,13 +242,17 @@ class ExperimentParameterError(ValueError):
     """An experiment parameter is out of range; raised before any work is done."""
 
 
-def _check_params(n, sigma=0.0, seed=0, num_seeds=1):
+def _check_params(n, tau=0.0, sigma=0.0, seed=0, num_seeds=1, stalk_dim=1):
     """Raise ExperimentParameterError on the first parameter out of range."""
     try:
         check_cycle_length(n)
     except ValueError as exc:
         raise ExperimentParameterError(str(exc)) from None
-    for name, value, low in (("sigma", sigma, 0), ("seed", seed, 0), ("num_seeds", num_seeds, 1)):
+    for name, value in (("tau", tau), ("sigma", sigma)):
+        if not math.isfinite(value):
+            raise ExperimentParameterError(f"{name} must be finite, got {value}")
+    for name, value, low in (("sigma", sigma, 0), ("seed", seed, 0), ("num_seeds", num_seeds, 1),
+                             ("stalk_dim", stalk_dim, 1)):
         if value < low:
             raise ExperimentParameterError(f"{name} must be at least {low}, got {value}")
 
@@ -283,7 +289,7 @@ def _lambda_min(spectrum: Spectrum) -> float:
 
 def experiment_existence(n: int = N_DEFAULT, stalk_dim: int = 1) -> ExperimentResult:
     """Trivial vs Mobius on the n-cycle: kernel presence decides existence."""
-    _check_params(n)
+    _check_params(n, stalk_dim=stalk_dim)
     rows = []
     for name, sheaf in (("trivial", trivial_bundle(n, stalk_dim)),
                         ("mobius", mobius_bundle(n, stalk_dim))):
@@ -324,7 +330,7 @@ def experiment_magnitude(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
     Both constructions have trivial kernel; the verdict is the ensemble
     fraction of seeds on which the twist gap stays below the noise gap.
     """
-    _check_params(n, sigma, seed, num_seeds)
+    _check_params(n, tau, sigma, seed, num_seeds)
     twist_gap, twist_witness = _gap_and_witness(hidden_twist_bundle(n, tau))
     noisy = [_gap_and_witness(sheaf) for sheaf in _noisy_members(n, sigma, seed, num_seeds)]
     noise_gaps = [g for g, _ in noisy]
@@ -370,7 +376,7 @@ def experiment_localization(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
     lower participation ratio than noise on most seeds. The other seeds
     compute that edge-energy map alone, from L_0 and d_0.
     """
-    _check_params(n, sigma, seed, num_seeds)
+    _check_params(n, tau, sigma, seed, num_seeds)
     cfg = cfg or WitnessConfig()
     twist_maps = _fixture_maps(hidden_twist_bundle(n, tau), cfg)
     first, *rest = _noisy_members(n, sigma, seed, num_seeds)
@@ -399,7 +405,7 @@ def experiment_localization(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
 
 def experiment_relativity(n: int = N_DEFAULT, stalk_dim: int = 1) -> ExperimentResult:
     """Same sheaf, two groundings: only the cone channel tells them apart."""
-    _check_params(n)
+    _check_params(n, stalk_dim=stalk_dim)
     sheaf = trivial_bundle(n, stalk_dim)
     groundings = {
         "fullrank": grounding_identity_c1(sheaf),

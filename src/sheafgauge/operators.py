@@ -67,8 +67,6 @@ def numerical_kernel(symmetric_matrix) -> np.ndarray:
 class Coboundary:
     degree: int
     matrix: np.ndarray
-    row_slices: dict
-    col_slices: dict
 
 
 def coboundary(sheaf: CellSheaf, j: int) -> Coboundary:
@@ -85,14 +83,13 @@ def coboundary(sheaf: CellSheaf, j: int) -> Coboundary:
     for (coface, face), sign in sheaf.complex.incidences.items():
         if len(face) == j + 1:
             matrix[rows[coface], cols[face]] = sign * restrictions[(face, coface)]
-    return Coboundary(j, matrix, rows, cols)
+    return Coboundary(j, matrix)
 
 
 @dataclass(frozen=True)
 class SheafLaplacian:
     matrix: np.ndarray
     degree: int
-    provenance: str = "base"
 
     @property
     def dim(self):
@@ -374,10 +371,7 @@ class MappingCone:
         return np.zeros((self.dim(n + 1), self.dim(n)))
 
     def laplacian(self, n: int) -> SheafLaplacian:
-        down = self.differential(n - 1)
-        up = self.differential(n)
-        m = down @ down.T + up.T @ up
-        return SheafLaplacian(0.5 * (m + m.T), n, provenance="algebraic-cone")
+        return _hodge_laplacian(self.dim(n), n, self.differential(n - 1), self.differential(n))
 
     def f_laplacian(self, j: int) -> SheafLaplacian:
         """L_j of F from ``d_f``; the same bits as ``laplacian(sheaf, j)``."""
@@ -680,8 +674,8 @@ def channel_set(sheaf: CellSheaf, grounding: GroundingMorphism) -> ChannelSet:
     d1 = coboundary(sheaf, 1).matrix
     l0 = _hodge_laplacian(sheaf.cochain_dim(0), 0, None, d0)
     l1 = _hodge_laplacian(sheaf.cochain_dim(1), 1, d0, d1)
-    relative = SheafLaplacian(l1.matrix + eps.T @ eps, 1, provenance="channel")
-    utilization = SheafLaplacian(eps @ eps.T, 0, provenance="channel")
+    relative = SheafLaplacian(l1.matrix + eps.T @ eps, 1)
+    utilization = SheafLaplacian(eps @ eps.T, 0)
     coupling = float(np.linalg.norm(d1 @ eps.T)) if d1.size else 0.0
     return ChannelSet(d0, d1, l0, l1, relative, utilization, eps, coupling)
 

@@ -15,6 +15,7 @@ restriction maps act on stalk coordinates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -29,6 +30,9 @@ FUNCTORIALITY_TOL = 1e-8
 #: mode concentrates its mismatch on the defect instead of spreading the
 #: phase around the cycle (concentration wins for weight^2 << 1/n).
 HIDDEN_TWIST_WEIGHT = 0.1
+
+#: Edge that carries the hidden-twist defect.
+HIDDEN_TWIST_DEFECT_EDGE = (0, 1)
 
 
 _NO_OWNER = np.zeros(0, dtype=int)
@@ -86,8 +90,8 @@ class CellSheaf:
     ``(stalk_dim(coface), stalk_dim(face))``. Stalks are fixed at
     construction, and so is the cochain layout computed from them once
     there: the slice of every cell inside C^j and the dimension of C^j.
-    Restrictions may be replaced afterwards (the hidden-twist generator does
-    so), so no operator assembled from them is ever cached here.
+    Restrictions may be replaced afterwards, so no operator assembled from
+    them is ever cached here.
     """
 
     def __init__(self, complex_: CliqueComplex, stalks, restrictions, validated=False):
@@ -149,12 +153,12 @@ class FunctorialityViolation:
     defect: float
 
 
-def validate_sheaf(sheaf: CellSheaf, tol: float = FUNCTORIALITY_TOL):
+def validate_sheaf(sheaf: CellSheaf):
     """Report two-path composition mismatches through every (vertex, triangle) flag.
 
     For vertex v of triangle t with edges e1, e2 of t containing v, the
     defect is ||rho_{e1->t} rho_{v->e1} - rho_{e2->t} rho_{v->e2}||_F.
-    Report-only: returns the list of violations above ``tol``.
+    Report-only: returns the list of violations above ``FUNCTORIALITY_TOL``.
     """
     violations = []
     for t in sheaf.complex.triangles:
@@ -163,7 +167,7 @@ def validate_sheaf(sheaf: CellSheaf, tol: float = FUNCTORIALITY_TOL):
             via1 = sheaf.restriction(e1, t) @ sheaf.restriction((v,), e1)
             via2 = sheaf.restriction(e2, t) @ sheaf.restriction((v,), e2)
             defect = float(np.linalg.norm(via1 - via2))
-            if defect > tol:
+            if defect > FUNCTORIALITY_TOL:
                 violations.append(FunctorialityViolation(t, (v,), defect))
     return violations
 
@@ -292,7 +296,7 @@ def build_sheaf_from_features(g: Graph, features, cfg: FeaturePipelineConfig | N
         restrictions[((v, w), (u, v, w))] = r_vw
         restrictions[((u, w), (u, v, w))] = r_uw
     sheaf = CellSheaf(complex_, stalks, restrictions)
-    sheaf.validated = not validate_sheaf(sheaf, FUNCTORIALITY_TOL)
+    sheaf.validated = not validate_sheaf(sheaf)
     return sheaf
 
 
@@ -324,9 +328,10 @@ def check_cycle_length(n: int):
         )
 
 
-def _cycle_sheaf(n: int, stalk_dim: int, edge_maps):
-    """Sheaf on the n-cycle: identity from the lower endpoint, ``edge_maps[e]``
-    from the higher endpoint. Every cell shares one stalk object."""
+def _cycle_sheaf(n: int, stalk_dim: int, maps):
+    """Sheaf on the n-cycle whose restrictions are the identity except those
+    ``maps`` gives, keyed ``((v,), e)`` like ``CellSheaf.restrictions``.
+    Every cell shares one stalk object."""
     check_cycle_length(n)
     complex_ = build_clique_complex(cycle_graph(n))
     eye = np.eye(stalk_dim)
@@ -336,10 +341,10 @@ def _cycle_sheaf(n: int, stalk_dim: int, edge_maps):
     for v in complex_.vertices:
         stalks[(v,)] = stalk
     for e in complex_.edges:
-        u, v = e
         stalks[e] = stalk
-        restrictions[((u,), e)] = eye.copy()
-        restrictions[((v,), e)] = np.asarray(edge_maps.get(e, eye), dtype=float)
+        for v in e:
+            key = ((v,), e)
+            restrictions[key] = maps[key] if key in maps else eye.copy()
     return CellSheaf(complex_, stalks, restrictions, validated=True)
 
 
@@ -359,7 +364,8 @@ def make_line_bundle(n: int, stalk_dim: int = 1, edge_twists=None) -> CellSheaf:
             raise ValueError(f"twist on {edge} has shape {t.shape}")
         if np.max(np.abs(t.T @ t - np.eye(stalk_dim))) > ORTHONORMALITY_TOL:
             raise ValueError(f"twist on edge {edge} is not orthogonal")
-        twists[tuple(sorted(edge))] = t
+        e = tuple(sorted(edge))
+        twists[((e[1],), e)] = t
     return _cycle_sheaf(n, stalk_dim, twists)
 
 
@@ -372,35 +378,28 @@ def mobius_bundle(n: int, stalk_dim: int = 1) -> CellSheaf:
     return make_line_bundle(n, stalk_dim, {(0, n - 1): -np.eye(stalk_dim)})
 
 
-def hidden_twist_bundle(
-    n: int,
-    tau: float,
-    stalk_dim: int = 2,
-    defect_edge=(0, 1),
-    weight: float = HIDDEN_TWIST_WEIGHT,
-) -> CellSheaf:
+def hidden_twist_bundle(n: int, tau: float, stalk_dim: int = 2) -> CellSheaf:
     """Trivial bundle with a single weak-bond rotation defect.
 
-    Both restrictions of the defect edge are scaled by ``weight`` and the
-    higher-endpoint one is additionally rotated by ``tau``. The weak bond
-    is where the holonomy mismatch is cheapest to absorb, so low-energy
-    modes concentrate their edge energy there; a pure orthogonal defect
-    cannot localize, because any placement of it around the cycle is
-    related to any other by a per-vertex isometry. At ``tau = 0`` global
-    sections exist again (the kernel reappears) for any weight.
+    Both restrictions of the defect edge ``HIDDEN_TWIST_DEFECT_EDGE`` are
+    scaled by ``HIDDEN_TWIST_WEIGHT`` and the higher-endpoint one is
+    additionally rotated by ``tau``. The weak bond is where the holonomy
+    mismatch is cheapest to absorb, so low-energy modes concentrate their
+    edge energy there; a pure orthogonal defect cannot localize, because
+    any placement of it around the cycle is related to any other by a
+    per-vertex isometry. At ``tau = 0`` global sections exist again (the
+    kernel reappears).
     """
     if stalk_dim < 2:
         raise ValueError("hidden twist needs stalk_dim >= 2")
-    if not 0 < weight <= 1:
-        raise ValueError("weight must lie in (0, 1]")
-    defect_edge = tuple(sorted(defect_edge))
-    sheaf = _cycle_sheaf(n, stalk_dim, {})
-    if defect_edge not in sheaf.complex.edges:
-        raise ValueError(f"{defect_edge} is not an edge of the {n}-cycle")
-    u, v = defect_edge
-    sheaf.restrictions[((u,), defect_edge)] = weight * np.eye(stalk_dim)
-    sheaf.restrictions[((v,), defect_edge)] = weight * rotation_matrix(tau, stalk_dim)
-    return sheaf
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    e = HIDDEN_TWIST_DEFECT_EDGE
+    weight = HIDDEN_TWIST_WEIGHT
+    return _cycle_sheaf(n, stalk_dim, {
+        ((e[0],), e): weight * np.eye(stalk_dim),
+        ((e[1],), e): weight * rotation_matrix(tau, stalk_dim),
+    })
 
 
 def add_restriction_noise(sheaf: CellSheaf, sigma: float, seed: int) -> CellSheaf:
@@ -414,8 +413,8 @@ def add_restriction_noise(sheaf: CellSheaf, sigma: float, seed: int) -> CellShea
     result shares the complex and the stalks of ``sheaf`` and holds copies
     of the restrictions the noise leaves alone.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not math.isfinite(sigma) or sigma < 0:
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     rotated = {}
     if sigma > 0:
         rng = np.random.default_rng(seed)

@@ -1,4 +1,4 @@
-"""Spectra, harmonic filtrations, spectral witnesses and interleavings.
+"""Spectra, harmonic profiles, spectral witnesses and interleavings.
 
 All eigendecompositions are dense symmetric. Numerically degenerate
 clusters (spread below 1e-8 * lambda_max) are admitted or excluded from
@@ -48,7 +48,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     threshold: float
-    provenance: str = "base"
 
     @property
     def dim(self):
@@ -69,7 +68,7 @@ def eigendecompose(lap: SheafLaplacian) -> Spectrum:
     lam_max = float(eigenvalues[-1]) if eigenvalues.size else 0.0
     if eigenvalues.size and eigenvalues[0] < -ZERO_PSD_REL * max(lam_max, 1.0):
         raise PsdViolationError(f"negative eigenvalue {eigenvalues[0]:.3e}")
-    return Spectrum(eigenvalues, eigenvectors, zero_threshold(lam_max), lap.provenance)
+    return Spectrum(eigenvalues, eigenvectors, zero_threshold(lam_max))
 
 
 def kernel_dim(spectrum: Spectrum) -> int:
@@ -116,20 +115,6 @@ def indicator_profile(spectrum: Spectrum, grid) -> list[int]:
     return _harmonic_dims(spectrum, grid).tolist()
 
 
-class HarmonicFiltration:
-    """delta -> span{v : lambda <= delta}, a right-continuous step function."""
-
-    def __init__(self, spectrum: Spectrum):
-        self.spectrum = spectrum
-
-    def dim_at(self, delta: float) -> int:
-        return int(_harmonic_dims(self.spectrum, delta))
-
-    @property
-    def jumps(self) -> np.ndarray:
-        return np.unique(self.spectrum.eigenvalues)
-
-
 # ---------------------------------------------------------------------------
 # Witnesses
 # ---------------------------------------------------------------------------
@@ -139,18 +124,24 @@ WEIGHTS = ("uniform", "inverse", "heat", "gap")
 
 @dataclass(frozen=True)
 class WitnessConfig:
+    """Slack interval (delta0, delta1] and eigenvalue weight of the witnesses.
+
+    The heat weight is exp(-lambda), the heat kernel at time 1.
+    """
+
     delta0: float = 0.0
     delta1: float | None = None  # None: 2 * spectral gap of the operator at hand
     weight: str = "gap"
-    heat_t: float = 1.0
 
     def __post_init__(self):
         if self.weight not in WEIGHTS:
             raise ValueError(f"weight must be one of {WEIGHTS}")
+        if not math.isfinite(self.delta0):
+            raise ValueError(f"delta0 must be finite, got {self.delta0}")
+        if self.delta1 is not None and not math.isfinite(self.delta1):
+            raise ValueError(f"delta1 must be finite, got {self.delta1}")
         if self.delta0 < 0:
             raise ValueError("delta0 must be non-negative")
-        if self.heat_t <= 0:
-            raise ValueError("heat time must be positive")
 
     def resolve_delta1(self, spectrum: Spectrum) -> float:
         if self.delta1 is not None:
@@ -169,7 +160,7 @@ class WitnessConfig:
         if self.weight == "inverse":
             return 1.0 / lam
         if self.weight == "heat":
-            return math.exp(-self.heat_t * lam)
+            return math.exp(-lam)
         raise ValueError("gap weight has no per-eigenvalue value")
 
 
@@ -329,7 +320,7 @@ def local_witness(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None,
     operator, down, up = _degree_operators(sheaf, j, channels)
     delta, vectors, weights = _degree_modes(cfg, operator, spectrum)
     scores = _witness_scores(sheaf, j, vectors, weights, down, up)
-    return LocalWitnessMap(j, delta, operator.provenance, scores)
+    return LocalWitnessMap(j, delta, "base", scores)
 
 
 def coface_energy_map(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None,
@@ -378,7 +369,6 @@ def local_witness_relative(sheaf: CellSheaf, grounding: GroundingMorphism,
 
 @dataclass(frozen=True)
 class NormalizationResult:
-    operator: SheafLaplacian
     scale: float
     was_zero: bool
     spectrum: Spectrum
@@ -386,24 +376,24 @@ class NormalizationResult:
 
 def normalize_spectrum(lap: SheafLaplacian,
                        spectrum: Spectrum | None = None) -> NormalizationResult:
-    """Rescale so trace/rank = 1; kernel, eigenvectors and ordering unchanged.
+    """Spectrum of ``lap / scale`` with trace/rank = 1; kernel, eigenvectors
+    and ordering unchanged.
 
     ``spectrum``, when given, is the spectrum of ``lap``; the normalized
     spectrum is derived from it as (lambda / scale, same eigenvectors), so
-    no second eigendecomposition runs. The zero operator is returned
-    untouched with a flag.
+    no second eigendecomposition runs. The zero operator keeps its spectrum
+    and scale 1, with a flag.
     """
     if spectrum is None:
         spectrum = eigendecompose(lap)
     rank = spectrum.dim - kernel_dim(spectrum)
     if rank == 0:
-        return NormalizationResult(lap, 1.0, True, spectrum)
+        return NormalizationResult(1.0, True, spectrum)
     scale = float(np.trace(lap.matrix)) / rank
-    scaled = SheafLaplacian(lap.matrix / scale, lap.degree, lap.provenance)
     eigenvalues = spectrum.eigenvalues / scale
     normalized = Spectrum(eigenvalues, spectrum.eigenvectors,
-                          zero_threshold(float(eigenvalues[-1])), spectrum.provenance)
-    return NormalizationResult(scaled, scale, False, normalized)
+                          zero_threshold(float(eigenvalues[-1])))
+    return NormalizationResult(scale, False, normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +461,15 @@ def _profile_eta(ev_a: np.ndarray, ev_b: np.ndarray) -> float:
     return float(np.max(np.abs(np.sort(ev_a) - np.sort(ev_b))))
 
 
-def interleaving_shift(a, b, mode: str | None = None) -> InterleavingResult:
+def interleaving_shift(a: Spectrum, b: Spectrum, mode: str | None = None) -> InterleavingResult:
     """Minimal eta with H_delta(a) in H_{delta+eta}(b) and vice versa.
 
-    Accepts Spectrum or HarmonicFiltration arguments. Subspace containment
-    is used when both filtrations live on the same space; otherwise only
-    dimension profiles are compared (an honest weakening: the minimal eta
-    such that each profile dominates the other after shifting, infinite if
-    the total dimensions differ). Pass ``mode`` to force ``"subspace"`` or
-    ``"dimension-profile"``.
+    H_delta is span{v : lambda <= delta} of each spectrum. Subspace
+    containment is used when both spectra live on the same space; otherwise
+    only dimension profiles are compared (an honest weakening: the minimal
+    eta such that each profile dominates the other after shifting, infinite
+    if the total dimensions differ). Pass ``mode`` to force ``"subspace"``
+    or ``"dimension-profile"``.
 
     Subspace mode needs ascending eigenvalues with square orthonormal
     eigenvector matrices, as ``eigendecompose`` returns them. With
@@ -495,23 +485,21 @@ def interleaving_shift(a, b, mode: str | None = None) -> InterleavingResult:
     the top eigenvalue: that needs eigenvalues of order 1e4 or more, where
     the float spacing exceeds ``_EDGE_SLACK``.
     """
-    spec_a = a.spectrum if isinstance(a, HarmonicFiltration) else a
-    spec_b = b.spectrum if isinstance(b, HarmonicFiltration) else b
-    same_space = spec_a.eigenvectors.shape[0] == spec_b.eigenvectors.shape[0]
+    same_space = a.eigenvectors.shape[0] == b.eigenvectors.shape[0]
     if mode is None:
-        mode = "subspace" if same_space and spec_a.dim == spec_b.dim else "dimension-profile"
+        mode = "subspace" if same_space and a.dim == b.dim else "dimension-profile"
     if mode == "dimension-profile":
-        return InterleavingResult(_profile_eta(spec_a.eigenvalues, spec_b.eigenvalues),
+        return InterleavingResult(_profile_eta(a.eigenvalues, b.eigenvalues),
                                   "dimension-profile", True)
     if mode != "subspace":
         raise ValueError(f"unknown interleaving mode {mode!r}")
     if not same_space:
         raise ValueError("subspace interleaving needs a common ambient space")
-    ev_a, ev_b = spec_a.eigenvalues, spec_b.eigenvalues
-    overlap = spec_b.eigenvectors.T @ spec_a.eigenvectors
+    ev_a, ev_b = a.eigenvalues, b.eigenvalues
+    overlap = b.eigenvectors.T @ a.eigenvectors
     requirements = [
-        (*_containment_requirements(spec_a, spec_b, overlap), spec_b.threshold),
-        (*_containment_requirements(spec_b, spec_a, overlap.T), spec_a.threshold),
+        (*_containment_requirements(a, b, overlap), b.threshold),
+        (*_containment_requirements(b, a, overlap.T), a.threshold),
     ]
     candidates = np.unique(np.append(0.0, np.abs(np.subtract.outer(ev_a, ev_b))))
 
@@ -582,10 +570,10 @@ def cone_reduction_side(cone: MappingCone) -> ConeReductionSide:
     return ConeReductionSide(base_f, eps1.T @ eps1, base_w, eps0 @ eps0.T, residual)
 
 
-def synthetic_commuting_side(seed: int, dim_f: int = 6, dim_w: int = 4,
-                             scale: float = 2.0) -> ConeReductionSide:
+def synthetic_commuting_side(seed: int) -> ConeReductionSide:
     """Simultaneously diagonalized fixture: random orthogonal frames, sorted
-    nonnegative spectra co-monotone with their grounding penalties."""
+    spectra in [0, 2) co-monotone with their grounding penalties, of
+    dimension 6 on the model side and 4 on the grounding side."""
     rng = np.random.default_rng(seed)
 
     def frame(d):
@@ -593,13 +581,13 @@ def synthetic_commuting_side(seed: int, dim_f: int = 6, dim_w: int = 4,
         return q
 
     def pair(d):
-        base = np.sort(rng.uniform(0.0, scale, size=d))
-        gram = np.sort(rng.uniform(0.0, scale, size=d))
+        base = np.sort(rng.uniform(0.0, 2.0, size=d))
+        gram = np.sort(rng.uniform(0.0, 2.0, size=d))
         q = frame(d)
         return q @ np.diag(base) @ q.T, q @ np.diag(gram) @ q.T
 
-    base_f, gram_f = pair(dim_f)
-    base_w, gram_w = pair(dim_w)
+    base_f, gram_f = pair(6)
+    base_w, gram_w = pair(4)
     return ConeReductionSide(base_f, gram_f, base_w, gram_w, 0.0)
 
 

@@ -289,7 +289,7 @@ def test_criterion_8_witness_properties():
             image = d0.matrix @ spectrum.eigenvectors[:, index]
             for edge in sheaf.complex.edges:
                 total += len(sheaf.complex.faces(edge)) * float(
-                    np.sum(image[d0.row_slices[edge]] ** 2)
+                    np.sum(image[sheaf.cell_slices(1)[edge]] ** 2)
                 )
         if abs(sum(witness.scores.values()) - total) > 1e-8:
             ok = False

@@ -1,0 +1,55 @@
+"""What the benchmark harness reads from the program, checked in tier-1.
+
+``perfbench/run.py`` looks up every function named in its ``_TRACED``
+table to wrap it, and ``perfbench/spans.py`` digests the ``.matrix`` of
+coboundaries and Laplacians. The table is read from the source with
+``ast``: importing ``run.py`` would apply its BLAS thread settings to this
+process.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+from sheafgauge.complexes import Graph, build_clique_complex
+from sheafgauge.operators import coboundary, laplacian
+from sheafgauge.sheaves import constant_sheaf
+
+RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def _traced_names():
+    """Every ``layer.name`` string heading an entry of ``_TRACED``."""
+    tree = ast.parse(RUN_PY.read_text())
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_TRACED" for t in node.targets))
+    names = []
+    for node in ast.walk(value):
+        if isinstance(node, ast.Tuple) and node.elts and isinstance(node.elts[0], ast.Constant):
+            head = node.elts[0].value
+            if isinstance(head, str) and "." in head:
+                names.append(head)
+    return names
+
+
+def test_every_traced_program_name_is_a_public_function_of_its_module():
+    checked = []
+    for dotted in _traced_names():
+        layer, name = dotted.split(".")
+        if importlib.util.find_spec(f"sheafgauge.{layer}") is None:
+            continue  # numpy layers such as linalg
+        module = importlib.import_module(f"sheafgauge.{layer}")
+        function = getattr(module, name, None)
+        assert not name.startswith("_"), dotted
+        assert inspect.isfunction(function), dotted
+        assert function.__module__ == module.__name__, dotted
+        checked.append(dotted)
+    assert "operators.coboundary" in checked and "cli.main" in checked
+
+
+def test_digested_operators_keep_their_matrix():
+    sheaf = constant_sheaf(build_clique_complex(Graph(3, [(0, 1), (1, 2), (0, 2)])), 1)
+    assert coboundary(sheaf, 0).matrix.shape == (3, 3)
+    assert laplacian(sheaf, 1).matrix.shape == (3, 3)

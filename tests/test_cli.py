@@ -113,6 +113,31 @@ def test_diagnose_bad_generator_parameter_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["noisy-trivial", "--sigma", "nan"], "sigma must be finite and non-negative, got nan"),
+    (["noisy-trivial", "--sigma", "inf"], "sigma must be finite and non-negative, got inf"),
+    (["hidden-twist", "--tau", "nan"], "tau must be finite, got nan"),
+    (["hidden-twist", "--tau", "inf"], "tau must be finite, got inf"),
+])
+def test_diagnose_non_finite_generator_parameter_is_input_error(tmp_path, capsys, args,
+                                                                message):
+    assert run(["diagnose", "--generator"] + args + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: generator {args[0]}: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["diagnose", "--generator", "trivial"], "--delta0"),
+    (["diagnose", "--generator", "trivial"], "--delta1"),
+    (["experiment", "localization", "--n", "6"], "--delta1"),
+])
+def test_non_finite_slack_is_input_error(tmp_path, capsys, command, flag):
+    assert run(command + [flag, "nan", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {flag[2:]} must be finite, got nan\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_diagnose_three_cycle_names_the_filled_triangle(tmp_path, capsys):
     assert run(["diagnose", "--generator", "mobius", "--n", "3",
                 "--out", str(tmp_path / "x")]) == 1
@@ -128,6 +153,11 @@ def test_diagnose_three_cycle_names_the_filled_triangle(tmp_path, capsys):
     (["relativity", "--n", "3"], "n >= 4"),
     (["magnitude", "--n", "6", "--seed", "-1"], "seed must be at least 0"),
     (["localization", "--n", "6", "--sigma", "-0.5"], "sigma must be at least 0"),
+    (["magnitude", "--n", "6", "--sigma", "nan"], "sigma must be finite, got nan"),
+    (["magnitude", "--n", "6", "--tau", "nan"], "tau must be finite, got nan"),
+    (["localization", "--n", "6", "--sigma", "inf"], "sigma must be finite, got inf"),
+    (["existence", "--stalk-dim", "-1"], "stalk_dim must be at least 1, got -1"),
+    (["relativity", "--stalk-dim", "-1"], "stalk_dim must be at least 1, got -1"),
 ])
 def test_experiment_bad_parameter_is_input_error(tmp_path, capsys, args, message):
     assert run(["experiment"] + args + ["--out", str(tmp_path / "x")]) == 1

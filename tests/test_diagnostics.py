@@ -361,7 +361,15 @@ def test_ensembles_reject_empty_seed_range(experiment, num_seeds):
     lambda: experiment_relativity(2),
     lambda: experiment_magnitude(n=8, seed=-1),
     lambda: experiment_localization(n=8, sigma=-0.5),
-], ids=["existence-n", "relativity-n", "magnitude-seed", "localization-sigma"])
+    lambda: experiment_magnitude(n=8, sigma=float("nan")),
+    lambda: experiment_magnitude(n=8, tau=float("nan")),
+    lambda: experiment_localization(n=8, sigma=float("inf")),
+    lambda: experiment_localization(n=8, tau=float("-inf")),
+    lambda: experiment_existence(8, stalk_dim=0),
+    lambda: experiment_relativity(8, stalk_dim=-1),
+], ids=["existence-n", "relativity-n", "magnitude-seed", "localization-sigma",
+        "magnitude-sigma-nan", "magnitude-tau-nan", "localization-sigma-inf",
+        "localization-tau-inf", "existence-stalk-dim", "relativity-stalk-dim"])
 def test_experiments_reject_bad_parameters_before_work(call):
     from sheafgauge.diagnostics import ExperimentParameterError
 

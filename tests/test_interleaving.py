@@ -17,7 +17,6 @@ from sheafgauge.sheaves import mobius_bundle, noisy_trivial_bundle, trivial_bund
 from sheafgauge.spectral import (
     _CONTAIN_TOL,
     _EDGE_SLACK,
-    HarmonicFiltration,
     InterleavingResult,
     Spectrum,
     eigendecompose,
@@ -48,9 +47,7 @@ def _candidates(spec_a, spec_b):
     return sorted(candidates)
 
 
-def _reference_interleaving(a, b):
-    spec_a = a.spectrum if isinstance(a, HarmonicFiltration) else a
-    spec_b = b.spectrum if isinstance(b, HarmonicFiltration) else b
+def _reference_interleaving(spec_a, spec_b):
     ordered = _candidates(spec_a, spec_b)
 
     def works(eta):
@@ -113,7 +110,7 @@ def _forced_kernels(rng, d):
 def _shifted_copy(rng, d):
     base = _spectrum(_orthogonal(rng, d), _dyadic(rng, d))
     shift = float(rng.integers(1, 5)) / 8.0
-    return base, Spectrum(base.eigenvalues + shift, base.eigenvectors, base.threshold, "shifted")
+    return base, Spectrum(base.eigenvalues + shift, base.eigenvectors, base.threshold)
 
 
 def _dyadic_clusters(rng, d):
@@ -170,14 +167,6 @@ def test_matches_reference_on_dimension_zero_and_one():
     _assert_matches_reference(empty, empty)
     for x, y in ((0.0, 0.0), (0.0, 1.5), (2.0, 0.25)):
         _assert_matches_reference(_spectrum(np.eye(1), [x]), _spectrum(np.eye(1), [y]))
-
-
-def test_matches_reference_on_harmonic_filtrations():
-    a, b = _shared_leading_block(np.random.default_rng(8), 12)
-    fa, fb = HarmonicFiltration(a), HarmonicFiltration(b)
-    assert interleaving_shift(fa, fb) == interleaving_shift(a, b)
-    _assert_matches_reference(fa, fb)
-    _assert_matches_reference(fa, b)
 
 
 def test_containment_sets_eta_below_the_spectral_range():

@@ -587,6 +587,39 @@ def test_cone_laplacians_bit_identical_to_standalone():
             assert cone.w_laplacian(j).matrix.tobytes() == laplacian(wsheaf, j).matrix.tobytes()
 
 
+def _formula_cone_laplacian(cone, n):
+    """The cone's own Laplacian formula before it shared ``_hodge_laplacian``."""
+    down = cone.differential(n - 1)
+    up = cone.differential(n)
+    m = down @ down.T + up.T @ up
+    return 0.5 * (m + m.T)
+
+
+def _padded_cone_fixtures():
+    sheaves = []
+    for n in (6, 9):
+        sheaves += [trivial_bundle(n), mobius_bundle(n), hidden_twist_bundle(n, 0.3),
+                    noisy_trivial_bundle(n, 0.25, n)]
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        edges = [(u, v) for u in range(12) for v in range(u + 1, 12) if rng.random() < 0.3]
+        sheaves.append(constant_sheaf(build_clique_complex(Graph(12, edges)), seed + 1))
+    return sheaves
+
+
+def test_cone_laplacian_bit_identical_to_its_formula():
+    sheaves = _padded_cone_fixtures()
+    assert len(sheaves) == 11
+    for sheaf in sheaves:
+        cone = algebraic_cone(sheaf, grounding_from_padding(sheaf))
+        for n in (-1, 0, 1, 2):
+            lap = cone.laplacian(n)
+            reference = _formula_cone_laplacian(cone, n)
+            assert lap.degree == n
+            assert lap.matrix.shape == reference.shape
+            assert lap.matrix.tobytes() == reference.tobytes()
+
+
 def test_cone_reduction_side_equals_standalone_assembly():
     for sheaf, grounding in _shared_cone_fixtures():
         side = cone_reduction_side(algebraic_cone(sheaf, grounding))

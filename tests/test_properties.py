@@ -1,0 +1,89 @@
+"""Hypothesis properties on functorial sheaves: constant sheaves on random
+G(n, p) clique complexes and the trivial and Mobius cycle bundles.
+
+* d1 d0 vanishes and dim ker L_j equals the Betti number b_j, j = 0, 1, 2;
+* relabelling the vertices leaves every kernel dimension unchanged and
+  permutes the local witness maps.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from sheafgauge.complexes import Graph, build_clique_complex
+from sheafgauge.operators import betti_numbers, coboundary, laplacian
+from sheafgauge.sheaves import CellSheaf, constant_sheaf, mobius_bundle, trivial_bundle
+from sheafgauge.spectral import (
+    WitnessConfig,
+    coface_energy_map,
+    eigendecompose,
+    kernel_dim,
+    local_witness,
+)
+
+
+@st.composite
+def constant_sheaves(draw):
+    n = draw(st.integers(2, 9))
+    p = draw(st.sampled_from([0.3, 0.5, 0.8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return constant_sheaf(build_clique_complex(Graph(n, edges)), draw(st.integers(1, 2)))
+
+
+@st.composite
+def cycle_bundles(draw):
+    make = draw(st.sampled_from([trivial_bundle, mobius_bundle]))
+    return make(draw(st.integers(4, 9)), draw(st.integers(1, 3)))
+
+
+functorial_sheaves = st.one_of(constant_sheaves(), cycle_bundles())
+
+
+def _kernel_dims(sheaf):
+    return [kernel_dim(eigendecompose(laplacian(sheaf, j))) for j in (0, 1, 2)]
+
+
+@given(functorial_sheaves)
+def test_complex_and_hodge_correspondence(sheaf):
+    d0 = coboundary(sheaf, 0).matrix
+    d1 = coboundary(sheaf, 1).matrix
+    assert np.linalg.norm(d1 @ d0) <= 1e-12
+    assert _kernel_dims(sheaf) == list(betti_numbers(sheaf))
+
+
+def _relabel(sheaf, perm):
+    """The same sheaf on the complex with vertex v renamed perm[v], and the
+    cell map old -> new."""
+    old = sheaf.complex
+    graph = Graph(len(old.vertices), [(int(perm[u]), int(perm[v])) for u, v in old.edges])
+    cells = {cell: tuple(sorted(int(perm[v]) for v in cell))
+             for j in (0, 1, 2) for cell in old.cells(j)}
+    stalks = {cells[c]: stalk for c, stalk in sheaf.stalks.items()}
+    restrictions = {(cells[f], cells[c]): m for (f, c), m in sheaf.restrictions.items()}
+    relabelled = CellSheaf(build_clique_complex(graph), stalks, restrictions, sheaf.validated)
+    return relabelled, cells
+
+
+def _assert_permuted(before, after, cells):
+    assert before.degree == after.degree
+    assert len(before.scores) == len(after.scores)
+    old = np.array(list(before.scores.values()))
+    new = np.array([after.scores[cells[c]] for c in before.scores])
+    scale = max(float(np.max(np.abs(old), initial=0.0)), float(np.max(np.abs(new), initial=0.0)))
+    assert np.all(np.abs(old - new) <= 1e-9 * scale)
+
+
+@given(functorial_sheaves, st.integers(0, 2**16))
+def test_relabelling_permutes_witness_maps(sheaf, seed):
+    perm = np.random.default_rng(seed).permutation(len(sheaf.complex.vertices))
+    relabelled, cells = _relabel(sheaf, perm)
+    assert _kernel_dims(relabelled) == _kernel_dims(sheaf)
+    cfg = WitnessConfig()
+    for j in (0, 1, 2):
+        if sheaf.cochain_dim(j):
+            _assert_permuted(local_witness(sheaf, j, cfg),
+                             local_witness(relabelled, j, cfg), cells)
+    if sheaf.cochain_dim(1):
+        _assert_permuted(coface_energy_map(sheaf, 0, cfg),
+                         coface_energy_map(relabelled, 0, cfg), cells)

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from sheafgauge.complexes import Graph, build_clique_complex, complete_graph
 from sheafgauge.operators import laplacian
 from sheafgauge.sheaves import (
+    HIDDEN_TWIST_DEFECT_EDGE,
+    HIDDEN_TWIST_WEIGHT,
     FeaturePipelineConfig,
     Stalk,
     add_restriction_noise,
@@ -410,6 +414,41 @@ def test_restriction_noise_equals_copy_then_compose(stalk_dim, sigma):
 def test_restriction_noise_rejects_negative_sigma():
     with pytest.raises(ValueError):
         add_restriction_noise(trivial_bundle(5, 2), -0.1, seed=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_generators_reject_non_finite_parameters(value):
+    with pytest.raises(ValueError, match=f"sigma must be finite and non-negative, got {value}"):
+        add_restriction_noise(trivial_bundle(5, 2), value, seed=0)
+    with pytest.raises(ValueError, match=f"sigma must be finite and non-negative, got {value}"):
+        noisy_trivial_bundle(5, value, seed=0)
+    with pytest.raises(ValueError, match=f"tau must be finite, got {value}"):
+        hidden_twist_bundle(5, value)
+
+
+def _replaced_hidden_twist(n, tau, stalk_dim):
+    """The hidden twist as it was built before: the trivial bundle, then both
+    restrictions of the defect edge replaced in place."""
+    sheaf = trivial_bundle(n, stalk_dim)
+    sheaf.restrictions[((0,), (0, 1))] = HIDDEN_TWIST_WEIGHT * np.eye(stalk_dim)
+    sheaf.restrictions[((1,), (0, 1))] = HIDDEN_TWIST_WEIGHT * rotation_matrix(tau, stalk_dim)
+    return sheaf
+
+
+@pytest.mark.parametrize("stalk_dim", [2, 3])
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_hidden_twist_equals_build_then_replace(stalk_dim, tau):
+    assert HIDDEN_TWIST_DEFECT_EDGE == (0, 1)
+    for n in (4, 7):
+        sheaf = hidden_twist_bundle(n, tau, stalk_dim)
+        reference = _replaced_hidden_twist(n, tau, stalk_dim)
+        assert sheaf.complex.incidences == reference.complex.incidences
+        assert list(sheaf.stalks) == list(reference.stalks)
+        assert all(np.array_equal(sheaf.stalks[c].basis, stalk.basis)
+                   for c, stalk in reference.stalks.items())
+        assert sheaf.validated == reference.validated
+        _assert_restrictions_equal(sheaf.restrictions, reference.restrictions)
+        assert all(m.dtype == np.float64 for m in sheaf.restrictions.values())
 
 
 def test_validate_identity_sheaf_empty():

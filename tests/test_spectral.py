@@ -23,7 +23,6 @@ from sheafgauge.sheaves import (
 )
 from sheafgauge.spectral import (
     AsymmetricOperatorError,
-    HarmonicFiltration,
     PsdViolationError,
     Spectrum,
     WitnessConfig,
@@ -45,8 +44,8 @@ from sheafgauge.spectral import (
 )
 
 
-def diag_operator(values, provenance="test"):
-    return SheafLaplacian(np.diag(np.asarray(values, dtype=float)), 0, provenance)
+def diag_operator(values):
+    return SheafLaplacian(np.diag(np.asarray(values, dtype=float)), 0)
 
 
 def spectrum_of(values):
@@ -195,7 +194,7 @@ def test_indicator_profile_monotone_and_jump_locations():
     grid = [max(g, 0.0) for g in grid]
     profile = indicator_profile(s, grid)
     assert all(b >= a for a, b in zip(profile, profile[1:]))
-    jumps = HarmonicFiltration(s).jumps
+    jumps = np.unique(s.eigenvalues)
     closed_form = sorted(2 - 2 * math.cos(2 * math.pi * k / 10) for k in range(10))
     assert np.allclose(sorted(set(np.round(jumps, 9))), sorted(set(np.round(closed_form, 9))),
                        atol=1e-8)
@@ -214,21 +213,20 @@ def test_counted_dims_match_harmonic_space_basis():
         if values.size == 0:
             continue
         threshold = float(rng.choice([1e-10, 1e-4, 0.5]))
-        s = Spectrum(values, np.eye(values.size), threshold, "random")
+        s = Spectrum(values, np.eye(values.size), threshold)
         below = rng.uniform(0.0, threshold, size=3)
         grid = sorted(set(values.tolist()) | set(below.tolist())
                       | {0.0, threshold, float(values[-1]) + 1.0})
         expected = [harmonic_space(s, d).shape[1] for d in grid]
         assert indicator_profile(s, grid) == expected, trial
-        filtration = HarmonicFiltration(s)
-        assert [filtration.dim_at(d) for d in grid] == expected, trial
+        assert [indicator_profile(s, [d])[0] for d in grid] == expected, trial
         for d in grid[1:]:
             basis_count = harmonic_space(s, d).shape[1]
             assert is_almost_non_exact(s, d) == (kernel_dim(s) == 0 and basis_count > 0)
     with pytest.raises(ValueError, match="non-negative"):
         indicator_profile(single_edge_spectrum(), [-1.0, 0.0])
     with pytest.raises(ValueError, match="non-negative"):
-        HarmonicFiltration(single_edge_spectrum()).dim_at(-0.5)
+        indicator_profile(single_edge_spectrum(), [-0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +247,16 @@ def test_global_witness_rejects_bad_interval():
     s = spectrum_of([0.0, 1.0])
     with pytest.raises(ValueError):
         global_witness(s, WitnessConfig(1.0, 0.5, "uniform"))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"delta0": math.nan}, {"delta0": math.inf}, {"delta1": math.nan}, {"delta1": math.inf},
+    {"delta1": -math.inf},
+])
+def test_witness_config_rejects_non_finite_slack(kwargs):
+    (name, value), = kwargs.items()
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        WitnessConfig(**kwargs)
 
 
 def test_global_witness_gap_weight_identity():
@@ -331,7 +339,7 @@ def test_local_witness_energy_accounting():
             image = d0.matrix @ spectrum.eigenvectors[:, index]
             for edge in sheaf.complex.edges:
                 faces = len(sheaf.complex.faces(edge))
-                total += faces * float(np.sum(image[d0.row_slices[edge]] ** 2))
+                total += faces * float(np.sum(image[sheaf.cell_slices(1)[edge]] ** 2))
         assert abs(sum(witness.scores.values()) - total) < 1e-8
 
 
@@ -424,14 +432,14 @@ def _loop_up_down(sheaf, j, spectrum, modes, scores):
         if up is not None:
             image = up.matrix @ v
             for coface in sheaf.complex.cells(j + 1):
-                component = float(np.sum(image[up.row_slices[coface]] ** 2))
+                component = float(np.sum(image[sheaf.cell_slices(j + 1)[coface]] ** 2))
                 for face in sheaf.complex.faces(coface):
                     scores[face] += weight * component
         if down is not None:
             image = down.matrix.T @ v
             for cell in sheaf.complex.cells(j):
                 for face in sheaf.complex.faces(cell):
-                    component = float(np.sum(image[down.col_slices[face]] ** 2))
+                    component = float(np.sum(image[sheaf.cell_slices(j - 1)[face]] ** 2))
                     scores[cell] += weight * component
     return scores
 
@@ -453,7 +461,7 @@ def _loop_witnesses(sheaf, j, cfg):
         for index, weight in modes:
             image = up.matrix @ spectrum.eigenvectors[:, index]
             for cell in coface:
-                coface[cell] += weight * float(np.sum(image[up.row_slices[cell]] ** 2))
+                coface[cell] += weight * float(np.sum(image[sheaf.cell_slices(j + 1)[cell]] ** 2))
     relative = None
     if j == 1:
         channels = channel_set(sheaf, grounding_from_padding(sheaf))
@@ -553,7 +561,7 @@ def test_local_witness_degenerate_cluster_block_rule():
 def test_normalize_trace_over_rank():
     result = normalize_spectrum(diag_operator([0.0, 2.0]))
     assert not result.was_zero
-    assert np.allclose(np.linalg.eigvalsh(result.operator.matrix), [0.0, 1.0])
+    assert np.allclose(result.spectrum.eigenvalues, [0.0, 1.0])
     assert result.scale == 2.0
 
 
@@ -562,11 +570,12 @@ def test_normalize_preserves_kernel_and_order():
         lap = laplacian(sheaf, 0)
         before = eigendecompose(lap)
         result = normalize_spectrum(lap)
-        after = eigendecompose(result.operator)
+        scaled = SheafLaplacian(lap.matrix / result.scale, 0)
+        after = eigendecompose(scaled)
         assert kernel_dim(before) == kernel_dim(after)
         assert np.allclose(after.eigenvalues * result.scale, before.eigenvalues,
                            atol=1e-10 * max(before.lambda_max, 1.0))
-        mass = float(np.trace(result.operator.matrix))
+        mass = float(np.trace(scaled.matrix))
         rank = after.dim - kernel_dim(after)
         assert abs(mass / rank - 1.0) < 1e-10
         # the spectrum derived without a second eigh agrees with a fresh one
@@ -582,7 +591,8 @@ def test_normalize_preserves_kernel_and_order():
 def test_normalize_zero_operator_flagged():
     result = normalize_spectrum(diag_operator([0.0, 0.0]))
     assert result.was_zero
-    assert np.array_equal(result.operator.matrix, np.zeros((2, 2)))
+    assert result.scale == 1.0
+    assert result.spectrum.eigenvalues.tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +611,7 @@ def test_interleaving_shift_by_s_exact():
     # dyadic spectrum keeps the shifted eigenvalues exactly representable
     s = spectrum_of([0.0, 0.25, 0.75, 1.5, 2.0])
     shift = 0.5
-    shifted = Spectrum(s.eigenvalues + shift, s.eigenvectors, s.threshold, "shifted")
+    shifted = Spectrum(s.eigenvalues + shift, s.eigenvectors, s.threshold)
     assert interleaving_shift(s, shifted).eta == shift
     assert interleaving_shift(shifted, s).eta == shift
 
