@@ -32,7 +32,6 @@ from .operators import (
     ChannelSet,
     Coboundary,
     GroundingMorphism,
-    IncidenceDefect,
     MappingCone,
     SheafLaplacian,
     algebraic_cone,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -365,17 +366,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _finite_float(text):
+    """Type of every float option: NaN and infinities would make ``params`` invalid JSON."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--input", help="input sheaf/graph JSON")
     parser.add_argument("--generator", help=f"one of {', '.join(GENERATORS)}")
     parser.add_argument("--n", type=int, help="cycle length for generators")
     parser.add_argument("--stalk-dim", dest="stalk_dim", type=int)
-    parser.add_argument("--tau", type=float, help="hidden-twist rotation angle")
-    parser.add_argument("--sigma", type=float, help="noise level")
+    parser.add_argument("--tau", type=_finite_float, help="hidden-twist rotation angle")
+    parser.add_argument("--sigma", type=_finite_float, help="noise level")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--grounding", choices=diag.GROUNDING_NAMES)
-    parser.add_argument("--delta0", type=float)
-    parser.add_argument("--delta1", type=float)
+    parser.add_argument("--delta0", type=_finite_float)
+    parser.add_argument("--delta1", type=_finite_float)
     parser.add_argument("--weight", choices=sorted(WEIGHT_FLAGS))
     parser.add_argument("--normalize", action="store_true", default=None)
     parser.add_argument("--out", help="output directory")
@@ -387,10 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build a sheaf from graph + features")
     p_build.add_argument("--features", help="features JSON")
-    p_build.add_argument("--svd-tol", dest="svd_tol", type=float)
-    p_build.add_argument("--edge-align-tol", dest="edge_align_tol", type=float)
-    p_build.add_argument("--tri-eig-tol", dest="tri_eig_tol", type=float)
-    p_build.add_argument("--tri-exponent", dest="tri_exponent", type=float)
+    p_build.add_argument("--svd-tol", dest="svd_tol", type=_finite_float)
+    p_build.add_argument("--edge-align-tol", dest="edge_align_tol", type=_finite_float)
+    p_build.add_argument("--tri-eig-tol", dest="tri_eig_tol", type=_finite_float)
+    p_build.add_argument("--tri-exponent", dest="tri_exponent", type=_finite_float)
     _add_common(p_build)
     p_build.set_defaults(func=cmd_build)
 

@@ -164,7 +164,7 @@ def run_diagnostics(sheaf: CellSheaf, grounding: GroundingMorphism,
         reports[name], spectra[name] = _channel_report(name, operator, lap, raw[name], cfg,
                                                        auxiliary)
     if grounding.mode == VERTEX_LEVEL:
-        defect = incidence_defect(sheaf, grounding).total
+        defect = incidence_defect(sheaf, grounding)
     else:
         defect = channels.coupling_norm
     local_maps = {}

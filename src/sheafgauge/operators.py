@@ -299,32 +299,20 @@ def propagate_cycle_grounding(sheaf: CellSheaf, seed: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IncidenceDefect:
-    """Failure of the grounding to commute with the restriction maps.
+def incidence_defect(sheaf: CellSheaf, grounding: GroundingMorphism) -> float:
+    """Failure of a vertex-level grounding to commute with the restriction maps.
 
     The target is the constant sheaf W on the same complex, whose restrictions
-    are identities, so the block of the incidence face < coface, keyed by
-    (face, coface), is eps_coface rho_{face->coface} - eps_face. ``total`` is
-    the Frobenius norm of all blocks together; the grounding is a sheaf
-    morphism iff it vanishes.
+    are identities, so the block of the incidence face < coface is
+    eps_coface rho_{face->coface} - eps_face. The result is the Frobenius norm
+    of all blocks together; the grounding is a sheaf morphism iff it vanishes.
     """
-
-    blocks: dict
-    total: float
-
-
-def incidence_defect(sheaf: CellSheaf, grounding: GroundingMorphism) -> IncidenceDefect:
-    """Per-incidence commutation defect of a vertex-level grounding into W."""
     if grounding.mode != VERTEX_LEVEL:
         raise GroundingModeError("incidence defect needs a vertex-level grounding")
-    blocks = {}
-    for (coface, face) in sheaf.complex.incidences:
-        delta = grounding.cell_map(coface) @ sheaf.restriction(face, coface) \
-            - grounding.cell_map(face)
-        blocks[(face, coface)] = delta
-    total = math.sqrt(sum(float(np.sum(b * b)) for b in blocks.values()))
-    return IncidenceDefect(blocks, total)
+    blocks = (grounding.cell_map(coface) @ sheaf.restriction(face, coface)
+              - grounding.cell_map(face)
+              for coface, face in sheaf.complex.incidences)
+    return math.sqrt(sum(float(np.sum(b * b)) for b in blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +416,7 @@ def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism) -> MappingCon
             m[fd(n + 2) :, fd(n + 1) :] = dwm(n)
             d_std[n] = m
 
-    defect = incidence_defect(sheaf, grounding).total
+    defect = incidence_defect(sheaf, grounding)
     residual = 0.0
     for n in sorted(d_std):
         if n + 1 in d_std:
@@ -685,8 +673,6 @@ class BlockDecompositionReport:
     coupling_norm: float
     asserted: bool
     max_spectral_diff: float | None
-    cone_spectrum: np.ndarray
-    block_spectrum: np.ndarray
 
 
 def verify_block_decomposition(sheaf: CellSheaf, grounding: GroundingMorphism) -> BlockDecompositionReport:
@@ -696,9 +682,11 @@ def verify_block_decomposition(sheaf: CellSheaf, grounding: GroundingMorphism) -
     (on C^1) and [[d1 d1^T, d1 eps^T], [eps d1^T, eps eps^T]] (on C^2 + W).
     When the coupling d1 eps^T vanishes, their joint spectrum must equal the
     multiset union of the block spectra; otherwise only the coupling norm is
-    reported, never a silent assertion.
+    reported, never a silent assertion, and no spectrum is computed.
     """
     channels = channel_set(sheaf, grounding)
+    if channels.coupling_norm >= 1e-10:
+        return BlockDecompositionReport(channels.coupling_norm, False, None)
     eps = channels.eps
     d1 = channels.d1
     f2 = sheaf.cochain_dim(2)
@@ -716,9 +704,5 @@ def verify_block_decomposition(sheaf: CellSheaf, grounding: GroundingMorphism) -
     if f2:
         block_parts.append(np.linalg.eigvalsh(d1 @ d1.T))
     block_spectrum = np.sort(np.concatenate(block_parts))
-    if channels.coupling_norm < 1e-10:
-        diff = float(np.max(np.abs(cone_spectrum - block_spectrum))) if cone_spectrum.size else 0.0
-        return BlockDecompositionReport(channels.coupling_norm, True, diff,
-                                        cone_spectrum, block_spectrum)
-    return BlockDecompositionReport(channels.coupling_norm, False, None,
-                                    cone_spectrum, block_spectrum)
+    diff = float(np.max(np.abs(cone_spectrum - block_spectrum))) if cone_spectrum.size else 0.0
+    return BlockDecompositionReport(channels.coupling_norm, True, diff)

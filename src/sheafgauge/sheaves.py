@@ -79,8 +79,8 @@ class FeaturePipelineConfig:
             value = getattr(self, name)
             if not 0 < value <= 1:
                 raise ValueError(f"{name} must lie in (0, 1]")
-        if self.tri_exponent <= 0:
-            raise ValueError("tri_exponent must be positive")
+        if not (math.isfinite(self.tri_exponent) and self.tri_exponent > 0):
+            raise ValueError("tri_exponent must be positive and finite")
 
 
 class CellSheaf:

@@ -1,9 +1,10 @@
 """Spectra, harmonic profiles, spectral witnesses and interleavings.
 
-All eigendecompositions are dense symmetric. Numerically degenerate
-clusters (spread below 1e-8 * lambda_max) are admitted or excluded from
-witness computations as a block, so per-cell scores depend only on spectral
-projectors and not on the arbitrary basis inside a degenerate eigenspace.
+All eigendecompositions are dense symmetric. ``kernel_dim`` alone decides
+numerical zero; the gap and the witnesses split the spectrum at its index.
+Above it, numerically degenerate clusters (spread below 1e-8 * lambda_max)
+are admitted or excluded from witness computations as a block, so per-cell
+scores depend only on spectral projectors, not on the basis inside a cluster.
 """
 
 from __future__ import annotations
@@ -72,30 +73,30 @@ def eigendecompose(lap: SheafLaplacian) -> Spectrum:
 
 
 def kernel_dim(spectrum: Spectrum) -> int:
-    return int(np.count_nonzero(spectrum.eigenvalues <= spectrum.threshold))
+    """Number of eigenvalues at or below the zero cutoff: the kernel is the
+    first ``kernel_dim`` of the ascending modes."""
+    return int(np.searchsorted(spectrum.eigenvalues, spectrum.threshold, side="right"))
 
 
 def spectral_gap(spectrum: Spectrum) -> float:
     """Smallest eigenvalue above the zero cutoff; +inf if none."""
-    positive = spectrum.eigenvalues[spectrum.eigenvalues > spectrum.threshold]
-    return float(positive[0]) if positive.size else math.inf
+    k = kernel_dim(spectrum)
+    return float(spectrum.eigenvalues[k]) if k < spectrum.dim else math.inf
 
 
 def harmonic_space(spectrum: Spectrum, delta: float) -> np.ndarray:
-    """Basis of span{v : lambda <= delta}; at delta = 0 the numerical kernel."""
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    cut = max(delta, spectrum.threshold)
-    return spectrum.eigenvectors[:, spectrum.eigenvalues <= cut]
+    """Basis of span{v : lambda <= delta}, a view of the eigenvectors; at delta = 0 the kernel."""
+    return spectrum.eigenvectors[:, :_harmonic_dims(spectrum, delta)]
 
 
 def _harmonic_dims(spectrum: Spectrum, deltas) -> np.ndarray:
-    """dim H_delta for each delta, counted on the ascending eigenvalues alone."""
+    """dim H_delta for each delta, counted on the ascending eigenvalues alone;
+    below the zero cutoff, the kernel."""
     deltas = np.asarray(deltas, dtype=float)
     if np.any(deltas < 0):
         raise ValueError("delta must be non-negative")
-    cuts = np.maximum(deltas, spectrum.threshold)
-    return np.searchsorted(spectrum.eigenvalues, cuts, side="right")
+    dims = np.searchsorted(spectrum.eigenvalues, deltas, side="right")
+    return np.maximum(dims, kernel_dim(spectrum))
 
 
 def is_almost_non_exact(spectrum: Spectrum, probe_delta: float) -> bool:
@@ -142,11 +143,11 @@ class WitnessConfig:
             raise ValueError(f"delta1 must be finite, got {self.delta1}")
         if self.delta0 < 0:
             raise ValueError("delta0 must be non-negative")
+        if self.delta1 is not None and self.delta0 >= self.delta1:
+            raise ValueError("need delta0 < delta1")
 
     def resolve_delta1(self, spectrum: Spectrum) -> float:
         if self.delta1 is not None:
-            if self.delta0 >= self.delta1:
-                raise ValueError("need delta0 < delta1")
             return self.delta1
         gap = spectral_gap(spectrum)
         delta1 = 2.0 * gap if math.isfinite(gap) else self.delta0 + 1.0
@@ -178,10 +179,9 @@ def global_witness(spectrum: Spectrum, cfg: WitnessConfig) -> float:
             return 0.0
         return delta1 - max(cfg.delta0, lam)
     total = 0.0
-    for lam in spectrum.eigenvalues:
-        lam = float(lam)
-        if lam <= spectrum.threshold or lam > delta1:
-            continue
+    for lam in spectrum.eigenvalues[kernel_dim(spectrum):].tolist():
+        if lam > delta1:
+            break
         total += (delta1 - max(cfg.delta0, lam)) * cfg.weight_value(lam)
     return total
 
@@ -198,25 +198,25 @@ def _clusters(eigenvalues: np.ndarray, lam_max: float):
 def _admitted_modes(spectrum: Spectrum, delta: float, cfg: WitnessConfig):
     """Indices and weights of the modes admitted at threshold delta, kernel excluded.
 
-    Clusters enter or leave as a block: a cluster is kernel iff its smallest
-    member is, and admitted iff its smallest member is <= delta. The gap
-    weight admits the first positive cluster only, with unit weights. The
+    Only the modes above the kernel, from ``kernel_dim`` on, are clustered,
+    so the first cluster starts at the spectral gap. Clusters enter as a
+    block: a cluster is admitted iff its smallest member is <= delta. The
+    gap weight admits the first cluster only, with unit weights. The
     smallest members ascend, so the admitted clusters are one run of them.
     """
-    ev = spectrum.eigenvalues
+    k = kernel_dim(spectrum)
+    ev = spectrum.eigenvalues[k:]
     starts, ends = _clusters(ev, spectrum.lambda_max)
-    smallest = ev[starts]
-    first = int(np.searchsorted(smallest, spectrum.threshold, side="right"))
-    stop = int(np.searchsorted(smallest, delta, side="right"))
+    stop = int(np.searchsorted(ev[starts], delta, side="right"))
     if cfg.weight == "gap":
-        stop = min(stop, first + 1)
-    if stop <= first:
+        stop = min(stop, 1)
+    if stop == 0:
         return np.zeros(0, dtype=int), []
-    admitted = np.arange(starts[first], ends[stop - 1])
+    admitted = np.arange(k, k + ends[stop - 1])
     if cfg.weight == "gap":
         weights = [1.0] * admitted.size
     else:
-        weights = [cfg.weight_value(lam) for lam in ev[admitted].tolist()]
+        weights = [cfg.weight_value(lam) for lam in spectrum.eigenvalues[admitted].tolist()]
     return admitted, weights
 
 

@@ -113,18 +113,8 @@ def test_diagnose_bad_generator_parameter_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("args, message", [
-    (["noisy-trivial", "--sigma", "nan"], "sigma must be finite and non-negative, got nan"),
-    (["noisy-trivial", "--sigma", "inf"], "sigma must be finite and non-negative, got inf"),
-    (["hidden-twist", "--tau", "nan"], "tau must be finite, got nan"),
-    (["hidden-twist", "--tau", "inf"], "tau must be finite, got inf"),
-])
-def test_diagnose_non_finite_generator_parameter_is_input_error(tmp_path, capsys, args,
-                                                                message):
-    assert run(["diagnose", "--generator"] + args + ["--out", str(tmp_path / "x")]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: generator {args[0]}: {message}\n"
-    assert not (tmp_path / "x").exists()
+def _parse_error(command, flag, value):
+    return f"sheafgauge {command}: error: argument {flag}: must be finite, got {value!r}\n"
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -134,7 +124,40 @@ def test_diagnose_non_finite_generator_parameter_is_input_error(tmp_path, capsys
 ])
 def test_non_finite_slack_is_input_error(tmp_path, capsys, command, flag):
     assert run(command + [flag, "nan", "--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err == f"error: {flag[2:]} must be finite, got nan\n"
+    assert capsys.readouterr().err == _parse_error(command[0], flag, "nan")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (["diagnose", "--generator", "noisy-trivial"], "--sigma", "nan"),
+    (["diagnose", "--generator", "noisy-trivial"], "--sigma", "inf"),
+    (["diagnose", "--generator", "hidden-twist"], "--tau", "nan"),
+    (["diagnose", "--generator", "hidden-twist"], "--tau", "inf"),
+    (["experiment", "magnitude", "--n", "6"], "--sigma", "nan"),
+    (["experiment", "magnitude", "--n", "6"], "--tau", "nan"),
+    (["experiment", "localization", "--n", "6"], "--sigma", "inf"),
+    (["diagnose", "--generator", "trivial"], "--sigma", "nan"),
+    (["experiment", "magnitude"], "--delta1", "nan"),
+    (["verify", "--generator", "trivial"], "--tau", "inf"),
+    (["dump", "--operator", "L0", "--generator", "mobius"], "--delta0", "inf"),
+    (["build", "--input", "g.json", "--features", "f.json"], "--tri-exponent", "nan"),
+    (["build", "--input", "g.json", "--features", "f.json"], "--svd-tol", "-inf"),
+    (["build", "--input", "g.json", "--features", "f.json"], "--edge-align-tol", "nan"),
+    (["build", "--input", "g.json", "--features", "f.json"], "--tri-eig-tol", "inf"),
+])
+def test_non_finite_float_option_rejected_at_parse_time(tmp_path, capsys, command, flag,
+                                                         value):
+    # options the command never reads too: each is recorded in the output params
+    assert run(command + [f"{flag}={value}", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == _parse_error(command[0], flag, value)
+    assert not (tmp_path / "x").exists()
+
+
+def test_empty_slack_interval_is_input_error_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sheafgauge.cli._resolve_sheaf", lambda cfg: pytest.fail("built"))
+    assert run(["diagnose", "--generator", "trivial", "--delta0", "1", "--delta1", "0.5",
+                "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: need delta0 < delta1\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -153,9 +176,9 @@ def test_diagnose_three_cycle_names_the_filled_triangle(tmp_path, capsys):
     (["relativity", "--n", "3"], "n >= 4"),
     (["magnitude", "--n", "6", "--seed", "-1"], "seed must be at least 0"),
     (["localization", "--n", "6", "--sigma", "-0.5"], "sigma must be at least 0"),
-    (["magnitude", "--n", "6", "--sigma", "nan"], "sigma must be finite, got nan"),
-    (["magnitude", "--n", "6", "--tau", "nan"], "tau must be finite, got nan"),
-    (["localization", "--n", "6", "--sigma", "inf"], "sigma must be finite, got inf"),
+    (["magnitude", "--n", "2"], "n >= 4"),
+    (["localization", "--n", "6", "--seed", "-2"], "seed must be at least 0"),
+    (["magnitude", "--n", "6", "--sigma", "-0.25"], "sigma must be at least 0"),
     (["existence", "--stalk-dim", "-1"], "stalk_dim must be at least 1, got -1"),
     (["relativity", "--stalk-dim", "-1"], "stalk_dim must be at least 1, got -1"),
 ])

@@ -341,7 +341,7 @@ def test_incidence_defect_constant_embedding_commutes():
     sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
     grounding = constant_grounding(sheaf, matrix=np.vstack([np.eye(2), np.zeros((1, 2))]))
     defect = incidence_defect(sheaf, grounding)
-    assert defect.total == 0.0
+    assert defect == 0.0
 
 
 def test_incidence_defect_matches_assembled_commutator():
@@ -355,13 +355,13 @@ def test_incidence_defect_matches_assembled_commutator():
         grounding.cochain_block(sheaf, 1) @ coboundary(sheaf, 0).matrix
         - coboundary(wsheaf, 0).matrix @ grounding.cochain_block(sheaf, 0)
     )
-    assert abs(defect.total - float(np.linalg.norm(commutator))) < 1e-10
+    assert abs(defect - float(np.linalg.norm(commutator))) < 1e-10
 
 
 def test_propagated_grounding_is_compatible():
     sheaf = trivial_holonomy_bundle(8, 2, seed=4)
     grounding = propagate_cycle_grounding(sheaf, seed=5, target_dim=3)
-    assert incidence_defect(sheaf, grounding).total < 1e-12
+    assert incidence_defect(sheaf, grounding) < 1e-12
 
 
 def test_propagated_grounding_obstructed_by_holonomy():
@@ -524,7 +524,7 @@ def _reference_cone_equivalence(sheaf, grounding):
     """Cone equivalence from its own assembly: the incidence defect, the
     augmented translated cone (degree -1 carries the apex column, one
     identity per vertex over C^0(W)) and the residual loop."""
-    defect = incidence_defect(sheaf, grounding).total
+    defect = incidence_defect(sheaf, grounding)
     if defect > COMPATIBILITY_TOL:
         return ConeEquivalenceReport("hypothesis-not-met", defect, None, None)
     w = grounding.target_dim
@@ -729,6 +729,12 @@ def test_block_decomposition_reports_coupling_on_triangles():
     assert report.coupling_norm > 1e-10
     assert not report.asserted
     assert report.max_spectral_diff is None
+
+
+def test_block_decomposition_computes_no_spectrum_when_coupled(monkeypatch):
+    sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 1)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: pytest.fail("spectrum computed"))
+    assert not verify_block_decomposition(sheaf, grounding_identity_c1(sheaf)).asserted
 
 
 def test_block_decomposition_zero_coupling_with_triangles():

@@ -3,7 +3,10 @@ G(n, p) clique complexes and the trivial and Mobius cycle bundles.
 
 * d1 d0 vanishes and dim ker L_j equals the Betti number b_j, j = 0, 1, 2;
 * relabelling the vertices leaves every kernel dimension unchanged and
-  permutes the local witness maps.
+  permutes the local witness maps;
+* under every named grounding, each gap-weight local map is non-zero iff
+  its channel's global witness is positive. The same holds on a feature
+  sheaf whose L1 spectrum has no gap at the zero cutoff.
 """
 
 import numpy as np
@@ -11,8 +14,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sheafgauge.complexes import Graph, build_clique_complex
+from sheafgauge.diagnostics import (
+    GROUNDING_NAMES,
+    DiagnosticsConfig,
+    make_grounding,
+    run_diagnostics,
+)
 from sheafgauge.operators import betti_numbers, coboundary, laplacian
-from sheafgauge.sheaves import CellSheaf, constant_sheaf, mobius_bundle, trivial_bundle
+from sheafgauge.sheaves import (
+    CellSheaf,
+    build_sheaf_from_features,
+    constant_sheaf,
+    mobius_bundle,
+    trivial_bundle,
+)
 from sheafgauge.spectral import (
     WitnessConfig,
     coface_energy_map,
@@ -87,3 +102,32 @@ def test_relabelling_permutes_witness_maps(sheaf, seed):
     if sheaf.cochain_dim(1):
         _assert_permuted(coface_energy_map(sheaf, 0, cfg),
                          coface_energy_map(relabelled, 0, cfg), cells)
+
+
+def _assert_gap_maps_agree(sheaf, grounding_name):
+    """Each gap-weight local map is non-zero iff its channel's global witness
+    is positive: both read the same split of the same spectrum."""
+    report = run_diagnostics(sheaf, make_grounding(sheaf, grounding_name),
+                             DiagnosticsConfig(with_local=True))
+    for local, channel in (("base_j0", "local_feasibility"),
+                           ("base_j1", "intrinsic_obstruction"),
+                           ("relative_cone", "relative_cone")):
+        witness = report.channels[channel].global_witness
+        assert (report.local_maps[local].argmax() is None) == (witness == 0.0), channel
+
+
+@given(functorial_sheaves, st.sampled_from(GROUNDING_NAMES))
+def test_gap_map_nonzero_iff_global_witness_positive(sheaf, grounding_name):
+    _assert_gap_maps_agree(sheaf, grounding_name)
+
+
+def test_gap_map_agrees_on_gapless_feature_sheaf():
+    # seed 0 of the feature family G(60, 0.15), ambient dimension 6, rank 3,
+    # noise 0.05: eigenvalues of L1 from 1e-9 to 1e-5 straddle the cutoff
+    rng = np.random.default_rng(0)
+    basis, _ = np.linalg.qr(rng.normal(size=(6, 3)))
+    features = {v: basis + 0.05 * rng.normal(size=(6, 3)) for v in range(60)}
+    upper = np.triu_indices(60, 1)
+    keep = rng.random(upper[0].size) < 0.15
+    graph = Graph(60, [(int(u), int(v)) for u, v in zip(upper[0][keep], upper[1][keep])])
+    _assert_gap_maps_agree(build_sheaf_from_features(graph, features), "padding")

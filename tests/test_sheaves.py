@@ -426,6 +426,13 @@ def test_generators_reject_non_finite_parameters(value):
         hidden_twist_bundle(5, value)
 
 
+@pytest.mark.parametrize("name", ["svd_tol", "edge_align_tol", "tri_eig_tol", "tri_exponent"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_pipeline_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        FeaturePipelineConfig(**{name: value})
+
+
 def _replaced_hidden_twist(n, tau, stalk_dim):
     """The hidden twist as it was built before: the trivial bundle, then both
     restrictions of the defect edge replaced in place."""

@@ -380,16 +380,18 @@ def test_clusters_match_loop_reference():
 
 
 def _split_admitted_modes(spectrum, delta, cfg):
-    """Reference: clusters as np.split index arrays, admitted by a loop."""
+    """Reference: the modes above the kernel (k eigenvalues at or below the
+    cutoff, counted one by one), split into clusters as np.split index
+    arrays and admitted by a loop."""
     ev = spectrum.eigenvalues
-    if ev.size == 0:
+    k = int(np.count_nonzero(ev <= spectrum.threshold))
+    if ev.size == k:
         clusters = []
     else:
-        breaks = np.flatnonzero(np.diff(ev) >= 1e-8 * max(spectrum.lambda_max, 1.0)) + 1
-        clusters = np.split(np.arange(ev.size), breaks)
-    positive = [c for c in clusters if ev[c[0]] > spectrum.threshold]
+        breaks = np.flatnonzero(np.diff(ev[k:]) >= 1e-8 * max(spectrum.lambda_max, 1.0)) + 1
+        clusters = np.split(np.arange(k, ev.size), breaks)
     admitted = []
-    for cluster in positive[:1] if cfg.weight == "gap" else positive:
+    for cluster in clusters[:1] if cfg.weight == "gap" else clusters:
         if ev[cluster[0]] > delta:
             break
         admitted.extend(cluster.tolist())
@@ -408,6 +410,7 @@ def test_admitted_modes_equal_split_reference():
         kernel = np.zeros(rng.integers(0, 3))
         jitter = rng.choice([0.0, 1e-12, 5e-9, 2e-8], size=(lows.size, rng.integers(1, 4)))
         cases.append(np.sort(np.concatenate([kernel, (lows[:, None] + jitter).reshape(-1)])))
+    cases.append(np.array([0.0, 5e-9, 8e-9, 1.2e-8, 0.7]))  # a cluster straddling the cutoff
     for values in cases:
         # the numerical-zero cutoff, and a cutoff landing exactly on an eigenvalue
         thresholds = [zero_threshold(float(values[-1]) if values.size else 0.0)]
