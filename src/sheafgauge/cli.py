@@ -87,10 +87,6 @@ class RunConfig:
     def to_json_dict(self):
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, data):
-        return cls(**data)
-
 
 def _config_from_args(args, command) -> RunConfig:
     cfg = RunConfig(command=command)

@@ -170,10 +170,8 @@ def run_diagnostics(sheaf: CellSheaf, grounding: GroundingMorphism,
     local_maps = {}
     if cfg.with_local:
         wcfg = cfg.witness
-        local_maps["base_j0"] = local_witness(sheaf, 0, wcfg, channels,
-                                              raw["local_feasibility"])
-        local_maps["base_j1"] = local_witness(sheaf, 1, wcfg, channels,
-                                              raw["intrinsic_obstruction"])
+        local_maps["base_j0"] = local_witness(sheaf, 0, wcfg, raw["local_feasibility"])
+        local_maps["base_j1"] = local_witness(sheaf, 1, wcfg, raw["intrinsic_obstruction"])
         local_maps["relative_cone"] = local_witness_relative(sheaf, grounding, wcfg, channels,
                                                              raw["relative_cone"])
     return DiagnosticsReport(reports, defect, {}, spectra, local_maps)
@@ -317,9 +315,12 @@ def _gap_and_witness(sheaf):
 
 def _noisy_members(n, sigma, seed, num_seeds):
     """The noisy trivial bundles of seeds seed .. seed + num_seeds - 1, each
-    ``noisy_trivial_bundle(n, sigma, s)`` bit-for-bit, all on one complex."""
+    ``noisy_trivial_bundle(n, sigma, s)`` bit-for-bit, all on one complex.
+    They are yielded one at a time, so each member, with the coboundaries it
+    holds, is freed before the next is built."""
     base = trivial_bundle(n, 2)
-    return [add_restriction_noise(base, sigma, s) for s in range(seed, seed + num_seeds)]
+    for s in range(seed, seed + num_seeds):
+        yield add_restriction_noise(base, sigma, s)
 
 
 def experiment_magnitude(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
@@ -356,10 +357,10 @@ def _fixture_maps(sheaf, cfg: WitnessConfig):
     channels = channel_set(sheaf, grounding)
     spectrum0 = eigendecompose(channels.l0)
     return {
-        "base_j0": local_witness(sheaf, 0, cfg, channels, spectrum0),
-        "base_j1": local_witness(sheaf, 1, cfg, channels),
+        "base_j0": local_witness(sheaf, 0, cfg, spectrum0),
+        "base_j1": local_witness(sheaf, 1, cfg, eigendecompose(channels.l1)),
         "relative_cone": local_witness_relative(sheaf, grounding, cfg, channels),
-        "edge_energy": coface_energy_map(sheaf, 0, cfg, channels, spectrum0),
+        "edge_energy": coface_energy_map(sheaf, 0, cfg, spectrum0),
     }
 
 
@@ -379,9 +380,10 @@ def experiment_localization(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
     _check_params(n, tau, sigma, seed, num_seeds)
     cfg = cfg or WitnessConfig()
     twist_maps = _fixture_maps(hidden_twist_bundle(n, tau), cfg)
-    first, *rest = _noisy_members(n, sigma, seed, num_seeds)
-    noise_maps = _fixture_maps(first, cfg)
-    edge_maps = [noise_maps["edge_energy"]] + [coface_energy_map(sheaf, 0, cfg) for sheaf in rest]
+    members = _noisy_members(n, sigma, seed, num_seeds)
+    noise_maps = _fixture_maps(next(members), cfg)
+    edge_maps = [noise_maps["edge_energy"]] + [coface_energy_map(sheaf, 0, cfg)
+                                               for sheaf in members]
     twist_pr = participation_ratio(twist_maps["edge_energy"].scores)
     noise_prs = [participation_ratio(m.scores) for m in edge_maps]
     argmax_edge = twist_maps["edge_energy"].argmax()

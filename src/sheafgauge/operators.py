@@ -2,8 +2,8 @@
 
 Everything is assembled densely: the intended scale is a few thousand total
 stalk dimensions, where exactness of the verification matters more than
-sparsity. Operators are immutable after assembly and the verification
-functions are pure.
+sparsity. A sheaf assembles each of its coboundaries once and every operator
+here is built from those; the verification functions are pure.
 """
 
 from __future__ import annotations
@@ -72,18 +72,9 @@ class Coboundary:
 def coboundary(sheaf: CellSheaf, j: int) -> Coboundary:
     """Signed block matrix C^j -> C^{j+1}: block (c, f) = sign(c, f) * rho_{f->c}.
 
-    One pass over the incidence table writes every block of degree j.
+    The matrix is the sheaf's own, read-only and assembled once per sheaf.
     """
-    if j not in (0, 1):
-        raise ValueError(f"coboundary degree must be 0 or 1, got {j}")
-    rows = sheaf.cell_slices(j + 1)
-    cols = sheaf.cell_slices(j)
-    matrix = np.zeros((sheaf.cochain_dim(j + 1), sheaf.cochain_dim(j)))
-    restrictions = sheaf.restrictions
-    for (coface, face), sign in sheaf.complex.incidences.items():
-        if len(face) == j + 1:
-            matrix[rows[coface], cols[face]] = sign * restrictions[(face, coface)]
-    return Coboundary(j, matrix)
+    return Coboundary(j, sheaf.coboundary(j))
 
 
 @dataclass(frozen=True)
@@ -107,18 +98,14 @@ def _hodge_laplacian(n: int, j: int, down: np.ndarray | None,
     return SheafLaplacian(0.5 * (m + m.T), j)
 
 
-def degree_coboundaries(sheaf: CellSheaf, j: int):
-    """(d_{j-1}, d_j) around degree j, each assembled once; None where absent."""
+def laplacian(sheaf: CellSheaf, j: int) -> SheafLaplacian:
+    """L_j = d^{j-1} (d^{j-1})^T + (d^j)^T d^j on C^j; down term absent for
+    j = 0, up term for j = 2."""
     if j not in (0, 1, 2):
         raise ValueError(f"laplacian degree must be 0, 1 or 2, got {j}")
     down = coboundary(sheaf, j - 1).matrix if j >= 1 else None
     up = coboundary(sheaf, j).matrix if j <= 1 else None
-    return down, up
-
-
-def laplacian(sheaf: CellSheaf, j: int) -> SheafLaplacian:
-    """L_j = d^{j-1} (d^{j-1})^T + (d^j)^T d^j on C^j; down term absent for j = 0."""
-    return _hodge_laplacian(sheaf.cochain_dim(j), j, *degree_coboundaries(sheaf, j))
+    return _hodge_laplacian(sheaf.cochain_dim(j), j, down, up)
 
 
 def consistency_energy(lap: SheafLaplacian, x) -> float:
@@ -258,7 +245,7 @@ def constant_grounding(sheaf: CellSheaf, target_dim: int | None = None,
         w = target_dim if target_dim is not None else d
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(w, d)) if seed is not None else np.eye(w, d)
-    cell_maps = {cell: a.copy() for cell in sheaf.stalks}
+    cell_maps = dict.fromkeys(sheaf.stalks, a)
     return GroundingMorphism(a.shape[0], VERTEX_LEVEL, cell_maps=cell_maps)
 
 
@@ -331,19 +318,17 @@ class MappingCone:
     -d^{n-1}: (x, y) -> (d_F x, eps x - d_W y).
 
     The cone is the one assembly of the grounded complex: next to its
-    differentials ``d_std`` it keeps the blocks they are built from, ``d_f``
-    and ``d_w`` (coboundaries of F and W in degrees 0 and 1) and ``eps``
-    (degrees 0-2), and the incidence defect ``defect_total``. The
-    certificates (cone equivalence, long exact sequence, cone reduction)
-    read these instead of assembling their own.
+    differentials ``d_std`` it keeps the constant sheaf ``w_sheaf``, the
+    grounding's cochain blocks ``eps`` (degrees 0-2) and the incidence
+    defect ``defect_total``. The differentials are built from the
+    coboundaries of ``sheaf`` and ``w_sheaf``, which each sheaf assembles
+    once, so the certificates (cone equivalence, long exact sequence, cone
+    reduction) read the same matrices through the two sheaves.
     """
 
     sheaf: CellSheaf
     grounding: GroundingMorphism
-    f_dims: dict
-    w_dims: dict
-    d_f: dict
-    d_w: dict
+    w_sheaf: CellSheaf
     eps: dict
     d_std: dict
     defect_total: float
@@ -351,7 +336,7 @@ class MappingCone:
     d_squared_residual: float
 
     def dim(self, n: int) -> int:
-        return self.f_dims.get(n + 1, 0) + self.w_dims.get(n, 0)
+        return self.sheaf.cochain_dim(n + 1) + self.w_sheaf.cochain_dim(n)
 
     def differential(self, n: int) -> np.ndarray:
         if n in self.d_std:
@@ -360,14 +345,6 @@ class MappingCone:
 
     def laplacian(self, n: int) -> SheafLaplacian:
         return _hodge_laplacian(self.dim(n), n, self.differential(n - 1), self.differential(n))
-
-    def f_laplacian(self, j: int) -> SheafLaplacian:
-        """L_j of F from ``d_f``; the same bits as ``laplacian(sheaf, j)``."""
-        return _hodge_laplacian(self.f_dims[j], j, self.d_f.get(j - 1), self.d_f.get(j))
-
-    def w_laplacian(self, j: int) -> SheafLaplacian:
-        """L_j of W from ``d_w``; the same bits as ``laplacian`` of the constant sheaf."""
-        return _hodge_laplacian(self.w_dims[j], j, self.d_w.get(j - 1), self.d_w.get(j))
 
     def betti(self, n: int) -> int:
         return (
@@ -380,40 +357,28 @@ class MappingCone:
 def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism) -> MappingCone:
     """Assemble the mapping cone of a vertex-level grounding into constant W.
 
-    Each block is assembled once: the coboundaries of F and W, the cochain
-    blocks of eps and the incidence defect. If the defect is nonzero the
-    cone is flagged non-complex and the d^2 residual is reported instead of
-    asserted.
+    Each block is assembled once: the coboundaries of F and W (by the
+    sheaves themselves), the cochain blocks of eps and the incidence defect.
+    If the defect is nonzero the cone is flagged non-complex and the d^2
+    residual is reported instead of asserted.
     """
     if grounding.mode != VERTEX_LEVEL:
         raise GroundingModeError("the algebraic cone needs a vertex-level grounding")
     wsheaf = constant_sheaf(sheaf.complex, grounding.target_dim)
-    f_dims = {j: sheaf.cochain_dim(j) for j in (0, 1, 2)}
-    w_dims = {j: wsheaf.cochain_dim(j) for j in (0, 1, 2)}
-    d_f = {j: coboundary(sheaf, j).matrix for j in (0, 1)}
-    d_w = {j: coboundary(wsheaf, j).matrix for j in (0, 1)}
     eps = {j: grounding.cochain_block(sheaf, j) for j in (0, 1, 2)}
-
-    def fd(j):
-        return f_dims.get(j, 0)
-
-    def wd(j):
-        return w_dims.get(j, 0)
-
-    def dfm(j):
-        return d_f.get(j, np.zeros((fd(j + 1), fd(j))))
-
-    def dwm(j):
-        return d_w.get(j, np.zeros((wd(j + 1), wd(j))))
 
     d_std = {}
     for n in (-1, 0, 1):
-        rows, cols = fd(n + 2) + wd(n + 1), fd(n + 1) + wd(n)
+        # rows C^{n+2}(F) + C^{n+1}(W), columns C^{n+1}(F) + C^n(W)
+        f_rows, f_cols = sheaf.cochain_dim(n + 2), sheaf.cochain_dim(n + 1)
+        rows, cols = f_rows + wsheaf.cochain_dim(n + 1), f_cols + wsheaf.cochain_dim(n)
         if rows and cols:
             m = np.zeros((rows, cols))
-            m[: fd(n + 2), : fd(n + 1)] = -dfm(n + 1)
-            m[fd(n + 2) :, : fd(n + 1)] = -eps[n + 1]
-            m[fd(n + 2) :, fd(n + 1) :] = dwm(n)
+            if n + 1 <= 1:
+                m[:f_rows, :f_cols] = -coboundary(sheaf, n + 1).matrix
+            m[f_rows:, :f_cols] = -eps[n + 1]
+            if n >= 0:
+                m[f_rows:, f_cols:] = coboundary(wsheaf, n).matrix
             d_std[n] = m
 
     defect = incidence_defect(sheaf, grounding)
@@ -425,10 +390,7 @@ def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism) -> MappingCon
     return MappingCone(
         sheaf=sheaf,
         grounding=grounding,
-        f_dims=f_dims,
-        w_dims=w_dims,
-        d_f=d_f,
-        d_w=d_w,
+        w_sheaf=wsheaf,
         eps=eps,
         d_std=d_std,
         defect_total=defect,
@@ -450,20 +412,22 @@ def geometric_cone_sheaf(sheaf: CellSheaf, grounding: GroundingMorphism) -> Cell
     apex = coned.apex
     w = grounding.target_dim
     eye_w = np.eye(w)
-    stalks = dict(sheaf.stalks)
-    stalks[(apex,)] = Stalk(eye_w)
-    restrictions = {k: m.copy() for k, m in sheaf.restrictions.items()}
+    eye_w.flags.writeable = False
+    stalk_w = Stalk(eye_w)
+    stalks = sheaf.stalks.copy()
+    stalks[(apex,)] = stalk_w
+    restrictions = sheaf.restrictions.copy()
     for v in sheaf.complex.vertices:
         cone_edge = (v, apex)
-        stalks[cone_edge] = Stalk(eye_w)
-        restrictions[((v,), cone_edge)] = np.array(grounding.cell_map((v,)))
-        restrictions[((apex,), cone_edge)] = eye_w.copy()
+        stalks[cone_edge] = stalk_w
+        restrictions[((v,), cone_edge)] = grounding.cell_map((v,))
+        restrictions[((apex,), cone_edge)] = eye_w
     for u, v in sheaf.complex.edges:
         cone_triangle = (u, v, apex)
-        stalks[cone_triangle] = Stalk(eye_w)
-        restrictions[((u, v), cone_triangle)] = np.array(grounding.cell_map((u, v)))
-        restrictions[((v, apex), cone_triangle)] = eye_w.copy()
-        restrictions[((u, apex), cone_triangle)] = eye_w.copy()
+        stalks[cone_triangle] = stalk_w
+        restrictions[((u, v), cone_triangle)] = grounding.cell_map((u, v))
+        restrictions[((v, apex), cone_triangle)] = eye_w
+        restrictions[((u, apex), cone_triangle)] = eye_w
     return CellSheaf(coned, stalks, restrictions)
 
 
@@ -513,7 +477,7 @@ def verify_cone_equivalence(cone: MappingCone) -> ConeEquivalenceReport:
     sheaf, grounding = cone.sheaf, cone.grounding
     geo = geometric_cone_sheaf(sheaf, grounding)
     w = grounding.target_dim
-    augmentation = np.vstack([np.zeros((cone.f_dims[1], w))]
+    augmentation = np.vstack([np.zeros((sheaf.cochain_dim(1), w))]
                              + [np.eye(w)] * len(sheaf.complex.vertices))
     translated = {0: -np.hstack([cone.differential(-1), augmentation]),
                   1: -cone.differential(0)}
@@ -563,31 +527,32 @@ def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
     """Rank exactness of ... -> H^j(F) -> H^j(W) -> H^j(cone) -> H^{j+1}(F) -> ...
 
     Cohomology is represented by harmonic bases: kernels of the Laplacians of
-    F and W built from the cone's ``d_f`` and ``d_w``, and of the cone's own
-    Laplacians. The maps are ``cone.eps``, the inclusion i(c) = (0, c) and the
-    projection q(b, c) = -b. Exactness at a node means rank(in) + rank(out) =
-    dim and the composite vanishes. The hypothesis is a compatible grounding,
-    read from ``cone.defect_total``.
+    ``cone.sheaf`` and ``cone.w_sheaf``, built from the coboundaries the cone
+    was assembled from, and of the cone's own Laplacians. The maps are
+    ``cone.eps``, the inclusion i(c) = (0, c) and the projection
+    q(b, c) = -b. Exactness at a node means rank(in) + rank(out) = dim and
+    the composite vanishes. The hypothesis is a compatible grounding, read
+    from ``cone.defect_total``.
     """
     if cone.defect_total > COMPATIBILITY_TOL:
         return LesReport("hypothesis-not-met", cone.defect_total, (), (), (), ())
 
-    harm_f = {j: numerical_kernel(cone.f_laplacian(j).matrix) for j in (0, 1, 2)}
-    harm_w = {j: numerical_kernel(cone.w_laplacian(j).matrix) for j in (0, 1, 2)}
+    harm_f = {j: numerical_kernel(laplacian(cone.sheaf, j).matrix) for j in (0, 1, 2)}
+    harm_w = {j: numerical_kernel(laplacian(cone.w_sheaf, j).matrix) for j in (0, 1, 2)}
     harm_c = {n: numerical_kernel(cone.laplacian(n).matrix) for n in (-1, 0, 1, 2)}
 
     def eps_map(j):
         return _induced(cone.eps[j], harm_f[j], harm_w[j])
 
     def i_map(j):
-        f_dim = cone.f_dims.get(j + 1, 0)
-        w_dim = cone.w_dims.get(j, 0)
+        f_dim = cone.sheaf.cochain_dim(j + 1)
+        w_dim = cone.w_sheaf.cochain_dim(j)
         op = np.vstack([np.zeros((f_dim, w_dim)), np.eye(w_dim)])
         return _induced(op, harm_w[j], harm_c[j])
 
     def q_map(n):
-        f_dim = cone.f_dims.get(n + 1, 0)
-        w_dim = cone.w_dims.get(n, 0)
+        f_dim = cone.sheaf.cochain_dim(n + 1)
+        w_dim = cone.w_sheaf.cochain_dim(n)
         op = np.hstack([-np.eye(f_dim), np.zeros((f_dim, w_dim))])
         return _induced(op, harm_c[n], harm_f[n + 1])
 
@@ -635,19 +600,16 @@ def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """The four taxonomy operators and the coboundaries they are built from.
+    """The four taxonomy operators of a (sheaf, grounding) pair.
 
     ``relative`` = L_1 + eps^T eps is the cone-degree Hodge Laplacian of the
     grounded complex; ``utilization`` = eps eps^T is an auxiliary Gram
     operator on W, not a sheaf Laplacian. ``coupling_norm`` = ||d_1 eps^T||
     measures the failure of the block decomposition on complexes with
-    triangles (it vanishes identically on cycle complexes). ``d0`` and
-    ``d1`` are the coboundary matrices of the sheaf, for consumers that
-    need them next to the operators.
+    triangles (it vanishes identically on cycle complexes). The coboundaries
+    the operators are built from are the sheaf's own (``coboundary``).
     """
 
-    d0: np.ndarray
-    d1: np.ndarray
     l0: SheafLaplacian
     l1: SheafLaplacian
     relative: SheafLaplacian
@@ -665,7 +627,7 @@ def channel_set(sheaf: CellSheaf, grounding: GroundingMorphism) -> ChannelSet:
     relative = SheafLaplacian(l1.matrix + eps.T @ eps, 1)
     utilization = SheafLaplacian(eps @ eps.T, 0)
     coupling = float(np.linalg.norm(d1 @ eps.T)) if d1.size else 0.0
-    return ChannelSet(d0, d1, l0, l1, relative, utilization, eps, coupling)
+    return ChannelSet(l0, l1, relative, utilization, eps, coupling)
 
 
 @dataclass(frozen=True)
@@ -688,7 +650,7 @@ def verify_block_decomposition(sheaf: CellSheaf, grounding: GroundingMorphism) -
     if channels.coupling_norm >= 1e-10:
         return BlockDecompositionReport(channels.coupling_norm, False, None)
     eps = channels.eps
-    d1 = channels.d1
+    d1 = coboundary(sheaf, 1).matrix
     f2 = sheaf.cochain_dim(2)
     w = eps.shape[0]
     upper = np.zeros((f2 + w, f2 + w))

@@ -39,6 +39,15 @@ _NO_OWNER = np.zeros(0, dtype=int)
 _NO_OWNER.flags.writeable = False
 
 
+def _read_only(m):
+    """``m`` as a read-only float array: shared if it is one, else copied once."""
+    a = np.asarray(m, dtype=float)
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 class AmbientMismatchError(ValueError):
     """Stalks live in ambient spaces of different dimension."""
 
@@ -84,20 +93,23 @@ class FeaturePipelineConfig:
 
 
 class CellSheaf:
-    """Stalks per cell plus restriction maps per codimension-1 incidence.
+    """Stalks per cell plus restriction maps per codimension-1 incidence,
+    fixed at construction.
 
     ``restrictions`` maps ``(face, coface)`` to a matrix of shape
-    ``(stalk_dim(coface), stalk_dim(face))``. Stalks are fixed at
-    construction, and so is the cochain layout computed from them once
-    there: the slice of every cell inside C^j and the dimension of C^j.
-    Restrictions may be replaced afterwards, so no operator assembled from
-    them is ever cached here.
+    ``(stalk_dim(coface), stalk_dim(face))``. ``stalks`` and
+    ``restrictions`` are read-only mappings and every restriction is a
+    read-only array: a writeable input is copied once, a read-only one is
+    shared. So what is computed from them is computed once per sheaf: the
+    cochain layout (the slice of every cell inside C^j and the dimension of
+    C^j) at construction, and each coboundary on first use.
     """
 
     def __init__(self, complex_: CliqueComplex, stalks, restrictions, validated=False):
         self.complex = complex_
-        self.stalks = dict(stalks)
-        self.restrictions = {k: np.asarray(m, dtype=float) for k, m in restrictions.items()}
+        self.stalks = MappingProxyType(dict(stalks))
+        self.restrictions = MappingProxyType(
+            {k: _read_only(m) for k, m in restrictions.items()})
         self.validated = validated
         dims = {cell: stalk.dim for cell, stalk in self.stalks.items()}
         for (coface, face) in complex_.incidences:
@@ -122,6 +134,7 @@ class CellSheaf:
             owner = np.repeat(np.arange(len(cells)), sizes)
             owner.flags.writeable = False
             self._owners[j] = owner
+        self._coboundaries = {}
 
     def stalk_dim(self, cell):
         return self.stalks[tuple(cell)].dim
@@ -144,6 +157,27 @@ class CellSheaf:
     @property
     def max_ambient_dim(self):
         return max((s.ambient_dim for s in self.stalks.values()), default=0)
+
+    def coboundary(self, j):
+        """d_j: C^j -> C^{j+1} as a read-only matrix, assembled on first use."""
+        if j not in (0, 1):
+            raise ValueError(f"coboundary degree must be 0 or 1, got {j}")
+        if j not in self._coboundaries:
+            self._coboundaries[j] = self._assemble_coboundary(j)
+        return self._coboundaries[j]
+
+    def _assemble_coboundary(self, j):
+        """Signed block matrix: block (c, f) = sign(c, f) * rho_{f->c}, every
+        block written in one pass over the incidence table."""
+        rows = self._slices[j + 1]
+        cols = self._slices[j]
+        matrix = np.zeros((self.cochain_dim(j + 1), self.cochain_dim(j)))
+        restrictions = self.restrictions
+        for (coface, face), sign in self.complex.incidences.items():
+            if len(face) == j + 1:
+                matrix[rows[coface], cols[face]] = sign * restrictions[(face, coface)]
+        matrix.flags.writeable = False
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -331,10 +365,11 @@ def check_cycle_length(n: int):
 def _cycle_sheaf(n: int, stalk_dim: int, maps):
     """Sheaf on the n-cycle whose restrictions are the identity except those
     ``maps`` gives, keyed ``((v,), e)`` like ``CellSheaf.restrictions``.
-    Every cell shares one stalk object."""
+    Every cell shares one stalk object and every identity restriction one
+    read-only array."""
     check_cycle_length(n)
     complex_ = build_clique_complex(cycle_graph(n))
-    eye = np.eye(stalk_dim)
+    eye = _read_only(np.eye(stalk_dim))
     stalk = Stalk(eye)
     stalks = {}
     restrictions = {}
@@ -344,7 +379,7 @@ def _cycle_sheaf(n: int, stalk_dim: int, maps):
         stalks[e] = stalk
         for v in e:
             key = ((v,), e)
-            restrictions[key] = maps[key] if key in maps else eye.copy()
+            restrictions[key] = maps.get(key, eye)
     return CellSheaf(complex_, stalks, restrictions, validated=True)
 
 
@@ -410,8 +445,8 @@ def add_restriction_noise(sheaf: CellSheaf, sigma: float, seed: int) -> CellShea
     when the stalk is 2-dimensional). Stalks of dimension < 2 admit no
     small orthogonal perturbation and are left untouched. Deterministic
     given the seed; sigma = 0 returns the sheaf unchanged bit-for-bit. The
-    result shares the complex and the stalks of ``sheaf`` and holds copies
-    of the restrictions the noise leaves alone.
+    result shares the complex, the stalks and the read-only restrictions the
+    noise leaves alone with ``sheaf``.
     """
     if not math.isfinite(sigma) or sigma < 0:
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
@@ -429,10 +464,11 @@ def add_restriction_noise(sheaf: CellSheaf, sigma: float, seed: int) -> CellShea
                 plane, _ = np.linalg.qr(rng.normal(size=(dim, 2)))
                 q = np.eye(dim) + plane @ (rotation_matrix(theta) - np.eye(2)) @ plane.T
             key = ((e[1],), e)
-            rotated[key] = q @ sheaf.restrictions[key]
-    restrictions = {k: rotated[k] if k in rotated else m.copy()
-                    for k, m in sheaf.restrictions.items()}
-    return CellSheaf(sheaf.complex, sheaf.stalks, restrictions, validated=sheaf.validated)
+            # dot is the same product as @, without matmul's per-call overhead
+            m = rotated[key] = q.dot(sheaf.restrictions[key])
+            m.flags.writeable = False  # a fresh array: the new sheaf shares it
+    restrictions = {k: rotated.get(k, m) for k, m in sheaf.restrictions.items()}
+    return CellSheaf(sheaf.complex, sheaf.stalks.copy(), restrictions, validated=sheaf.validated)
 
 
 def noisy_trivial_bundle(n: int, sigma: float, seed: int, stalk_dim: int = 2) -> CellSheaf:
@@ -441,8 +477,8 @@ def noisy_trivial_bundle(n: int, sigma: float, seed: int, stalk_dim: int = 2) ->
 
 def constant_sheaf(complex_: CliqueComplex, dim: int) -> CellSheaf:
     """Constant sheaf: stalk R^dim everywhere (one shared stalk object),
-    identity restrictions."""
-    eye = np.eye(dim)
+    identity restrictions (one shared read-only array)."""
+    eye = _read_only(np.eye(dim))
     stalk = Stalk(eye)
     stalks = {}
     restrictions = {}
@@ -450,7 +486,7 @@ def constant_sheaf(complex_: CliqueComplex, dim: int) -> CellSheaf:
         for cell in complex_.cells(d):
             stalks[cell] = stalk
     for (coface, face) in complex_.incidences:
-        restrictions[(face, coface)] = eye.copy()
+        restrictions[(face, coface)] = eye
     return CellSheaf(complex_, stalks, restrictions, validated=True)
 
 

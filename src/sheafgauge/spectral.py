@@ -19,9 +19,9 @@ from .operators import (
     GroundingMorphism,
     MappingCone,
     SheafLaplacian,
-    _hodge_laplacian,
     channel_set,
-    degree_coboundaries,
+    coboundary,
+    laplacian,
     zero_threshold,
 )
 from .sheaves import CellSheaf
@@ -232,9 +232,6 @@ class LocalWitnessMap:
             return None
         return max(self.scores, key=lambda c: self.scores[c])
 
-    def as_array(self) -> np.ndarray:
-        return np.array(list(self.scores.values()))
-
 
 def _block_energy(sheaf: CellSheaf, j: int, image: np.ndarray, weights: np.ndarray):
     """Weighted squared norm of each degree-j cell block of the rows of ``image``.
@@ -281,64 +278,49 @@ def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray, weights: np.n
     return dict(zip(cells, scores.tolist()))
 
 
-def _degree_operators(sheaf: CellSheaf, j: int, channels: ChannelSet | None):
-    """L_j, d_{j-1} and d_j (None where degree j has none).
-
-    They come from the channel set when given, which holds degrees 0 and 1.
-    Otherwise each coboundary is assembled once and L_j is built from them
-    with the float operations of ``laplacian``, so it has the same bits.
-    """
-    if channels is not None:
-        if j not in (0, 1):
-            raise ValueError(f"a channel set holds degrees 0 and 1, not {j}")
-        return (channels.l1, channels.d0, channels.d1) if j else (channels.l0, None, channels.d0)
-    down, up = degree_coboundaries(sheaf, j)
-    return _hodge_laplacian(sheaf.cochain_dim(j), j, down, up), down, up
-
-
-def _degree_modes(cfg, operator, spectrum):
-    """delta1, admitted eigenvector columns V and their weights w of the
-    operator; its spectrum is computed when not given."""
+def _degree_modes(cfg, spectrum):
+    """delta1, admitted eigenvector columns V and their weights w of a spectrum."""
     cfg = cfg or WitnessConfig()
-    spectrum = spectrum if spectrum is not None else eigendecompose(operator)
     delta = cfg.resolve_delta1(spectrum)
     indices, weights = _admitted_modes(spectrum, delta, cfg)
     return delta, spectrum.eigenvectors[:, indices], np.array(weights, dtype=float)
 
 
 def local_witness(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None,
-                  channels: ChannelSet | None = None,
                   spectrum: Spectrum | None = None) -> LocalWitnessMap:
     """Per-cell attribution of admitted low-energy mode energy in degree j.
 
     Each admitted eigenvector v contributes, to every cell e of degree j,
     the full squared component of d_j v at each coface of e plus the full
-    squared component of d_{j-1}^T v at each face of e. ``channels`` (for
-    j = 0 or 1) supplies L_j and the coboundaries, ``spectrum`` the
-    spectrum of L_j; what is not given is built here.
+    squared component of d_{j-1}^T v at each face of e. The coboundaries
+    are the sheaf's own; ``spectrum`` is the spectrum of L_j, which is
+    built and decomposed here only when it is not given.
     """
-    operator, down, up = _degree_operators(sheaf, j, channels)
-    delta, vectors, weights = _degree_modes(cfg, operator, spectrum)
+    if j not in (0, 1, 2):
+        raise ValueError(f"laplacian degree must be 0, 1 or 2, got {j}")
+    spectrum = spectrum if spectrum is not None else eigendecompose(laplacian(sheaf, j))
+    delta, vectors, weights = _degree_modes(cfg, spectrum)
+    down = coboundary(sheaf, j - 1).matrix if j >= 1 else None
+    up = coboundary(sheaf, j).matrix if j <= 1 else None
     scores = _witness_scores(sheaf, j, vectors, weights, down, up)
     return LocalWitnessMap(j, delta, "base", scores)
 
 
 def coface_energy_map(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None,
-                      channels: ChannelSet | None = None,
                       spectrum: Spectrum | None = None) -> LocalWitnessMap:
     """Per-coface energy of the admitted degree-j modes, before aggregation.
 
     The degree-j witness attributes ||(d_j v)[c]||^2 to every face of c;
     this map reports the components on the (j+1)-cells themselves, for
     j = 0 or 1. For j = 0 it localizes inconsistency to edges, which the
-    vertex-level witness then aggregates to nodes. ``channels`` and
-    ``spectrum`` are taken as in :func:`local_witness`.
+    vertex-level witness then aggregates to nodes. ``spectrum`` is taken as
+    in :func:`local_witness`.
     """
     if j not in (0, 1):
         raise ValueError(f"coface energy needs degree 0 or 1, got {j}")
-    operator, _, up = _degree_operators(sheaf, j, channels)
-    delta, vectors, weights = _degree_modes(cfg, operator, spectrum)
-    energy = _block_energy(sheaf, j + 1, up @ vectors, weights)
+    spectrum = spectrum if spectrum is not None else eigendecompose(laplacian(sheaf, j))
+    delta, vectors, weights = _degree_modes(cfg, spectrum)
+    energy = _block_energy(sheaf, j + 1, coboundary(sheaf, j).matrix @ vectors, weights)
     scores = dict(zip(sheaf.complex.cells(j + 1), energy.tolist()))
     return LocalWitnessMap(j + 1, delta, "coface-energy", scores)
 
@@ -353,12 +335,14 @@ def local_witness_relative(sheaf: CellSheaf, grounding: GroundingMorphism,
     grounded complex, one per base edge, so each edge e additionally
     receives ||eps_e x_e||^2 from its own column block of eps. ``channels``
     and ``spectrum`` take the prebuilt channel set of (sheaf, grounding) and
-    the spectrum of its relative operator.
+    the spectrum of its relative operator; the coboundaries are the sheaf's
+    own.
     """
     channels = channels if channels is not None else channel_set(sheaf, grounding)
-    delta, vectors, weights = _degree_modes(cfg, channels.relative, spectrum)
-    scores = _witness_scores(sheaf, 1, vectors, weights, channels.d0, channels.d1,
-                             eps=channels.eps)
+    spectrum = spectrum if spectrum is not None else eigendecompose(channels.relative)
+    delta, vectors, weights = _degree_modes(cfg, spectrum)
+    scores = _witness_scores(sheaf, 1, vectors, weights, coboundary(sheaf, 0).matrix,
+                             coboundary(sheaf, 1).matrix, eps=channels.eps)
     return LocalWitnessMap(1, delta, "relative-cone", scores)
 
 
@@ -381,8 +365,13 @@ def normalize_spectrum(lap: SheafLaplacian,
 
     ``spectrum``, when given, is the spectrum of ``lap``; the normalized
     spectrum is derived from it as (lambda / scale, same eigenvectors), so
-    no second eigendecomposition runs. The zero operator keeps its spectrum
-    and scale 1, with a flag.
+    no second eigendecomposition runs. Its cutoff is the raw cutoff divided
+    by the scale; one computed from the divided lambda_max would leave its
+    absolute term unscaled. Division by a positive scale is monotone, so the
+    normalized spectrum splits at the raw ``kernel_dim`` (unless an
+    eigenvalue above the cutoff rounds onto it), and its gap, witnesses and
+    profiles read the raw kernel. The zero operator keeps its spectrum and
+    scale 1, with a flag.
     """
     if spectrum is None:
         spectrum = eigendecompose(lap)
@@ -390,9 +379,8 @@ def normalize_spectrum(lap: SheafLaplacian,
     if rank == 0:
         return NormalizationResult(1.0, True, spectrum)
     scale = float(np.trace(lap.matrix)) / rank
-    eigenvalues = spectrum.eigenvalues / scale
-    normalized = Spectrum(eigenvalues, spectrum.eigenvectors,
-                          zero_threshold(float(eigenvalues[-1])))
+    normalized = Spectrum(spectrum.eigenvalues / scale, spectrum.eigenvectors,
+                          spectrum.threshold / scale)
     return NormalizationResult(scale, False, normalized)
 
 
@@ -558,14 +546,14 @@ class ConeReductionSide:
 def cone_reduction_side(cone: MappingCone) -> ConeReductionSide:
     """Cone-degree-0 blocks of a grounded sheaf with constant target.
 
-    Every block is read from the cone: L_1(F) and L_0(W) from its ``d_f`` and
-    ``d_w``, the grounding penalties and the intertwining residual from its
-    ``eps`` and degree-0 coboundaries.
+    Every block is read from the cone: L_1(F) and L_0(W) from the coboundaries
+    of ``cone.sheaf`` and ``cone.w_sheaf``, the grounding penalties and the
+    intertwining residual from its ``eps`` and the degree-0 coboundaries.
     """
     eps0, eps1 = cone.eps[0], cone.eps[1]
-    base_f = cone.f_laplacian(1).matrix
-    base_w = cone.w_laplacian(0).matrix
-    d_f0, d_w0 = cone.d_f[0], cone.d_w[0]
+    base_f = laplacian(cone.sheaf, 1).matrix
+    base_w = laplacian(cone.w_sheaf, 0).matrix
+    d_f0, d_w0 = coboundary(cone.sheaf, 0).matrix, coboundary(cone.w_sheaf, 0).matrix
     residual = float(np.max(np.abs(d_w0.T @ eps1 - eps0 @ d_f0.T))) if eps1.size else 0.0
     return ConeReductionSide(base_f, eps1.T @ eps1, base_w, eps0 @ eps0.T, residual)
 

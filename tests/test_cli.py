@@ -100,6 +100,29 @@ def test_diagnose_deficient_grounding_relative_kernel(tmp_path):
     assert report["channels"]["relative_cone"]["kernel_dim"] == 1
 
 
+def test_normalized_channels_split_at_the_raw_kernel_dim(tmp_path):
+    # the two smallest positive eigenvalues of L0 and L1 (3.95e-8) lie above the
+    # raw zero cutoff, and below one computed again from the normalized lambda_max
+    out = tmp_path / "out"
+    assert run(["diagnose", "--generator", "hidden-twist", "--n", "12",
+                "--tau", "0.007250226302712226", "--normalize", "--out", str(out)]) == 0
+    channels = json.loads(read(out / "report.json"))["channels"]
+    spectra = {}
+    for line in read(out / "channel_spectra.csv").splitlines()[1:]:
+        name, _, value = line.split(",")
+        spectra.setdefault(name, []).append(float(value))
+    for name in ("local_feasibility", "intrinsic_obstruction"):
+        report = channels[name]
+        k, gap = report["kernel_dim"], report["spectral_gap"]
+        assert (k, report["normalized"]) == (0, True)
+        assert gap == spectra[name][k] < 1e-7
+        assert report["global_witness"] == gap
+        profile = [tuple(map(float, line.split(",")))
+                   for line in read(out / f"profile_{name}.csv").splitlines()[1:]]
+        assert all(dim == k for delta, dim in profile if delta < gap)
+        assert dict(profile)[gap] == k + 1
+
+
 def test_diagnose_rejects_unknown_generator(tmp_path, capsys):
     assert run(["diagnose", "--generator", "klein", "--out", str(tmp_path / "x")]) == 1
     assert "unknown generator" in capsys.readouterr().err
@@ -304,16 +327,23 @@ def test_verify_exits_three_on_failed_check(tmp_path, monkeypatch):
     assert code == 3
 
 
-ASSEMBLY_FUNCTIONS = ("algebraic_cone", "incidence_defect", "constant_sheaf", "laplacian",
-                      "coboundary")
+ASSEMBLY_FUNCTIONS = ("algebraic_cone", "incidence_defect", "constant_sheaf", "laplacian")
 
 
 def _count_assemblies(monkeypatch):
-    """Count calls of each assembly function in every sheafgauge module binding it."""
+    """Count calls of each assembly function in every sheafgauge module binding
+    it, and every coboundary a sheaf assembles (not those it hands out again)."""
     import sheafgauge.operators as operators
     import sheafgauge.sheaves as sheaves
 
-    counts = {}
+    counts = {"coboundary": 0}
+    assemble = sheaves.CellSheaf._assemble_coboundary
+
+    def assembled(sheaf, j):
+        counts["coboundary"] += 1
+        return assemble(sheaf, j)
+
+    monkeypatch.setattr(sheaves.CellSheaf, "_assemble_coboundary", assembled)
     for name in ASSEMBLY_FUNCTIONS:
         original = getattr(sheaves if name == "constant_sheaf" else operators, name)
         counts[name] = 0
@@ -337,9 +367,10 @@ def test_verify_assembles_one_cone(tmp_path, monkeypatch):
     counts = _count_assemblies(monkeypatch)
     assert run(["verify", "--input", str(sheaf_path), "--grounding", "padding",
                 "--out", str(tmp_path / "padding")]) == 0
-    # d0 and d1 of F, of W, of the geometric cone and of the channel set
+    # d0 and d1 of F, of W and of the geometric cone: the channel set reads F's;
+    # L_j of F and of W for the LES (6) and the cone reduction (2)
     assert counts == {"algebraic_cone": 1, "incidence_defect": 1, "constant_sheaf": 1,
-                      "laplacian": 0, "coboundary": 8}
+                      "laplacian": 8, "coboundary": 6}
     counts.update(dict.fromkeys(counts, 0))
     assert run(["verify", "--input", str(sheaf_path), "--grounding", "fullrank",
                 "--out", str(tmp_path / "fullrank")]) == 0
@@ -349,7 +380,7 @@ def test_verify_assembles_one_cone(tmp_path, monkeypatch):
 def test_run_config_round_trip():
     cfg = RunConfig(command="diagnose", generator="mobius", n=12, sigma=0.4,
                     weight="heat", normalize=True, out="results")
-    assert RunConfig.from_json_dict(cfg.to_json_dict()) == cfg
+    assert RunConfig(**cfg.to_json_dict()) == cfg
 
 
 def test_console_entry_point_runs():

@@ -579,12 +579,27 @@ def test_cone_equivalence_equals_reference_assembly():
 
 
 def test_cone_laplacians_bit_identical_to_standalone():
+    # the cone's differentials hold the coboundaries of its two sheaves, and
+    # the Laplacians the certificates read from those sheaves are the
+    # standalone ones, bit for bit
     for sheaf, grounding in _shared_cone_fixtures():
         cone = algebraic_cone(sheaf, grounding)
         wsheaf = constant_sheaf(sheaf.complex, grounding.target_dim)
+        assert cone.sheaf is sheaf
+        f0, f1 = sheaf.cochain_dim(0), sheaf.cochain_dim(1)
+        w0, w1 = wsheaf.cochain_dim(0), wsheaf.cochain_dim(1)
+        d = {n: cone.differential(n) for n in (-1, 0, 1)}
+        assert d[-1][:f1, :f0].tobytes() == (-coboundary(sheaf, 0).matrix).tobytes()
+        assert d[0][:sheaf.cochain_dim(2), :f1].tobytes() == \
+            (-coboundary(sheaf, 1).matrix).tobytes()
+        assert d[0][sheaf.cochain_dim(2):, f1:].tobytes() == \
+            coboundary(cone.w_sheaf, 0).matrix.tobytes()
+        assert d[1][:, sheaf.cochain_dim(2):].tobytes() == \
+            coboundary(cone.w_sheaf, 1).matrix.tobytes()
+        assert d[0].shape == (sheaf.cochain_dim(2) + w1, f1 + w0)
         for j in (0, 1, 2):
-            assert cone.f_laplacian(j).matrix.tobytes() == laplacian(sheaf, j).matrix.tobytes()
-            assert cone.w_laplacian(j).matrix.tobytes() == laplacian(wsheaf, j).matrix.tobytes()
+            assert laplacian(cone.w_sheaf, j).matrix.tobytes() == \
+                laplacian(wsheaf, j).matrix.tobytes()
 
 
 def _formula_cone_laplacian(cone, n):

@@ -7,6 +7,9 @@ G(n, p) clique complexes and the trivial and Mobius cycle bundles.
 * under every named grounding, each gap-weight local map is non-zero iff
   its channel's global witness is positive. The same holds on a feature
   sheaf whose L1 spectrum has no gap at the zero cutoff.
+
+The JSON round trip is bit-exact on the four cycle-bundle generators and on
+seeded feature sheaves.
 """
 
 import numpy as np
@@ -25,7 +28,11 @@ from sheafgauge.sheaves import (
     CellSheaf,
     build_sheaf_from_features,
     constant_sheaf,
+    hidden_twist_bundle,
     mobius_bundle,
+    noisy_trivial_bundle,
+    sheaf_from_json,
+    sheaf_to_json,
     trivial_bundle,
 )
 from sheafgauge.spectral import (
@@ -131,3 +138,44 @@ def test_gap_map_agrees_on_gapless_feature_sheaf():
     keep = rng.random(upper[0].size) < 0.15
     graph = Graph(60, [(int(u), int(v)) for u, v in zip(upper[0][keep], upper[1][keep])])
     _assert_gap_maps_agree(build_sheaf_from_features(graph, features), "padding")
+
+
+@st.composite
+def feature_sheaves(draw):
+    """A seeded G(7, 0.6) feature sheaf, one vertex orthogonal to the rest."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.6]
+    frame, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    features = {v: frame[:, :3] + 0.05 * rng.normal(size=(5, 3)) for v in range(6)}
+    features[6] = frame[:, 3:]
+    return build_sheaf_from_features(Graph(7, edges), features)
+
+
+generator_sheaves = st.one_of(
+    cycle_bundles(),
+    st.builds(hidden_twist_bundle, st.integers(4, 9),
+              st.floats(-4.0, 4.0, allow_nan=False), st.integers(2, 3)),
+    st.builds(noisy_trivial_bundle, st.integers(4, 9), st.floats(0.0, 1.0),
+              st.integers(0, 2**16), st.integers(1, 3)),
+)
+
+
+def _assert_bit_equal(a, b):
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@given(st.one_of(generator_sheaves, feature_sheaves()))
+def test_json_round_trip_is_bit_exact(sheaf):
+    text = sheaf_to_json(sheaf)
+    restored = sheaf_from_json(text)
+    # serialization sorts the cells, so the key order may change, not the key sets
+    assert set(restored.stalks) == set(sheaf.stalks)
+    assert set(restored.restrictions) == set(sheaf.restrictions)
+    for cell, stalk in sheaf.stalks.items():
+        _assert_bit_equal(restored.stalks[cell].basis, stalk.basis)
+    for key, m in sheaf.restrictions.items():
+        _assert_bit_equal(restored.restrictions[key], m)
+    assert restored.validated == sheaf.validated
+    for j in (0, 1):
+        assert coboundary(restored, j).matrix.tobytes() == coboundary(sheaf, j).matrix.tobytes()
+    assert sheaf_to_json(restored) == text

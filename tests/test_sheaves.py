@@ -8,6 +8,7 @@ from sheafgauge.operators import laplacian
 from sheafgauge.sheaves import (
     HIDDEN_TWIST_DEFECT_EDGE,
     HIDDEN_TWIST_WEIGHT,
+    CellSheaf,
     FeaturePipelineConfig,
     Stalk,
     add_restriction_noise,
@@ -304,14 +305,40 @@ def test_layout_cannot_be_mutated_through_its_accessors():
     assert [sheaf.cochain_dim(j) for j in (0, 1, 2)] == [8, 12, 8]
 
 
-def test_replaced_restriction_reaches_the_operators():
-    # the layout is cached, operators are not: a replaced restriction shows up
+def test_sheaf_cannot_be_mutated():
+    # stalks, restrictions and every restriction array are read-only, so the
+    # coboundaries a sheaf assembles once stay the operators of its restrictions
     sheaf = trivial_bundle(6, 2)
-    before = laplacian(sheaf, 0).matrix
-    sheaf.restrictions[((1,), (0, 1))] = rotation_matrix(0.4)
-    after = laplacian(sheaf, 0).matrix
-    assert not np.array_equal(before, after)
-    assert kernel_dim(eigendecompose(laplacian(sheaf, 0))) == 0
+    key = ((1,), (0, 1))
+    d0 = sheaf.coboundary(0).copy()
+    with pytest.raises(TypeError):
+        sheaf.restrictions[key] = rotation_matrix(0.4)
+    with pytest.raises(TypeError):
+        del sheaf.restrictions[key]
+    with pytest.raises(TypeError):
+        sheaf.stalks[(0,)] = Stalk(np.eye(2))
+    for m in sheaf.restrictions.values():
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        sheaf.coboundary(0)[0, 0] = 2.0
+    assert sheaf.coboundary(0) is sheaf.coboundary(0)
+    assert np.array_equal(sheaf.coboundary(0), d0)
+    assert kernel_dim(eigendecompose(laplacian(sheaf, 0))) == 2
+
+
+def test_sheaf_copies_writeable_restrictions_and_shares_read_only_ones():
+    base = trivial_bundle(5, 2)
+    restrictions = {k: np.array(m) for k, m in base.restrictions.items()}
+    sheaf = CellSheaf(base.complex, base.stalks, restrictions)
+    for key, m in restrictions.items():
+        assert m.flags.writeable  # the caller's array keeps its flags
+        assert not np.shares_memory(sheaf.restrictions[key], m)
+        assert np.array_equal(sheaf.restrictions[key], m)
+        m[...] = 7.0
+    assert all(np.array_equal(sheaf.restrictions[k], m) for k, m in base.restrictions.items())
+    again = CellSheaf(base.complex, sheaf.stalks, sheaf.restrictions)
+    assert all(again.restrictions[k] is m for k, m in sheaf.restrictions.items())
 
 
 def test_mobius_bundle_kills_kernel():
@@ -404,11 +431,12 @@ def test_restriction_noise_equals_copy_then_compose(stalk_dim, sigma):
             noisy = add_restriction_noise(base, sigma, seed)
             _assert_restrictions_equal(noisy.restrictions,
                                        _copy_then_compose(base, sigma, seed))
-            # one construction on the same complex and stalks, no shared arrays
+            # one construction on the same complex and stalks, every array read-only
             assert noisy.complex is base.complex
             assert noisy.stalks == base.stalks
             assert noisy.validated == base.validated
-            assert all(noisy.restrictions[k] is not m for k, m in base.restrictions.items())
+            for sheaf in (base, noisy):
+                assert not any(m.flags.writeable for m in sheaf.restrictions.values())
 
 
 def test_restriction_noise_rejects_negative_sigma():
@@ -434,12 +462,13 @@ def test_pipeline_config_rejects_non_finite_values(name, value):
 
 
 def _replaced_hidden_twist(n, tau, stalk_dim):
-    """The hidden twist as it was built before: the trivial bundle, then both
-    restrictions of the defect edge replaced in place."""
-    sheaf = trivial_bundle(n, stalk_dim)
-    sheaf.restrictions[((0,), (0, 1))] = HIDDEN_TWIST_WEIGHT * np.eye(stalk_dim)
-    sheaf.restrictions[((1,), (0, 1))] = HIDDEN_TWIST_WEIGHT * rotation_matrix(tau, stalk_dim)
-    return sheaf
+    """The hidden twist as it was built before: the trivial bundle with both
+    restrictions of the defect edge replaced, here in a copy of its table."""
+    base = trivial_bundle(n, stalk_dim)
+    restrictions = dict(base.restrictions)
+    restrictions[((0,), (0, 1))] = HIDDEN_TWIST_WEIGHT * np.eye(stalk_dim)
+    restrictions[((1,), (0, 1))] = HIDDEN_TWIST_WEIGHT * rotation_matrix(tau, stalk_dim)
+    return CellSheaf(base.complex, base.stalks, restrictions, validated=base.validated)
 
 
 @pytest.mark.parametrize("stalk_dim", [2, 3])
@@ -464,10 +493,11 @@ def test_validate_identity_sheaf_empty():
 
 
 def test_validate_reports_perturbed_incidences():
-    sheaf = constant_sheaf(build_clique_complex(complete_graph(3)), 2)
+    base = constant_sheaf(build_clique_complex(complete_graph(3)), 2)
     t = (0, 1, 2)
-    sheaf.restrictions[((0, 1), t)] = sheaf.restrictions[((0, 1), t)] + 0.5
-    violations = validate_sheaf(sheaf)
+    restrictions = dict(base.restrictions)
+    restrictions[((0, 1), t)] = restrictions[((0, 1), t)] + 0.5
+    violations = validate_sheaf(CellSheaf(base.complex, base.stalks, restrictions))
     # exactly the flags through the perturbed map: vertices 0 and 1 of the triangle
     assert {(v.triangle, v.vertex) for v in violations} == {(t, (0,)), (t, (1,))}
 

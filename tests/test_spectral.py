@@ -534,15 +534,25 @@ def test_vectorized_witnesses_match_loop_reference(make):
     lambda: _feature_sheaf(3),
 ], ids=["hidden-twist", "clique-complex", "feature-sheaf"])
 def test_witnesses_from_channel_set_equal_standalone(make):
-    # the channel set's L_j, d0 and d1 are the standalone ones, bit for bit
+    # given the spectra of the channel set's L_j, the maps equal those a fresh
+    # copy of the sheaf builds alone, bit for bit
     sheaf = make()
     channels = channel_set(sheaf, grounding_from_padding(sheaf))
+    spectra = {0: eigendecompose(channels.l0), 1: eigendecompose(channels.l1)}
     for cfg in (WitnessConfig(), WitnessConfig(delta1=3.0, weight="uniform")):
         for j in (0, 1):
-            assert local_witness(sheaf, j, cfg, channels) == local_witness(sheaf, j, cfg)
-            assert coface_energy_map(sheaf, j, cfg, channels) == coface_energy_map(sheaf, j, cfg)
-    with pytest.raises(ValueError, match="degrees 0 and 1"):
-        local_witness(sheaf, 2, WitnessConfig(), channels)
+            assert local_witness(sheaf, j, cfg, spectra[j]) == local_witness(make(), j, cfg)
+            assert coface_energy_map(sheaf, j, cfg, spectra[j]) == \
+                coface_energy_map(make(), j, cfg)
+
+
+@pytest.mark.parametrize("j", [-1, 3])
+def test_local_witness_rejects_a_degree_without_laplacian(j):
+    sheaf = trivial_bundle(6, 2)
+    spectrum = eigendecompose(laplacian(sheaf, 0))
+    for given in (None, spectrum):
+        with pytest.raises(ValueError, match=f"laplacian degree must be 0, 1 or 2, got {j}"):
+            local_witness(sheaf, j, WitnessConfig(), spectrum=given)
 
 
 def test_local_witness_degenerate_cluster_block_rule():
@@ -586,8 +596,9 @@ def test_normalize_preserves_kernel_and_order():
         assert np.allclose(derived.eigenvalues, after.eigenvalues, rtol=0,
                            atol=1e-12 * after.lambda_max)
         assert derived.eigenvectors is before.eigenvectors
-        assert abs(derived.threshold - after.threshold) <= 1e-12 * after.threshold
-        assert kernel_dim(derived) == kernel_dim(after)
+        # the raw cutoff, divided: the derived spectrum splits at the raw kernel_dim
+        assert derived.threshold == before.threshold / result.scale
+        assert kernel_dim(derived) == kernel_dim(before) == kernel_dim(after)
         assert result.spectrum.eigenvalues.tolist() == derived.eigenvalues.tolist()
 
 
