@@ -48,6 +48,7 @@ from .operators import (
     incidence_defect,
     is_delta_feasible,
     laplacian,
+    laplacian_spectrum,
     numerical_rank,
     propagate_cycle_grounding,
     verify_block_decomposition,

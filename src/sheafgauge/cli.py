@@ -127,16 +127,21 @@ def _parse_json(path, text):
         raise CliInputError(f"{path}: malformed JSON at byte offset {exc.pos}: {exc.msg}")
 
 
+def _stalk_dim(cfg: RunConfig) -> dict:
+    """``stalk_dim`` as a keyword when given: the generator's default otherwise."""
+    return {} if cfg.stalk_dim is None else {"stalk_dim": cfg.stalk_dim}
+
+
 def _generated_sheaf(cfg: RunConfig):
     name = cfg.generator
     if name == "trivial":
-        return trivial_bundle(cfg.n, cfg.stalk_dim or 1)
+        return trivial_bundle(cfg.n, **_stalk_dim(cfg))
     if name == "mobius":
-        return mobius_bundle(cfg.n, cfg.stalk_dim or 1)
+        return mobius_bundle(cfg.n, **_stalk_dim(cfg))
     if name == "hidden-twist":
-        return hidden_twist_bundle(cfg.n, cfg.tau, cfg.stalk_dim or 2)
+        return hidden_twist_bundle(cfg.n, cfg.tau, **_stalk_dim(cfg))
     if name == "noisy-trivial":
-        return noisy_trivial_bundle(cfg.n, cfg.sigma, cfg.seed, cfg.stalk_dim or 2)
+        return noisy_trivial_bundle(cfg.n, cfg.sigma, cfg.seed, **_stalk_dim(cfg))
     raise CliInputError(f"unknown generator {name!r}; choose from {GENERATORS}")
 
 
@@ -189,7 +194,7 @@ def cmd_build(args) -> int:
         sheaf = build_sheaf_from_features(graph, features, _pipeline_config(cfg))
     except ValueError as exc:
         raise CliInputError(str(exc))
-    violations = validate_sheaf(sheaf)
+    violations = [] if sheaf.validated else validate_sheaf(sheaf)
     payload = sheaf_to_json_dict(sheaf)
     payload["params"] = cfg.to_json_dict()
     write_json(_out(cfg, "sheaf.json"), payload)
@@ -253,7 +258,7 @@ def cmd_experiment(args) -> int:
     heatmaps = {}
     try:
         if name == "existence":
-            result = diag.experiment_existence(cfg.n, cfg.stalk_dim or 1)
+            result = diag.experiment_existence(cfg.n, **_stalk_dim(cfg))
         elif name == "magnitude":
             result = diag.experiment_magnitude(cfg.n, cfg.tau, cfg.sigma, cfg.seed)
         elif name == "localization":
@@ -261,7 +266,7 @@ def cmd_experiment(args) -> int:
                 cfg.n, cfg.tau, cfg.sigma, cfg.seed, cfg=_witness_config(cfg)
             )
         else:
-            result = diag.experiment_relativity(cfg.n, cfg.stalk_dim or 1)
+            result = diag.experiment_relativity(cfg.n, **_stalk_dim(cfg))
     except diag.ExperimentParameterError as exc:
         raise CliInputError(f"experiment {name}: {exc}")
     payload = result.to_json_dict()
@@ -373,11 +378,22 @@ def _finite_float(text):
     return value
 
 
+def _positive_int(text):
+    """Type of ``--stalk-dim``: a stalk needs at least one dimension."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--input", help="input sheaf/graph JSON")
     parser.add_argument("--generator", help=f"one of {', '.join(GENERATORS)}")
     parser.add_argument("--n", type=int, help="cycle length for generators")
-    parser.add_argument("--stalk-dim", dest="stalk_dim", type=int)
+    parser.add_argument("--stalk-dim", dest="stalk_dim", type=_positive_int)
     parser.add_argument("--tau", type=_finite_float, help="hidden-twist rotation angle")
     parser.add_argument("--sigma", type=_finite_float, help="noise level")
     parser.add_argument("--seed", type=int)

@@ -24,7 +24,7 @@ from .operators import (
     grounding_zero_c1,
     incidence_defect,
     laplacian,
-    numerical_kernel,
+    laplacian_spectrum,
     numerical_rank,
 )
 from .sheaves import (
@@ -40,9 +40,7 @@ from .spectral import (
     Spectrum,
     WitnessConfig,
     coface_energy_map,
-    eigendecompose,
     global_witness,
-    harmonic_space,
     kernel_dim,
     local_witness,
     local_witness_relative,
@@ -146,22 +144,22 @@ def run_diagnostics(sheaf: CellSheaf, grounding: GroundingMorphism,
                     cfg: DiagnosticsConfig | None = None) -> DiagnosticsReport:
     """All four taxonomy channels under one normalization policy.
 
-    Each operator is built and decomposed once; the local maps use the raw
-    spectra, ``spectra`` those the reports read (normalized if asked).
+    Each operator is built and decomposed once, by the sheaf or the channel
+    set; the local maps read those raw spectra, ``spectra`` holds the ones
+    the reports read (normalized if asked).
     """
     cfg = cfg or DiagnosticsConfig()
     channels = channel_set(sheaf, grounding)
     reports = {}
     spectra = {}
-    raw = {}
-    for name, operator, lap, auxiliary in (
-        ("local_feasibility", "base", channels.l0, False),
-        ("intrinsic_obstruction", "base", channels.l1, False),
-        ("relative_cone", "channel", channels.relative, False),
-        ("ground_utilization", "channel", channels.utilization, True),
+    for name, operator, lap, spectrum, auxiliary in (
+        ("local_feasibility", "base", channels.l0, laplacian_spectrum(sheaf, 0), False),
+        ("intrinsic_obstruction", "base", channels.l1, laplacian_spectrum(sheaf, 1), False),
+        ("relative_cone", "channel", channels.relative, channels.relative_spectrum, False),
+        ("ground_utilization", "channel", channels.utilization, channels.utilization_spectrum,
+         True),
     ):
-        raw[name] = eigendecompose(lap)
-        reports[name], spectra[name] = _channel_report(name, operator, lap, raw[name], cfg,
+        reports[name], spectra[name] = _channel_report(name, operator, lap, spectrum, cfg,
                                                        auxiliary)
     if grounding.mode == VERTEX_LEVEL:
         defect = incidence_defect(sheaf, grounding)
@@ -170,10 +168,9 @@ def run_diagnostics(sheaf: CellSheaf, grounding: GroundingMorphism,
     local_maps = {}
     if cfg.with_local:
         wcfg = cfg.witness
-        local_maps["base_j0"] = local_witness(sheaf, 0, wcfg, raw["local_feasibility"])
-        local_maps["base_j1"] = local_witness(sheaf, 1, wcfg, raw["intrinsic_obstruction"])
-        local_maps["relative_cone"] = local_witness_relative(sheaf, grounding, wcfg, channels,
-                                                             raw["relative_cone"])
+        local_maps["base_j0"] = local_witness(sheaf, 0, wcfg)
+        local_maps["base_j1"] = local_witness(sheaf, 1, wcfg)
+        local_maps["relative_cone"] = local_witness_relative(channels, wcfg)
     return DiagnosticsReport(reports, defect, {}, spectra, local_maps)
 
 
@@ -213,15 +210,18 @@ class SeparationReport:
 
 
 def separation_check(sheaf: CellSheaf, grounding: GroundingMorphism) -> SeparationReport:
+    """The three ranks of ``SeparationReport``, from the spectrum of the
+    relative channel and the harmonic space the sheaf keeps (the kernel of
+    its ``laplacian_spectrum`` of L_1); no L_1 is decomposed here."""
     channels = channel_set(sheaf, grounding)
-    spectrum = eigendecompose(channels.relative)
+    spectrum = channels.relative_spectrum
     dim_a = kernel_dim(spectrum)
-    harmonics = numerical_kernel(channels.l1.matrix)
+    harmonics = laplacian_spectrum(sheaf, 1).kernel
     if harmonics.shape[1]:
         dim_b = harmonics.shape[1] - numerical_rank(channels.eps @ harmonics)
     else:
         dim_b = 0
-    relative_kernel = harmonic_space(spectrum, 0.0)
+    relative_kernel = spectrum.kernel
     if relative_kernel.shape[1] and harmonics.shape[1]:
         stacked = np.hstack([relative_kernel, harmonics])
         dim_c = relative_kernel.shape[1] + harmonics.shape[1] - numerical_rank(stacked)
@@ -291,7 +291,7 @@ def experiment_existence(n: int = N_DEFAULT, stalk_dim: int = 1) -> ExperimentRe
     rows = []
     for name, sheaf in (("trivial", trivial_bundle(n, stalk_dim)),
                         ("mobius", mobius_bundle(n, stalk_dim))):
-        spectrum = eigendecompose(laplacian(sheaf, 0))
+        spectrum = laplacian_spectrum(sheaf, 0)
         rows.append({
             "construction": name,
             "lambda_min": _lambda_min(spectrum),
@@ -307,17 +307,16 @@ def experiment_existence(n: int = N_DEFAULT, stalk_dim: int = 1) -> ExperimentRe
 
 
 def _gap_and_witness(sheaf):
-    lap = laplacian(sheaf, 0)
-    spectrum = eigendecompose(lap)
-    normalized = normalize_spectrum(lap, spectrum).spectrum
+    spectrum = laplacian_spectrum(sheaf, 0)
+    normalized = normalize_spectrum(laplacian(sheaf, 0), spectrum).spectrum
     return spectral_gap(spectrum), global_witness(normalized, WitnessConfig())
 
 
 def _noisy_members(n, sigma, seed, num_seeds):
     """The noisy trivial bundles of seeds seed .. seed + num_seeds - 1, each
     ``noisy_trivial_bundle(n, sigma, s)`` bit-for-bit, all on one complex.
-    They are yielded one at a time, so each member, with the coboundaries it
-    holds, is freed before the next is built."""
+    They are yielded one at a time, so each member, with the operators and
+    spectra it keeps, is freed before the next is built."""
     base = trivial_bundle(n, 2)
     for s in range(seed, seed + num_seeds):
         yield add_restriction_noise(base, sigma, s)
@@ -353,14 +352,12 @@ def experiment_magnitude(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
 
 
 def _fixture_maps(sheaf, cfg: WitnessConfig):
-    grounding = grounding_from_padding(sheaf)
-    channels = channel_set(sheaf, grounding)
-    spectrum0 = eigendecompose(channels.l0)
+    channels = channel_set(sheaf, grounding_from_padding(sheaf))
     return {
-        "base_j0": local_witness(sheaf, 0, cfg, spectrum0),
-        "base_j1": local_witness(sheaf, 1, cfg, eigendecompose(channels.l1)),
-        "relative_cone": local_witness_relative(sheaf, grounding, cfg, channels),
-        "edge_energy": coface_energy_map(sheaf, 0, cfg, spectrum0),
+        "base_j0": local_witness(sheaf, 0, cfg),
+        "base_j1": local_witness(sheaf, 1, cfg),
+        "relative_cone": local_witness_relative(channels, cfg),
+        "edge_energy": coface_energy_map(sheaf, 0, cfg),
     }
 
 
@@ -416,7 +413,7 @@ def experiment_relativity(n: int = N_DEFAULT, stalk_dim: int = 1) -> ExperimentR
     channel_sets = {name: channel_set(sheaf, g) for name, g in groundings.items()}
     rows = []
     for name, channels in channel_sets.items():
-        spectrum = eigendecompose(channels.relative)
+        spectrum = channels.relative_spectrum
         rows.append({
             "grounding": name,
             "lambda_min_relative": _lambda_min(spectrum),

@@ -1,15 +1,17 @@
-"""Coboundaries, sheaf Laplacians, groundings, mapping cones and their checks.
+"""Coboundaries, sheaf Laplacians and spectra, groundings, mapping cones and
+their checks.
 
 Everything is assembled densely: the intended scale is a few thousand total
 stalk dimensions, where exactness of the verification matters more than
-sparsity. A sheaf assembles each of its coboundaries once and every operator
-here is built from those; the verification functions are pure.
+sparsity. A sheaf assembles and decomposes each of its operators once, and
+so does a channel set; every check here reads those.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .sheaves import CellSheaf, Stalk, constant_sheaf
 
 ZERO_ABS = 1e-10
 ZERO_REL = 1e-8
+ZERO_PSD_REL = 1e-8
 
 #: Incidence defect up to which a grounding counts as a sheaf morphism, the
 #: hypothesis of the cone equivalence and the long exact sequence.
@@ -58,6 +61,58 @@ def numerical_kernel(symmetric_matrix) -> np.ndarray:
     return eigenvectors[:, eigenvalues <= cut]
 
 
+class AsymmetricOperatorError(ValueError):
+    pass
+
+
+class PsdViolationError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Full ascending eigensystem of a PSD operator plus its zero cutoff."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    threshold: float
+
+    @property
+    def dim(self):
+        return self.eigenvalues.shape[0]
+
+    @property
+    def lambda_max(self):
+        return float(self.eigenvalues[-1]) if self.dim else 0.0
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """Orthonormal basis of the numerical kernel: the first ``kernel_dim`` modes."""
+        return self.eigenvectors[:, :kernel_dim(self)]
+
+
+def kernel_dim(spectrum: Spectrum) -> int:
+    """Number of eigenvalues at or below the zero cutoff: the kernel is the
+    first ``kernel_dim`` of the ascending modes."""
+    return int(np.searchsorted(spectrum.eigenvalues, spectrum.threshold, side="right"))
+
+
+def decompose(lap: SheafLaplacian) -> Spectrum:
+    """Read-only spectrum of a symmetric PSD operator, both properties checked."""
+    m = lap.matrix
+    if m.size:
+        scale = max(1.0, float(np.max(np.abs(m))))
+        if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
+            raise AsymmetricOperatorError("operator is not symmetric within tolerance")
+    eigenvalues, eigenvectors = np.linalg.eigh(m) if m.size else (np.zeros(0), np.zeros((0, 0)))
+    lam_max = float(eigenvalues[-1]) if eigenvalues.size else 0.0
+    if eigenvalues.size and eigenvalues[0] < -ZERO_PSD_REL * max(lam_max, 1.0):
+        raise PsdViolationError(f"negative eigenvalue {eigenvalues[0]:.3e}")
+    eigenvalues.flags.writeable = False
+    eigenvectors.flags.writeable = False
+    return Spectrum(eigenvalues, eigenvectors, zero_threshold(lam_max))
+
+
 # ---------------------------------------------------------------------------
 # Coboundaries and Laplacians
 # ---------------------------------------------------------------------------
@@ -89,23 +144,36 @@ class SheafLaplacian:
 
 def _hodge_laplacian(n: int, j: int, down: np.ndarray | None,
                      up: np.ndarray | None) -> SheafLaplacian:
-    """down down^T + up^T up on an n-dimensional cochain space, symmetrized."""
+    """down down^T + up^T up on an n-dimensional cochain space, symmetrized
+    and read-only."""
     m = np.zeros((n, n))
     if down is not None:
         m += down @ down.T
     if up is not None:
         m += up.T @ up
-    return SheafLaplacian(0.5 * (m + m.T), j)
+    m = 0.5 * (m + m.T)
+    m.flags.writeable = False
+    return SheafLaplacian(m, j)
+
+
+def _assemble_laplacian(sheaf: CellSheaf, j: int) -> SheafLaplacian:
+    down = coboundary(sheaf, j - 1).matrix if j >= 1 else None
+    up = coboundary(sheaf, j).matrix if j <= 1 else None
+    return _hodge_laplacian(sheaf.cochain_dim(j), j, down, up)
 
 
 def laplacian(sheaf: CellSheaf, j: int) -> SheafLaplacian:
     """L_j = d^{j-1} (d^{j-1})^T + (d^j)^T d^j on C^j; down term absent for
-    j = 0, up term for j = 2."""
+    j = 0, up term for j = 2. The sheaf's own, read-only and assembled once
+    per sheaf."""
     if j not in (0, 1, 2):
         raise ValueError(f"laplacian degree must be 0, 1 or 2, got {j}")
-    down = coboundary(sheaf, j - 1).matrix if j >= 1 else None
-    up = coboundary(sheaf, j).matrix if j <= 1 else None
-    return _hodge_laplacian(sheaf.cochain_dim(j), j, down, up)
+    return sheaf.derived(("laplacian", j), lambda s: _assemble_laplacian(s, j))
+
+
+def laplacian_spectrum(sheaf: CellSheaf, j: int) -> Spectrum:
+    """Spectrum of ``laplacian(sheaf, j)``, decomposed once per sheaf."""
+    return sheaf.derived(("spectrum", j), lambda s: decompose(laplacian(s, j)))
 
 
 def consistency_energy(lap: SheafLaplacian, x) -> float:
@@ -220,8 +288,9 @@ def grounding_killing_kernel(sheaf: CellSheaf) -> GroundingMorphism:
 
     epsilon = I - P where P projects onto ker L_1, so epsilon restricted to
     the intrinsic harmonic space has nontrivial kernel whenever ker L_1 != 0.
+    The kernel is read from the sheaf's spectrum of L_1.
     """
-    kernel = numerical_kernel(laplacian(sheaf, 1).matrix)
+    kernel = laplacian_spectrum(sheaf, 1).kernel
     n = sheaf.cochain_dim(1)
     return GroundingMorphism(n, COCHAIN_C1, c1_matrix=np.eye(n) - kernel @ kernel.T)
 
@@ -241,6 +310,9 @@ def constant_grounding(sheaf: CellSheaf, target_dim: int | None = None,
     d = dims.pop()
     if matrix is not None:
         a = np.asarray(matrix, dtype=float)
+        if a.ndim != 2 or a.shape[1] != d:
+            raise ValueError(f"constant grounding matrix has shape {a.shape}; its width "
+                             f"must be the stalk dimension {d}")
     else:
         w = target_dim if target_dim is not None else d
         rng = np.random.default_rng(seed)
@@ -517,54 +589,36 @@ class LesReport:
     betti_cone: tuple
 
 
-def _induced(op, source_basis, target_basis):
-    if source_basis.shape[1] == 0 or target_basis.shape[1] == 0:
-        return np.zeros((target_basis.shape[1], source_basis.shape[1]))
-    return target_basis.T @ (op @ source_basis)
-
-
 def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
     """Rank exactness of ... -> H^j(F) -> H^j(W) -> H^j(cone) -> H^{j+1}(F) -> ...
 
-    Cohomology is represented by harmonic bases: kernels of the Laplacians of
-    ``cone.sheaf`` and ``cone.w_sheaf``, built from the coboundaries the cone
-    was assembled from, and of the cone's own Laplacians. The maps are
-    ``cone.eps``, the inclusion i(c) = (0, c) and the projection
-    q(b, c) = -b. Exactness at a node means rank(in) + rank(out) = dim and
+    Cohomology is represented by harmonic bases: the kernels of the
+    Laplacians of ``cone.sheaf`` and ``cone.w_sheaf``, read from the spectra
+    each sheaf keeps (``laplacian_spectrum``), and of the cone's own
+    Laplacians. The maps are ``cone.eps``, the inclusion i(c) = (0, c) and
+    the projection q(b, c) = -b, so i and q read the W and the F rows of a
+    cone basis. Exactness at a node means rank(in) + rank(out) = dim and
     the composite vanishes. The hypothesis is a compatible grounding, read
     from ``cone.defect_total``.
     """
     if cone.defect_total > COMPATIBILITY_TOL:
         return LesReport("hypothesis-not-met", cone.defect_total, (), (), (), ())
 
-    harm_f = {j: numerical_kernel(laplacian(cone.sheaf, j).matrix) for j in (0, 1, 2)}
-    harm_w = {j: numerical_kernel(laplacian(cone.w_sheaf, j).matrix) for j in (0, 1, 2)}
+    # the cone's decompositions are the largest: they run before the sheaves
+    # keep their spectra, which lowers the peak memory
     harm_c = {n: numerical_kernel(cone.laplacian(n).matrix) for n in (-1, 0, 1, 2)}
-
-    def eps_map(j):
-        return _induced(cone.eps[j], harm_f[j], harm_w[j])
-
-    def i_map(j):
-        f_dim = cone.sheaf.cochain_dim(j + 1)
-        w_dim = cone.w_sheaf.cochain_dim(j)
-        op = np.vstack([np.zeros((f_dim, w_dim)), np.eye(w_dim)])
-        return _induced(op, harm_w[j], harm_c[j])
-
-    def q_map(n):
-        f_dim = cone.sheaf.cochain_dim(n + 1)
-        w_dim = cone.w_sheaf.cochain_dim(n)
-        op = np.hstack([-np.eye(f_dim), np.zeros((f_dim, w_dim))])
-        return _induced(op, harm_c[n], harm_f[n + 1])
+    harm_f = {j: laplacian_spectrum(cone.sheaf, j).kernel for j in (0, 1, 2)}
+    harm_w = {j: laplacian_spectrum(cone.w_sheaf, j).kernel for j in (0, 1, 2)}
 
     # 0 -> Hc^-1 -> H^0F -> H^0W -> Hc^0 -> H^1F -> ... -> Hc^2 -> 0
     chain = [("cone^-1", harm_c[-1])]
     maps = []
     for j in (0, 1, 2):
-        maps.append(q_map(j - 1))
+        maps.append(-(harm_f[j].T @ harm_c[j - 1][:cone.sheaf.cochain_dim(j)]))
         chain.append((f"F^{j}", harm_f[j]))
-        maps.append(eps_map(j))
+        maps.append(harm_w[j].T @ (cone.eps[j] @ harm_f[j]))
         chain.append((f"W^{j}", harm_w[j]))
-        maps.append(i_map(j))
+        maps.append(harm_c[j][cone.sheaf.cochain_dim(j + 1):].T @ harm_w[j])
         chain.append((f"cone^{j}", harm_c[j]))
 
     nodes = []
@@ -602,14 +656,16 @@ def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
 class ChannelSet:
     """The four taxonomy operators of a (sheaf, grounding) pair.
 
-    ``relative`` = L_1 + eps^T eps is the cone-degree Hodge Laplacian of the
-    grounded complex; ``utilization`` = eps eps^T is an auxiliary Gram
-    operator on W, not a sheaf Laplacian. ``coupling_norm`` = ||d_1 eps^T||
-    measures the failure of the block decomposition on complexes with
-    triangles (it vanishes identically on cycle complexes). The coboundaries
-    the operators are built from are the sheaf's own (``coboundary``).
+    ``l0`` and ``l1`` are the sheaf's own, which also keeps their spectra
+    (``laplacian_spectrum``). ``relative`` = L_1 + eps^T eps is the
+    cone-degree Hodge Laplacian of the grounded complex; ``utilization`` =
+    eps eps^T is an auxiliary Gram operator on W, not a sheaf Laplacian; both
+    are read-only and decomposed once, on first use. ``coupling_norm`` =
+    ||d_1 eps^T|| measures the failure of the block decomposition on
+    complexes with triangles (it vanishes identically on cycle complexes).
     """
 
+    sheaf: CellSheaf
     l0: SheafLaplacian
     l1: SheafLaplacian
     relative: SheafLaplacian
@@ -617,17 +673,25 @@ class ChannelSet:
     eps: np.ndarray
     coupling_norm: float
 
+    @cached_property
+    def relative_spectrum(self) -> Spectrum:
+        return decompose(self.relative)
+
+    @cached_property
+    def utilization_spectrum(self) -> Spectrum:
+        return decompose(self.utilization)
+
 
 def channel_set(sheaf: CellSheaf, grounding: GroundingMorphism) -> ChannelSet:
     eps = grounding.c1_map(sheaf)
-    d0 = coboundary(sheaf, 0).matrix
     d1 = coboundary(sheaf, 1).matrix
-    l0 = _hodge_laplacian(sheaf.cochain_dim(0), 0, None, d0)
-    l1 = _hodge_laplacian(sheaf.cochain_dim(1), 1, d0, d1)
-    relative = SheafLaplacian(l1.matrix + eps.T @ eps, 1)
-    utilization = SheafLaplacian(eps @ eps.T, 0)
+    l1 = laplacian(sheaf, 1)
+    relative = l1.matrix + eps.T @ eps
+    utilization = eps @ eps.T
+    relative.flags.writeable = utilization.flags.writeable = False
     coupling = float(np.linalg.norm(d1 @ eps.T)) if d1.size else 0.0
-    return ChannelSet(l0, l1, relative, utilization, eps, coupling)
+    return ChannelSet(sheaf, laplacian(sheaf, 0), l1, SheafLaplacian(relative, 1),
+                      SheafLaplacian(utilization, 0), eps, coupling)
 
 
 @dataclass(frozen=True)

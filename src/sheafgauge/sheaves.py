@@ -54,12 +54,12 @@ class AmbientMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Stalk:
-    """Orthonormal column basis of a subspace of R^ambient_dim."""
+    """Orthonormal column basis of a subspace of R^ambient_dim, read-only."""
 
     basis: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
+        b = _read_only(self.basis)
         if b.ndim != 2:
             raise ValueError("stalk basis must be a 2d array")
         object.__setattr__(self, "basis", b)
@@ -98,11 +98,11 @@ class CellSheaf:
 
     ``restrictions`` maps ``(face, coface)`` to a matrix of shape
     ``(stalk_dim(coface), stalk_dim(face))``. ``stalks`` and
-    ``restrictions`` are read-only mappings and every restriction is a
-    read-only array: a writeable input is copied once, a read-only one is
-    shared. So what is computed from them is computed once per sheaf: the
-    cochain layout (the slice of every cell inside C^j and the dimension of
-    C^j) at construction, and each coboundary on first use.
+    ``restrictions`` are read-only mappings, every stalk basis and every
+    restriction is a read-only array (a writeable input is copied once, a
+    read-only one is shared) and ``validated`` is fixed. So what is computed
+    from a sheaf is computed once: the cochain layout at construction, each
+    coboundary, Laplacian and spectrum on first use (``derived``).
     """
 
     def __init__(self, complex_: CliqueComplex, stalks, restrictions, validated=False):
@@ -110,7 +110,7 @@ class CellSheaf:
         self.stalks = MappingProxyType(dict(stalks))
         self.restrictions = MappingProxyType(
             {k: _read_only(m) for k, m in restrictions.items()})
-        self.validated = validated
+        self._validated = validated
         dims = {cell: stalk.dim for cell, stalk in self.stalks.items()}
         for (coface, face) in complex_.incidences:
             if (face, coface) not in self.restrictions:
@@ -134,7 +134,11 @@ class CellSheaf:
             owner = np.repeat(np.arange(len(cells)), sizes)
             owner.flags.writeable = False
             self._owners[j] = owner
-        self._coboundaries = {}
+        self._derived = {}
+
+    @property
+    def validated(self):
+        return self._validated
 
     def stalk_dim(self, cell):
         return self.stalks[tuple(cell)].dim
@@ -158,13 +162,18 @@ class CellSheaf:
     def max_ambient_dim(self):
         return max((s.ambient_dim for s in self.stalks.values()), default=0)
 
+    def derived(self, key, build):
+        """``build(self)``, computed on the first request for ``key`` and kept;
+        callers key a value by kind and degree and keep it read-only."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
+
     def coboundary(self, j):
         """d_j: C^j -> C^{j+1} as a read-only matrix, assembled on first use."""
         if j not in (0, 1):
             raise ValueError(f"coboundary degree must be 0 or 1, got {j}")
-        if j not in self._coboundaries:
-            self._coboundaries[j] = self._assemble_coboundary(j)
-        return self._coboundaries[j]
+        return self.derived(("coboundary", j), lambda sheaf: sheaf._assemble_coboundary(j))
 
     def _assemble_coboundary(self, j):
         """Signed block matrix: block (c, f) = sign(c, f) * rho_{f->c}, every
@@ -194,12 +203,17 @@ def validate_sheaf(sheaf: CellSheaf):
     defect is ||rho_{e1->t} rho_{v->e1} - rho_{e2->t} rho_{v->e2}||_F.
     Report-only: returns the list of violations above ``FUNCTORIALITY_TOL``.
     """
+    return _functoriality_violations(sheaf.complex, sheaf.restrictions)
+
+
+def _functoriality_violations(complex_: CliqueComplex, restrictions):
+    """``validate_sheaf`` on a restriction table keyed like ``CellSheaf.restrictions``."""
     violations = []
-    for t in sheaf.complex.triangles:
+    for t in complex_.triangles:
         for v in t:
-            e1, e2 = sorted(e for e in sheaf.complex.faces(t) if v in e)
-            via1 = sheaf.restriction(e1, t) @ sheaf.restriction((v,), e1)
-            via2 = sheaf.restriction(e2, t) @ sheaf.restriction((v,), e2)
+            e1, e2 = sorted(e for e in complex_.faces(t) if v in e)
+            via1 = restrictions[(e1, t)] @ restrictions[((v,), e1)]
+            via2 = restrictions[(e2, t)] @ restrictions[((v,), e2)]
             defect = float(np.linalg.norm(via1 - via2))
             if defect > FUNCTORIALITY_TOL:
                 violations.append(FunctorialityViolation(t, (v,), defect))
@@ -329,9 +343,8 @@ def build_sheaf_from_features(g: Graph, features, cfg: FeaturePipelineConfig | N
         restrictions[((u, v), (u, v, w))] = r_uv
         restrictions[((v, w), (u, v, w))] = r_vw
         restrictions[((u, w), (u, v, w))] = r_uw
-    sheaf = CellSheaf(complex_, stalks, restrictions)
-    sheaf.validated = not validate_sheaf(sheaf)
-    return sheaf
+    validated = not _functoriality_violations(complex_, restrictions)
+    return CellSheaf(complex_, stalks, restrictions, validated=validated)
 
 
 # ---------------------------------------------------------------------------

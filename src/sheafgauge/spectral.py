@@ -1,6 +1,5 @@
-"""Spectra, harmonic profiles, spectral witnesses and interleavings.
-
-All eigendecompositions are dense symmetric. ``kernel_dim`` alone decides
+"""Harmonic profiles, spectral witnesses and interleavings of the dense
+spectra that sheaves and channel sets keep. ``kernel_dim`` alone decides
 numerical zero; the gap and the witnesses split the spectrum at its index.
 Above it, numerically degenerate clusters (spread below 1e-8 * lambda_max)
 are admitted or excluded from witness computations as a block, so per-cell
@@ -11,22 +10,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .operators import (
+from .operators import (  # noqa: F401  (the two errors are re-exported)
+    AsymmetricOperatorError,
     ChannelSet,
-    GroundingMorphism,
     MappingCone,
+    PsdViolationError,
     SheafLaplacian,
-    channel_set,
+    Spectrum,
     coboundary,
+    decompose,
+    kernel_dim,
     laplacian,
-    zero_threshold,
+    laplacian_spectrum,
 )
 from .sheaves import CellSheaf
-
-ZERO_PSD_REL = 1e-8
 
 #: Cone reduction: largest intertwining or commutator residual for which
 #: the hypotheses hold, and the slack allowed in the two bounds.
@@ -34,48 +35,10 @@ COMMUTATION_TOL = 1e-8
 BOUND_SLACK = 1e-8
 
 
-class AsymmetricOperatorError(ValueError):
-    pass
-
-
-class PsdViolationError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Full ascending eigensystem of a PSD operator plus its zero cutoff."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    threshold: float
-
-    @property
-    def dim(self):
-        return self.eigenvalues.shape[0]
-
-    @property
-    def lambda_max(self):
-        return float(self.eigenvalues[-1]) if self.dim else 0.0
-
-
 def eigendecompose(lap: SheafLaplacian) -> Spectrum:
-    m = lap.matrix
-    if m.size:
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
-            raise AsymmetricOperatorError("operator is not symmetric within tolerance")
-    eigenvalues, eigenvectors = np.linalg.eigh(m) if m.size else (np.zeros(0), np.zeros((0, 0)))
-    lam_max = float(eigenvalues[-1]) if eigenvalues.size else 0.0
-    if eigenvalues.size and eigenvalues[0] < -ZERO_PSD_REL * max(lam_max, 1.0):
-        raise PsdViolationError(f"negative eigenvalue {eigenvalues[0]:.3e}")
-    return Spectrum(eigenvalues, eigenvectors, zero_threshold(lam_max))
-
-
-def kernel_dim(spectrum: Spectrum) -> int:
-    """Number of eigenvalues at or below the zero cutoff: the kernel is the
-    first ``kernel_dim`` of the ascending modes."""
-    return int(np.searchsorted(spectrum.eigenvalues, spectrum.threshold, side="right"))
+    """Spectrum of a symmetric PSD operator (``operators.decompose``). A
+    sheaf's own L_j is read with ``laplacian_spectrum``, which keeps it."""
+    return decompose(lap)
 
 
 def spectral_gap(spectrum: Spectrum) -> float:
@@ -286,61 +249,51 @@ def _degree_modes(cfg, spectrum):
     return delta, spectrum.eigenvectors[:, indices], np.array(weights, dtype=float)
 
 
-def local_witness(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None,
-                  spectrum: Spectrum | None = None) -> LocalWitnessMap:
+def local_witness(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None) -> LocalWitnessMap:
     """Per-cell attribution of admitted low-energy mode energy in degree j.
 
     Each admitted eigenvector v contributes, to every cell e of degree j,
     the full squared component of d_j v at each coface of e plus the full
-    squared component of d_{j-1}^T v at each face of e. The coboundaries
-    are the sheaf's own; ``spectrum`` is the spectrum of L_j, which is
-    built and decomposed here only when it is not given.
+    squared component of d_{j-1}^T v at each face of e. The spectrum of L_j
+    and the coboundaries are the sheaf's own, each computed once per sheaf.
     """
-    if j not in (0, 1, 2):
-        raise ValueError(f"laplacian degree must be 0, 1 or 2, got {j}")
-    spectrum = spectrum if spectrum is not None else eigendecompose(laplacian(sheaf, j))
-    delta, vectors, weights = _degree_modes(cfg, spectrum)
+    delta, vectors, weights = _degree_modes(cfg, laplacian_spectrum(sheaf, j))
     down = coboundary(sheaf, j - 1).matrix if j >= 1 else None
     up = coboundary(sheaf, j).matrix if j <= 1 else None
     scores = _witness_scores(sheaf, j, vectors, weights, down, up)
     return LocalWitnessMap(j, delta, "base", scores)
 
 
-def coface_energy_map(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None,
-                      spectrum: Spectrum | None = None) -> LocalWitnessMap:
+def coface_energy_map(sheaf: CellSheaf, j: int,
+                      cfg: WitnessConfig | None = None) -> LocalWitnessMap:
     """Per-coface energy of the admitted degree-j modes, before aggregation.
 
     The degree-j witness attributes ||(d_j v)[c]||^2 to every face of c;
     this map reports the components on the (j+1)-cells themselves, for
     j = 0 or 1. For j = 0 it localizes inconsistency to edges, which the
-    vertex-level witness then aggregates to nodes. ``spectrum`` is taken as
-    in :func:`local_witness`.
+    vertex-level witness then aggregates to nodes. The spectrum and the
+    coboundary are the sheaf's own, as in :func:`local_witness`.
     """
     if j not in (0, 1):
         raise ValueError(f"coface energy needs degree 0 or 1, got {j}")
-    spectrum = spectrum if spectrum is not None else eigendecompose(laplacian(sheaf, j))
-    delta, vectors, weights = _degree_modes(cfg, spectrum)
+    delta, vectors, weights = _degree_modes(cfg, laplacian_spectrum(sheaf, j))
     energy = _block_energy(sheaf, j + 1, coboundary(sheaf, j).matrix @ vectors, weights)
     scores = dict(zip(sheaf.complex.cells(j + 1), energy.tolist()))
     return LocalWitnessMap(j + 1, delta, "coface-energy", scores)
 
 
-def local_witness_relative(sheaf: CellSheaf, grounding: GroundingMorphism,
-                           cfg: WitnessConfig | None = None,
-                           channels: ChannelSet | None = None,
-                           spectrum: Spectrum | None = None) -> LocalWitnessMap:
+def local_witness_relative(channels: ChannelSet,
+                           cfg: WitnessConfig | None = None) -> LocalWitnessMap:
     """Edge-level witness of the relative cone channel L_1 + eps^T eps.
 
     The grounding energy of a mode decomposes over the cone triangles of the
     grounded complex, one per base edge, so each edge e additionally
-    receives ||eps_e x_e||^2 from its own column block of eps. ``channels``
-    and ``spectrum`` take the prebuilt channel set of (sheaf, grounding) and
-    the spectrum of its relative operator; the coboundaries are the sheaf's
-    own.
+    receives ||eps_e x_e||^2 from its own column block of eps. The spectrum
+    is the channel set's ``relative_spectrum``, the coboundaries those of
+    ``channels.sheaf``.
     """
-    channels = channels if channels is not None else channel_set(sheaf, grounding)
-    spectrum = spectrum if spectrum is not None else eigendecompose(channels.relative)
-    delta, vectors, weights = _degree_modes(cfg, spectrum)
+    sheaf = channels.sheaf
+    delta, vectors, weights = _degree_modes(cfg, channels.relative_spectrum)
     scores = _witness_scores(sheaf, 1, vectors, weights, coboundary(sheaf, 0).matrix,
                              coboundary(sheaf, 1).matrix, eps=channels.eps)
     return LocalWitnessMap(1, delta, "relative-cone", scores)
@@ -358,14 +311,13 @@ class NormalizationResult:
     spectrum: Spectrum
 
 
-def normalize_spectrum(lap: SheafLaplacian,
-                       spectrum: Spectrum | None = None) -> NormalizationResult:
+def normalize_spectrum(lap: SheafLaplacian, spectrum: Spectrum) -> NormalizationResult:
     """Spectrum of ``lap / scale`` with trace/rank = 1; kernel, eigenvectors
     and ordering unchanged.
 
-    ``spectrum``, when given, is the spectrum of ``lap``; the normalized
-    spectrum is derived from it as (lambda / scale, same eigenvectors), so
-    no second eigendecomposition runs. Its cutoff is the raw cutoff divided
+    ``spectrum`` is the spectrum of ``lap``; the normalized spectrum is
+    derived from it as (lambda / scale, same eigenvectors), so no
+    eigendecomposition runs here. Its cutoff is the raw cutoff divided
     by the scale; one computed from the divided lambda_max would leave its
     absolute term unscaled. Division by a positive scale is monotone, so the
     normalized spectrum splits at the raw ``kernel_dim`` (unless an
@@ -373,8 +325,6 @@ def normalize_spectrum(lap: SheafLaplacian,
     profiles read the raw kernel. The zero operator keeps its spectrum and
     scale 1, with a flag.
     """
-    if spectrum is None:
-        spectrum = eigendecompose(lap)
     rank = spectrum.dim - kernel_dim(spectrum)
     if rank == 0:
         return NormalizationResult(1.0, True, spectrum)
@@ -518,10 +468,10 @@ class ConeReductionSide:
     """One grounded object, reduced to the operators entering the cone blocks.
 
     ``base_f`` and ``gram_f`` act on the model cochain space (cone block
-    L_F + eps^T eps), ``base_w`` and ``gram_w`` on the grounding side
-    (block L_W + eps eps^T). ``intertwine_residual`` is ||d_W^T eps - eps d_F^T||
-    and the commutator norms cover the simultaneous-diagonalization
-    hypothesis.
+    ``cone_f`` = L_F + eps^T eps), ``base_w`` and ``gram_w`` on the grounding
+    side (block ``cone_w`` = L_W + eps eps^T). ``intertwine_residual`` is
+    ||d_W^T eps - eps d_F^T|| and the commutator norms cover the
+    simultaneous-diagonalization hypothesis.
     """
 
     base_f: np.ndarray
@@ -536,19 +486,26 @@ class ConeReductionSide:
         return float(np.max(np.abs(c_f))) if c_f.size else 0.0, \
             float(np.max(np.abs(c_w))) if c_w.size else 0.0
 
+    @cached_property
+    def spectra(self) -> dict:
+        """Ascending eigenvalues of the four fields and of the cone blocks
+        ``cone_f`` and ``cone_w``, each block decomposed once."""
+        blocks = {"base_f": self.base_f, "gram_f": self.gram_f, "base_w": self.base_w,
+                  "gram_w": self.gram_w, "cone_f": self.base_f + self.gram_f,
+                  "cone_w": self.base_w + self.gram_w}
+        return {name: np.linalg.eigvalsh(m) if m.size else np.zeros(0)
+                for name, m in blocks.items()}
+
     def cone_spectrum(self) -> np.ndarray:
-        parts = [np.linalg.eigvalsh(self.base_f + self.gram_f)]
-        if self.base_w.size:
-            parts.append(np.linalg.eigvalsh(self.base_w + self.gram_w))
-        return np.sort(np.concatenate(parts))
+        return np.sort(np.concatenate([self.spectra["cone_f"], self.spectra["cone_w"]]))
 
 
 def cone_reduction_side(cone: MappingCone) -> ConeReductionSide:
     """Cone-degree-0 blocks of a grounded sheaf with constant target.
 
-    Every block is read from the cone: L_1(F) and L_0(W) from the coboundaries
-    of ``cone.sheaf`` and ``cone.w_sheaf``, the grounding penalties and the
-    intertwining residual from its ``eps`` and the degree-0 coboundaries.
+    Every block is read from the cone: L_1(F) and L_0(W) are the Laplacians
+    ``cone.sheaf`` and ``cone.w_sheaf`` keep, the grounding penalties and the
+    intertwining residual come from its ``eps`` and the degree-0 coboundaries.
     """
     eps0, eps1 = cone.eps[0], cone.eps[1]
     base_f = laplacian(cone.sheaf, 1).matrix
@@ -619,17 +576,11 @@ def verify_cone_reduction(side_a: ConeReductionSide,
     if max(residuals.values()) > COMMUTATION_TOL:
         return ConeReductionReport("hypothesis-not-met", residuals)
 
-    def spec(m):
-        return np.linalg.eigvalsh(m) if m.size else np.zeros(0)
-
-    eta = max(
-        _profile_eta(spec(side_a.base_f), spec(side_b.base_f)),
-        _profile_eta(spec(side_a.base_w), spec(side_b.base_w)),
-    )
-    gram_f_a, gram_f_b = spec(side_a.gram_f), spec(side_b.gram_f)
-    gram_w_a, gram_w_b = spec(side_a.gram_w), spec(side_b.gram_w)
-    v_bound = max(_pairwise_spread(gram_f_a, gram_f_b), _pairwise_spread(gram_w_a, gram_w_b))
-    theta = max(_profile_eta(gram_f_a, gram_f_b), _profile_eta(gram_w_a, gram_w_b))
+    a, b = side_a.spectra, side_b.spectra
+    eta = max(_profile_eta(a["base_f"], b["base_f"]), _profile_eta(a["base_w"], b["base_w"]))
+    v_bound = max(_pairwise_spread(a["gram_f"], b["gram_f"]),
+                  _pairwise_spread(a["gram_w"], b["gram_w"]))
+    theta = max(_profile_eta(a["gram_f"], b["gram_f"]), _profile_eta(a["gram_w"], b["gram_w"]))
     measured = _profile_eta(side_a.cone_spectrum(), side_b.cone_spectrum())
     bound_v = measured <= eta + v_bound + BOUND_SLACK
     bound_theta = measured <= eta + theta + BOUND_SLACK if math.isfinite(theta) else None

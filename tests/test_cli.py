@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sheafgauge.cli import EXPERIMENTS, GENERATORS, RunConfig, main
+from sheafgauge.operators import laplacian
 
 
 def run(args):
@@ -202,8 +203,6 @@ def test_diagnose_three_cycle_names_the_filled_triangle(tmp_path, capsys):
     (["magnitude", "--n", "2"], "n >= 4"),
     (["localization", "--n", "6", "--seed", "-2"], "seed must be at least 0"),
     (["magnitude", "--n", "6", "--sigma", "-0.25"], "sigma must be at least 0"),
-    (["existence", "--stalk-dim", "-1"], "stalk_dim must be at least 1, got -1"),
-    (["relativity", "--stalk-dim", "-1"], "stalk_dim must be at least 1, got -1"),
 ])
 def test_experiment_bad_parameter_is_input_error(tmp_path, capsys, args, message):
     assert run(["experiment"] + args + ["--out", str(tmp_path / "x")]) == 1
@@ -212,14 +211,38 @@ def test_experiment_bad_parameter_is_input_error(tmp_path, capsys, args, message
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["experiment", "existence"], ["experiment", "relativity"],
+    ["diagnose", "--generator", "trivial", "--n", "6"],
+    ["verify", "--generator", "hidden-twist", "--n", "6"],
+], ids=["existence", "relativity", "diagnose", "verify"])
+@pytest.mark.parametrize("value", ["0", "-1"], ids=["zero", "negative"])
+def test_stalk_dim_below_one_is_rejected_when_parsed(tmp_path, capsys, command, value):
+    # 0 used to fall back to the generator default while params recorded 0
+    assert run(command + ["--stalk-dim", value, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --stalk-dim: must be at least 1, got '{value}'\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("stalk_dim, expected", [(None, 1), ("1", 1), ("3", 3)])
+def test_experiment_runs_with_the_stalk_dim_it_records(tmp_path, stalk_dim, expected):
+    args = ["experiment", "existence", "--n", "6", "--out", str(tmp_path)]
+    assert run(args + (["--stalk-dim", stalk_dim] if stalk_dim else [])) == 0
+    params = json.loads(read(tmp_path / "experiment_existence.json"))["params"]
+    assert params["stalk_dim"] == expected
+    assert params["cli"]["stalk_dim"] == (None if stalk_dim is None else expected)
+
+
 def test_experiment_fault_during_computation_exits_two(tmp_path, capsys, monkeypatch):
-    from sheafgauge import diagnostics
+    from sheafgauge import operators
     from sheafgauge.spectral import PsdViolationError
 
     def failing(_lap):
         raise PsdViolationError("negative eigenvalue -1.000e+00")
 
-    monkeypatch.setattr(diagnostics, "eigendecompose", failing)
+    # every spectrum is made by operators.decompose, for a sheaf or a channel set
+    monkeypatch.setattr(operators, "decompose", failing)
     assert run(["experiment", "magnitude", "--n", "6", "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith("validation error: negative eigenvalue")
 
@@ -327,16 +350,18 @@ def test_verify_exits_three_on_failed_check(tmp_path, monkeypatch):
     assert code == 3
 
 
-ASSEMBLY_FUNCTIONS = ("algebraic_cone", "incidence_defect", "constant_sheaf", "laplacian")
+ASSEMBLY_FUNCTIONS = ("algebraic_cone", "incidence_defect", "constant_sheaf",
+                      "_assemble_laplacian")
 
 
 def _count_assemblies(monkeypatch):
     """Count calls of each assembly function in every sheafgauge module binding
-    it, and every coboundary a sheaf assembles (not those it hands out again)."""
+    it, every coboundary a sheaf assembles (not those it hands out again) and
+    every dense eigensolver call."""
     import sheafgauge.operators as operators
     import sheafgauge.sheaves as sheaves
 
-    counts = {"coboundary": 0}
+    counts = {"coboundary": 0, "eigh": 0, "eigvalsh": 0}
     assemble = sheaves.CellSheaf._assemble_coboundary
 
     def assembled(sheaf, j):
@@ -344,6 +369,12 @@ def _count_assemblies(monkeypatch):
         return assemble(sheaf, j)
 
     monkeypatch.setattr(sheaves.CellSheaf, "_assemble_coboundary", assembled)
+    for solver in ("eigh", "eigvalsh"):
+        def solved(m, _solver=solver, _original=getattr(np.linalg, solver)):
+            counts[_solver] += 1
+            return _original(m)
+
+        monkeypatch.setattr(np.linalg, solver, solved)
     for name in ASSEMBLY_FUNCTIONS:
         original = getattr(sheaves if name == "constant_sheaf" else operators, name)
         counts[name] = 0
@@ -367,14 +398,41 @@ def test_verify_assembles_one_cone(tmp_path, monkeypatch):
     counts = _count_assemblies(monkeypatch)
     assert run(["verify", "--input", str(sheaf_path), "--grounding", "padding",
                 "--out", str(tmp_path / "padding")]) == 0
-    # d0 and d1 of F, of W and of the geometric cone: the channel set reads F's;
-    # L_j of F and of W for the LES (6) and the cone reduction (2)
+    # d0 and d1 of F, of W and of the geometric cone: the channel set reads F's.
+    # L_j of F and of W, each assembled and decomposed once: the LES reads
+    # all six spectra, the cone reduction L_1(F) and L_0(W), the separation
+    # check L_1(F) and its spectrum. eigh: those 6, the 4 cone Laplacians of
+    # the LES and the relative channel; eigvalsh: the 6 cone-reduction blocks.
     assert counts == {"algebraic_cone": 1, "incidence_defect": 1, "constant_sheaf": 1,
-                      "laplacian": 8, "coboundary": 6}
+                      "_assemble_laplacian": 6, "coboundary": 6, "eigh": 11, "eigvalsh": 6}
     counts.update(dict.fromkeys(counts, 0))
     assert run(["verify", "--input", str(sheaf_path), "--grounding", "fullrank",
                 "--out", str(tmp_path / "fullrank")]) == 0
     assert counts["algebraic_cone"] == 0
+
+
+@pytest.mark.parametrize("command, grounding, eigh", [
+    (["verify"], "deficient", 2),
+    (["diagnose", "--heatmap"], "deficient", 4),
+    (["diagnose", "--heatmap"], "padding", 4),
+])
+def test_commands_decompose_l1_once(tmp_path, monkeypatch, command, grounding, eigh):
+    # the deficient grounding, the channels and the separation check all read
+    # the sheaf's one spectrum of L_1
+    from sheafgauge.complexes import build_clique_complex, complete_graph
+    from sheafgauge.sheaves import constant_sheaf, sheaf_to_json
+
+    sheaf = constant_sheaf(build_clique_complex(complete_graph(5)), 2)
+    sheaf_path = tmp_path / "k5.json"
+    sheaf_path.write_text(sheaf_to_json(sheaf))
+    l1 = laplacian(sheaf, 1).matrix
+    solved = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(m) or original(m))
+    assert run(command + ["--input", str(sheaf_path), "--grounding", grounding,
+                          "--out", str(tmp_path / "out")]) == 0
+    assert len(solved) == eigh
+    assert sum(m.shape == l1.shape and np.array_equal(m, l1) for m in solved) == 1
 
 
 def test_run_config_round_trip():

@@ -95,22 +95,28 @@ def _feature_fixture():
 
 
 def test_run_diagnostics_decomposes_each_channel_once(monkeypatch):
-    from sheafgauge import diagnostics, spectral
+    from sheafgauge import diagnostics, operators
 
-    sheaf = _feature_fixture()
-    eigh_calls = _count_calls(monkeypatch, "eigendecompose", [spectral, diagnostics])
-    channel_calls = _count_calls(monkeypatch, "channel_set", [spectral, diagnostics])
+    eigh_calls = _count_calls(monkeypatch, "decompose", [operators])
+    channel_calls = _count_calls(monkeypatch, "channel_set", [diagnostics])
     for normalize in (False, True):
+        sheaf = _feature_fixture()
         eigh_calls["calls"] = channel_calls["calls"] = 0
         run_diagnostics(sheaf, make_grounding(sheaf, "padding"),
                         DiagnosticsConfig(normalize=normalize, with_local=True))
         assert eigh_calls["calls"] == 4
         assert channel_calls["calls"] == 1
+        # a second report on the same sheaf decomposes only the new channel set's
+        # relative and utilization operators; L_0 and L_1 are the sheaf's
+        run_diagnostics(sheaf, make_grounding(sheaf, "padding"),
+                        DiagnosticsConfig(normalize=normalize, with_local=True))
+        assert eigh_calls["calls"] == 6
 
 
 @pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("grounding_name", ["padding", "deficient"])
 def test_run_diagnostics_local_maps_equal_standalone(normalize, grounding_name):
+    from sheafgauge.operators import channel_set
     from sheafgauge.spectral import local_witness, local_witness_relative
 
     sheaf = _feature_fixture()
@@ -118,10 +124,12 @@ def test_run_diagnostics_local_maps_equal_standalone(normalize, grounding_name):
     cfg = WitnessConfig(weight="uniform")
     report = run_diagnostics(sheaf, grounding,
                              DiagnosticsConfig(witness=cfg, normalize=normalize, with_local=True))
+    fresh = _feature_fixture()  # decomposes its own operators
     standalone = {
-        "base_j0": local_witness(sheaf, 0, cfg),
-        "base_j1": local_witness(sheaf, 1, cfg),
-        "relative_cone": local_witness_relative(sheaf, grounding, cfg),
+        "base_j0": local_witness(fresh, 0, cfg),
+        "base_j1": local_witness(fresh, 1, cfg),
+        "relative_cone": local_witness_relative(
+            channel_set(fresh, make_grounding(fresh, grounding_name)), cfg),
     }
     assert set(report.local_maps) == set(standalone)
     for name, expected in standalone.items():
@@ -324,10 +332,10 @@ def test_experiment_localization_equals_full_panel_reference(cfg, seed):
 def test_experiment_localization_decomposes_full_panels_twice(monkeypatch, num_seeds):
     # three spectra (L0, L1, relative) for the twist and the first noise
     # seed, L0 alone for every other seed
-    from sheafgauge import diagnostics, spectral
+    from sheafgauge import diagnostics, operators
 
-    calls = _count_calls(monkeypatch, "eigendecompose", [spectral, diagnostics])
-    channel_calls = _count_calls(monkeypatch, "channel_set", [spectral, diagnostics])
+    calls = _count_calls(monkeypatch, "decompose", [operators])
+    channel_calls = _count_calls(monkeypatch, "channel_set", [diagnostics])
     experiment_localization(n=12, num_seeds=num_seeds)
     assert calls["calls"] == 6 + (num_seeds - 1)
     assert channel_calls["calls"] == 2

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sheafgauge.operators import (
     ConeEquivalenceReport,
     GroundingModeError,
     GroundingMorphism,
+    _assemble_laplacian,
     _cone_layout_index,
     algebraic_cone,
     betti_numbers,
@@ -25,6 +27,7 @@ from sheafgauge.operators import (
     incidence_defect,
     is_delta_feasible,
     laplacian,
+    laplacian_spectrum,
     numerical_rank,
     propagate_cycle_grounding,
     verify_block_decomposition,
@@ -40,6 +43,8 @@ from sheafgauge.sheaves import (
     make_line_bundle,
     mobius_bundle,
     noisy_trivial_bundle,
+    sheaf_from_json,
+    sheaf_to_json,
     trivial_bundle,
 )
 from sheafgauge.spectral import (
@@ -684,13 +689,36 @@ def test_channel_set_relative_is_l1_plus_gram():
     assert np.array_equal(channels.relative.matrix, channels.l1.matrix + gram)
 
 
-def test_channel_set_assembles_each_coboundary_once(monkeypatch):
+def _record_assemblies(monkeypatch):
+    """Degrees of the coboundaries and Laplacians sheaves assemble; those a
+    sheaf hands out again are not assembled again."""
     from sheafgauge import operators
+    from sheafgauge.sheaves import CellSheaf
 
     calls = []
-    original = operators.coboundary
-    monkeypatch.setattr(operators, "coboundary",
-                        lambda sheaf, j: calls.append(j) or original(sheaf, j))
+    coboundary_ = CellSheaf._assemble_coboundary
+    laplacian_ = operators._assemble_laplacian
+    monkeypatch.setattr(CellSheaf, "_assemble_coboundary",
+                        lambda sheaf, j: calls.append(("d", j)) or coboundary_(sheaf, j))
+    monkeypatch.setattr(operators, "_assemble_laplacian",
+                        lambda sheaf, j: calls.append(("L", j)) or laplacian_(sheaf, j))
+    return calls
+
+
+@pytest.mark.parametrize("matrix", [np.eye(3), np.ones((2, 1)), np.ones(2)])
+def test_constant_grounding_rejects_a_matrix_of_another_width(matrix):
+    # named before incidence_defect fails on it with numpy's matmul error
+    sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
+    message = (f"constant grounding matrix has shape {re.escape(str(matrix.shape))}; "
+               "its width must be the stalk dimension 2")
+    with pytest.raises(ValueError, match=message):
+        constant_grounding(sheaf, matrix=matrix)
+    # a wide or tall map of the right width is fine
+    assert constant_grounding(sheaf, matrix=np.ones((3, 2))).target_dim == 3
+
+
+def test_channel_set_assembles_each_coboundary_once(monkeypatch):
+    calls = _record_assemblies(monkeypatch)
     rng = np.random.default_rng(3)
     basis, _ = np.linalg.qr(rng.normal(size=(5, 3)))
     features = {v: basis + 0.05 * rng.normal(size=(5, 3)) for v in range(6)}
@@ -698,22 +726,44 @@ def test_channel_set_assembles_each_coboundary_once(monkeypatch):
     for sheaf in (trivial_bundle(8, 2), mobius_bundle(7), feature_sheaf):
         calls.clear()
         channels = channel_set(sheaf, grounding_from_padding(sheaf))
-        assert sorted(calls) == [0, 1]
-        # bit-equal to the standalone operators
-        assert np.array_equal(channels.l0.matrix, laplacian(sheaf, 0).matrix)
-        assert np.array_equal(channels.l1.matrix, laplacian(sheaf, 1).matrix)
+        channel_set(sheaf, grounding_identity_c1(sheaf))
+        # the channel sets hold the sheaf's own L_0 and L_1
+        assert sorted(calls) == [("L", 0), ("L", 1), ("d", 0), ("d", 1)]
+        assert channels.l1 is laplacian(sheaf, 1)
+        assert channels.l0 is laplacian(sheaf, 0)
+        # bit-equal to a fresh copy's operators, and read-only
+        copy = sheaf_from_json(sheaf_to_json(sheaf))
+        for j, lap in ((0, channels.l0), (1, channels.l1)):
+            assert np.array_equal(lap.matrix, _assemble_laplacian(copy, j).matrix)
+        for lap in (channels.l0, channels.l1, channels.relative, channels.utilization):
+            assert not lap.matrix.flags.writeable
 
 
 def test_block_decomposition_assembles_two_coboundaries(monkeypatch):
-    from sheafgauge import operators
-
-    calls = []
-    original = operators.coboundary
-    monkeypatch.setattr(operators, "coboundary",
-                        lambda sheaf, j: calls.append(j) or original(sheaf, j))
+    calls = _record_assemblies(monkeypatch)
     sheaf = constant_sheaf(build_clique_complex(complete_graph(5)), 2)
     verify_block_decomposition(sheaf, grounding_identity_c1(sheaf))
-    assert sorted(calls) == [0, 1]
+    assert sorted(calls) == [("L", 0), ("L", 1), ("d", 0), ("d", 1)]
+
+
+def test_channel_set_decomposes_each_grounded_operator_once(monkeypatch):
+    from sheafgauge import operators
+
+    decomposed = []
+    original = operators.decompose
+    monkeypatch.setattr(operators, "decompose",
+                        lambda lap: decomposed.append(lap) or original(lap))
+    sheaf = trivial_bundle(8, 2)
+    channels = channel_set(sheaf, grounding_killing_kernel(sheaf))
+    assert [lap.matrix is laplacian(sheaf, 1).matrix for lap in decomposed] == [True]
+    for _ in range(2):
+        assert channels.relative_spectrum is channels.relative_spectrum
+        assert channels.utilization_spectrum is channels.utilization_spectrum
+        assert laplacian_spectrum(sheaf, 1) is laplacian_spectrum(sheaf, 1)
+    assert [lap.degree for lap in decomposed] == [1, 1, 0]
+    spectrum = channels.relative_spectrum
+    assert not spectrum.eigenvalues.flags.writeable
+    assert not spectrum.eigenvectors.flags.writeable
 
 
 def test_rank_deficient_grounding_opens_kernel():

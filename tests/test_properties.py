@@ -9,7 +9,8 @@ G(n, p) clique complexes and the trivial and Mobius cycle bundles.
   sheaf whose L1 spectrum has no gap at the zero cutoff.
 
 The JSON round trip is bit-exact on the four cycle-bundle generators and on
-seeded feature sheaves.
+seeded feature sheaves, and so are the Laplacians and spectra a sheaf keeps:
+read-only, and equal to a fresh decomposition of the round-tripped copy.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from sheafgauge.diagnostics import (
     make_grounding,
     run_diagnostics,
 )
-from sheafgauge.operators import betti_numbers, coboundary, laplacian
+from sheafgauge.operators import betti_numbers, coboundary, laplacian, laplacian_spectrum
 from sheafgauge.sheaves import (
     CellSheaf,
     build_sheaf_from_features,
@@ -179,3 +180,21 @@ def test_json_round_trip_is_bit_exact(sheaf):
     for j in (0, 1):
         assert coboundary(restored, j).matrix.tobytes() == coboundary(sheaf, j).matrix.tobytes()
     assert sheaf_to_json(restored) == text
+
+
+@given(st.one_of(generator_sheaves, feature_sheaves(), constant_sheaves()))
+def test_kept_laplacians_and_spectra_are_read_only_and_fresh(sheaf):
+    # full reports under a vertex-level and a cochain grounding read them first
+    for name in ("padding", "deficient"):
+        run_diagnostics(sheaf, make_grounding(sheaf, name), DiagnosticsConfig(with_local=True))
+    copy = sheaf_from_json(sheaf_to_json(sheaf))
+    for j in (0, 1, 2):
+        lap, spectrum = laplacian(sheaf, j), laplacian_spectrum(sheaf, j)
+        assert lap is laplacian(sheaf, j) and spectrum is laplacian_spectrum(sheaf, j)
+        for array in (lap.matrix, spectrum.eigenvalues, spectrum.eigenvectors):
+            assert not array.flags.writeable
+        fresh = eigendecompose(laplacian(copy, j))
+        _assert_bit_equal(lap.matrix, laplacian(copy, j).matrix)
+        _assert_bit_equal(spectrum.eigenvalues, fresh.eigenvalues)
+        _assert_bit_equal(spectrum.eigenvectors, fresh.eigenvectors)
+        assert spectrum.threshold == fresh.threshold

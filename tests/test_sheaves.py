@@ -327,6 +327,44 @@ def test_sheaf_cannot_be_mutated():
     assert kernel_dim(eigendecompose(laplacian(sheaf, 0))) == 2
 
 
+def test_feature_sheaf_stalks_and_flag_cannot_be_changed():
+    # the stalk bases are read-only like the restrictions, and ``validated`` is
+    # fixed at construction: a padded grounding always pads an orthonormal basis
+    from sheafgauge.operators import grounding_from_padding
+
+    rng = np.random.default_rng(12)
+    basis = _orth(rng, 5, 3)
+    g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    sheaf = build_sheaf_from_features(g, {v: basis for v in range(5)})
+    padded = grounding_from_padding(sheaf).cell_map((0,)).copy()
+    for stalk in sheaf.stalks.values():
+        with pytest.raises(ValueError):
+            stalk.basis[0, 0] = 5.0
+    with pytest.raises(AttributeError):
+        sheaf.validated = "x"
+    assert sheaf.validated is True
+    assert np.array_equal(grounding_from_padding(sheaf).cell_map((0,)), padded)
+
+
+def test_stalk_copies_a_writeable_basis_and_shares_a_read_only_one():
+    basis = np.eye(3)[:, :2]
+    stalk = Stalk(basis)
+    assert basis.flags.writeable and not np.shares_memory(stalk.basis, basis)
+    basis[0, 0] = 5.0
+    assert stalk.basis[0, 0] == 1.0
+    assert Stalk(stalk.basis).basis is stalk.basis
+
+
+@pytest.mark.parametrize("validated", [True, False])
+def test_validated_flag_is_set_at_construction_and_survives_json(validated):
+    base = trivial_bundle(5, 2)
+    sheaf = CellSheaf(base.complex, base.stalks, base.restrictions, validated=validated)
+    assert sheaf.validated is validated
+    assert sheaf_from_json(sheaf_to_json(sheaf)).validated is validated
+    with pytest.raises(AttributeError):
+        sheaf.validated = not validated
+
+
 def test_sheaf_copies_writeable_restrictions_and_shares_read_only_ones():
     base = trivial_bundle(5, 2)
     restrictions = {k: np.array(m) for k, m in base.restrictions.items()}

@@ -346,7 +346,7 @@ def test_local_witness_energy_accounting():
 def test_local_witness_relative_channel():
     sheaf = hidden_twist_bundle(10, 0.3)
     grounding = grounding_from_padding(sheaf)
-    witness = local_witness_relative(sheaf, grounding, WitnessConfig())
+    witness = local_witness_relative(channel_set(sheaf, grounding), WitnessConfig())
     assert set(witness.scores) == set(sheaf.complex.edges)
     assert all(v >= 0 for v in witness.scores.values())
     assert any(v > 0 for v in witness.scores.values())
@@ -522,9 +522,8 @@ def test_vectorized_witnesses_match_loop_reference(make):
             if coface is not None:
                 _assert_scores_close(coface_energy_map(sheaf, j, cfg).scores, coface)
             if relative is not None:
-                grounding = grounding_from_padding(sheaf)
-                _assert_scores_close(local_witness_relative(sheaf, grounding, cfg).scores,
-                                     relative)
+                channels = channel_set(sheaf, grounding_from_padding(sheaf))
+                _assert_scores_close(local_witness_relative(channels, cfg).scores, relative)
 
 
 @pytest.mark.parametrize("make", [
@@ -534,25 +533,26 @@ def test_vectorized_witnesses_match_loop_reference(make):
     lambda: _feature_sheaf(3),
 ], ids=["hidden-twist", "clique-complex", "feature-sheaf"])
 def test_witnesses_from_channel_set_equal_standalone(make):
-    # given the spectra of the channel set's L_j, the maps equal those a fresh
-    # copy of the sheaf builds alone, bit for bit
+    # once a channel set and a run of diagnostics have read the sheaf's L_j and
+    # their spectra, the maps still equal those a fresh copy builds alone, bit
+    # for bit
+    from sheafgauge.diagnostics import run_diagnostics
+
     sheaf = make()
     channels = channel_set(sheaf, grounding_from_padding(sheaf))
-    spectra = {0: eigendecompose(channels.l0), 1: eigendecompose(channels.l1)}
+    run_diagnostics(sheaf, grounding_from_padding(sheaf))
+    assert channels.l1 is laplacian(sheaf, 1)
     for cfg in (WitnessConfig(), WitnessConfig(delta1=3.0, weight="uniform")):
         for j in (0, 1):
-            assert local_witness(sheaf, j, cfg, spectra[j]) == local_witness(make(), j, cfg)
-            assert coface_energy_map(sheaf, j, cfg, spectra[j]) == \
-                coface_energy_map(make(), j, cfg)
+            assert local_witness(sheaf, j, cfg) == local_witness(make(), j, cfg)
+            assert coface_energy_map(sheaf, j, cfg) == coface_energy_map(make(), j, cfg)
 
 
 @pytest.mark.parametrize("j", [-1, 3])
 def test_local_witness_rejects_a_degree_without_laplacian(j):
     sheaf = trivial_bundle(6, 2)
-    spectrum = eigendecompose(laplacian(sheaf, 0))
-    for given in (None, spectrum):
-        with pytest.raises(ValueError, match=f"laplacian degree must be 0, 1 or 2, got {j}"):
-            local_witness(sheaf, j, WitnessConfig(), spectrum=given)
+    with pytest.raises(ValueError, match=f"laplacian degree must be 0, 1 or 2, got {j}"):
+        local_witness(sheaf, j, WitnessConfig())
 
 
 def test_local_witness_degenerate_cluster_block_rule():
@@ -572,7 +572,7 @@ def test_local_witness_degenerate_cluster_block_rule():
 
 
 def test_normalize_trace_over_rank():
-    result = normalize_spectrum(diag_operator([0.0, 2.0]))
+    result = normalize_spectrum(diag_operator([0.0, 2.0]), spectrum_of([0.0, 2.0]))
     assert not result.was_zero
     assert np.allclose(result.spectrum.eigenvalues, [0.0, 1.0])
     assert result.scale == 2.0
@@ -582,7 +582,7 @@ def test_normalize_preserves_kernel_and_order():
     for sheaf in (trivial_bundle(10), mobius_bundle(10), hidden_twist_bundle(10, 0.3)):
         lap = laplacian(sheaf, 0)
         before = eigendecompose(lap)
-        result = normalize_spectrum(lap)
+        result = normalize_spectrum(lap, before)
         scaled = SheafLaplacian(lap.matrix / result.scale, 0)
         after = eigendecompose(scaled)
         assert kernel_dim(before) == kernel_dim(after)
@@ -592,18 +592,17 @@ def test_normalize_preserves_kernel_and_order():
         rank = after.dim - kernel_dim(after)
         assert abs(mass / rank - 1.0) < 1e-10
         # the spectrum derived without a second eigh agrees with a fresh one
-        derived = normalize_spectrum(lap, before).spectrum
+        derived = result.spectrum
         assert np.allclose(derived.eigenvalues, after.eigenvalues, rtol=0,
                            atol=1e-12 * after.lambda_max)
         assert derived.eigenvectors is before.eigenvectors
         # the raw cutoff, divided: the derived spectrum splits at the raw kernel_dim
         assert derived.threshold == before.threshold / result.scale
         assert kernel_dim(derived) == kernel_dim(before) == kernel_dim(after)
-        assert result.spectrum.eigenvalues.tolist() == derived.eigenvalues.tolist()
 
 
 def test_normalize_zero_operator_flagged():
-    result = normalize_spectrum(diag_operator([0.0, 0.0]))
+    result = normalize_spectrum(diag_operator([0.0, 0.0]), spectrum_of([0.0, 0.0]))
     assert result.was_zero
     assert result.scale == 1.0
     assert result.spectrum.eigenvalues.tolist() == [0.0, 0.0]
@@ -678,6 +677,31 @@ def test_cone_reduction_identical_sides():
     assert report.eta == 0.0
     assert report.v_bound == 0.0
     assert report.measured == 0.0
+
+
+def test_cone_reduction_decomposes_each_block_once(monkeypatch):
+    sheaf = trivial_bundle(8, 2)
+    side = cone_reduction_side(algebraic_cone(sheaf, grounding_from_padding(sheaf)))
+    solved = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(m) or original(m))
+    report = verify_cone_reduction(side, side)
+    # base_f, gram_f, base_w, gram_w and the two cone blocks
+    assert len(solved) == 6
+    assert verify_cone_reduction(side, side) == report
+    assert len(solved) == 6
+    cone = np.sort(np.concatenate([original(side.base_f + side.gram_f),
+                                   original(side.base_w + side.gram_w)]))
+    assert side.cone_spectrum().tobytes() == cone.tobytes()
+    # a hypothesis that fails computes no spectrum
+    broken = synthetic_commuting_side(0)
+    noise = np.random.default_rng(5).normal(size=broken.gram_f.shape)
+    from sheafgauge.spectral import ConeReductionSide
+
+    other = ConeReductionSide(broken.base_f, broken.gram_f + noise + noise.T,
+                              broken.base_w, broken.gram_w, 0.0)
+    assert verify_cone_reduction(broken, other).status == "hypothesis-not-met"
+    assert len(solved) == 6
 
 
 def test_cone_reduction_equal_gramians_theta_zero():
