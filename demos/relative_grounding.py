@@ -10,34 +10,33 @@ import numpy as np
 
 from sheafgauge import (
     channel_set,
-    eigendecompose,
     grounding_identity_c1,
     grounding_killing_kernel,
     kernel_dim,
+    laplacian,
     separation_check,
     trivial_bundle,
 )
 
-sheaf = trivial_bundle(10)
+# one copy of the sheaf per grounding, so the base operators below are two
+# assemblies, not one kept matrix compared with itself
+sheaves = {"full-rank": trivial_bundle(10), "rank-deficient": trivial_bundle(10)}
 groundings = {
-    "full-rank": grounding_identity_c1(sheaf),
-    "rank-deficient": grounding_killing_kernel(sheaf),
+    "full-rank": grounding_identity_c1(sheaves["full-rank"]),
+    "rank-deficient": grounding_killing_kernel(sheaves["rank-deficient"]),
 }
 
-base = {}
 for name, grounding in groundings.items():
-    channels = channel_set(sheaf, grounding)
-    base[name] = (channels.l0.matrix, channels.l1.matrix)
-    relative = eigendecompose(channels.relative)
-    print(f"{name:14s}  dim ker (L1 + eps^T eps) = {kernel_dim(relative)}")
+    channels = channel_set(sheaves[name], grounding)
+    print(f"{name:14s}  dim ker (L1 + eps^T eps) = {kernel_dim(channels.relative_spectrum)}")
 
-identical = np.array_equal(base["full-rank"][0], base["rank-deficient"][0]) and \
-    np.array_equal(base["full-rank"][1], base["rank-deficient"][1])
+identical = all(np.array_equal(laplacian(sheaves["full-rank"], j).matrix,
+                               laplacian(sheaves["rank-deficient"], j).matrix) for j in (0, 1))
 print(f"\nbase channels identical across the pair: {identical}")
 
 print("\nseparation check (kernel of the relative channel vs grounding on harmonics):")
 for name, grounding in groundings.items():
-    report = separation_check(sheaf, grounding)
+    report = separation_check(sheaves[name], grounding)
     gamma = "gap > 0" if report.gamma else "kernel present"
     print(f"  {name:14s} dims (a, b, c) = ({report.dim_a}, {report.dim_b}, "
           f"{report.dim_c})  ->  {gamma}")

@@ -194,7 +194,7 @@ def cmd_build(args) -> int:
         sheaf = build_sheaf_from_features(graph, features, _pipeline_config(cfg))
     except ValueError as exc:
         raise CliInputError(str(exc))
-    violations = [] if sheaf.validated else validate_sheaf(sheaf)
+    violations = validate_sheaf(sheaf)
     payload = sheaf_to_json_dict(sheaf)
     payload["params"] = cfg.to_json_dict()
     write_json(_out(cfg, "sheaf.json"), payload)

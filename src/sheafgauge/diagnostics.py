@@ -153,8 +153,9 @@ def run_diagnostics(sheaf: CellSheaf, grounding: GroundingMorphism,
     reports = {}
     spectra = {}
     for name, operator, lap, spectrum, auxiliary in (
-        ("local_feasibility", "base", channels.l0, laplacian_spectrum(sheaf, 0), False),
-        ("intrinsic_obstruction", "base", channels.l1, laplacian_spectrum(sheaf, 1), False),
+        ("local_feasibility", "base", laplacian(sheaf, 0), laplacian_spectrum(sheaf, 0), False),
+        ("intrinsic_obstruction", "base", laplacian(sheaf, 1), laplacian_spectrum(sheaf, 1),
+         False),
         ("relative_cone", "channel", channels.relative, channels.relative_spectrum, False),
         ("ground_utilization", "channel", channels.utilization, channels.utilization_spectrum,
          True),
@@ -405,12 +406,10 @@ def experiment_localization(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
 def experiment_relativity(n: int = N_DEFAULT, stalk_dim: int = 1) -> ExperimentResult:
     """Same sheaf, two groundings: only the cone channel tells them apart."""
     _check_params(n, stalk_dim=stalk_dim)
-    sheaf = trivial_bundle(n, stalk_dim)
-    groundings = {
-        "fullrank": grounding_identity_c1(sheaf),
-        "deficient": grounding_killing_kernel(sheaf),
-    }
-    channel_sets = {name: channel_set(sheaf, g) for name, g in groundings.items()}
+    # one sheaf per grounding: the base channels compare two assemblies
+    full, deficient = trivial_bundle(n, stalk_dim), trivial_bundle(n, stalk_dim)
+    channel_sets = {"fullrank": channel_set(full, grounding_identity_c1(full)),
+                    "deficient": channel_set(deficient, grounding_killing_kernel(deficient))}
     rows = []
     for name, channels in channel_sets.items():
         spectrum = channels.relative_spectrum
@@ -419,12 +418,8 @@ def experiment_relativity(n: int = N_DEFAULT, stalk_dim: int = 1) -> ExperimentR
             "lambda_min_relative": _lambda_min(spectrum),
             "kernel_dim_relative": kernel_dim(spectrum),
         })
-    base_equal = bool(
-        np.array_equal(channel_sets["fullrank"].l0.matrix,
-                       channel_sets["deficient"].l0.matrix)
-        and np.array_equal(channel_sets["fullrank"].l1.matrix,
-                           channel_sets["deficient"].l1.matrix)
-    )
+    base_equal = all(np.array_equal(laplacian(full, j).matrix, laplacian(deficient, j).matrix)
+                     for j in (0, 1))
     verdict = {
         "fullrank_kernel": rows[0]["kernel_dim_relative"],
         "deficient_kernel": rows[1]["kernel_dim_relative"],

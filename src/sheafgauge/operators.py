@@ -10,8 +10,9 @@ so does a channel set; every check here reads those.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -211,27 +212,33 @@ class GroundingModeError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundingMorphism:
-    """Linear maps from stalks into an ambient reference space W.
-
-    Two modes: ``vertex-level`` stores one map per cell, as produced by the
-    padding construction; ``cochain-on-c1`` stores a single map on C^1, the
-    regime of the separation check and of the diagnostic channels.
+    """Linear maps from stalks into an ambient reference space W, given by one
+    of two payloads that also fixes ``mode`` and ``target_dim`` = dim W:
+    ``cell_maps``, one map per cell with a common row count (``vertex-level``,
+    as the padding construction gives; dim W is 0 without cells), kept as a
+    read-only mapping, or ``c1_matrix``, one map on C^1 (``cochain-on-c1``,
+    the regime of the separation check and of the diagnostic channels).
     """
 
-    target_dim: int
-    mode: str
     cell_maps: dict | None = None
     c1_matrix: np.ndarray | None = None
+    mode: str = field(init=False)
+    target_dim: int = field(init=False)
 
     def __post_init__(self):
-        if self.mode not in (VERTEX_LEVEL, COCHAIN_C1):
-            raise GroundingModeError(f"unknown grounding mode {self.mode!r}")
-        if self.mode == VERTEX_LEVEL and self.cell_maps is None:
-            raise GroundingModeError("vertex-level grounding needs cell_maps")
-        if self.mode == COCHAIN_C1 and self.c1_matrix is None:
-            raise GroundingModeError("cochain-on-c1 grounding needs c1_matrix")
+        if (self.cell_maps is None) == (self.c1_matrix is None):
+            raise GroundingModeError("a grounding takes exactly one of cell_maps and c1_matrix")
+        if self.c1_matrix is not None:
+            mode, rows = COCHAIN_C1, {np.shape(self.c1_matrix)[0]}
+        else:  # a read-only copy, so no map of another row count can be swapped in
+            object.__setattr__(self, "cell_maps", MappingProxyType(dict(self.cell_maps)))
+            mode, rows = VERTEX_LEVEL, {np.shape(m)[0] for m in self.cell_maps.values()}
+        if len(rows) > 1:
+            raise GroundingModeError(f"cell maps have different row counts {sorted(rows)}")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "target_dim", rows.pop() if rows else 0)
 
     def cell_map(self, cell):
         if self.cell_maps is None:
@@ -274,13 +281,13 @@ def grounding_from_padding(sheaf: CellSheaf) -> GroundingMorphism:
         block = np.zeros((d_max, stalk.dim))
         block[: stalk.ambient_dim] = stalk.basis
         cell_maps[cell] = block
-    return GroundingMorphism(d_max, VERTEX_LEVEL, cell_maps=cell_maps)
+    return GroundingMorphism(cell_maps=cell_maps)
 
 
 def grounding_identity_c1(sheaf: CellSheaf) -> GroundingMorphism:
     """Full-rank grounding: the identity on C^1."""
     n = sheaf.cochain_dim(1)
-    return GroundingMorphism(n, COCHAIN_C1, c1_matrix=np.eye(n))
+    return GroundingMorphism(c1_matrix=np.eye(n))
 
 
 def grounding_killing_kernel(sheaf: CellSheaf) -> GroundingMorphism:
@@ -292,12 +299,12 @@ def grounding_killing_kernel(sheaf: CellSheaf) -> GroundingMorphism:
     """
     kernel = laplacian_spectrum(sheaf, 1).kernel
     n = sheaf.cochain_dim(1)
-    return GroundingMorphism(n, COCHAIN_C1, c1_matrix=np.eye(n) - kernel @ kernel.T)
+    return GroundingMorphism(c1_matrix=np.eye(n) - kernel @ kernel.T)
 
 
 def grounding_zero_c1(sheaf: CellSheaf) -> GroundingMorphism:
     n = sheaf.cochain_dim(1)
-    return GroundingMorphism(n, COCHAIN_C1, c1_matrix=np.zeros((n, n)))
+    return GroundingMorphism(c1_matrix=np.zeros((n, n)))
 
 
 def constant_grounding(sheaf: CellSheaf, target_dim: int | None = None,
@@ -318,7 +325,7 @@ def constant_grounding(sheaf: CellSheaf, target_dim: int | None = None,
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(w, d)) if seed is not None else np.eye(w, d)
     cell_maps = dict.fromkeys(sheaf.stalks, a)
-    return GroundingMorphism(a.shape[0], VERTEX_LEVEL, cell_maps=cell_maps)
+    return GroundingMorphism(cell_maps=cell_maps)
 
 
 def propagate_cycle_grounding(sheaf: CellSheaf, seed: int,
@@ -350,7 +357,7 @@ def propagate_cycle_grounding(sheaf: CellSheaf, seed: int,
     closure = eps_e @ sheaf.restriction((v,), e) - cell_maps[(v,)]
     if np.max(np.abs(closure)) > 1e-8 * max(1.0, np.max(np.abs(cell_maps[(v,)]))):
         raise ValueError("cycle holonomy obstructs a compatible grounding")
-    return GroundingMorphism(w, VERTEX_LEVEL, cell_maps=cell_maps)
+    return GroundingMorphism(cell_maps=cell_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +402,8 @@ class MappingCone:
     defect ``defect_total``. The differentials are built from the
     coboundaries of ``sheaf`` and ``w_sheaf``, which each sheaf assembles
     once, so the certificates (cone equivalence, long exact sequence, cone
-    reduction) read the same matrices through the two sheaves.
+    reduction) read the same matrices through the two sheaves. d^2 = 0 holds
+    when ``sheaf`` is functorial and ``defect_total`` is 0; it is not formed.
     """
 
     sheaf: CellSheaf
@@ -404,8 +412,6 @@ class MappingCone:
     eps: dict
     d_std: dict
     defect_total: float
-    is_complex: bool
-    d_squared_residual: float
 
     def dim(self, n: int) -> int:
         return self.sheaf.cochain_dim(n + 1) + self.w_sheaf.cochain_dim(n)
@@ -431,8 +437,6 @@ def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism) -> MappingCon
 
     Each block is assembled once: the coboundaries of F and W (by the
     sheaves themselves), the cochain blocks of eps and the incidence defect.
-    If the defect is nonzero the cone is flagged non-complex and the d^2
-    residual is reported instead of asserted.
     """
     if grounding.mode != VERTEX_LEVEL:
         raise GroundingModeError("the algebraic cone needs a vertex-level grounding")
@@ -453,22 +457,8 @@ def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism) -> MappingCon
                 m[f_rows:, f_cols:] = coboundary(wsheaf, n).matrix
             d_std[n] = m
 
-    defect = incidence_defect(sheaf, grounding)
-    residual = 0.0
-    for n in sorted(d_std):
-        if n + 1 in d_std:
-            residual = max(residual, float(np.max(np.abs(d_std[n + 1] @ d_std[n]))))
-    scale = max([1.0] + [float(np.max(np.abs(m))) for m in d_std.values()])
-    return MappingCone(
-        sheaf=sheaf,
-        grounding=grounding,
-        w_sheaf=wsheaf,
-        eps=eps,
-        d_std=d_std,
-        defect_total=defect,
-        is_complex=residual <= 1e-10 * scale,
-        d_squared_residual=residual,
-    )
+    return MappingCone(sheaf=sheaf, grounding=grounding, w_sheaf=wsheaf, eps=eps,
+                       d_std=d_std, defect_total=incidence_defect(sheaf, grounding))
 
 
 def geometric_cone_sheaf(sheaf: CellSheaf, grounding: GroundingMorphism) -> CellSheaf:
@@ -654,24 +644,21 @@ def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """The four taxonomy operators of a (sheaf, grounding) pair.
+    """The grounded taxonomy operators of a (sheaf, grounding) pair; L_0 and
+    L_1 are ``laplacian(channels.sheaf, j)``, kept by the sheaf.
 
-    ``l0`` and ``l1`` are the sheaf's own, which also keeps their spectra
-    (``laplacian_spectrum``). ``relative`` = L_1 + eps^T eps is the
-    cone-degree Hodge Laplacian of the grounded complex; ``utilization`` =
-    eps eps^T is an auxiliary Gram operator on W, not a sheaf Laplacian; both
-    are read-only and decomposed once, on first use. ``coupling_norm`` =
-    ||d_1 eps^T|| measures the failure of the block decomposition on
-    complexes with triangles (it vanishes identically on cycle complexes).
+    ``relative`` = L_1 + eps^T eps is the cone-degree Hodge Laplacian of the
+    grounded complex; ``utilization`` = eps eps^T is an auxiliary Gram
+    operator on W, not a sheaf Laplacian; both are read-only and decomposed
+    once, on first use. ``coupling_norm`` = ||d_1 eps^T||, also computed on
+    first use, measures the failure of the block decomposition on complexes
+    with triangles (it vanishes identically on cycle complexes).
     """
 
     sheaf: CellSheaf
-    l0: SheafLaplacian
-    l1: SheafLaplacian
     relative: SheafLaplacian
     utilization: SheafLaplacian
     eps: np.ndarray
-    coupling_norm: float
 
     @cached_property
     def relative_spectrum(self) -> Spectrum:
@@ -681,17 +668,18 @@ class ChannelSet:
     def utilization_spectrum(self) -> Spectrum:
         return decompose(self.utilization)
 
+    @cached_property
+    def coupling_norm(self) -> float:
+        d1 = coboundary(self.sheaf, 1).matrix
+        return float(np.linalg.norm(d1 @ self.eps.T)) if d1.size else 0.0
+
 
 def channel_set(sheaf: CellSheaf, grounding: GroundingMorphism) -> ChannelSet:
     eps = grounding.c1_map(sheaf)
-    d1 = coboundary(sheaf, 1).matrix
-    l1 = laplacian(sheaf, 1)
-    relative = l1.matrix + eps.T @ eps
+    relative = laplacian(sheaf, 1).matrix + eps.T @ eps
     utilization = eps @ eps.T
     relative.flags.writeable = utilization.flags.writeable = False
-    coupling = float(np.linalg.norm(d1 @ eps.T)) if d1.size else 0.0
-    return ChannelSet(sheaf, laplacian(sheaf, 0), l1, SheafLaplacian(relative, 1),
-                      SheafLaplacian(utilization, 0), eps, coupling)
+    return ChannelSet(sheaf, SheafLaplacian(relative, 1), SheafLaplacian(utilization, 0), eps)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,8 @@ class Stalk:
         b = _read_only(self.basis)
         if b.ndim != 2:
             raise ValueError("stalk basis must be a 2d array")
+        if not np.isfinite(b).all():
+            raise ValueError("stalk basis contains NaN or inf")
         object.__setattr__(self, "basis", b)
         gram = b.T @ b
         if gram.size and np.max(np.abs(gram - np.eye(b.shape[1]))) > ORTHONORMALITY_TOL:
@@ -93,24 +95,26 @@ class FeaturePipelineConfig:
 
 
 class CellSheaf:
-    """Stalks per cell plus restriction maps per codimension-1 incidence,
-    fixed at construction.
-
-    ``restrictions`` maps ``(face, coface)`` to a matrix of shape
-    ``(stalk_dim(coface), stalk_dim(face))``. ``stalks`` and
-    ``restrictions`` are read-only mappings, every stalk basis and every
-    restriction is a read-only array (a writeable input is copied once, a
-    read-only one is shared) and ``validated`` is fixed. So what is computed
-    from a sheaf is computed once: the cochain layout at construction, each
-    coboundary, Laplacian and spectrum on first use (``derived``).
+    """One stalk per cell and one finite restriction matrix, of shape
+    ``(stalk_dim(coface), stalk_dim(face))``, per incidence keyed
+    ``(face, coface)``, fixed at construction; a missing or extra key is an
+    error. Both are read-only mappings of read-only arrays (a writeable input
+    is copied once, a read-only one is shared). So what is computed from a
+    sheaf is computed once: the cochain layout at construction; each
+    coboundary, Laplacian and spectrum, and ``validated``, on first use.
     """
 
-    def __init__(self, complex_: CliqueComplex, stalks, restrictions, validated=False):
+    def __init__(self, complex_: CliqueComplex, stalks, restrictions):
         self.complex = complex_
         self.stalks = MappingProxyType(dict(stalks))
         self.restrictions = MappingProxyType(
             {k: _read_only(m) for k, m in restrictions.items()})
-        self._validated = validated
+        cells = [complex_.cells(j) for j in (0, 1, 2)]
+        known = set().union(*cells)
+        if self.stalks.keys() != known:
+            missing, extra = known - self.stalks.keys(), self.stalks.keys() - known
+            raise ValueError(f"missing stalk for cell {min(missing)}" if missing
+                             else f"stalk for {min(extra)}, not a cell of the complex")
         dims = {cell: stalk.dim for cell, stalk in self.stalks.items()}
         for (coface, face) in complex_.incidences:
             if (face, coface) not in self.restrictions:
@@ -121,24 +125,33 @@ class CellSheaf:
                 raise ValueError(
                     f"restriction {face} -> {coface} has shape {m.shape}, expected {expected}"
                 )
+        if len(self.restrictions) > len(complex_.incidences):
+            face, coface = min(k for k in self.restrictions if k[::-1] not in complex_.incidences)
+            raise ValueError(f"restriction {face} -> {coface}, not an incidence of the complex")
+        # one test of all entries at once; the culprit is looked up only on failure
+        entries = np.concatenate([np.zeros(0)] + [m.ravel() for m in self.restrictions.values()])
+        if not np.isfinite(entries).all():
+            face, coface = next(k for k, m in self.restrictions.items()
+                                if not np.isfinite(m).all())
+            raise ValueError(f"restriction {face} -> {coface} contains NaN or inf")
         self._slices = {}
         self._owners = {}
         for j in (0, 1, 2):
-            cells = complex_.cells(j)
-            sizes = [dims[cell] for cell in cells]
+            sizes = [dims[cell] for cell in cells[j]]
             slices = self._slices[j] = {}
             offset = 0
-            for cell, d in zip(cells, sizes):
+            for cell, d in zip(cells[j], sizes):
                 slices[cell] = slice(offset, offset + d)
                 offset += d
-            owner = np.repeat(np.arange(len(cells)), sizes)
+            owner = np.repeat(np.arange(len(sizes)), sizes)
             owner.flags.writeable = False
             self._owners[j] = owner
         self._derived = {}
 
     @property
     def validated(self):
-        return self._validated
+        """No functoriality violation: ``not validate_sheaf(self)``."""
+        return not validate_sheaf(self)
 
     def stalk_dim(self, cell):
         return self.stalks[tuple(cell)].dim
@@ -201,23 +214,23 @@ def validate_sheaf(sheaf: CellSheaf):
 
     For vertex v of triangle t with edges e1, e2 of t containing v, the
     defect is ||rho_{e1->t} rho_{v->e1} - rho_{e2->t} rho_{v->e2}||_F.
-    Report-only: returns the list of violations above ``FUNCTORIALITY_TOL``.
+    Report-only: returns the list of violations above ``FUNCTORIALITY_TOL``,
+    found in one pass on the first request and kept by the sheaf.
     """
-    return _functoriality_violations(sheaf.complex, sheaf.restrictions)
+    def violations(sheaf):
+        complex_, restrictions = sheaf.complex, sheaf.restrictions
+        found = []
+        for t in complex_.triangles:
+            for v in t:
+                e1, e2 = sorted(e for e in complex_.faces(t) if v in e)
+                via1 = restrictions[(e1, t)] @ restrictions[((v,), e1)]
+                via2 = restrictions[(e2, t)] @ restrictions[((v,), e2)]
+                defect = float(np.linalg.norm(via1 - via2))
+                if defect > FUNCTORIALITY_TOL:
+                    found.append(FunctorialityViolation(t, (v,), defect))
+        return tuple(found)
 
-
-def _functoriality_violations(complex_: CliqueComplex, restrictions):
-    """``validate_sheaf`` on a restriction table keyed like ``CellSheaf.restrictions``."""
-    violations = []
-    for t in complex_.triangles:
-        for v in t:
-            e1, e2 = sorted(e for e in complex_.faces(t) if v in e)
-            via1 = restrictions[(e1, t)] @ restrictions[((v,), e1)]
-            via2 = restrictions[(e2, t)] @ restrictions[((v,), e2)]
-            defect = float(np.linalg.norm(via1 - via2))
-            if defect > FUNCTORIALITY_TOL:
-                violations.append(FunctorialityViolation(t, (v,), defect))
-    return violations
+    return list(sheaf.derived("functoriality_violations", violations))
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +356,7 @@ def build_sheaf_from_features(g: Graph, features, cfg: FeaturePipelineConfig | N
         restrictions[((u, v), (u, v, w))] = r_uv
         restrictions[((v, w), (u, v, w))] = r_vw
         restrictions[((u, w), (u, v, w))] = r_uw
-    validated = not _functoriality_violations(complex_, restrictions)
-    return CellSheaf(complex_, stalks, restrictions, validated=validated)
+    return CellSheaf(complex_, stalks, restrictions)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +405,7 @@ def _cycle_sheaf(n: int, stalk_dim: int, maps):
         for v in e:
             key = ((v,), e)
             restrictions[key] = maps.get(key, eye)
-    return CellSheaf(complex_, stalks, restrictions, validated=True)
+    return CellSheaf(complex_, stalks, restrictions)
 
 
 def make_line_bundle(n: int, stalk_dim: int = 1, edge_twists=None) -> CellSheaf:
@@ -481,7 +493,7 @@ def add_restriction_noise(sheaf: CellSheaf, sigma: float, seed: int) -> CellShea
             m = rotated[key] = q.dot(sheaf.restrictions[key])
             m.flags.writeable = False  # a fresh array: the new sheaf shares it
     restrictions = {k: rotated.get(k, m) for k, m in sheaf.restrictions.items()}
-    return CellSheaf(sheaf.complex, sheaf.stalks.copy(), restrictions, validated=sheaf.validated)
+    return CellSheaf(sheaf.complex, sheaf.stalks.copy(), restrictions)
 
 
 def noisy_trivial_bundle(n: int, sigma: float, seed: int, stalk_dim: int = 2) -> CellSheaf:
@@ -500,7 +512,7 @@ def constant_sheaf(complex_: CliqueComplex, dim: int) -> CellSheaf:
             stalks[cell] = stalk
     for (coface, face) in complex_.incidences:
         restrictions[(face, coface)] = eye
-    return CellSheaf(complex_, stalks, restrictions, validated=True)
+    return CellSheaf(complex_, stalks, restrictions)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +552,7 @@ def sheaf_to_json_dict(sheaf: CellSheaf) -> dict:
 
 
 def sheaf_from_json_dict(data: dict) -> CellSheaf:
+    """Inverse of ``sheaf_to_json_dict``; the ``validated`` key, for readers, is ignored."""
     version = data.get("schema_version")
     if version != SHEAF_SCHEMA_VERSION:
         raise ValueError(f"unsupported sheaf schema version {version!r}")
@@ -553,7 +566,7 @@ def sheaf_from_json_dict(data: dict) -> CellSheaf:
         (tuple(item["face"]), tuple(item["coface"])): _matrix_from_payload(item["matrix"])
         for item in data["restrictions"]
     }
-    return CellSheaf(complex_, stalks, restrictions, validated=data.get("validated", False))
+    return CellSheaf(complex_, stalks, restrictions)
 
 
 def sheaf_to_json(sheaf: CellSheaf) -> str:

@@ -470,8 +470,8 @@ class ConeReductionSide:
     ``base_f`` and ``gram_f`` act on the model cochain space (cone block
     ``cone_f`` = L_F + eps^T eps), ``base_w`` and ``gram_w`` on the grounding
     side (block ``cone_w`` = L_W + eps eps^T). ``intertwine_residual`` is
-    ||d_W^T eps - eps d_F^T|| and the commutator norms cover the
-    simultaneous-diagonalization hypothesis.
+    ||d_W^T eps - eps d_F^T|| and the commutator norms, each formed once,
+    cover the simultaneous-diagonalization hypothesis.
     """
 
     base_f: np.ndarray
@@ -480,7 +480,8 @@ class ConeReductionSide:
     gram_w: np.ndarray
     intertwine_residual: float
 
-    def commutator_norms(self):
+    @cached_property
+    def commutator_norms(self) -> tuple:
         c_f = self.base_f @ self.gram_f - self.gram_f @ self.base_f
         c_w = self.base_w @ self.gram_w - self.gram_w @ self.base_w
         return float(np.max(np.abs(c_f))) if c_f.size else 0.0, \
@@ -563,8 +564,8 @@ def verify_cone_reduction(side_a: ConeReductionSide,
     profile interleaving. Hypothesis residuals above tolerance yield a
     hypothesis-not-met report with no bound asserted.
     """
-    comm_a = side_a.commutator_norms()
-    comm_b = side_b.commutator_norms()
+    comm_a = side_a.commutator_norms
+    comm_b = side_b.commutator_norms
     residuals = {
         "intertwine_a": side_a.intertwine_residual,
         "intertwine_b": side_b.intertwine_residual,

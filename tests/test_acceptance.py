@@ -171,10 +171,10 @@ def _compatible_fixtures():
         sheaf = _trivial_holonomy_bundle(6 + seed, 2, seed=seed)
         fixtures.append((sheaf, propagate_cycle_grounding(sheaf, seed=seed + 50)))
     mobius = mobius_bundle(8)
-    from sheafgauge.operators import VERTEX_LEVEL, GroundingMorphism
+    from sheafgauge.operators import GroundingMorphism
 
     zero_maps = {cell: np.zeros((2, mobius.stalk_dim(cell))) for cell in mobius.stalks}
-    fixtures.append((mobius, GroundingMorphism(2, VERTEX_LEVEL, cell_maps=zero_maps)))
+    fixtures.append((mobius, GroundingMorphism(cell_maps=zero_maps)))
     return fixtures
 
 

@@ -48,10 +48,11 @@ def test_build_malformed_json_names_byte_offset(tmp_path, capsys):
     assert "byte offset" in capsys.readouterr().err
 
 
-def test_build_functoriality_failure_exits_two(tmp_path, capsys):
-    # three planes around a shared axis, pairwise tilted by 25 degrees:
-    # permissive tolerances keep the misaligned directions and the
-    # two-path compositions through the triangle disagree
+def _tilted_planes(tmp_path):
+    """Arguments of a non-functorial build: three planes around a shared
+    axis, pairwise tilted by 25 degrees. Permissive tolerances keep the
+    misaligned directions, and the two-path compositions through the
+    triangle disagree."""
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
     e = np.eye(4)
@@ -64,13 +65,77 @@ def test_build_functoriality_failure_exits_two(tmp_path, capsys):
     feats = {"0": plane(0.0), "1": plane(theta), "2": plane(2 * theta)}
     features = tmp_path / "features.json"
     features.write_text(json.dumps({"features": feats}))
-    code = run(["build", "--input", str(graph), "--features", str(features),
-                "--edge-align-tol", "0.05", "--tri-eig-tol", "0.01",
-                "--out", str(tmp_path / "o")])
+    return ["build", "--input", str(graph), "--features", str(features),
+            "--edge-align-tol", "0.05", "--tri-eig-tol", "0.01"]
+
+
+def test_build_functoriality_failure_exits_two(tmp_path, capsys):
+    code = run(_tilted_planes(tmp_path) + ["--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
     assert "triangles" in err
     assert (tmp_path / "o" / "validation_report.json").exists()
+
+
+def test_build_runs_one_functoriality_pass(tmp_path, monkeypatch):
+    # the pass takes one norm per (vertex, triangle) flag, three on the one
+    # triangle; the exit code, the report and the file's flag all read it
+    norms = []
+    original = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(a) or original(*a, **k))
+    assert run(_tilted_planes(tmp_path) + ["--out", str(tmp_path / "o")]) == 2
+    assert len(norms) == 3
+    assert json.loads(read(tmp_path / "o" / "sheaf.json"))["validated"] is False
+
+
+def _edit_restriction(face, coface, entry, value):
+    def edit(data):
+        item = next(r for r in data["restrictions"]
+                    if (r["face"], r["coface"]) == (face, coface))
+        item["matrix"]["data"][entry] = value
+    return edit
+
+
+def _set_stalk_entry(data):
+    data["stalks"][2]["basis"]["data"][0] = float("nan")
+
+
+def _drop_stalk(data):
+    data["stalks"] = [item for item in data["stalks"] if item["cell"] != [0]]
+
+
+def _add_stalk(data):
+    data["stalks"].append({"cell": [0, 2], "basis": data["stalks"][0]["basis"]})
+
+
+def _add_restriction(data):
+    data["restrictions"].append({"face": [0], "coface": [2, 3],
+                                 "matrix": data["restrictions"][0]["matrix"]})
+
+
+@pytest.mark.parametrize("command", ["diagnose", "verify"])
+@pytest.mark.parametrize("edit, message", [
+    (_edit_restriction([1], [1, 2], 0, float("nan")),
+     "restriction (1,) -> (1, 2) contains NaN or inf"),
+    (_edit_restriction([1], [1, 2], 1, float("inf")),
+     "restriction (1,) -> (1, 2) contains NaN or inf"),
+    (_set_stalk_entry, "stalk basis contains NaN or inf"),
+    (_drop_stalk, "missing stalk for cell (0,)"),
+    (_add_stalk, "stalk for (0, 2), not a cell of the complex"),
+    (_add_restriction, "restriction (0,) -> (2, 3), not an incidence of the complex"),
+], ids=["nan-restriction", "inf-restriction", "nan-stalk", "missing-stalk", "extra-stalk",
+        "extra-restriction"])
+def test_mis_keyed_or_non_finite_sheaf_input_is_input_error(tmp_path, capsys, command, edit,
+                                                            message):
+    from sheafgauge.sheaves import sheaf_to_json_dict, trivial_bundle
+
+    data = sheaf_to_json_dict(trivial_bundle(5, 2))
+    edit(data)
+    path = tmp_path / "sheaf.json"
+    path.write_text(json.dumps(data))
+    assert run([command, "--input", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_diagnose_generator_mobius(tmp_path):

@@ -170,7 +170,7 @@ def test_separation_vacuous_without_harmonics():
 def test_taxonomy_each_mechanism_activates_its_channel():
     # four canonical fixtures, one per taxonomy row; each opens a kernel (or
     # drops the gap) in its designated operator and leaves the others alone
-    from sheafgauge.operators import COCHAIN_C1, GroundingMorphism
+    from sheafgauge.operators import GroundingMorphism
 
     base = trivial_bundle(10)
     baseline = run_diagnostics(base, grounding_identity_c1(base)).channels
@@ -190,7 +190,7 @@ def test_taxonomy_each_mechanism_activates_its_channel():
     # unused ground directions: only the utilization spectrum gains a kernel
     n1 = base.cochain_dim(1)
     eps = np.vstack([np.eye(n1), np.zeros((2, n1))])
-    wide = GroundingMorphism(n1 + 2, COCHAIN_C1, c1_matrix=eps)
+    wide = GroundingMorphism(c1_matrix=eps)
     utilization = run_diagnostics(base, wide).channels
     assert utilization["ground_utilization"].kernel_dim == 2
     assert utilization["relative_cone"].kernel_dim == baseline["relative_cone"].kernel_dim
@@ -428,6 +428,16 @@ def test_experiment_relativity():
     assert result.verdict["base_channels_identical"]
     deficient = next(r for r in result.rows if r["grounding"] == "deficient")
     assert deficient["lambda_min_relative"] < 1e-10
+
+
+def test_relativity_verdict_compares_two_assemblies(monkeypatch):
+    # each grounding gets its own copy of the sheaf, so the base-channel
+    # verdict can fail: here the deficient side is handed a Mobius bundle
+    import sheafgauge.diagnostics as diagnostics
+
+    makers = iter([trivial_bundle, mobius_bundle])
+    monkeypatch.setattr(diagnostics, "trivial_bundle", lambda *args: next(makers)(*args))
+    assert not experiment_relativity(10).verdict["base_channels_identical"]
 
 
 def test_experiments_deterministic():

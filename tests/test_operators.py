@@ -6,6 +6,7 @@ import pytest
 
 from sheafgauge.complexes import Graph, build_clique_complex, complete_graph, cycle_graph
 from sheafgauge.operators import (
+    COCHAIN_C1,
     COMPATIBILITY_TOL,
     VERTEX_LEVEL,
     ConeEquivalenceReport,
@@ -374,6 +375,52 @@ def test_propagated_grounding_obstructed_by_holonomy():
         propagate_cycle_grounding(mobius_bundle(6), seed=0)
 
 
+def test_grounding_mode_and_target_dim_are_read_from_the_payload():
+    sheaf = trivial_bundle(6, 2)
+    cell_maps = {cell: np.ones((3, 2)) for cell in sheaf.stalks}
+    vertex = GroundingMorphism(cell_maps=cell_maps)
+    assert (vertex.mode, vertex.target_dim) == (VERTEX_LEVEL, 3)
+    c1 = GroundingMorphism(c1_matrix=np.ones((4, sheaf.cochain_dim(1))))
+    assert (c1.mode, c1.target_dim) == (COCHAIN_C1, 4)
+    # no cells: W = R^0, as padding gives an empty sheaf
+    empty = constant_sheaf(build_clique_complex(Graph(0, [])), 2)
+    assert GroundingMorphism(cell_maps={}).target_dim == 0
+    assert grounding_from_padding(empty).target_dim == 0
+    # every grounding constructor agrees with the row count of its maps
+    for grounding in (grounding_from_padding(sheaf), constant_grounding(sheaf, target_dim=5),
+                      propagate_cycle_grounding(sheaf, seed=1, target_dim=4)):
+        assert {m.shape[0] for m in grounding.cell_maps.values()} == {grounding.target_dim}
+    # two-row maps make a two-dimensional W, so the cone assembles
+    two_rows = GroundingMorphism(cell_maps={cell: np.zeros((2, 2)) for cell in sheaf.stalks})
+    assert algebraic_cone(sheaf, two_rows).w_sheaf.stalk_dim((0,)) == 2
+    with pytest.raises(AttributeError):
+        vertex.target_dim = 2
+    with pytest.raises(AttributeError):
+        vertex.mode = COCHAIN_C1
+    # the maps are a read-only copy, so no map of another row count gets in
+    with pytest.raises(TypeError):
+        vertex.cell_maps[(0,)] = np.ones((5, 2))
+    cell_maps[(0,)] = np.ones((5, 2))
+    assert vertex.cell_maps[(0,)].shape == (3, 2)
+
+
+def test_grounding_rejects_payloads_that_do_not_determine_it():
+    sheaf = trivial_bundle(6, 2)
+    maps = {cell: np.eye(2) for cell in sheaf.stalks}
+    with pytest.raises(GroundingModeError, match="exactly one of cell_maps and c1_matrix"):
+        GroundingMorphism()
+    with pytest.raises(GroundingModeError, match="exactly one of cell_maps and c1_matrix"):
+        GroundingMorphism(cell_maps=maps, c1_matrix=np.eye(sheaf.cochain_dim(1)))
+    maps[(0, 1)] = np.ones((3, 2))
+    with pytest.raises(GroundingModeError, match=re.escape("row counts [2, 3]")):
+        GroundingMorphism(cell_maps=maps)
+    # the mode and the target dimension are not arguments
+    with pytest.raises(TypeError):
+        GroundingMorphism(3, VERTEX_LEVEL, cell_maps=maps)
+    with pytest.raises(TypeError):
+        GroundingMorphism(c1_matrix=np.eye(2), target_dim=2)
+
+
 # ---------------------------------------------------------------------------
 # Mapping cones
 # ---------------------------------------------------------------------------
@@ -404,11 +451,17 @@ def test_cone_split_at_zero_morphism():
         assert np.max(np.abs(cone_spec - split)) < 1e-8
 
 
+def _d_squared(cone):
+    """Largest entry of every product of two consecutive cone differentials."""
+    return max(float(np.max(np.abs(cone.differential(n + 1) @ cone.differential(n)),
+                            initial=0.0)) for n in (-2, -1, 0, 1))
+
+
 def test_cone_of_identity_is_acyclic():
     sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
     grounding = constant_grounding(sheaf, matrix=np.eye(2))
     cone = algebraic_cone(sheaf, grounding)
-    assert cone.is_complex
+    assert _d_squared(cone) <= 1e-10
     for n in (-1, 0, 1, 2):
         assert cone.betti(n) == 0
 
@@ -418,16 +471,14 @@ def test_cone_d_squared_for_compatible_morphism():
     grounding = propagate_cycle_grounding(sheaf, seed=7)
     cone = algebraic_cone(sheaf, grounding)
     assert cone.defect_total < 1e-10
-    assert cone.d_squared_residual < 1e-10
-    assert cone.is_complex
+    assert _d_squared(cone) < 1e-10
 
 
 def test_cone_flags_incompatible_morphism():
     sheaf = mobius_bundle(6)
     cone = algebraic_cone(sheaf, grounding_from_padding(sheaf))
     assert cone.defect_total > 0.1
-    assert not cone.is_complex
-    assert cone.d_squared_residual > 0.0
+    assert _d_squared(cone) > 1e-10
 
 
 def test_geometric_cone_sheaf_shape():
@@ -462,10 +513,10 @@ def test_cone_equivalence_constant_case():
 def test_cone_equivalence_mobius_zero_grounding():
     # the only compatible grounding on the Mobius bundle is zero
     sheaf = mobius_bundle(10)
-    from sheafgauge.operators import VERTEX_LEVEL, GroundingMorphism
+    from sheafgauge.operators import GroundingMorphism
 
     cell_maps = {cell: np.zeros((2, sheaf.stalk_dim(cell))) for cell in sheaf.stalks}
-    grounding = GroundingMorphism(2, VERTEX_LEVEL, cell_maps=cell_maps)
+    grounding = GroundingMorphism(cell_maps=cell_maps)
     report = verify_cone_equivalence(algebraic_cone(sheaf, grounding))
     assert report.status == "pass"
     assert report.max_residual < 1e-12
@@ -565,7 +616,7 @@ def _shared_cone_fixtures():
         fixtures.append((sheaf, propagate_cycle_grounding(sheaf, seed=seed)))
     mobius = mobius_bundle(8)
     zero_maps = {cell: np.zeros((2, mobius.stalk_dim(cell))) for cell in mobius.stalks}
-    fixtures.append((mobius, GroundingMorphism(2, VERTEX_LEVEL, cell_maps=zero_maps)))
+    fixtures.append((mobius, GroundingMorphism(cell_maps=zero_maps)))
     fixtures.append((mobius, grounding_from_padding(mobius)))
     return fixtures
 
@@ -670,7 +721,7 @@ def test_les_hypothesis_violation():
 def test_channel_set_zero_grounding():
     sheaf = trivial_bundle(10)
     channels = channel_set(sheaf, grounding_zero_c1(sheaf))
-    assert np.array_equal(channels.relative.matrix, channels.l1.matrix)
+    assert np.array_equal(channels.relative.matrix, laplacian(sheaf, 1).matrix)
     assert np.max(np.abs(channels.utilization.matrix)) == 0.0
 
 
@@ -686,7 +737,7 @@ def test_channel_set_relative_is_l1_plus_gram():
     grounding = grounding_killing_kernel(sheaf)
     channels = channel_set(sheaf, grounding)
     gram = channels.eps.T @ channels.eps
-    assert np.array_equal(channels.relative.matrix, channels.l1.matrix + gram)
+    assert np.array_equal(channels.relative.matrix, laplacian(sheaf, 1).matrix + gram)
 
 
 def _record_assemblies(monkeypatch):
@@ -727,15 +778,13 @@ def test_channel_set_assembles_each_coboundary_once(monkeypatch):
         calls.clear()
         channels = channel_set(sheaf, grounding_from_padding(sheaf))
         channel_set(sheaf, grounding_identity_c1(sheaf))
-        # the channel sets hold the sheaf's own L_0 and L_1
-        assert sorted(calls) == [("L", 0), ("L", 1), ("d", 0), ("d", 1)]
-        assert channels.l1 is laplacian(sheaf, 1)
-        assert channels.l0 is laplacian(sheaf, 0)
+        # the channel sets read the sheaf's own L_1, and nothing reads L_0
+        assert sorted(calls) == [("L", 1), ("d", 0), ("d", 1)]
         # bit-equal to a fresh copy's operators, and read-only
         copy = sheaf_from_json(sheaf_to_json(sheaf))
-        for j, lap in ((0, channels.l0), (1, channels.l1)):
-            assert np.array_equal(lap.matrix, _assemble_laplacian(copy, j).matrix)
-        for lap in (channels.l0, channels.l1, channels.relative, channels.utilization):
+        relative = _assemble_laplacian(copy, 1).matrix + channels.eps.T @ channels.eps
+        assert np.array_equal(channels.relative.matrix, relative)
+        for lap in (channels.relative, channels.utilization):
             assert not lap.matrix.flags.writeable
 
 
@@ -743,7 +792,7 @@ def test_block_decomposition_assembles_two_coboundaries(monkeypatch):
     calls = _record_assemblies(monkeypatch)
     sheaf = constant_sheaf(build_clique_complex(complete_graph(5)), 2)
     verify_block_decomposition(sheaf, grounding_identity_c1(sheaf))
-    assert sorted(calls) == [("L", 0), ("L", 1), ("d", 0), ("d", 1)]
+    assert sorted(calls) == [("L", 1), ("d", 0), ("d", 1)]
 
 
 def test_channel_set_decomposes_each_grounded_operator_once(monkeypatch):
@@ -808,9 +857,9 @@ def test_block_decomposition_zero_coupling_with_triangles():
     d1 = coboundary(sheaf, 1).matrix
     _, _, vt = np.linalg.svd(d1)
     kernel_basis = vt[np.linalg.matrix_rank(d1):]
-    from sheafgauge.operators import COCHAIN_C1, GroundingMorphism
+    from sheafgauge.operators import GroundingMorphism
 
-    grounding = GroundingMorphism(kernel_basis.shape[0], COCHAIN_C1, c1_matrix=kernel_basis)
+    grounding = GroundingMorphism(c1_matrix=kernel_basis)
     report = verify_block_decomposition(sheaf, grounding)
     assert report.coupling_norm < 1e-10
     assert report.asserted

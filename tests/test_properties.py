@@ -11,6 +11,10 @@ G(n, p) clique complexes and the trivial and Mobius cycle bundles.
 The JSON round trip is bit-exact on the four cycle-bundle generators and on
 seeded feature sheaves, and so are the Laplacians and spectra a sheaf keeps:
 read-only, and equal to a fresh decomposition of the round-tripped copy.
+
+A sheaf's ``validated`` is what ``validate_sheaf`` finds, on generator and
+feature sheaves, noisy constant sheaves with triangles, JSON files whose
+``validated`` key says otherwise and geometric cones.
 """
 
 import numpy as np
@@ -24,17 +28,28 @@ from sheafgauge.diagnostics import (
     make_grounding,
     run_diagnostics,
 )
-from sheafgauge.operators import betti_numbers, coboundary, laplacian, laplacian_spectrum
+from sheafgauge.operators import (
+    betti_numbers,
+    coboundary,
+    geometric_cone_sheaf,
+    grounding_from_padding,
+    laplacian,
+    laplacian_spectrum,
+)
 from sheafgauge.sheaves import (
     CellSheaf,
+    add_restriction_noise,
     build_sheaf_from_features,
     constant_sheaf,
     hidden_twist_bundle,
     mobius_bundle,
     noisy_trivial_bundle,
     sheaf_from_json,
+    sheaf_from_json_dict,
     sheaf_to_json,
+    sheaf_to_json_dict,
     trivial_bundle,
+    validate_sheaf,
 )
 from sheafgauge.spectral import (
     WitnessConfig,
@@ -84,7 +99,7 @@ def _relabel(sheaf, perm):
              for j in (0, 1, 2) for cell in old.cells(j)}
     stalks = {cells[c]: stalk for c, stalk in sheaf.stalks.items()}
     restrictions = {(cells[f], cells[c]): m for (f, c), m in sheaf.restrictions.items()}
-    relabelled = CellSheaf(build_clique_complex(graph), stalks, restrictions, sheaf.validated)
+    relabelled = CellSheaf(build_clique_complex(graph), stalks, restrictions)
     return relabelled, cells
 
 
@@ -198,3 +213,32 @@ def test_kept_laplacians_and_spectra_are_read_only_and_fresh(sheaf):
         _assert_bit_equal(spectrum.eigenvalues, fresh.eigenvalues)
         _assert_bit_equal(spectrum.eigenvectors, fresh.eigenvectors)
         assert spectrum.threshold == fresh.threshold
+
+
+@st.composite
+def noisy_constant_sheaves(draw):
+    """Restriction noise on a constant sheaf on a dense clique complex: the
+    rotated edge maps no longer commute around the triangles."""
+    n = draw(st.integers(4, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.8]
+    base = constant_sheaf(build_clique_complex(Graph(n, edges)), draw(st.integers(2, 3)))
+    return add_restriction_noise(base, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**16)))
+
+
+@st.composite
+def flipped_json_sheaves(draw):
+    """A JSON round trip whose ``validated`` key is flipped before loading."""
+    data = sheaf_to_json_dict(draw(st.one_of(generator_sheaves, feature_sheaves())))
+    data["validated"] = not data["validated"]
+    return sheaf_from_json_dict(data)
+
+
+geometric_cones = st.one_of(constant_sheaves(), cycle_bundles()).map(
+    lambda sheaf: geometric_cone_sheaf(sheaf, grounding_from_padding(sheaf)))
+
+
+@given(st.one_of(generator_sheaves, feature_sheaves(), noisy_constant_sheaves(),
+                 flipped_json_sheaves(), geometric_cones))
+def test_validated_is_what_validation_finds(sheaf):
+    assert sheaf.validated == (validate_sheaf(sheaf) == [])

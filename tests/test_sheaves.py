@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from sheafgauge.sheaves import (
     noisy_trivial_bundle,
     rotation_matrix,
     sheaf_from_json,
+    sheaf_from_json_dict,
     sheaf_to_json,
+    sheaf_to_json_dict,
     triangle_stalk_soft_intersection,
     trivial_bundle,
     validate_sheaf,
@@ -329,7 +332,7 @@ def test_sheaf_cannot_be_mutated():
 
 def test_feature_sheaf_stalks_and_flag_cannot_be_changed():
     # the stalk bases are read-only like the restrictions, and ``validated`` is
-    # fixed at construction: a padded grounding always pads an orthonormal basis
+    # computed, not set: a padded grounding always pads an orthonormal basis
     from sheafgauge.operators import grounding_from_padding
 
     rng = np.random.default_rng(12)
@@ -357,12 +360,93 @@ def test_stalk_copies_a_writeable_basis_and_shares_a_read_only_one():
 
 @pytest.mark.parametrize("validated", [True, False])
 def test_validated_flag_is_set_at_construction_and_survives_json(validated):
-    base = trivial_bundle(5, 2)
-    sheaf = CellSheaf(base.complex, base.stalks, base.restrictions, validated=validated)
+    k4 = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
+    sheaf = k4 if validated else add_restriction_noise(k4, 0.3, 0)
     assert sheaf.validated is validated
     assert sheaf_from_json(sheaf_to_json(sheaf)).validated is validated
     with pytest.raises(AttributeError):
         sheaf.validated = not validated
+
+
+def test_validated_is_computed_from_the_restrictions():
+    # sheaves whose flag, when callers and files set it, disagreed with validation
+    from sheafgauge.operators import constant_grounding, geometric_cone_sheaf
+
+    k4 = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
+    noisy = add_restriction_noise(k4, 0.3, 0)
+    assert (noisy.validated, len(validate_sheaf(noisy))) == (False, 8)
+    cone = geometric_cone_sheaf(k4, constant_grounding(k4))
+    assert (cone.validated, validate_sheaf(cone)) == (True, [])
+    # the file's key is written for readers and ignored on load
+    edited = sheaf_to_json_dict(k4)
+    edited["restrictions"][0]["matrix"]["data"] = [0.0, 1.0, -1.0, 0.0]
+    assert edited["validated"] is True
+    loaded = sheaf_from_json_dict(edited)
+    assert (loaded.validated, len(validate_sheaf(loaded))) == (False, 2)
+    assert sheaf_to_json_dict(loaded)["validated"] is False
+    flipped = sheaf_to_json_dict(trivial_bundle(5, 2))
+    flipped["validated"] = False
+    assert sheaf_from_json_dict(flipped).validated is True
+    # no caller sets it
+    with pytest.raises(TypeError):
+        CellSheaf(k4.complex, k4.stalks, k4.restrictions, validated=True)
+    with pytest.raises(AttributeError):
+        noisy.validated = True
+
+
+def test_validation_runs_once_per_sheaf(monkeypatch):
+    k4 = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
+    noisy = add_restriction_noise(k4, 0.3, 0)
+    norms = []
+    original = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(a) or original(*a, **k))
+    found = validate_sheaf(noisy)
+    assert not noisy.validated
+    assert validate_sheaf(noisy) == found
+    assert len(norms) == 12  # one pass: a defect per (vertex, triangle) flag of K4
+    found.clear()  # the caller's list is a copy
+    assert len(validate_sheaf(noisy)) == 8
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_stalk_rejects_non_finite_basis(value):
+    # a NaN passes the orthonormality comparison, so it is rejected first
+    basis = np.eye(3)[:, :2]
+    basis[1, 0] = value
+    with pytest.raises(ValueError, match="stalk basis contains NaN or inf"):
+        Stalk(basis)
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+def test_sheaf_rejects_non_finite_restriction(value):
+    base = trivial_bundle(5, 2)
+    restrictions = dict(base.restrictions)
+    restrictions[((1,), (1, 2))] = np.array([[1.0, 0.0], [value, 1.0]])
+    message = re.escape("restriction (1,) -> (1, 2) contains NaN or inf")
+    with pytest.raises(ValueError, match=message):
+        CellSheaf(base.complex, base.stalks, restrictions)
+
+
+def test_sheaf_names_mis_keyed_stalks_and_restrictions():
+    base = trivial_bundle(5, 2)
+    stalks = dict(base.stalks)
+    del stalks[(0,)]
+    with pytest.raises(ValueError, match=re.escape("missing stalk for cell (0,)")):
+        CellSheaf(base.complex, stalks, base.restrictions)
+    stalks = dict(base.stalks)
+    stalks[(0, 2)] = base.stalks[(0, 1)]
+    with pytest.raises(ValueError, match=re.escape("stalk for (0, 2), not a cell of the complex")):
+        CellSheaf(base.complex, stalks, base.restrictions)
+    restrictions = dict(base.restrictions)
+    del restrictions[((1,), (1, 2))]
+    with pytest.raises(ValueError, match=re.escape(
+            "missing restriction for incidence (1,) < (1, 2)")):
+        CellSheaf(base.complex, base.stalks, restrictions)
+    restrictions = dict(base.restrictions)
+    restrictions[((0,), (2, 3))] = np.eye(2)
+    message = "restriction (0,) -> (2, 3), not an incidence of the complex"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CellSheaf(base.complex, base.stalks, restrictions)
 
 
 def test_sheaf_copies_writeable_restrictions_and_shares_read_only_ones():
@@ -506,7 +590,7 @@ def _replaced_hidden_twist(n, tau, stalk_dim):
     restrictions = dict(base.restrictions)
     restrictions[((0,), (0, 1))] = HIDDEN_TWIST_WEIGHT * np.eye(stalk_dim)
     restrictions[((1,), (0, 1))] = HIDDEN_TWIST_WEIGHT * rotation_matrix(tau, stalk_dim)
-    return CellSheaf(base.complex, base.stalks, restrictions, validated=base.validated)
+    return CellSheaf(base.complex, base.stalks, restrictions)
 
 
 @pytest.mark.parametrize("stalk_dim", [2, 3])

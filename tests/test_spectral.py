@@ -541,7 +541,7 @@ def test_witnesses_from_channel_set_equal_standalone(make):
     sheaf = make()
     channels = channel_set(sheaf, grounding_from_padding(sheaf))
     run_diagnostics(sheaf, grounding_from_padding(sheaf))
-    assert channels.l1 is laplacian(sheaf, 1)
+    assert channels.sheaf is sheaf
     for cfg in (WitnessConfig(), WitnessConfig(delta1=3.0, weight="uniform")):
         for j in (0, 1):
             assert local_witness(sheaf, j, cfg) == local_witness(make(), j, cfg)
@@ -702,6 +702,21 @@ def test_cone_reduction_decomposes_each_block_once(monkeypatch):
                               broken.base_w, broken.gram_w, 0.0)
     assert verify_cone_reduction(broken, other).status == "hypothesis-not-met"
     assert len(solved) == 6
+
+
+def test_cone_reduction_forms_each_commutator_once():
+    sheaf = trivial_bundle(8, 2)
+    side = cone_reduction_side(algebraic_cone(sheaf, grounding_from_padding(sheaf)))
+    norms = side.commutator_norms
+    assert side.commutator_norms is norms
+    report = verify_cone_reduction(side, side)
+    assert side.commutator_norms is norms
+    c_f = side.base_f @ side.gram_f - side.gram_f @ side.base_f
+    c_w = side.base_w @ side.gram_w - side.gram_w @ side.base_w
+    assert norms == (float(np.max(np.abs(c_f))), float(np.max(np.abs(c_w))))
+    for side_name in ("a", "b"):
+        assert tuple(report.residuals[f"commutator_{block}_{side_name}"]
+                     for block in ("f", "w")) == norms
 
 
 def test_cone_reduction_equal_gramians_theta_zero():
