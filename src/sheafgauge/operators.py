@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .complexes import CliqueComplex, cone_complex
-from .sheaves import CellSheaf, Stalk, constant_sheaf
+from .sheaves import CellSheaf, Stalk, _read_only, constant_sheaf
 
 ZERO_ABS = 1e-10
 ZERO_REL = 1e-8
@@ -220,6 +220,9 @@ class GroundingMorphism:
     as the padding construction gives; dim W is 0 without cells), kept as a
     read-only mapping, or ``c1_matrix``, one map on C^1 (``cochain-on-c1``,
     the regime of the separation check and of the diagnostic channels).
+    Every payload array is kept read-only (``sheaves._read_only``: a
+    writeable one is copied once, a read-only one is shared), so no map can
+    change under the channels and cones built from it.
     """
 
     cell_maps: dict | None = None
@@ -231,10 +234,12 @@ class GroundingMorphism:
         if (self.cell_maps is None) == (self.c1_matrix is None):
             raise GroundingModeError("a grounding takes exactly one of cell_maps and c1_matrix")
         if self.c1_matrix is not None:
-            mode, rows = COCHAIN_C1, {np.shape(self.c1_matrix)[0]}
+            object.__setattr__(self, "c1_matrix", _read_only(self.c1_matrix))
+            mode, rows = COCHAIN_C1, {self.c1_matrix.shape[0]}
         else:  # a read-only copy, so no map of another row count can be swapped in
-            object.__setattr__(self, "cell_maps", MappingProxyType(dict(self.cell_maps)))
-            mode, rows = VERTEX_LEVEL, {np.shape(m)[0] for m in self.cell_maps.values()}
+            cell_maps = {cell: _read_only(m) for cell, m in self.cell_maps.items()}
+            object.__setattr__(self, "cell_maps", MappingProxyType(cell_maps))
+            mode, rows = VERTEX_LEVEL, {m.shape[0] for m in cell_maps.values()}
         if len(rows) > 1:
             raise GroundingModeError(f"cell maps have different row counts {sorted(rows)}")
         object.__setattr__(self, "mode", mode)
@@ -280,14 +285,16 @@ def grounding_from_padding(sheaf: CellSheaf) -> GroundingMorphism:
     for cell, stalk in sheaf.stalks.items():
         block = np.zeros((d_max, stalk.dim))
         block[: stalk.ambient_dim] = stalk.basis
+        block.flags.writeable = False
         cell_maps[cell] = block
     return GroundingMorphism(cell_maps=cell_maps)
 
 
 def grounding_identity_c1(sheaf: CellSheaf) -> GroundingMorphism:
     """Full-rank grounding: the identity on C^1."""
-    n = sheaf.cochain_dim(1)
-    return GroundingMorphism(c1_matrix=np.eye(n))
+    eye = np.eye(sheaf.cochain_dim(1))
+    eye.flags.writeable = False
+    return GroundingMorphism(c1_matrix=eye)
 
 
 def grounding_killing_kernel(sheaf: CellSheaf) -> GroundingMorphism:
@@ -298,13 +305,16 @@ def grounding_killing_kernel(sheaf: CellSheaf) -> GroundingMorphism:
     The kernel is read from the sheaf's spectrum of L_1.
     """
     kernel = laplacian_spectrum(sheaf, 1).kernel
-    n = sheaf.cochain_dim(1)
-    return GroundingMorphism(c1_matrix=np.eye(n) - kernel @ kernel.T)
+    eps = np.eye(sheaf.cochain_dim(1)) - kernel @ kernel.T
+    eps.flags.writeable = False
+    return GroundingMorphism(c1_matrix=eps)
 
 
 def grounding_zero_c1(sheaf: CellSheaf) -> GroundingMorphism:
     n = sheaf.cochain_dim(1)
-    return GroundingMorphism(c1_matrix=np.zeros((n, n)))
+    zero = np.zeros((n, n))
+    zero.flags.writeable = False
+    return GroundingMorphism(c1_matrix=zero)
 
 
 def constant_grounding(sheaf: CellSheaf, target_dim: int | None = None,
@@ -324,7 +334,7 @@ def constant_grounding(sheaf: CellSheaf, target_dim: int | None = None,
         w = target_dim if target_dim is not None else d
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(w, d)) if seed is not None else np.eye(w, d)
-    cell_maps = dict.fromkeys(sheaf.stalks, a)
+    cell_maps = dict.fromkeys(sheaf.stalks, _read_only(a))
     return GroundingMorphism(cell_maps=cell_maps)
 
 

@@ -94,14 +94,28 @@ class FeaturePipelineConfig:
             raise ValueError("tri_exponent must be positive and finite")
 
 
+def _check_finite(restrictions):
+    """Raise unless every entry of every restriction is finite: one test of all
+    entries at once, the culprit looked up only on failure."""
+    entries = np.concatenate([np.zeros(0)] + [m.ravel() for m in restrictions.values()])
+    if not np.isfinite(entries).all():
+        face, coface = next(k for k, m in restrictions.items() if not np.isfinite(m).all())
+        raise ValueError(f"restriction {face} -> {coface} contains NaN or inf")
+
+
 class CellSheaf:
     """One stalk per cell and one finite restriction matrix, of shape
     ``(stalk_dim(coface), stalk_dim(face))``, per incidence keyed
     ``(face, coface)``, fixed at construction; a missing or extra key is an
     error. Both are read-only mappings of read-only arrays (a writeable input
     is copied once, a read-only one is shared). So what is computed from a
-    sheaf is computed once: the cochain layout at construction; each
+    sheaf is computed once: the cochain layout (cell slices, owners and the
+    scatter index of each coboundary) at construction or first use; each
     coboundary, Laplacian and spectrum, and ``validated``, on first use.
+
+    ``_replacing`` derives a sheaf that swaps some restrictions for others of
+    the same shape. It shares the complex, the stalks and the layout, tests
+    only the arrays it swaps in and computes its own derived values.
     """
 
     def __init__(self, complex_: CliqueComplex, stalks, restrictions):
@@ -128,12 +142,7 @@ class CellSheaf:
         if len(self.restrictions) > len(complex_.incidences):
             face, coface = min(k for k in self.restrictions if k[::-1] not in complex_.incidences)
             raise ValueError(f"restriction {face} -> {coface}, not an incidence of the complex")
-        # one test of all entries at once; the culprit is looked up only on failure
-        entries = np.concatenate([np.zeros(0)] + [m.ravel() for m in self.restrictions.values()])
-        if not np.isfinite(entries).all():
-            face, coface = next(k for k, m in self.restrictions.items()
-                                if not np.isfinite(m).all())
-            raise ValueError(f"restriction {face} -> {coface} contains NaN or inf")
+        _check_finite(self.restrictions)
         self._slices = {}
         self._owners = {}
         for j in (0, 1, 2):
@@ -146,7 +155,35 @@ class CellSheaf:
             owner = np.repeat(np.arange(len(sizes)), sizes)
             owner.flags.writeable = False
             self._owners[j] = owner
+        self._scatter = {}
         self._derived = {}
+
+    def _replacing(self, replaced):
+        """This sheaf with the restrictions ``replaced`` gives swapped in.
+
+        Each replacement must be a read-only finite array of the shape of the
+        restriction it replaces, so the result can share the complex, the
+        stalks, the layout and every array; nothing else is tested again.
+        """
+        restrictions = dict(self.restrictions)
+        for (face, coface), m in replaced.items():
+            old = restrictions.get((face, coface))
+            if old is None:
+                raise ValueError(
+                    f"restriction {face} -> {coface}, not an incidence of the complex")
+            if m.shape != old.shape:
+                raise ValueError(
+                    f"restriction {face} -> {coface} has shape {m.shape}, expected {old.shape}")
+            if m.flags.writeable:
+                raise ValueError(f"restriction {face} -> {coface} is writeable")
+        _check_finite(replaced)
+        restrictions.update(replaced)
+        sheaf = object.__new__(CellSheaf)
+        sheaf.complex, sheaf.stalks = self.complex, self.stalks
+        sheaf.restrictions = MappingProxyType(restrictions)
+        sheaf._slices, sheaf._owners, sheaf._scatter = self._slices, self._owners, self._scatter
+        sheaf._derived = {}
+        return sheaf
 
     @property
     def validated(self):
@@ -188,16 +225,36 @@ class CellSheaf:
             raise ValueError(f"coboundary degree must be 0 or 1, got {j}")
         return self.derived(("coboundary", j), lambda sheaf: sheaf._assemble_coboundary(j))
 
+    def _coboundary_scatter(self, j):
+        """The degree-j incidences ``(face, coface)`` in table order, the flat
+        position in d_j of each entry of their row-major restrictions and the
+        sign of each entry; built once per layout."""
+        if j not in self._scatter:
+            rows, cols = self._slices[j + 1], self._slices[j]
+            keys, signs, blocks = [], [], []
+            for (coface, face), sign in self.complex.incidences.items():
+                if len(face) == j + 1:
+                    keys.append((face, coface))
+                    signs.append(sign)
+                    blocks.append((rows[coface].start, rows[coface].stop, cols[face].start,
+                                   cols[face].stop))
+            r0, r1, c0, c1 = np.array(blocks, dtype=int).reshape(-1, 4).T
+            sizes = (r1 - r0) * (c1 - c0)
+            within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            width = np.repeat(c1 - c0, sizes)
+            index = ((np.repeat(r0, sizes) + within // width) * self.cochain_dim(j)
+                     + np.repeat(c0, sizes) + within % width)
+            self._scatter[j] = (tuple(keys), index, np.repeat(np.array(signs, dtype=float), sizes))
+        return self._scatter[j]
+
     def _assemble_coboundary(self, j):
         """Signed block matrix: block (c, f) = sign(c, f) * rho_{f->c}, every
-        block written in one pass over the incidence table."""
-        rows = self._slices[j + 1]
-        cols = self._slices[j]
-        matrix = np.zeros((self.cochain_dim(j + 1), self.cochain_dim(j)))
+        block written by one scatter of the ravelled restrictions."""
+        keys, index, signs = self._coboundary_scatter(j)
         restrictions = self.restrictions
-        for (coface, face), sign in self.complex.incidences.items():
-            if len(face) == j + 1:
-                matrix[rows[coface], cols[face]] = sign * restrictions[(face, coface)]
+        matrix = np.zeros((self.cochain_dim(j + 1), self.cochain_dim(j)))
+        matrix.reshape(-1)[index] = signs * np.concatenate(
+            [np.zeros(0)] + [restrictions[k].ravel() for k in keys])
         matrix.flags.writeable = False
         return matrix
 
@@ -469,31 +526,50 @@ def add_restriction_noise(sheaf: CellSheaf, sigma: float, seed: int) -> CellShea
     order, and acts in a random 2-plane of the edge stalk (the full plane
     when the stalk is 2-dimensional). Stalks of dimension < 2 admit no
     small orthogonal perturbation and are left untouched. Deterministic
-    given the seed; sigma = 0 returns the sheaf unchanged bit-for-bit. The
-    result shares the complex, the stalks and the read-only restrictions the
-    noise leaves alone with ``sheaf``.
+    given the seed; sigma = 0 returns the sheaf unchanged bit-for-bit.
+
+    The whole stream is one draw, in the order of one scalar draw per value:
+    each edge's angle, followed, when its stalk is above dimension 2, by the
+    2 * dim entries of its plane. Cosines and sines are taken once over all
+    angles, and the 2-dimensional edges are rotated by one stacked product
+    per restriction shape. The result is ``sheaf._replacing`` the rotated
+    maps: it shares the complex, the stalks, the cochain layout and the
+    restrictions the noise leaves alone with ``sheaf``.
     """
     if not math.isfinite(sigma) or sigma < 0:
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
+    if sigma == 0:
+        return sheaf._replacing({})
+    edges, stalks = sheaf.complex.edges, sheaf.stalks
+    dims = [stalks[e].dim for e in edges]
+    draws = np.array([1 + 2 * d if d > 2 else 1 for d in dims], dtype=int)
+    at = np.cumsum(draws) - draws  # where each edge's angle sits in the stream
+    z = np.random.default_rng(seed).normal(0.0, 1.0, size=int(draws.sum()))
+    theta = 0.0 + sigma * z[at]  # the float operations of normal(0.0, sigma)
+    cos, sin = np.cos(theta), np.sin(theta)
+    restrictions = sheaf.restrictions
     rotated = {}
-    if sigma > 0:
-        rng = np.random.default_rng(seed)
-        for e in sheaf.complex.edges:
-            theta = rng.normal(0.0, sigma)
-            dim = sheaf.stalk_dim(e)
-            if dim < 2:
-                continue
-            if dim == 2:
-                q = rotation_matrix(theta)
-            else:
-                plane, _ = np.linalg.qr(rng.normal(size=(dim, 2)))
-                q = np.eye(dim) + plane @ (rotation_matrix(theta) - np.eye(2)) @ plane.T
-            key = ((e[1],), e)
-            # dot is the same product as @, without matmul's per-call overhead
-            m = rotated[key] = q.dot(sheaf.restrictions[key])
-            m.flags.writeable = False  # a fresh array: the new sheaf shares it
-    restrictions = {k: rotated.get(k, m) for k, m in sheaf.restrictions.items()}
-    return CellSheaf(sheaf.complex, sheaf.stalks.copy(), restrictions)
+    planar = {}  # restriction shape -> (edge indices, keys) of the 2-dimensional edges
+    for i, (e, dim) in enumerate(zip(edges, dims)):
+        key = ((e[1],), e)
+        if dim == 2:
+            indices, keys = planar.setdefault(restrictions[key].shape, ([], []))
+            indices.append(i)
+            keys.append(key)
+        elif dim > 2:
+            plane, _ = np.linalg.qr(z[at[i] + 1 : at[i] + 1 + 2 * dim].reshape(dim, 2))
+            turn = np.array([[cos[i], -sin[i]], [sin[i], cos[i]]]) - np.eye(2)
+            q = np.eye(dim) + plane @ turn @ plane.T
+            m = rotated[key] = q.dot(restrictions[key])
+            m.flags.writeable = False
+    for indices, keys in planar.values():
+        c, s = cos[indices], sin[indices]
+        q = np.empty((len(indices), 2, 2))
+        q[:, 0, 0], q[:, 0, 1], q[:, 1, 0], q[:, 1, 1] = c, -s, s, c
+        products = np.matmul(q, np.stack([restrictions[k] for k in keys]))
+        products.flags.writeable = False
+        rotated.update(zip(keys, products))
+    return sheaf._replacing(rotated)
 
 
 def noisy_trivial_bundle(n: int, sigma: float, seed: int, stalk_dim: int = 2) -> CellSheaf:
@@ -551,6 +627,16 @@ def sheaf_to_json_dict(sheaf: CellSheaf) -> dict:
     }
 
 
+def _fields(kind, items, *names):
+    """Yield the named fields of each sheaf.json item; a missing one is an
+    error that names the item by kind and position."""
+    for i, item in enumerate(items):
+        missing = [name for name in names if name not in item]
+        if missing:
+            raise ValueError(f"{kind} item {i} lacks field {missing[0]!r}")
+        yield tuple(item[name] for name in names)
+
+
 def sheaf_from_json_dict(data: dict) -> CellSheaf:
     """Inverse of ``sheaf_to_json_dict``; the ``validated`` key, for readers, is ignored."""
     version = data.get("schema_version")
@@ -559,12 +645,13 @@ def sheaf_from_json_dict(data: dict) -> CellSheaf:
     g = Graph(data["graph"]["vertices"], data["graph"]["edges"])
     complex_ = build_clique_complex(g)
     stalks = {
-        tuple(item["cell"]): Stalk(_matrix_from_payload(item["basis"]))
-        for item in data["stalks"]
+        tuple(cell): Stalk(_matrix_from_payload(basis))
+        for cell, basis in _fields("stalk", data["stalks"], "cell", "basis")
     }
     restrictions = {
-        (tuple(item["face"]), tuple(item["coface"])): _matrix_from_payload(item["matrix"])
-        for item in data["restrictions"]
+        (tuple(face), tuple(coface)): _matrix_from_payload(matrix)
+        for face, coface, matrix in _fields("restriction", data["restrictions"],
+                                            "face", "coface", "matrix")
     }
     return CellSheaf(complex_, stalks, restrictions)
 

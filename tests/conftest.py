@@ -1,10 +1,14 @@
-"""Shared fixtures and the acceptance-criterion summary hook."""
+"""Shared fixtures, the reference noise model and the acceptance-criterion
+summary hook."""
 
 from __future__ import annotations
 
 import sys
 
+import numpy as np
 from hypothesis import settings
+
+from sheafgauge.sheaves import rotation_matrix
 
 # Property tests replay the same examples on every run and write no example
 # database, so tier-1 stays deterministic and leaves no files behind.
@@ -30,3 +34,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for cid, description, passed in sorted(_CRITERIA):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"  {cid}: {status} - {description}")
+
+
+def copy_then_compose(sheaf, sigma, seed):
+    """Reference noise model: copy every restriction, then compose each edge's
+    higher-endpoint map with the seeded rotation."""
+    restrictions = {k: m.copy() for k, m in sheaf.restrictions.items()}
+    if sigma == 0:
+        return restrictions
+    rng = np.random.default_rng(seed)
+    for e in sheaf.complex.edges:
+        theta = rng.normal(0.0, sigma)
+        dim = sheaf.stalk_dim(e)
+        if dim < 2:
+            continue
+        if dim == 2:
+            q = rotation_matrix(theta)
+        else:
+            plane, _ = np.linalg.qr(rng.normal(size=(dim, 2)))
+            q = np.eye(dim) + plane @ (rotation_matrix(theta) - np.eye(2)) @ plane.T
+        key = ((e[1],), e)
+        restrictions[key] = q @ restrictions[key]
+    return restrictions

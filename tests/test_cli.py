@@ -108,6 +108,12 @@ def _add_stalk(data):
     data["stalks"].append({"cell": [0, 2], "basis": data["stalks"][0]["basis"]})
 
 
+def _drop_field(kind, index, name):
+    def drop(data):
+        del data[kind][index][name]
+    return drop
+
+
 def _add_restriction(data):
     data["restrictions"].append({"face": [0], "coface": [2, 3],
                                  "matrix": data["restrictions"][0]["matrix"]})
@@ -123,8 +129,10 @@ def _add_restriction(data):
     (_drop_stalk, "missing stalk for cell (0,)"),
     (_add_stalk, "stalk for (0, 2), not a cell of the complex"),
     (_add_restriction, "restriction (0,) -> (2, 3), not an incidence of the complex"),
+    (_drop_field("stalks", 3, "basis"), "stalk item 3 lacks field 'basis'"),
+    (_drop_field("restrictions", 5, "face"), "restriction item 5 lacks field 'face'"),
 ], ids=["nan-restriction", "inf-restriction", "nan-stalk", "missing-stalk", "extra-stalk",
-        "extra-restriction"])
+        "extra-restriction", "stalk-without-basis", "restriction-without-face"])
 def test_mis_keyed_or_non_finite_sheaf_input_is_input_error(tmp_path, capsys, command, edit,
                                                             message):
     from sheafgauge.sheaves import sheaf_to_json_dict, trivial_bundle

@@ -421,6 +421,32 @@ def test_grounding_rejects_payloads_that_do_not_determine_it():
         GroundingMorphism(c1_matrix=np.eye(2), target_dim=2)
 
 
+def test_grounding_payloads_are_read_only():
+    sheaf = trivial_bundle(6, 2)
+    identity = grounding_identity_c1(sheaf)
+    channels = channel_set(sheaf, identity)
+    eps = channels.eps.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        identity.c1_matrix[0, 0] = 5.0
+    assert np.array_equal(channels.eps, eps)
+    padding = grounding_from_padding(sheaf)
+    with pytest.raises(ValueError, match="read-only"):
+        padding.cell_maps[(0,)][0, 0] = 7.0
+    for grounding in (grounding_killing_kernel(sheaf), grounding_zero_c1(sheaf)):
+        assert not grounding.c1_matrix.flags.writeable
+    for grounding in (constant_grounding(sheaf, seed=3),
+                      propagate_cycle_grounding(sheaf, seed=1, target_dim=3)):
+        assert not any(m.flags.writeable for m in grounding.cell_maps.values())
+    # the constant map is frozen once and shared by every cell
+    assert len({id(m) for m in constant_grounding(sheaf).cell_maps.values()}) == 1
+    # a writeable payload is copied once: the caller's array keeps its flags
+    # and a later write to it does not reach the grounding
+    c1 = np.eye(sheaf.cochain_dim(1))
+    grounding = GroundingMorphism(c1_matrix=c1)
+    c1[0, 0] = 5.0
+    assert c1.flags.writeable and grounding.c1_matrix[0, 0] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Mapping cones
 # ---------------------------------------------------------------------------

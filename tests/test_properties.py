@@ -15,13 +15,18 @@ read-only, and equal to a fresh decomposition of the round-tripped copy.
 A sheaf's ``validated`` is what ``validate_sheaf`` finds, on generator and
 feature sheaves, noisy constant sheaves with triangles, JSON files whose
 ``validated`` key says otherwise and geometric cones.
+
+Restriction noise equals the copy-then-compose reference bit for bit on
+cycles whose edge stalks mix dimensions 1, 2 and 3 and on feature sheaves,
+where the angles and the plane entries interleave in one stream.
 """
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sheafgauge.complexes import Graph, build_clique_complex
+from conftest import copy_then_compose
+from sheafgauge.complexes import Graph, build_clique_complex, cycle_graph
 from sheafgauge.diagnostics import (
     GROUNDING_NAMES,
     DiagnosticsConfig,
@@ -38,6 +43,7 @@ from sheafgauge.operators import (
 )
 from sheafgauge.sheaves import (
     CellSheaf,
+    Stalk,
     add_restriction_noise,
     build_sheaf_from_features,
     constant_sheaf,
@@ -242,3 +248,28 @@ geometric_cones = st.one_of(constant_sheaves(), cycle_bundles()).map(
                  flipped_json_sheaves(), geometric_cones))
 def test_validated_is_what_validation_finds(sheaf):
     assert sheaf.validated == (validate_sheaf(sheaf) == [])
+
+
+@st.composite
+def mixed_stalk_cycles(draw):
+    """A cycle whose edge stalks have dimension 1, 2 or 3 and vertex stalks
+    0 to 3, with random restrictions (the noise needs no functoriality)."""
+    n = draw(st.integers(4, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    complex_ = build_clique_complex(cycle_graph(n))
+    dims = {cell: int(rng.integers(0, 4)) for cell in complex_.cells(0)}
+    dims.update({cell: int(rng.integers(1, 4)) for cell in complex_.edges})
+    stalks = {cell: Stalk(np.eye(3)[:, :d]) for cell, d in dims.items()}
+    restrictions = {(face, coface): rng.normal(size=(dims[coface], dims[face]))
+                    for coface, face in complex_.incidences}
+    return CellSheaf(complex_, stalks, restrictions)
+
+
+@given(st.one_of(mixed_stalk_cycles(), feature_sheaves()), st.floats(0.0, 1.0),
+       st.integers(0, 2**16))
+def test_restriction_noise_equals_copy_then_compose_on_mixed_stalks(sheaf, sigma, seed):
+    noisy = add_restriction_noise(sheaf, sigma, seed)
+    expected = copy_then_compose(sheaf, sigma, seed)
+    assert list(noisy.restrictions) == list(expected)
+    for key, m in expected.items():
+        _assert_bit_equal(noisy.restrictions[key], m)

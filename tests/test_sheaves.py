@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import copy_then_compose
 from sheafgauge.complexes import Graph, build_clique_complex, complete_graph
 from sheafgauge.operators import laplacian
 from sheafgauge.sheaves import (
@@ -513,28 +514,6 @@ def test_restriction_noise_kills_kernel():
         assert kernel_dim(eigendecompose(laplacian(noisy, 0))) == 0
 
 
-def _copy_then_compose(sheaf, sigma, seed):
-    """Reference noise model: copy every restriction, then compose each edge's
-    higher-endpoint map with the seeded rotation."""
-    restrictions = {k: m.copy() for k, m in sheaf.restrictions.items()}
-    if sigma == 0:
-        return restrictions
-    rng = np.random.default_rng(seed)
-    for e in sheaf.complex.edges:
-        theta = rng.normal(0.0, sigma)
-        dim = sheaf.stalk_dim(e)
-        if dim < 2:
-            continue
-        if dim == 2:
-            q = rotation_matrix(theta)
-        else:
-            plane, _ = np.linalg.qr(rng.normal(size=(dim, 2)))
-            q = np.eye(dim) + plane @ (rotation_matrix(theta) - np.eye(2)) @ plane.T
-        key = ((e[1],), e)
-        restrictions[key] = q @ restrictions[key]
-    return restrictions
-
-
 def _assert_restrictions_equal(actual, expected):
     assert list(actual) == list(expected)
     for key, m in expected.items():
@@ -548,17 +527,104 @@ def test_restriction_noise_equals_copy_then_compose(stalk_dim, sigma):
     for seed in range(3):
         _assert_restrictions_equal(
             noisy_trivial_bundle(9, sigma, seed, stalk_dim).restrictions,
-            _copy_then_compose(trivial_bundle(9, stalk_dim), sigma, seed))
+            copy_then_compose(trivial_bundle(9, stalk_dim), sigma, seed))
         for base in (trivial_bundle(9, stalk_dim), twist):
             noisy = add_restriction_noise(base, sigma, seed)
             _assert_restrictions_equal(noisy.restrictions,
-                                       _copy_then_compose(base, sigma, seed))
+                                       copy_then_compose(base, sigma, seed))
             # one construction on the same complex and stalks, every array read-only
             assert noisy.complex is base.complex
             assert noisy.stalks == base.stalks
             assert noisy.validated == base.validated
             for sheaf in (base, noisy):
                 assert not any(m.flags.writeable for m in sheaf.restrictions.values())
+
+
+def test_coboundary_blocks_are_signed_restrictions():
+    # oracle: every block (c, f) of d_j is sign(c, f) * rho_{f->c}, read through
+    # the cell slices, and every entry outside the blocks is 0; the feature
+    # sheaf's blocks vary in shape, some with zero rows
+    member = add_restriction_noise(constant_sheaf(build_clique_complex(complete_graph(5)), 2),
+                                   0.3, 4)
+    for sheaf in _layout_fixtures() + (member,):
+        for j in (0, 1):
+            d = sheaf.coboundary(j)
+            assert d.shape == (sheaf.cochain_dim(j + 1), sheaf.cochain_dim(j))
+            rows, cols = sheaf.cell_slices(j + 1), sheaf.cell_slices(j)
+            covered = np.zeros(d.shape, dtype=bool)
+            for (coface, face), sign in sheaf.complex.incidences.items():
+                if len(face) == j + 1:
+                    block = d[rows[coface], cols[face]]
+                    assert np.array_equal(block, sign * sheaf.restriction(face, coface))
+                    covered[rows[coface], cols[face]] = True
+            assert not d[~covered].any()
+
+
+def test_member_coboundaries_equal_a_sheaf_built_from_scratch():
+    base = constant_sheaf(build_clique_complex(complete_graph(5)), 2)
+    base.coboundary(0)  # the members reuse the layout's scatter index
+    for seed in range(3):
+        member = add_restriction_noise(base, 0.3, seed)
+        scratch = CellSheaf(base.complex, dict(base.stalks), dict(member.restrictions))
+        for j in (0, 1):
+            d, fresh = member.coboundary(j), scratch.coboundary(j)
+            assert d.tobytes() == fresh.tobytes() and d.shape == fresh.shape
+            assert not d.flags.writeable
+
+
+def test_member_shares_its_base_and_derives_afresh(monkeypatch):
+    base = trivial_bundle(8, 2)
+    assert base.validated
+    member = add_restriction_noise(base, 0.3, 1)
+    assert member.complex is base.complex and member.stalks is base.stalks
+    assert member.cochain_owner(1) is base.cochain_owner(1)
+    assert member.cell_slices(1) == base.cell_slices(1)
+    assert member.restriction((0,), (0, 1)) is base.restriction((0,), (0, 1))
+    assert member.restriction((1,), (0, 1)) is not base.restriction((1,), (0, 1))
+    assert list(member.restrictions) == list(base.restrictions)
+    # its own derived values: d0, and the validation the noise leaves true
+    assert not np.array_equal(member.coboundary(0), base.coboundary(0))
+    assert member.validated
+    # each coboundary is assembled once, whoever asks for it first
+    calls = []
+    assemble = CellSheaf._assemble_coboundary
+    monkeypatch.setattr(CellSheaf, "_assemble_coboundary",
+                        lambda sheaf, j: calls.append(j) or assemble(sheaf, j))
+    other = add_restriction_noise(base, 0.3, 2)
+    for _ in range(2):
+        other.coboundary(0)
+        other.coboundary(1)
+        laplacian(other, 0)
+    assert calls == [0, 1]
+
+
+def test_derived_sheaf_rejects_what_the_constructor_rejects():
+    base = trivial_bundle(5, 2)
+    key = ((1,), (0, 1))
+
+    def frozen(m):
+        m = np.array(m, dtype=float)
+        m.flags.writeable = False
+        return m
+
+    # the same message as a construction from scratch with the same table
+    for replaced, message in (
+            ({((0,), (2, 3)): frozen(np.eye(2))},
+             "restriction (0,) -> (2, 3), not an incidence of the complex"),
+            ({key: frozen(np.ones((3, 2)))},
+             "restriction (1,) -> (0, 1) has shape (3, 2), expected (2, 2)"),
+            ({key: frozen([[1.0, math.nan], [0.0, 1.0]])},
+             "restriction (1,) -> (0, 1) contains NaN or inf")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            base._replacing(replaced)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CellSheaf(base.complex, base.stalks, {**base.restrictions, **replaced})
+    # the member shares its arrays, so it takes read-only ones only
+    with pytest.raises(ValueError, match=re.escape("restriction (1,) -> (0, 1) is writeable")):
+        base._replacing({key: np.eye(2)})
+    member = base._replacing({key: frozen(-np.eye(2))})
+    assert np.array_equal(member.restriction((1,), (0, 1)), -np.eye(2))
+    assert np.array_equal(base.restriction((1,), (0, 1)), np.eye(2))
 
 
 def test_restriction_noise_rejects_negative_sigma():
