@@ -2,9 +2,10 @@
 
 Subcommands: ``build`` (feature pipeline -> sheaf.json), ``diagnose``
 (four-channel report + CSV spectra), ``experiment`` (the four comparative
-harnesses), ``verify`` (homological certificates) and ``dump`` (operator
-matrices). Every invocation is deterministic given its arguments; outputs
-are written atomically and carry a schema version.
+harnesses, one subcommand each), ``verify`` (homological certificates) and
+``dump`` (operator matrices). Each command takes only the options it reads.
+Every invocation is deterministic given its arguments; outputs are written
+atomically and carry a schema version.
 
 Exit codes: 0 success, 1 input error, 2 validation error, 3 verification
 failure.
@@ -14,14 +15,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import diagnostics as diag
-from .complexes import GraphValidationError, graph_from_json
+from .complexes import graph_from_json
 from .fileio import write_csv, write_json
 from .operators import (
     VERTEX_LEVEL,
@@ -38,7 +41,7 @@ from .sheaves import (
     hidden_twist_bundle,
     mobius_bundle,
     noisy_trivial_bundle,
-    sheaf_from_json_dict,
+    sheaf_from_json,
     sheaf_to_json_dict,
     trivial_bundle,
     validate_sheaf,
@@ -50,9 +53,8 @@ from .spectral import (
     verify_cone_reduction,
 )
 
-GENERATORS = ("trivial", "mobius", "hidden-twist", "noisy-trivial")
-EXPERIMENTS = ("existence", "magnitude", "localization", "relativity")
 WEIGHT_FLAGS = {"unif": "uniform", "inv": "inverse", "heat": "heat", "gap": "gap"}
+OPERATOR_NAMES = ("d0", "d1", "L0", "L1", "relative", "utilization")
 
 
 class CliInputError(Exception):
@@ -73,14 +75,14 @@ class RunConfig:
     sigma: float = diag.SIGMA_DEFAULT
     seed: int = diag.SEED_DEFAULT
     grounding: str = "padding"
-    delta0: float = 0.0
-    delta1: float | None = None
-    weight: str = "gap"
+    delta0: float = WitnessConfig.delta0
+    delta1: float | None = WitnessConfig.delta1
+    weight: str = WitnessConfig.weight
     normalize: bool = False
-    svd_tol: float = 1e-8
-    edge_align_tol: float = 0.9
-    tri_eig_tol: float = 0.5
-    tri_exponent: float = 1.0
+    svd_tol: float = FeaturePipelineConfig.svd_tol
+    edge_align_tol: float = FeaturePipelineConfig.edge_align_tol
+    tri_eig_tol: float = FeaturePipelineConfig.tri_eig_tol
+    tri_exponent: float = FeaturePipelineConfig.tri_exponent
     out: str = "out"
     format_version: str = "1"
 
@@ -89,15 +91,12 @@ class RunConfig:
 
 
 def _config_from_args(args, command) -> RunConfig:
-    cfg = RunConfig(command=command)
-    for field in dataclasses.fields(RunConfig):
-        if field.name == "command":
-            continue
-        if hasattr(args, field.name) and getattr(args, field.name) is not None:
-            setattr(cfg, field.name, getattr(args, field.name))
-    if getattr(args, "weight", None):
-        cfg.weight = WEIGHT_FLAGS.get(args.weight, args.weight)
-    return cfg
+    """The command's config: each option it was given, the defaults otherwise."""
+    given = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)
+             if field.name != "command" and getattr(args, field.name, None) is not None}
+    if "weight" in given:
+        given["weight"] = WEIGHT_FLAGS[given["weight"]]
+    return RunConfig(command=command, **given)
 
 
 def _witness_config(cfg: RunConfig) -> WitnessConfig:
@@ -107,24 +106,18 @@ def _witness_config(cfg: RunConfig) -> WitnessConfig:
         raise CliInputError(str(exc))
 
 
-def _pipeline_config(cfg: RunConfig) -> FeaturePipelineConfig:
-    return FeaturePipelineConfig(cfg.svd_tol, cfg.edge_align_tol,
-                                 cfg.tri_eig_tol, cfg.tri_exponent)
-
-
-def _load_text(path):
+def _read(path, parse):
+    """``parse`` of the text at ``path``; a file that cannot be read, is not
+    JSON or does not parse is an input error naming the path."""
     try:
         with open(path) as handle:
-            return handle.read()
+            return parse(handle.read())
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}")
-
-
-def _parse_json(path, text):
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}: malformed JSON at byte offset {exc.pos}: {exc.msg}")
+    except (ValueError, KeyError) as exc:
+        raise CliInputError(f"{path}: {exc}")
 
 
 def _stalk_dim(cfg: RunConfig) -> dict:
@@ -132,37 +125,28 @@ def _stalk_dim(cfg: RunConfig) -> dict:
     return {} if cfg.stalk_dim is None else {"stalk_dim": cfg.stalk_dim}
 
 
-def _generated_sheaf(cfg: RunConfig):
-    name = cfg.generator
-    if name == "trivial":
-        return trivial_bundle(cfg.n, **_stalk_dim(cfg))
-    if name == "mobius":
-        return mobius_bundle(cfg.n, **_stalk_dim(cfg))
-    if name == "hidden-twist":
-        return hidden_twist_bundle(cfg.n, cfg.tau, **_stalk_dim(cfg))
-    if name == "noisy-trivial":
-        return noisy_trivial_bundle(cfg.n, cfg.sigma, cfg.seed, **_stalk_dim(cfg))
-    raise CliInputError(f"unknown generator {name!r}; choose from {GENERATORS}")
+# each generator's sheaf, from the config and the stalk-dim keyword
+_GENERATORS = {
+    "trivial": lambda cfg, dim: trivial_bundle(cfg.n, **dim),
+    "mobius": lambda cfg, dim: mobius_bundle(cfg.n, **dim),
+    "hidden-twist": lambda cfg, dim: hidden_twist_bundle(cfg.n, cfg.tau, **dim),
+    "noisy-trivial": lambda cfg, dim: noisy_trivial_bundle(cfg.n, cfg.sigma, cfg.seed, **dim),
+}
+GENERATORS = tuple(_GENERATORS)
 
 
 def _resolve_sheaf(cfg: RunConfig):
     if cfg.input:
-        data = _parse_json(cfg.input, _load_text(cfg.input))
-        try:
-            return sheaf_from_json_dict(data)
-        except (ValueError, KeyError) as exc:
-            raise CliInputError(f"{cfg.input}: {exc}")
+        return _read(cfg.input, sheaf_from_json)
     if cfg.generator:
         try:
-            return _generated_sheaf(cfg)
+            return _GENERATORS[cfg.generator](cfg, _stalk_dim(cfg))
         except ValueError as exc:
             raise CliInputError(f"generator {cfg.generator}: {exc}")
     raise CliInputError("need --input or --generator")
 
 
 def _out(cfg, name):
-    import os
-
     return os.path.join(cfg.out, name)
 
 
@@ -175,14 +159,9 @@ def cmd_build(args) -> int:
     cfg = _config_from_args(args, "build")
     if not cfg.input or not cfg.features:
         raise CliInputError("build needs --input graph.json and --features features.json")
-    try:
-        graph = graph_from_json(_load_text(cfg.input))
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"{cfg.input}: malformed JSON at byte offset {exc.pos}: {exc.msg}")
-    except GraphValidationError as exc:
-        raise CliInputError(f"{cfg.input}: {exc}")
-    feature_data = _parse_json(cfg.features, _load_text(cfg.features))
-    if not isinstance(feature_data, dict) or "features" not in feature_data:
+    graph = _read(cfg.input, graph_from_json)
+    feature_data = _read(cfg.features, json.loads)
+    if not isinstance(feature_data, dict) or not isinstance(feature_data.get("features"), dict):
         raise CliInputError(f"{cfg.features}: expected a 'features' object")
     features = {}
     for key, rows in feature_data["features"].items():
@@ -191,7 +170,9 @@ def cmd_build(args) -> int:
         except (TypeError, ValueError) as exc:
             raise CliInputError(f"{cfg.features}: vertex {key}: {exc}")
     try:
-        sheaf = build_sheaf_from_features(graph, features, _pipeline_config(cfg))
+        pipeline = FeaturePipelineConfig(cfg.svd_tol, cfg.edge_align_tol, cfg.tri_eig_tol,
+                                         cfg.tri_exponent)
+        sheaf = build_sheaf_from_features(graph, features, pipeline)
     except ValueError as exc:
         raise CliInputError(str(exc))
     violations = validate_sheaf(sheaf)
@@ -215,7 +196,7 @@ def cmd_diagnose(args) -> int:
     cfg = _config_from_args(args, "diagnose")
     dcfg = diag.DiagnosticsConfig(
         witness=_witness_config(cfg), normalize=cfg.normalize,
-        with_local=bool(getattr(args, "heatmap", False)),
+        with_local=args.heatmap,
     )
     sheaf = _resolve_sheaf(cfg)
     grounding = diag.make_grounding(sheaf, cfg.grounding)
@@ -248,25 +229,22 @@ def _write_witness_csv(path, witness_map):
     write_csv(path, ("cell_id", "degree", "delta", "score"), rows)
 
 
+# each experiment's result and heatmaps, from the config
+_EXPERIMENTS = {
+    "existence": lambda cfg: (diag.experiment_existence(cfg.n, **_stalk_dim(cfg)), {}),
+    "magnitude": lambda cfg: (diag.experiment_magnitude(cfg.n, cfg.tau, cfg.sigma, cfg.seed), {}),
+    "localization": lambda cfg: diag.experiment_localization(
+        cfg.n, cfg.tau, cfg.sigma, cfg.seed, cfg=_witness_config(cfg)),
+    "relativity": lambda cfg: (diag.experiment_relativity(cfg.n, **_stalk_dim(cfg)), {}),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
 def cmd_experiment(args) -> int:
     name = args.name
-    if name not in EXPERIMENTS:
-        print(f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENTS)}",
-              file=sys.stderr)
-        return 1
     cfg = _config_from_args(args, f"experiment:{name}")
-    heatmaps = {}
     try:
-        if name == "existence":
-            result = diag.experiment_existence(cfg.n, **_stalk_dim(cfg))
-        elif name == "magnitude":
-            result = diag.experiment_magnitude(cfg.n, cfg.tau, cfg.sigma, cfg.seed)
-        elif name == "localization":
-            result, heatmaps = diag.experiment_localization(
-                cfg.n, cfg.tau, cfg.sigma, cfg.seed, cfg=_witness_config(cfg)
-            )
-        else:
-            result = diag.experiment_relativity(cfg.n, **_stalk_dim(cfg))
+        result, heatmaps = _EXPERIMENTS[name](cfg)
     except diag.ExperimentParameterError as exc:
         raise CliInputError(f"experiment {name}: {exc}")
     payload = result.to_json_dict()
@@ -285,27 +263,13 @@ def cmd_verify(args) -> int:
 
     if grounding.mode == VERTEX_LEVEL:
         cone = algebraic_cone(sheaf, grounding)
-        cone_report = verify_cone_equivalence(cone)
-        checks["cone_equivalence"] = {
-            "status": cone_report.status,
-            "defect_norm": cone_report.defect_norm,
-            "max_residual": cone_report.max_residual,
-        }
-        les = verify_long_exact_sequence(cone)
-        checks["long_exact_sequence"] = {
-            "status": les.status,
-            "defect_norm": les.defect_norm,
-            "betti_cone": list(les.betti_cone),
-        }
+        checks["cone_equivalence"] = _report_fields(
+            verify_cone_equivalence(cone), "defect_norm", "max_residual")
+        checks["long_exact_sequence"] = _report_fields(
+            verify_long_exact_sequence(cone), "defect_norm", "betti_cone")
         side = cone_reduction_side(cone)
-        reduction = verify_cone_reduction(side, side)
-        checks["cone_reduction"] = {
-            "status": reduction.status,
-            "residuals": reduction.residuals,
-            "eta": reduction.eta,
-            "v_bound": reduction.v_bound,
-            "measured": reduction.measured,
-        }
+        checks["cone_reduction"] = _report_fields(
+            verify_cone_reduction(side, side), "residuals", "eta", "v_bound", "measured")
     else:
         reason = "grounding has no per-cell maps (cochain-on-c1 mode)"
         for key in ("cone_equivalence", "long_exact_sequence", "cone_reduction"):
@@ -323,14 +287,14 @@ def cmd_verify(args) -> int:
     return 0
 
 
-OPERATOR_NAMES = ("d0", "d1", "L0", "L1", "relative", "utilization")
+def _report_fields(report, *names):
+    """A certificate's status and the named fields of its report."""
+    return {name: getattr(report, name) for name in ("status",) + names}
 
 
 def cmd_dump(args) -> int:
     cfg = _config_from_args(args, "dump")
     name = args.operator
-    if name not in OPERATOR_NAMES:
-        raise CliInputError(f"unknown operator {name!r}; choose from {OPERATOR_NAMES}")
     sheaf = _resolve_sheaf(cfg)
     if name in ("d0", "d1"):
         degree = int(name[1])
@@ -367,92 +331,95 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _finite_float(text):
-    """Type of every float option: NaN and infinities would make ``params`` invalid JSON."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+def _checked(convert, accept, requirement):
+    """An option type: ``convert`` of the text, rejected unless ``accept`` holds."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+    return parse
 
 
-def _positive_int(text):
-    """Type of ``--stalk-dim``: a stalk needs at least one dimension."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
+# every float option: NaN and infinities would make ``params`` invalid JSON
+_finite_float = _checked(float, math.isfinite, "must be finite")
+# ``--stalk-dim``: a stalk needs at least one dimension
+_positive_int = _checked(int, lambda value: value >= 1, "must be at least 1")
 
 
-def _add_common(parser):
-    parser.add_argument("--input", help="input sheaf/graph JSON")
-    parser.add_argument("--generator", help=f"one of {', '.join(GENERATORS)}")
-    parser.add_argument("--n", type=int, help="cycle length for generators")
-    parser.add_argument("--stalk-dim", dest="stalk_dim", type=_positive_int)
-    parser.add_argument("--tau", type=_finite_float, help="hidden-twist rotation angle")
-    parser.add_argument("--sigma", type=_finite_float, help="noise level")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--grounding", choices=diag.GROUNDING_NAMES)
-    parser.add_argument("--delta0", type=_finite_float)
-    parser.add_argument("--delta1", type=_finite_float)
-    parser.add_argument("--weight", choices=sorted(WEIGHT_FLAGS))
-    parser.add_argument("--normalize", action="store_true", default=None)
-    parser.add_argument("--out", help="output directory")
+_OPTIONS = {
+    "--input": {"help": "input sheaf/graph JSON"},
+    "--features": {"help": "features JSON"},
+    "--generator": {"choices": GENERATORS},
+    "--n": {"type": int, "help": "cycle length"},
+    "--stalk-dim": {"type": _positive_int},
+    "--tau": {"type": _finite_float, "help": "hidden-twist rotation angle"},
+    "--sigma": {"type": _finite_float, "help": "noise level"},
+    "--seed": {"type": int},
+    "--grounding": {"choices": diag.GROUNDING_NAMES},
+    "--delta0": {"type": _finite_float},
+    "--delta1": {"type": _finite_float},
+    "--weight": {"choices": sorted(WEIGHT_FLAGS)},
+    "--normalize": {"action": "store_true"},
+    "--heatmap": {"action": "store_true", "help": "also export local witness CSVs"},
+    "--svd-tol": {"type": _finite_float},
+    "--edge-align-tol": {"type": _finite_float},
+    "--tri-eig-tol": {"type": _finite_float},
+    "--tri-exponent": {"type": _finite_float},
+    "--operator": {"choices": OPERATOR_NAMES, "required": True},
+    "--out": {"help": "output directory"},
+}
+_SHEAF_SOURCE = ("--input", "--generator", "--n", "--stalk-dim", "--tau", "--sigma", "--seed")
+_CYCLE = ("--n", "--stalk-dim", "--out")
+_ENSEMBLE = ("--n", "--tau", "--sigma", "--seed", "--out")
+_WITNESS = ("--delta0", "--delta1", "--weight")
+
+# (command, help, the options its code reads); an experiment is a subcommand
+# of ``experiment``
+_COMMANDS = (
+    ("build", "build a sheaf from graph + features",
+     ("--input", "--features", "--svd-tol", "--edge-align-tol", "--tri-eig-tol",
+      "--tri-exponent", "--out")),
+    ("diagnose", "four-channel spectral report",
+     _SHEAF_SOURCE + ("--grounding",) + _WITNESS + ("--normalize", "--heatmap", "--out")),
+    ("experiment existence", "trivial vs Mobius: kernel presence", _CYCLE),
+    ("experiment magnitude", "hidden twist vs noisy trivial: spectral gap", _ENSEMBLE),
+    ("experiment localization", "hidden twist vs noisy trivial: local witness maps",
+     _ENSEMBLE + _WITNESS),
+    ("experiment relativity", "one sheaf, two groundings: the cone channel", _CYCLE),
+    ("verify", "homological verification certificates", _SHEAF_SOURCE + ("--grounding", "--out")),
+    ("dump", "dump an operator matrix", _SHEAF_SOURCE + ("--grounding", "--operator", "--out")),
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process by the first ``main`` call."""
     parser = _Parser(prog="sheafgauge", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="build a sheaf from graph + features")
-    p_build.add_argument("--features", help="features JSON")
-    p_build.add_argument("--svd-tol", dest="svd_tol", type=_finite_float)
-    p_build.add_argument("--edge-align-tol", dest="edge_align_tol", type=_finite_float)
-    p_build.add_argument("--tri-eig-tol", dest="tri_eig_tol", type=_finite_float)
-    p_build.add_argument("--tri-exponent", dest="tri_exponent", type=_finite_float)
-    _add_common(p_build)
-    p_build.set_defaults(func=cmd_build)
-
-    p_diag = sub.add_parser("diagnose", help="four-channel spectral report")
-    p_diag.add_argument("--heatmap", action="store_true",
-                        help="also export local witness CSVs")
-    _add_common(p_diag)
-    p_diag.set_defaults(func=cmd_diagnose)
-
-    p_exp = sub.add_parser("experiment", help="run a named experiment")
-    p_exp.add_argument("name")
-    _add_common(p_exp)
-    p_exp.set_defaults(func=cmd_experiment)
-
-    p_verify = sub.add_parser("verify", help="homological verification certificates")
-    _add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_dump = sub.add_parser("dump", help="dump an operator matrix")
-    p_dump.add_argument("--operator", required=True)
-    _add_common(p_dump)
-    p_dump.set_defaults(func=cmd_dump)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for command, help_text, flags in _COMMANDS:
+        group, _, name = command.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(
+                group, help=f"run a named {group}").add_subparsers(dest="name", required=True)
+        sub = groups[group].add_parser(name, help=help_text)
+        for flag in flags:
+            sub.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        # looked up per call, so a rebound ``cmd_*`` is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
+    except (CliInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -35,8 +35,10 @@ class Graph:
         self.vertex_count = vertex_count
         seen = set()
         normalized = []
+        if not isinstance(edges, (list, tuple)):
+            raise GraphValidationError("edges must be a list of pairs")
         for raw in edges:
-            pair = tuple(raw)
+            pair = tuple(raw) if isinstance(raw, (list, tuple)) else ()
             if len(pair) != 2:
                 raise GraphValidationError(f"edge {raw!r} is not a pair")
             for x in pair:

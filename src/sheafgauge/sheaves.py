@@ -603,9 +603,14 @@ def _matrix_payload(m):
     return {"shape": list(m.shape), "data": m.reshape(-1).tolist()}
 
 
-def _matrix_from_payload(payload):
-    shape = tuple(payload["shape"])
-    return np.asarray(payload["data"], dtype=float).reshape(shape)
+def _matrix_from_payload(where, name, payload):
+    where = f"{where} field {name!r}"
+    shape, data = _fields(where, payload, "shape", "data")
+    shape = _integers(where, "shape", shape)
+    try:
+        return np.asarray(data, dtype=float).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def sheaf_to_json_dict(sheaf: CellSheaf) -> dict:
@@ -627,31 +632,53 @@ def sheaf_to_json_dict(sheaf: CellSheaf) -> dict:
     }
 
 
-def _fields(kind, items, *names):
-    """Yield the named fields of each sheaf.json item; a missing one is an
-    error that names the item by kind and position."""
+def _fields(where, value, *names):
+    """The named fields of one sheaf.json object; a value that is not an
+    object, or lacks a field, is an error that says where it is."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    missing = [name for name in names if name not in value]
+    if missing:
+        raise ValueError(f"{where} lacks field {missing[0]!r}")
+    return tuple(value[name] for name in names)
+
+
+def _items(kind, items, *names):
+    """(name, named fields) of each item of a sheaf.json list."""
+    if not isinstance(items, list):
+        raise ValueError(f"sheaf field '{kind}s' is not a JSON list")
     for i, item in enumerate(items):
-        missing = [name for name in names if name not in item]
-        if missing:
-            raise ValueError(f"{kind} item {i} lacks field {missing[0]!r}")
-        yield tuple(item[name] for name in names)
+        yield f"{kind} item {i}", _fields(f"{kind} item {i}", item, *names)
+
+
+def _integers(where, name, value):
+    """Field ``name`` of ``where``, a JSON list of integers (a cell or a shape), as a tuple."""
+    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+        raise ValueError(f"{where} field {name!r} is not a list of integers")
+    return tuple(value)
 
 
 def sheaf_from_json_dict(data: dict) -> CellSheaf:
-    """Inverse of ``sheaf_to_json_dict``; the ``validated`` key, for readers, is ignored."""
+    """Inverse of ``sheaf_to_json_dict``; the ``validated`` key, for readers, is ignored.
+    A missing field or a value of the wrong JSON type is a ValueError naming both."""
+    if not isinstance(data, dict):
+        raise ValueError("sheaf is not a JSON object")
     version = data.get("schema_version")
     if version != SHEAF_SCHEMA_VERSION:
         raise ValueError(f"unsupported sheaf schema version {version!r}")
-    g = Graph(data["graph"]["vertices"], data["graph"]["edges"])
-    complex_ = build_clique_complex(g)
+    graph, stalk_items, restriction_items = _fields("sheaf", data, "graph", "stalks",
+                                                    "restrictions")
+    complex_ = build_clique_complex(
+        Graph(*_fields("sheaf field 'graph'", graph, "vertices", "edges")))
     stalks = {
-        tuple(cell): Stalk(_matrix_from_payload(basis))
-        for cell, basis in _fields("stalk", data["stalks"], "cell", "basis")
+        _integers(where, "cell", cell): Stalk(_matrix_from_payload(where, "basis", basis))
+        for where, (cell, basis) in _items("stalk", stalk_items, "cell", "basis")
     }
     restrictions = {
-        (tuple(face), tuple(coface)): _matrix_from_payload(matrix)
-        for face, coface, matrix in _fields("restriction", data["restrictions"],
-                                            "face", "coface", "matrix")
+        (_integers(where, "face", face), _integers(where, "coface", coface)):
+            _matrix_from_payload(where, "matrix", matrix)
+        for where, (face, coface, matrix) in _items("restriction", restriction_items,
+                                                    "face", "coface", "matrix")
     }
     return CellSheaf(complex_, stalks, restrictions)
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from sheafgauge.cli import EXPERIMENTS, GENERATORS, RunConfig, main
+import sheafgauge
+import sheafgauge.cli as cli
+from sheafgauge.cli import EXPERIMENTS, GENERATORS, OPERATOR_NAMES, RunConfig, main
 from sheafgauge.operators import laplacian
 
 
@@ -119,6 +123,26 @@ def _add_restriction(data):
                                  "matrix": data["restrictions"][0]["matrix"]})
 
 
+def _replace_document(data):
+    return []
+
+
+def _set_field(kind, index, name, value):
+    def set_field(data):
+        data[kind][index][name] = value
+    return set_field
+
+
+def _drop_top_level(name):
+    def drop(data):
+        del data[name]
+    return drop
+
+
+def _drop_matrix_data(data):
+    del data["restrictions"][2]["matrix"]["data"]
+
+
 @pytest.mark.parametrize("command", ["diagnose", "verify"])
 @pytest.mark.parametrize("edit, message", [
     (_edit_restriction([1], [1, 2], 0, float("nan")),
@@ -131,18 +155,45 @@ def _add_restriction(data):
     (_add_restriction, "restriction (0,) -> (2, 3), not an incidence of the complex"),
     (_drop_field("stalks", 3, "basis"), "stalk item 3 lacks field 'basis'"),
     (_drop_field("restrictions", 5, "face"), "restriction item 5 lacks field 'face'"),
+    (_replace_document, "sheaf is not a JSON object"),
+    (lambda data: data.update(graph=[]), "sheaf field 'graph' is not a JSON object"),
+    (_set_field("stalks", 1, "basis", 5), "stalk item 1 field 'basis' is not a JSON object"),
+    (_set_field("stalks", 0, "cell", 0), "stalk item 0 field 'cell' is not a list of integers"),
+    (lambda data: data.update(stalks={}), "sheaf field 'stalks' is not a JSON list"),
+    (_drop_top_level("stalks"), "sheaf lacks field 'stalks'"),
+    (_drop_top_level("graph"), "sheaf lacks field 'graph'"),
+    (_drop_matrix_data, "restriction item 2 field 'matrix' lacks field 'data'"),
 ], ids=["nan-restriction", "inf-restriction", "nan-stalk", "missing-stalk", "extra-stalk",
-        "extra-restriction", "stalk-without-basis", "restriction-without-face"])
+        "extra-restriction", "stalk-without-basis", "restriction-without-face",
+        "document-not-object", "graph-not-object", "basis-not-object", "cell-not-list",
+        "stalks-not-list", "sheaf-without-stalks", "sheaf-without-graph",
+        "matrix-without-data"])
 def test_mis_keyed_or_non_finite_sheaf_input_is_input_error(tmp_path, capsys, command, edit,
                                                             message):
     from sheafgauge.sheaves import sheaf_to_json_dict, trivial_bundle
 
     data = sheaf_to_json_dict(trivial_bundle(5, 2))
-    edit(data)
+    replaced = edit(data)  # None: edited in place
     path = tmp_path / "sheaf.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data if replaced is None else replaced))
     assert run([command, "--input", str(path), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("graph, features, message", [
+    ({"vertices": 3, "edges": [[0, 1]]}, {"features": [[1, 0]]},
+     "{features}: expected a 'features' object"),
+    ({"vertices": 3, "edges": 5}, {"features": {}}, "{graph}: edges must be a list of pairs"),
+    ({"vertices": 3, "edges": [1]}, {"features": {}}, "{graph}: edge 1 is not a pair"),
+], ids=["features-list", "edges-not-list", "edge-not-pair"])
+def test_build_mis_typed_input_is_input_error(tmp_path, capsys, graph, features, message):
+    paths = {"graph": tmp_path / "graph.json", "features": tmp_path / "features.json"}
+    paths["graph"].write_text(json.dumps(graph))
+    paths["features"].write_text(json.dumps(features))
+    assert run(["build", "--input", str(paths["graph"]), "--features", str(paths["features"]),
+                "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -197,9 +248,21 @@ def test_normalized_channels_split_at_the_raw_kernel_dim(tmp_path):
         assert dict(profile)[gap] == k + 1
 
 
-def test_diagnose_rejects_unknown_generator(tmp_path, capsys):
+def _fails_before_any_work(monkeypatch):
+    for name in ("_resolve_sheaf", "write_json", "write_csv"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("work started"))
+
+
+def _assert_invalid_choice(err, value, choices):
+    assert f"invalid choice: {value!r}" in err
+    assert all(repr(choice) in err for choice in choices)
+
+
+def test_diagnose_rejects_unknown_generator(tmp_path, capsys, monkeypatch):
+    _fails_before_any_work(monkeypatch)
     assert run(["diagnose", "--generator", "klein", "--out", str(tmp_path / "x")]) == 1
-    assert "unknown generator" in capsys.readouterr().err
+    _assert_invalid_choice(capsys.readouterr().err, "klein", GENERATORS)
+    assert not (tmp_path / "x").exists()
 
 
 def test_diagnose_bad_generator_parameter_is_input_error(tmp_path, capsys):
@@ -211,7 +274,9 @@ def test_diagnose_bad_generator_parameter_is_input_error(tmp_path, capsys):
 
 
 def _parse_error(command, flag, value):
-    return f"sheafgauge {command}: error: argument {flag}: must be finite, got {value!r}\n"
+    # an experiment's parser is named after the experiment too
+    prog = " ".join(command[:2] if command[0] == "experiment" else command[:1])
+    return f"sheafgauge {prog}: error: argument {flag}: must be finite, got {value!r}\n"
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -221,7 +286,7 @@ def _parse_error(command, flag, value):
 ])
 def test_non_finite_slack_is_input_error(tmp_path, capsys, command, flag):
     assert run(command + [flag, "nan", "--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err == _parse_error(command[0], flag, "nan")
+    assert capsys.readouterr().err == _parse_error(command, flag, "nan")
     assert not (tmp_path / "x").exists()
 
 
@@ -234,9 +299,9 @@ def test_non_finite_slack_is_input_error(tmp_path, capsys, command, flag):
     (["experiment", "magnitude", "--n", "6"], "--tau", "nan"),
     (["experiment", "localization", "--n", "6"], "--sigma", "inf"),
     (["diagnose", "--generator", "trivial"], "--sigma", "nan"),
-    (["experiment", "magnitude"], "--delta1", "nan"),
+    (["experiment", "localization"], "--delta1", "nan"),
     (["verify", "--generator", "trivial"], "--tau", "inf"),
-    (["dump", "--operator", "L0", "--generator", "mobius"], "--delta0", "inf"),
+    (["experiment", "localization", "--n", "6"], "--delta0", "inf"),
     (["build", "--input", "g.json", "--features", "f.json"], "--tri-exponent", "nan"),
     (["build", "--input", "g.json", "--features", "f.json"], "--svd-tol", "-inf"),
     (["build", "--input", "g.json", "--features", "f.json"], "--edge-align-tol", "nan"),
@@ -244,9 +309,9 @@ def test_non_finite_slack_is_input_error(tmp_path, capsys, command, flag):
 ])
 def test_non_finite_float_option_rejected_at_parse_time(tmp_path, capsys, command, flag,
                                                          value):
-    # options the command never reads too: each is recorded in the output params
+    # each is recorded in the output params, which must stay valid JSON
     assert run(command + [f"{flag}={value}", "--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err == _parse_error(command[0], flag, value)
+    assert capsys.readouterr().err == _parse_error(command, flag, value)
     assert not (tmp_path / "x").exists()
 
 
@@ -320,11 +385,12 @@ def test_experiment_fault_during_computation_exits_two(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err.startswith("validation error: negative eigenvalue")
 
 
-def test_experiment_unknown_name_lists_valid(tmp_path, capsys):
+def test_experiment_unknown_name_lists_valid(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.diag, "experiment_existence", lambda *a: pytest.fail("ran"))
+    _fails_before_any_work(monkeypatch)
     assert run(["experiment", "bogus", "--out", str(tmp_path / "x")]) == 1
-    err = capsys.readouterr().err
-    for name in EXPERIMENTS:
-        assert name in err
+    _assert_invalid_choice(capsys.readouterr().err, "bogus", EXPERIMENTS)
+    assert not (tmp_path / "x").exists()
 
 
 def test_experiment_outputs_and_determinism(tmp_path):
@@ -404,10 +470,12 @@ def test_dump_relative_operator(tmp_path):
     assert data["provenance"] == "channel"
 
 
-def test_dump_unknown_operator(tmp_path, capsys):
+def test_dump_unknown_operator(tmp_path, capsys, monkeypatch):
+    _fails_before_any_work(monkeypatch)
     assert run(["dump", "--generator", "trivial", "--operator", "L7",
                 "--out", str(tmp_path / "x")]) == 1
-    assert "unknown operator" in capsys.readouterr().err
+    _assert_invalid_choice(capsys.readouterr().err, "L7", OPERATOR_NAMES)
+    assert not (tmp_path / "x").exists()
 
 
 def test_verify_exits_three_on_failed_check(tmp_path, monkeypatch):
@@ -508,20 +576,134 @@ def test_commands_decompose_l1_once(tmp_path, monkeypatch, command, grounding, e
     assert sum(m.shape == l1.shape and np.array_equal(m, l1) for m in solved) == 1
 
 
+_SHEAF_SOURCE = {"--input", "--generator", "--n", "--stalk-dim", "--tau", "--sigma", "--seed"}
+_ENSEMBLE = {"--n", "--tau", "--sigma", "--seed", "--out"}
+COMMAND_OPTIONS = {
+    "build": {"--input", "--features", "--svd-tol", "--edge-align-tol", "--tri-eig-tol",
+              "--tri-exponent", "--out"},
+    "diagnose": _SHEAF_SOURCE | {"--grounding", "--delta0", "--delta1", "--weight",
+                                 "--normalize", "--heatmap", "--out"},
+    "experiment existence": {"--n", "--stalk-dim", "--out"},
+    "experiment magnitude": _ENSEMBLE,
+    "experiment localization": _ENSEMBLE | {"--delta0", "--delta1", "--weight"},
+    "experiment relativity": {"--n", "--stalk-dim", "--out"},
+    "verify": _SHEAF_SOURCE | {"--grounding", "--out"},
+    "dump": _SHEAF_SOURCE | {"--grounding", "--operator", "--out"},
+}
+
+
+def _leaf_parsers(parser, path=()):
+    """(command, parser) of every command that runs, an experiment included."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield " ".join(path), parser
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    options = {command: {flag for action in parser._actions for flag in action.option_strings}
+               for command, parser in _leaf_parsers(cli._parser())}
+    assert options == {command: flags | {"-h", "--help"}
+                       for command, flags in COMMAND_OPTIONS.items()}
+
+
+# a value of each option that every command once took
+SHARED_OPTIONS = {"--input": "sheaf.json", "--generator": "trivial", "--n": "6",
+                  "--stalk-dim": "3", "--tau": "0.3", "--sigma": "0.25", "--seed": "1",
+                  "--grounding": "zero", "--delta0": "0", "--delta1": "1", "--weight": "heat",
+                  "--normalize": None, "--out": "out"}
+UNREAD = [(command, flag) for command, flags in COMMAND_OPTIONS.items()
+          for flag in SHARED_OPTIONS if flag not in flags]
+VALID = {"build": ["--input", "g.json", "--features", "f.json"],
+         "verify": ["--generator", "mobius", "--n", "6"],
+         "dump": ["--generator", "mobius", "--n", "6", "--operator", "L0"]}
+
+
+def test_no_command_takes_a_shared_option_it_does_not_read():
+    assert len(UNREAD) == 52
+
+
+@pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}{f}" for c, f in UNREAD])
+def test_unread_option_is_unrecognized(tmp_path, capsys, command, flag):
+    value = SHARED_OPTIONS[flag]
+    args = command.split() + VALID.get(command, []) + [flag] + ([value] if value else [])
+    assert run(args + ["--out", str(tmp_path / "x")]) == 1
+    unrecognized = f"{flag} {value}" if value else flag
+    assert capsys.readouterr().err == f"sheafgauge: error: unrecognized arguments: {unrecognized}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli._parser.cache_clear()
+    try:
+        for n in ("6", "7"):
+            assert run(["experiment", "existence", "--n", n, "--out", str(tmp_path)]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built.count("sheafgauge") == 1
+    assert len(built) == len(set(built)) == 1 + len(COMMAND_OPTIONS) + 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    count = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "argparse.ArgumentParser.__init__ = "
+             "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+             "import sheafgauge.cli\n"
+             "print(len(built))\n")
+    src = os.path.dirname(os.path.dirname(sheafgauge.__file__))
+    proc = subprocess.run([sys.executable, "-c", count], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
+def test_main_runs_the_command_bound_when_it_is_called(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.generator) or 3)
+    assert run(["verify", "--generator", "mobius", "--out", str(tmp_path)]) == 3
+    assert seen == ["mobius"]
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    from sheafgauge.sheaves import FeaturePipelineConfig
+    from sheafgauge.spectral import WitnessConfig
+
+    defaults = RunConfig(command="diagnose")
+    for library in (FeaturePipelineConfig(), WitnessConfig()):
+        for field in dataclasses.fields(library):
+            assert getattr(defaults, field.name) == getattr(library, field.name)
+    # the values every output's params record
+    assert (defaults.svd_tol, defaults.edge_align_tol, defaults.tri_eig_tol,
+            defaults.tri_exponent, defaults.delta0, defaults.delta1,
+            defaults.weight) == (1e-8, 0.9, 0.5, 1.0, 0.0, None, "gap")
+
+
 def test_run_config_round_trip():
     cfg = RunConfig(command="diagnose", generator="mobius", n=12, sigma=0.4,
                     weight="heat", normalize=True, out="results")
     assert RunConfig(**cfg.to_json_dict()) == cfg
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "sheafgauge.cli", "experiment", "existence", "--out",
-         os.path.join(os.path.dirname(__file__), "..", "build", "cli-smoke")],
+         str(tmp_path)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
+    assert (tmp_path / "experiment_existence.json").exists()
 
 
 def test_sheaf_json_schema_version_enforced(tmp_path, capsys):
