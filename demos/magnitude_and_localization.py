@@ -9,8 +9,6 @@ anywhere (an orthogonal-twist cycle bundle has provably flat cluster
 profiles).
 """
 
-import numpy as np
-
 from sheafgauge import (
     WitnessConfig,
     coface_energy_map,
@@ -33,11 +31,10 @@ for name, sheaf in (("hidden twist", twist), ("noisy trivial", noisy)):
 
 print("\nedge-attributed energy of the admitted low modes:")
 for name, sheaf in (("hidden twist", twist), ("noisy trivial", noisy)):
-    scores = coface_energy_map(sheaf, 0, WitnessConfig()).scores
-    values = np.array(list(scores.values()))
-    bars = "".join("#" if v > 0.5 * values.max() else "." for v in values)
-    print(f"  {name:14s} [{bars}]  argmax = {max(scores, key=scores.get)}  "
-          f"participation = {participation_ratio(scores):.2f}")
+    energy = coface_energy_map(sheaf, 0, WitnessConfig())
+    bars = "".join("#" if v > 0.5 * energy.scores.max() else "." for v in energy.scores)
+    print(f"  {name:14s} [{bars}]  argmax = {energy.argmax()}  "
+          f"participation = {participation_ratio(energy.scores):.2f}")
 
 print("\nthe defect edge of the twist is (0, 1); the noise profile is flat,")
 print("so its participation ratio sits near the number of edges.")

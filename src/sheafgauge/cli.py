@@ -225,7 +225,7 @@ def cmd_diagnose(args) -> int:
 def _write_witness_csv(path, witness_map):
     """One row per cell, numbered in the canonical cell order of the map."""
     rows = [(i, witness_map.degree, witness_map.delta, score)
-            for i, score in enumerate(witness_map.scores.values())]
+            for i, score in enumerate(witness_map.scores.tolist())]
     write_csv(path, ("cell_id", "degree", "delta", "score"), rows)
 
 
@@ -412,6 +412,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    option = argv[1].partition("=")[0] if argv[:1] == ["experiment"] and argv[1:] else ""
+    if option.startswith("-") and option not in ("-h", "--help"):
+        # argparse would take the option's value for the experiment name
+        print(f"sheafgauge experiment: error: option {option} comes before the experiment "
+              f"name; the experiment comes first: sheafgauge experiment "
+              f"{{{','.join(EXPERIMENTS)}}} {option} ...", file=sys.stderr)
+        return 1
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -3,9 +3,10 @@
 Cells are sorted vertex tuples: ``(v,)`` for vertices, ``(u, v)`` for edges
 and ``(u, v, w)`` for triangles. Incidence signs follow the alternating-sum
 rule induced by the global vertex order. Cone cells added by
-:func:`cone_complex` are oriented apex-first, which flips the sign pattern
-on cone edges relative to the sorted orientation (the apex index is largest,
-but the apex comes first in the orientation order).
+:func:`cone_complex` follow the base cells of their degree and are oriented
+apex-first, which flips the sign pattern on cone edges relative to the
+sorted orientation (the apex index is largest, but the apex comes first in
+the orientation order).
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ Cell = tuple  # sorted tuple of vertex ids
 
 class GraphValidationError(ValueError):
     """The input graph violates the simple-graph invariants."""
-
-
-class IncidenceError(KeyError):
-    """A queried (cell, face) pair is not a codimension-1 incidence."""
 
 
 class Graph:
@@ -133,12 +130,6 @@ class CliqueComplex:
             return self.triangles
         return ()
 
-    def incidence_sign(self, cell, face):
-        try:
-            return self.incidences[(tuple(cell), tuple(face))]
-        except KeyError:
-            raise IncidenceError(f"{face} is not a codimension-1 face of {cell}")
-
     def faces(self, cell):
         return tuple(self._faces.get(tuple(cell), ()))
 
@@ -177,19 +168,19 @@ def build_clique_complex(g: Graph) -> CliqueComplex:
 def cone_complex(base: CliqueComplex) -> CliqueComplex:
     """Adjoin an apex vertex: one cone edge per vertex, one cone triangle per edge.
 
-    The apex index is larger than every base vertex; cone cells are oriented
-    apex-first, so the face obtained by dropping the apex always enters the
-    coboundary with sign +1. Cones over base triangles would be 3-cells and
-    are excluded by the dimension-2 truncation.
+    The cone cells follow the base cells of their degree: the apex last, the
+    cone edges (v, apex) in vertex order, the cone triangles (u, v, apex) in
+    base-edge order. That is the layout [C^j(F) | C^{j-1}(W)] of the
+    translated mapping cone. The apex index is larger than every base vertex;
+    cone cells are oriented apex-first, so the face obtained by dropping the
+    apex always enters the coboundary with sign +1. Cones over base triangles
+    would be 3-cells and are excluded by the dimension-2 truncation.
     """
     if base.apex is not None:
         raise ValueError("complex already has a cone apex")
     apex = len(base.vertices)
-    vertices = base.vertices + (apex,)
-    cone_edges = [(v, apex) for v in base.vertices]
-    cone_triangles = [(u, v, apex) for (u, v) in base.edges]
-    edges = tuple(sorted(base.edges + tuple(cone_edges)))
-    triangles = tuple(sorted(base.triangles + tuple(cone_triangles)))
+    cone_edges = tuple((v, apex) for v in base.vertices)
+    cone_triangles = tuple((u, v, apex) for (u, v) in base.edges)
     incidences = dict(base.incidences)
     for v, a in cone_edges:
         # apex-first orientation (a, v): dropping a gives +1, dropping v gives -1
@@ -200,4 +191,5 @@ def cone_complex(base: CliqueComplex) -> CliqueComplex:
         incidences[((u, v, a), (u, v))] = 1
         incidences[((u, v, a), (v, a))] = -1
         incidences[((u, v, a), (u, a))] = 1
-    return CliqueComplex(vertices, edges, triangles, incidences, apex=apex)
+    return CliqueComplex(base.vertices + (apex,), base.edges + cone_edges,
+                         base.triangles + cone_triangles, incidences, apex=apex)

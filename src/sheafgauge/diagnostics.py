@@ -274,8 +274,7 @@ class ExperimentResult:
 
 def participation_ratio(scores) -> float:
     """Effective number of participating cells, (sum s)^2 / sum s^2."""
-    values = np.asarray(list(scores.values()) if isinstance(scores, dict) else scores,
-                        dtype=float)
+    values = np.asarray(scores, dtype=float)
     total_sq = float(np.sum(values**2))
     if total_sq == 0.0:
         return 0.0

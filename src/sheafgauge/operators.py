@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .complexes import CliqueComplex, cone_complex
+from .complexes import cone_complex
 from .sheaves import CellSheaf, Stalk, _read_only, constant_sheaf
 
 ZERO_ABS = 1e-10
@@ -511,38 +511,17 @@ class ConeEquivalenceReport:
     residual_by_degree: dict | None
 
 
-def _cone_layout_index(geo_sheaf, base_sheaf, w, degree):
-    """Coordinate map from the geometric cone layout (cells sorted) to the
-    translated-cone layout [C^degree(F) | C^{degree-1}(W)]."""
-    apex = geo_sheaf.complex.apex
-    f_offset = base_sheaf.cell_slices(degree)
-    f_total = base_sheaf.cochain_dim(degree)
-    base_cells = base_sheaf.complex.cells(degree - 1) if degree >= 1 else ()
-    w_index = {cell: i for i, cell in enumerate(base_cells)}
-    index = np.empty(geo_sheaf.cochain_dim(degree), dtype=int)
-    position = 0
-    for cell in geo_sheaf.complex.cells(degree):
-        d = geo_sheaf.stalk_dim(cell)
-        if apex in cell:
-            base = tuple(x for x in cell if x != apex)
-            slot = 0 if degree == 0 else w_index[base]
-            start = f_total + w * slot
-        else:
-            start = f_offset[cell].start
-        index[position : position + d] = np.arange(start, start + d)
-        position += d
-    return index
-
-
 def verify_cone_equivalence(cone: MappingCone) -> ConeEquivalenceReport:
     """Check that the geometric cone realizes the translated mapping cone.
 
     Requires a compatible grounding (``cone.defect_total`` at most
     COMPATIBILITY_TOL); otherwise the hypothesis fails and the defect norm is
-    reported instead. The geometric cone has an apex stalk W that the cone
-    lacks, so its degree -1 differential is augmented here: one more column
-    block, zero over C^1(F) and the identity on W for every vertex over
-    C^0(W).
+    reported instead. The coned complex lays its cells out as the translated
+    cone, [C^j(F) | C^{j-1}(W)], so the geometric coboundaries are compared
+    with the translated differentials entry by entry. The geometric cone has
+    an apex stalk W that the cone lacks, so its degree -1 differential is
+    augmented here: one more column block, zero over C^1(F) and the identity
+    on W for every vertex over C^0(W).
     """
     if cone.defect_total > COMPATIBILITY_TOL:
         return ConeEquivalenceReport("hypothesis-not-met", cone.defect_total, None, None)
@@ -553,12 +532,10 @@ def verify_cone_equivalence(cone: MappingCone) -> ConeEquivalenceReport:
                              + [np.eye(w)] * len(sheaf.complex.vertices))
     translated = {0: -np.hstack([cone.differential(-1), augmentation]),
                   1: -cone.differential(0)}
-    index = {j: _cone_layout_index(geo, sheaf, w, j) for j in (0, 1, 2)}
     residuals = {}
     for j in (0, 1):
         geometric = coboundary(geo, j).matrix
-        reordered = translated[j][np.ix_(index[j + 1], index[j])]
-        residuals[j] = float(np.max(np.abs(geometric - reordered))) if geometric.size else 0.0
+        residuals[j] = float(np.max(np.abs(geometric - translated[j]))) if geometric.size else 0.0
     worst = max(residuals.values())
     status = "pass" if worst < 1e-12 else "fail"
     return ConeEquivalenceReport(status, cone.defect_total, worst, residuals)

@@ -185,15 +185,20 @@ def _admitted_modes(spectrum: Spectrum, delta: float, cfg: WitnessConfig):
 
 @dataclass(frozen=True)
 class LocalWitnessMap:
+    """One score per degree-``degree`` cell: ``scores`` is a read-only array
+    in the order of ``cells``, the complex's ``cells(degree)``."""
+
     degree: int
     delta: float
-    channel: str
-    scores: dict
+    cells: tuple
+    scores: np.ndarray
+
+    def __post_init__(self):
+        self.scores.flags.writeable = False
 
     def argmax(self):
-        if not self.scores or all(v == 0.0 for v in self.scores.values()):
-            return None
-        return max(self.scores, key=lambda c: self.scores[c])
+        """The cell of the first largest score; None when every score is 0."""
+        return self.cells[int(np.argmax(self.scores))] if self.scores.any() else None
 
 
 def _block_energy(sheaf: CellSheaf, j: int, image: np.ndarray, weights: np.ndarray):
@@ -216,7 +221,7 @@ def _incidence_index(sheaf: CellSheaf, j: int):
 
 def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray, weights: np.ndarray,
                     down: np.ndarray | None, up: np.ndarray | None,
-                    eps: np.ndarray | None = None) -> dict:
+                    eps: np.ndarray | None = None) -> np.ndarray:
     """Per-cell witness scores of the weighted mode columns in degree j.
 
     ``down`` is d_{j-1} and ``up`` is d_j, None where degree j has none.
@@ -238,7 +243,7 @@ def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray, weights: np.n
         # every column block of eps spans all rows of W: one product per cell
         for k, block in enumerate(sheaf.cell_slices(j).values()):
             scores[k] += float(np.sum((eps[:, block] @ vectors[block]) ** 2, axis=0) @ weights)
-    return dict(zip(cells, scores.tolist()))
+    return scores
 
 
 def _degree_modes(cfg, spectrum):
@@ -261,7 +266,7 @@ def local_witness(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None) ->
     down = coboundary(sheaf, j - 1).matrix if j >= 1 else None
     up = coboundary(sheaf, j).matrix if j <= 1 else None
     scores = _witness_scores(sheaf, j, vectors, weights, down, up)
-    return LocalWitnessMap(j, delta, "base", scores)
+    return LocalWitnessMap(j, delta, sheaf.complex.cells(j), scores)
 
 
 def coface_energy_map(sheaf: CellSheaf, j: int,
@@ -278,25 +283,26 @@ def coface_energy_map(sheaf: CellSheaf, j: int,
         raise ValueError(f"coface energy needs degree 0 or 1, got {j}")
     delta, vectors, weights = _degree_modes(cfg, laplacian_spectrum(sheaf, j))
     energy = _block_energy(sheaf, j + 1, coboundary(sheaf, j).matrix @ vectors, weights)
-    scores = dict(zip(sheaf.complex.cells(j + 1), energy.tolist()))
-    return LocalWitnessMap(j + 1, delta, "coface-energy", scores)
+    return LocalWitnessMap(j + 1, delta, sheaf.complex.cells(j + 1), energy)
 
 
 def local_witness_relative(channels: ChannelSet,
                            cfg: WitnessConfig | None = None) -> LocalWitnessMap:
     """Edge-level witness of the relative cone channel L_1 + eps^T eps.
 
-    The grounding energy of a mode decomposes over the cone triangles of the
-    grounded complex, one per base edge, so each edge e additionally
-    receives ||eps_e x_e||^2 from its own column block of eps. The spectrum
-    is the channel set's ``relative_spectrum``, the coboundaries those of
-    ``channels.sheaf``.
+    Each edge e additionally receives ||eps_e x_e||^2 from its own column
+    block eps_e of ``channels.eps``. Summed over the edges, these terms are
+    the grounding energy of the cone's block-diagonal eps_1, one W per edge;
+    they are not ||eps x||^2 for a vertex-level grounding, whose ``c1_map``
+    sets the edge maps side by side into one W, so the cross terms between
+    edges are left out. The modes come from the channel set's
+    ``relative_spectrum`` (one W), the coboundaries from ``channels.sheaf``.
     """
     sheaf = channels.sheaf
     delta, vectors, weights = _degree_modes(cfg, channels.relative_spectrum)
     scores = _witness_scores(sheaf, 1, vectors, weights, coboundary(sheaf, 0).matrix,
                              coboundary(sheaf, 1).matrix, eps=channels.eps)
-    return LocalWitnessMap(1, delta, "relative-cone", scores)
+    return LocalWitnessMap(1, delta, sheaf.complex.cells(1), scores)
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,7 @@ def test_criterion_8_witness_properties():
                 total += len(sheaf.complex.faces(edge)) * float(
                     np.sum(image[sheaf.cell_slices(1)[edge]] ** 2)
                 )
-        if abs(sum(witness.scores.values()) - total) > 1e-8:
+        if abs(sum(witness.scores.tolist()) - total) > 1e-8:
             ok = False
     record_criterion(
         "C8",

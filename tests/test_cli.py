@@ -393,6 +393,22 @@ def test_experiment_unknown_name_lists_valid(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("option", [["--n", "6"], ["--n=6"], ["--out", "x"], ["--seed", "1"]],
+                         ids=["n", "n-equals", "out", "seed"])
+def test_option_before_the_experiment_name_is_named(tmp_path, capsys, monkeypatch, option):
+    # argparse took the option's value for the experiment name
+    monkeypatch.setattr(cli.diag, "experiment_magnitude", lambda *a: pytest.fail("ran"))
+    _fails_before_any_work(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert run(["experiment"] + option + ["magnitude"]) == 1
+    flag = option[0].partition("=")[0]
+    assert capsys.readouterr().err == (
+        f"sheafgauge experiment: error: option {flag} comes before the experiment name; "
+        f"the experiment comes first: sheafgauge experiment "
+        f"{{existence,magnitude,localization,relativity}} {flag} ...\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_outputs_and_determinism(tmp_path):
     out = tmp_path / "e"
     args = ["experiment", "localization", "--seed", "7", "--out", str(out)]

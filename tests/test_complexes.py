@@ -6,7 +6,6 @@ import pytest
 from sheafgauge.complexes import (
     Graph,
     GraphValidationError,
-    IncidenceError,
     build_clique_complex,
     complete_graph,
     cone_complex,
@@ -64,21 +63,15 @@ def test_graph_json_round_trip():
 
 def test_incidence_signs_triangle():
     k = build_clique_complex(complete_graph(3))
-    assert k.incidence_sign((0, 1, 2), (1, 2)) == 1
-    assert k.incidence_sign((0, 1, 2), (0, 2)) == -1
-    assert k.incidence_sign((0, 1, 2), (0, 1)) == 1
+    assert k.incidences[((0, 1, 2), (1, 2))] == 1
+    assert k.incidences[((0, 1, 2), (0, 2))] == -1
+    assert k.incidences[((0, 1, 2), (0, 1))] == 1
 
 
 def test_incidence_signs_edge():
     k = build_clique_complex(complete_graph(3))
-    assert k.incidence_sign((0, 1), (0,)) == -1
-    assert k.incidence_sign((0, 1), (1,)) == 1
-
-
-def test_incidence_error_on_non_face():
-    k = build_clique_complex(complete_graph(3))
-    with pytest.raises(IncidenceError):
-        k.incidence_sign((0, 1), (2,))
+    assert k.incidences[((0, 1), (0,))] == -1
+    assert k.incidences[((0, 1), (1,))] == 1
 
 
 def _boundary_squares_to_zero(k):
@@ -86,7 +79,7 @@ def _boundary_squares_to_zero(k):
     for t in k.triangles:
         for v in t:
             total = sum(
-                k.incidence_sign(t, e) * k.incidence_sign(e, (v,))
+                k.incidences[(t, e)] * k.incidences[(e, (v,))]
                 for e in k.faces(t)
                 if v in e
             )
@@ -142,6 +135,20 @@ def test_cone_adds_one_edge_per_vertex_and_one_triangle_per_edge():
     assert len(coned.triangles) == len(base.triangles) + len(base.edges)
 
 
+@pytest.mark.parametrize("graph", [cycle_graph(5), complete_graph(4), Graph(3, []),
+                                   Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (4, 5)])],
+                         ids=["cycle", "k4", "edgeless", "mixed"])
+def test_cone_cells_follow_the_base_cells(graph):
+    # the layout [C^j(F) | C^{j-1}(W)] of the translated cone: the base cells
+    # of degree j, then one cone cell per base cell of degree j - 1, in base order
+    base = build_clique_complex(graph)
+    coned = cone_complex(base)
+    apex = coned.apex
+    for j in (0, 1, 2):
+        below = tuple(cell + (apex,) for cell in base.cells(j - 1)) if j else ((apex,),)
+        assert coned.cells(j) == base.cells(j) + below
+
+
 def test_cone_twice_rejected():
     k = cone_complex(build_clique_complex(cycle_graph(4)))
     with pytest.raises(ValueError, match="apex"):
@@ -152,8 +159,8 @@ def test_cone_apex_first_orientation():
     k = cone_complex(build_clique_complex(Graph(2, [(0, 1)])))
     apex = k.apex
     # dropping the apex from a cone cell always carries sign +1
-    assert k.incidence_sign((0, apex), (0,)) == 1
-    assert k.incidence_sign((0, apex), (apex,)) == -1
-    assert k.incidence_sign((0, 1, apex), (0, 1)) == 1
-    assert k.incidence_sign((0, 1, apex), (1, apex)) == -1
-    assert k.incidence_sign((0, 1, apex), (0, apex)) == 1
+    assert k.incidences[((0, apex), (0,))] == 1
+    assert k.incidences[((0, apex), (apex,))] == -1
+    assert k.incidences[((0, 1, apex), (0, 1))] == 1
+    assert k.incidences[((0, 1, apex), (1, apex))] == -1
+    assert k.incidences[((0, 1, apex), (0, apex))] == 1

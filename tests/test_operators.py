@@ -4,7 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from sheafgauge.complexes import Graph, build_clique_complex, complete_graph, cycle_graph
+from sheafgauge.complexes import (
+    CliqueComplex,
+    Graph,
+    build_clique_complex,
+    complete_graph,
+    cycle_graph,
+)
 from sheafgauge.operators import (
     COCHAIN_C1,
     COMPATIBILITY_TOL,
@@ -13,7 +19,6 @@ from sheafgauge.operators import (
     GroundingModeError,
     GroundingMorphism,
     _assemble_laplacian,
-    _cone_layout_index,
     algebraic_cone,
     betti_numbers,
     channel_set,
@@ -115,13 +120,13 @@ def _fresh_slices(sheaf, j):
 
 
 def _reference_coboundary(sheaf, j):
-    """Per-coface assembly through faces(), incidence_sign() and restriction()."""
+    """Per-coface assembly through faces(), the incidence signs and restriction()."""
     rows, row_dim = _fresh_slices(sheaf, j + 1)
     cols, col_dim = _fresh_slices(sheaf, j)
     matrix = np.zeros((row_dim, col_dim))
     for coface in sheaf.complex.cells(j + 1):
         for face in sheaf.complex.faces(coface):
-            sign = sheaf.complex.incidence_sign(coface, face)
+            sign = sheaf.complex.incidences[(coface, face)]
             matrix[rows[coface], cols[face]] = sign * sheaf.restriction(face, coface)
     return matrix
 
@@ -602,10 +607,35 @@ def test_les_random_compatible_morphisms():
             assert node.exact
 
 
+def _cone_layout_index(geo_sheaf, base_sheaf, w, degree):
+    """Coordinate map from the geometric cone layout to the translated-cone
+    layout [C^degree(F) | C^{degree-1}(W)], found cell by cell."""
+    apex = geo_sheaf.complex.apex
+    f_offset = base_sheaf.cell_slices(degree)
+    f_total = base_sheaf.cochain_dim(degree)
+    base_cells = base_sheaf.complex.cells(degree - 1) if degree >= 1 else ()
+    w_index = {cell: i for i, cell in enumerate(base_cells)}
+    index = np.empty(geo_sheaf.cochain_dim(degree), dtype=int)
+    position = 0
+    for cell in geo_sheaf.complex.cells(degree):
+        d = geo_sheaf.stalk_dim(cell)
+        if apex in cell:
+            base = tuple(x for x in cell if x != apex)
+            slot = 0 if degree == 0 else w_index[base]
+            start = f_total + w * slot
+        else:
+            start = f_offset[cell].start
+        index[position : position + d] = np.arange(start, start + d)
+        position += d
+    return index
+
+
 def _reference_cone_equivalence(sheaf, grounding):
     """Cone equivalence from its own assembly: the incidence defect, the
     augmented translated cone (degree -1 carries the apex column, one
-    identity per vertex over C^0(W)) and the residual loop."""
+    identity per vertex over C^0(W)) and the residual loop over the
+    geometric cone with its cells sorted, permuted into the translated
+    layout."""
     defect = incidence_defect(sheaf, grounding)
     if defect > COMPATIBILITY_TOL:
         return ConeEquivalenceReport("hypothesis-not-met", defect, None, None)
@@ -621,7 +651,11 @@ def _reference_cone_equivalence(sheaf, grounding):
     d_zero[: f[2], : f[1]] = -coboundary(sheaf, 1).matrix
     d_zero[f[2] :, : f[1]] = -grounding.cochain_block(sheaf, 1)
     d_zero[f[2] :, f[1] :] = coboundary(wsheaf, 0).matrix
-    geo = geometric_cone_sheaf(sheaf, grounding)
+    coned = geometric_cone_sheaf(sheaf, grounding)
+    cells = coned.complex
+    sorted_complex = CliqueComplex(cells.vertices, sorted(cells.edges), sorted(cells.triangles),
+                                   cells.incidences, apex=cells.apex)
+    geo = CellSheaf(sorted_complex, coned.stalks, coned.restrictions)
     index = {j: _cone_layout_index(geo, sheaf, w, j) for j in (0, 1, 2)}
     residuals = {}
     for j, differential in ((0, d_minus1), (1, d_zero)):
@@ -656,6 +690,12 @@ def test_cone_equivalence_equals_reference_assembly():
         assert report.defect_norm == reference.defect_norm
         assert report.max_residual == reference.max_residual
         assert report.residual_by_degree == reference.residual_by_degree
+        # the coned complex is laid out as the translated cone: the
+        # permutation is the identity
+        geo = geometric_cone_sheaf(sheaf, grounding)
+        for j in (0, 1, 2):
+            index = _cone_layout_index(geo, sheaf, grounding.target_dim, j)
+            assert index.tolist() == list(range(geo.cochain_dim(j)))
         statuses.append(report.status)
     assert statuses == ["pass"] * 13 + ["hypothesis-not-met"]
 

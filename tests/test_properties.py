@@ -112,8 +112,9 @@ def _relabel(sheaf, perm):
 def _assert_permuted(before, after, cells):
     assert before.degree == after.degree
     assert len(before.scores) == len(after.scores)
-    old = np.array(list(before.scores.values()))
-    new = np.array([after.scores[cells[c]] for c in before.scores])
+    position = {cell: i for i, cell in enumerate(after.cells)}
+    old = before.scores
+    new = after.scores[[position[cells[c]] for c in before.cells]]
     scale = max(float(np.max(np.abs(old), initial=0.0)), float(np.max(np.abs(new), initial=0.0)))
     assert np.all(np.abs(old - new) <= 1e-9 * scale)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sheafgauge.complexes import Graph, build_clique_complex
+from sheafgauge.complexes import Graph, build_clique_complex, complete_graph
 from sheafgauge.operators import (
     SheafLaplacian,
     algebraic_cone,
@@ -23,6 +23,7 @@ from sheafgauge.sheaves import (
 )
 from sheafgauge.spectral import (
     AsymmetricOperatorError,
+    LocalWitnessMap,
     PsdViolationError,
     Spectrum,
     WitnessConfig,
@@ -302,7 +303,7 @@ def test_heat_weight_default_time():
 def test_local_witness_zero_below_gap():
     sheaf = trivial_bundle(10)
     witness = local_witness(sheaf, 0, WitnessConfig(delta1=1e-6))
-    assert all(v == 0.0 for v in witness.scores.values())
+    assert not witness.scores.any()
 
 
 def test_local_witness_mobius_rotation_symmetric():
@@ -310,7 +311,7 @@ def test_local_witness_mobius_rotation_symmetric():
     # invariant under the cycle rotation, so all vertex scores agree
     sheaf = mobius_bundle(10)
     witness = local_witness(sheaf, 0, WitnessConfig())
-    values = list(witness.scores.values())
+    values = witness.scores
     assert max(values) > 0
     assert max(values) - min(values) < 1e-8 * max(values)
 
@@ -322,6 +323,28 @@ def test_local_witness_hidden_twist_argmax_at_defect():
     # the defect endpoints dominate the vertex aggregation too
     vertex_map = local_witness(sheaf, 0, WitnessConfig())
     assert vertex_map.argmax() in ((0,), (1,))
+
+
+def test_witness_map_argmax_is_the_first_maximum_or_none():
+    cells = ((0, 1), (1, 2), (2, 3), (0, 3))
+    tied = LocalWitnessMap(0, 1.0, cells, np.array([0.5, 2.0, 1.0, 2.0]))
+    assert tied.argmax() == (1, 2)
+    assert LocalWitnessMap(0, 1.0, cells, np.zeros(4)).argmax() is None
+    assert LocalWitnessMap(0, 1.0, (), np.zeros(0)).argmax() is None
+
+
+def test_witness_maps_are_read_only_arrays_in_cell_order():
+    sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
+    channels = channel_set(sheaf, grounding_from_padding(sheaf))
+    cfg = WitnessConfig(delta1=3.0, weight="uniform")
+    maps = [local_witness(sheaf, j, cfg) for j in (0, 1, 2)]
+    maps += [coface_energy_map(sheaf, j, cfg) for j in (0, 1)]
+    maps.append(local_witness_relative(channels, cfg))
+    for witness_map in maps:
+        assert witness_map.cells == sheaf.complex.cells(witness_map.degree)
+        assert witness_map.scores.shape == (len(witness_map.cells),)
+        with pytest.raises(ValueError):
+            witness_map.scores[0] = 1.0
 
 
 def test_local_witness_energy_accounting():
@@ -340,16 +363,17 @@ def test_local_witness_energy_accounting():
             for edge in sheaf.complex.edges:
                 faces = len(sheaf.complex.faces(edge))
                 total += faces * float(np.sum(image[sheaf.cell_slices(1)[edge]] ** 2))
-        assert abs(sum(witness.scores.values()) - total) < 1e-8
+        assert abs(float(np.sum(witness.scores)) - total) < 1e-8
 
 
 def test_local_witness_relative_channel():
     sheaf = hidden_twist_bundle(10, 0.3)
     grounding = grounding_from_padding(sheaf)
     witness = local_witness_relative(channel_set(sheaf, grounding), WitnessConfig())
-    assert set(witness.scores) == set(sheaf.complex.edges)
-    assert all(v >= 0 for v in witness.scores.values())
-    assert any(v > 0 for v in witness.scores.values())
+    assert witness.cells == sheaf.complex.edges
+    assert witness.scores.shape == (len(sheaf.complex.edges),)
+    assert np.all(witness.scores >= 0)
+    assert np.any(witness.scores > 0)
 
 
 def test_clusters_match_loop_reference():
@@ -482,13 +506,18 @@ def _loop_witnesses(sheaf, j, cfg):
     return witness, coface, relative
 
 
-def _assert_scores_close(actual, expected):
-    assert list(actual) == list(expected)
-    a = np.array(list(actual.values()))
+def _assert_scores_close(witness_map, expected):
+    assert witness_map.cells == tuple(expected)
+    a = witness_map.scores
     e = np.array(list(expected.values()))
     scale = max(float(np.max(np.abs(e))), 1e-300) if e.size else 1.0
     assert np.all(np.abs(a - e) <= 1e-12 * scale)
     assert np.array_equal(a == 0.0, e == 0.0)
+
+
+def _assert_maps_bit_equal(a, b):
+    assert (a.degree, a.delta, a.cells) == (b.degree, b.delta, b.cells)
+    assert a.scores.tobytes() == b.scores.tobytes()
 
 
 def _feature_sheaf(seed):
@@ -518,12 +547,12 @@ def test_vectorized_witnesses_match_loop_reference(make):
     for cfg in configs:
         for j in degrees:
             witness, coface, relative = _loop_witnesses(sheaf, j, cfg)
-            _assert_scores_close(local_witness(sheaf, j, cfg).scores, witness)
+            _assert_scores_close(local_witness(sheaf, j, cfg), witness)
             if coface is not None:
-                _assert_scores_close(coface_energy_map(sheaf, j, cfg).scores, coface)
+                _assert_scores_close(coface_energy_map(sheaf, j, cfg), coface)
             if relative is not None:
                 channels = channel_set(sheaf, grounding_from_padding(sheaf))
-                _assert_scores_close(local_witness_relative(channels, cfg).scores, relative)
+                _assert_scores_close(local_witness_relative(channels, cfg), relative)
 
 
 @pytest.mark.parametrize("make", [
@@ -544,8 +573,9 @@ def test_witnesses_from_channel_set_equal_standalone(make):
     assert channels.sheaf is sheaf
     for cfg in (WitnessConfig(), WitnessConfig(delta1=3.0, weight="uniform")):
         for j in (0, 1):
-            assert local_witness(sheaf, j, cfg) == local_witness(make(), j, cfg)
-            assert coface_energy_map(sheaf, j, cfg) == coface_energy_map(make(), j, cfg)
+            _assert_maps_bit_equal(local_witness(sheaf, j, cfg), local_witness(make(), j, cfg))
+            _assert_maps_bit_equal(coface_energy_map(sheaf, j, cfg),
+                                   coface_energy_map(make(), j, cfg))
 
 
 @pytest.mark.parametrize("j", [-1, 3])
@@ -563,7 +593,7 @@ def test_local_witness_degenerate_cluster_block_rule():
     witness = local_witness(sheaf, 0, WitnessConfig(delta1=float(pair), weight="uniform"))
     direct = local_witness(sheaf, 0, WitnessConfig(delta1=float(pair) * 1.001,
                                                    weight="uniform"))
-    assert np.allclose(list(witness.scores.values()), list(direct.scores.values()))
+    assert np.allclose(witness.scores, direct.scores)
 
 
 # ---------------------------------------------------------------------------
