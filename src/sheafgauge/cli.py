@@ -185,9 +185,13 @@ def cmd_build(args) -> int:
             for v in violations
         ]
         write_json(_out(cfg, "validation_report.json"), {"violations": report})
-        print(f"functoriality violations on {len(violations)} incidences; "
-              f"triangles: {sorted({tuple(v.triangle) for v in violations})}",
-              file=sys.stderr)
+        # one short line; the report lists every violation
+        triangles = sorted({v.triangle for v in violations})
+        worst = max(violations, key=lambda v: v.defect)
+        shown = ", ".join(map(str, triangles[:5])) + (", …" if len(triangles) > 5 else "")
+        print(f"functoriality violations on {len(violations)} incidences of {len(triangles)} "
+              f"triangles; largest defect {worst.defect:.3e} at {worst.triangle}; "
+              f"triangles {shown} (all in validation_report.json)", file=sys.stderr)
         return 2
     return 0
 

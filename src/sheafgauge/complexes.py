@@ -115,6 +115,7 @@ class CliqueComplex:
         self.triangles = tuple(triangles)
         self.incidences = dict(incidences)
         self.apex = apex
+        self._cells = (tuple((v,) for v in self.vertices), self.edges, self.triangles)
         self._faces = {}
         for (cell, face), _sign in self.incidences.items():
             self._faces.setdefault(cell, []).append(face)
@@ -122,13 +123,7 @@ class CliqueComplex:
             lst.sort()
 
     def cells(self, dim):
-        if dim == 0:
-            return tuple((v,) for v in self.vertices)
-        if dim == 1:
-            return self.edges
-        if dim == 2:
-            return self.triangles
-        return ()
+        return self._cells[dim] if dim in (0, 1, 2) else ()
 
     def faces(self, cell):
         return tuple(self._faces.get(tuple(cell), ()))

@@ -55,20 +55,16 @@ SEED_DEFAULT = 0
 NUM_SEEDS_DEFAULT = 20
 DEFECT_EDGE_DEFAULT = HIDDEN_TWIST_DEFECT_EDGE
 
-GROUNDING_NAMES = ("fullrank", "deficient", "padding", "zero")
+_GROUNDINGS = {"fullrank": grounding_identity_c1, "deficient": grounding_killing_kernel,
+               "padding": grounding_from_padding, "zero": grounding_zero_c1}
+GROUNDING_NAMES = tuple(_GROUNDINGS)
 
 
 def make_grounding(sheaf: CellSheaf, name: str) -> GroundingMorphism:
-    """Named groundings exposed by the command line."""
-    if name == "fullrank":
-        return grounding_identity_c1(sheaf)
-    if name == "deficient":
-        return grounding_killing_kernel(sheaf)
-    if name == "padding":
-        return grounding_from_padding(sheaf)
-    if name == "zero":
-        return grounding_zero_c1(sheaf)
-    raise ValueError(f"unknown grounding {name!r}; choose from {GROUNDING_NAMES}")
+    """The grounding of ``sheaf`` named on the command line."""
+    if name not in _GROUNDINGS:
+        raise ValueError(f"unknown grounding {name!r}; choose from {GROUNDING_NAMES}")
+    return _GROUNDINGS[name](sheaf)
 
 
 # ---------------------------------------------------------------------------

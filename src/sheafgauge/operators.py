@@ -145,14 +145,14 @@ class SheafLaplacian:
 
 def _hodge_laplacian(n: int, j: int, down: np.ndarray | None,
                      up: np.ndarray | None) -> SheafLaplacian:
-    """down down^T + up^T up on an n-dimensional cochain space, symmetrized
-    and read-only."""
+    """down down^T + up^T up on an n-dimensional cochain space, read-only;
+    numpy forms each Gram product by a symmetric rank-k update, so the sum
+    is exactly symmetric."""
     m = np.zeros((n, n))
     if down is not None:
         m += down @ down.T
     if up is not None:
         m += up.T @ up
-    m = 0.5 * (m + m.T)
     m.flags.writeable = False
     return SheafLaplacian(m, j)
 
@@ -263,7 +263,7 @@ class GroundingMorphism:
         return matrix
 
     def c1_map(self, sheaf: CellSheaf) -> np.ndarray:
-        """Map C^1(F) -> W; vertex-level groundings set their edge maps side by side."""
+        """Read-only map C^1(F) -> W; vertex-level groundings set their edge maps side by side."""
         if self.mode == COCHAIN_C1:
             if self.c1_matrix.shape[1] != sheaf.cochain_dim(1):
                 raise GroundingModeError(
@@ -271,10 +271,9 @@ class GroundingMorphism:
                     f"C^1 has dim {sheaf.cochain_dim(1)}"
                 )
             return self.c1_matrix
-        cols = sheaf.cell_slices(1)
-        matrix = np.zeros((self.target_dim, sheaf.cochain_dim(1)))
-        for cell in sheaf.complex.cells(1):
-            matrix[:, cols[cell]] = self.cell_maps[cell]
+        matrix = np.hstack([np.zeros((self.target_dim, 0))]
+                           + [self.cell_maps[e] for e in sheaf.complex.cells(1)])
+        matrix.flags.writeable = False
         return matrix
 
 
@@ -342,9 +341,10 @@ def propagate_cycle_grounding(sheaf: CellSheaf, seed: int,
                               target_dim: int | None = None) -> GroundingMorphism:
     """Compatible grounding on a cycle bundle, transported from vertex 0.
 
-    Solves epsilon_e rho_{u->e} = epsilon_u along the cycle; the closing
-    edge is consistent iff the bundle holonomy is trivial, otherwise
-    a ValueError is raised.
+    Solves epsilon_e rho_{u->e} = epsilon_u along the cycle and sets
+    epsilon_v = epsilon_e rho_{v->e}. The closing edge (0, n - 1) comes last:
+    its transport agrees with epsilon_{n-1} iff the bundle holonomy is
+    trivial, otherwise a ValueError is raised.
     """
     complex_ = sheaf.complex
     n = len(complex_.vertices)
@@ -354,18 +354,13 @@ def propagate_cycle_grounding(sheaf: CellSheaf, seed: int,
     w = target_dim if target_dim is not None else d
     rng = np.random.default_rng(seed)
     cell_maps = {(0,): rng.normal(size=(w, d))}
-    chain = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    for u, v in chain[:-1]:
-        e = (u, v)
-        eps_e = cell_maps[(u,)] @ np.linalg.inv(sheaf.restriction((u,), e))
-        cell_maps[e] = eps_e
-        cell_maps[(v,)] = eps_e @ sheaf.restriction((v,), e)
-    u, v = chain[-1]
-    e = (u, v)
-    eps_e = cell_maps[(u,)] @ np.linalg.inv(sheaf.restriction((u,), e))
-    cell_maps[e] = eps_e
-    closure = eps_e @ sheaf.restriction((v,), e) - cell_maps[(v,)]
-    if np.max(np.abs(closure)) > 1e-8 * max(1.0, np.max(np.abs(cell_maps[(v,)]))):
+    for e in [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]:
+        eps_e = cell_maps[e] = cell_maps[e[:1]] @ np.linalg.inv(sheaf.restriction(e[:1], e))
+        transported = eps_e @ sheaf.restriction(e[1:], e)
+        cell_maps.setdefault(e[1:], transported)
+    last = cell_maps[(n - 1,)]
+    closure = transported - last
+    if np.max(np.abs(closure)) > 1e-8 * max(1.0, np.max(np.abs(last))):
         raise ValueError("cycle holonomy obstructs a compatible grounding")
     return GroundingMorphism(cell_maps=cell_maps)
 
@@ -433,13 +428,6 @@ class MappingCone:
 
     def laplacian(self, n: int) -> SheafLaplacian:
         return _hodge_laplacian(self.dim(n), n, self.differential(n - 1), self.differential(n))
-
-    def betti(self, n: int) -> int:
-        return (
-            self.dim(n)
-            - numerical_rank(self.differential(n))
-            - numerical_rank(self.differential(n - 1))
-        )
 
 
 def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism) -> MappingCone:
@@ -631,21 +619,31 @@ def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """The grounded taxonomy operators of a (sheaf, grounding) pair; L_0 and
-    L_1 are ``laplacian(channels.sheaf, j)``, kept by the sheaf.
+    """The grounded taxonomy operators of a sheaf and the read-only map
+    ``eps``: C^1 -> W of its grounding; L_0 and L_1 are
+    ``laplacian(channels.sheaf, j)``, kept by the sheaf.
 
-    ``relative`` = L_1 + eps^T eps is the cone-degree Hodge Laplacian of the
-    grounded complex; ``utilization`` = eps eps^T is an auxiliary Gram
-    operator on W, not a sheaf Laplacian; both are read-only and decomposed
-    once, on first use. ``coupling_norm`` = ||d_1 eps^T||, also computed on
-    first use, measures the failure of the block decomposition on complexes
-    with triangles (it vanishes identically on cycle complexes).
+    The rest is formed on first read and kept: the read-only ``relative`` =
+    L_1 + eps^T eps, the cone-degree Hodge Laplacian of the grounded complex,
+    and ``utilization`` = eps eps^T, an auxiliary Gram operator on W; their
+    spectra; and ``coupling_norm`` = ||d_1 eps^T||, the failure of the block
+    decomposition on complexes with triangles (0 on cycle complexes).
     """
 
     sheaf: CellSheaf
-    relative: SheafLaplacian
-    utilization: SheafLaplacian
     eps: np.ndarray
+
+    @cached_property
+    def relative(self) -> SheafLaplacian:
+        m = laplacian(self.sheaf, 1).matrix + self.eps.T @ self.eps
+        m.flags.writeable = False
+        return SheafLaplacian(m, 1)
+
+    @cached_property
+    def utilization(self) -> SheafLaplacian:
+        m = self.eps @ self.eps.T
+        m.flags.writeable = False
+        return SheafLaplacian(m, 0)
 
     @cached_property
     def relative_spectrum(self) -> Spectrum:
@@ -662,11 +660,7 @@ class ChannelSet:
 
 
 def channel_set(sheaf: CellSheaf, grounding: GroundingMorphism) -> ChannelSet:
-    eps = grounding.c1_map(sheaf)
-    relative = laplacian(sheaf, 1).matrix + eps.T @ eps
-    utilization = eps @ eps.T
-    relative.flags.writeable = utilization.flags.writeable = False
-    return ChannelSet(sheaf, SheafLaplacian(relative, 1), SheafLaplacian(utilization, 0), eps)
+    return ChannelSet(sheaf, grounding.c1_map(sheaf))
 
 
 @dataclass(frozen=True)
@@ -680,30 +674,22 @@ def verify_block_decomposition(sheaf: CellSheaf, grounding: GroundingMorphism) -
     """Spectral check of the degree-0 common-ground block decomposition.
 
     The honest cone Laplacians of the grounded complex are L_1 + eps^T eps
-    (on C^1) and [[d1 d1^T, d1 eps^T], [eps d1^T, eps eps^T]] (on C^2 + W).
-    When the coupling d1 eps^T vanishes, their joint spectrum must equal the
-    multiset union of the block spectra; otherwise only the coupling norm is
-    reported, never a silent assertion, and no spectrum is computed.
+    (on C^1) and [[L_2, d1 eps^T], [eps d1^T, eps eps^T]] (on C^2 + W). When
+    the coupling d1 eps^T vanishes, the second must have the spectrum of its
+    diagonal blocks L_2 and eps eps^T; the first is on both sides, so it is
+    not formed. Otherwise only the coupling norm is reported, never a silent
+    assertion, and no spectrum is computed.
     """
     channels = channel_set(sheaf, grounding)
     if channels.coupling_norm >= 1e-10:
         return BlockDecompositionReport(channels.coupling_norm, False, None)
-    eps = channels.eps
-    d1 = coboundary(sheaf, 1).matrix
     f2 = sheaf.cochain_dim(2)
-    w = eps.shape[0]
-    upper = np.zeros((f2 + w, f2 + w))
-    upper[:f2, :f2] = d1 @ d1.T
-    upper[:f2, f2:] = d1 @ eps.T
-    upper[f2:, :f2] = eps @ d1.T
-    upper[f2:, f2:] = eps @ eps.T
-    relative = np.linalg.eigvalsh(channels.relative.matrix)
-    cone_spectrum = np.sort(
-        np.concatenate([relative, np.linalg.eigvalsh(0.5 * (upper + upper.T))])
-    )
-    block_parts = [relative, np.linalg.eigvalsh(channels.utilization.matrix)]
-    if f2:
-        block_parts.append(np.linalg.eigvalsh(d1 @ d1.T))
-    block_spectrum = np.sort(np.concatenate(block_parts))
-    diff = float(np.max(np.abs(cone_spectrum - block_spectrum))) if cone_spectrum.size else 0.0
-    return BlockDecompositionReport(channels.coupling_norm, True, diff)
+    w = channels.eps.shape[0]
+    blocks = np.zeros((f2 + w, f2 + w))  # the diagonal blocks L_2 and eps eps^T
+    blocks[:f2, :f2] = laplacian(sheaf, 2).matrix
+    blocks[f2:, f2:] = channels.utilization.matrix
+    coupled = blocks.copy()
+    coupled[:f2, f2:] = coboundary(sheaf, 1).matrix @ channels.eps.T
+    coupled[f2:, :f2] = coupled[:f2, f2:].T
+    diff = np.max(np.abs(np.linalg.eigvalsh(coupled) - np.linalg.eigvalsh(blocks)), initial=0.0)
+    return BlockDecompositionReport(channels.coupling_norm, True, float(diff))

@@ -445,24 +445,13 @@ def check_cycle_length(n: int):
 
 
 def _cycle_sheaf(n: int, stalk_dim: int, maps):
-    """Sheaf on the n-cycle whose restrictions are the identity except those
-    ``maps`` gives, keyed ``((v,), e)`` like ``CellSheaf.restrictions``.
-    Every cell shares one stalk object and every identity restriction one
-    read-only array."""
+    """The constant sheaf R^stalk_dim on the n-cycle with the restrictions
+    ``maps`` gives, keyed ``((v,), e)`` like ``CellSheaf.restrictions``,
+    swapped in by ``CellSheaf._replacing``: a key that is not an incidence
+    of the cycle, or a map of another shape, is a ValueError."""
     check_cycle_length(n)
-    complex_ = build_clique_complex(cycle_graph(n))
-    eye = _read_only(np.eye(stalk_dim))
-    stalk = Stalk(eye)
-    stalks = {}
-    restrictions = {}
-    for v in complex_.vertices:
-        stalks[(v,)] = stalk
-    for e in complex_.edges:
-        stalks[e] = stalk
-        for v in e:
-            key = ((v,), e)
-            restrictions[key] = maps.get(key, eye)
-    return CellSheaf(complex_, stalks, restrictions)
+    sheaf = constant_sheaf(build_clique_complex(cycle_graph(n)), stalk_dim)
+    return sheaf._replacing({key: _read_only(m) for key, m in maps.items()})
 
 
 def make_line_bundle(n: int, stalk_dim: int = 1, edge_twists=None) -> CellSheaf:
@@ -580,14 +569,9 @@ def constant_sheaf(complex_: CliqueComplex, dim: int) -> CellSheaf:
     """Constant sheaf: stalk R^dim everywhere (one shared stalk object),
     identity restrictions (one shared read-only array)."""
     eye = _read_only(np.eye(dim))
-    stalk = Stalk(eye)
-    stalks = {}
-    restrictions = {}
-    for d in (0, 1, 2):
-        for cell in complex_.cells(d):
-            stalks[cell] = stalk
-    for (coface, face) in complex_.incidences:
-        restrictions[(face, coface)] = eye
+    cells = (cell for d in (0, 1, 2) for cell in complex_.cells(d))
+    stalks = dict.fromkeys(cells, Stalk(eye))
+    restrictions = dict.fromkeys(((face, coface) for coface, face in complex_.incidences), eye)
     return CellSheaf(complex_, stalks, restrictions)
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 from sheafgauge.complexes import Graph, build_clique_complex
 from sheafgauge.operators import coboundary, laplacian
 from sheafgauge.sheaves import constant_sheaf
+from sheafgauge.spectral import eigendecompose
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -53,3 +54,5 @@ def test_digested_operators_keep_their_matrix():
     sheaf = constant_sheaf(build_clique_complex(Graph(3, [(0, 1), (1, 2), (0, 2)])), 1)
     assert coboundary(sheaf, 0).matrix.shape == (3, 3)
     assert laplacian(sheaf, 1).matrix.shape == (3, 3)
+    # perfbench's certify op decomposes a Laplacian as ``laplacian`` hands it out
+    assert eigendecompose(laplacian(sheaf, 0)).eigenvalues.shape == (3,)

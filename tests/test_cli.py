@@ -81,6 +81,31 @@ def test_build_functoriality_failure_exits_two(tmp_path, capsys):
     assert (tmp_path / "o" / "validation_report.json").exists()
 
 
+def test_build_note_is_one_short_line(tmp_path, capsys):
+    # a seeded G(30, 0.2) feature fixture fails on many triangles; the note
+    # names the counts, the largest defect and five triangles, the report all
+    rng = np.random.default_rng(0)
+    basis, _ = np.linalg.qr(rng.normal(size=(6, 3)))
+    edges = [[u, v] for u in range(30) for v in range(u + 1, 30) if rng.random() < 0.2]
+    feats = {str(v): (basis @ rng.normal(size=(3, 5)) + 0.05 * rng.normal(size=(6, 5))).tolist()
+             for v in range(30)}
+    (tmp_path / "graph.json").write_text(json.dumps({"vertices": 30, "edges": edges}))
+    (tmp_path / "features.json").write_text(json.dumps({"features": feats}))
+    out = tmp_path / "o"
+    assert run(["build", "--input", str(tmp_path / "graph.json"), "--features",
+                str(tmp_path / "features.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    violations = json.loads(read(out / "validation_report.json"))["violations"]
+    triangles = sorted({tuple(v["triangle"]) for v in violations})
+    worst = max(violations, key=lambda v: v["defect"])
+    assert len(triangles) > 5 and err.count("\n") == 1
+    assert len(err.encode()) < 300
+    assert f"{len(violations)} incidences of {len(triangles)} triangles" in err
+    assert f"largest defect {worst['defect']:.3e} at {tuple(worst['triangle'])}" in err
+    assert ", ".join(map(str, triangles[:5])) + ", …" in err
+    assert str(triangles[5]) not in err.rpartition("; triangles ")[2]
+
+
 def test_build_runs_one_functoriality_pass(tmp_path, monkeypatch):
     # the pass takes one norm per (vertex, triangle) flag, three on the one
     # triangle; the exit code, the report and the file's flag all read it

@@ -239,6 +239,13 @@ def test_line_bundle_rejects_non_orthogonal_twist():
         make_line_bundle(6, 2, {(0, 1): np.array([[1.0, 0.0], [0.0, 0.5]])})
 
 
+def test_line_bundle_rejects_a_twist_on_a_non_edge():
+    # the twists replace restrictions of the constant sheaf; a key that is
+    # not an incidence of the cycle is an error, not silently dropped
+    with pytest.raises(ValueError, match=re.escape("(2,) -> (0, 2), not an incidence")):
+        make_line_bundle(6, 1, {(0, 2): -1.0})
+
+
 def test_line_bundle_too_short():
     with pytest.raises(ValueError):
         make_line_bundle(2)
