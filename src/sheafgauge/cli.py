@@ -61,47 +61,20 @@ class CliInputError(Exception):
     pass
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Everything a command needs to reproduce itself byte-for-byte."""
-
-    command: str
-    input: str | None = None
-    features: str | None = None
-    generator: str | None = None
-    n: int = diag.N_DEFAULT
-    stalk_dim: int | None = None
-    tau: float = diag.TAU_DEFAULT
-    sigma: float = diag.SIGMA_DEFAULT
-    seed: int = diag.SEED_DEFAULT
-    grounding: str = "padding"
-    delta0: float = WitnessConfig.delta0
-    delta1: float | None = WitnessConfig.delta1
-    weight: str = WitnessConfig.weight
-    normalize: bool = False
-    svd_tol: float = FeaturePipelineConfig.svd_tol
-    edge_align_tol: float = FeaturePipelineConfig.edge_align_tol
-    tri_eig_tol: float = FeaturePipelineConfig.tri_eig_tol
-    tri_exponent: float = FeaturePipelineConfig.tri_exponent
-    out: str = "out"
-    format_version: str = "1"
-
-    def to_json_dict(self):
-        return dataclasses.asdict(self)
+def _params(args) -> dict:
+    """What a run read: its command and each option the command accepts, as
+    given or at its default; argparse fills ``args`` with exactly those."""
+    options = {key: value for key, value in vars(args).items() if key not in ("command", "name")}
+    command = f"experiment:{args.name}" if args.command == "experiment" else args.command
+    return {"command": command, **options}
 
 
-def _config_from_args(args, command) -> RunConfig:
-    """The command's config: each option it was given, the defaults otherwise."""
-    given = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)
-             if field.name != "command" and getattr(args, field.name, None) is not None}
-    if "weight" in given:
-        given["weight"] = WEIGHT_FLAGS[given["weight"]]
-    return RunConfig(command=command, **given)
-
-
-def _witness_config(cfg: RunConfig) -> WitnessConfig:
+def _witness_config(args) -> WitnessConfig:
+    """The witness options the command accepts; the library's defaults for the rest."""
+    given = {field.name: getattr(args, field.name)
+             for field in dataclasses.fields(WitnessConfig) if hasattr(args, field.name)}
     try:
-        return WitnessConfig(delta0=cfg.delta0, delta1=cfg.delta1, weight=cfg.weight)
+        return WitnessConfig(**given)
     except ValueError as exc:
         raise CliInputError(str(exc))
 
@@ -120,34 +93,34 @@ def _read(path, parse):
         raise CliInputError(f"{path}: {exc}")
 
 
-def _stalk_dim(cfg: RunConfig) -> dict:
+def _stalk_dim(args) -> dict:
     """``stalk_dim`` as a keyword when given: the generator's default otherwise."""
-    return {} if cfg.stalk_dim is None else {"stalk_dim": cfg.stalk_dim}
+    return {} if args.stalk_dim is None else {"stalk_dim": args.stalk_dim}
 
 
-# each generator's sheaf, from the config and the stalk-dim keyword
+# each generator's sheaf, from the options and the stalk-dim keyword
 _GENERATORS = {
-    "trivial": lambda cfg, dim: trivial_bundle(cfg.n, **dim),
-    "mobius": lambda cfg, dim: mobius_bundle(cfg.n, **dim),
-    "hidden-twist": lambda cfg, dim: hidden_twist_bundle(cfg.n, cfg.tau, **dim),
-    "noisy-trivial": lambda cfg, dim: noisy_trivial_bundle(cfg.n, cfg.sigma, cfg.seed, **dim),
+    "trivial": lambda args, dim: trivial_bundle(args.n, **dim),
+    "mobius": lambda args, dim: mobius_bundle(args.n, **dim),
+    "hidden-twist": lambda args, dim: hidden_twist_bundle(args.n, args.tau, **dim),
+    "noisy-trivial": lambda args, dim: noisy_trivial_bundle(args.n, args.sigma, args.seed, **dim),
 }
 GENERATORS = tuple(_GENERATORS)
 
 
-def _resolve_sheaf(cfg: RunConfig):
-    if cfg.input:
-        return _read(cfg.input, sheaf_from_json)
-    if cfg.generator:
+def _resolve_sheaf(args):
+    if args.input:
+        return _read(args.input, sheaf_from_json)
+    if args.generator:
         try:
-            return _GENERATORS[cfg.generator](cfg, _stalk_dim(cfg))
+            return _GENERATORS[args.generator](args, _stalk_dim(args))
         except ValueError as exc:
-            raise CliInputError(f"generator {cfg.generator}: {exc}")
+            raise CliInputError(f"generator {args.generator}: {exc}")
     raise CliInputError("need --input or --generator")
 
 
-def _out(cfg, name):
-    return os.path.join(cfg.out, name)
+def _out(args, name):
+    return os.path.join(args.out, name)
 
 
 # ---------------------------------------------------------------------------
@@ -156,35 +129,31 @@ def _out(cfg, name):
 
 
 def cmd_build(args) -> int:
-    cfg = _config_from_args(args, "build")
-    if not cfg.input or not cfg.features:
+    if not args.input or not args.features:
         raise CliInputError("build needs --input graph.json and --features features.json")
-    graph = _read(cfg.input, graph_from_json)
-    feature_data = _read(cfg.features, json.loads)
+    graph = _read(args.input, graph_from_json)
+    feature_data = _read(args.features, json.loads)
     if not isinstance(feature_data, dict) or not isinstance(feature_data.get("features"), dict):
-        raise CliInputError(f"{cfg.features}: expected a 'features' object")
+        raise CliInputError(f"{args.features}: expected a 'features' object")
     features = {}
     for key, rows in feature_data["features"].items():
         try:
             features[int(key)] = np.asarray(rows, dtype=float)
         except (TypeError, ValueError) as exc:
-            raise CliInputError(f"{cfg.features}: vertex {key}: {exc}")
+            raise CliInputError(f"{args.features}: vertex {key}: {exc}")
     try:
-        pipeline = FeaturePipelineConfig(cfg.svd_tol, cfg.edge_align_tol, cfg.tri_eig_tol,
-                                         cfg.tri_exponent)
+        pipeline = FeaturePipelineConfig(args.svd_tol, args.edge_align_tol, args.tri_eig_tol)
         sheaf = build_sheaf_from_features(graph, features, pipeline)
     except ValueError as exc:
         raise CliInputError(str(exc))
     violations = validate_sheaf(sheaf)
-    payload = sheaf_to_json_dict(sheaf)
-    payload["params"] = cfg.to_json_dict()
-    write_json(_out(cfg, "sheaf.json"), payload)
+    write_json(_out(args, "sheaf.json"), {**sheaf_to_json_dict(sheaf), "params": _params(args)})
     if violations:
         report = [
             {"triangle": list(v.triangle), "vertex": list(v.vertex), "defect": v.defect}
             for v in violations
         ]
-        write_json(_out(cfg, "validation_report.json"), {"violations": report})
+        write_json(_out(args, "validation_report.json"), {"violations": report})
         # one short line; the report lists every violation
         triangles = sorted({v.triangle for v in violations})
         worst = max(violations, key=lambda v: v.defect)
@@ -197,15 +166,12 @@ def cmd_build(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    cfg = _config_from_args(args, "diagnose")
     dcfg = diag.DiagnosticsConfig(
-        witness=_witness_config(cfg), normalize=cfg.normalize,
-        with_local=args.heatmap,
+        witness=_witness_config(args), normalize=args.normalize, with_local=args.heatmap,
     )
-    sheaf = _resolve_sheaf(cfg)
-    grounding = diag.make_grounding(sheaf, cfg.grounding)
+    sheaf = _resolve_sheaf(args)
+    grounding = diag.make_grounding(sheaf, args.grounding)
     report = diag.run_diagnostics(sheaf, grounding, dcfg)
-    report.params.update(cfg.to_json_dict())
 
     spectra_rows = []
     for name, spectrum in sorted(report.spectra.items()):
@@ -213,16 +179,17 @@ def cmd_diagnose(args) -> int:
             spectra_rows.append((name, i, float(lam)))
         grid = sorted(set(max(float(x), 0.0) for x in spectrum.eigenvalues))
         profile_rows = list(zip(grid, indicator_profile(spectrum, grid)))
-        write_csv(_out(cfg, f"profile_{name}.csv"), ("delta", "dim"), profile_rows)
-    write_csv(_out(cfg, "channel_spectra.csv"), ("channel", "index", "eigenvalue"),
+        write_csv(_out(args, f"profile_{name}.csv"), ("delta", "dim"), profile_rows)
+    write_csv(_out(args, "channel_spectra.csv"), ("channel", "index", "eigenvalue"),
               spectra_rows)
 
     refs = []
     for name, witness_map in sorted(report.local_maps.items()):
         filename = f"local_witness_{name}.csv"
-        _write_witness_csv(_out(cfg, filename), witness_map)
+        _write_witness_csv(_out(args, filename), witness_map)
         refs.append(filename)
-    write_json(_out(cfg, "report.json"), report.to_json_dict(localization_refs=refs))
+    write_json(_out(args, "report.json"),
+               {**report.to_json_dict(localization_refs=refs), "params": _params(args)})
     return 0
 
 
@@ -233,36 +200,36 @@ def _write_witness_csv(path, witness_map):
     write_csv(path, ("cell_id", "degree", "delta", "score"), rows)
 
 
-# each experiment's result and heatmaps, from the config
+# each experiment's result and heatmaps, from the options
 _EXPERIMENTS = {
-    "existence": lambda cfg: (diag.experiment_existence(cfg.n, **_stalk_dim(cfg)), {}),
-    "magnitude": lambda cfg: (diag.experiment_magnitude(cfg.n, cfg.tau, cfg.sigma, cfg.seed), {}),
-    "localization": lambda cfg: diag.experiment_localization(
-        cfg.n, cfg.tau, cfg.sigma, cfg.seed, cfg=_witness_config(cfg)),
-    "relativity": lambda cfg: (diag.experiment_relativity(cfg.n, **_stalk_dim(cfg)), {}),
+    "existence": lambda args: (diag.experiment_existence(args.n, **_stalk_dim(args)), {}),
+    "magnitude": lambda args: (
+        diag.experiment_magnitude(args.n, args.tau, args.sigma, args.seed), {}),
+    "localization": lambda args: diag.experiment_localization(
+        args.n, args.tau, args.sigma, args.seed, cfg=_witness_config(args)),
+    "relativity": lambda args: (diag.experiment_relativity(args.n, **_stalk_dim(args)), {}),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def cmd_experiment(args) -> int:
     name = args.name
-    cfg = _config_from_args(args, f"experiment:{name}")
     try:
-        result, heatmaps = _EXPERIMENTS[name](cfg)
+        result, heatmaps = _EXPERIMENTS[name](args)
     except diag.ExperimentParameterError as exc:
         raise CliInputError(f"experiment {name}: {exc}")
     payload = result.to_json_dict()
-    payload["params"].update({"cli": cfg.to_json_dict()})
-    write_json(_out(cfg, f"experiment_{name}.json"), payload)
+    # the library's values win: it records the stalk dimension a default resolved to
+    payload["params"] = {**_params(args), **payload["params"]}
+    write_json(_out(args, f"experiment_{name}.json"), payload)
     for panel, witness_map in sorted(heatmaps.items()):
-        _write_witness_csv(_out(cfg, f"heatmap_{panel}.csv"), witness_map)
+        _write_witness_csv(_out(args, f"heatmap_{panel}.csv"), witness_map)
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args, "verify")
-    sheaf = _resolve_sheaf(cfg)
-    grounding = diag.make_grounding(sheaf, cfg.grounding)
+    sheaf = _resolve_sheaf(args)
+    grounding = diag.make_grounding(sheaf, args.grounding)
     checks = {}
 
     if grounding.mode == VERTEX_LEVEL:
@@ -282,8 +249,7 @@ def cmd_verify(args) -> int:
     separation = diag.separation_check(sheaf, grounding)
     checks["separation"] = {"status": separation.status, **separation.to_json_dict()}
 
-    write_json(_out(cfg, "certificates.json"),
-               {"checks": checks, "params": cfg.to_json_dict()})
+    write_json(_out(args, "certificates.json"), {"checks": checks, "params": _params(args)})
     failed = [k for k, v in checks.items() if v["status"] == "fail"]
     if failed:
         print(f"verification failed: {', '.join(sorted(failed))}", file=sys.stderr)
@@ -297,9 +263,8 @@ def _report_fields(report, *names):
 
 
 def cmd_dump(args) -> int:
-    cfg = _config_from_args(args, "dump")
     name = args.operator
-    sheaf = _resolve_sheaf(cfg)
+    sheaf = _resolve_sheaf(args)
     if name in ("d0", "d1"):
         degree = int(name[1])
         matrix = coboundary(sheaf, degree).matrix
@@ -309,17 +274,17 @@ def cmd_dump(args) -> int:
         matrix = laplacian(sheaf, degree).matrix
         provenance = "base"
     else:
-        grounding = diag.make_grounding(sheaf, cfg.grounding)
+        grounding = diag.make_grounding(sheaf, args.grounding)
         channels = channel_set(sheaf, grounding)
         lap = channels.relative if name == "relative" else channels.utilization
         matrix, degree, provenance = lap.matrix, lap.degree, "channel"
-    write_json(_out(cfg, f"operator_{name}.json"), {
+    write_json(_out(args, f"operator_{name}.json"), {
         "operator": name,
         "degree": degree,
         "provenance": provenance,
         "shape": list(matrix.shape),
         "matrix": [float(x) for x in matrix.reshape(-1)],
-        "params": cfg.to_json_dict(),
+        "params": _params(args),
     })
     return 0
 
@@ -354,45 +319,53 @@ _finite_float = _checked(float, math.isfinite, "must be finite")
 _positive_int = _checked(int, lambda value: value >= 1, "must be at least 1")
 
 
+class _WeightName(argparse.Action):
+    """Stores a ``--weight`` flag as the library's name of the weight."""
+
+    def __call__(self, parser, namespace, flag, option_string=None):
+        setattr(namespace, self.dest, WEIGHT_FLAGS[flag])
+
+
+# each option and its default: the library's, where the library has one
 _OPTIONS = {
     "--input": {"help": "input sheaf/graph JSON"},
     "--features": {"help": "features JSON"},
     "--generator": {"choices": GENERATORS},
-    "--n": {"type": int, "help": "cycle length"},
+    "--n": {"type": int, "default": diag.N_DEFAULT, "help": "cycle length"},
     "--stalk-dim": {"type": _positive_int},
-    "--tau": {"type": _finite_float, "help": "hidden-twist rotation angle"},
-    "--sigma": {"type": _finite_float, "help": "noise level"},
-    "--seed": {"type": int},
-    "--grounding": {"choices": diag.GROUNDING_NAMES},
-    "--delta0": {"type": _finite_float},
-    "--delta1": {"type": _finite_float},
-    "--weight": {"choices": sorted(WEIGHT_FLAGS)},
+    "--tau": {"type": _finite_float, "default": diag.TAU_DEFAULT,
+              "help": "hidden-twist rotation angle"},
+    "--sigma": {"type": _finite_float, "default": diag.SIGMA_DEFAULT, "help": "noise level"},
+    "--seed": {"type": int, "default": diag.SEED_DEFAULT},
+    "--grounding": {"choices": diag.GROUNDING_NAMES, "default": "padding"},
+    "--delta0": {"type": _finite_float, "default": WitnessConfig.delta0},
+    "--delta1": {"type": _finite_float, "default": WitnessConfig.delta1},
+    "--weight": {"choices": sorted(WEIGHT_FLAGS), "action": _WeightName,
+                 "default": WitnessConfig.weight},
     "--normalize": {"action": "store_true"},
     "--heatmap": {"action": "store_true", "help": "also export local witness CSVs"},
-    "--svd-tol": {"type": _finite_float},
-    "--edge-align-tol": {"type": _finite_float},
-    "--tri-eig-tol": {"type": _finite_float},
-    "--tri-exponent": {"type": _finite_float},
+    "--svd-tol": {"type": _finite_float, "default": FeaturePipelineConfig.svd_tol},
+    "--edge-align-tol": {"type": _finite_float, "default": FeaturePipelineConfig.edge_align_tol},
+    "--tri-eig-tol": {"type": _finite_float, "default": FeaturePipelineConfig.tri_eig_tol},
     "--operator": {"choices": OPERATOR_NAMES, "required": True},
-    "--out": {"help": "output directory"},
+    "--out": {"default": "out", "help": "output directory"},
 }
 _SHEAF_SOURCE = ("--input", "--generator", "--n", "--stalk-dim", "--tau", "--sigma", "--seed")
 _CYCLE = ("--n", "--stalk-dim", "--out")
 _ENSEMBLE = ("--n", "--tau", "--sigma", "--seed", "--out")
-_WITNESS = ("--delta0", "--delta1", "--weight")
+_SLACK = ("--delta1", "--weight")
 
 # (command, help, the options its code reads); an experiment is a subcommand
 # of ``experiment``
 _COMMANDS = (
     ("build", "build a sheaf from graph + features",
-     ("--input", "--features", "--svd-tol", "--edge-align-tol", "--tri-eig-tol",
-      "--tri-exponent", "--out")),
+     ("--input", "--features", "--svd-tol", "--edge-align-tol", "--tri-eig-tol", "--out")),
     ("diagnose", "four-channel spectral report",
-     _SHEAF_SOURCE + ("--grounding",) + _WITNESS + ("--normalize", "--heatmap", "--out")),
+     _SHEAF_SOURCE + ("--grounding", "--delta0") + _SLACK + ("--normalize", "--heatmap", "--out")),
     ("experiment existence", "trivial vs Mobius: kernel presence", _CYCLE),
     ("experiment magnitude", "hidden twist vs noisy trivial: spectral gap", _ENSEMBLE),
     ("experiment localization", "hidden twist vs noisy trivial: local witness maps",
-     _ENSEMBLE + _WITNESS),
+     _ENSEMBLE + _SLACK),
     ("experiment relativity", "one sheaf, two groundings: the cone channel", _CYCLE),
     ("verify", "homological verification certificates", _SHEAF_SOURCE + ("--grounding", "--out")),
     ("dump", "dump an operator matrix", _SHEAF_SOURCE + ("--grounding", "--operator", "--out")),

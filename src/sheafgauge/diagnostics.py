@@ -106,7 +106,6 @@ class DiagnosticsConfig:
 class DiagnosticsReport:
     channels: dict
     defect_norm: float
-    params: dict
     spectra: dict
     local_maps: dict
 
@@ -114,7 +113,6 @@ class DiagnosticsReport:
         return {
             "channels": {name: ch.to_json_dict() for name, ch in self.channels.items()},
             "defect_norm": self.defect_norm,
-            "params": self.params,
             "localization": localization_refs or sorted(self.local_maps),
         }
 
@@ -168,7 +166,7 @@ def run_diagnostics(sheaf: CellSheaf, grounding: GroundingMorphism,
         local_maps["base_j0"] = local_witness(sheaf, 0, wcfg)
         local_maps["base_j1"] = local_witness(sheaf, 1, wcfg)
         local_maps["relative_cone"] = local_witness_relative(channels, wcfg)
-    return DiagnosticsReport(reports, defect, {}, spectra, local_maps)
+    return DiagnosticsReport(reports, defect, spectra, local_maps)
 
 
 # ---------------------------------------------------------------------------

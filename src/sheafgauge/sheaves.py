@@ -83,15 +83,12 @@ class FeaturePipelineConfig:
     svd_tol: float = 1e-8
     edge_align_tol: float = 0.9
     tri_eig_tol: float = 0.5
-    tri_exponent: float = 1.0
 
     def __post_init__(self):
         for name in ("svd_tol", "edge_align_tol", "tri_eig_tol"):
             value = getattr(self, name)
             if not 0 < value <= 1:
                 raise ValueError(f"{name} must lie in (0, 1]")
-        if not (math.isfinite(self.tri_exponent) and self.tri_exponent > 0):
-            raise ValueError("tri_exponent must be positive and finite")
 
 
 def _check_finite(restrictions):
@@ -365,9 +362,9 @@ def triangle_stalk_soft_intersection(b_uv, b_vw, b_uw, cfg: FeaturePipelineConfi
     """Symmetric soft intersection of the three edge stalks of a triangle.
 
     Builds T = (P_uv P_vw P_uw)^T (P_uv P_vw P_uw) from the edge-stalk
-    projectors and keeps eigenvectors whose eigenvalue, raised to
-    ``tri_exponent``, exceeds ``tri_eig_tol``. Returns the stalk and the
-    three restriction matrices from the edge stalks, in argument order.
+    projectors and keeps eigenvectors whose eigenvalue exceeds
+    ``tri_eig_tol``. Returns the stalk and the three restriction matrices
+    from the edge stalks, in argument order.
     """
     cfg = cfg or FeaturePipelineConfig()
     dims = {b_uv.ambient_dim, b_vw.ambient_dim, b_uw.ambient_dim}
@@ -382,7 +379,7 @@ def triangle_stalk_soft_intersection(b_uv, b_vw, b_uw, cfg: FeaturePipelineConfi
     alignment = product.T @ product
     eigenvalues, eigenvectors = np.linalg.eigh(alignment)
     eigenvalues = np.clip(eigenvalues, 0.0, None)
-    keep = np.flatnonzero(eigenvalues**cfg.tri_exponent > cfg.tri_eig_tol)
+    keep = np.flatnonzero(eigenvalues > cfg.tri_eig_tol)
     keep = keep[np.argsort(-eigenvalues[keep])]
     basis = eigenvectors[:, keep] if keep.size else np.zeros((ambient, 0))
     stalk = Stalk(basis)
@@ -396,6 +393,10 @@ def build_sheaf_from_features(g: Graph, features, cfg: FeaturePipelineConfig | N
     missing = [v for v in range(g.vertex_count) if v not in features]
     if missing:
         raise ValueError(f"features missing for vertices {missing}")
+    # an extra vertex's rows would still set the ambient dimension of every stalk
+    extra = [v for v in features if v not in range(g.vertex_count)]
+    if extra:
+        raise ValueError(f"features given for vertices {extra}, which the graph lacks")
     complex_ = build_clique_complex(g)
     node_stalks = node_stalks_from_features(features, cfg)
     stalks = {(v,): node_stalks[v] for v in range(g.vertex_count)}

@@ -10,7 +10,8 @@ import pytest
 
 import sheafgauge
 import sheafgauge.cli as cli
-from sheafgauge.cli import EXPERIMENTS, GENERATORS, OPERATOR_NAMES, RunConfig, main
+from sheafgauge import diagnostics as diag
+from sheafgauge.cli import EXPERIMENTS, GENERATORS, OPERATOR_NAMES, main
 from sheafgauge.operators import laplacian
 
 
@@ -222,6 +223,19 @@ def test_build_mis_typed_input_is_input_error(tmp_path, capsys, graph, features,
     assert not (tmp_path / "o").exists()
 
 
+def test_build_rejects_features_of_vertices_the_graph_lacks(tmp_path, capsys):
+    # vertex 7's 9 rows used to make every stalk 9-dimensional, and build exited 0
+    graph, features = write_inputs(tmp_path)
+    data = json.loads(read(features))
+    data["features"]["7"] = np.ones((9, 3)).tolist()
+    features.write_text(json.dumps(data))
+    assert run(["build", "--input", str(graph), "--features", str(features),
+                "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error: features given for vertices [7], "
+                                       "which the graph lacks\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_diagnose_generator_mobius(tmp_path):
     out = tmp_path / "d"
     assert run(["diagnose", "--generator", "mobius", "--n", "10", "--out", str(out)]) == 0
@@ -326,8 +340,8 @@ def test_non_finite_slack_is_input_error(tmp_path, capsys, command, flag):
     (["diagnose", "--generator", "trivial"], "--sigma", "nan"),
     (["experiment", "localization"], "--delta1", "nan"),
     (["verify", "--generator", "trivial"], "--tau", "inf"),
-    (["experiment", "localization", "--n", "6"], "--delta0", "inf"),
-    (["build", "--input", "g.json", "--features", "f.json"], "--tri-exponent", "nan"),
+    (["diagnose", "--generator", "trivial"], "--delta0", "inf"),
+    (["dump", "--generator", "noisy-trivial", "--operator", "L0"], "--sigma", "nan"),
     (["build", "--input", "g.json", "--features", "f.json"], "--svd-tol", "-inf"),
     (["build", "--input", "g.json", "--features", "f.json"], "--edge-align-tol", "nan"),
     (["build", "--input", "g.json", "--features", "f.json"], "--tri-eig-tol", "inf"),
@@ -394,7 +408,6 @@ def test_experiment_runs_with_the_stalk_dim_it_records(tmp_path, stalk_dim, expe
     assert run(args + (["--stalk-dim", stalk_dim] if stalk_dim else [])) == 0
     params = json.loads(read(tmp_path / "experiment_existence.json"))["params"]
     assert params["stalk_dim"] == expected
-    assert params["cli"]["stalk_dim"] == (None if stalk_dim is None else expected)
 
 
 def test_experiment_fault_during_computation_exits_two(tmp_path, capsys, monkeypatch):
@@ -620,13 +633,12 @@ def test_commands_decompose_l1_once(tmp_path, monkeypatch, command, grounding, e
 _SHEAF_SOURCE = {"--input", "--generator", "--n", "--stalk-dim", "--tau", "--sigma", "--seed"}
 _ENSEMBLE = {"--n", "--tau", "--sigma", "--seed", "--out"}
 COMMAND_OPTIONS = {
-    "build": {"--input", "--features", "--svd-tol", "--edge-align-tol", "--tri-eig-tol",
-              "--tri-exponent", "--out"},
+    "build": {"--input", "--features", "--svd-tol", "--edge-align-tol", "--tri-eig-tol", "--out"},
     "diagnose": _SHEAF_SOURCE | {"--grounding", "--delta0", "--delta1", "--weight",
                                  "--normalize", "--heatmap", "--out"},
     "experiment existence": {"--n", "--stalk-dim", "--out"},
     "experiment magnitude": _ENSEMBLE,
-    "experiment localization": _ENSEMBLE | {"--delta0", "--delta1", "--weight"},
+    "experiment localization": _ENSEMBLE | {"--delta1", "--weight"},
     "experiment relativity": {"--n", "--stalk-dim", "--out"},
     "verify": _SHEAF_SOURCE | {"--grounding", "--out"},
     "dump": _SHEAF_SOURCE | {"--grounding", "--operator", "--out"},
@@ -663,7 +675,7 @@ VALID = {"build": ["--input", "g.json", "--features", "f.json"],
 
 
 def test_no_command_takes_a_shared_option_it_does_not_read():
-    assert len(UNREAD) == 52
+    assert len(UNREAD) == 53
 
 
 @pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}{f}" for c, f in UNREAD])
@@ -674,6 +686,68 @@ def test_unread_option_is_unrecognized(tmp_path, capsys, command, flag):
     unrecognized = f"{flag} {value}" if value else flag
     assert capsys.readouterr().err == f"sheafgauge: error: unrecognized arguments: {unrecognized}\n"
     assert not (tmp_path / "x").exists()
+
+
+# (text given, value recorded, library default) of each option a run may leave out
+RECORDED = {
+    "--n": ("6", 6, diag.N_DEFAULT),
+    "--stalk-dim": ("2", 2, None),
+    "--tau": ("0.2", 0.2, diag.TAU_DEFAULT),
+    "--sigma": ("0.1", 0.1, diag.SIGMA_DEFAULT),
+    "--seed": ("3", 3, diag.SEED_DEFAULT),
+    "--grounding": ("fullrank", "fullrank", "padding"),
+    "--delta0": ("0.01", 0.01, 0.0),
+    "--delta1": ("2", 2.0, None),
+    "--weight": ("inv", "inverse", "gap"),
+    "--normalize": (None, True, False),
+    "--heatmap": (None, True, False),
+    "--svd-tol": ("1e-6", 1e-6, 1e-8),
+    "--edge-align-tol": ("0.8", 0.8, 0.9),
+    "--tri-eig-tol": ("0.4", 0.4, 0.5),
+}
+# the file each command records its params in; an experiment's is named after it
+RECORD_FILE = {"build": "sheaf.json", "diagnose": "report.json", "verify": "certificates.json",
+               "dump": "operator_L0.json"}
+# what an experiment's own record adds: its seed count, and the stalk
+# dimension a default resolves to
+EXPERIMENT_PARAMS = {"experiment existence": {"stalk_dim": 1},
+                     "experiment relativity": {"stalk_dim": 1},
+                     "experiment magnitude": {"num_seeds": diag.NUM_SEEDS_DEFAULT},
+                     "experiment localization": {"num_seeds": diag.NUM_SEEDS_DEFAULT}}
+
+
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["defaults", "given"])
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_params_record_each_accepted_option(tmp_path, command, given):
+    # the command, then each option it accepts: as given, or at its default
+    flags = COMMAND_OPTIONS[command]
+    words = command.split()
+    args = {"--out": str(tmp_path / "o")}
+    if command == "build":
+        args["--input"], args["--features"] = map(str, write_inputs(tmp_path))
+    elif words[0] != "experiment":
+        args["--generator"] = "noisy-trivial" if given else "trivial"
+    if command == "dump":
+        args["--operator"] = "L0"
+    recorded = {flag: RECORDED[flag] for flag in sorted(flags & RECORDED.keys())}
+    if given:
+        args.update({flag: text for flag, (text, _, _) in recorded.items()})
+    expected = dict.fromkeys(map(_dest, flags))  # None: a sheaf command's --input
+    expected.update({_dest(flag): value if given else default
+                     for flag, (_, value, default) in recorded.items()})
+    expected.update({_dest(flag): text for flag, text in args.items() if flag not in recorded})
+    expected["command"] = ":".join(words)
+    for key, value in EXPERIMENT_PARAMS.get(command, {}).items():
+        if expected.get(key) is None:
+            expected[key] = value
+    assert run(words + [word for flag, text in args.items()
+                        for word in ([flag] if text is None else [flag, text])]) == 0
+    name = RECORD_FILE.get(command, f"experiment_{words[-1]}.json")
+    assert json.loads(read(tmp_path / "o" / name))["params"] == expected
 
 
 def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
@@ -720,20 +794,14 @@ def test_run_config_defaults_are_the_library_defaults():
     from sheafgauge.sheaves import FeaturePipelineConfig
     from sheafgauge.spectral import WitnessConfig
 
-    defaults = RunConfig(command="diagnose")
-    for library in (FeaturePipelineConfig(), WitnessConfig()):
+    parsers = dict(_leaf_parsers(cli._parser()))
+    for command, library in (("build", FeaturePipelineConfig()), ("diagnose", WitnessConfig())):
         for field in dataclasses.fields(library):
-            assert getattr(defaults, field.name) == getattr(library, field.name)
-    # the values every output's params record
-    assert (defaults.svd_tol, defaults.edge_align_tol, defaults.tri_eig_tol,
-            defaults.tri_exponent, defaults.delta0, defaults.delta1,
-            defaults.weight) == (1e-8, 0.9, 0.5, 1.0, 0.0, None, "gap")
-
-
-def test_run_config_round_trip():
-    cfg = RunConfig(command="diagnose", generator="mobius", n=12, sigma=0.4,
-                    weight="heat", normalize=True, out="results")
-    assert RunConfig(**cfg.to_json_dict()) == cfg
+            assert parsers[command].get_default(field.name) == getattr(library, field.name)
+    # the defaults every output's params record
+    for command, parser in parsers.items():
+        for flag in COMMAND_OPTIONS[command] & RECORDED.keys():
+            assert parser.get_default(_dest(flag)) == RECORDED[flag][2], (command, flag)
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -222,6 +222,18 @@ def test_build_sheaf_missing_features():
         build_sheaf_from_features(Graph(3, [(0, 1)]), {0: np.eye(2)})
 
 
+def test_build_sheaf_rejects_features_of_vertices_the_graph_lacks():
+    # vertex 7's 9 rows would set the ambient dimension of every stalk to 9
+    features = {v: np.eye(4)[:, :2] for v in range(3)}
+    features[7] = np.ones((9, 2))
+    with pytest.raises(ValueError, match=re.escape("features given for vertices [7], "
+                                                   "which the graph lacks")):
+        build_sheaf_from_features(Graph(3, [(0, 1), (1, 2)]), features)
+    del features[7]
+    sheaf = build_sheaf_from_features(Graph(3, [(0, 1), (1, 2)]), features)
+    assert {stalk.ambient_dim for stalk in sheaf.stalks.values()} == {4}
+
+
 def test_build_sheaf_empty_graph_rejected():
     with pytest.raises(ValueError, match="no feature matrices given"):
         build_sheaf_from_features(Graph(0, []), {})
@@ -649,7 +661,7 @@ def test_generators_reject_non_finite_parameters(value):
         hidden_twist_bundle(5, value)
 
 
-@pytest.mark.parametrize("name", ["svd_tol", "edge_align_tol", "tri_eig_tol", "tri_exponent"])
+@pytest.mark.parametrize("name", ["svd_tol", "edge_align_tol", "tri_eig_tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_pipeline_config_rejects_non_finite_values(name, value):
     with pytest.raises(ValueError, match=name):
