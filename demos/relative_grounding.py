@@ -38,5 +38,5 @@ print("\nseparation check (kernel of the relative channel vs grounding on harmon
 for name, grounding in groundings.items():
     report = separation_check(sheaves[name], grounding)
     gamma = "gap > 0" if report.gamma else "kernel present"
-    print(f"  {name:14s} dims (a, b, c) = ({report.dim_a}, {report.dim_b}, "
-          f"{report.dim_c})  ->  {gamma}")
+    print(f"  {name:14s} dims (a, b, c) = ({report.kernel_relative_channel}, "
+          f"{report.kernel_eps_on_harmonics}, {report.kernel_meet_harmonics})  ->  {gamma}")

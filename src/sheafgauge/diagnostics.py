@@ -82,18 +82,6 @@ class ChannelReport:
     normalized: bool
     auxiliary: bool = False
 
-    def to_json_dict(self):
-        gap = self.spectral_gap
-        return {
-            "channel": self.channel,
-            "operator": self.operator,
-            "kernel_dim": self.kernel_dim,
-            "spectral_gap": gap if math.isfinite(gap) else None,
-            "global_witness": self.global_witness,
-            "normalized": self.normalized,
-            "auxiliary": self.auxiliary,
-        }
-
 
 @dataclass
 class DiagnosticsConfig:
@@ -108,13 +96,6 @@ class DiagnosticsReport:
     defect_norm: float
     spectra: dict
     local_maps: dict
-
-    def to_json_dict(self, localization_refs=None):
-        return {
-            "channels": {name: ch.to_json_dict() for name, ch in self.channels.items()},
-            "defect_norm": self.defect_norm,
-            "localization": localization_refs or sorted(self.local_maps),
-        }
 
 
 def _channel_report(name, operator, lap, spectrum, cfg: DiagnosticsConfig, auxiliary):
@@ -184,24 +165,12 @@ class SeparationReport:
     positive spectral gap of the relative channel.
     """
 
-    dim_a: int
-    dim_b: int
-    dim_c: int
+    status: str  # pass | fail
+    kernel_relative_channel: int  # (a)
+    kernel_eps_on_harmonics: int  # (b)
+    kernel_meet_harmonics: int  # (c)
     equivalent: bool
     gamma: float | None
-
-    @property
-    def status(self):
-        return "pass" if self.equivalent else "fail"
-
-    def to_json_dict(self):
-        return {
-            "kernel_relative_channel": self.dim_a,
-            "kernel_eps_on_harmonics": self.dim_b,
-            "kernel_meet_harmonics": self.dim_c,
-            "equivalent": self.equivalent,
-            "gamma": self.gamma,
-        }
 
 
 def separation_check(sheaf: CellSheaf, grounding: GroundingMorphism) -> SeparationReport:
@@ -223,7 +192,9 @@ def separation_check(sheaf: CellSheaf, grounding: GroundingMorphism) -> Separati
     else:
         dim_c = 0
     gamma = spectral_gap(spectrum) if dim_b == 0 else None
-    return SeparationReport(dim_a, dim_b, dim_c, dim_a == dim_b == dim_c, gamma)
+    equivalent = dim_a == dim_b == dim_c
+    return SeparationReport("pass" if equivalent else "fail", dim_a, dim_b, dim_c, equivalent,
+                            gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +227,6 @@ class ExperimentResult:
     params: dict
     rows: tuple
     verdict: dict
-
-    def to_json_dict(self):
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "rows": [dict(r) for r in self.rows],
-            "verdict": dict(self.verdict),
-        }
 
 
 def participation_ratio(scores) -> float:

@@ -1,8 +1,10 @@
-"""Atomic, deterministic file output and schema-versioned JSON."""
+"""Atomic, deterministic file output and schema-versioned, strict JSON."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import tempfile
 
@@ -24,10 +26,24 @@ def atomic_write_text(path, text: str):
         raise
 
 
+def json_fields(report) -> dict:
+    """A report (a dataclass) as JSON writes it: field by field, under the
+    field names, with a non-finite float field written as null."""
+    if not dataclasses.is_dataclass(report) or isinstance(report, type):
+        raise TypeError(f"{type(report).__name__} is not a report JSON can write")
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    return {name: None if isinstance(value, float) and not math.isfinite(value) else value
+            for name, value in fields.items()}
+
+
 def write_json(path, payload: dict):
+    """``payload`` as strict JSON: reports anywhere in it are written by
+    ``json_fields``; any other non-finite float raises ValueError, and
+    nothing is written."""
     body = dict(payload)
     body.setdefault("schema_version", SCHEMA_VERSION)
-    atomic_write_text(path, json.dumps(body, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(body, sort_keys=True, indent=2, allow_nan=False, default=json_fields)
+    atomic_write_text(path, text + "\n")
 
 
 def write_csv(path, header, rows):

@@ -52,16 +52,6 @@ def numerical_rank(matrix) -> int:
     return int(np.count_nonzero(s > zero_threshold(s[0])))
 
 
-def numerical_kernel(symmetric_matrix) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel of a symmetric PSD matrix."""
-    m = np.asarray(symmetric_matrix, dtype=float)
-    if m.shape[0] == 0:
-        return np.zeros((0, 0))
-    eigenvalues, eigenvectors = np.linalg.eigh(m)
-    cut = zero_threshold(eigenvalues[-1])
-    return eigenvectors[:, eigenvalues <= cut]
-
-
 class AsymmetricOperatorError(ValueError):
     pass
 
@@ -112,6 +102,12 @@ def decompose(lap: SheafLaplacian) -> Spectrum:
     eigenvalues.flags.writeable = False
     eigenvectors.flags.writeable = False
     return Spectrum(eigenvalues, eigenvectors, zero_threshold(lam_max))
+
+
+def numerical_kernel(lap: SheafLaplacian) -> np.ndarray:
+    """Orthonormal basis of the numerical kernel of a symmetric PSD operator,
+    read from ``decompose``; a copy, so the full eigenbasis is freed."""
+    return decompose(lap).kernel.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +567,7 @@ def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
 
     # the cone's decompositions are the largest: they run before the sheaves
     # keep their spectra, which lowers the peak memory
-    harm_c = {n: numerical_kernel(cone.laplacian(n).matrix) for n in (-1, 0, 1, 2)}
+    harm_c = {n: numerical_kernel(cone.laplacian(n)) for n in (-1, 0, 1, 2)}
     harm_f = {j: laplacian_spectrum(cone.sheaf, j).kernel for j in (0, 1, 2)}
     harm_w = {j: laplacian_spectrum(cone.w_sheaf, j).kernel for j in (0, 1, 2)}
 

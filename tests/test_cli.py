@@ -53,6 +53,17 @@ def test_build_malformed_json_names_byte_offset(tmp_path, capsys):
     assert "byte offset" in capsys.readouterr().err
 
 
+def _stored_sheaf(tmp_path, name="sheaf.json", graph=None):
+    """A constant R^2 sheaf written as sheaf JSON: on K5, or on ``graph``."""
+    from sheafgauge.complexes import build_clique_complex, complete_graph
+    from sheafgauge.sheaves import constant_sheaf, sheaf_to_json
+
+    complex_ = build_clique_complex(complete_graph(5) if graph is None else graph)
+    path = tmp_path / name
+    path.write_text(sheaf_to_json(constant_sheaf(complex_, 2)))
+    return path
+
+
 def _tilted_planes(tmp_path):
     """Arguments of a non-functorial build: three planes around a shared
     axis, pairwise tilted by 25 degrees. Permissive tolerances keep the
@@ -504,6 +515,56 @@ def test_verify_c1_grounding_skips_vertex_level_checks(tmp_path):
     assert checks["separation"]["status"] == "pass"
 
 
+def _strict_json(text):
+    """``text`` parsed as JSON that has no NaN or Infinity token."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_json_output_is_strict(tmp_path):
+    from sheafgauge.complexes import Graph
+
+    graph, features = write_inputs(tmp_path)
+    (tmp_path / "tilted").mkdir()
+    no_edges = _stored_sheaf(tmp_path, "no_edges.json", Graph(3, []))
+    commands = [["build", "--input", str(graph), "--features", str(features)],
+                _tilted_planes(tmp_path / "tilted"),
+                ["diagnose", "--generator", "hidden-twist", "--heatmap"],
+                ["verify", "--generator", "trivial"],
+                ["dump", "--generator", "mobius", "--operator", "relative"]]
+    commands += [["experiment", name] for name in EXPERIMENTS]
+    # no edges: the relative channel has no positive eigenvalue, so its gap is infinite
+    commands += [[command, "--input", str(no_edges), "--grounding", grounding]
+                 for command in ("verify", "diagnose") for grounding in diag.GROUNDING_NAMES]
+    for i, command in enumerate(commands):
+        assert run(command + ["--out", str(tmp_path / "out" / str(i))]) in (0, 2), command
+    written = sorted((tmp_path / "out").rglob("*.json"))
+    assert len(written) == 18 and any(p.name == "validation_report.json" for p in written)
+    for path in written:
+        _strict_json(read(path))
+
+
+def test_certificates_carry_each_report_whole(tmp_path):
+    from sheafgauge.operators import ConeEquivalenceReport, LesNodeCheck, LesReport
+    from sheafgauge.spectral import ConeReductionReport
+
+    out = tmp_path / "o"
+    assert run(["verify", "--input", str(_stored_sheaf(tmp_path)), "--grounding", "padding",
+                "--out", str(out)]) == 0
+    checks = json.loads(read(out / "certificates.json"))["checks"]
+    reports = {"cone_equivalence": ConeEquivalenceReport, "long_exact_sequence": LesReport,
+               "cone_reduction": ConeReductionReport, "separation": diag.SeparationReport}
+    assert {name: sorted(check) for name, check in checks.items()} == \
+        {name: sorted(f.name for f in dataclasses.fields(report))
+         for name, report in reports.items()}
+    nodes = checks["long_exact_sequence"]["nodes"]
+    assert len(nodes) == 10 and any(node["dim"] for node in nodes)
+    for node in nodes:
+        assert sorted(node) == sorted(f.name for f in dataclasses.fields(LesNodeCheck))
+        assert node["rank_in"] + node["rank_out"] == node["dim"], node
+
+
 def test_dump_operator_format(tmp_path):
     out = tmp_path / "dump"
     assert run(["dump", "--generator", "mobius", "--n", "6", "--operator", "L0",
@@ -714,6 +775,8 @@ EXPERIMENT_PARAMS = {"experiment existence": {"stalk_dim": 1},
                      "experiment relativity": {"stalk_dim": 1},
                      "experiment magnitude": {"num_seeds": diag.NUM_SEEDS_DEFAULT},
                      "experiment localization": {"num_seeds": diag.NUM_SEEDS_DEFAULT}}
+# the generator options each generator of the test does not read: null in params
+UNREAD_BY_GENERATOR = {"trivial": ("tau", "sigma", "seed"), "noisy-trivial": ("tau",)}
 
 
 def _dest(flag):
@@ -744,10 +807,36 @@ def test_params_record_each_accepted_option(tmp_path, command, given):
     for key, value in EXPERIMENT_PARAMS.get(command, {}).items():
         if expected.get(key) is None:
             expected[key] = value
+    if "--generator" in args:
+        expected.update(dict.fromkeys(UNREAD_BY_GENERATOR[args["--generator"]]))
     assert run(words + [word for flag, text in args.items()
                         for word in ([flag] if text is None else [flag, text])]) == 0
     name = RECORD_FILE.get(command, f"experiment_{words[-1]}.json")
     assert json.loads(read(tmp_path / "o" / name))["params"] == expected
+
+
+SHEAF_COMMANDS = (["diagnose"], ["verify"], ["dump", "--operator", "L0"])
+
+
+@pytest.mark.parametrize("command", SHEAF_COMMANDS, ids=lambda c: c[0])
+def test_input_with_generator_is_input_error(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    args = command + ["--input", str(_stored_sheaf(tmp_path)), "--generator", "mobius"]
+    assert run(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--input" in err and "--generator" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", SHEAF_COMMANDS, ids=lambda c: c[0])
+def test_params_of_a_stored_sheaf_record_no_generator_option(tmp_path, command):
+    out = tmp_path / "o"
+    assert run(command + ["--input", str(_stored_sheaf(tmp_path)), "--n", "7", "--tau", "0.9",
+                          "--out", str(out)]) == 0
+    name = RECORD_FILE[command[0]]
+    params = json.loads(read(out / name))["params"]
+    assert {key: params[key] for key in ("generator", "n", "stalk_dim", "tau", "sigma", "seed")} \
+        == dict.fromkeys(("generator", "n", "stalk_dim", "tau", "sigma", "seed"))
 
 
 def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):

@@ -15,10 +15,12 @@ from sheafgauge.operators import (
     COCHAIN_C1,
     COMPATIBILITY_TOL,
     VERTEX_LEVEL,
+    AsymmetricOperatorError,
     ChannelSet,
     ConeEquivalenceReport,
     GroundingModeError,
     GroundingMorphism,
+    SheafLaplacian,
     _assemble_laplacian,
     algebraic_cone,
     betti_numbers,
@@ -26,6 +28,7 @@ from sheafgauge.operators import (
     coboundary,
     consistency_energy,
     constant_grounding,
+    decompose,
     geometric_cone_sheaf,
     grounding_from_padding,
     grounding_identity_c1,
@@ -35,6 +38,7 @@ from sheafgauge.operators import (
     is_delta_feasible,
     laplacian,
     laplacian_spectrum,
+    numerical_kernel,
     numerical_rank,
     propagate_cycle_grounding,
     verify_block_decomposition,
@@ -640,6 +644,25 @@ def test_les_random_compatible_morphisms():
         assert report.status == "pass"
         for node in report.nodes:
             assert node.exact
+
+
+def test_numerical_kernel_rejects_an_asymmetric_operator():
+    with pytest.raises(AsymmetricOperatorError):
+        numerical_kernel(SheafLaplacian(np.array([[1.0, 1.0], [0.0, 1.0]]), 0))
+
+
+def test_numerical_kernel_of_each_cone_laplacian_is_its_decomposed_kernel():
+    sheaf = constant_sheaf(build_clique_complex(complete_graph(5)), 2)
+    dims = []
+    for grounding in (grounding_from_padding(sheaf),
+                      constant_grounding(sheaf, matrix=np.zeros((2, 2)))):
+        cone = algebraic_cone(sheaf, grounding)
+        for n in (-1, 0, 1, 2):
+            kernel = numerical_kernel(cone.laplacian(n))
+            assert np.array_equal(kernel, decompose(cone.laplacian(n)).kernel)
+            assert kernel.base is None  # a copy: the full eigenbasis is not kept
+            dims.append(kernel.shape[1])
+    assert dims[:4] == [0, 0, 0, 0] and sum(dims[4:]) > 0
 
 
 def _cone_layout_index(geo_sheaf, base_sheaf, w, degree):
