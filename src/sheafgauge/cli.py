@@ -144,12 +144,16 @@ def cmd_build(args) -> int:
     feature_data = _read(args.features, json.loads)
     if not isinstance(feature_data, dict) or not isinstance(feature_data.get("features"), dict):
         raise CliInputError(f"{args.features}: expected a 'features' object")
-    features = {}
+    features, keys = {}, {}
     for key, rows in feature_data["features"].items():
         try:
-            features[int(key)] = np.asarray(rows, dtype=float)
+            vertex = int(key)
+            features[vertex] = np.asarray(rows, dtype=float)
         except (TypeError, ValueError) as exc:
             raise CliInputError(f"{args.features}: vertex {key}: {exc}")
+        if keys.setdefault(vertex, key) != key:
+            raise CliInputError(f"{args.features}: keys {keys[vertex]!r} and {key!r} "
+                                f"both name vertex {vertex}")
     try:
         pipeline = FeaturePipelineConfig(args.svd_tol, args.edge_align_tol, args.tri_eig_tol)
         sheaf = build_sheaf_from_features(graph, features, pipeline)
@@ -279,7 +283,7 @@ def cmd_dump(args) -> int:
         "degree": degree,
         "provenance": provenance,
         "shape": list(matrix.shape),
-        "matrix": [float(x) for x in matrix.reshape(-1)],
+        "matrix": matrix.ravel().tolist(),
         "params": _params(args),
     })
     return 0

@@ -47,13 +47,7 @@ def write_json(path, payload: dict):
 
 
 def write_csv(path, header, rows):
+    """One line per row, each field written with ``str``."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_field(x) for x in row))
+    lines += [",".join(map(str, row)) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _csv_field(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)

@@ -247,7 +247,7 @@ class GroundingMorphism:
         return self.cell_maps[tuple(cell)]
 
     def cochain_block(self, sheaf: CellSheaf, j: int) -> np.ndarray:
-        """Block-diagonal epsilon_j: C^j(F) -> C^j(W) from the per-cell maps."""
+        """Read-only block-diagonal epsilon_j: C^j(F) -> C^j(W) from the per-cell maps."""
         if self.cell_maps is None:
             raise GroundingModeError("cochain_block needs a vertex-level grounding")
         cells = sheaf.complex.cells(j)
@@ -256,6 +256,7 @@ class GroundingMorphism:
         matrix = np.zeros((w * len(cells), sheaf.cochain_dim(j)))
         for i, cell in enumerate(cells):
             matrix[i * w : (i + 1) * w, cols[cell]] = self.cell_maps[cell]
+        matrix.flags.writeable = False
         return matrix
 
     def c1_map(self, sheaf: CellSheaf) -> np.ndarray:
@@ -387,7 +388,7 @@ def incidence_defect(sheaf: CellSheaf, grounding: GroundingMorphism) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class MappingCone:
     """Algebraic mapping cone of a vertex-level grounding F -> W.
 
@@ -397,62 +398,63 @@ class MappingCone:
     The translated cone Cone[1]^n = Cone^{n-1} has differential
     -d^{n-1}: (x, y) -> (d_F x, eps x - d_W y).
 
-    The cone is the one assembly of the grounded complex: next to its
-    differentials ``d_std`` it keeps the constant sheaf ``w_sheaf``, the
-    grounding's cochain blocks ``eps`` (degrees 0-2) and the incidence
-    defect ``defect_total``. The differentials are built from the
-    coboundaries of ``sheaf`` and ``w_sheaf``, which each sheaf assembles
-    once, so the certificates (cone equivalence, long exact sequence, cone
-    reduction) read the same matrices through the two sheaves. d^2 = 0 holds
-    when ``sheaf`` is functorial and ``defect_total`` is 0; it is not formed.
+    The cone holds its sheaf and grounding. Formed on first read and kept:
+    the constant sheaf ``w_sheaf``, the read-only mapping ``eps`` of cochain
+    blocks (degrees 0-2), the incidence defect ``defect_total`` and the
+    read-only differentials, built from the coboundaries that ``sheaf`` and
+    ``w_sheaf`` each assemble once, so every certificate reads the same
+    matrices. d^2 = 0 holds when ``sheaf`` is functorial and the defect is 0.
     """
 
     sheaf: CellSheaf
     grounding: GroundingMorphism
-    w_sheaf: CellSheaf
-    eps: dict
-    d_std: dict
-    defect_total: float
+
+    @cached_property
+    def w_sheaf(self) -> CellSheaf:
+        return constant_sheaf(self.sheaf.complex, self.grounding.target_dim)
+
+    @cached_property
+    def eps(self) -> MappingProxyType:
+        return MappingProxyType({j: self.grounding.cochain_block(self.sheaf, j) for j in (0, 1, 2)})
+
+    @cached_property
+    def defect_total(self) -> float:
+        return incidence_defect(self.sheaf, self.grounding)
+
+    @cached_property
+    def _differentials(self) -> dict:
+        """Read-only d^n for n = -2..2, the degrees the cone Laplacians read."""
+        d = {}
+        for n in range(-2, 3):
+            # rows C^{n+2}(F) + C^{n+1}(W), columns C^{n+1}(F) + C^n(W)
+            f_rows, f_cols = self.sheaf.cochain_dim(n + 2), self.sheaf.cochain_dim(n + 1)
+            m = d[n] = np.zeros((self.dim(n + 1), self.dim(n)))
+            if 0 <= n + 1 <= 1:
+                m[:f_rows, :f_cols] = -coboundary(self.sheaf, n + 1).matrix
+            if n + 1 in self.eps:
+                m[f_rows:, :f_cols] = -self.eps[n + 1]
+            if 0 <= n <= 1:
+                m[f_rows:, f_cols:] = coboundary(self.w_sheaf, n).matrix
+            m.flags.writeable = False
+        return d
 
     def dim(self, n: int) -> int:
         return self.sheaf.cochain_dim(n + 1) + self.w_sheaf.cochain_dim(n)
 
     def differential(self, n: int) -> np.ndarray:
-        if n in self.d_std:
-            return self.d_std[n]
-        return np.zeros((self.dim(n + 1), self.dim(n)))
+        """d^n: Cone^n -> Cone^{n+1}, read-only, for n = -2..2."""
+        return self._differentials[n]
 
     def laplacian(self, n: int) -> SheafLaplacian:
         return _hodge_laplacian(self.dim(n), n, self.differential(n - 1), self.differential(n))
 
 
 def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism) -> MappingCone:
-    """Assemble the mapping cone of a vertex-level grounding into constant W.
-
-    Each block is assembled once: the coboundaries of F and W (by the
-    sheaves themselves), the cochain blocks of eps and the incidence defect.
-    """
+    """The mapping cone of a vertex-level grounding into constant W; its
+    parts are formed on first read."""
     if grounding.mode != VERTEX_LEVEL:
         raise GroundingModeError("the algebraic cone needs a vertex-level grounding")
-    wsheaf = constant_sheaf(sheaf.complex, grounding.target_dim)
-    eps = {j: grounding.cochain_block(sheaf, j) for j in (0, 1, 2)}
-
-    d_std = {}
-    for n in (-1, 0, 1):
-        # rows C^{n+2}(F) + C^{n+1}(W), columns C^{n+1}(F) + C^n(W)
-        f_rows, f_cols = sheaf.cochain_dim(n + 2), sheaf.cochain_dim(n + 1)
-        rows, cols = f_rows + wsheaf.cochain_dim(n + 1), f_cols + wsheaf.cochain_dim(n)
-        if rows and cols:
-            m = np.zeros((rows, cols))
-            if n + 1 <= 1:
-                m[:f_rows, :f_cols] = -coboundary(sheaf, n + 1).matrix
-            m[f_rows:, :f_cols] = -eps[n + 1]
-            if n >= 0:
-                m[f_rows:, f_cols:] = coboundary(wsheaf, n).matrix
-            d_std[n] = m
-
-    return MappingCone(sheaf=sheaf, grounding=grounding, w_sheaf=wsheaf, eps=eps,
-                       d_std=d_std, defect_total=incidence_defect(sheaf, grounding))
+    return MappingCone(sheaf, grounding)
 
 
 def geometric_cone_sheaf(sheaf: CellSheaf, grounding: GroundingMorphism) -> CellSheaf:

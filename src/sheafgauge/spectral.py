@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -115,7 +115,9 @@ class WitnessConfig:
         gap = spectral_gap(spectrum)
         delta1 = 2.0 * gap if math.isfinite(gap) else self.delta0 + 1.0
         if self.delta0 >= delta1:
-            raise ValueError("need delta0 < delta1")
+            raise ValueError(f"need delta0 < delta1, but delta0 is {self.delta0!r} and delta1 "
+                             f"is {delta1!r}, twice the spectral gap {gap!r} (the default when "
+                             f"no delta1 is given)")
         return delta1
 
     def weight_value(self, lam: float) -> float:
@@ -469,57 +471,56 @@ def interleaving_shift(a: Spectrum, b: Spectrum, mode: str | None = None) -> Int
 # ---------------------------------------------------------------------------
 
 
+def _max_abs(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m), initial=0.0))
+
+
 @dataclass(frozen=True)
 class ConeReductionSide:
-    """One grounded object, reduced to the operators entering the cone blocks.
-
-    ``base_f`` and ``gram_f`` act on the model cochain space (cone block
-    ``cone_f`` = L_F + eps^T eps), ``base_w`` and ``gram_w`` on the grounding
-    side (block ``cone_w`` = L_W + eps eps^T). ``intertwine_residual`` is
-    ||d_W^T eps - eps d_F^T|| and the commutator norms, each formed once,
-    cover the simultaneous-diagonalization hypothesis.
+    """One grounded object, reduced to what the cone-reduction bound reads:
+    the hypothesis ``residuals`` (``intertwine`` = ||d_W^T eps - eps d_F^T||
+    and the commutator norms ``commutator_f`` and ``commutator_w``) and, when
+    all are within COMMUTATION_TOL, ``spectra``: the ascending eigenvalues of
+    ``base_f``, ``gram_f`` (model side), ``base_w``, ``gram_w`` (grounding
+    side) and ``cone``, those of L_F + eps^T eps and L_W + eps eps^T together.
     """
 
-    base_f: np.ndarray
-    gram_f: np.ndarray
-    base_w: np.ndarray
-    gram_w: np.ndarray
-    intertwine_residual: float
+    residuals: dict
+    spectra: dict | None
 
-    @cached_property
-    def commutator_norms(self) -> tuple:
-        c_f = self.base_f @ self.gram_f - self.gram_f @ self.base_f
-        c_w = self.base_w @ self.gram_w - self.gram_w @ self.base_w
-        return float(np.max(np.abs(c_f))) if c_f.size else 0.0, \
-            float(np.max(np.abs(c_w))) if c_w.size else 0.0
-
-    @cached_property
-    def spectra(self) -> dict:
-        """Ascending eigenvalues of the four fields and of the cone blocks
-        ``cone_f`` and ``cone_w``, each block decomposed once."""
-        blocks = {"base_f": self.base_f, "gram_f": self.gram_f, "base_w": self.base_w,
-                  "gram_w": self.gram_w, "cone_f": self.base_f + self.gram_f,
-                  "cone_w": self.base_w + self.gram_w}
-        return {name: np.linalg.eigvalsh(m) if m.size else np.zeros(0)
-                for name, m in blocks.items()}
-
-    def cone_spectrum(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.spectra["cone_f"], self.spectra["cone_w"]]))
+    @classmethod
+    def from_blocks(cls, base_f, gram_f, base_w, gram_w, intertwine: float,
+                    base_eigenvalues: Callable[[], tuple]) -> ConeReductionSide:
+        """Each commutator formed once, and no block kept. ``base_eigenvalues``
+        returns the eigenvalues of ``base_f`` and ``base_w``; it is a function
+        so that a side whose hypotheses fail decomposes nothing: only when
+        they hold is it called and are the other blocks decomposed."""
+        residuals = {"intertwine": intertwine,
+                     "commutator_f": _max_abs(base_f @ gram_f - gram_f @ base_f),
+                     "commutator_w": _max_abs(base_w @ gram_w - gram_w @ base_w)}
+        if max(residuals.values()) > COMMUTATION_TOL:
+            return cls(residuals, None)
+        ev_base_f, ev_base_w = base_eigenvalues()
+        eigvalsh = np.linalg.eigvalsh
+        cone = np.concatenate([eigvalsh(base_f + gram_f), eigvalsh(base_w + gram_w)])
+        return cls(residuals, {"base_f": ev_base_f, "gram_f": eigvalsh(gram_f),
+                               "base_w": ev_base_w, "gram_w": eigvalsh(gram_w),
+                               "cone": np.sort(cone)})
 
 
 def cone_reduction_side(cone: MappingCone) -> ConeReductionSide:
-    """Cone-degree-0 blocks of a grounded sheaf with constant target.
-
-    Every block is read from the cone: L_1(F) and L_0(W) are the Laplacians
-    ``cone.sheaf`` and ``cone.w_sheaf`` keep, the grounding penalties and the
-    intertwining residual come from its ``eps`` and the degree-0 coboundaries.
+    """Cone-degree-0 blocks of a grounded sheaf with constant target, read
+    from the cone: L_1(F) and L_0(W), with the spectra, that ``cone.sheaf``
+    and ``cone.w_sheaf`` keep; the grounding penalties and the intertwining
+    residual from its ``eps`` and the degree-0 coboundaries.
     """
+    f, w = cone.sheaf, cone.w_sheaf
     eps0, eps1 = cone.eps[0], cone.eps[1]
-    base_f = laplacian(cone.sheaf, 1).matrix
-    base_w = laplacian(cone.w_sheaf, 0).matrix
-    d_f0, d_w0 = coboundary(cone.sheaf, 0).matrix, coboundary(cone.w_sheaf, 0).matrix
-    residual = float(np.max(np.abs(d_w0.T @ eps1 - eps0 @ d_f0.T))) if eps1.size else 0.0
-    return ConeReductionSide(base_f, eps1.T @ eps1, base_w, eps0 @ eps0.T, residual)
+    d_f0, d_w0 = coboundary(f, 0).matrix, coboundary(w, 0).matrix
+    return ConeReductionSide.from_blocks(
+        laplacian(f, 1).matrix, eps1.T @ eps1, laplacian(w, 0).matrix, eps0 @ eps0.T,
+        _max_abs(d_w0.T @ eps1 - eps0 @ d_f0.T),
+        lambda: (laplacian_spectrum(f, 1).eigenvalues, laplacian_spectrum(w, 0).eigenvalues))
 
 
 def synthetic_commuting_side(seed: int) -> ConeReductionSide:
@@ -540,7 +541,9 @@ def synthetic_commuting_side(seed: int) -> ConeReductionSide:
 
     base_f, gram_f = pair(6)
     base_w, gram_w = pair(4)
-    return ConeReductionSide(base_f, gram_f, base_w, gram_w, 0.0)
+    return ConeReductionSide.from_blocks(
+        base_f, gram_f, base_w, gram_w, 0.0,
+        lambda: (np.linalg.eigvalsh(base_f), np.linalg.eigvalsh(base_w)))
 
 
 @dataclass(frozen=True)
@@ -570,16 +573,9 @@ def verify_cone_reduction(side_a: ConeReductionSide,
     profile interleaving. Hypothesis residuals above tolerance yield a
     hypothesis-not-met report with no bound asserted.
     """
-    comm_a = side_a.commutator_norms
-    comm_b = side_b.commutator_norms
-    residuals = {
-        "intertwine_a": side_a.intertwine_residual,
-        "intertwine_b": side_b.intertwine_residual,
-        "commutator_f_a": comm_a[0],
-        "commutator_w_a": comm_a[1],
-        "commutator_f_b": comm_b[0],
-        "commutator_w_b": comm_b[1],
-    }
+    residuals = {f"{name}_{label}": value
+                 for label, side in (("a", side_a), ("b", side_b))
+                 for name, value in side.residuals.items()}
     if max(residuals.values()) > COMMUTATION_TOL:
         return ConeReductionReport("hypothesis-not-met", residuals)
 
@@ -588,7 +584,7 @@ def verify_cone_reduction(side_a: ConeReductionSide,
     v_bound = max(_pairwise_spread(a["gram_f"], b["gram_f"]),
                   _pairwise_spread(a["gram_w"], b["gram_w"]))
     theta = max(_profile_eta(a["gram_f"], b["gram_f"]), _profile_eta(a["gram_w"], b["gram_w"]))
-    measured = _profile_eta(side_a.cone_spectrum(), side_b.cone_spectrum())
+    measured = _profile_eta(a["cone"], b["cone"])
     bound_v = measured <= eta + v_bound + BOUND_SLACK
     bound_theta = measured <= eta + theta + BOUND_SLACK if math.isfinite(theta) else None
     status = "pass" if bound_v and (bound_theta is not False) else "fail"

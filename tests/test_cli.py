@@ -1,9 +1,11 @@
 import argparse
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +249,22 @@ def test_build_rejects_features_of_vertices_the_graph_lacks(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("first, second", [("1", "01"), ("0", "-0")])
+def test_build_rejects_two_keys_of_one_vertex(tmp_path, capsys, first, second):
+    # the later key used to win, so a stalk depended on the key order
+    graph, features = write_inputs(tmp_path)
+    data = json.loads(read(features))
+    rows = data["features"].pop(first)
+    data["features"][first] = rows
+    data["features"][second] = np.ones((4, 3)).tolist()
+    features.write_text(json.dumps(data))
+    assert run(["build", "--input", str(graph), "--features", str(features),
+                "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (f"error: {features}: keys {first!r} and {second!r} "
+                                       f"both name vertex {int(first)}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_diagnose_generator_mobius(tmp_path):
     out = tmp_path / "d"
     assert run(["diagnose", "--generator", "mobius", "--n", "10", "--out", str(out)]) == 0
@@ -370,6 +388,20 @@ def test_empty_slack_interval_is_input_error_before_any_work(tmp_path, capsys, m
     assert run(["diagnose", "--generator", "trivial", "--delta0", "1", "--delta1", "0.5",
                 "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err == "error: need delta0 < delta1\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_delta0_above_the_default_delta1_names_both(tmp_path, capsys):
+    assert run(["diagnose", "--generator", "trivial", "--n", "10", "--delta0", "100",
+                "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    prefix = "validation error: need delta0 < delta1, but delta0 is 100.0 and delta1 is "
+    assert err.startswith(prefix)
+    assert err.endswith(" (the default when no delta1 is given)\n")
+    delta1, gap = err[len(prefix):].split(" (")[0].split(", twice the spectral gap ")
+    # the gap of the 10-cycle's L_0 is 2 - 2 cos(2 pi / 10)
+    assert float(delta1) == 2 * float(gap)
+    assert abs(float(gap) - (2 - 2 * np.cos(np.pi / 5))) < 1e-12
     assert not (tmp_path / "x").exists()
 
 
@@ -656,11 +688,12 @@ def test_verify_assembles_one_cone(tmp_path, monkeypatch):
                 "--out", str(tmp_path / "padding")]) == 0
     # d0 and d1 of F, of W and of the geometric cone: the channel set reads F's.
     # L_j of F and of W, each assembled and decomposed once: the LES reads
-    # all six spectra, the cone reduction L_1(F) and L_0(W), the separation
-    # check L_1(F) and its spectrum. eigh: those 6, the 4 cone Laplacians of
-    # the LES and the relative channel; eigvalsh: the 6 cone-reduction blocks.
+    # all six spectra, the cone reduction L_1(F) and L_0(W) with their
+    # spectra, the separation check L_1(F) and its spectrum. eigh: those 6,
+    # the 4 cone Laplacians of the LES and the relative channel; eigvalsh:
+    # the cone reduction's 2 Gram blocks and 2 cone blocks.
     assert counts == {"algebraic_cone": 1, "incidence_defect": 1, "constant_sheaf": 1,
-                      "_assemble_laplacian": 6, "coboundary": 6, "eigh": 11, "eigvalsh": 6}
+                      "_assemble_laplacian": 6, "coboundary": 6, "eigh": 11, "eigvalsh": 4}
     counts.update(dict.fromkeys(counts, 0))
     assert run(["verify", "--input", str(sheaf_path), "--grounding", "fullrank",
                 "--out", str(tmp_path / "fullrank")]) == 0
@@ -910,3 +943,19 @@ def test_sheaf_json_schema_version_enforced(tmp_path, capsys):
                                "restrictions": []}))
     assert run(["diagnose", "--input", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert "schema version" in capsys.readouterr().err
+
+
+def test_cli_matrix_commands_parse():
+    # tools/cli_matrix.py writes its inputs without the package, so two
+    # checkouts get the same; every command it runs must parse here
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_matrix.py"
+    source = path.read_text()
+    assert "import sheafgauge" not in source and "from sheafgauge" not in source
+    spec = importlib.util.spec_from_file_location("cli_matrix", path)
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    names = [name for name, _ in matrix.COMMANDS]
+    assert len(names) == len(set(names)) == 65
+    for name, argv in matrix.COMMANDS:
+        args = cli._parser().parse_args(argv)
+        assert args.out == name

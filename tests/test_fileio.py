@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from sheafgauge.diagnostics import ChannelReport
-from sheafgauge.fileio import write_json
+from sheafgauge.fileio import write_csv, write_json
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
@@ -22,3 +23,8 @@ def test_report_is_written_field_by_field_with_a_non_finite_float_as_null(tmp_pa
                    "auxiliary": False},
         "schema_version": "1",
     }
+
+
+def test_csv_writes_a_numpy_float_as_its_number(tmp_path):
+    write_csv(tmp_path / "x.csv", ("a", "b", "c"), [(np.float64(0.1), 0.1, np.int64(3))])
+    assert (tmp_path / "x.csv").read_text() == "a,b,c\n0.1,0.1,3\n"

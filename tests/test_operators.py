@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -20,6 +21,7 @@ from sheafgauge.operators import (
     ConeEquivalenceReport,
     GroundingModeError,
     GroundingMorphism,
+    MappingCone,
     SheafLaplacian,
     _assemble_laplacian,
     algebraic_cone,
@@ -59,11 +61,13 @@ from sheafgauge.sheaves import (
     trivial_bundle,
 )
 from sheafgauge.spectral import (
+    COMMUTATION_TOL,
     ConeReductionSide,
     cone_reduction_side,
     eigendecompose,
     kernel_dim,
     spectral_gap,
+    verify_cone_reduction,
 )
 
 
@@ -816,6 +820,12 @@ def test_cone_laplacian_bit_identical_to_its_formula():
 
 
 def test_cone_reduction_side_equals_standalone_assembly():
+    # the residuals from standalone blocks, and the spectra of those blocks:
+    # eigh for L_1(F) and L_0(W), as their sheaves decompose them
+    def largest(m):
+        return float(np.max(np.abs(m), initial=0.0))
+
+    statuses = []
     for sheaf, grounding in _shared_cone_fixtures():
         side = cone_reduction_side(algebraic_cone(sheaf, grounding))
         eps0 = grounding.cochain_block(sheaf, 0)
@@ -823,12 +833,77 @@ def test_cone_reduction_side_equals_standalone_assembly():
         wsheaf = constant_sheaf(sheaf.complex, grounding.target_dim)
         d_f0 = coboundary(sheaf, 0).matrix
         d_w0 = coboundary(wsheaf, 0).matrix
-        reference = ConeReductionSide(
-            laplacian(sheaf, 1).matrix, eps1.T @ eps1, laplacian(wsheaf, 0).matrix,
-            eps0 @ eps0.T, float(np.max(np.abs(d_w0.T @ eps1 - eps0 @ d_f0.T))))
-        for name in ("base_f", "gram_f", "base_w", "gram_w"):
-            assert getattr(side, name).tobytes() == getattr(reference, name).tobytes()
-        assert side.intertwine_residual == reference.intertwine_residual
+        base_f, gram_f = laplacian(sheaf, 1).matrix, eps1.T @ eps1
+        base_w, gram_w = laplacian(wsheaf, 0).matrix, eps0 @ eps0.T
+        residuals = {"intertwine": largest(d_w0.T @ eps1 - eps0 @ d_f0.T),
+                     "commutator_f": largest(base_f @ gram_f - gram_f @ base_f),
+                     "commutator_w": largest(base_w @ gram_w - gram_w @ base_w)}
+        assert side.residuals == residuals
+        if max(residuals.values()) > COMMUTATION_TOL:
+            assert side.spectra is None
+            statuses.append("hypothesis-not-met")
+            continue
+        cone = np.concatenate([np.linalg.eigvalsh(base_f + gram_f),
+                               np.linalg.eigvalsh(base_w + gram_w)])
+        spectra = {"base_f": np.linalg.eigh(base_f)[0], "gram_f": np.linalg.eigvalsh(gram_f),
+                   "base_w": np.linalg.eigh(base_w)[0], "gram_w": np.linalg.eigvalsh(gram_w),
+                   "cone": np.sort(cone)}
+        assert sorted(side.spectra) == sorted(spectra)
+        for name, eigenvalues in spectra.items():
+            assert side.spectra[name].tobytes() == eigenvalues.tobytes()
+        statuses.append("pass")
+    assert "pass" in statuses and "hypothesis-not-met" in statuses
+
+
+def test_cone_keeps_only_its_sheaf_and_grounding():
+    sheaf = mobius_bundle(6)
+    cone = algebraic_cone(sheaf, grounding_from_padding(sheaf))
+    assert [f.name for f in dataclasses.fields(MappingCone)] == ["sheaf", "grounding"]
+    assert [f.name for f in dataclasses.fields(ConeReductionSide)] == ["residuals", "spectra"]
+    # a cleared defect used to turn this hypothesis-not-met into a pass
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cone.defect_total = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cone.eps = {}
+    assert verify_cone_equivalence(cone).status == "hypothesis-not-met"
+
+
+def test_cone_parts_are_read_only():
+    sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
+    cone = algebraic_cone(sheaf, grounding_from_padding(sheaf))
+    with pytest.raises(TypeError):
+        cone.eps[0] = np.zeros_like(cone.eps[0])
+    for j in (0, 1, 2):
+        assert not cone.eps[j].flags.writeable
+    for n in range(-2, 3):
+        d = cone.differential(n)
+        assert d.shape == (cone.dim(n + 1), cone.dim(n))
+        with pytest.raises(ValueError):
+            d[...] = 1.0
+
+
+def test_failing_hypotheses_form_no_differential(monkeypatch):
+    sheaf = mobius_bundle(6)
+    cone = algebraic_cone(sheaf, grounding_from_padding(sheaf))
+    solved = []
+    for solver in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, solver)
+        monkeypatch.setattr(np.linalg, solver,
+                            lambda m, _original=original: solved.append(m) or _original(m))
+    assert verify_cone_equivalence(cone).status == "hypothesis-not-met"
+    assert verify_long_exact_sequence(cone).status == "hypothesis-not-met"
+    side = cone_reduction_side(cone)
+    assert verify_cone_reduction(side, side).status == "hypothesis-not-met"
+    assert "_differentials" not in vars(cone)
+    assert side.spectra is None and solved == []
+
+
+def test_cone_reduction_reads_the_kept_base_spectra():
+    sheaf = constant_sheaf(build_clique_complex(complete_graph(5)), 2)
+    cone = algebraic_cone(sheaf, grounding_from_padding(sheaf))
+    side = cone_reduction_side(cone)
+    assert side.spectra["base_f"] is laplacian_spectrum(sheaf, 1).eigenvalues
+    assert side.spectra["base_w"] is laplacian_spectrum(cone.w_sheaf, 0).eigenvalues
 
 
 def test_les_hypothesis_violation():

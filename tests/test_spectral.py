@@ -23,6 +23,7 @@ from sheafgauge.sheaves import (
 )
 from sheafgauge.spectral import (
     AsymmetricOperatorError,
+    ConeReductionSide,
     LocalWitnessMap,
     PsdViolationError,
     Spectrum,
@@ -709,56 +710,79 @@ def test_cone_reduction_identical_sides():
     assert report.measured == 0.0
 
 
+def _side(base_f, gram_f, base_w, gram_w):
+    """A side of four blocks, its base eigenvalues by ``eigvalsh`` as the
+    synthetic side reads them."""
+    return ConeReductionSide.from_blocks(
+        base_f, gram_f, base_w, gram_w, 0.0,
+        lambda: (np.linalg.eigvalsh(base_f), np.linalg.eigvalsh(base_w)))
+
+
 def test_cone_reduction_decomposes_each_block_once(monkeypatch):
     sheaf = trivial_bundle(8, 2)
-    side = cone_reduction_side(algebraic_cone(sheaf, grounding_from_padding(sheaf)))
+    cone = algebraic_cone(sheaf, grounding_from_padding(sheaf))
     solved = []
     original = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(m) or original(m))
+    side = cone_reduction_side(cone)
+    # gram_f, gram_w and the two cone blocks; L_1(F) and L_0(W) are read
+    # from the spectra their sheaves keep
+    assert len(solved) == 4
     report = verify_cone_reduction(side, side)
-    # base_f, gram_f, base_w, gram_w and the two cone blocks
-    assert len(solved) == 6
     assert verify_cone_reduction(side, side) == report
-    assert len(solved) == 6
-    cone = np.sort(np.concatenate([original(side.base_f + side.gram_f),
-                                   original(side.base_w + side.gram_w)]))
-    assert side.cone_spectrum().tobytes() == cone.tobytes()
+    assert len(solved) == 4
+    eps0, eps1 = cone.eps[0], cone.eps[1]
+    blocks = np.sort(np.concatenate([
+        original(laplacian(sheaf, 1).matrix + eps1.T @ eps1),
+        original(laplacian(cone.w_sheaf, 0).matrix + eps0 @ eps0.T)]))
+    assert side.spectra["cone"].tobytes() == blocks.tobytes()
+    # a synthetic side decomposes its two bases as well
+    synthetic = synthetic_commuting_side(0)
+    assert len(solved) == 10
     # a hypothesis that fails computes no spectrum
-    broken = synthetic_commuting_side(0)
-    noise = np.random.default_rng(5).normal(size=broken.gram_f.shape)
-    from sheafgauge.spectral import ConeReductionSide
+    noise = np.random.default_rng(5).normal(size=(6, 6))
+    broken = ConeReductionSide.from_blocks(
+        np.diag(synthetic.spectra["base_f"]), noise + noise.T,
+        np.diag(synthetic.spectra["base_w"]), np.diag(synthetic.spectra["gram_w"]), 0.0,
+        lambda: pytest.fail("a side whose hypothesis fails read its base eigenvalues"))
+    assert broken.spectra is None
+    assert verify_cone_reduction(synthetic, broken).status == "hypothesis-not-met"
+    assert len(solved) == 10
 
-    other = ConeReductionSide(broken.base_f, broken.gram_f + noise + noise.T,
-                              broken.base_w, broken.gram_w, 0.0)
-    assert verify_cone_reduction(broken, other).status == "hypothesis-not-met"
-    assert len(solved) == 6
 
+def test_cone_reduction_forms_each_commutator_once(monkeypatch):
+    import sheafgauge.spectral as spectral
 
-def test_cone_reduction_forms_each_commutator_once():
     sheaf = trivial_bundle(8, 2)
-    side = cone_reduction_side(algebraic_cone(sheaf, grounding_from_padding(sheaf)))
-    norms = side.commutator_norms
-    assert side.commutator_norms is norms
+    cone = algebraic_cone(sheaf, grounding_from_padding(sheaf))
+    formed = []
+    original = spectral._max_abs
+    monkeypatch.setattr(spectral, "_max_abs", lambda m: formed.append(m) or original(m))
+    side = cone_reduction_side(cone)
+    # the intertwining residual and the two commutators
+    assert len(formed) == 3
     report = verify_cone_reduction(side, side)
-    assert side.commutator_norms is norms
-    c_f = side.base_f @ side.gram_f - side.gram_f @ side.base_f
-    c_w = side.base_w @ side.gram_w - side.gram_w @ side.base_w
-    assert norms == (float(np.max(np.abs(c_f))), float(np.max(np.abs(c_w))))
+    assert len(formed) == 3
+    eps0, eps1 = cone.eps[0], cone.eps[1]
+    base_f, gram_f = laplacian(sheaf, 1).matrix, eps1.T @ eps1
+    base_w, gram_w = laplacian(cone.w_sheaf, 0).matrix, eps0 @ eps0.T
+    c_f = base_f @ gram_f - gram_f @ base_f
+    c_w = base_w @ gram_w - gram_w @ base_w
+    assert (side.residuals["commutator_f"], side.residuals["commutator_w"]) == \
+        (float(np.max(np.abs(c_f))), float(np.max(np.abs(c_w))))
     for side_name in ("a", "b"):
-        assert tuple(report.residuals[f"commutator_{block}_{side_name}"]
-                     for block in ("f", "w")) == norms
+        assert {name: report.residuals[f"{name}_{side_name}"] for name in side.residuals} \
+            == side.residuals
 
 
 def test_cone_reduction_equal_gramians_theta_zero():
     a = synthetic_commuting_side(0)
     rng = np.random.default_rng(99)
-    q, _ = np.linalg.qr(rng.normal(size=a.base_f.shape))
-    b_base_f = q @ np.diag(np.sort(np.linalg.eigvalsh(a.base_f)) + 0.05) @ q.T
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    b_base_f = q @ np.diag(a.spectra["base_f"] + 0.05) @ q.T
     # share eigenvectors with the new base so the commutator stays zero
-    b_gram_f = q @ np.diag(np.sort(np.linalg.eigvalsh(a.gram_f))) @ q.T
-    from sheafgauge.spectral import ConeReductionSide
-
-    b = ConeReductionSide(b_base_f, b_gram_f, a.base_w.copy(), a.gram_w.copy(), 0.0)
+    b_gram_f = q @ np.diag(a.spectra["gram_f"]) @ q.T
+    b = _side(b_base_f, b_gram_f, np.diag(a.spectra["base_w"]), np.diag(a.spectra["gram_w"]))
     report = verify_cone_reduction(a, b)
     assert report.status == "pass"
     assert report.theta < 1e-10
@@ -778,12 +802,13 @@ def test_cone_reduction_twenty_commuting_seeds():
 
 def test_cone_reduction_hypothesis_violation():
     a = synthetic_commuting_side(0)
-    from sheafgauge.spectral import ConeReductionSide
-
     rng = np.random.default_rng(5)
-    noise = rng.normal(size=a.gram_f.shape)
-    broken = ConeReductionSide(a.base_f, a.gram_f + 0.1 * (noise + noise.T),
-                               a.base_w, a.gram_w, 0.0)
+    noise = rng.normal(size=(6, 6))
+    broken = _side(np.diag(a.spectra["base_f"]),
+                   np.diag(a.spectra["gram_f"]) + 0.1 * (noise + noise.T),
+                   np.diag(a.spectra["base_w"]), np.diag(a.spectra["gram_w"]))
+    assert broken.residuals["commutator_f"] > 1e-8
+    assert broken.spectra is None
     report = verify_cone_reduction(a, broken)
     assert report.status == "hypothesis-not-met"
     assert report.eta is None

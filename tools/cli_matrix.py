@@ -1,0 +1,134 @@
+"""Run a fixed matrix of sheafgauge commands and record what each one does.
+
+Usage: python3 tools/cli_matrix.py OUT_DIR
+
+The script writes its inputs into OUT_DIR with numpy and json alone, so any
+two checkouts get identical inputs: a seeded G(30, 0.2) graph with noisy
+rank-3 features, a constant R^2 sheaf on K5 and a 3-vertex sheaf with no
+edges. It then runs every command of ``COMMANDS`` as
+``python3 -m sheafgauge.cli`` from OUT_DIR, with this checkout's ``src``
+first on PYTHONPATH and a relative ``--out`` named after the command, and
+records ``<name>.exit``, ``<name>.stdout`` and ``<name>.stderr``.
+
+To compare two checkouts, run each one's copy of this script into its own
+directory; ``diff -r`` of the two directories is then the whole check.
+"""
+
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+GENERATORS = ("trivial", "mobius", "hidden-twist", "noisy-trivial")
+GROUNDINGS = ("padding", "fullrank", "deficient", "zero")
+OPERATORS = ("d0", "d1", "L0", "L1", "relative", "utilization")
+EXPERIMENTS = ("existence", "magnitude", "localization", "relativity")
+
+
+def _commands():
+    """(name, argv) of every command, in run order; each writes to --out name."""
+    runs = []
+    for generator, grounding in itertools.product(GENERATORS, GROUNDINGS):
+        source = ["--generator", generator, "--n", "12", "--grounding", grounding]
+        runs.append((f"diagnose-{generator}-{grounding}", ["diagnose", *source, "--heatmap"]))
+        runs.append((f"verify-{generator}-{grounding}", ["verify", *source]))
+    runs.append(("diagnose-normalize-heat", ["diagnose", "--generator", "hidden-twist", "--n",
+                                             "12", "--normalize", "--weight", "heat",
+                                             "--heatmap"]))
+    for operator in OPERATORS:
+        runs.append((f"dump-{operator}", ["dump", "--generator", "noisy-trivial", "--n", "12",
+                                          "--operator", operator]))
+    for experiment in EXPERIMENTS:
+        runs.append((f"experiment-{experiment}", ["experiment", experiment, "--n", "50"]))
+    runs.append(("experiment-localization-unif", ["experiment", "localization", "--n", "50",
+                                                  "--weight", "unif", "--delta1", "3"]))
+    runs.append(("build-features", ["build", "--input", "graph.json",
+                                    "--features", "features.json"]))
+    for grounding in GROUNDINGS:
+        source = ["--input", "build-features/sheaf.json", "--grounding", grounding]
+        runs.append((f"diagnose-features-{grounding}", ["diagnose", *source, "--heatmap"]))
+        runs.append((f"verify-features-{grounding}", ["verify", *source]))
+    for sheaf, grounding in itertools.product(("k5", "no-edges"), GROUNDINGS):
+        runs.append((f"verify-{sheaf}-{grounding}",
+                     ["verify", "--input", f"{sheaf}.json", "--grounding", grounding]))
+    runs += [
+        ("error-missing-input", ["verify", "--input", "missing.json"]),
+        ("error-input-and-generator", ["diagnose", "--input", "k5.json",
+                                       "--generator", "mobius"]),
+        ("error-magnitude-n", ["experiment", "magnitude", "--n", "2"]),
+        ("error-delta0", ["diagnose", "--generator", "trivial", "--n", "10",
+                          "--delta0", "100"]),
+    ]
+    return [(name, argv + ["--out", name]) for name, argv in runs]
+
+
+COMMANDS = _commands()
+
+
+def _matrix(m):
+    m = np.asarray(m, dtype=float)
+    return {"shape": list(m.shape), "data": m.reshape(-1).tolist()}
+
+
+def _constant_sheaf(vertices, edges, dim):
+    """sheaf.json of the constant sheaf R^dim on the clique complex of a graph."""
+    adjacent = {tuple(e) for e in edges}
+    triangles = [t for t in itertools.combinations(range(vertices), 3)
+                 if all(pair in adjacent for pair in itertools.combinations(t, 2))]
+    cells = [(v,) for v in range(vertices)] + [tuple(e) for e in edges] + triangles
+    faces = [(face, cell) for cell in cells if len(cell) > 1
+             for face in itertools.combinations(cell, len(cell) - 1)]
+    eye = _matrix(np.eye(dim))
+    return {
+        "schema_version": "1",
+        "graph": {"vertices": vertices, "edges": [list(e) for e in edges]},
+        "validated": True,
+        "stalks": [{"cell": list(cell), "basis": eye} for cell in sorted(cells)],
+        "restrictions": [{"face": list(face), "coface": list(coface), "matrix": eye}
+                         for face, coface in sorted(faces)],
+    }
+
+
+def write_inputs(directory: Path):
+    rng = np.random.default_rng(0)
+    n, ambient, rank = 30, 6, 3
+    basis, _ = np.linalg.qr(rng.normal(size=(ambient, rank)))
+    features = {str(v): (basis + 0.05 * rng.normal(size=(ambient, rank))).tolist()
+                for v in range(n)}
+    upper = np.triu_indices(n, 1)
+    keep = rng.random(upper[0].size) < 0.2
+    edges = [[int(u), int(v)] for u, v in zip(upper[0][keep], upper[1][keep])]
+    k5 = [list(e) for e in itertools.combinations(range(5), 2)]
+    inputs = {"graph.json": {"vertices": n, "edges": edges},
+              "features.json": {"features": features},
+              "k5.json": _constant_sheaf(5, k5, 2),
+              "no-edges.json": _constant_sheaf(3, [], 2)}
+    for name, payload in inputs.items():
+        (directory / name).write_text(json.dumps(payload, sort_keys=True) + "\n")
+
+
+def main(argv):
+    if len(argv) != 1:
+        print("usage: python3 tools/cli_matrix.py OUT_DIR", file=sys.stderr)
+        return 1
+    directory = Path(argv[0])
+    directory.mkdir(parents=True, exist_ok=True)
+    write_inputs(directory)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    for name, command in COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "sheafgauge.cli", *command],
+                              cwd=directory, env=env, capture_output=True, text=True)
+        (directory / f"{name}.exit").write_text(f"{done.returncode}\n")
+        (directory / f"{name}.stdout").write_text(done.stdout)
+        (directory / f"{name}.stderr").write_text(done.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
