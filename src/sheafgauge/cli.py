@@ -54,7 +54,8 @@ from .spectral import (
 )
 
 WEIGHT_FLAGS = {"unif": "uniform", "inv": "inverse", "heat": "heat", "gap": "gap"}
-OPERATOR_NAMES = ("d0", "d1", "L0", "L1", "relative", "utilization")
+_SHEAF_OPERATORS = ("d0", "d1", "L0", "L1")  # the rest read the grounding
+OPERATOR_NAMES = _SHEAF_OPERATORS + ("relative", "utilization")
 
 
 class CliInputError(Exception):
@@ -64,11 +65,14 @@ class CliInputError(Exception):
 def _params(args) -> dict:
     """What a run read: its command and each option the command accepts, as
     given or at its default; argparse fills ``args`` with exactly those. A
-    generator option that the sheaf's source did not read is null."""
+    generator option that the sheaf's source did not read is null, and so is
+    the grounding of a dump of the sheaf's own operators."""
     options = {key: value for key, value in vars(args).items() if key not in ("command", "name")}
     if "generator" in options:
         read = _GENERATORS[args.generator][1] + ("stalk_dim",) if args.generator else ()
         options.update({key: None for key in _GENERATOR_OPTIONS if key not in read})
+    if options.get("operator") in _SHEAF_OPERATORS:
+        options["grounding"] = None
     command = f"experiment:{args.name}" if args.command == "experiment" else args.command
     return {"command": command, **options}
 

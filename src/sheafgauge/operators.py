@@ -124,7 +124,8 @@ class Coboundary:
 def coboundary(sheaf: CellSheaf, j: int) -> Coboundary:
     """Signed block matrix C^j -> C^{j+1}: block (c, f) = sign(c, f) * rho_{f->c}.
 
-    The matrix is the sheaf's own, read-only and assembled once per sheaf.
+    The matrix is the sheaf's own, read-only and assembled once per sheaf;
+    outside degrees 0 and 1 it is an empty end map (``CellSheaf.coboundary``).
     """
     return Coboundary(j, sheaf.coboundary(j))
 
@@ -139,30 +140,24 @@ class SheafLaplacian:
         return self.matrix.shape[0]
 
 
-def _hodge_laplacian(n: int, j: int, down: np.ndarray | None,
-                     up: np.ndarray | None) -> SheafLaplacian:
-    """down down^T + up^T up on an n-dimensional cochain space, read-only;
-    numpy forms each Gram product by a symmetric rank-k update, so the sum
-    is exactly symmetric."""
-    m = np.zeros((n, n))
-    if down is not None:
-        m += down @ down.T
-    if up is not None:
-        m += up.T @ up
+def _hodge_laplacian(j: int, down: np.ndarray, up: np.ndarray) -> SheafLaplacian:
+    """down down^T + up^T up, read-only; numpy forms each Gram product by a
+    symmetric rank-k update, so the sum is exactly symmetric. The sum is
+    formed in place, so no third n x n array is held."""
+    m = down @ down.T
+    m += up.T @ up
     m.flags.writeable = False
     return SheafLaplacian(m, j)
 
 
 def _assemble_laplacian(sheaf: CellSheaf, j: int) -> SheafLaplacian:
-    down = coboundary(sheaf, j - 1).matrix if j >= 1 else None
-    up = coboundary(sheaf, j).matrix if j <= 1 else None
-    return _hodge_laplacian(sheaf.cochain_dim(j), j, down, up)
+    return _hodge_laplacian(j, coboundary(sheaf, j - 1).matrix, coboundary(sheaf, j).matrix)
 
 
 def laplacian(sheaf: CellSheaf, j: int) -> SheafLaplacian:
-    """L_j = d^{j-1} (d^{j-1})^T + (d^j)^T d^j on C^j; down term absent for
-    j = 0, up term for j = 2. The sheaf's own, read-only and assembled once
-    per sheaf."""
+    """L_j = d^{j-1} (d^{j-1})^T + (d^j)^T d^j on C^j; d_{-1} and d_2 are
+    the empty end maps of the complex. The sheaf's own, read-only and
+    assembled once per sheaf."""
     if j not in (0, 1, 2):
         raise ValueError(f"laplacian degree must be 0, 1 or 2, got {j}")
     return sheaf.derived(("laplacian", j), lambda s: _assemble_laplacian(s, j))
@@ -189,14 +184,10 @@ def is_delta_feasible(lap: SheafLaplacian, x, delta: float) -> bool:
 
 
 def betti_numbers(sheaf: CellSheaf) -> tuple[int, int, int]:
-    """Cohomology dimensions by rank-nullity of the coboundaries."""
-    d0 = coboundary(sheaf, 0).matrix
-    d1 = coboundary(sheaf, 1).matrix
-    r0, r1 = numerical_rank(d0), numerical_rank(d1)
-    b0 = sheaf.cochain_dim(0) - r0
-    b1 = sheaf.cochain_dim(1) - r1 - r0
-    b2 = sheaf.cochain_dim(2) - r1
-    return b0, b1, b2
+    """Cohomology dimensions by rank-nullity of the coboundaries:
+    b_j = dim C^j - rank d_j - rank d_{j-1}."""
+    ranks = {j: numerical_rank(coboundary(sheaf, j).matrix) for j in (-1, 0, 1, 2)}
+    return tuple(sheaf.cochain_dim(j) - ranks[j] - ranks[j - 1] for j in (0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +391,11 @@ class MappingCone:
 
     The cone holds its sheaf and grounding. Formed on first read and kept:
     the constant sheaf ``w_sheaf``, the read-only mapping ``eps`` of cochain
-    blocks (degrees 0-2), the incidence defect ``defect_total`` and the
-    read-only differentials, built from the coboundaries that ``sheaf`` and
-    ``w_sheaf`` each assemble once, so every certificate reads the same
-    matrices. d^2 = 0 holds when ``sheaf`` is functorial and the defect is 0.
+    blocks (degrees -1 to 3, empty outside 0-2), the incidence defect
+    ``defect_total`` and the read-only differentials, built from the
+    coboundaries that ``sheaf`` and ``w_sheaf`` each assemble once, so every
+    certificate reads the same matrices. d^2 = 0 holds when ``sheaf`` is
+    functorial and the defect is 0.
     """
 
     sheaf: CellSheaf
@@ -415,7 +407,8 @@ class MappingCone:
 
     @cached_property
     def eps(self) -> MappingProxyType:
-        return MappingProxyType({j: self.grounding.cochain_block(self.sheaf, j) for j in (0, 1, 2)})
+        return MappingProxyType({j: self.grounding.cochain_block(self.sheaf, j)
+                                 for j in range(-1, 4)})
 
     @cached_property
     def defect_total(self) -> float:
@@ -423,30 +416,26 @@ class MappingCone:
 
     @cached_property
     def _differentials(self) -> dict:
-        """Read-only d^n for n = -2..2, the degrees the cone Laplacians read."""
+        """Read-only d^n = [[-d_F^{n+1}, 0], [-eps_{n+1}, d_W^n]] for n = -2..2,
+        the degrees the cone Laplacians read."""
         d = {}
         for n in range(-2, 3):
+            d_f, d_w = coboundary(self.sheaf, n + 1).matrix, coboundary(self.w_sheaf, n).matrix
             # rows C^{n+2}(F) + C^{n+1}(W), columns C^{n+1}(F) + C^n(W)
-            f_rows, f_cols = self.sheaf.cochain_dim(n + 2), self.sheaf.cochain_dim(n + 1)
-            m = d[n] = np.zeros((self.dim(n + 1), self.dim(n)))
-            if 0 <= n + 1 <= 1:
-                m[:f_rows, :f_cols] = -coboundary(self.sheaf, n + 1).matrix
-            if n + 1 in self.eps:
-                m[f_rows:, :f_cols] = -self.eps[n + 1]
-            if 0 <= n <= 1:
-                m[f_rows:, f_cols:] = coboundary(self.w_sheaf, n).matrix
+            f_rows, f_cols = d_f.shape
+            m = d[n] = np.zeros((f_rows + d_w.shape[0], f_cols + d_w.shape[1]))
+            m[:f_rows, :f_cols] = -d_f
+            m[f_rows:, :f_cols] = -self.eps[n + 1]
+            m[f_rows:, f_cols:] = d_w
             m.flags.writeable = False
         return d
-
-    def dim(self, n: int) -> int:
-        return self.sheaf.cochain_dim(n + 1) + self.w_sheaf.cochain_dim(n)
 
     def differential(self, n: int) -> np.ndarray:
         """d^n: Cone^n -> Cone^{n+1}, read-only, for n = -2..2."""
         return self._differentials[n]
 
     def laplacian(self, n: int) -> SheafLaplacian:
-        return _hodge_laplacian(self.dim(n), n, self.differential(n - 1), self.differential(n))
+        return _hodge_laplacian(n, self.differential(n - 1), self.differential(n))
 
 
 def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism) -> MappingCone:
@@ -521,7 +510,7 @@ def verify_cone_equivalence(cone: MappingCone) -> ConeEquivalenceReport:
     residuals = {}
     for j in (0, 1):
         geometric = coboundary(geo, j).matrix
-        residuals[j] = float(np.max(np.abs(geometric - translated[j]))) if geometric.size else 0.0
+        residuals[j] = float(np.max(np.abs(geometric - translated[j]), initial=0.0))
     worst = max(residuals.values())
     status = "pass" if worst < 1e-12 else "fail"
     return ConeEquivalenceReport(status, cone.defect_total, worst, residuals)
@@ -561,8 +550,10 @@ def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
     Laplacians. The maps are ``cone.eps``, the inclusion i(c) = (0, c) and
     the projection q(b, c) = -b, so i and q read the W and the F rows of a
     cone basis. Exactness at a node means rank(in) + rank(out) = dim and
-    the composite vanishes. The hypothesis is a compatible grounding, read
-    from ``cone.defect_total``.
+    the composite vanishes. An empty zero map closes the chain at each end,
+    so node k sits between ``maps[k]`` and ``maps[k + 1]``, and each map is
+    ranked once. The hypothesis is a compatible grounding, read from
+    ``cone.defect_total``.
     """
     if cone.defect_total > COMPATIBILITY_TOL:
         return LesReport("hypothesis-not-met", cone.defect_total, (), (), (), ())
@@ -575,7 +566,7 @@ def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
 
     # 0 -> Hc^-1 -> H^0F -> H^0W -> Hc^0 -> H^1F -> ... -> Hc^2 -> 0
     chain = [("cone^-1", harm_c[-1])]
-    maps = []
+    maps = [np.zeros((harm_c[-1].shape[1], 0))]
     for j in (0, 1, 2):
         maps.append(-(harm_f[j].T @ harm_c[j - 1][:cone.sheaf.cochain_dim(j)]))
         chain.append((f"F^{j}", harm_f[j]))
@@ -583,25 +574,18 @@ def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
         chain.append((f"W^{j}", harm_w[j]))
         maps.append(harm_c[j][cone.sheaf.cochain_dim(j + 1):].T @ harm_w[j])
         chain.append((f"cone^{j}", harm_c[j]))
+    maps.append(np.zeros((0, harm_c[2].shape[1])))
 
+    ranks = [numerical_rank(m) for m in maps]
     nodes = []
-    all_exact = True
     for k, (name, basis) in enumerate(chain):
-        incoming = maps[k - 1] if k > 0 else None
-        outgoing = maps[k] if k < len(maps) else None
-        rank_in = numerical_rank(incoming) if incoming is not None else 0
-        rank_out = numerical_rank(outgoing) if outgoing is not None else 0
-        if incoming is not None and outgoing is not None and incoming.size and outgoing.size:
-            composite = float(np.max(np.abs(outgoing @ incoming)))
-        else:
-            composite = 0.0
+        composite = float(np.max(np.abs(maps[k + 1] @ maps[k]), initial=0.0))
         dim = basis.shape[1]
-        exact = (rank_in + rank_out == dim) and composite <= 1e-8
-        all_exact = all_exact and exact
-        nodes.append(LesNodeCheck(name, dim, rank_in, rank_out, composite, exact))
+        exact = ranks[k] + ranks[k + 1] == dim and composite <= 1e-8
+        nodes.append(LesNodeCheck(name, dim, ranks[k], ranks[k + 1], composite, exact))
 
     return LesReport(
-        "pass" if all_exact else "fail",
+        "pass" if all(node.exact for node in nodes) else "fail",
         cone.defect_total,
         tuple(nodes),
         tuple(harm_f[j].shape[1] for j in (0, 1, 2)),
@@ -653,8 +637,7 @@ class ChannelSet:
 
     @cached_property
     def coupling_norm(self) -> float:
-        d1 = coboundary(self.sheaf, 1).matrix
-        return float(np.linalg.norm(d1 @ self.eps.T)) if d1.size else 0.0
+        return float(np.linalg.norm(coboundary(self.sheaf, 1).matrix @ self.eps.T))
 
 
 def channel_set(sheaf: CellSheaf, grounding: GroundingMorphism) -> ChannelSet:

@@ -217,9 +217,16 @@ class CellSheaf:
         return self._derived[key]
 
     def coboundary(self, j):
-        """d_j: C^j -> C^{j+1} as a read-only matrix, assembled on first use."""
+        """d_j: C^j -> C^{j+1} as a read-only matrix, assembled on first use.
+
+        The complex is 0 -> C^0 -> C^1 -> C^2 -> 0, and this is the one place
+        that knows it: outside degrees 0 and 1, d_j is a fresh read-only empty
+        matrix of shape (dim C^{j+1}, dim C^j), neither assembled nor kept.
+        """
         if j not in (0, 1):
-            raise ValueError(f"coboundary degree must be 0 or 1, got {j}")
+            zero = np.zeros((self.cochain_dim(j + 1), self.cochain_dim(j)))
+            zero.flags.writeable = False
+            return zero
         return self.derived(("coboundary", j), lambda sheaf: sheaf._assemble_coboundary(j))
 
     def _coboundary_scatter(self, j):
@@ -637,15 +644,28 @@ def _items(kind, items, *names):
 
 
 def _integers(where, name, value):
-    """Field ``name`` of ``where``, a JSON list of integers (a cell or a shape), as a tuple."""
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+    """Field ``name`` of ``where``, a JSON list of non-negative integers (a cell
+    or a shape), as a tuple; a JSON boolean is not an integer."""
+    if not isinstance(value, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in value):
         raise ValueError(f"{where} field {name!r} is not a list of integers")
+    if min(value, default=0) < 0:
+        raise ValueError(f"{where} field {name!r} has a negative entry {min(value)}")
     return tuple(value)
+
+
+def _first(given, key, where, label):
+    """Record in ``given`` that item ``where`` gives ``key``; a second item
+    for one key is an error naming both."""
+    if key in given:
+        raise ValueError(f"{given[key]} and {where} both give {label}")
+    given[key] = where
 
 
 def sheaf_from_json_dict(data: dict) -> CellSheaf:
     """Inverse of ``sheaf_to_json_dict``; the ``validated`` key, for readers, is ignored.
-    A missing field or a value of the wrong JSON type is a ValueError naming both."""
+    A missing field or a value of the wrong JSON type is a ValueError naming both,
+    and so are two items for one cell or one incidence."""
     if not isinstance(data, dict):
         raise ValueError("sheaf is not a JSON object")
     version = data.get("schema_version")
@@ -655,16 +675,16 @@ def sheaf_from_json_dict(data: dict) -> CellSheaf:
                                                     "restrictions")
     complex_ = build_clique_complex(
         Graph(*_fields("sheaf field 'graph'", graph, "vertices", "edges")))
-    stalks = {
-        _integers(where, "cell", cell): Stalk(_matrix_from_payload(where, "basis", basis))
-        for where, (cell, basis) in _items("stalk", stalk_items, "cell", "basis")
-    }
-    restrictions = {
-        (_integers(where, "face", face), _integers(where, "coface", coface)):
-            _matrix_from_payload(where, "matrix", matrix)
-        for where, (face, coface, matrix) in _items("restriction", restriction_items,
-                                                    "face", "coface", "matrix")
-    }
+    stalks, restrictions, given = {}, {}, {}
+    for where, (cell, basis) in _items("stalk", stalk_items, "cell", "basis"):
+        cell = _integers(where, "cell", cell)
+        _first(given, cell, where, f"cell {cell}")
+        stalks[cell] = Stalk(_matrix_from_payload(where, "basis", basis))
+    for where, (face, coface, matrix) in _items("restriction", restriction_items,
+                                                "face", "coface", "matrix"):
+        face, coface = _integers(where, "face", face), _integers(where, "coface", coface)
+        _first(given, (face, coface), where, f"incidence {face} < {coface}")
+        restrictions[(face, coface)] = _matrix_from_payload(where, "matrix", matrix)
     return CellSheaf(complex_, stalks, restrictions)
 
 

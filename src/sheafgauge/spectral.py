@@ -222,25 +222,22 @@ def _incidence_index(sheaf: CellSheaf, j: int):
 
 
 def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray, weights: np.ndarray,
-                    down: np.ndarray | None, up: np.ndarray | None,
                     eps: np.ndarray | None = None) -> np.ndarray:
     """Per-cell witness scores of the weighted mode columns in degree j.
 
-    ``down`` is d_{j-1} and ``up`` is d_j, None where degree j has none.
     Every cell receives the block energy of d_j V at each of its cofaces and
-    of d_{j-1}^T V at each of its faces; with ``eps``, each cell also
-    receives the energy of its own column block of eps.
+    of d_{j-1}^T V at each of its faces, with the sheaf's coboundaries (an
+    empty end map adds nothing); with ``eps``, each cell also receives the
+    energy of its own column block of eps.
     """
     cells = sheaf.complex.cells(j)
-    scores = np.zeros(len(cells))
-    if up is not None:
-        energy = _block_energy(sheaf, j + 1, up @ vectors, weights)
-        coface, face = _incidence_index(sheaf, j)
-        scores += np.bincount(face, weights=energy[coface], minlength=len(cells))
-    if down is not None:
-        energy = _block_energy(sheaf, j - 1, down.T @ vectors, weights)
-        cell, face = _incidence_index(sheaf, j - 1)
-        scores += np.bincount(cell, weights=energy[face], minlength=len(cells))
+    scores = np.zeros(len(cells))  # a float array even when a bincount below is empty
+    energy = _block_energy(sheaf, j + 1, sheaf.coboundary(j) @ vectors, weights)
+    coface, face = _incidence_index(sheaf, j)
+    scores += np.bincount(face, weights=energy[coface], minlength=len(cells))
+    energy = _block_energy(sheaf, j - 1, sheaf.coboundary(j - 1).T @ vectors, weights)
+    cell, face = _incidence_index(sheaf, j - 1)
+    scores += np.bincount(cell, weights=energy[face], minlength=len(cells))
     if eps is not None:
         # every column block of eps spans all rows of W: one product per cell
         for k, block in enumerate(sheaf.cell_slices(j).values()):
@@ -265,9 +262,7 @@ def local_witness(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None) ->
     and the coboundaries are the sheaf's own, each computed once per sheaf.
     """
     delta, vectors, weights = _degree_modes(cfg, laplacian_spectrum(sheaf, j))
-    down = coboundary(sheaf, j - 1).matrix if j >= 1 else None
-    up = coboundary(sheaf, j).matrix if j <= 1 else None
-    scores = _witness_scores(sheaf, j, vectors, weights, down, up)
+    scores = _witness_scores(sheaf, j, vectors, weights)
     return LocalWitnessMap(j, delta, sheaf.complex.cells(j), scores)
 
 
@@ -302,8 +297,7 @@ def local_witness_relative(channels: ChannelSet,
     """
     sheaf = channels.sheaf
     delta, vectors, weights = _degree_modes(cfg, channels.relative_spectrum)
-    scores = _witness_scores(sheaf, 1, vectors, weights, coboundary(sheaf, 0).matrix,
-                             coboundary(sheaf, 1).matrix, eps=channels.eps)
+    scores = _witness_scores(sheaf, 1, vectors, weights, eps=channels.eps)
     return LocalWitnessMap(1, delta, sheaf.complex.cells(1), scores)
 
 
@@ -402,9 +396,7 @@ def _containment_requirements(spec_a: Spectrum, spec_b: Spectrum, overlap: np.nd
 def _profile_eta(ev_a: np.ndarray, ev_b: np.ndarray) -> float:
     if ev_a.size != ev_b.size:
         return math.inf
-    if ev_a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.sort(ev_a) - np.sort(ev_b))))
+    return float(np.max(np.abs(np.sort(ev_a) - np.sort(ev_b)), initial=0.0))
 
 
 def interleaving_shift(a: Spectrum, b: Spectrum, mode: str | None = None) -> InterleavingResult:

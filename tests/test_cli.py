@@ -182,6 +182,27 @@ def _drop_matrix_data(data):
     del data["restrictions"][2]["matrix"]["data"]
 
 
+def _repeat_item(kind, index, matrix):
+    """Append a second item for the cell or incidence of item ``index``; its
+    matrix is ``matrix`` of the original's."""
+    def repeat(data):
+        item = dict(data[kind][index])
+        name = "basis" if kind == "stalks" else "matrix"
+        item[name] = matrix(item[name])
+        data[kind].append(item)
+    return repeat
+
+
+def _negated(payload):
+    return {"shape": payload["shape"], "data": [-x for x in payload["data"]]}
+
+
+def _set_stalk_shape(shape):
+    def set_shape(data):
+        data["stalks"][0]["basis"]["shape"] = shape
+    return set_shape
+
+
 @pytest.mark.parametrize("command", ["diagnose", "verify"])
 @pytest.mark.parametrize("edit, message", [
     (_edit_restriction([1], [1, 2], 0, float("nan")),
@@ -202,11 +223,24 @@ def _drop_matrix_data(data):
     (_drop_top_level("stalks"), "sheaf lacks field 'stalks'"),
     (_drop_top_level("graph"), "sheaf lacks field 'graph'"),
     (_drop_matrix_data, "restriction item 2 field 'matrix' lacks field 'data'"),
+    # the later item used to win: the verdicts depended on the item order
+    (_repeat_item("restrictions", 0, _negated),
+     "restriction item 0 and restriction item 10 both give incidence (0,) < (0, 1)"),
+    (_repeat_item("stalks", 3, lambda basis: basis),
+     "stalk item 3 and stalk item 10 both give cell (1,)"),
+    # reshape used to infer the -1, and a boolean read as an integer
+    (_set_stalk_shape([-1, 2]),
+     "stalk item 0 field 'basis' field 'shape' has a negative entry -1"),
+    (_set_field("stalks", 0, "cell", [False]),
+     "stalk item 0 field 'cell' is not a list of integers"),
+    (_set_stalk_shape([2, True]),
+     "stalk item 0 field 'basis' field 'shape' is not a list of integers"),
 ], ids=["nan-restriction", "inf-restriction", "nan-stalk", "missing-stalk", "extra-stalk",
         "extra-restriction", "stalk-without-basis", "restriction-without-face",
         "document-not-object", "graph-not-object", "basis-not-object", "cell-not-list",
         "stalks-not-list", "sheaf-without-stalks", "sheaf-without-graph",
-        "matrix-without-data"])
+        "matrix-without-data", "repeated-restriction", "repeated-stalk", "negative-shape",
+        "boolean-cell", "boolean-shape"])
 def test_mis_keyed_or_non_finite_sheaf_input_is_input_error(tmp_path, capsys, command, edit,
                                                             message):
     from sheafgauge.sheaves import sheaf_to_json_dict, trivial_bundle
@@ -827,8 +861,8 @@ def test_params_record_each_accepted_option(tmp_path, command, given):
         args["--input"], args["--features"] = map(str, write_inputs(tmp_path))
     elif words[0] != "experiment":
         args["--generator"] = "noisy-trivial" if given else "trivial"
-    if command == "dump":
-        args["--operator"] = "L0"
+    if command == "dump":  # a channel operator: the dump that reads the grounding
+        args["--operator"] = "relative"
     recorded = {flag: RECORDED[flag] for flag in sorted(flags & RECORDED.keys())}
     if given:
         args.update({flag: text for flag, (text, _, _) in recorded.items()})
@@ -844,8 +878,20 @@ def test_params_record_each_accepted_option(tmp_path, command, given):
         expected.update(dict.fromkeys(UNREAD_BY_GENERATOR[args["--generator"]]))
     assert run(words + [word for flag, text in args.items()
                         for word in ([flag] if text is None else [flag, text])]) == 0
-    name = RECORD_FILE.get(command, f"experiment_{words[-1]}.json")
+    name = ("operator_relative.json" if command == "dump"
+            else RECORD_FILE.get(command, f"experiment_{words[-1]}.json"))
     assert json.loads(read(tmp_path / "o" / name))["params"] == expected
+
+
+@pytest.mark.parametrize("operator", ["d0", "d1", "L0", "L1"])
+def test_dump_of_a_sheaf_operator_records_no_grounding(tmp_path, operator):
+    # only the channel operators read the grounding
+    out = tmp_path / "o"
+    assert run(["dump", "--generator", "trivial", "--n", "5", "--operator", operator,
+                "--grounding", "fullrank", "--out", str(out)]) == 0
+    params = json.loads(read(out / f"operator_{operator}.json"))["params"]
+    assert "grounding" in params and params["grounding"] is None
+    assert params["operator"] == operator
 
 
 SHEAF_COMMANDS = (["diagnose"], ["verify"], ["dump", "--operator", "L0"])
@@ -955,7 +1001,7 @@ def test_cli_matrix_commands_parse():
     matrix = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(matrix)
     names = [name for name, _ in matrix.COMMANDS]
-    assert len(names) == len(set(names)) == 65
+    assert len(names) == len(set(names)) == 84
     for name, argv in matrix.COMMANDS:
         args = cli._parser().parse_args(argv)
         assert args.out == name

@@ -140,11 +140,13 @@ def _reference_coboundary(sheaf, j):
     return matrix
 
 
-def _zero_stalk_feature_sheaf():
+def _zero_stalk_feature_sheaf(noise=0.05):
+    """Features near one 3-frame on vertices 0-5, vertex 6 orthogonal to it;
+    without noise, every stalk of 0-5 spans the frame and the sheaf is functorial."""
     rng = np.random.default_rng(4)
     edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.6]
     frame, _ = np.linalg.qr(rng.normal(size=(5, 5)))
-    features = {v: frame[:, :3] + 0.05 * rng.normal(size=(5, 3)) for v in range(6)}
+    features = {v: frame[:, :3] + noise * rng.normal(size=(5, 3)) for v in range(6)}
     features[6] = frame[:, 3:]  # orthogonal to the rest: zero-dim edge stalks
     sheaf = build_sheaf_from_features(Graph(7, edges), features)
     assert min(sheaf.stalk_dim(e) for e in sheaf.complex.edges) == 0
@@ -180,9 +182,21 @@ def test_coboundary_bit_identical_to_reference(make):
         assert d.tobytes() == reference.tobytes()
 
 
-def test_coboundary_degree_out_of_range():
-    with pytest.raises(ValueError):
-        coboundary(single_edge_sheaf(), 2)
+def test_coboundary_end_maps_are_empty(monkeypatch):
+    # 0 -> C^0 -> C^1 -> C^2 -> 0: outside degrees 0 and 1, d_j is an empty
+    # read-only matrix that the sheaf neither assembles nor keeps
+    sheaf = _triangle_constant_sheaf()
+    assembled = []
+    assemble = CellSheaf._assemble_coboundary
+    monkeypatch.setattr(CellSheaf, "_assemble_coboundary",
+                        lambda s, j: assembled.append(j) or assemble(s, j))
+    for j, shape in ((-1, (sheaf.cochain_dim(0), 0)), (2, (0, sheaf.cochain_dim(2))),
+                     (3, (0, 0))):
+        d = coboundary(sheaf, j).matrix
+        assert d.shape == shape and d.size == 0
+        assert not d.flags.writeable
+    assert assembled == []
+    assert sheaf.cochain_dim(0) and sheaf.cochain_dim(2)
 
 
 def test_d_squared_small_for_validated_sheaves():
@@ -318,6 +332,19 @@ def test_hodge_correspondence_generators_and_features():
         for j in (0, 1):
             spectrum = eigendecompose(laplacian(sheaf, j))
             assert kernel_dim(spectrum) == betti[j]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: constant_sheaf(build_clique_complex(Graph(0, [])), 1),
+    lambda: _zero_stalk_feature_sheaf(noise=0.0),
+    _triangle_constant_sheaf,
+], ids=["zero-vertex", "feature-zero-stalks", "constant-triangles"])
+def test_betti_numbers_are_laplacian_kernels_in_every_degree(make):
+    # rank-nullity equals the Hodge kernels on a complex (d_1 d_0 = 0)
+    sheaf = make()
+    assert sheaf.validated
+    kernels = tuple(kernel_dim(laplacian_spectrum(sheaf, j)) for j in (0, 1, 2))
+    assert betti_numbers(sheaf) == kernels
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +551,19 @@ def test_cone_split_at_zero_morphism():
             )
         split = np.sort(np.concatenate(parts))
         assert np.max(np.abs(cone_spec - split)) < 1e-8
+
+
+def test_long_exact_sequence_ranks_each_map_once(monkeypatch):
+    sheaf = _triangle_constant_sheaf()
+    cone = algebraic_cone(sheaf, grounding_from_padding(sheaf))
+    ranked = []
+    monkeypatch.setattr("sheafgauge.operators.numerical_rank",
+                        lambda m: ranked.append(m.shape) or numerical_rank(m))
+    report = verify_long_exact_sequence(cone)
+    assert report.status == "pass"
+    # the 9 maps between the 10 nodes and one empty zero map at each end
+    assert len(report.nodes) == 10 and len(ranked) == 11
+    assert ranked[0] == (report.nodes[0].dim, 0) and ranked[-1] == (0, report.nodes[-1].dim)
 
 
 def _d_squared(cone):
@@ -875,9 +915,13 @@ def test_cone_parts_are_read_only():
         cone.eps[0] = np.zeros_like(cone.eps[0])
     for j in (0, 1, 2):
         assert not cone.eps[j].flags.writeable
+
+    def dim(n):  # Cone^n = C^{n+1}(F) + C^n(W)
+        return sheaf.cochain_dim(n + 1) + cone.w_sheaf.cochain_dim(n)
+
     for n in range(-2, 3):
         d = cone.differential(n)
-        assert d.shape == (cone.dim(n + 1), cone.dim(n))
+        assert d.shape == (dim(n + 1), dim(n))
         with pytest.raises(ValueError):
             d[...] = 1.0
 

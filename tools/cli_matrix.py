@@ -4,11 +4,15 @@ Usage: python3 tools/cli_matrix.py OUT_DIR
 
 The script writes its inputs into OUT_DIR with numpy and json alone, so any
 two checkouts get identical inputs: a seeded G(30, 0.2) graph with noisy
-rank-3 features, a constant R^2 sheaf on K5 and a 3-vertex sheaf with no
-edges. It then runs every command of ``COMMANDS`` as
-``python3 -m sheafgauge.cli`` from OUT_DIR, with this checkout's ``src``
-first on PYTHONPATH and a relative ``--out`` named after the command, and
-records ``<name>.exit``, ``<name>.stdout`` and ``<name>.stderr``.
+rank-3 features, a seeded G(8, 0.6) graph whose vertex 7 has features
+orthogonal to the rest (so its edges and triangles get zero-dimensional
+stalks), a constant R^2 sheaf on K5, a 3-vertex sheaf with no edges, a
+sheaf with no vertices, and two malformed copies of the K5 sheaf (a second
+item for one incidence, a negative shape entry). It then runs every
+command of ``COMMANDS`` as ``python3 -m sheafgauge.cli`` from OUT_DIR, with
+this checkout's ``src`` first on PYTHONPATH and a relative ``--out`` named
+after the command, and records ``<name>.exit``, ``<name>.stdout`` and
+``<name>.stderr``.
 
 To compare two checkouts, run each one's copy of this script into its own
 directory; ``diff -r`` of the two directories is then the whole check.
@@ -55,6 +59,14 @@ def _commands():
     for sheaf, grounding in itertools.product(("k5", "no-edges"), GROUNDINGS):
         runs.append((f"verify-{sheaf}-{grounding}",
                      ["verify", "--input", f"{sheaf}.json", "--grounding", grounding]))
+    runs.append(("build-zero-stalks", ["build", "--input", "zero-stalks-graph.json",
+                                       "--features", "zero-stalks-features.json"]))
+    sheaves = (("zero-stalks", "build-zero-stalks/sheaf.json"),
+               ("no-vertices", "no-vertices.json"))
+    for (label, path), grounding in itertools.product(sheaves, GROUNDINGS):
+        source = ["--input", path, "--grounding", grounding]
+        runs.append((f"diagnose-{label}-{grounding}", ["diagnose", *source, "--heatmap"]))
+        runs.append((f"verify-{label}-{grounding}", ["verify", *source]))
     runs += [
         ("error-missing-input", ["verify", "--input", "missing.json"]),
         ("error-input-and-generator", ["diagnose", "--input", "k5.json",
@@ -62,6 +74,8 @@ def _commands():
         ("error-magnitude-n", ["experiment", "magnitude", "--n", "2"]),
         ("error-delta0", ["diagnose", "--generator", "trivial", "--n", "10",
                           "--delta0", "100"]),
+        ("error-repeated-restriction", ["verify", "--input", "repeated-restriction.json"]),
+        ("error-negative-shape", ["diagnose", "--input", "negative-shape.json"]),
     ]
     return [(name, argv + ["--out", name]) for name, argv in runs]
 
@@ -93,20 +107,40 @@ def _constant_sheaf(vertices, edges, dim):
     }
 
 
+def _random_edges(rng, n, p):
+    """Edges of a seeded G(n, p), in the order of ``np.triu_indices``."""
+    upper = np.triu_indices(n, 1)
+    keep = rng.random(upper[0].size) < p
+    return [[int(u), int(v)] for u, v in zip(upper[0][keep], upper[1][keep])]
+
+
 def write_inputs(directory: Path):
     rng = np.random.default_rng(0)
     n, ambient, rank = 30, 6, 3
     basis, _ = np.linalg.qr(rng.normal(size=(ambient, rank)))
     features = {str(v): (basis + 0.05 * rng.normal(size=(ambient, rank))).tolist()
                 for v in range(n)}
-    upper = np.triu_indices(n, 1)
-    keep = rng.random(upper[0].size) < 0.2
-    edges = [[int(u), int(v)] for u, v in zip(upper[0][keep], upper[1][keep])]
+    edges = _random_edges(rng, n, 0.2)
+    # vertices 0-6 near one 2-frame, vertex 7 in its orthogonal complement
+    frame, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(ambient, ambient)))
+    zero_stalks = {str(v): (frame[:, :2] + 0.05 * rng.normal(size=(ambient, 2))).tolist()
+                   for v in range(7)}
+    zero_stalks["7"] = frame[:, 2:4].tolist()
     k5 = [list(e) for e in itertools.combinations(range(5), 2)]
+    repeated = _constant_sheaf(5, k5, 2)
+    first = repeated["restrictions"][0]
+    repeated["restrictions"].append(dict(first, matrix=_matrix(-np.eye(2))))
+    negative = _constant_sheaf(5, k5, 2)
+    negative["stalks"][0]["basis"]["shape"] = [-1, 2]
     inputs = {"graph.json": {"vertices": n, "edges": edges},
               "features.json": {"features": features},
+              "zero-stalks-graph.json": {"vertices": 8, "edges": _random_edges(rng, 8, 0.6)},
+              "zero-stalks-features.json": {"features": zero_stalks},
               "k5.json": _constant_sheaf(5, k5, 2),
-              "no-edges.json": _constant_sheaf(3, [], 2)}
+              "no-edges.json": _constant_sheaf(3, [], 2),
+              "no-vertices.json": _constant_sheaf(0, [], 2),
+              "repeated-restriction.json": repeated,
+              "negative-shape.json": negative}
     for name, payload in inputs.items():
         (directory / name).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
