@@ -1,4 +1,10 @@
-"""Atomic, deterministic file output and schema-versioned, strict JSON."""
+"""Atomic, deterministic file output and schema-versioned, strict JSON.
+
+Every JSON text the package writes comes from ``_json_text``: compact (no
+whitespace), on a single line, strict (no NaN or infinity) and with its keys
+sorted. Without an indent, ``json`` encodes in C. ``python3 -m json.tool
+FILE`` pretty-prints an output file.
+"""
 
 from __future__ import annotations
 
@@ -36,14 +42,21 @@ def json_fields(report) -> dict:
             for name, value in fields.items()}
 
 
+def _json_text(value) -> str:
+    """``value`` as one line of compact, key-sorted, strict JSON: reports
+    anywhere in it are written by ``json_fields``; any other non-finite float
+    raises ValueError. Private, so a layer trace charges its time to the
+    caller."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                      default=json_fields)
+
+
 def write_json(path, payload: dict):
-    """``payload`` as strict JSON: reports anywhere in it are written by
-    ``json_fields``; any other non-finite float raises ValueError, and
-    nothing is written."""
+    """``payload``, with a ``schema_version``, as ``_json_text`` and a newline;
+    when ``_json_text`` raises, nothing is written."""
     body = dict(payload)
     body.setdefault("schema_version", SCHEMA_VERSION)
-    text = json.dumps(body, sort_keys=True, indent=2, allow_nan=False, default=json_fields)
-    atomic_write_text(path, text + "\n")
+    atomic_write_text(path, _json_text(body) + "\n")
 
 
 def write_csv(path, header, rows):

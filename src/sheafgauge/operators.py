@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .complexes import cone_complex
-from .sheaves import CellSheaf, Stalk, _read_only, constant_sheaf
+from .sheaves import CellSheaf, Stalk, _read_only, constant_sheaf, validate_sheaf
 
 ZERO_ABS = 1e-10
 ZERO_REL = 1e-8
@@ -185,7 +185,13 @@ def is_delta_feasible(lap: SheafLaplacian, x, delta: float) -> bool:
 
 def betti_numbers(sheaf: CellSheaf) -> tuple[int, int, int]:
     """Cohomology dimensions by rank-nullity of the coboundaries:
-    b_j = dim C^j - rank d_j - rank d_{j-1}."""
+    b_j = dim C^j - rank d_j - rank d_{j-1}. The formula equals cohomology
+    only when d1·d0 = 0, so a sheaf with functoriality violations (not
+    ``validated``) is a ValueError naming their count."""
+    if not sheaf.validated:
+        count = len(validate_sheaf(sheaf))
+        raise ValueError(f"betti_numbers needs d1·d0 = 0, and the sheaf has {count} "
+                         "functoriality violation(s)")
     ranks = {j: numerical_rank(coboundary(sheaf, j).matrix) for j in (-1, 0, 1, 2)}
     return tuple(sheaf.cochain_dim(j) - ranks[j] - ranks[j - 1] for j in (0, 1, 2))
 

@@ -22,6 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .complexes import CliqueComplex, Graph, build_clique_complex, cycle_graph
+from .fileio import _json_text
 
 ORTHONORMALITY_TOL = 1e-10
 FUNCTORIALITY_TOL = 1e-8
@@ -596,13 +597,17 @@ def _matrix_payload(m):
 
 
 def _matrix_from_payload(where, name, payload):
+    """The matrix of a sheaf.json payload, read-only: ``Stalk`` and
+    ``CellSheaf`` keep it without a copy."""
     where = f"{where} field {name!r}"
     shape, data = _fields(where, payload, "shape", "data")
     shape = _integers(where, "shape", shape)
     try:
-        return np.asarray(data, dtype=float).reshape(shape)
+        m = np.asarray(data, dtype=float).reshape(shape)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
+    m.flags.writeable = False
+    return m
 
 
 def sheaf_to_json_dict(sheaf: CellSheaf) -> dict:
@@ -629,10 +634,10 @@ def _fields(where, value, *names):
     object, or lacks a field, is an error that says where it is."""
     if not isinstance(value, dict):
         raise ValueError(f"{where} is not a JSON object")
-    missing = [name for name in names if name not in value]
-    if missing:
-        raise ValueError(f"{where} lacks field {missing[0]!r}")
-    return tuple(value[name] for name in names)
+    try:
+        return tuple(map(value.__getitem__, names))
+    except KeyError as exc:
+        raise ValueError(f"{where} lacks field {exc.args[0]!r}") from None
 
 
 def _items(kind, items, *names):
@@ -640,25 +645,26 @@ def _items(kind, items, *names):
     if not isinstance(items, list):
         raise ValueError(f"sheaf field '{kind}s' is not a JSON list")
     for i, item in enumerate(items):
-        yield f"{kind} item {i}", _fields(f"{kind} item {i}", item, *names)
+        where = f"{kind} item {i}"
+        yield where, _fields(where, item, *names)
 
 
 def _integers(where, name, value):
     """Field ``name`` of ``where``, a JSON list of non-negative integers (a cell
     or a shape), as a tuple; a JSON boolean is not an integer."""
-    if not isinstance(value, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value):
+    if not isinstance(value, list) or not {int}.issuperset(map(type, value)):
         raise ValueError(f"{where} field {name!r} is not a list of integers")
     if min(value, default=0) < 0:
         raise ValueError(f"{where} field {name!r} has a negative entry {min(value)}")
     return tuple(value)
 
 
-def _first(given, key, where, label):
+def _first(given, key, where, label, *parts):
     """Record in ``given`` that item ``where`` gives ``key``; a second item
-    for one key is an error naming both."""
+    for one key is an error naming both items and the key, written as
+    ``label.format(*parts)`` only then."""
     if key in given:
-        raise ValueError(f"{given[key]} and {where} both give {label}")
+        raise ValueError(f"{given[key]} and {where} both give {label.format(*parts)}")
     given[key] = where
 
 
@@ -678,18 +684,19 @@ def sheaf_from_json_dict(data: dict) -> CellSheaf:
     stalks, restrictions, given = {}, {}, {}
     for where, (cell, basis) in _items("stalk", stalk_items, "cell", "basis"):
         cell = _integers(where, "cell", cell)
-        _first(given, cell, where, f"cell {cell}")
+        _first(given, cell, where, "cell {}", cell)
         stalks[cell] = Stalk(_matrix_from_payload(where, "basis", basis))
     for where, (face, coface, matrix) in _items("restriction", restriction_items,
                                                 "face", "coface", "matrix"):
         face, coface = _integers(where, "face", face), _integers(where, "coface", coface)
-        _first(given, (face, coface), where, f"incidence {face} < {coface}")
+        _first(given, (face, coface), where, "incidence {} < {}", face, coface)
         restrictions[(face, coface)] = _matrix_from_payload(where, "matrix", matrix)
     return CellSheaf(complex_, stalks, restrictions)
 
 
 def sheaf_to_json(sheaf: CellSheaf) -> str:
-    return json.dumps(sheaf_to_json_dict(sheaf), sort_keys=True)
+    """``sheaf_to_json_dict`` in the JSON text rule of ``fileio``, as ``build`` writes it."""
+    return _json_text(sheaf_to_json_dict(sheaf))
 
 
 def sheaf_from_json(text: str) -> CellSheaf:

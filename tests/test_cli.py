@@ -46,6 +46,38 @@ def test_build_writes_sheaf(tmp_path):
     assert data["validated"] is True
 
 
+def test_build_sheaf_json_reads_back_bit_for_bit(tmp_path):
+    from sheafgauge.complexes import Graph
+    from sheafgauge.sheaves import build_sheaf_from_features, sheaf_from_json, sheaf_to_json
+
+    # every vertex spans one 3-frame in its own basis: nontrivial maps, no violation
+    rng = np.random.default_rng(5)
+    edges = [(u, v) for u in range(8) for v in range(u + 1, 8) if rng.random() < 0.6]
+    frame, _ = np.linalg.qr(rng.normal(size=(6, 3)))
+    rows = {v: frame @ rng.normal(size=(3, 3)) for v in range(8)}
+    graph, features = tmp_path / "graph.json", tmp_path / "features.json"
+    graph.write_text(json.dumps({"vertices": 8, "edges": edges}))
+    features.write_text(json.dumps({"features": {str(v): m.tolist() for v, m in rows.items()}}))
+    assert run(["build", "--input", str(graph), "--features", str(features),
+                "--out", str(tmp_path / "out")]) == 0
+    text = read(tmp_path / "out" / "sheaf.json")
+    built = build_sheaf_from_features(Graph(8, edges), rows)
+    restored = sheaf_from_json(text)
+    assert restored.stalks.keys() == built.stalks.keys()
+    assert restored.restrictions.keys() == built.restrictions.keys()
+    assert len(built.complex.triangles) > 0
+    for cell, stalk in built.stalks.items():
+        assert np.array_equal(restored.stalks[cell].basis, stalk.basis)
+    for key, m in built.restrictions.items():
+        assert np.array_equal(restored.restrictions[key], m)
+    # one text rule: compact and key-sorted on one line, so the library's text
+    # differs from build's only by the command's params
+    data = json.loads(text)
+    assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    del data["params"]
+    assert sheaf_to_json(built) == json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
 def test_build_malformed_json_names_byte_offset(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": 3, "edges": [[0, 1]')

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sheafgauge.diagnostics import ChannelReport
-from sheafgauge.fileio import write_csv, write_json
+from sheafgauge.fileio import json_fields, write_csv, write_json
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
@@ -23,6 +23,22 @@ def test_report_is_written_field_by_field_with_a_non_finite_float_as_null(tmp_pa
                    "auxiliary": False},
         "schema_version": "1",
     }
+
+
+def test_json_is_one_compact_line_that_reads_as_the_indented_text(tmp_path):
+    report = ChannelReport("relative_cone", "channel", 2, float("nan"), np.float64(0.5), False)
+    payload = {"report": report, "weight": np.float64(1 / 3), "b": [[1, 2.5e-300], [], [None]],
+               "a": {"z": -0.0, "y": [report]}}
+    write_json(tmp_path / "x.json", payload)
+    text = (tmp_path / "x.json").read_text()
+    assert text.endswith("\n") and "\n" not in text[:-1]
+    data = json.loads(text)
+    assert text == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    # the text once written with indent=2 holds the same object, floats by ==
+    indented = json.dumps({**payload, "schema_version": "1"}, sort_keys=True, indent=2,
+                          allow_nan=False, default=json_fields)
+    assert data == json.loads(indented)
+    assert data["report"]["spectral_gap"] is None and data["weight"] == 1 / 3
 
 
 def test_csv_writes_a_numpy_float_as_its_number(tmp_path):

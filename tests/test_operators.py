@@ -59,6 +59,7 @@ from sheafgauge.sheaves import (
     sheaf_from_json,
     sheaf_to_json,
     trivial_bundle,
+    validate_sheaf,
 )
 from sheafgauge.spectral import (
     COMMUTATION_TOL,
@@ -345,6 +346,15 @@ def test_betti_numbers_are_laplacian_kernels_in_every_degree(make):
     assert sheaf.validated
     kernels = tuple(kernel_dim(laplacian_spectrum(sheaf, j)) for j in (0, 1, 2))
     assert betti_numbers(sheaf) == kernels
+
+
+def test_betti_numbers_refuse_a_sheaf_with_functoriality_violations():
+    # with d1 d0 != 0, rank-nullity read (2, 0, 0) here, against kernels (2, 1, 0)
+    sheaf = _zero_stalk_feature_sheaf()
+    count = len(validate_sheaf(sheaf))
+    assert count > 0
+    with pytest.raises(ValueError, match=rf"has {count} functoriality violation\(s\)"):
+        betti_numbers(sheaf)
 
 
 # ---------------------------------------------------------------------------

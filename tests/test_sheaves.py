@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import copy_then_compose
+from sheafgauge import sheaves
 from sheafgauge.complexes import Graph, build_clique_complex, complete_graph
 from sheafgauge.operators import laplacian
 from sheafgauge.sheaves import (
@@ -739,3 +740,26 @@ def test_sheaf_json_round_trip():
     for key, m in sheaf.restrictions.items():
         assert np.array_equal(restored.restrictions[key], m)
     assert restored.validated == sheaf.validated
+
+
+def test_sheaf_json_reader_keeps_the_arrays_it_parses(monkeypatch):
+    # each parsed matrix is read-only, and Stalk and CellSheaf keep it without a copy
+    made = []
+
+    def recording(where, name, payload, read=sheaves._matrix_from_payload):
+        made.append(read(where, name, payload))
+        return made[-1]
+
+    rng = np.random.default_rng(9)
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
+    sheaf = build_sheaf_from_features(g, {v: rng.normal(size=(4, 3)) for v in range(4)})
+    text = sheaf_to_json(sheaf)
+    monkeypatch.setattr(sheaves, "_matrix_from_payload", recording)
+    restored = sheaf_from_json(text)
+    # the file lists stalks, then restrictions, each sorted by key
+    kept = [stalk.basis for _, stalk in sorted(restored.stalks.items())]
+    kept += [m for _, m in sorted(restored.restrictions.items())]
+    assert len(kept) == len(made) == len(sheaf.stalks) + len(sheaf.restrictions)
+    for array, parsed in zip(kept, made):
+        assert not array.flags.writeable
+        assert np.shares_memory(array, parsed) and array.shape == parsed.shape

@@ -16,6 +16,8 @@ after the command, and records ``<name>.exit``, ``<name>.stdout`` and
 
 To compare two checkouts, run each one's copy of this script into its own
 directory; ``diff -r`` of the two directories is then the whole check.
+Across a change of the JSON text alone (whitespace, say), compare each
+``.json`` file after ``json.load`` instead, and every other file by bytes.
 """
 
 import itertools
