@@ -91,7 +91,9 @@ def kernel_dim(spectrum: Spectrum) -> int:
 def decompose(lap: SheafLaplacian) -> Spectrum:
     """Read-only spectrum of a symmetric PSD operator, both properties checked."""
     m = lap.matrix
-    if m.size:
+    # every operator the package assembles is exactly symmetric: the tolerance
+    # and its two temporaries are only needed when the exact test fails
+    if not np.array_equal(m, m.T):
         scale = max(1.0, float(np.max(np.abs(m))))
         if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
             raise AsymmetricOperatorError("operator is not symmetric within tolerance")
@@ -371,13 +373,25 @@ def incidence_defect(sheaf: CellSheaf, grounding: GroundingMorphism) -> float:
     are identities, so the block of the incidence face < coface is
     eps_coface rho_{face->coface} - eps_face. The result is the Frobenius norm
     of all blocks together; the grounding is a sheaf morphism iff it vanishes.
+
+    The incidences whose blocks share a shape are one stacked pass; each
+    block's sum of squares is the pairwise sum ``np.sum`` makes of it alone,
+    and the sums are added in incidence order.
     """
     if grounding.mode != VERTEX_LEVEL:
         raise GroundingModeError("incidence defect needs a vertex-level grounding")
-    blocks = (grounding.cell_map(coface) @ sheaf.restriction(face, coface)
-              - grounding.cell_map(face)
-              for coface, face in sheaf.complex.incidences)
-    return math.sqrt(sum(float(np.sum(b * b)) for b in blocks))
+    maps, restrictions = grounding.cell_maps, sheaf.restrictions
+    groups = {}
+    for i, (coface, face) in enumerate(sheaf.complex.incidences):
+        eps_coface, rho, eps_face = maps[coface], restrictions[(face, coface)], maps[face]
+        groups.setdefault((eps_coface.shape, rho.shape, eps_face.shape), []).append(
+            (i, eps_coface, rho, eps_face))
+    squares = np.zeros(len(sheaf.complex.incidences))
+    for blocks in groups.values():
+        index, eps_coface, rho, eps_face = zip(*blocks)
+        b = np.matmul(np.array(eps_coface), np.array(rho)) - np.array(eps_face)
+        squares[list(index)] = np.sum((b * b).reshape(len(index), b[0].size), axis=1)
+    return math.sqrt(sum(squares.tolist()))
 
 
 # ---------------------------------------------------------------------------

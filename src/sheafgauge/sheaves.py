@@ -4,7 +4,9 @@ Two construction routes:
 
 * a feature pipeline that extracts node stalks by SVD, edge stalks by
   near-intersection of node stalks, and triangle stalks by a symmetric
-  soft intersection of edge stalks;
+  soft intersection of edge stalks. Each degree is one stacked pass, one
+  numpy call per stack of cells of one shape, bit for bit what the call on
+  each cell alone gives; the per-cell functions are its one-cell case;
 * synthetic cycle-bundle generators (trivial, Mobius, weak-bond hidden
   twist, noisy trivial) used by the diagnostic experiments.
 
@@ -63,12 +65,13 @@ class Stalk:
         b = _read_only(self.basis)
         if b.ndim != 2:
             raise ValueError("stalk basis must be a 2d array")
-        if not np.isfinite(b).all():
-            raise ValueError("stalk basis contains NaN or inf")
         object.__setattr__(self, "basis", b)
         gram = b.T @ b
-        if gram.size and np.max(np.abs(gram - np.eye(b.shape[1]))) > ORTHONORMALITY_TOL:
-            raise ValueError("stalk basis is not orthonormal")
+        gram.flat[:: b.shape[1] + 1] -= 1.0
+        # a NaN or inf in b makes the Gram test fail too, so the failure picks the message
+        if gram.size and not abs(gram).max() <= ORTHONORMALITY_TOL:
+            raise ValueError("stalk basis contains NaN or inf" if not np.isfinite(b).all()
+                             else "stalk basis is not orthonormal")
 
     @property
     def dim(self):
@@ -305,9 +308,13 @@ def node_stalks_from_features(features, cfg: FeaturePipelineConfig | None = None
 
     Feature matrices are zero-padded along rows to the common ambient
     dimension; left singular vectors with singular value strictly above
-    ``svd_tol * sigma_max`` form the stalk basis.
+    ``svd_tol * sigma_max`` form the stalk basis. The vertices whose padded
+    features share a shape take one stacked SVD.
     """
-    cfg = cfg or FeaturePipelineConfig()
+    return _node_stalks(features, cfg or FeaturePipelineConfig())
+
+
+def _node_stalks(features, cfg):
     arrays = {}
     for vertex, raw in features.items():
         f = np.asarray(raw, dtype=float)
@@ -321,20 +328,11 @@ def node_stalks_from_features(features, cfg: FeaturePipelineConfig | None = None
     if not arrays:
         raise ValueError("no feature matrices given; the pipeline needs at least one vertex")
     ambient = max(f.shape[0] for f in arrays.values())
-    stalks = {}
-    for vertex in sorted(arrays):
-        f = arrays[vertex]
-        if f.shape[0] < ambient:
-            f = np.vstack([f, np.zeros((ambient - f.shape[0], f.shape[1]))])
-        u, s, _ = np.linalg.svd(f, full_matrices=False)
-        keep = int(np.count_nonzero(s > cfg.svd_tol * s[0])) if s.size else 0
-        stalks[vertex] = Stalk(u[:, :keep])
-    return stalks
-
-
-def _polar_orthonormalize(columns):
-    u, _, vt = np.linalg.svd(columns, full_matrices=False)
-    return u @ vt
+    vertices = sorted(arrays)
+    padded = [np.vstack([f, np.zeros((ambient - f.shape[0], f.shape[1]))])
+              if f.shape[0] < ambient else f for f in map(arrays.get, vertices)]
+    bases = _per_shape(_node_bases, (padded,), cfg.svd_tol)
+    return {vertex: Stalk(basis) for vertex, basis in zip(vertices, bases)}
 
 
 def edge_stalk_intersection(bu: Stalk, bv: Stalk, cfg: FeaturePipelineConfig | None = None):
@@ -351,19 +349,8 @@ def edge_stalk_intersection(bu: Stalk, bv: Stalk, cfg: FeaturePipelineConfig | N
         raise AmbientMismatchError(
             f"ambient dims differ: {bu.ambient_dim} vs {bv.ambient_dim}"
         )
-    ambient = bu.ambient_dim
-    m = bu.basis.T @ bv.basis
-    if min(m.shape) == 0:
-        stalk = Stalk(np.zeros((ambient, 0)))
-    else:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        keep = s > cfg.edge_align_tol
-        if not keep.any():
-            stalk = Stalk(np.zeros((ambient, 0)))
-        else:
-            mean_directions = bu.basis @ u[:, keep] + bv.basis @ vt[keep, :].T
-            stalk = Stalk(_polar_orthonormalize(mean_directions))
-    return stalk, stalk.basis.T @ bu.basis, stalk.basis.T @ bv.basis
+    (basis,) = _edge_bases(bu.basis[None], bv.basis[None], cfg.edge_align_tol)
+    return (Stalk(basis),) + _one_cell_restrictions(basis, (bu, bv))
 
 
 def triangle_stalk_soft_intersection(b_uv, b_vw, b_uw, cfg: FeaturePipelineConfig | None = None):
@@ -371,32 +358,22 @@ def triangle_stalk_soft_intersection(b_uv, b_vw, b_uw, cfg: FeaturePipelineConfi
 
     Builds T = (P_uv P_vw P_uw)^T (P_uv P_vw P_uw) from the edge-stalk
     projectors and keeps eigenvectors whose eigenvalue exceeds
-    ``tri_eig_tol``. Returns the stalk and the three restriction matrices
-    from the edge stalks, in argument order.
+    ``tri_eig_tol``, largest first. Returns the stalk and the three
+    restriction matrices from the edge stalks, in argument order.
     """
     cfg = cfg or FeaturePipelineConfig()
     dims = {b_uv.ambient_dim, b_vw.ambient_dim, b_uw.ambient_dim}
     if len(dims) != 1:
         raise AmbientMismatchError(f"ambient dims differ: {sorted(dims)}")
-    ambient = b_uv.ambient_dim
-    product = (
-        (b_uv.basis @ b_uv.basis.T)
-        @ (b_vw.basis @ b_vw.basis.T)
-        @ (b_uw.basis @ b_uw.basis.T)
-    )
-    alignment = product.T @ product
-    eigenvalues, eigenvectors = np.linalg.eigh(alignment)
-    eigenvalues = np.clip(eigenvalues, 0.0, None)
-    keep = np.flatnonzero(eigenvalues > cfg.tri_eig_tol)
-    keep = keep[np.argsort(-eigenvalues[keep])]
-    basis = eigenvectors[:, keep] if keep.size else np.zeros((ambient, 0))
-    stalk = Stalk(basis)
-    rhos = tuple(stalk.basis.T @ b.basis for b in (b_uv, b_vw, b_uw))
-    return (stalk,) + rhos
+    edges = (b_uv, b_vw, b_uw)
+    (basis,) = _triangle_bases(*(_projectors(b.basis[None]) for b in edges), cfg.tri_eig_tol)
+    return (Stalk(basis),) + _one_cell_restrictions(basis, edges)
 
 
 def build_sheaf_from_features(g: Graph, features, cfg: FeaturePipelineConfig | None = None):
-    """Run the full feature pipeline over the clique complex of ``g``."""
+    """Run the full feature pipeline over the clique complex of ``g``, one
+    stacked pass per degree: the cells whose operands share a shape go
+    through each kernel together (see ``_per_shape``)."""
     cfg = cfg or FeaturePipelineConfig()
     missing = [v for v in range(g.vertex_count) if v not in features]
     if missing:
@@ -406,23 +383,140 @@ def build_sheaf_from_features(g: Graph, features, cfg: FeaturePipelineConfig | N
     if extra:
         raise ValueError(f"features given for vertices {extra}, which the graph lacks")
     complex_ = build_clique_complex(g)
-    node_stalks = node_stalks_from_features(features, cfg)
+    node_stalks = _node_stalks(features, cfg)
     stalks = {(v,): node_stalks[v] for v in range(g.vertex_count)}
+    nodes = [node_stalks[v].basis for v in range(g.vertex_count)]
+    edges, triangles = complex_.edges, complex_.triangles
+    edge_bases = _per_shape(_edge_bases, ([nodes[u] for u, _ in edges],
+                                          [nodes[v] for _, v in edges]), cfg.edge_align_tol)
+    projectors = _per_shape(_projectors, (edge_bases,))
+    index = dict(zip(edges, range(len(edges))))
+    sides = [(index[(u, v)], index[(v, w)], index[(u, w)]) for u, v, w in triangles]
+    triangle_bases = _per_shape(_triangle_bases,
+                                [[projectors[s[k]] for s in sides] for k in range(3)],
+                                cfg.tri_eig_tol)
+    # every restriction, in the order the incidences are added below
+    cofaces = [b for b in edge_bases for _ in "uv"] + [b for b in triangle_bases for _ in "uvw"]
+    faces = ([nodes[v] for e in edges for v in e]
+             + [edge_bases[i] for s in sides for i in s])
+    maps = iter(_per_shape(_coordinates, (cofaces, faces)))
     restrictions = {}
-    for u, v in complex_.edges:
-        stalk, rho_u, rho_v = edge_stalk_intersection(node_stalks[u], node_stalks[v], cfg)
-        stalks[(u, v)] = stalk
-        restrictions[((u,), (u, v))] = rho_u
-        restrictions[((v,), (u, v))] = rho_v
-    for u, v, w in complex_.triangles:
-        stalk, r_uv, r_vw, r_uw = triangle_stalk_soft_intersection(
-            stalks[(u, v)], stalks[(v, w)], stalks[(u, w)], cfg
-        )
-        stalks[(u, v, w)] = stalk
-        restrictions[((u, v), (u, v, w))] = r_uv
-        restrictions[((v, w), (u, v, w))] = r_vw
-        restrictions[((u, w), (u, v, w))] = r_uw
+    for e, basis in zip(edges, edge_bases):
+        stalks[e] = Stalk(basis)
+        for v in e:
+            restrictions[((v,), e)] = next(maps)
+    for (u, v, w), basis in zip(triangles, triangle_bases):
+        t = (u, v, w)
+        stalks[t] = Stalk(basis)
+        for face in ((u, v), (v, w), (u, w)):
+            restrictions[(face, t)] = next(maps)
     return CellSheaf(complex_, stalks, restrictions)
+
+
+# Each degree of the pipeline is one stacked pass. A kernel takes stacks of
+# the operands of many cells of one shape and makes one np.linalg or
+# np.matmul call per stack; numpy runs the same LAPACK or BLAS call on each
+# slice that it runs on one matrix, so every cell's result is bit for bit
+# that of the call on the cell alone. The public one-cell functions above
+# are that call, on stacks of one. Kernels return read-only per-cell views,
+# which stalks and sheaves share without a copy.
+
+
+def _per_shape(kernel, columns, *args):
+    """``kernel(*stacks, *args)`` once per group of cells whose operands share
+    their shapes. ``columns`` holds one list per operand, of one array per
+    cell; a group stacks its cells' arrays of each list along a new first
+    axis. Returns the kernel's per-cell results, in cell order."""
+    groups = {}
+    for i, shapes in enumerate(zip(*([a.shape for a in column] for column in columns))):
+        groups.setdefault(shapes, []).append(i)
+    results = [None] * len(columns[0])
+    for cells in groups.values():
+        stacks = (np.array([column[i] for i in cells]) for column in columns)
+        for i, value in zip(cells, kernel(*stacks, *args)):
+            results[i] = value
+    return results
+
+
+def _by_count(counts, stack_of):
+    """Per-cell views of ``stack_of(count, cells)``, called once per distinct
+    count with the indices of the cells that have it."""
+    results = [None] * len(counts)
+    for count in sorted(set(counts.tolist())):
+        cells = np.flatnonzero(counts == count)
+        stack = stack_of(count, cells)
+        stack.flags.writeable = False
+        for i, value in zip(cells, stack):
+            results[i] = value
+    return results
+
+
+def _node_bases(features, svd_tol):
+    """Stalk bases of stacked padded feature matrices: the left singular
+    vectors above ``svd_tol`` times the largest singular value."""
+    u, s, _ = np.linalg.svd(features, full_matrices=False)
+    keep = np.count_nonzero(s > svd_tol * s[:, :1], axis=1)
+    return _by_count(keep, lambda k, cells: np.ascontiguousarray(u[cells, :, :k]))
+
+
+def _edge_bases(bu, bv, align_tol):
+    """Edge stalk bases of stacked node-basis pairs: the polar factor of the
+    mean directions of the singular pairs of Buᵀ Bv above ``align_tol``."""
+    n, ambient = bu.shape[:2]
+    m = np.matmul(bu.transpose(0, 2, 1), bv)
+    ranks = np.zeros(n, dtype=int)
+    if m.size:
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        ranks = np.count_nonzero(s > align_tol, axis=1)
+
+    def bases(r, cells):
+        if r == 0:
+            return np.zeros((cells.size, ambient, 0))
+        pu, pv = (bu, bv) if cells.size == n else (bu[cells], bv[cells])
+        # each cell's u[:, keep] and vt[keep].T, in the layout a 2-d mask index gives
+        left = np.ascontiguousarray(u[cells, :, :r].transpose(0, 2, 1)).transpose(0, 2, 1)
+        right = np.ascontiguousarray(vt[cells, :r]).transpose(0, 2, 1)
+        w, _, zt = np.linalg.svd(np.matmul(pu, left) + np.matmul(pv, right),
+                                 full_matrices=False)
+        return np.matmul(w, zt)
+
+    return _by_count(ranks, bases)
+
+
+def _triangle_bases(p_uv, p_vw, p_uw, eig_tol):
+    """Triangle stalk bases of stacked edge-projector triples: the
+    eigenvectors of (P_uv P_vw P_uw)ᵀ(P_uv P_vw P_uw) above ``eig_tol``,
+    largest eigenvalue first."""
+    product = np.matmul(np.matmul(p_uv, p_vw), p_uw)
+    values, vectors = np.linalg.eigh(np.matmul(product.transpose(0, 2, 1), product))
+    ambient = values.shape[1]
+
+    def bases(c, cells):
+        # eigh's values ascend, so the kept ones are the last c
+        order = np.argsort(-values[cells, ambient - c:], axis=1) + (ambient - c)
+        return np.ascontiguousarray(np.take_along_axis(vectors[cells], order[:, None], axis=2))
+
+    return _by_count(np.count_nonzero(values > eig_tol, axis=1), bases)
+
+
+def _projectors(bases):
+    """B Bᵀ of stacked stalk bases, read-only."""
+    stack = np.matmul(bases, bases.transpose(0, 2, 1))
+    stack.flags.writeable = False
+    return stack
+
+
+def _coordinates(cofaces, faces):
+    """Restrictions of stacked (coface basis, face basis) pairs: each face
+    basis in the coordinates of its coface basis, Cᵀ F, read-only."""
+    stack = np.matmul(cofaces.transpose(0, 2, 1), faces)
+    stack.flags.writeable = False
+    return stack
+
+
+def _one_cell_restrictions(basis, faces):
+    """The restriction of each face stalk into one cell of stalk basis ``basis``."""
+    return tuple(_coordinates(basis[None], f.basis[None])[0] for f in faces)
 
 
 # ---------------------------------------------------------------------------

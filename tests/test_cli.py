@@ -1033,7 +1033,7 @@ def test_cli_matrix_commands_parse():
     matrix = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(matrix)
     names = [name for name, _ in matrix.COMMANDS]
-    assert len(names) == len(set(names)) == 84
+    assert len(names) == len(set(names)) == 87
     for name, argv in matrix.COMMANDS:
         args = cli._parser().parse_args(argv)
         assert args.out == name

@@ -449,6 +449,31 @@ def test_incidence_defect_matches_assembled_commutator():
     assert abs(defect - float(np.linalg.norm(commutator))) < 1e-10
 
 
+def _incidence_defect_per_block(sheaf, grounding):
+    """The per-incidence generator that ``incidence_defect`` stacks: the
+    defect it returns must be this float exactly."""
+    blocks = (grounding.cell_map(coface) @ sheaf.restriction(face, coface)
+              - grounding.cell_map(face)
+              for coface, face in sheaf.complex.incidences)
+    return math.sqrt(sum(float(np.sum(b * b)) for b in blocks))
+
+
+@pytest.mark.parametrize("make_sheaf, ground", [
+    (_zero_stalk_feature_sheaf, grounding_from_padding),
+    (_noisy_feature_sheaf, grounding_from_padding),
+    (lambda: noisy_trivial_bundle(11, 0.25, 5, 3), grounding_from_padding),
+    (lambda: noisy_trivial_bundle(9, 0.3, 1), lambda s: constant_grounding(s, 4, seed=2)),
+    (_triangle_constant_sheaf, lambda s: constant_grounding(s, 3, seed=1)),
+    (lambda: trivial_holonomy_bundle(8, 2, seed=4),
+     lambda s: propagate_cycle_grounding(s, seed=5, target_dim=3)),
+], ids=["padding-zero-stalks", "padding-features", "padding-noisy", "constant-noisy",
+        "constant-triangles", "propagated"])
+def test_incidence_defect_is_the_per_incidence_sum_exactly(make_sheaf, ground):
+    sheaf = make_sheaf()
+    grounding = ground(sheaf)
+    assert incidence_defect(sheaf, grounding) == _incidence_defect_per_block(sheaf, grounding)
+
+
 def test_propagated_grounding_is_compatible():
     sheaf = trivial_holonomy_bundle(8, 2, seed=4)
     grounding = propagate_cycle_grounding(sheaf, seed=5, target_dim=3)
@@ -703,6 +728,22 @@ def test_les_random_compatible_morphisms():
 def test_numerical_kernel_rejects_an_asymmetric_operator():
     with pytest.raises(AsymmetricOperatorError):
         numerical_kernel(SheafLaplacian(np.array([[1.0, 1.0], [0.0, 1.0]]), 0))
+
+
+def test_decompose_tolerates_only_a_rounding_asymmetry():
+    # the exact test decides first; a matrix that fails it is held to the tolerance
+    a = np.random.default_rng(8).normal(size=(6, 6))
+    m = a @ a.T
+    scale = max(1.0, float(np.max(np.abs(m))))
+    for offset, passes in ((1e-12, True), (1e-9, False)):
+        skewed = m.copy()
+        skewed[0, 3] += offset * scale
+        if passes:
+            assert decompose(SheafLaplacian(skewed, 1)).dim == 6
+        else:
+            with pytest.raises(AsymmetricOperatorError,
+                               match="^operator is not symmetric within tolerance$"):
+                decompose(SheafLaplacian(skewed, 1))
 
 
 def test_numerical_kernel_of_each_cone_laplacian_is_its_decomposed_kernel():

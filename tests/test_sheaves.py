@@ -41,8 +41,12 @@ def _orth(rng, d, k):
 
 
 def test_stalk_must_be_orthonormal():
-    with pytest.raises(ValueError, match="orthonormal"):
+    with pytest.raises(ValueError, match="^stalk basis is not orthonormal$"):
         Stalk(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # the tolerance holds on every Gram entry, the diagonal included
+    with pytest.raises(ValueError, match="^stalk basis is not orthonormal$"):
+        Stalk(np.array([[1.0 + 1e-9], [0.0]]))
+    assert Stalk(np.array([[1.0 + 1e-12], [0.0]])).dim == 1
 
 
 def test_node_stalk_full_rank():
@@ -238,6 +242,156 @@ def test_build_sheaf_rejects_features_of_vertices_the_graph_lacks():
 def test_build_sheaf_empty_graph_rejected():
     with pytest.raises(ValueError, match="no feature matrices given"):
         build_sheaf_from_features(Graph(0, []), {})
+
+
+# ---------------------------------------------------------------------------
+# The stacked pipeline against the per-cell pipeline it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_node_stalks(features, cfg):
+    """The per-vertex pipeline: one SVD per padded feature matrix."""
+    arrays = {v: np.asarray(f, dtype=float) for v, f in features.items()}
+    ambient = max(f.shape[0] for f in arrays.values())
+    stalks = {}
+    for vertex in sorted(arrays):
+        f = arrays[vertex]
+        if f.shape[0] < ambient:
+            f = np.vstack([f, np.zeros((ambient - f.shape[0], f.shape[1]))])
+        u, s, _ = np.linalg.svd(f, full_matrices=False)
+        keep = int(np.count_nonzero(s > cfg.svd_tol * s[0])) if s.size else 0
+        stalks[vertex] = Stalk(u[:, :keep])
+    return stalks
+
+
+def _reference_edge(bu, bv, cfg):
+    """The per-edge pipeline: two SVDs and four products per edge."""
+    ambient = bu.ambient_dim
+    m = bu.basis.T @ bv.basis
+    stalk = Stalk(np.zeros((ambient, 0)))
+    if min(m.shape) > 0:
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        keep = s > cfg.edge_align_tol
+        if keep.any():
+            mean_directions = bu.basis @ u[:, keep] + bv.basis @ vt[keep, :].T
+            w, _, zt = np.linalg.svd(mean_directions, full_matrices=False)
+            stalk = Stalk(w @ zt)
+    return stalk, stalk.basis.T @ bu.basis, stalk.basis.T @ bv.basis
+
+
+def _reference_triangle(b_uv, b_vw, b_uw, cfg):
+    """The per-triangle pipeline: one eigh of the 6-fold projector product."""
+    ambient = b_uv.ambient_dim
+    product = ((b_uv.basis @ b_uv.basis.T) @ (b_vw.basis @ b_vw.basis.T)
+               @ (b_uw.basis @ b_uw.basis.T))
+    eigenvalues, eigenvectors = np.linalg.eigh(product.T @ product)
+    eigenvalues = np.clip(eigenvalues, 0.0, None)
+    keep = np.flatnonzero(eigenvalues > cfg.tri_eig_tol)
+    keep = keep[np.argsort(-eigenvalues[keep])]
+    stalk = Stalk(eigenvectors[:, keep] if keep.size else np.zeros((ambient, 0)))
+    return (stalk,) + tuple(stalk.basis.T @ b.basis for b in (b_uv, b_vw, b_uw))
+
+
+def _reference_build(g, features, cfg):
+    complex_ = build_clique_complex(g)
+    nodes = _reference_node_stalks(features, cfg)
+    stalks = {(v,): nodes[v] for v in range(g.vertex_count)}
+    restrictions = {}
+    for u, v in complex_.edges:
+        stalks[(u, v)], restrictions[((u,), (u, v))], restrictions[((v,), (u, v))] = (
+            _reference_edge(nodes[u], nodes[v], cfg))
+    for u, v, w in complex_.triangles:
+        t = (u, v, w)
+        (stalks[t], restrictions[((u, v), t)], restrictions[((v, w), t)],
+         restrictions[((u, w), t)]) = _reference_triangle(
+            stalks[(u, v)], stalks[(v, w)], stalks[(u, w)], cfg)
+    return CellSheaf(complex_, stalks, restrictions)
+
+
+def _mixed_features(seed):
+    """A seeded G(20, 0.4) graph whose vertices have features of rank 1, 2
+    and 3 near one frame, a quarter of them with 4 of the 6 ambient rows."""
+    rng = np.random.default_rng(seed)
+    frame, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    features = {}
+    for v in range(20):
+        rows, width = (4 if v % 4 == 3 else 6), int(rng.integers(1, 4))
+        features[v] = frame[:rows, :width] + 0.05 * rng.normal(size=(rows, width))
+    edges = [(u, v) for u in range(20) for v in range(u + 1, 20) if rng.random() < 0.4]
+    return Graph(20, edges), features
+
+
+def _same_array(actual, expected):
+    return actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+def _same_cell(result, expected):
+    """Two ``(stalk, *restrictions)`` results hold the same bytes."""
+    (stalk, *maps), (expected_stalk, *expected_maps) = result, expected
+    return all(map(_same_array, (stalk.basis, *maps), (expected_stalk.basis, *expected_maps)))
+
+
+_PIPELINE_CASES = [
+    (0, FeaturePipelineConfig()),
+    (1, FeaturePipelineConfig()),
+    (2, FeaturePipelineConfig(edge_align_tol=0.5, tri_eig_tol=0.2)),
+    (3, FeaturePipelineConfig(edge_align_tol=0.99, tri_eig_tol=0.9)),
+]
+
+
+@pytest.mark.parametrize("seed, cfg", _PIPELINE_CASES)
+def test_stacked_pipeline_is_the_per_cell_pipeline_bit_for_bit(seed, cfg):
+    g, features = _mixed_features(seed)
+    sheaf = build_sheaf_from_features(g, features, cfg)
+    reference = _reference_build(g, features, cfg)
+    # the fixture reaches every stacking group: mixed vertex ranks, edges and
+    # triangles of several dimensions, zero-dimensional ones among them
+    dims = {(len(cell), stalk.dim) for cell, stalk in sheaf.stalks.items()}
+    assert {(1, 1), (1, 2), (1, 3), (2, 0), (3, 0)} <= dims
+    assert len({d for n, d in dims if n == 2}) >= 3
+    assert list(sheaf.stalks) == list(reference.stalks)
+    assert list(sheaf.restrictions) == list(reference.restrictions)
+    for cell, stalk in sheaf.stalks.items():
+        assert _same_array(stalk.basis, reference.stalks[cell].basis), cell
+    for key, m in sheaf.restrictions.items():
+        assert _same_array(m, reference.restrictions[key]), key
+    assert sheaf_to_json(sheaf) == sheaf_to_json(reference)
+
+
+@pytest.mark.parametrize("seed, cfg", _PIPELINE_CASES[:2])
+def test_one_cell_functions_are_the_stacked_kernels_on_one_cell(seed, cfg):
+    g, features = _mixed_features(seed)
+    sheaf = build_sheaf_from_features(g, features, cfg)
+    stalks, restrictions = sheaf.stalks, sheaf.restrictions
+    nodes = node_stalks_from_features(features, cfg)
+    for v, stalk in _reference_node_stalks(features, cfg).items():
+        assert _same_array(nodes[v].basis, stalk.basis)
+        assert _same_array(stalks[(v,)].basis, stalk.basis)
+    for u, v in sheaf.complex.edges:
+        e = (u, v)
+        built = (stalks[e], restrictions[((u,), e)], restrictions[((v,), e)])
+        assert _same_cell(edge_stalk_intersection(nodes[u], nodes[v], cfg), built), e
+        assert _same_cell(_reference_edge(nodes[u], nodes[v], cfg), built), e
+    for u, v, w in sheaf.complex.triangles:
+        t, sides = (u, v, w), ((u, v), (v, w), (u, w))
+        built = (stalks[t], *(restrictions[(side, t)] for side in sides))
+        edge_stalks = [stalks[side] for side in sides]
+        assert _same_cell(triangle_stalk_soft_intersection(*edge_stalks, cfg), built), t
+        assert _same_cell(_reference_triangle(*edge_stalks, cfg), built), t
+
+
+def test_one_cell_functions_match_the_per_cell_pipeline_on_shared_and_tied_stalks():
+    # one stalk passed twice (so numpy forms BᵀB by its symmetric rank-k
+    # product) and projectors with tied eigenvalues, which argsort must order
+    # as the one-cell call did
+    cfg = FeaturePipelineConfig()
+    b = Stalk(_orth(np.random.default_rng(5), 5, 2))
+    e = Stalk(np.eye(4)[:, :2])
+    for stalks in ((b, b), (e, e), (e, Stalk(np.eye(4)[:, 1:3]))):
+        assert _same_cell(edge_stalk_intersection(*stalks, cfg), _reference_edge(*stalks, cfg))
+    for stalks in ((b, b, b), (e, e, e), (e, e, Stalk(np.eye(4)[:, :3]))):
+        assert _same_cell(triangle_stalk_soft_intersection(*stalks, cfg),
+                          _reference_triangle(*stalks, cfg))
 
 
 def test_line_bundle_trivial_kernel_matches_stalk_dim():

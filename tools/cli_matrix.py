@@ -6,9 +6,11 @@ The script writes its inputs into OUT_DIR with numpy and json alone, so any
 two checkouts get identical inputs: a seeded G(30, 0.2) graph with noisy
 rank-3 features, a seeded G(8, 0.6) graph whose vertex 7 has features
 orthogonal to the rest (so its edges and triangles get zero-dimensional
-stalks), a constant R^2 sheaf on K5, a 3-vertex sheaf with no edges, a
-sheaf with no vertices, and two malformed copies of the K5 sheaf (a second
-item for one incidence, a negative shape entry). It then runs every
+stalks), a seeded G(24, 0.35) graph with features of rank 1, 2 and 3, some
+with fewer rows than the ambient dimension (so every degree has stalks of
+several dimensions), a constant R^2 sheaf on K5, a 3-vertex sheaf with no
+edges, a sheaf with no vertices, and two malformed copies of the K5 sheaf
+(a second item for one incidence, a negative shape entry). It then runs every
 command of ``COMMANDS`` as ``python3 -m sheafgauge.cli`` from OUT_DIR, with
 this checkout's ``src`` first on PYTHONPATH and a relative ``--out`` named
 after the command, and records ``<name>.exit``, ``<name>.stdout`` and
@@ -69,6 +71,11 @@ def _commands():
         source = ["--input", path, "--grounding", grounding]
         runs.append((f"diagnose-{label}-{grounding}", ["diagnose", *source, "--heatmap"]))
         runs.append((f"verify-{label}-{grounding}", ["verify", *source]))
+    runs.append(("build-mixed-ranks", ["build", "--input", "mixed-ranks-graph.json",
+                                       "--features", "mixed-ranks-features.json"]))
+    source = ["--input", "build-mixed-ranks/sheaf.json", "--grounding", "padding"]
+    runs.append(("diagnose-mixed-ranks-padding", ["diagnose", *source, "--heatmap"]))
+    runs.append(("verify-mixed-ranks-padding", ["verify", *source]))
     runs += [
         ("error-missing-input", ["verify", "--input", "missing.json"]),
         ("error-input-and-generator", ["diagnose", "--input", "k5.json",
@@ -128,6 +135,14 @@ def write_inputs(directory: Path):
     zero_stalks = {str(v): (frame[:, :2] + 0.05 * rng.normal(size=(ambient, 2))).tolist()
                    for v in range(7)}
     zero_stalks["7"] = frame[:, 2:4].tolist()
+    # vertex v near the first v % 3 + 1 columns of one frame; every fourth
+    # vertex gives only its first 4 of the 6 rows
+    mixed_rng = np.random.default_rng(2)
+    mixed = {}
+    for v in range(24):
+        rows, width = (4 if v % 4 == 3 else ambient), v % 3 + 1
+        mixed[str(v)] = (frame[:rows, :width]
+                         + 0.05 * mixed_rng.normal(size=(rows, width))).tolist()
     k5 = [list(e) for e in itertools.combinations(range(5), 2)]
     repeated = _constant_sheaf(5, k5, 2)
     first = repeated["restrictions"][0]
@@ -138,6 +153,9 @@ def write_inputs(directory: Path):
               "features.json": {"features": features},
               "zero-stalks-graph.json": {"vertices": 8, "edges": _random_edges(rng, 8, 0.6)},
               "zero-stalks-features.json": {"features": zero_stalks},
+              "mixed-ranks-graph.json": {"vertices": 24,
+                                         "edges": _random_edges(mixed_rng, 24, 0.35)},
+              "mixed-ranks-features.json": {"features": mixed},
               "k5.json": _constant_sheaf(5, k5, 2),
               "no-edges.json": _constant_sheaf(3, [], 2),
               "no-vertices.json": _constant_sheaf(0, [], 2),
