@@ -1,12 +1,14 @@
-"""Oriented 2-truncated clique complexes built from finite simple graphs.
+"""Oriented clique complexes built from finite simple graphs.
 
-Cells are sorted vertex tuples: ``(v,)`` for vertices, ``(u, v)`` for edges
-and ``(u, v, w)`` for triangles. Incidence signs follow the alternating-sum
-rule induced by the global vertex order. Cone cells added by
-:func:`cone_complex` follow the base cells of their degree and are oriented
-apex-first, which flips the sign pattern on cone edges relative to the
-sorted orientation (the apex index is largest, but the apex comes first in
-the orientation order).
+A complex keeps one tuple of cells per dimension and is the one place that
+knows its dimensions (``degrees``). Cells are sorted vertex tuples: ``(v,)``,
+``(u, v)``, ``(u, v, w)``. Incidence signs follow the alternating-sum rule
+induced by the global vertex order. A clique complex is 2-truncated: it has
+the dimensions 0-2, and may have no triangles. Its cone, from
+:func:`cone_complex`, has one dimension more: each cone cell follows the
+base cells of its dimension and is oriented apex-first, which flips the sign
+pattern relative to the sorted orientation (the apex index is largest, but
+the apex comes first in the orientation order).
 """
 
 from __future__ import annotations
@@ -104,35 +106,43 @@ def _simplex_face_signs(cell):
 
 
 class CliqueComplex:
-    """Oriented cell complex with cells of dimension at most 2.
+    """Oriented cell complex: ``cells``, one tuple of cells per dimension
+    0, 1, ..., top (a slot may be empty), and the signed ``incidences``
+    keyed ``(cell, face)``.
 
     Treated as immutable after construction; safe for concurrent reads.
     """
 
-    def __init__(self, vertices, edges, triangles, incidences, apex=None):
-        self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
-        self.triangles = tuple(triangles)
+    def __init__(self, cells, incidences, apex=None):
+        self._cells = tuple(map(tuple, cells))
         self.incidences = dict(incidences)
         self.apex = apex
-        self._cells = (tuple((v,) for v in self.vertices), self.edges, self.triangles)
         self._faces = {}
         for (cell, face), _sign in self.incidences.items():
             self._faces.setdefault(cell, []).append(face)
         for lst in self._faces.values():
             lst.sort()
 
+    @property
+    def degrees(self):
+        """The dimensions of the complex, 0 through the top one, as a range."""
+        return range(len(self._cells))
+
     def cells(self, dim):
-        return self._cells[dim] if dim in (0, 1, 2) else ()
+        return self._cells[dim] if dim in self.degrees else ()
 
     def faces(self, cell):
         return tuple(self._faces.get(tuple(cell), ()))
 
     def __repr__(self):
-        return (
-            f"CliqueComplex(|K0|={len(self.vertices)}, |K1|={len(self.edges)}, "
-            f"|K2|={len(self.triangles)}, apex={self.apex})"
-        )
+        counts = ", ".join(f"|K{j}|={len(cells)}" for j, cells in enumerate(self._cells))
+        return f"CliqueComplex({counts}, apex={self.apex})"
+
+
+def _require_degree(j, degrees, needs):
+    """A ValueError "<needs> 0, 1 or 2, got <j>" unless ``j`` is in ``degrees``."""
+    if j not in degrees:
+        raise ValueError(f"{needs} {', '.join(map(str, degrees[:-1]))} or {degrees[-1]}, got {j}")
 
 
 def build_clique_complex(g: Graph) -> CliqueComplex:
@@ -149,42 +159,34 @@ def build_clique_complex(g: Graph) -> CliqueComplex:
         for w in sorted(adjacency[u] & adjacency[v]):
             if w > v:
                 triangles.append((u, v, w))
-    triangles.sort()
-    incidences = {}
-    for e in g.edges:
-        for face, sign in _simplex_face_signs(e):
-            incidences[(e, face)] = sign
-    for t in triangles:
-        for face, sign in _simplex_face_signs(t):
-            incidences[(t, face)] = sign
-    return CliqueComplex(range(g.vertex_count), g.edges, triangles, incidences)
+    cells = ([(v,) for v in range(g.vertex_count)], g.edges, sorted(triangles))
+    incidences = {(cell, face): sign for dim in cells[1:] for cell in dim
+                  for face, sign in _simplex_face_signs(cell)}
+    return CliqueComplex(cells, incidences)
 
 
 def cone_complex(base: CliqueComplex) -> CliqueComplex:
-    """Adjoin an apex vertex: one cone edge per vertex, one cone triangle per edge.
+    """Adjoin an apex vertex and cone every base cell: one dimension more.
 
-    The cone cells follow the base cells of their degree: the apex last, the
-    cone edges (v, apex) in vertex order, the cone triangles (u, v, apex) in
-    base-edge order. That is the layout [C^j(F) | C^{j-1}(W)] of the
-    translated mapping cone. The apex index is larger than every base vertex;
-    cone cells are oriented apex-first, so the face obtained by dropping the
-    apex always enters the coboundary with sign +1. Cones over base triangles
-    would be 3-cells and are excluded by the dimension-2 truncation.
+    The cone cell over a base cell is ``cell + (apex,)``, and the apex is the
+    cone over the empty cell. Cone cells follow the base cells of their
+    dimension, in base order, the apex last: the layout [C^j(F) | C^{j-1}(W)]
+    of the translated mapping cone. The apex index is larger than every base
+    vertex; cone cells are oriented apex-first, so the face obtained by
+    dropping the apex enters the coboundary with sign +1, and the cone over a
+    face f of sign s with sign -s (the face of a vertex is the empty cell,
+    whose cone is the apex).
     """
     if base.apex is not None:
         raise ValueError("complex already has a cone apex")
-    apex = len(base.vertices)
-    cone_edges = tuple((v, apex) for v in base.vertices)
-    cone_triangles = tuple((u, v, apex) for (u, v) in base.edges)
+    apex = len(base.cells(0))
+    cells = [list(base.cells(j)) for j in base.degrees] + [[]]
     incidences = dict(base.incidences)
-    for v, a in cone_edges:
-        # apex-first orientation (a, v): dropping a gives +1, dropping v gives -1
-        incidences[((v, a), (v,))] = 1
-        incidences[((v, a), (a,))] = -1
-    for u, v, a in cone_triangles:
-        # orientation (a, u, v)
-        incidences[((u, v, a), (u, v))] = 1
-        incidences[((u, v, a), (v, a))] = -1
-        incidences[((u, v, a), (u, a))] = 1
-    return CliqueComplex(base.vertices + (apex,), base.edges + cone_edges,
-                         base.triangles + cone_triangles, incidences, apex=apex)
+    for cell in ((),) + tuple(c for j in base.degrees for c in base.cells(j)):
+        cone = cell + (apex,)
+        cells[len(cell)].append(cone)
+        if cell:
+            incidences[(cone, cell)] = 1
+        for face, sign in _simplex_face_signs(cell):
+            incidences[(cone, face + (apex,))] = -sign
+    return CliqueComplex(cells, incidences, apex=apex)

@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .complexes import cone_complex
+from .complexes import _require_degree, cone_complex
 from .sheaves import CellSheaf, Stalk, _read_only, constant_sheaf, validate_sheaf
 
 ZERO_ABS = 1e-10
@@ -127,7 +127,7 @@ def coboundary(sheaf: CellSheaf, j: int) -> Coboundary:
     """Signed block matrix C^j -> C^{j+1}: block (c, f) = sign(c, f) * rho_{f->c}.
 
     The matrix is the sheaf's own, read-only and assembled once per sheaf;
-    outside degrees 0 and 1 it is an empty end map (``CellSheaf.coboundary``).
+    at the ends of the complex it is a zero map (``CellSheaf.coboundary``).
     """
     return Coboundary(j, sheaf.coboundary(j))
 
@@ -157,11 +157,10 @@ def _assemble_laplacian(sheaf: CellSheaf, j: int) -> SheafLaplacian:
 
 
 def laplacian(sheaf: CellSheaf, j: int) -> SheafLaplacian:
-    """L_j = d^{j-1} (d^{j-1})^T + (d^j)^T d^j on C^j; d_{-1} and d_2 are
-    the empty end maps of the complex. The sheaf's own, read-only and
-    assembled once per sheaf."""
-    if j not in (0, 1, 2):
-        raise ValueError(f"laplacian degree must be 0, 1 or 2, got {j}")
+    """L_j = d^{j-1} (d^{j-1})^T + (d^j)^T d^j on C^j, for each degree j of
+    the complex; at its ends, d^{j-1} or d^j is a zero map. The sheaf's
+    own, read-only and assembled once per sheaf."""
+    _require_degree(j, sheaf.complex.degrees, "laplacian degree must be")
     return sheaf.derived(("laplacian", j), lambda s: _assemble_laplacian(s, j))
 
 
@@ -185,7 +184,7 @@ def is_delta_feasible(lap: SheafLaplacian, x, delta: float) -> bool:
     return consistency_energy(lap, x) <= delta
 
 
-def betti_numbers(sheaf: CellSheaf) -> tuple[int, int, int]:
+def betti_numbers(sheaf: CellSheaf) -> tuple[int, ...]:
     """Cohomology dimensions by rank-nullity of the coboundaries:
     b_j = dim C^j - rank d_j - rank d_{j-1}. The formula equals cohomology
     only when d1·d0 = 0, so a sheaf with functoriality violations (not
@@ -194,8 +193,9 @@ def betti_numbers(sheaf: CellSheaf) -> tuple[int, int, int]:
         count = len(validate_sheaf(sheaf))
         raise ValueError(f"betti_numbers needs d1·d0 = 0, and the sheaf has {count} "
                          "functoriality violation(s)")
-    ranks = {j: numerical_rank(coboundary(sheaf, j).matrix) for j in (-1, 0, 1, 2)}
-    return tuple(sheaf.cochain_dim(j) - ranks[j] - ranks[j - 1] for j in (0, 1, 2))
+    degrees = sheaf.complex.degrees  # d_{-1} is a zero map, of rank 0
+    ranks = {j: numerical_rank(coboundary(sheaf, j).matrix) for j in degrees}
+    return tuple(sheaf.cochain_dim(j) - ranks[j] - ranks.get(j - 1, 0) for j in degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +343,8 @@ def propagate_cycle_grounding(sheaf: CellSheaf, seed: int,
     trivial, otherwise a ValueError is raised.
     """
     complex_ = sheaf.complex
-    n = len(complex_.vertices)
-    if complex_.triangles or len(complex_.edges) != n:
+    n = len(complex_.cells(0))
+    if complex_.cells(2) or len(complex_.cells(1)) != n:
         raise ValueError("propagation expects a plain cycle complex")
     d = sheaf.stalk_dim((0,))
     w = target_dim if target_dim is not None else d
@@ -409,9 +409,10 @@ class MappingCone:
     The translated cone Cone[1]^n = Cone^{n-1} has differential
     -d^{n-1}: (x, y) -> (d_F x, eps x - d_W y).
 
-    The cone holds its sheaf and grounding. Formed on first read and kept:
-    the constant sheaf ``w_sheaf``, the read-only mapping ``eps`` of cochain
-    blocks (degrees -1 to 3, empty outside 0-2), the incidence defect
+    The cone holds its sheaf and grounding, and reads its ``degrees`` from
+    the complex. Formed on first read and kept: the constant sheaf
+    ``w_sheaf``, the read-only mapping ``eps`` of cochain blocks (one degree
+    past the cone's at each end, empty outside the complex's), the incidence defect
     ``defect_total`` and the read-only differentials, built from the
     coboundaries that ``sheaf`` and ``w_sheaf`` each assemble once, so every
     certificate reads the same matrices. d^2 = 0 holds when ``sheaf`` is
@@ -421,6 +422,12 @@ class MappingCone:
     sheaf: CellSheaf
     grounding: GroundingMorphism
 
+    @property
+    def degrees(self) -> range:
+        """The degrees n of the non-zero Cone^n: from one below the complex's to its top."""
+        degrees = self.sheaf.complex.degrees
+        return range(degrees.start - 1, degrees.stop)
+
     @cached_property
     def w_sheaf(self) -> CellSheaf:
         return constant_sheaf(self.sheaf.complex, self.grounding.target_dim)
@@ -428,7 +435,7 @@ class MappingCone:
     @cached_property
     def eps(self) -> MappingProxyType:
         return MappingProxyType({j: self.grounding.cochain_block(self.sheaf, j)
-                                 for j in range(-1, 4)})
+                                 for j in range(self.degrees.start, self.degrees.stop + 1)})
 
     @cached_property
     def defect_total(self) -> float:
@@ -436,10 +443,10 @@ class MappingCone:
 
     @cached_property
     def _differentials(self) -> dict:
-        """Read-only d^n = [[-d_F^{n+1}, 0], [-eps_{n+1}, d_W^n]] for n = -2..2,
-        the degrees the cone Laplacians read."""
+        """Read-only d^n = [[-d_F^{n+1}, 0], [-eps_{n+1}, d_W^n]] into and out
+        of every cone degree, the maps the cone Laplacians read."""
         d = {}
-        for n in range(-2, 3):
+        for n in range(self.degrees.start - 1, self.degrees.stop):
             d_f, d_w = coboundary(self.sheaf, n + 1).matrix, coboundary(self.w_sheaf, n).matrix
             # rows C^{n+2}(F) + C^{n+1}(W), columns C^{n+1}(F) + C^n(W)
             f_rows, f_cols = d_f.shape
@@ -451,7 +458,8 @@ class MappingCone:
         return d
 
     def differential(self, n: int) -> np.ndarray:
-        """d^n: Cone^n -> Cone^{n+1}, read-only, for n = -2..2."""
+        """d^n: Cone^n -> Cone^{n+1}, read-only, for n from one below the
+        cone's degrees to its top (-2..2 on a clique complex)."""
         return self._differentials[n]
 
     def laplacian(self, n: int) -> SheafLaplacian:
@@ -469,32 +477,23 @@ def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism) -> MappingCon
 def geometric_cone_sheaf(sheaf: CellSheaf, grounding: GroundingMorphism) -> CellSheaf:
     """Sheaf on the coned complex: apex stalk W, cone restrictions eps_sigma.
 
-    Cone cells over base cells carry W; the restriction from a base cell into
-    its cone cell is the grounding map, all cone-to-cone restrictions are the
-    identity on W.
+    The apex and the cone cell over each base cell carry W; the restriction
+    from a base cell into its cone cell is the grounding map, and every
+    cone-to-cone restriction is the identity on W.
     """
     if grounding.mode != VERTEX_LEVEL:
         raise GroundingModeError("the geometric cone needs a vertex-level grounding")
-    coned = cone_complex(sheaf.complex)
-    apex = coned.apex
-    w = grounding.target_dim
-    eye_w = np.eye(w)
+    base, coned = sheaf.complex, cone_complex(sheaf.complex)
+    eye_w = np.eye(grounding.target_dim)
     eye_w.flags.writeable = False
-    stalk_w = Stalk(eye_w)
     stalks = sheaf.stalks.copy()
-    stalks[(apex,)] = stalk_w
+    stalk_w = stalks[(coned.apex,)] = Stalk(eye_w)
     restrictions = sheaf.restrictions.copy()
-    for v in sheaf.complex.vertices:
-        cone_edge = (v, apex)
-        stalks[cone_edge] = stalk_w
-        restrictions[((v,), cone_edge)] = grounding.cell_map((v,))
-        restrictions[((apex,), cone_edge)] = eye_w
-    for u, v in sheaf.complex.edges:
-        cone_triangle = (u, v, apex)
-        stalks[cone_triangle] = stalk_w
-        restrictions[((u, v), cone_triangle)] = grounding.cell_map((u, v))
-        restrictions[((v, apex), cone_triangle)] = eye_w
-        restrictions[((u, apex), cone_triangle)] = eye_w
+    for cell in (c for j in base.degrees for c in base.cells(j)):
+        cone = cell + (coned.apex,)
+        stalks[cone] = stalk_w
+        for face in coned.faces(cone):
+            restrictions[(face, cone)] = grounding.cell_map(cell) if face == cell else eye_w
     return CellSheaf(coned, stalks, restrictions)
 
 
@@ -512,25 +511,24 @@ def verify_cone_equivalence(cone: MappingCone) -> ConeEquivalenceReport:
     Requires a compatible grounding (``cone.defect_total`` at most
     COMPATIBILITY_TOL); otherwise the hypothesis fails and the defect norm is
     reported instead. The coned complex lays its cells out as the translated
-    cone, [C^j(F) | C^{j-1}(W)], so the geometric coboundaries are compared
-    with the translated differentials entry by entry. The geometric cone has
-    an apex stalk W that the cone lacks, so its degree -1 differential is
-    augmented here: one more column block, zero over C^1(F) and the identity
-    on W for every vertex over C^0(W).
+    cone, [C^j(F) | C^{j-1}(W)], so in every degree j of the base complex the
+    geometric coboundary d_j is compared with the translated differential
+    -d^{j-1} entry by entry. The geometric cone has an apex stalk W that the
+    cone lacks, so its degree -1 differential is augmented here: one more
+    column block, zero over C^1(F) and the identity on W for every vertex
+    over C^0(W).
     """
     if cone.defect_total > COMPATIBILITY_TOL:
         return ConeEquivalenceReport("hypothesis-not-met", cone.defect_total, None, None)
     sheaf, grounding = cone.sheaf, cone.grounding
     geo = geometric_cone_sheaf(sheaf, grounding)
     w = grounding.target_dim
-    augmentation = np.vstack([np.zeros((sheaf.cochain_dim(1), w))]
-                             + [np.eye(w)] * len(sheaf.complex.vertices))
-    translated = {0: -np.hstack([cone.differential(-1), augmentation]),
-                  1: -cone.differential(0)}
-    residuals = {}
-    for j in (0, 1):
-        geometric = coboundary(geo, j).matrix
-        residuals[j] = float(np.max(np.abs(geometric - translated[j]), initial=0.0))
+    untranslated = {j: cone.differential(j - 1) for j in sheaf.complex.degrees}
+    untranslated[0] = np.hstack([untranslated[0], np.vstack(
+        [np.zeros((sheaf.cochain_dim(1), w))] + [np.eye(w)] * len(sheaf.complex.cells(0)))])
+    # d_j + d^{j-1} is d_j - (-d^{j-1}) to the bit, without the negated copy
+    residuals = {j: float(np.max(np.abs(coboundary(geo, j).matrix + d), initial=0.0))
+                 for j, d in untranslated.items()}
     worst = max(residuals.values())
     status = "pass" if worst < 1e-12 else "fail"
     return ConeEquivalenceReport(status, cone.defect_total, worst, residuals)
@@ -580,21 +578,22 @@ def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
 
     # the cone's decompositions are the largest: they run before the sheaves
     # keep their spectra, which lowers the peak memory
-    harm_c = {n: numerical_kernel(cone.laplacian(n)) for n in (-1, 0, 1, 2)}
-    harm_f = {j: laplacian_spectrum(cone.sheaf, j).kernel for j in (0, 1, 2)}
-    harm_w = {j: laplacian_spectrum(cone.w_sheaf, j).kernel for j in (0, 1, 2)}
+    degrees, low, top = cone.sheaf.complex.degrees, cone.degrees[0], cone.degrees[-1]
+    harm_c = {n: numerical_kernel(cone.laplacian(n)) for n in cone.degrees}
+    harm_f = {j: laplacian_spectrum(cone.sheaf, j).kernel for j in degrees}
+    harm_w = {j: laplacian_spectrum(cone.w_sheaf, j).kernel for j in degrees}
 
-    # 0 -> Hc^-1 -> H^0F -> H^0W -> Hc^0 -> H^1F -> ... -> Hc^2 -> 0
-    chain = [("cone^-1", harm_c[-1])]
-    maps = [np.zeros((harm_c[-1].shape[1], 0))]
-    for j in (0, 1, 2):
+    # 0 -> Hc^-1 -> H^0F -> H^0W -> Hc^0 -> H^1F -> ... -> H^top W -> Hc^top -> 0
+    chain = [(f"cone^{low}", harm_c[low])]
+    maps = [np.zeros((harm_c[low].shape[1], 0))]
+    for j in degrees:
         maps.append(-(harm_f[j].T @ harm_c[j - 1][:cone.sheaf.cochain_dim(j)]))
         chain.append((f"F^{j}", harm_f[j]))
         maps.append(harm_w[j].T @ (cone.eps[j] @ harm_f[j]))
         chain.append((f"W^{j}", harm_w[j]))
         maps.append(harm_c[j][cone.sheaf.cochain_dim(j + 1):].T @ harm_w[j])
         chain.append((f"cone^{j}", harm_c[j]))
-    maps.append(np.zeros((0, harm_c[2].shape[1])))
+    maps.append(np.zeros((0, harm_c[top].shape[1])))
 
     ranks = [numerical_rank(m) for m in maps]
     nodes = []
@@ -608,9 +607,7 @@ def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
         "pass" if all(node.exact for node in nodes) else "fail",
         cone.defect_total,
         tuple(nodes),
-        tuple(harm_f[j].shape[1] for j in (0, 1, 2)),
-        tuple(harm_w[j].shape[1] for j in (0, 1, 2)),
-        tuple(harm_c[n].shape[1] for n in (-1, 0, 1, 2)),
+        *(tuple(h.shape[1] for h in harm.values()) for harm in (harm_f, harm_w, harm_c)),
     )
 
 

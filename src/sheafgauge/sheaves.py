@@ -1,6 +1,5 @@
-"""Cellular sheaves on 2-truncated clique complexes.
-
-Two construction routes:
+"""Cellular sheaves on clique complexes and their cones, in the degrees the
+complex has. Two construction routes, on 2-truncated clique complexes:
 
 * a feature pipeline that extracts node stalks by SVD, edge stalks by
   near-intersection of node stalks, and triangle stalks by a symmetric
@@ -124,7 +123,7 @@ class CellSheaf:
         self.stalks = MappingProxyType(dict(stalks))
         self.restrictions = MappingProxyType(
             {k: _read_only(m) for k, m in restrictions.items()})
-        cells = [complex_.cells(j) for j in (0, 1, 2)]
+        cells = [complex_.cells(j) for j in complex_.degrees]
         known = set().union(*cells)
         if self.stalks.keys() != known:
             missing, extra = known - self.stalks.keys(), self.stalks.keys() - known
@@ -146,7 +145,7 @@ class CellSheaf:
         _check_finite(self.restrictions)
         self._slices = {}
         self._owners = {}
-        for j in (0, 1, 2):
+        for j in complex_.degrees:
             sizes = [dims[cell] for cell in cells[j]]
             slices = self._slices[j] = {}
             offset = 0
@@ -223,29 +222,24 @@ class CellSheaf:
     def coboundary(self, j):
         """d_j: C^j -> C^{j+1} as a read-only matrix, assembled on first use.
 
-        The complex is 0 -> C^0 -> C^1 -> C^2 -> 0, and this is the one place
-        that knows it: outside degrees 0 and 1, d_j is a fresh read-only empty
-        matrix of shape (dim C^{j+1}, dim C^j), neither assembled nor kept.
+        d_j scatters the complex's degree-j incidences, so 0 -> C^0 -> ... ->
+        C^top -> 0 ends in zero maps: for j = -1, j = top and every j outside,
+        d_j is a zero matrix of shape (dim C^{j+1}, dim C^j).
         """
-        if j not in (0, 1):
-            zero = np.zeros((self.cochain_dim(j + 1), self.cochain_dim(j)))
-            zero.flags.writeable = False
-            return zero
         return self.derived(("coboundary", j), lambda sheaf: sheaf._assemble_coboundary(j))
 
     def _coboundary_scatter(self, j):
-        """The degree-j incidences ``(face, coface)`` in table order, the flat
-        position in d_j of each entry of their row-major restrictions and the
-        sign of each entry; built once per layout."""
+        """The degree-j incidences ``(face, coface)``, coface by coface, the
+        flat position in d_j of each entry of their row-major restrictions and
+        the sign of each entry; built once per layout."""
         if j not in self._scatter:
-            rows, cols = self._slices[j + 1], self._slices[j]
+            complex_, cols = self.complex, self._slices.get(j)
             keys, signs, blocks = [], [], []
-            for (coface, face), sign in self.complex.incidences.items():
-                if len(face) == j + 1:
+            for coface, row in self._slices.get(j + 1, {}).items():
+                for face in complex_.faces(coface):
                     keys.append((face, coface))
-                    signs.append(sign)
-                    blocks.append((rows[coface].start, rows[coface].stop, cols[face].start,
-                                   cols[face].stop))
+                    signs.append(complex_.incidences[(coface, face)])
+                    blocks.append((row.start, row.stop, cols[face].start, cols[face].stop))
             r0, r1, c0, c1 = np.array(blocks, dtype=int).reshape(-1, 4).T
             sizes = (r1 - r0) * (c1 - c0)
             within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -275,27 +269,37 @@ class FunctorialityViolation:
 
 
 def validate_sheaf(sheaf: CellSheaf):
-    """Report two-path composition mismatches through every (vertex, triangle) flag.
+    """Report two-path composition mismatches through every flag of the complex.
 
-    For vertex v of triangle t with edges e1, e2 of t containing v, the
-    defect is ||rho_{e1->t} rho_{v->e1} - rho_{e2->t} rho_{v->e2}||_F.
-    Report-only: returns the list of violations above ``FUNCTORIALITY_TOL``,
-    found in one pass on the first request and kept by the sheaf.
+    A flag is a cell t, a face v of its faces and the faces e1 < e2 of t on v
+    (a triangle, a vertex and two edges); its defect is
+    ||rho_{e1->t} rho_{v->e1} - rho_{e2->t} rho_{v->e2}||_F, one stacked pass
+    per restriction shape. Report-only: returns the list of violations above
+    ``FUNCTORIALITY_TOL``, found on the first request and kept by the sheaf.
     """
     def violations(sheaf):
         complex_, restrictions = sheaf.complex, sheaf.restrictions
-        found = []
-        for t in complex_.triangles:
-            for v in t:
-                e1, e2 = sorted(e for e in complex_.faces(t) if v in e)
-                via1 = restrictions[(e1, t)] @ restrictions[((v,), e1)]
-                via2 = restrictions[(e2, t)] @ restrictions[((v,), e2)]
-                defect = float(np.linalg.norm(via1 - via2))
-                if defect > FUNCTORIALITY_TOL:
-                    found.append(FunctorialityViolation(t, (v,), defect))
-        return tuple(found)
+        keys = []  # per flag, the incidences e1 < t, v < e1, e2 < t and v < e2
+        for t in (cell for j in complex_.degrees for cell in complex_.cells(j)):
+            through = {}
+            for e in complex_.faces(t):
+                for v in complex_.faces(e):
+                    through.setdefault(v, []).append(e)
+            keys += [((e1, t), (v, e1), (e2, t), (v, e2)) for v, (e1, e2) in through.items()]
+        defects = _per_shape(_two_path_defects, [[restrictions[k[i]] for k in keys]
+                                                  for i in range(4)])
+        return tuple(FunctorialityViolation(t, v, float(defect))
+                     for ((_, t), (v, _), _, _), defect in zip(keys, defects)
+                     if defect > FUNCTORIALITY_TOL)
 
     return list(sheaf.derived("functoriality_violations", violations))
+
+
+def _two_path_defects(e1_t, v_e1, e2_t, v_e2):
+    """Defects of stacked flags: each flattened difference times itself by
+    ``np.matmul``, the dot that ``np.linalg.norm`` takes of one flag."""
+    a = (np.matmul(e1_t, v_e1) - np.matmul(e2_t, v_e2)).reshape(len(e1_t), -1)
+    return np.sqrt(np.matmul(a[:, None, :], a[:, :, None]))[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +390,7 @@ def build_sheaf_from_features(g: Graph, features, cfg: FeaturePipelineConfig | N
     node_stalks = _node_stalks(features, cfg)
     stalks = {(v,): node_stalks[v] for v in range(g.vertex_count)}
     nodes = [node_stalks[v].basis for v in range(g.vertex_count)]
-    edges, triangles = complex_.edges, complex_.triangles
+    edges, triangles = complex_.cells(1), complex_.cells(2)
     edge_bases = _per_shape(_edge_bases, ([nodes[u] for u, _ in edges],
                                           [nodes[v] for _, v in edges]), cfg.edge_align_tol)
     projectors = _per_shape(_projectors, (edge_bases,))
@@ -632,7 +636,7 @@ def add_restriction_noise(sheaf: CellSheaf, sigma: float, seed: int) -> CellShea
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
     if sigma == 0:
         return sheaf._replacing({})
-    edges, stalks = sheaf.complex.edges, sheaf.stalks
+    edges, stalks = sheaf.complex.cells(1), sheaf.stalks
     dims = [stalks[e].dim for e in edges]
     draws = np.array([1 + 2 * d if d > 2 else 1 for d in dims], dtype=int)
     at = np.cumsum(draws) - draws  # where each edge's angle sits in the stream
@@ -672,7 +676,7 @@ def constant_sheaf(complex_: CliqueComplex, dim: int) -> CellSheaf:
     """Constant sheaf: stalk R^dim everywhere (one shared stalk object),
     identity restrictions (one shared read-only array)."""
     eye = _read_only(np.eye(dim))
-    cells = (cell for d in (0, 1, 2) for cell in complex_.cells(d))
+    cells = (cell for d in complex_.degrees for cell in complex_.cells(d))
     stalks = dict.fromkeys(cells, Stalk(eye))
     restrictions = dict.fromkeys(((face, coface) for coface, face in complex_.incidences), eye)
     return CellSheaf(complex_, stalks, restrictions)
@@ -708,8 +712,8 @@ def sheaf_to_json_dict(sheaf: CellSheaf) -> dict:
     return {
         "schema_version": SHEAF_SCHEMA_VERSION,
         "graph": {
-            "vertices": len(sheaf.complex.vertices),
-            "edges": [list(e) for e in sheaf.complex.edges],
+            "vertices": len(sheaf.complex.cells(0)),
+            "edges": [list(e) for e in sheaf.complex.cells(1)],
         },
         "validated": bool(sheaf.validated),
         "stalks": [

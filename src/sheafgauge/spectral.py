@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .complexes import _require_degree
 from .operators import (  # noqa: F401  (the two errors are re-exported)
     AsymmetricOperatorError,
     ChannelSet,
@@ -272,12 +273,11 @@ def coface_energy_map(sheaf: CellSheaf, j: int,
 
     The degree-j witness attributes ||(d_j v)[c]||^2 to every face of c;
     this map reports the components on the (j+1)-cells themselves, for
-    j = 0 or 1. For j = 0 it localizes inconsistency to edges, which the
+    every degree j below the top of the complex. For j = 0 it localizes inconsistency to edges, which the
     vertex-level witness then aggregates to nodes. The spectrum and the
     coboundary are the sheaf's own, as in :func:`local_witness`.
     """
-    if j not in (0, 1):
-        raise ValueError(f"coface energy needs degree 0 or 1, got {j}")
+    _require_degree(j, sheaf.complex.degrees[:-1], "coface energy needs degree")
     delta, vectors, weights = _degree_modes(cfg, laplacian_spectrum(sheaf, j))
     energy = _block_energy(sheaf, j + 1, coboundary(sheaf, j).matrix @ vectors, weights)
     return LocalWitnessMap(j + 1, delta, sheaf.complex.cells(j + 1), energy)

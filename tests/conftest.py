@@ -43,7 +43,7 @@ def copy_then_compose(sheaf, sigma, seed):
     if sigma == 0:
         return restrictions
     rng = np.random.default_rng(seed)
-    for e in sheaf.complex.edges:
+    for e in sheaf.complex.cells(1):
         theta = rng.normal(0.0, sigma)
         dim = sheaf.stalk_dim(e)
         if dim < 2:

@@ -287,7 +287,7 @@ def test_criterion_8_witness_properties():
             if lam <= spectrum.threshold or lam > 2.5:
                 continue
             image = d0.matrix @ spectrum.eigenvectors[:, index]
-            for edge in sheaf.complex.edges:
+            for edge in sheaf.complex.cells(1):
                 total += len(sheaf.complex.faces(edge)) * float(
                     np.sum(image[sheaf.cell_slices(1)[edge]] ** 2)
                 )

@@ -65,7 +65,7 @@ def test_build_sheaf_json_reads_back_bit_for_bit(tmp_path):
     restored = sheaf_from_json(text)
     assert restored.stalks.keys() == built.stalks.keys()
     assert restored.restrictions.keys() == built.restrictions.keys()
-    assert len(built.complex.triangles) > 0
+    assert len(built.complex.cells(2)) > 0
     for cell, stalk in built.stalks.items():
         assert np.array_equal(restored.stalks[cell].basis, stalk.basis)
     for key, m in built.restrictions.items():
@@ -153,13 +153,16 @@ def test_build_note_is_one_short_line(tmp_path, capsys):
 
 
 def test_build_runs_one_functoriality_pass(tmp_path, monkeypatch):
-    # the pass takes one norm per (vertex, triangle) flag, three on the one
+    # the pass takes one defect per (vertex, triangle) flag, three on the one
     # triangle; the exit code, the report and the file's flag all read it
-    norms = []
-    original = np.linalg.norm
-    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(a) or original(*a, **k))
+    import sheafgauge.sheaves as sheaves
+
+    defects = []
+    original = sheaves._two_path_defects
+    monkeypatch.setattr(sheaves, "_two_path_defects",
+                        lambda *stacks: defects.extend(original(*stacks)) or original(*stacks))
     assert run(_tilted_planes(tmp_path) + ["--out", str(tmp_path / "o")]) == 2
-    assert len(norms) == 3
+    assert len(defects) == 3
     assert json.loads(read(tmp_path / "o" / "sheaf.json"))["validated"] is False
 
 
@@ -595,6 +598,22 @@ def test_verify_trivial_padding_all_pass(tmp_path):
                            "cone_reduction", "separation"}
 
 
+def test_verify_checks_the_cone_in_every_degree(tmp_path):
+    # K5 has triangles, so its cone has tetrahedra and degree 2 is compared too
+    from sheafgauge.complexes import build_clique_complex, complete_graph
+    from sheafgauge.sheaves import constant_sheaf, sheaf_to_json
+
+    sheaf_path = tmp_path / "k5.json"
+    sheaf_path.write_text(sheaf_to_json(constant_sheaf(build_clique_complex(complete_graph(5)), 2)))
+    out = tmp_path / "v"
+    assert run(["verify", "--input", str(sheaf_path), "--grounding", "padding",
+                "--out", str(out)]) == 0
+    cone = json.loads(read(out / "certificates.json"))["checks"]["cone_equivalence"]
+    assert cone["status"] == "pass"
+    assert cone["residual_by_degree"] == {"0": 0.0, "1": 0.0, "2": 0.0}
+    assert cone["max_residual"] == 0.0
+
+
 def test_verify_mobius_padding_hypothesis_not_met(tmp_path):
     out = tmp_path / "v"
     assert run(["verify", "--generator", "mobius", "--n", "8",
@@ -752,14 +771,15 @@ def test_verify_assembles_one_cone(tmp_path, monkeypatch):
     counts = _count_assemblies(monkeypatch)
     assert run(["verify", "--input", str(sheaf_path), "--grounding", "padding",
                 "--out", str(tmp_path / "padding")]) == 0
-    # d0 and d1 of F, of W and of the geometric cone: the channel set reads F's.
-    # L_j of F and of W, each assembled and decomposed once: the LES reads
+    # d_j of F for j = -1..3 and of W for j = -2..2 (the cone's differentials
+    # read one map past each end; the end maps are empty), and d0-d2 of the
+    # geometric cone, each assembled once: the channel set reads F's. L_j of F and of W, each assembled and decomposed once: the LES reads
     # all six spectra, the cone reduction L_1(F) and L_0(W) with their
     # spectra, the separation check L_1(F) and its spectrum. eigh: those 6,
     # the 4 cone Laplacians of the LES and the relative channel; eigvalsh:
     # the cone reduction's 2 Gram blocks and 2 cone blocks.
     assert counts == {"algebraic_cone": 1, "incidence_defect": 1, "constant_sheaf": 1,
-                      "_assemble_laplacian": 6, "coboundary": 6, "eigh": 11, "eigvalsh": 4}
+                      "_assemble_laplacian": 6, "coboundary": 13, "eigh": 11, "eigvalsh": 4}
     counts.update(dict.fromkeys(counts, 0))
     assert run(["verify", "--input", str(sheaf_path), "--grounding", "fullrank",
                 "--out", str(tmp_path / "fullrank")]) == 0

@@ -17,22 +17,22 @@ from sheafgauge.complexes import (
 
 def test_triangle_graph_k3():
     k = build_clique_complex(complete_graph(3))
-    assert len(k.vertices) == 3
-    assert len(k.edges) == 3
-    assert k.triangles == ((0, 1, 2),)
+    assert len(k.cells(0)) == 3
+    assert len(k.cells(1)) == 3
+    assert k.cells(2) == ((0, 1, 2),)
 
 
 def test_ten_cycle_has_no_triangles():
     k = build_clique_complex(cycle_graph(10))
-    assert len(k.vertices) == 10
-    assert len(k.edges) == 10
-    assert k.triangles == ()
+    assert len(k.cells(0)) == 10
+    assert len(k.cells(1)) == 10
+    assert k.cells(2) == ()
 
 
 def test_k4_truncates_tetrahedron():
     k = build_clique_complex(complete_graph(4))
-    assert len(k.edges) == 6
-    assert len(k.triangles) == 4
+    assert len(k.cells(1)) == 6
+    assert len(k.cells(2)) == 4
     assert k.cells(3) == ()
 
 
@@ -76,7 +76,7 @@ def test_incidence_signs_edge():
 
 def _boundary_squares_to_zero(k):
     # sum over intermediate edges of sign(t, e) * sign(e, v) vanishes
-    for t in k.triangles:
+    for t in k.cells(2):
         for v in t:
             total = sum(
                 k.incidences[(t, e)] * k.incidences[(e, (v,))]
@@ -101,38 +101,38 @@ def test_build_order_independent():
     edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
     a = build_clique_complex(Graph(4, edges))
     b = build_clique_complex(Graph(4, list(reversed(edges))))
-    assert a.edges == b.edges
-    assert a.triangles == b.triangles
+    assert a.cells(1) == b.cells(1)
+    assert a.cells(2) == b.cells(2)
     assert a.incidences == b.incidences
 
 
 def test_cone_over_ten_cycle_counts():
     k = cone_complex(build_clique_complex(cycle_graph(10)))
-    assert len(k.vertices) == 11
-    assert len(k.edges) == 20
-    assert len(k.triangles) == 10
+    assert len(k.cells(0)) == 11
+    assert len(k.cells(1)) == 20
+    assert len(k.cells(2)) == 10
     assert k.apex == 10
 
 
 def test_cone_over_single_edge():
     k = cone_complex(build_clique_complex(Graph(2, [(0, 1)])))
-    assert len(k.vertices) == 3
-    assert len(k.edges) == 3
-    assert len(k.triangles) == 1
+    assert len(k.cells(0)) == 3
+    assert len(k.cells(1)) == 3
+    assert len(k.cells(2)) == 1
 
 
 def test_cone_over_edgeless_graph():
     k = cone_complex(build_clique_complex(Graph(2, [])))
-    assert len(k.vertices) == 3
-    assert len(k.edges) == 2
-    assert len(k.triangles) == 0
+    assert len(k.cells(0)) == 3
+    assert len(k.cells(1)) == 2
+    assert len(k.cells(2)) == 0
 
 
 def test_cone_adds_one_edge_per_vertex_and_one_triangle_per_edge():
     base = build_clique_complex(complete_graph(4))
     coned = cone_complex(base)
-    assert len(coned.edges) == len(base.edges) + len(base.vertices)
-    assert len(coned.triangles) == len(base.triangles) + len(base.edges)
+    assert len(coned.cells(1)) == len(base.cells(1)) + len(base.cells(0))
+    assert len(coned.cells(2)) == len(base.cells(2)) + len(base.cells(1))
 
 
 @pytest.mark.parametrize("graph", [cycle_graph(5), complete_graph(4), Graph(3, []),
@@ -144,7 +144,8 @@ def test_cone_cells_follow_the_base_cells(graph):
     base = build_clique_complex(graph)
     coned = cone_complex(base)
     apex = coned.apex
-    for j in (0, 1, 2):
+    assert coned.degrees == range(4)
+    for j in coned.degrees:
         below = tuple(cell + (apex,) for cell in base.cells(j - 1)) if j else ((apex,),)
         assert coned.cells(j) == base.cells(j) + below
 
@@ -164,3 +165,69 @@ def test_cone_apex_first_orientation():
     assert k.incidences[((0, 1, apex), (0, 1))] == 1
     assert k.incidences[((0, 1, apex), (1, apex))] == -1
     assert k.incidences[((0, 1, apex), (0, apex))] == 1
+
+
+def test_cone_tetrahedron_signs():
+    # apex-first orientation (a, u, v, w): dropping the apex gives +1, and the
+    # cone over each face of (u, v, w) the negated sign of that face
+    k = cone_complex(build_clique_complex(complete_graph(3)))
+    apex = k.apex
+    assert k.cells(3) == ((0, 1, 2, apex),)
+    tetrahedron = (0, 1, 2, apex)
+    assert k.incidences[(tetrahedron, (0, 1, 2))] == 1
+    assert k.incidences[(tetrahedron, (1, 2, apex))] == -1
+    assert k.incidences[(tetrahedron, (0, 2, apex))] == 1
+    assert k.incidences[(tetrahedron, (0, 1, apex))] == -1
+    assert k.faces(tetrahedron) == ((0, 1, 2), (0, 1, apex), (0, 2, apex), (1, 2, apex))
+
+
+def _incidence_matrix(k, j):
+    """The signed incidence matrix of the degree-j cells on the degree-(j+1) cells."""
+    rows = {cell: i for i, cell in enumerate(k.cells(j + 1))}
+    cols = {cell: i for i, cell in enumerate(k.cells(j))}
+    m = np.zeros((len(rows), len(cols)), dtype=int)
+    for (cell, face), sign in k.incidences.items():
+        if cell in rows and face in cols:
+            m[rows[cell], cols[face]] = sign
+    return m
+
+
+_GRAPHS = {"k4": complete_graph(4), "k5": complete_graph(5), "cycle": cycle_graph(6),
+           "edgeless": Graph(3, []), "vertexless": Graph(0, [])}
+
+
+@pytest.mark.parametrize("graph", list(_GRAPHS.values()), ids=list(_GRAPHS))
+def test_boundary_squares_to_zero_in_every_degree(graph):
+    # on the cones of K4 and K5 this reaches the tetrahedra
+    base = build_clique_complex(graph)
+    for k in (base, cone_complex(base)):
+        for j in k.degrees:
+            assert not (_incidence_matrix(k, j) @ _incidence_matrix(k, j - 1)).any()
+        # every incidence is between cells of neighbouring degrees
+        assert sum(_incidence_matrix(k, j).astype(bool).sum() for j in k.degrees) == \
+            len(k.incidences)
+
+
+@pytest.mark.parametrize("graph", list(_GRAPHS.values()), ids=list(_GRAPHS))
+def test_cone_counts_per_degree(graph):
+    # |K_j(cone)| = |K_j| + |K_{j-1}|, where the empty cell below the
+    # vertices has the apex for its cone
+    base = build_clique_complex(graph)
+    coned = cone_complex(base)
+    assert base.degrees == range(3)
+    assert coned.degrees == range(4)
+    for j in coned.degrees:
+        below = len(base.cells(j - 1)) if j else 1
+        assert len(coned.cells(j)) == len(base.cells(j)) + below
+    assert len(coned.cells(3)) == len(base.cells(2))
+    assert (len(coned.cells(3)) > 0) == (graph in (_GRAPHS["k4"], _GRAPHS["k5"]))
+
+
+def test_clique_complex_keeps_every_slot_up_to_triangles():
+    # a graph without edges or vertices still has degrees 0-2, with empty slots
+    for graph, counts in ((Graph(3, []), [3, 0, 0]), (Graph(0, []), [0, 0, 0])):
+        k = build_clique_complex(graph)
+        assert k.degrees == range(3)
+        assert [len(k.cells(j)) for j in k.degrees] == counts
+        assert k.cells(-1) == k.cells(3) == ()
+        assert repr(k) == f"CliqueComplex(|K0|={counts[0]}, |K1|=0, |K2|=0, apex=None)"

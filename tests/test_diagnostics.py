@@ -255,7 +255,7 @@ def test_run_diagnostics_with_local_assembles_each_coboundary_once(monkeypatch):
         grounding = make_grounding(sheaf, "padding")
         run_diagnostics(sheaf, grounding, DiagnosticsConfig(with_local=True))
         separation_check(sheaf, grounding)
-        assert sorted(degrees) == [0, 1]
+        assert sorted(degrees) == [-1, 0, 1]  # L_0 reads the empty end map d_{-1}
 
 
 def test_fixture_maps_assemble_two_coboundaries_per_fixture(monkeypatch):
@@ -266,7 +266,7 @@ def test_fixture_maps_assemble_two_coboundaries_per_fixture(monkeypatch):
     for sheaf in (hidden_twist_bundle(12, 0.3), noisy_trivial_bundle(12, 0.25, 4)):
         degrees.clear()
         _fixture_maps(sheaf, WitnessConfig())
-        assert sorted(degrees) == [0, 1]
+        assert sorted(degrees) == [-1, 0, 1]  # d0, d1 and the empty end map d_{-1}
 
 
 def test_standalone_witnesses_assemble_each_coboundary_once(monkeypatch):
@@ -277,12 +277,12 @@ def test_standalone_witnesses_assemble_each_coboundary_once(monkeypatch):
     cfg = WitnessConfig()
     for sheaf in (_feature_fixture(), hidden_twist_bundle(12, 0.3)):
         degrees.clear()
-        coface_energy_map(sheaf, 0, cfg)
-        assert degrees == [0]
+        coface_energy_map(sheaf, 0, cfg)  # L_0 reads the empty end map d_{-1}
+        assert degrees == [-1, 0]
         local_witness(sheaf, 1, cfg)  # d0 is the one coface_energy_map assembled
-        assert degrees == [0, 1]
-        local_witness(sheaf, 2, cfg)
-        assert degrees == [0, 1]
+        assert degrees == [-1, 0, 1]
+        local_witness(sheaf, 2, cfg)  # and L_2 the empty end map d_2
+        assert degrees == [-1, 0, 1, 2]
 
 
 def _reference_localization(n, tau, sigma, seed, num_seeds, cfg):

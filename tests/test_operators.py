@@ -150,7 +150,7 @@ def _zero_stalk_feature_sheaf(noise=0.05):
     features = {v: frame[:, :3] + noise * rng.normal(size=(5, 3)) for v in range(6)}
     features[6] = frame[:, 3:]  # orthogonal to the rest: zero-dim edge stalks
     sheaf = build_sheaf_from_features(Graph(7, edges), features)
-    assert min(sheaf.stalk_dim(e) for e in sheaf.complex.edges) == 0
+    assert min(sheaf.stalk_dim(e) for e in sheaf.complex.cells(1)) == 0
     return sheaf
 
 
@@ -184,19 +184,21 @@ def test_coboundary_bit_identical_to_reference(make):
 
 
 def test_coboundary_end_maps_are_empty(monkeypatch):
-    # 0 -> C^0 -> C^1 -> C^2 -> 0: outside degrees 0 and 1, d_j is an empty
-    # read-only matrix that the sheaf neither assembles nor keeps
+    # 0 -> C^0 -> C^1 -> C^2 -> 0: outside degrees 0 and 1, d_j scatters no
+    # incidence, so it is an empty read-only matrix, assembled once and kept
+    # like every d_j
     sheaf = _triangle_constant_sheaf()
     assembled = []
     assemble = CellSheaf._assemble_coboundary
     monkeypatch.setattr(CellSheaf, "_assemble_coboundary",
                         lambda s, j: assembled.append(j) or assemble(s, j))
-    for j, shape in ((-1, (sheaf.cochain_dim(0), 0)), (2, (0, sheaf.cochain_dim(2))),
-                     (3, (0, 0))):
-        d = coboundary(sheaf, j).matrix
-        assert d.shape == shape and d.size == 0
-        assert not d.flags.writeable
-    assert assembled == []
+    for _ in range(2):
+        for j, shape in ((-1, (sheaf.cochain_dim(0), 0)), (2, (0, sheaf.cochain_dim(2))),
+                         (3, (0, 0))):
+            d = coboundary(sheaf, j).matrix
+            assert d.shape == shape and d.size == 0
+            assert not d.flags.writeable
+    assert assembled == [-1, 2, 3]
     assert sheaf.cochain_dim(0) and sheaf.cochain_dim(2)
 
 
@@ -393,8 +395,8 @@ def test_padding_grounding_rank():
     sheaf = trivial_bundle(7, 2)
     grounding = grounding_from_padding(sheaf)
     eps0 = grounding.cochain_block(sheaf, 0)
-    assert numerical_rank(eps0) == sum(min(sheaf.stalk_dim((v,)), grounding.target_dim)
-                                       for v in sheaf.complex.vertices)
+    assert numerical_rank(eps0) == sum(min(sheaf.stalk_dim(v), grounding.target_dim)
+                                       for v in sheaf.complex.cells(0))
 
 
 def _padding_by_vstack(sheaf):
@@ -636,7 +638,7 @@ def test_geometric_cone_sheaf_shape():
     cone_sheaf = geometric_cone_sheaf(sheaf, grounding)
     apex = cone_sheaf.complex.apex
     assert cone_sheaf.stalk_dim((apex,)) == grounding.target_dim
-    assert len(cone_sheaf.complex.triangles) == 10
+    assert len(cone_sheaf.complex.cells(2)) == 10
     lap = laplacian(cone_sheaf, 0)
     assert lap.dim == sheaf.cochain_dim(0) + grounding.target_dim
 
@@ -786,32 +788,34 @@ def _cone_layout_index(geo_sheaf, base_sheaf, w, degree):
 def _reference_cone_equivalence(sheaf, grounding):
     """Cone equivalence from its own assembly: the incidence defect, the
     augmented translated cone (degree -1 carries the apex column, one
-    identity per vertex over C^0(W)) and the residual loop over the
-    geometric cone with its cells sorted, permuted into the translated
-    layout."""
+    identity per vertex over C^0(W)) and the residual loop, in degrees 0-2,
+    over the geometric cone with its cells sorted, permuted into the
+    translated layout."""
     defect = incidence_defect(sheaf, grounding)
     if defect > COMPATIBILITY_TOL:
         return ConeEquivalenceReport("hypothesis-not-met", defect, None, None)
     w = grounding.target_dim
     wsheaf = constant_sheaf(sheaf.complex, w)
     f = [sheaf.cochain_dim(j) for j in (0, 1, 2)]
-    wd = [wsheaf.cochain_dim(j) for j in (0, 1)]
+    wd = [wsheaf.cochain_dim(j) for j in (0, 1, 2)]
     d_minus1 = np.zeros((f[1] + wd[0], f[0] + w))
     d_minus1[: f[1], : f[0]] = -coboundary(sheaf, 0).matrix
     d_minus1[f[1] :, : f[0]] = -grounding.cochain_block(sheaf, 0)
-    d_minus1[f[1] :, f[0] :] = np.vstack([np.eye(w)] * len(sheaf.complex.vertices))
+    d_minus1[f[1] :, f[0] :] = np.vstack([np.eye(w)] * len(sheaf.complex.cells(0)))
     d_zero = np.zeros((f[2] + wd[1], f[1] + wd[0]))
     d_zero[: f[2], : f[1]] = -coboundary(sheaf, 1).matrix
     d_zero[f[2] :, : f[1]] = -grounding.cochain_block(sheaf, 1)
     d_zero[f[2] :, f[1] :] = coboundary(wsheaf, 0).matrix
+    # C^3(F) = 0: d^1 maps C^2(F) + C^1(W) into C^2(W) alone
+    d_one = np.hstack([-grounding.cochain_block(sheaf, 2), coboundary(wsheaf, 1).matrix])
     coned = geometric_cone_sheaf(sheaf, grounding)
     cells = coned.complex
-    sorted_complex = CliqueComplex(cells.vertices, sorted(cells.edges), sorted(cells.triangles),
+    sorted_complex = CliqueComplex([sorted(cells.cells(j)) for j in cells.degrees],
                                    cells.incidences, apex=cells.apex)
     geo = CellSheaf(sorted_complex, coned.stalks, coned.restrictions)
-    index = {j: _cone_layout_index(geo, sheaf, w, j) for j in (0, 1, 2)}
+    index = {j: _cone_layout_index(geo, sheaf, w, j) for j in (0, 1, 2, 3)}
     residuals = {}
-    for j, differential in ((0, d_minus1), (1, d_zero)):
+    for j, differential in ((0, d_minus1), (1, d_zero), (2, d_one)):
         geometric = coboundary(geo, j).matrix
         reordered = (-differential)[np.ix_(index[j + 1], index[j])]
         residuals[j] = float(np.max(np.abs(geometric - reordered))) if geometric.size else 0.0
@@ -846,7 +850,7 @@ def test_cone_equivalence_equals_reference_assembly():
         # the coned complex is laid out as the translated cone: the
         # permutation is the identity
         geo = geometric_cone_sheaf(sheaf, grounding)
-        for j in (0, 1, 2):
+        for j in (0, 1, 2, 3):
             index = _cone_layout_index(geo, sheaf, grounding.target_dim, j)
             assert index.tolist() == list(range(geo.cochain_dim(j)))
         statuses.append(report.status)
@@ -875,6 +879,35 @@ def test_cone_laplacians_bit_identical_to_standalone():
         for j in (0, 1, 2):
             assert laplacian(cone.w_sheaf, j).matrix.tobytes() == \
                 laplacian(wsheaf, j).matrix.tobytes()
+
+
+@pytest.mark.parametrize("face", ["base triangle", "cone triangle"])
+def test_cone_equivalence_sees_a_negated_tetrahedron_map(monkeypatch, face):
+    # one restriction into a cone tetrahedron negated, either the grounding
+    # map of its base triangle or the identity from one of its cone faces:
+    # only d_2 of the geometric cone moves, so only degree 2 fails
+    from sheafgauge import operators
+
+    sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
+    grounding = constant_grounding(sheaf, matrix=[[1.0, 0.0]])
+    build = operators.geometric_cone_sheaf
+
+    def negated(sheaf, grounding):
+        geo = build(sheaf, grounding)
+        apex = geo.complex.apex
+        key = next((f, c) for f, c in geo.restrictions
+                   if len(c) == 4 and (apex in f) == (face == "cone triangle"))
+        m = -geo.restrictions[key]
+        m.flags.writeable = False
+        return geo._replacing({key: m})
+
+    assert verify_cone_equivalence(algebraic_cone(sheaf, grounding)).residual_by_degree == \
+        {0: 0.0, 1: 0.0, 2: 0.0}
+    monkeypatch.setattr(operators, "geometric_cone_sheaf", negated)
+    report = verify_cone_equivalence(algebraic_cone(sheaf, grounding))
+    assert report.status == "fail"
+    assert report.residual_by_degree[0] == report.residual_by_degree[1] == 0.0
+    assert report.residual_by_degree[2] == report.max_residual == 2.0
 
 
 def _formula_cone_laplacian(cone, n):

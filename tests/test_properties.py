@@ -12,6 +12,9 @@ The JSON round trip is bit-exact on the four cycle-bundle generators and on
 seeded feature sheaves, and so are the Laplacians and spectra a sheaf keeps:
 read-only, and equal to a fresh decomposition of the round-tripped copy.
 
+The geometric cone of a constant sheaf under a random constant grounding
+is the translated algebraic cone entry for entry, in degrees 0, 1 and 2.
+
 A sheaf's ``validated`` is what ``validate_sheaf`` finds, on generator and
 feature sheaves, noisy constant sheaves with triangles, JSON files whose
 ``validated`` key says otherwise and geometric cones.
@@ -34,12 +37,15 @@ from sheafgauge.diagnostics import (
     run_diagnostics,
 )
 from sheafgauge.operators import (
+    algebraic_cone,
     betti_numbers,
     coboundary,
+    constant_grounding,
     geometric_cone_sheaf,
     grounding_from_padding,
     laplacian,
     laplacian_spectrum,
+    verify_cone_equivalence,
 )
 from sheafgauge.sheaves import (
     CellSheaf,
@@ -96,11 +102,19 @@ def test_complex_and_hodge_correspondence(sheaf):
     assert _kernel_dims(sheaf) == list(betti_numbers(sheaf))
 
 
+@given(constant_sheaves(), st.integers(1, 3), st.integers(0, 2**16))
+def test_cone_equivalence_is_exact_in_every_degree(sheaf, rows, seed):
+    grounding = constant_grounding(sheaf, target_dim=rows, seed=seed)
+    report = verify_cone_equivalence(algebraic_cone(sheaf, grounding))
+    assert report.status == "pass"
+    assert report.residual_by_degree == {0: 0.0, 1: 0.0, 2: 0.0}
+
+
 def _relabel(sheaf, perm):
     """The same sheaf on the complex with vertex v renamed perm[v], and the
     cell map old -> new."""
     old = sheaf.complex
-    graph = Graph(len(old.vertices), [(int(perm[u]), int(perm[v])) for u, v in old.edges])
+    graph = Graph(len(old.cells(0)), [(int(perm[u]), int(perm[v])) for u, v in old.cells(1)])
     cells = {cell: tuple(sorted(int(perm[v]) for v in cell))
              for j in (0, 1, 2) for cell in old.cells(j)}
     stalks = {cells[c]: stalk for c, stalk in sheaf.stalks.items()}
@@ -121,7 +135,7 @@ def _assert_permuted(before, after, cells):
 
 @given(functorial_sheaves, st.integers(0, 2**16))
 def test_relabelling_permutes_witness_maps(sheaf, seed):
-    perm = np.random.default_rng(seed).permutation(len(sheaf.complex.vertices))
+    perm = np.random.default_rng(seed).permutation(len(sheaf.complex.cells(0)))
     relabelled, cells = _relabel(sheaf, perm)
     assert _kernel_dims(relabelled) == _kernel_dims(sheaf)
     cfg = WitnessConfig()
@@ -259,7 +273,7 @@ def mixed_stalk_cycles(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     complex_ = build_clique_complex(cycle_graph(n))
     dims = {cell: int(rng.integers(0, 4)) for cell in complex_.cells(0)}
-    dims.update({cell: int(rng.integers(1, 4)) for cell in complex_.edges})
+    dims.update({cell: int(rng.integers(1, 4)) for cell in complex_.cells(1)})
     stalks = {cell: Stalk(np.eye(3)[:, :d]) for cell, d in dims.items()}
     restrictions = {(face, coface): rng.normal(size=(dims[coface], dims[face]))
                     for coface, face in complex_.incidences}

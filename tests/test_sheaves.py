@@ -187,7 +187,7 @@ def test_build_sheaf_constant_subspace():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
     sheaf = build_sheaf_from_features(g, {v: base for v in range(4)})
     assert sheaf.validated
-    for e in sheaf.complex.edges:
+    for e in sheaf.complex.cells(1):
         assert sheaf.stalk_dim(e) == 3
         rho = sheaf.restriction((e[0],), e)
         assert np.max(np.abs(rho.T @ rho - np.eye(3))) < 1e-10
@@ -212,7 +212,7 @@ def test_build_sheaf_random_graph_functoriality():
     sheaf = build_sheaf_from_features(g, {v: rng.normal(size=(6, 2)) for v in range(10)})
     # oracle: direct two-path composition check per triangle
     worst = 0.0
-    for t in sheaf.complex.triangles:
+    for t in sheaf.complex.cells(2):
         for v in t:
             e1, e2 = sorted(e for e in sheaf.complex.faces(t) if v in e)
             via1 = sheaf.restriction(e1, t) @ sheaf.restriction((v,), e1)
@@ -297,10 +297,10 @@ def _reference_build(g, features, cfg):
     nodes = _reference_node_stalks(features, cfg)
     stalks = {(v,): nodes[v] for v in range(g.vertex_count)}
     restrictions = {}
-    for u, v in complex_.edges:
+    for u, v in complex_.cells(1):
         stalks[(u, v)], restrictions[((u,), (u, v))], restrictions[((v,), (u, v))] = (
             _reference_edge(nodes[u], nodes[v], cfg))
-    for u, v, w in complex_.triangles:
+    for u, v, w in complex_.cells(2):
         t = (u, v, w)
         (stalks[t], restrictions[((u, v), t)], restrictions[((v, w), t)],
          restrictions[((u, w), t)]) = _reference_triangle(
@@ -367,12 +367,12 @@ def test_one_cell_functions_are_the_stacked_kernels_on_one_cell(seed, cfg):
     for v, stalk in _reference_node_stalks(features, cfg).items():
         assert _same_array(nodes[v].basis, stalk.basis)
         assert _same_array(stalks[(v,)].basis, stalk.basis)
-    for u, v in sheaf.complex.edges:
+    for u, v in sheaf.complex.cells(1):
         e = (u, v)
         built = (stalks[e], restrictions[((u,), e)], restrictions[((v,), e)])
         assert _same_cell(edge_stalk_intersection(nodes[u], nodes[v], cfg), built), e
         assert _same_cell(_reference_edge(nodes[u], nodes[v], cfg), built), e
-    for u, v, w in sheaf.complex.triangles:
+    for u, v, w in sheaf.complex.cells(2):
         t, sides = (u, v, w), ((u, v), (v, w), (u, w))
         built = (stalks[t], *(restrictions[(side, t)] for side in sides))
         edge_stalks = [stalks[side] for side in sides]
@@ -572,13 +572,14 @@ def test_validated_is_computed_from_the_restrictions():
 def test_validation_runs_once_per_sheaf(monkeypatch):
     k4 = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
     noisy = add_restriction_noise(k4, 0.3, 0)
-    norms = []
-    original = np.linalg.norm
-    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(a) or original(*a, **k))
+    defects = []
+    original = sheaves._two_path_defects
+    monkeypatch.setattr(sheaves, "_two_path_defects",
+                        lambda *stacks: defects.extend(original(*stacks)) or original(*stacks))
     found = validate_sheaf(noisy)
     assert not noisy.validated
     assert validate_sheaf(noisy) == found
-    assert len(norms) == 12  # one pass: a defect per (vertex, triangle) flag of K4
+    assert len(defects) == 12  # one pass: a defect per (vertex, triangle) flag of K4
     found.clear()  # the caller's list is a copy
     assert len(validate_sheaf(noisy)) == 8
 
@@ -769,7 +770,7 @@ def test_member_shares_its_base_and_derives_afresh(monkeypatch):
         other.coboundary(0)
         other.coboundary(1)
         laplacian(other, 0)
-    assert calls == [0, 1]
+    assert calls == [0, 1, -1]  # L_0 reads the empty end map d_{-1}
 
 
 def test_derived_sheaf_rejects_what_the_constructor_rejects():
@@ -870,6 +871,32 @@ def test_generator_sheaves_pass_validation():
         assert validate_sheaf(sheaf) == []
 
 
+def _reference_defects(sheaf):
+    """Every (triangle, vertex) defect by one ``np.linalg.norm`` per flag, in
+    triangle order and then vertex order."""
+    complex_, restrictions = sheaf.complex, sheaf.restrictions
+    defects = []
+    for t in complex_.cells(2):
+        for v in t:
+            e1, e2 = sorted(e for e in complex_.faces(t) if v in e)
+            via1 = restrictions[(e1, t)] @ restrictions[((v,), e1)]
+            via2 = restrictions[(e2, t)] @ restrictions[((v,), e2)]
+            defects.append((t, (v,), float(np.linalg.norm(via1 - via2))))
+    return defects
+
+
+@pytest.mark.parametrize("seed, cfg", _PIPELINE_CASES)
+def test_stacked_validation_is_the_per_flag_norm_bit_for_bit(monkeypatch, seed, cfg):
+    # every flag is reported, so every defect is compared
+    monkeypatch.setattr(sheaves, "FUNCTORIALITY_TOL", -1.0)
+    for sheaf in (build_sheaf_from_features(*_mixed_features(seed), cfg),
+                  add_restriction_noise(constant_sheaf(build_clique_complex(
+                      complete_graph(5)), 3), 0.3, seed)):
+        found = [(v.triangle, v.vertex, v.defect) for v in validate_sheaf(sheaf)]
+        assert len(found) == 3 * len(sheaf.complex.cells(2)) > 0
+        assert found == _reference_defects(sheaf)
+
+
 def test_all_stalks_orthonormal_invariant():
     rng = np.random.default_rng(8)
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 2)])
@@ -890,7 +917,7 @@ def test_sheaf_json_round_trip():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
     sheaf = build_sheaf_from_features(g, {v: rng.normal(size=(4, 3)) for v in range(4)})
     restored = sheaf_from_json(sheaf_to_json(sheaf))
-    assert restored.complex.edges == sheaf.complex.edges
+    assert restored.complex.cells(1) == sheaf.complex.cells(1)
     for key, m in sheaf.restrictions.items():
         assert np.array_equal(restored.restrictions[key], m)
     assert restored.validated == sheaf.validated

@@ -361,7 +361,7 @@ def test_local_witness_energy_accounting():
             if lam <= spectrum.threshold or lam > 3.0:
                 continue
             image = d0.matrix @ spectrum.eigenvectors[:, index]
-            for edge in sheaf.complex.edges:
+            for edge in sheaf.complex.cells(1):
                 faces = len(sheaf.complex.faces(edge))
                 total += faces * float(np.sum(image[sheaf.cell_slices(1)[edge]] ** 2))
         assert abs(float(np.sum(witness.scores)) - total) < 1e-8
@@ -371,8 +371,8 @@ def test_local_witness_relative_channel():
     sheaf = hidden_twist_bundle(10, 0.3)
     grounding = grounding_from_padding(sheaf)
     witness = local_witness_relative(channel_set(sheaf, grounding), WitnessConfig())
-    assert witness.cells == sheaf.complex.edges
-    assert witness.scores.shape == (len(sheaf.complex.edges),)
+    assert witness.cells == sheaf.complex.cells(1)
+    assert witness.scores.shape == (len(sheaf.complex.cells(1)),)
     assert np.all(witness.scores >= 0)
     assert np.any(witness.scores > 0)
 
@@ -544,7 +544,7 @@ def test_vectorized_witnesses_match_loop_reference(make):
     sheaf = make()
     configs = [WitnessConfig(), WitnessConfig(delta1=3.0, weight="uniform"),
                WitnessConfig(weight="heat"), WitnessConfig(delta1=1e-9, weight="inverse")]
-    degrees = (0, 1, 2) if sheaf.complex.triangles else (0, 1)
+    degrees = (0, 1, 2) if sheaf.complex.cells(2) else (0, 1)
     for cfg in configs:
         for j in degrees:
             witness, coface, relative = _loop_witnesses(sheaf, j, cfg)
