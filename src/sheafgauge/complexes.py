@@ -110,13 +110,15 @@ class CliqueComplex:
     0, 1, ..., top (a slot may be empty), and the signed ``incidences``
     keyed ``(cell, face)``.
 
-    Treated as immutable after construction; safe for concurrent reads.
+    Treated as immutable after construction; safe for concurrent reads. Its
+    cone (:func:`cone_complex`) is built on first request and kept.
     """
 
     def __init__(self, cells, incidences, apex=None):
         self._cells = tuple(map(tuple, cells))
         self.incidences = dict(incidences)
         self.apex = apex
+        self._cone = None
         self._faces = {}
         for (cell, face), _sign in self.incidences.items():
             self._faces.setdefault(cell, []).append(face)
@@ -176,9 +178,18 @@ def cone_complex(base: CliqueComplex) -> CliqueComplex:
     dropping the apex enters the coboundary with sign +1, and the cone over a
     face f of sign s with sign -s (the face of a vertex is the empty cell,
     whose cone is the apex).
+
+    The base complex is immutable, so its cone is built once and kept with
+    it: every later call returns the same object.
     """
     if base.apex is not None:
         raise ValueError("complex already has a cone apex")
+    if base._cone is None:
+        base._cone = _build_cone(base)
+    return base._cone
+
+
+def _build_cone(base: CliqueComplex) -> CliqueComplex:
     apex = len(base.cells(0))
     cells = [list(base.cells(j)) for j in base.degrees] + [[]]
     incidences = dict(base.incidences)

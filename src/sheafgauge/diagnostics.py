@@ -4,7 +4,8 @@ Channels follow the taxonomy: local feasibility (L_0), intrinsic obstruction
 (L_1), grounding-induced obstruction (L_1 + eps^T eps) and the auxiliary
 ground utilization spectrum (eps eps^T). Experiments are deterministic given
 their parameters and seeds; stochastic verdicts are ensemble decisions over
-an explicit seed range.
+an explicit seed range. The existence, magnitude and relativity experiments
+read eigenvalues alone, so they decompose with ``vectors=False``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .operators import (
     GroundingMorphism,
     VERTEX_LEVEL,
     channel_set,
+    decompose,
     grounding_from_padding,
     grounding_identity_c1,
     grounding_killing_kernel,
@@ -248,7 +250,7 @@ def experiment_existence(n: int = N_DEFAULT, stalk_dim: int = 1) -> ExperimentRe
     rows = []
     for name, sheaf in (("trivial", trivial_bundle(n, stalk_dim)),
                         ("mobius", mobius_bundle(n, stalk_dim))):
-        spectrum = laplacian_spectrum(sheaf, 0)
+        spectrum = decompose(laplacian(sheaf, 0), vectors=False)
         rows.append({
             "construction": name,
             "lambda_min": _lambda_min(spectrum),
@@ -264,8 +266,11 @@ def experiment_existence(n: int = N_DEFAULT, stalk_dim: int = 1) -> ExperimentRe
 
 
 def _gap_and_witness(sheaf):
-    spectrum = laplacian_spectrum(sheaf, 0)
-    normalized = normalize_spectrum(laplacian(sheaf, 0), spectrum).spectrum
+    """Gap of L_0 and the gap witness of its normalized spectrum: both read
+    eigenvalues alone, so no eigenvector is computed."""
+    lap = laplacian(sheaf, 0)
+    spectrum = decompose(lap, vectors=False)
+    normalized = normalize_spectrum(lap, spectrum).spectrum
     return spectral_gap(spectrum), global_witness(normalized, WitnessConfig())
 
 
@@ -368,7 +373,7 @@ def experiment_relativity(n: int = N_DEFAULT, stalk_dim: int = 1) -> ExperimentR
                     "deficient": channel_set(deficient, grounding_killing_kernel(deficient))}
     rows = []
     for name, channels in channel_sets.items():
-        spectrum = channels.relative_spectrum
+        spectrum = decompose(channels.relative, vectors=False)
         rows.append({
             "grounding": name,
             "lambda_min_relative": _lambda_min(spectrum),

@@ -62,10 +62,17 @@ class PsdViolationError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full ascending eigensystem of a PSD operator plus its zero cutoff."""
+    """Ascending eigenvalues of a PSD operator, its zero cutoff and, unless
+    it was decomposed with ``vectors=False``, the matching eigenvectors.
+
+    A values-only spectrum (``eigenvectors`` None) serves every reader of
+    eigenvalues alone: ``kernel_dim``, the gap, the global witness, the
+    profiles and normalization. Every reader of a basis goes through
+    ``vectors``, which raises a ValueError for it.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
     threshold: float
 
     @property
@@ -76,10 +83,17 @@ class Spectrum:
     def lambda_max(self):
         return float(self.eigenvalues[-1]) if self.dim else 0.0
 
+    def vectors(self) -> np.ndarray:
+        """The eigenvector columns, in the order of the eigenvalues."""
+        if self.eigenvectors is None:
+            raise ValueError("the spectrum has no eigenvectors: it was decomposed with "
+                             "vectors=False")
+        return self.eigenvectors
+
     @property
     def kernel(self) -> np.ndarray:
         """Orthonormal basis of the numerical kernel: the first ``kernel_dim`` modes."""
-        return self.eigenvectors[:, :kernel_dim(self)]
+        return self.vectors()[:, :kernel_dim(self)]
 
 
 def kernel_dim(spectrum: Spectrum) -> int:
@@ -88,8 +102,13 @@ def kernel_dim(spectrum: Spectrum) -> int:
     return int(np.searchsorted(spectrum.eigenvalues, spectrum.threshold, side="right"))
 
 
-def decompose(lap: SheafLaplacian) -> Spectrum:
-    """Read-only spectrum of a symmetric PSD operator, both properties checked."""
+def decompose(lap: SheafLaplacian, vectors: bool = True) -> Spectrum:
+    """Read-only spectrum of a symmetric PSD operator, both properties checked.
+
+    With ``vectors=False`` only the eigenvalues are computed (``eigvalsh``,
+    about half the cost of ``eigh``), behind the same checks and cutoff; the
+    spectrum then has no eigenvectors (``Spectrum.vectors``).
+    """
     m = lap.matrix
     # every operator the package assembles is exactly symmetric: the tolerance
     # and its two temporaries are only needed when the exact test fails
@@ -97,12 +116,16 @@ def decompose(lap: SheafLaplacian) -> Spectrum:
         scale = max(1.0, float(np.max(np.abs(m))))
         if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
             raise AsymmetricOperatorError("operator is not symmetric within tolerance")
-    eigenvalues, eigenvectors = np.linalg.eigh(m) if m.size else (np.zeros(0), np.zeros((0, 0)))
+    if vectors:
+        eigenvalues, eigenvectors = np.linalg.eigh(m) if m.size else (np.zeros(0), np.zeros((0, 0)))
+    else:
+        eigenvalues, eigenvectors = np.linalg.eigvalsh(m) if m.size else np.zeros(0), None
     lam_max = float(eigenvalues[-1]) if eigenvalues.size else 0.0
     if eigenvalues.size and eigenvalues[0] < -ZERO_PSD_REL * max(lam_max, 1.0):
         raise PsdViolationError(f"negative eigenvalue {eigenvalues[0]:.3e}")
     eigenvalues.flags.writeable = False
-    eigenvectors.flags.writeable = False
+    if eigenvectors is not None:
+        eigenvectors.flags.writeable = False
     return Spectrum(eigenvalues, eigenvectors, zero_threshold(lam_max))
 
 

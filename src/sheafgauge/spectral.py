@@ -50,7 +50,7 @@ def spectral_gap(spectrum: Spectrum) -> float:
 
 def harmonic_space(spectrum: Spectrum, delta: float) -> np.ndarray:
     """Basis of span{v : lambda <= delta}, a view of the eigenvectors; at delta = 0 the kernel."""
-    return spectrum.eigenvectors[:, :_harmonic_dims(spectrum, delta)]
+    return spectrum.vectors()[:, :_harmonic_dims(spectrum, delta)]
 
 
 def _harmonic_dims(spectrum: Spectrum, deltas) -> np.ndarray:
@@ -249,9 +249,10 @@ def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray, weights: np.n
 def _degree_modes(cfg, spectrum):
     """delta1, admitted eigenvector columns V and their weights w of a spectrum."""
     cfg = cfg or WitnessConfig()
+    vectors = spectrum.vectors()
     delta = cfg.resolve_delta1(spectrum)
     indices, weights = _admitted_modes(spectrum, delta, cfg)
-    return delta, spectrum.eigenvectors[:, indices], np.array(weights, dtype=float)
+    return delta, vectors[:, indices], np.array(weights, dtype=float)
 
 
 def local_witness(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None) -> LocalWitnessMap:
@@ -318,7 +319,7 @@ def normalize_spectrum(lap: SheafLaplacian, spectrum: Spectrum) -> Normalization
     and ordering unchanged.
 
     ``spectrum`` is the spectrum of ``lap``; the normalized spectrum is
-    derived from it as (lambda / scale, same eigenvectors), so no
+    derived from it as (lambda / scale, same eigenvectors or none), so no
     eigendecomposition runs here. Its cutoff is the raw cutoff divided
     by the scale; one computed from the divided lambda_max would leave its
     absolute term unscaled. Division by a positive scale is monotone, so the
@@ -403,14 +404,15 @@ def interleaving_shift(a: Spectrum, b: Spectrum, mode: str | None = None) -> Int
     """Minimal eta with H_delta(a) in H_{delta+eta}(b) and vice versa.
 
     H_delta is span{v : lambda <= delta} of each spectrum. Subspace
-    containment is used when both spectra live on the same space; otherwise
+    containment is used when the two spectra have the same dimension; otherwise
     only dimension profiles are compared (an honest weakening: the minimal
     eta such that each profile dominates the other after shifting, infinite
     if the total dimensions differ). Pass ``mode`` to force ``"subspace"``
     or ``"dimension-profile"``.
 
     Subspace mode needs ascending eigenvalues with square orthonormal
-    eigenvector matrices, as ``eigendecompose`` returns them. With
+    eigenvector matrices, as ``eigendecompose`` returns them; a values-only
+    spectrum (``decompose(lap, vectors=False)``) is a ValueError. With
     M = V_b^T V_a, the first m modes of a lie in the first k modes of b
     within ``_CONTAIN_TOL`` iff ||M[k:, :m]||_2 <= ``_CONTAIN_TOL``. One
     sweep over the jumps of a finds the fewest such k for each, and M^T
@@ -423,18 +425,18 @@ def interleaving_shift(a: Spectrum, b: Spectrum, mode: str | None = None) -> Int
     the top eigenvalue: that needs eigenvalues of order 1e4 or more, where
     the float spacing exceeds ``_EDGE_SLACK``.
     """
-    same_space = a.eigenvectors.shape[0] == b.eigenvectors.shape[0]
     if mode is None:
-        mode = "subspace" if same_space and a.dim == b.dim else "dimension-profile"
+        mode = "subspace" if a.dim == b.dim else "dimension-profile"
     if mode == "dimension-profile":
         return InterleavingResult(_profile_eta(a.eigenvalues, b.eigenvalues),
                                   "dimension-profile", True)
     if mode != "subspace":
         raise ValueError(f"unknown interleaving mode {mode!r}")
-    if not same_space:
+    vectors_a, vectors_b = a.vectors(), b.vectors()
+    if vectors_a.shape[0] != vectors_b.shape[0]:
         raise ValueError("subspace interleaving needs a common ambient space")
     ev_a, ev_b = a.eigenvalues, b.eigenvalues
-    overlap = b.eigenvectors.T @ a.eigenvectors
+    overlap = vectors_b.T @ vectors_a
     requirements = [
         (*_containment_requirements(a, b, overlap), b.threshold),
         (*_containment_requirements(b, a, overlap.T), a.threshold),

@@ -289,6 +289,36 @@ def test_mis_keyed_or_non_finite_sheaf_input_is_input_error(tmp_path, capsys, co
     assert not (tmp_path / "o").exists()
 
 
+def test_diagnose_report_does_not_depend_on_heatmap(tmp_path):
+    # a report is one solver's: the local maps read the spectra the report
+    # reads, so asking for them changes no channel, spectrum or profile
+    rng = np.random.default_rng(0)
+    basis, _ = np.linalg.qr(rng.normal(size=(6, 3)))
+    features = {str(v): (basis + 0.05 * rng.normal(size=(6, 3))).tolist() for v in range(30)}
+    upper = np.triu_indices(30, 1)
+    keep = rng.random(upper[0].size) < 0.2
+    edges = [[int(u), int(v)] for u, v in zip(upper[0][keep], upper[1][keep])]
+    (tmp_path / "graph.json").write_text(json.dumps({"vertices": 30, "edges": edges}))
+    (tmp_path / "features.json").write_text(json.dumps({"features": features}))
+    # exit 2: the noise leaves functoriality violations, and sheaf.json is written
+    assert run(["build", "--input", str(tmp_path / "graph.json"), "--features",
+                str(tmp_path / "features.json"), "--out", str(tmp_path / "build")]) == 2
+    outs = {}
+    for label, extra in (("plain", []), ("heatmap", ["--heatmap"])):
+        outs[label] = tmp_path / label
+        assert run(["diagnose", "--input", str(tmp_path / "build" / "sheaf.json"),
+                    "--grounding", "padding", "--out", str(outs[label]), *extra]) == 0
+    reports = {label: json.loads(read(out / "report.json")) for label, out in outs.items()}
+    for key in ("channels", "defect_norm"):
+        assert reports["plain"][key] == reports["heatmap"][key], key
+    assert reports["heatmap"]["localization"] and not reports["plain"]["localization"]
+    names = sorted(p.name for p in outs["plain"].glob("*.csv"))
+    assert names == ["channel_spectra.csv"] + [f"profile_{c}.csv" for c in sorted(
+        ("local_feasibility", "intrinsic_obstruction", "relative_cone", "ground_utilization"))]
+    for name in names:
+        assert (outs["plain"] / name).read_bytes() == (outs["heatmap"] / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("graph, features, message", [
     ({"vertices": 3, "edges": [[0, 1]]}, {"features": [[1, 0]]},
      "{features}: expected a 'features' object"),
@@ -523,14 +553,16 @@ def test_experiment_runs_with_the_stalk_dim_it_records(tmp_path, stalk_dim, expe
 
 
 def test_experiment_fault_during_computation_exits_two(tmp_path, capsys, monkeypatch):
-    from sheafgauge import operators
+    from sheafgauge import diagnostics, operators
     from sheafgauge.spectral import PsdViolationError
 
-    def failing(_lap):
+    def failing(_lap, vectors=True):
         raise PsdViolationError("negative eigenvalue -1.000e+00")
 
-    # every spectrum is made by operators.decompose, for a sheaf or a channel set
-    monkeypatch.setattr(operators, "decompose", failing)
+    # every spectrum is made by operators.decompose, for a sheaf or a channel
+    # set, or by the experiments' own values-only call of it
+    for module in (operators, diagnostics):
+        monkeypatch.setattr(module, "decompose", failing)
     assert run(["experiment", "magnitude", "--n", "6", "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err.startswith("validation error: negative eigenvalue")
 
@@ -1043,17 +1075,48 @@ def test_sheaf_json_schema_version_enforced(tmp_path, capsys):
     assert "schema version" in capsys.readouterr().err
 
 
-def test_cli_matrix_commands_parse():
-    # tools/cli_matrix.py writes its inputs without the package, so two
-    # checkouts get the same; every command it runs must parse here
+def _cli_matrix():
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_matrix.py"
-    source = path.read_text()
-    assert "import sheafgauge" not in source and "from sheafgauge" not in source
     spec = importlib.util.spec_from_file_location("cli_matrix", path)
     matrix = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(matrix)
+    return path, matrix
+
+
+def test_cli_matrix_commands_parse():
+    # tools/cli_matrix.py writes its inputs without the package, so two
+    # checkouts get the same; every command it runs must parse here
+    path, matrix = _cli_matrix()
+    source = path.read_text()
+    assert "import sheafgauge" not in source and "from sheafgauge" not in source
     names = [name for name, _ in matrix.COMMANDS]
     assert len(names) == len(set(names)) == 87
     for name, argv in matrix.COMMANDS:
         args = cli._parser().parse_args(argv)
         assert args.out == name
+
+
+def test_cli_matrix_compare_names_each_moved_key(tmp_path):
+    _, matrix = _cli_matrix()
+    new, parent = tmp_path / "new", tmp_path / "parent"
+    for root in (new, parent):
+        (root / "run").mkdir(parents=True)
+        (root / "run.exit").write_text("0\n")
+    (parent / "run" / "out.json").write_text(json.dumps(
+        {"rows": [{"gap": 0.5, "kernel": 1}], "flag": True, "gone": 1}))
+    (new / "run" / "out.json").write_text(json.dumps(
+        {"rows": [{"gap": 0.5000001, "kernel": 1}], "flag": False, "added": 2}))
+    (parent / "run.stdout").write_text("a\n")
+    (new / "run.stdout").write_text("b\n")
+    (new / "run.stderr").write_text("")
+    assert matrix.compare(parent, parent) == []
+    assert matrix.compare(new, parent) == [
+        "run/out.json: 4 key path(s) differ",
+        "  /added: None -> 2",
+        "  /flag: True -> False",
+        "  /gone: 1 -> None",
+        "  /rows[0]/gap: 0.5 -> 0.5000001 (relative 2e-07, absolute 1e-07)",
+        "run.stderr: only in " + str(new),
+        "run.stdout: differs",
+        "largest relative difference: 2e-07 at run/out.json:/rows[0]/gap",
+    ]

@@ -150,6 +150,15 @@ def test_cone_cells_follow_the_base_cells(graph):
         assert coned.cells(j) == base.cells(j) + below
 
 
+def test_cone_is_built_once_per_complex():
+    base = build_clique_complex(complete_graph(4))
+    coned = cone_complex(base)
+    assert cone_complex(base) is coned
+    # an equal complex built apart has its own cone
+    other = cone_complex(build_clique_complex(complete_graph(4)))
+    assert other is not coned and other.incidences == coned.incidences
+
+
 def test_cone_twice_rejected():
     k = cone_complex(build_clique_complex(cycle_graph(4)))
     with pytest.raises(ValueError, match="apex"):

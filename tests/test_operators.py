@@ -661,6 +661,25 @@ def test_cone_equivalence_constant_case():
     assert report.max_residual == 0.0
 
 
+def test_cone_equivalence_reuses_the_coned_complex(monkeypatch):
+    # the coned complex depends on the base complex alone, which is
+    # immutable: a second check on the same complex builds no cone again
+    from sheafgauge import complexes
+
+    built = []
+    original = complexes._build_cone
+    monkeypatch.setattr(complexes, "_build_cone", lambda base: built.append(base) or original(base))
+    sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
+    groundings = [constant_grounding(sheaf, matrix=np.eye(2)),
+                  constant_grounding(sheaf, matrix=np.ones((3, 2)))]
+    cones = [geometric_cone_sheaf(sheaf, g).complex for g in groundings]
+    assert cones[0] is cones[1]
+    reports = [verify_cone_equivalence(algebraic_cone(sheaf, g)) for g in groundings * 2]
+    assert built == [sheaf.complex]
+    assert [r.status for r in reports] == ["pass"] * 4
+    assert reports[0] == reports[2] and reports[1] == reports[3]
+
+
 def test_cone_equivalence_mobius_zero_grounding():
     # the only compatible grounding on the Mobius bundle is zero
     sheaf = mobius_bundle(10)

@@ -1,6 +1,6 @@
 """Run a fixed matrix of sheafgauge commands and record what each one does.
 
-Usage: python3 tools/cli_matrix.py OUT_DIR
+Usage: python3 tools/cli_matrix.py OUT_DIR [--compare PARENT_DIR]
 
 The script writes its inputs into OUT_DIR with numpy and json alone, so any
 two checkouts get identical inputs: a seeded G(30, 0.2) graph with noisy
@@ -17,11 +17,15 @@ after the command, and records ``<name>.exit``, ``<name>.stdout`` and
 ``<name>.stderr``.
 
 To compare two checkouts, run each one's copy of this script into its own
-directory; ``diff -r`` of the two directories is then the whole check.
-Across a change of the JSON text alone (whitespace, say), compare each
-``.json`` file after ``json.load`` instead, and every other file by bytes.
+directory, the parent's first, and pass the parent's directory to
+``--compare``. Every file that differs is then printed: a ``.json`` file is
+compared after ``json.load``, with each key path that differs, both values
+and, for numbers, their relative difference; every other file by bytes.
+The largest relative difference comes last, and the exit code is 1 when
+anything differs.
 """
 
+import argparse
 import itertools
 import json
 import os
@@ -165,11 +169,67 @@ def write_inputs(directory: Path):
         (directory / name).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _json_diffs(old, new, path=""):
+    """(key path, old, new) of every JSON value of ``new`` that differs from
+    the one at its path in ``old``; a key on one side only has None on the other."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            if key in old and key in new:
+                yield from _json_diffs(old[key], new[key], f"{path}/{key}")
+            else:
+                yield f"{path}/{key}", old.get(key), new.get(key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _json_diffs(a, b, f"{path}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        yield path, old, new
+
+
+def _relative(old, new):
+    """|old - new| / max(|old|, |new|) of two numbers, else None."""
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (old, new)):
+        return None
+    scale = max(abs(old), abs(new))
+    return abs(old - new) / scale if scale else 0.0
+
+
+def compare(directory: Path, parent: Path) -> list:
+    """One line per file that differs between two matrix directories, and
+    for JSON one per differing key path; the largest relative difference last."""
+    files = {p.relative_to(root) for root in (directory, parent)
+             for p in root.rglob("*") if p.is_file()}
+    lines, largest = [], None
+    for name in sorted(files):
+        ours, theirs = directory / name, parent / name
+        if not (ours.is_file() and theirs.is_file()):
+            lines.append(f"{name}: only in {directory if ours.is_file() else parent}")
+            continue
+        if ours.read_bytes() == theirs.read_bytes():
+            continue
+        if name.suffix != ".json":
+            lines.append(f"{name}: differs")
+            continue
+        diffs = list(_json_diffs(json.loads(theirs.read_text()), json.loads(ours.read_text())))
+        lines.append(f"{name}: {len(diffs)} key path(s) differ" if diffs
+                     else f"{name}: differs in its text alone")
+        for path, old, new in diffs:
+            rel = _relative(old, new)
+            lines.append(f"  {path or '/'}: {old!r} -> {new!r}" + (
+                "" if rel is None else f" (relative {rel:.3g}, absolute {abs(new - old):.3g})"))
+            if rel is not None and (largest is None or rel > largest[0]):
+                largest = (rel, f"{name}:{path}")
+    if largest is not None:
+        lines.append(f"largest relative difference: {largest[0]:.3g} at {largest[1]}")
+    return lines
+
+
 def main(argv):
-    if len(argv) != 1:
-        print("usage: python3 tools/cli_matrix.py OUT_DIR", file=sys.stderr)
-        return 1
-    directory = Path(argv[0])
+    parser = argparse.ArgumentParser(prog="python3 tools/cli_matrix.py")
+    parser.add_argument("out_dir", type=Path)
+    parser.add_argument("--compare", type=Path, metavar="PARENT_DIR",
+                        help="print every file that differs from this earlier run")
+    args = parser.parse_args(argv)
+    directory = args.out_dir
     directory.mkdir(parents=True, exist_ok=True)
     write_inputs(directory)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -181,7 +241,11 @@ def main(argv):
         (directory / f"{name}.exit").write_text(f"{done.returncode}\n")
         (directory / f"{name}.stdout").write_text(done.stdout)
         (directory / f"{name}.stderr").write_text(done.stderr)
-    return 0
+    if args.compare is None:
+        return 0
+    lines = compare(directory, args.compare)
+    print("\n".join(lines) if lines else f"identical to {args.compare}")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
