@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
+from .fileio import _json_text
+
 Cell = tuple  # sorted tuple of vertex ids
 
 
@@ -82,10 +84,8 @@ def graph_from_json(text: str) -> Graph:
 
 
 def graph_to_json(g: Graph) -> str:
-    return json.dumps(
-        {"vertices": g.vertex_count, "edges": [list(e) for e in g.edges]},
-        sort_keys=True,
-    )
+    """The graph in the JSON text rule of ``fileio``, as ``graph_from_json`` reads it."""
+    return _json_text({"vertices": g.vertex_count, "edges": [list(e) for e in g.edges]})
 
 
 def cycle_graph(n: int) -> Graph:
@@ -110,15 +110,13 @@ class CliqueComplex:
     0, 1, ..., top (a slot may be empty), and the signed ``incidences``
     keyed ``(cell, face)``.
 
-    Treated as immutable after construction; safe for concurrent reads. Its
-    cone (:func:`cone_complex`) is built on first request and kept.
+    Treated as immutable after construction; safe for concurrent reads.
     """
 
     def __init__(self, cells, incidences, apex=None):
         self._cells = tuple(map(tuple, cells))
         self.incidences = dict(incidences)
         self.apex = apex
-        self._cone = None
         self._faces = {}
         for (cell, face), _sign in self.incidences.items():
             self._faces.setdefault(cell, []).append(face)
@@ -178,18 +176,9 @@ def cone_complex(base: CliqueComplex) -> CliqueComplex:
     dropping the apex enters the coboundary with sign +1, and the cone over a
     face f of sign s with sign -s (the face of a vertex is the empty cell,
     whose cone is the apex).
-
-    The base complex is immutable, so its cone is built once and kept with
-    it: every later call returns the same object.
     """
     if base.apex is not None:
         raise ValueError("complex already has a cone apex")
-    if base._cone is None:
-        base._cone = _build_cone(base)
-    return base._cone
-
-
-def _build_cone(base: CliqueComplex) -> CliqueComplex:
     apex = len(base.cells(0))
     cells = [list(base.cells(j)) for j in base.degrees] + [[]]
     incidences = dict(base.incidences)

@@ -241,7 +241,8 @@ def participation_ratio(scores) -> float:
 
 
 def _lambda_min(spectrum: Spectrum) -> float:
-    return float(max(spectrum.eigenvalues[0], 0.0)) if spectrum.dim else 0.0
+    """The smallest eigenvalue, or 0.0 when ``kernel_dim`` counts it as zero."""
+    return 0.0 if kernel_dim(spectrum) or not spectrum.dim else float(spectrum.eigenvalues[0])
 
 
 def experiment_existence(n: int = N_DEFAULT, stalk_dim: int = 1) -> ExperimentResult:

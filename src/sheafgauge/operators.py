@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .complexes import _require_degree, cone_complex
-from .sheaves import CellSheaf, Stalk, _read_only, constant_sheaf, validate_sheaf
+from .sheaves import CellSheaf, Stalk, _per_shape, _read_only, constant_sheaf, validate_sheaf
 
 ZERO_ABS = 1e-10
 ZERO_REL = 1e-8
@@ -116,10 +116,7 @@ def decompose(lap: SheafLaplacian, vectors: bool = True) -> Spectrum:
         scale = max(1.0, float(np.max(np.abs(m))))
         if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
             raise AsymmetricOperatorError("operator is not symmetric within tolerance")
-    if vectors:
-        eigenvalues, eigenvectors = np.linalg.eigh(m) if m.size else (np.zeros(0), np.zeros((0, 0)))
-    else:
-        eigenvalues, eigenvectors = np.linalg.eigvalsh(m) if m.size else np.zeros(0), None
+    eigenvalues, eigenvectors = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     lam_max = float(eigenvalues[-1]) if eigenvalues.size else 0.0
     if eigenvalues.size and eigenvalues[0] < -ZERO_PSD_REL * max(lam_max, 1.0):
         raise PsdViolationError(f"negative eigenvalue {eigenvalues[0]:.3e}")
@@ -230,6 +227,14 @@ class GroundingModeError(ValueError):
     pass
 
 
+def _cell_maps(grounding, what: str):
+    """The per-cell maps of a vertex-level grounding, which ``what`` needs;
+    any other grounding is a GroundingModeError naming ``what``."""
+    if grounding.cell_maps is None:
+        raise GroundingModeError(f"{what} needs a vertex-level grounding")
+    return grounding.cell_maps
+
+
 @dataclass(frozen=True)
 class GroundingMorphism:
     """Linear maps from stalks into an ambient reference space W, given by one
@@ -264,20 +269,17 @@ class GroundingMorphism:
         object.__setattr__(self, "target_dim", rows.pop() if rows else 0)
 
     def cell_map(self, cell):
-        if self.cell_maps is None:
-            raise GroundingModeError("grounding has no per-cell maps; convert first")
-        return self.cell_maps[tuple(cell)]
+        return _cell_maps(self, "cell_map")[tuple(cell)]
 
     def cochain_block(self, sheaf: CellSheaf, j: int) -> np.ndarray:
         """Read-only block-diagonal epsilon_j: C^j(F) -> C^j(W) from the per-cell maps."""
-        if self.cell_maps is None:
-            raise GroundingModeError("cochain_block needs a vertex-level grounding")
+        maps = _cell_maps(self, "cochain_block")
         cells = sheaf.complex.cells(j)
         cols = sheaf.cell_slices(j)
         w = self.target_dim
         matrix = np.zeros((w * len(cells), sheaf.cochain_dim(j)))
         for i, cell in enumerate(cells):
-            matrix[i * w : (i + 1) * w, cols[cell]] = self.cell_maps[cell]
+            matrix[i * w : (i + 1) * w, cols[cell]] = maps[cell]
         matrix.flags.writeable = False
         return matrix
 
@@ -397,24 +399,23 @@ def incidence_defect(sheaf: CellSheaf, grounding: GroundingMorphism) -> float:
     eps_coface rho_{face->coface} - eps_face. The result is the Frobenius norm
     of all blocks together; the grounding is a sheaf morphism iff it vanishes.
 
-    The incidences whose blocks share a shape are one stacked pass; each
-    block's sum of squares is the pairwise sum ``np.sum`` makes of it alone,
-    and the sums are added in incidence order.
+    The incidences whose blocks share a shape are one stacked pass
+    (``sheaves._per_shape``); each block's sum of squares is the pairwise sum
+    ``np.sum`` makes of it alone, and the sums are added in incidence order.
     """
-    if grounding.mode != VERTEX_LEVEL:
-        raise GroundingModeError("incidence defect needs a vertex-level grounding")
-    maps, restrictions = grounding.cell_maps, sheaf.restrictions
-    groups = {}
-    for i, (coface, face) in enumerate(sheaf.complex.incidences):
-        eps_coface, rho, eps_face = maps[coface], restrictions[(face, coface)], maps[face]
-        groups.setdefault((eps_coface.shape, rho.shape, eps_face.shape), []).append(
-            (i, eps_coface, rho, eps_face))
-    squares = np.zeros(len(sheaf.complex.incidences))
-    for blocks in groups.values():
-        index, eps_coface, rho, eps_face = zip(*blocks)
-        b = np.matmul(np.array(eps_coface), np.array(rho)) - np.array(eps_face)
-        squares[list(index)] = np.sum((b * b).reshape(len(index), b[0].size), axis=1)
-    return math.sqrt(sum(squares.tolist()))
+    maps, incidences = _cell_maps(grounding, "incidence defect"), sheaf.complex.incidences
+    squares = _per_shape(_block_squares, (
+        [maps[coface] for coface, _ in incidences],
+        [sheaf.restrictions[(face, coface)] for coface, face in incidences],
+        [maps[face] for _, face in incidences]))
+    return math.sqrt(sum(squares))
+
+
+def _block_squares(eps_coface, rho, eps_face):
+    """Sum of squares of each stacked block eps_coface rho - eps_face; a
+    zero-width block has no -1 reshape, so each is reshaped to its size."""
+    b = np.matmul(eps_coface, rho) - eps_face
+    return np.sum((b * b).reshape(len(b), b[0].size), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +493,7 @@ class MappingCone:
 def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism) -> MappingCone:
     """The mapping cone of a vertex-level grounding into constant W; its
     parts are formed on first read."""
-    if grounding.mode != VERTEX_LEVEL:
-        raise GroundingModeError("the algebraic cone needs a vertex-level grounding")
+    _cell_maps(grounding, "the algebraic cone")
     return MappingCone(sheaf, grounding)
 
 
@@ -504,8 +504,7 @@ def geometric_cone_sheaf(sheaf: CellSheaf, grounding: GroundingMorphism) -> Cell
     from a base cell into its cone cell is the grounding map, and every
     cone-to-cone restriction is the identity on W.
     """
-    if grounding.mode != VERTEX_LEVEL:
-        raise GroundingModeError("the geometric cone needs a vertex-level grounding")
+    maps = _cell_maps(grounding, "the geometric cone")
     base, coned = sheaf.complex, cone_complex(sheaf.complex)
     eye_w = np.eye(grounding.target_dim)
     eye_w.flags.writeable = False
@@ -516,7 +515,7 @@ def geometric_cone_sheaf(sheaf: CellSheaf, grounding: GroundingMorphism) -> Cell
         cone = cell + (coned.apex,)
         stalks[cone] = stalk_w
         for face in coned.faces(cone):
-            restrictions[(face, cone)] = grounding.cell_map(cell) if face == cell else eye_w
+            restrictions[(face, cone)] = maps[cell] if face == cell else eye_w
     return CellSheaf(coned, stalks, restrictions)
 
 

@@ -518,6 +518,13 @@ def _coordinates(cofaces, faces):
     return stack
 
 
+def _products(a, b):
+    """A B of stacked matrix pairs, read-only."""
+    stack = np.matmul(a, b)
+    stack.flags.writeable = False
+    return stack
+
+
 def _one_cell_restrictions(basis, faces):
     """The restriction of each face stalk into one cell of stalk basis ``basis``."""
     return tuple(_coordinates(basis[None], f.basis[None])[0] for f in faces)
@@ -627,10 +634,11 @@ def add_restriction_noise(sheaf: CellSheaf, sigma: float, seed: int) -> CellShea
     The whole stream is one draw, in the order of one scalar draw per value:
     each edge's angle, followed, when its stalk is above dimension 2, by the
     2 * dim entries of its plane. Cosines and sines are taken once over all
-    angles, and the 2-dimensional edges are rotated by one stacked product
-    per restriction shape. The result is ``sheaf._replacing`` the rotated
-    maps: it shares the complex, the stalks, the cochain layout and the
-    restrictions the noise leaves alone with ``sheaf``.
+    angles; the rotations of the 2-dimensional edges are one stack, applied
+    by one product per restriction shape (``_per_shape``). The result is
+    ``sheaf._replacing`` the rotated maps: it shares the complex, the
+    stalks, the cochain layout and the restrictions the noise leaves alone
+    with ``sheaf``.
     """
     if not math.isfinite(sigma) or sigma < 0:
         raise ValueError(f"sigma must be finite and non-negative, got {sigma}")
@@ -644,27 +652,20 @@ def add_restriction_noise(sheaf: CellSheaf, sigma: float, seed: int) -> CellShea
     theta = 0.0 + sigma * z[at]  # the float operations of normal(0.0, sigma)
     cos, sin = np.cos(theta), np.sin(theta)
     restrictions = sheaf.restrictions
-    rotated = {}
-    planar = {}  # restriction shape -> (edge indices, keys) of the 2-dimensional edges
+    planar = [i for i, dim in enumerate(dims) if dim == 2]
+    keys = [((edges[i][1],), edges[i]) for i in planar]
+    c, s = cos[planar], sin[planar]
+    turns = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+    products = _per_shape(_products, (list(turns), [restrictions[k] for k in keys]))
+    rotated = dict(zip(keys, products))
     for i, (e, dim) in enumerate(zip(edges, dims)):
-        key = ((e[1],), e)
-        if dim == 2:
-            indices, keys = planar.setdefault(restrictions[key].shape, ([], []))
-            indices.append(i)
-            keys.append(key)
-        elif dim > 2:
+        if dim > 2:
+            key = ((e[1],), e)
             plane, _ = np.linalg.qr(z[at[i] + 1 : at[i] + 1 + 2 * dim].reshape(dim, 2))
             turn = np.array([[cos[i], -sin[i]], [sin[i], cos[i]]]) - np.eye(2)
             q = np.eye(dim) + plane @ turn @ plane.T
             m = rotated[key] = q.dot(restrictions[key])
             m.flags.writeable = False
-    for indices, keys in planar.values():
-        c, s = cos[indices], sin[indices]
-        q = np.empty((len(indices), 2, 2))
-        q[:, 0, 0], q[:, 0, 1], q[:, 1, 0], q[:, 1, 1] = c, -s, s, c
-        products = np.matmul(q, np.stack([restrictions[k] for k in keys]))
-        products.flags.writeable = False
-        rotated.update(zip(keys, products))
     return sheaf._replacing(rotated)
 
 

@@ -122,30 +122,25 @@ class WitnessConfig:
         return delta1
 
     def weight_value(self, lam: float) -> float:
-        if self.weight == "uniform":
-            return 1.0
+        """w(lambda): 1 / lambda, exp(-lambda), else 1 (uniform and gap)."""
         if self.weight == "inverse":
             return 1.0 / lam
         if self.weight == "heat":
             return math.exp(-lam)
-        raise ValueError("gap weight has no per-eigenvalue value")
+        return 1.0
 
 
 def global_witness(spectrum: Spectrum, cfg: WitnessConfig) -> float:
     """Integrated low-lying spectral mass over the slack interval (delta0, delta1].
 
     Sum over strictly positive eigenvalues lambda <= delta1 of
-    (delta1 - max(delta0, lambda)) * w(lambda). The gap weight keeps only the
-    single smallest positive eigenvalue, recovering the gap-based witness.
+    (delta1 - max(delta0, lambda)) * w(lambda). The gap weight, 1, keeps only
+    the single smallest positive eigenvalue, recovering the gap-based witness.
     """
     delta1 = cfg.resolve_delta1(spectrum)
-    if cfg.weight == "gap":
-        lam = spectral_gap(spectrum)
-        if lam > delta1:
-            return 0.0
-        return delta1 - max(cfg.delta0, lam)
+    k = kernel_dim(spectrum)
     total = 0.0
-    for lam in spectrum.eigenvalues[kernel_dim(spectrum):].tolist():
+    for lam in spectrum.eigenvalues[k : k + 1 if cfg.weight == "gap" else None].tolist():
         if lam > delta1:
             break
         total += (delta1 - max(cfg.delta0, lam)) * cfg.weight_value(lam)
@@ -179,11 +174,7 @@ def _admitted_modes(spectrum: Spectrum, delta: float, cfg: WitnessConfig):
     if stop == 0:
         return np.zeros(0, dtype=int), []
     admitted = np.arange(k, k + ends[stop - 1])
-    if cfg.weight == "gap":
-        weights = [1.0] * admitted.size
-    else:
-        weights = [cfg.weight_value(lam) for lam in spectrum.eigenvalues[admitted].tolist()]
-    return admitted, weights
+    return admitted, [cfg.weight_value(lam) for lam in spectrum.eigenvalues[admitted].tolist()]
 
 
 @dataclass(frozen=True)
@@ -222,14 +213,13 @@ def _incidence_index(sheaf: CellSheaf, j: int):
     return np.array(pairs, dtype=int).reshape(-1, 2).T
 
 
-def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray, weights: np.ndarray,
-                    eps: np.ndarray | None = None) -> np.ndarray:
+def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
     """Per-cell witness scores of the weighted mode columns in degree j.
 
     Every cell receives the block energy of d_j V at each of its cofaces and
     of d_{j-1}^T V at each of its faces, with the sheaf's coboundaries (an
-    empty end map adds nothing); with ``eps``, each cell also receives the
-    energy of its own column block of eps.
+    empty end map adds nothing).
     """
     cells = sheaf.complex.cells(j)
     scores = np.zeros(len(cells))  # a float array even when a bincount below is empty
@@ -239,10 +229,6 @@ def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray, weights: np.n
     energy = _block_energy(sheaf, j - 1, sheaf.coboundary(j - 1).T @ vectors, weights)
     cell, face = _incidence_index(sheaf, j - 1)
     scores += np.bincount(cell, weights=energy[face], minlength=len(cells))
-    if eps is not None:
-        # every column block of eps spans all rows of W: one product per cell
-        for k, block in enumerate(sheaf.cell_slices(j).values()):
-            scores[k] += float(np.sum((eps[:, block] @ vectors[block]) ** 2, axis=0) @ weights)
     return scores
 
 
@@ -296,9 +282,12 @@ def local_witness_relative(channels: ChannelSet,
     edges are left out. The modes come from the channel set's
     ``relative_spectrum`` (one W), the coboundaries from ``channels.sheaf``.
     """
-    sheaf = channels.sheaf
+    sheaf, eps = channels.sheaf, channels.eps
     delta, vectors, weights = _degree_modes(cfg, channels.relative_spectrum)
-    scores = _witness_scores(sheaf, 1, vectors, weights, eps=channels.eps)
+    scores = _witness_scores(sheaf, 1, vectors, weights)
+    # every column block of eps spans all rows of W: one product per edge
+    for k, block in enumerate(sheaf.cell_slices(1).values()):
+        scores[k] += float(np.sum((eps[:, block] @ vectors[block]) ** 2, axis=0) @ weights)
     return LocalWitnessMap(1, delta, sheaf.complex.cells(1), scores)
 
 

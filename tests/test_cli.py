@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -1083,12 +1084,30 @@ def _cli_matrix():
     return path, matrix
 
 
+def _global_names(code):
+    """The global names that a code object and the code nested in it read."""
+    return set(code.co_names).union(
+        *(_global_names(c) for c in code.co_consts if inspect.iscode(c)))
+
+
 def test_cli_matrix_commands_parse():
     # tools/cli_matrix.py writes its inputs without the package, so two
-    # checkouts get the same; every command it runs must parse here
-    path, matrix = _cli_matrix()
-    source = path.read_text()
-    assert "import sheafgauge" not in source and "from sheafgauge" not in source
+    # checkouts get the same: write_inputs and every function of the tool it
+    # calls use no sheafgauge name; every command it runs must parse here
+    _, matrix = _cli_matrix()
+    writers, todo = [], [matrix.write_inputs]
+    while todo:
+        writer = todo.pop()
+        writers.append(writer)
+        assert "sheafgauge" not in inspect.getsource(writer), writer.__name__
+        for name in _global_names(writer.__code__):
+            value = vars(matrix).get(name)
+            origin = getattr(value, "__module__", None) or getattr(value, "__name__", "")
+            assert not str(origin).startswith("sheafgauge"), (writer.__name__, name)
+            if inspect.isfunction(value) and value not in writers + todo:
+                todo.append(value)
+    assert {w.__name__ for w in writers} == {"write_inputs", "_random_edges",
+                                              "_constant_sheaf", "_matrix"}
     names = [name for name, _ in matrix.COMMANDS]
     assert len(names) == len(set(names)) == 87
     for name, argv in matrix.COMMANDS:

@@ -58,7 +58,10 @@ def test_graph_json_rejects_floats():
 
 def test_graph_json_round_trip():
     g = Graph(5, [(0, 1), (2, 4), (1, 3)])
-    assert graph_from_json(graph_to_json(g)) == g
+    text = graph_to_json(g)
+    assert graph_from_json(text) == g
+    # the package's one JSON text rule: compact, key-sorted, one line
+    assert text == '{"edges":[[0,1],[1,3],[2,4]],"vertices":5}'
 
 
 def test_incidence_signs_triangle():
@@ -148,15 +151,6 @@ def test_cone_cells_follow_the_base_cells(graph):
     for j in coned.degrees:
         below = tuple(cell + (apex,) for cell in base.cells(j - 1)) if j else ((apex,),)
         assert coned.cells(j) == base.cells(j) + below
-
-
-def test_cone_is_built_once_per_complex():
-    base = build_clique_complex(complete_graph(4))
-    coned = cone_complex(base)
-    assert cone_complex(base) is coned
-    # an equal complex built apart has its own cone
-    other = cone_complex(build_clique_complex(complete_graph(4)))
-    assert other is not coned and other.incidences == coned.incidences
 
 
 def test_cone_twice_rejected():

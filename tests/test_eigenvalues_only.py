@@ -115,6 +115,31 @@ def test_values_only_empty_operator():
 
 
 @pytest.mark.parametrize("vectors", [True, False])
+def test_empty_operator_on_both_paths(vectors):
+    # eigh and eigvalsh return empty results for a 0 x 0 matrix themselves
+    spectrum = decompose(SheafLaplacian(np.zeros((0, 0)), 1), vectors=vectors)
+    assert spectrum.eigenvalues.shape == (0,) and spectrum.threshold == operators.ZERO_ABS
+    if vectors:
+        assert spectrum.vectors().shape == (0, 0)
+    else:
+        assert spectrum.eigenvectors is None
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_kernel_rows_read_zero_on_both_paths(monkeypatch, vectors):
+    # a kernel's smallest eigenvalue is rounding, which eigh and eigvalsh
+    # round differently: every row reports it as 0.0
+    monkeypatch.setattr(diagnostics, "decompose",
+                        lambda lap, vectors=True, route=vectors: decompose(lap, vectors=route))
+    existence = diagnostics.experiment_existence(50)
+    assert existence.rows[0]["kernel_dim"] == 1 and existence.rows[0]["lambda_min"] == 0.0
+    assert existence.rows[1]["kernel_dim"] == 0 and existence.rows[1]["lambda_min"] > 0.0
+    relativity = diagnostics.experiment_relativity(50)
+    assert relativity.rows[1]["kernel_dim_relative"] >= 1
+    assert relativity.rows[1]["lambda_min_relative"] == 0.0
+
+
+@pytest.mark.parametrize("vectors", [True, False])
 def test_both_paths_raise_the_same_operator_errors(vectors):
     asymmetric = np.array([[2.0, 1.0], [0.0, 2.0]])
     with pytest.raises(AsymmetricOperatorError, match="not symmetric"):

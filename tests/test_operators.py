@@ -533,6 +533,22 @@ def test_grounding_rejects_payloads_that_do_not_determine_it():
         GroundingMorphism(c1_matrix=np.eye(2), target_dim=2)
 
 
+def test_vertex_level_entry_points_name_themselves():
+    # a grounding on C^1 has no per-cell maps: each reader of them says so
+    sheaf = trivial_bundle(6, 2)
+    grounding = grounding_identity_c1(sheaf)
+    calls = {
+        "cell_map": lambda: grounding.cell_map((0,)),
+        "cochain_block": lambda: grounding.cochain_block(sheaf, 0),
+        "incidence defect": lambda: incidence_defect(sheaf, grounding),
+        "the algebraic cone": lambda: algebraic_cone(sheaf, grounding),
+        "the geometric cone": lambda: geometric_cone_sheaf(sheaf, grounding),
+    }
+    for what, call in calls.items():
+        with pytest.raises(GroundingModeError, match=f"^{what} needs a vertex-level grounding$"):
+            call()
+
+
 def test_grounding_payloads_are_read_only():
     sheaf = trivial_bundle(6, 2)
     identity = grounding_identity_c1(sheaf)
@@ -659,25 +675,6 @@ def test_cone_equivalence_constant_case():
     report = verify_cone_equivalence(algebraic_cone(sheaf, grounding))
     assert report.status == "pass"
     assert report.max_residual == 0.0
-
-
-def test_cone_equivalence_reuses_the_coned_complex(monkeypatch):
-    # the coned complex depends on the base complex alone, which is
-    # immutable: a second check on the same complex builds no cone again
-    from sheafgauge import complexes
-
-    built = []
-    original = complexes._build_cone
-    monkeypatch.setattr(complexes, "_build_cone", lambda base: built.append(base) or original(base))
-    sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
-    groundings = [constant_grounding(sheaf, matrix=np.eye(2)),
-                  constant_grounding(sheaf, matrix=np.ones((3, 2)))]
-    cones = [geometric_cone_sheaf(sheaf, g).complex for g in groundings]
-    assert cones[0] is cones[1]
-    reports = [verify_cone_equivalence(algebraic_cone(sheaf, g)) for g in groundings * 2]
-    assert built == [sheaf.complex]
-    assert [r.status for r in reports] == ["pass"] * 4
-    assert reports[0] == reports[2] and reports[1] == reports[3]
 
 
 def test_cone_equivalence_mobius_zero_grounding():

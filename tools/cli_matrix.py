@@ -10,11 +10,14 @@ stalks), a seeded G(24, 0.35) graph with features of rank 1, 2 and 3, some
 with fewer rows than the ambient dimension (so every degree has stalks of
 several dimensions), a constant R^2 sheaf on K5, a 3-vertex sheaf with no
 edges, a sheaf with no vertices, and two malformed copies of the K5 sheaf
-(a second item for one incidence, a negative shape entry). It then runs every
-command of ``COMMANDS`` as ``python3 -m sheafgauge.cli`` from OUT_DIR, with
-this checkout's ``src`` first on PYTHONPATH and a relative ``--out`` named
+(a second item for one incidence, a negative shape entry). Only then does it
+put this checkout's ``src`` first on ``sys.path`` and import the package. It
+runs every command of ``COMMANDS`` in this one process, as
+``sheafgauge.cli.main(argv)`` from OUT_DIR with a relative ``--out`` named
 after the command, and records ``<name>.exit``, ``<name>.stdout`` and
-``<name>.stderr``.
+``<name>.stderr``, the streams captured while the command ran. An exception
+that escapes a command is recorded as the interpreter would report it: its
+traceback on stderr and exit code 1.
 
 To compare two checkouts, run each one's copy of this script into its own
 directory, the parent's first, and pass the parent's directory to
@@ -26,11 +29,13 @@ anything differs.
 """
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import os
-import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -229,18 +234,28 @@ def main(argv):
     parser.add_argument("--compare", type=Path, metavar="PARENT_DIR",
                         help="print every file that differs from this earlier run")
     args = parser.parse_args(argv)
-    directory = args.out_dir
-    directory.mkdir(parents=True, exist_ok=True)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    directory = args.out_dir.resolve()
     write_inputs(directory)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    for name, command in COMMANDS:
-        done = subprocess.run([sys.executable, "-m", "sheafgauge.cli", *command],
-                              cwd=directory, env=env, capture_output=True, text=True)
-        (directory / f"{name}.exit").write_text(f"{done.returncode}\n")
-        (directory / f"{name}.stdout").write_text(done.stdout)
-        (directory / f"{name}.stderr").write_text(done.stderr)
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    from sheafgauge.cli import main as run
+
+    home = os.getcwd()
+    os.chdir(directory)
+    try:
+        for name, command in COMMANDS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = run(command)
+                except Exception:  # recorded as the interpreter reports it: exit 1
+                    traceback.print_exc()
+                    code = 1
+            (directory / f"{name}.exit").write_text(f"{code}\n")
+            (directory / f"{name}.stdout").write_text(stdout.getvalue())
+            (directory / f"{name}.stderr").write_text(stderr.getvalue())
+    finally:
+        os.chdir(home)
     if args.compare is None:
         return 0
     lines = compare(directory, args.compare)
