@@ -109,9 +109,9 @@ class CellSheaf:
     ``(face, coface)``, fixed at construction; a missing or extra key is an
     error. Both are read-only mappings of read-only arrays (a writeable input
     is copied once, a read-only one is shared). So what is computed from a
-    sheaf is computed once: the cochain layout (cell slices, owners and the
-    scatter index of each coboundary) at construction or first use; each
-    coboundary, Laplacian and spectrum, and ``validated``, on first use.
+    sheaf is computed once: the cochain layout (cell slices, owners, and the
+    scatter index and incidence cells of each coboundary) at construction or
+    first use; each coboundary, Laplacian and spectrum, and ``validated``, on first use.
 
     ``_replacing`` derives a sheaf that swaps some restrictions for others of
     the same shape. It shares the complex, the stalks and the layout, tests
@@ -228,31 +228,40 @@ class CellSheaf:
         """
         return self.derived(("coboundary", j), lambda sheaf: sheaf._assemble_coboundary(j))
 
+    def incidence_cells(self, j):
+        """Read-only rows (coface index in ``complex.cells(j + 1)``, face index in
+        ``complex.cells(j)``) of the degree-j incidences, in the order d_j walks them."""
+        return self._coboundary_scatter(j)[3]
+
     def _coboundary_scatter(self, j):
         """The degree-j incidences ``(face, coface)``, coface by coface, the
-        flat position in d_j of each entry of their row-major restrictions and
-        the sign of each entry; built once per layout."""
+        flat position in d_j of each entry of their row-major restrictions, the
+        sign of each entry and ``incidence_cells``; built once per layout."""
         if j not in self._scatter:
-            complex_, cols = self.complex, self._slices.get(j)
+            complex_, cols = self.complex, self._slices.get(j, {})
+            at = {cell: (i, s.start, s.stop) for i, (cell, s) in enumerate(cols.items())}
             keys, signs, blocks = [], [], []
-            for coface, row in self._slices.get(j + 1, {}).items():
+            for k, (coface, row) in enumerate(self._slices.get(j + 1, {}).items()):
+                head = (k, row.start, row.stop)
                 for face in complex_.faces(coface):
                     keys.append((face, coface))
                     signs.append(complex_.incidences[(coface, face)])
-                    blocks.append((row.start, row.stop, cols[face].start, cols[face].stop))
-            r0, r1, c0, c1 = np.array(blocks, dtype=int).reshape(-1, 4).T
+                    blocks.append(head + at[face])
+            cofaces, r0, r1, faces, c0, c1 = np.array(blocks, dtype=int).reshape(-1, 6).T
             sizes = (r1 - r0) * (c1 - c0)
             within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
             width = np.repeat(c1 - c0, sizes)
             index = ((np.repeat(r0, sizes) + within // width) * self.cochain_dim(j)
                      + np.repeat(c0, sizes) + within % width)
-            self._scatter[j] = (tuple(keys), index, np.repeat(np.array(signs, dtype=float), sizes))
+            cells = np.array([cofaces, faces])
+            cells.flags.writeable = False
+            self._scatter[j] = (tuple(keys), index, np.repeat(np.array(signs, float), sizes), cells)
         return self._scatter[j]
 
     def _assemble_coboundary(self, j):
         """Signed block matrix: block (c, f) = sign(c, f) * rho_{f->c}, every
         block written by one scatter of the ravelled restrictions."""
-        keys, index, signs = self._coboundary_scatter(j)
+        keys, index, signs, _ = self._coboundary_scatter(j)
         restrictions = self.restrictions
         matrix = np.zeros((self.cochain_dim(j + 1), self.cochain_dim(j)))
         matrix.reshape(-1)[index] = signs * np.concatenate(
@@ -263,8 +272,8 @@ class CellSheaf:
 
 @dataclass(frozen=True)
 class FunctorialityViolation:
-    triangle: tuple
-    vertex: tuple
+    triangle: tuple  # the flag's top cell: a triangle, or a tetrahedron on a coned complex
+    vertex: tuple  # the flag's bottom face; both names stay, as JSON keys, until schema "2"
     defect: float
 
 
@@ -399,44 +408,37 @@ def build_sheaf_from_features(g: Graph, features, cfg: FeaturePipelineConfig | N
     triangle_bases = _per_shape(_triangle_bases,
                                 [[projectors[s[k]] for s in sides] for k in range(3)],
                                 cfg.tri_eig_tol)
-    # every restriction, in the order the incidences are added below
+    # every restriction's key and its (coface, face) operands, in one order
+    keys = ([((v,), e) for e in edges for v in e]
+            + [(edges[i], t) for t, s in zip(triangles, sides) for i in s])
     cofaces = [b for b in edge_bases for _ in "uv"] + [b for b in triangle_bases for _ in "uvw"]
     faces = ([nodes[v] for e in edges for v in e]
              + [edge_bases[i] for s in sides for i in s])
-    maps = iter(_per_shape(_coordinates, (cofaces, faces)))
-    restrictions = {}
-    for e, basis in zip(edges, edge_bases):
-        stalks[e] = Stalk(basis)
-        for v in e:
-            restrictions[((v,), e)] = next(maps)
-    for (u, v, w), basis in zip(triangles, triangle_bases):
-        t = (u, v, w)
-        stalks[t] = Stalk(basis)
-        for face in ((u, v), (v, w), (u, w)):
-            restrictions[(face, t)] = next(maps)
-    return CellSheaf(complex_, stalks, restrictions)
+    stalks.update(zip(edges + triangles, map(Stalk, edge_bases + triangle_bases)))
+    return CellSheaf(complex_, stalks, dict(zip(keys, _per_shape(_coordinates, (cofaces, faces)))))
 
 
 # Each degree of the pipeline is one stacked pass. A kernel takes stacks of
-# the operands of many cells of one shape and makes one np.linalg or
-# np.matmul call per stack; numpy runs the same LAPACK or BLAS call on each
-# slice that it runs on one matrix, so every cell's result is bit for bit
-# that of the call on the cell alone. The public one-cell functions above
-# are that call, on stacks of one. Kernels return read-only per-cell views,
-# which stalks and sheaves share without a copy.
+# the operands of many cells of one shape (a column of operands may already
+# be a stack) and makes one np.linalg or np.matmul call per stack; numpy runs
+# the same LAPACK or BLAS call on each slice as on one matrix, so each cell's
+# result is bit for bit that of the call on the cell alone. The public
+# one-cell functions above are that call, on stacks of one. Kernels return
+# read-only per-cell views, which stalks and sheaves share without a copy.
 
 
 def _per_shape(kernel, columns, *args):
     """``kernel(*stacks, *args)`` once per group of cells whose operands share
-    their shapes. ``columns`` holds one list per operand, of one array per
-    cell; a group stacks its cells' arrays of each list along a new first
-    axis. Returns the kernel's per-cell results, in cell order."""
+    their shapes. ``columns`` holds one column per operand, a list of one array
+    per cell or a stack whose rows are the cells; a group gathers its cells of
+    each column into one stack. Returns the per-cell results, in cell order."""
     groups = {}
     for i, shapes in enumerate(zip(*([a.shape for a in column] for column in columns))):
         groups.setdefault(shapes, []).append(i)
     results = [None] * len(columns[0])
     for cells in groups.values():
-        stacks = (np.array([column[i] for i in cells]) for column in columns)
+        stacks = (column[cells] if isinstance(column, np.ndarray)
+                  else np.array([column[i] for i in cells]) for column in columns)
         for i, value in zip(cells, kernel(*stacks, *args)):
             results[i] = value
     return results
@@ -656,7 +658,7 @@ def add_restriction_noise(sheaf: CellSheaf, sigma: float, seed: int) -> CellShea
     keys = [((edges[i][1],), edges[i]) for i in planar]
     c, s = cos[planar], sin[planar]
     turns = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
-    products = _per_shape(_products, (list(turns), [restrictions[k] for k in keys]))
+    products = _per_shape(_products, (turns, [restrictions[k] for k in keys]))
     rotated = dict(zip(keys, products))
     for i, (e, dim) in enumerate(zip(edges, dims)):
         if dim > 2:

@@ -22,6 +22,7 @@ from .operators import (  # noqa: F401  (the two errors are re-exported)
     PsdViolationError,
     SheafLaplacian,
     Spectrum,
+    _eigenvalues,
     coboundary,
     decompose,
     kernel_dim,
@@ -204,15 +205,6 @@ def _block_energy(sheaf: CellSheaf, j: int, image: np.ndarray, weights: np.ndarr
                        minlength=len(sheaf.complex.cells(j)))
 
 
-def _incidence_index(sheaf: CellSheaf, j: int):
-    """Index arrays (coface, face) over the incidences of degree j + 1 on degree j."""
-    face_index = {cell: i for i, cell in enumerate(sheaf.complex.cells(j))}
-    pairs = [(k, face_index[face])
-             for k, coface in enumerate(sheaf.complex.cells(j + 1))
-             for face in sheaf.complex.faces(coface)]
-    return np.array(pairs, dtype=int).reshape(-1, 2).T
-
-
 def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray,
                     weights: np.ndarray) -> np.ndarray:
     """Per-cell witness scores of the weighted mode columns in degree j.
@@ -224,10 +216,10 @@ def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray,
     cells = sheaf.complex.cells(j)
     scores = np.zeros(len(cells))  # a float array even when a bincount below is empty
     energy = _block_energy(sheaf, j + 1, sheaf.coboundary(j) @ vectors, weights)
-    coface, face = _incidence_index(sheaf, j)
+    coface, face = sheaf.incidence_cells(j)
     scores += np.bincount(face, weights=energy[coface], minlength=len(cells))
     energy = _block_energy(sheaf, j - 1, sheaf.coboundary(j - 1).T @ vectors, weights)
-    cell, face = _incidence_index(sheaf, j - 1)
+    cell, face = sheaf.incidence_cells(j - 1)
     scores += np.bincount(cell, weights=energy[face], minlength=len(cells))
     return scores
 
@@ -484,10 +476,9 @@ class ConeReductionSide:
         if max(residuals.values()) > COMMUTATION_TOL:
             return cls(residuals, None)
         ev_base_f, ev_base_w = base_eigenvalues()
-        eigvalsh = np.linalg.eigvalsh
-        cone = np.concatenate([eigvalsh(base_f + gram_f), eigvalsh(base_w + gram_w)])
-        return cls(residuals, {"base_f": ev_base_f, "gram_f": eigvalsh(gram_f),
-                               "base_w": ev_base_w, "gram_w": eigvalsh(gram_w),
+        cone = np.concatenate([_eigenvalues(base_f + gram_f), _eigenvalues(base_w + gram_w)])
+        return cls(residuals, {"base_f": ev_base_f, "gram_f": _eigenvalues(gram_f),
+                               "base_w": ev_base_w, "gram_w": _eigenvalues(gram_w),
                                "cone": np.sort(cone)})
 
 
@@ -526,7 +517,7 @@ def synthetic_commuting_side(seed: int) -> ConeReductionSide:
     base_w, gram_w = pair(4)
     return ConeReductionSide.from_blocks(
         base_f, gram_f, base_w, gram_w, 0.0,
-        lambda: (np.linalg.eigvalsh(base_f), np.linalg.eigvalsh(base_w)))
+        lambda: (_eigenvalues(base_f), _eigenvalues(base_w)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -1113,6 +1114,25 @@ def test_cli_matrix_commands_parse():
     for name, argv in matrix.COMMANDS:
         args = cli._parser().parse_args(argv)
         assert args.out == name
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cli_matrix_sets_one_blas_thread_before_numpy_only_as_a_script():
+    # outputs move in their last bits between one and two BLAS threads, so
+    # the script pins one thread before its numpy import; imported, it sets none
+    before = {name: os.environ.get(name) for name in _BLAS_THREADS}
+    path, _ = _cli_matrix()
+    assert {name: os.environ.get(name) for name in _BLAS_THREADS} == before
+    body = ast.parse(path.read_text()).body
+    numpy_at = next(i for i, node in enumerate(body) if isinstance(node, ast.Import)
+                    and "numpy" in [alias.name for alias in node.names])
+    (guard,) = [node for node in body[:numpy_at] if isinstance(node, ast.If)]
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assigned = [(ast.unparse(node.targets[0]), ast.literal_eval(node.value))
+                for node in ast.walk(guard) if isinstance(node, ast.Assign)]
+    assert assigned == [(f"os.environ['{name}']", "1") for name in _BLAS_THREADS]
 
 
 def test_cli_matrix_compare_names_each_moved_key(tmp_path):

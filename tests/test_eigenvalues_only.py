@@ -3,37 +3,49 @@ full ``eigh`` path as its oracle: the same checks, kernel dimensions and
 eigenvalues to rounding, no eigenvector to read, and the experiments that
 take it unchanged to rounding."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sheafgauge
 from sheafgauge import diagnostics, operators
-from sheafgauge.complexes import Graph
+from sheafgauge.complexes import Graph, build_clique_complex, complete_graph
 from sheafgauge.operators import (
     AsymmetricOperatorError,
+    GroundingMorphism,
     PsdViolationError,
     SheafLaplacian,
+    algebraic_cone,
+    coboundary,
     decompose,
+    grounding_from_padding,
     kernel_dim,
     laplacian,
+    verify_block_decomposition,
 )
 from sheafgauge.sheaves import (
     build_sheaf_from_features,
+    constant_sheaf,
     hidden_twist_bundle,
     mobius_bundle,
     noisy_trivial_bundle,
     trivial_bundle,
 )
 from sheafgauge.spectral import (
+    ConeReductionSide,
     WitnessConfig,
     _degree_modes,
+    cone_reduction_side,
     global_witness,
     harmonic_space,
     indicator_profile,
     interleaving_shift,
     normalize_spectrum,
     spectral_gap,
+    synthetic_commuting_side,
 )
 
 EPS = np.finfo(float).eps
@@ -205,3 +217,57 @@ def test_experiments_decompose_eigenvalues_only(monkeypatch):
     assert calls == {"eigh": 0, "eigvalsh": 7}
     diagnostics.experiment_relativity(12)
     assert calls == {"eigh": 1, "eigvalsh": 9}
+
+
+_SOLVERS = {"eigh", "eigvalsh"}
+
+
+def _solver_scopes(node, scope):
+    """The innermost enclosing function of every reference to an eigensolver
+    under ``node``, an attribute such as ``np.linalg.eigh`` or an imported name."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Attribute) and child.attr in _SOLVERS
+                or isinstance(child, ast.alias) and child.name.split(".")[-1] in _SOLVERS):
+            yield scope
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _solver_scopes(child, inner)
+
+
+def test_only_decompose_and_the_triangle_bases_reach_the_eigensolvers():
+    # every operator spectrum goes through decompose's checks; the feature
+    # pipeline's stacked per-cell eigh is the one other caller
+    package = Path(sheafgauge.__file__).parent
+    scopes = {(path.name, scope) for path in sorted(package.glob("*.py"))
+              for scope in _solver_scopes(ast.parse(path.read_text()), "<module>")}
+    assert scopes == {("operators.py", "decompose"), ("sheaves.py", "_triangle_bases")}
+
+
+def test_certificate_blocks_are_decomposed_by_decompose(monkeypatch):
+    seen = []
+    original = operators.decompose
+    monkeypatch.setattr(operators, "decompose",
+                        lambda lap, vectors=True: seen.append(vectors) or original(lap, vectors))
+    sheaf = trivial_bundle(8, 2)
+    cone_reduction_side(algebraic_cone(sheaf, grounding_from_padding(sheaf)))
+    # L_1(F) and L_0(W), kept by their sheaves, then the four other blocks
+    assert seen == [True, True] + [False] * 4
+    synthetic_commuting_side(0)
+    assert seen == [True, True] + [False] * 10
+    k4 = constant_sheaf(build_clique_complex(complete_graph(4)), 1)
+    d1 = coboundary(k4, 1).matrix
+    _, _, vt = np.linalg.svd(d1)
+    assert verify_block_decomposition(
+        k4, GroundingMorphism(c1_matrix=vt[np.linalg.matrix_rank(d1):])).asserted
+    assert seen == [True, True] + [False] * 12
+
+
+def test_certificate_blocks_pass_the_symmetry_and_psd_checks():
+    # commuting blocks, so the hypotheses hold and every block is decomposed
+    base = np.diag([0.0, 1.0])
+    with pytest.raises(PsdViolationError):
+        ConeReductionSide.from_blocks(base, -np.eye(2), base, np.eye(2), 0.0,
+                                      lambda: (np.zeros(2), np.zeros(2)))
+    asymmetric = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(AsymmetricOperatorError):
+        ConeReductionSide.from_blocks(np.eye(2), asymmetric, base, np.eye(2), 0.0,
+                                      lambda: (np.ones(2), np.zeros(2)))

@@ -7,7 +7,7 @@ import pytest
 from conftest import copy_then_compose
 from sheafgauge import sheaves
 from sheafgauge.complexes import Graph, build_clique_complex, complete_graph
-from sheafgauge.operators import laplacian
+from sheafgauge.operators import geometric_cone_sheaf, grounding_from_padding, laplacian
 from sheafgauge.sheaves import (
     HIDDEN_TWIST_DEFECT_EDGE,
     HIDDEN_TWIST_WEIGHT,
@@ -469,6 +469,40 @@ def test_layout_matches_fresh_recomputation():
                 assert np.all(owner[slices[cell]] == k)
 
 
+def _walked_incidences(complex_, j):
+    """(coface, face) index rows of the degree-j incidences, by a walk of
+    ``complex_.faces`` over the cofaces in order."""
+    index = {cell: i for i, cell in enumerate(complex_.cells(j))}
+    pairs = [(k, index[face]) for k, coface in enumerate(complex_.cells(j + 1))
+             for face in complex_.faces(coface)]
+    return np.array(pairs, dtype=int).reshape(-1, 2).T
+
+
+def test_incidence_cells_are_a_walk_of_the_faces():
+    clique = constant_sheaf(build_clique_complex(complete_graph(5)), 2)
+    coned = geometric_cone_sheaf(clique, grounding_from_padding(clique))
+    features = _layout_fixtures()[-1]
+    # zero-dimensional stalks own no coordinate, yet take part in incidences
+    assert 0 in {stalk.dim for stalk in features.stalks.values()}
+    for sheaf in (clique, coned, features):
+        for j in range(-1, len(sheaf.complex.degrees)):
+            cells, walked = sheaf.incidence_cells(j), _walked_incidences(sheaf.complex, j)
+            assert cells.shape == walked.shape and np.array_equal(cells, walked)
+            assert not cells.flags.writeable
+    assert len(coned.incidence_cells(2)[0]) > 0  # tetrahedra on their triangles
+
+
+def test_replacing_shares_the_incidence_cells():
+    for base in (constant_sheaf(build_clique_complex(complete_graph(5)), 2), trivial_bundle(6, 2)):
+        walked = [base.incidence_cells(j) for j in range(-1, 3)]
+        member = add_restriction_noise(base, 0.3, 0)
+        assert all(member.incidence_cells(j) is cells for j, cells in zip(range(-1, 3), walked))
+    # the member that walks first leaves the positions to its base
+    base = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
+    member = add_restriction_noise(base, 0.3, 1)
+    assert base.incidence_cells(1) is member.incidence_cells(1)
+
+
 def test_layout_cannot_be_mutated_through_its_accessors():
     sheaf = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
     before = {j: dict(sheaf.cell_slices(j)) for j in (0, 1, 2)}
@@ -865,10 +899,54 @@ def test_validate_reports_perturbed_incidences():
     assert {(v.triangle, v.vertex) for v in violations} == {(t, (0,)), (t, (1,))}
 
 
+def test_violation_names_a_flags_top_cell_and_bottom_face_on_a_coned_complex():
+    # a flag of the coned K4 is a (tetrahedron, edge) pair under the names
+    # ``triangle`` and ``vertex``
+    base = constant_sheaf(build_clique_complex(complete_graph(4)), 2)
+    coned = geometric_cone_sheaf(base, grounding_from_padding(base))
+    t = (0, 1, 2, coned.complex.apex)
+    key = ((0, 1, 2), t)
+    negated = {**coned.restrictions, key: -coned.restrictions[key]}
+    violations = validate_sheaf(CellSheaf(coned.complex, coned.stalks, negated))
+    assert sorted((v.triangle, v.vertex) for v in violations) == [
+        ((0, 1, 2, 4), (0, 1)), ((0, 1, 2, 4), (0, 2)), ((0, 1, 2, 4), (1, 2))]
+    # each flag's two paths are -I and I on R^2
+    assert [v.defect for v in violations] == [2 * math.sqrt(2)] * 3
+
+
 def test_generator_sheaves_pass_validation():
     for sheaf in (trivial_bundle(6, 2), mobius_bundle(7), hidden_twist_bundle(8, 0.2),
                   noisy_trivial_bundle(6, 0.3, seed=1)):
         assert validate_sheaf(sheaf) == []
+
+
+def _counted(kernel, groups):
+    """``kernel``, appending the number of cells of each call to ``groups``."""
+    def counting(*stacks):
+        groups.append(len(stacks[0]))
+        return kernel(*stacks)
+    return counting
+
+
+def test_per_shape_takes_a_stacked_column_as_its_list_of_cells():
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(5, 2, 2))
+    # one shape group: the stack alone, and a list of one shape beside it
+    for columns in ((stack,), (stack, [rng.normal(size=(2, 3)) for _ in range(5)])):
+        kernel = sheaves._projectors if len(columns) == 1 else sheaves._products
+        groups = []
+        stacked = sheaves._per_shape(_counted(kernel, groups), columns)
+        listed = sheaves._per_shape(kernel, (list(stack),) + columns[1:])
+        assert groups == [5]
+        assert all(map(_same_array, stacked, listed)) and len(stacked) == 5
+    # two groups: the stack gathered by each group's cells beside a list of two shapes
+    mixed = [rng.normal(size=(2, k)) for k in (3, 1, 3, 1, 1)]
+    groups = []
+    stacked = sheaves._per_shape(_counted(sheaves._products, groups), (stack, mixed))
+    listed = sheaves._per_shape(sheaves._products, (list(stack), mixed))
+    assert groups == [2, 3]
+    assert all(map(_same_array, stacked, listed)) and len(stacked) == 5
+    assert [m.shape for m in stacked] == [(2, 3), (2, 1), (2, 3), (2, 1), (2, 1)]
 
 
 def _reference_defects(sheaf):

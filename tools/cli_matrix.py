@@ -26,6 +26,12 @@ compared after ``json.load``, with each key path that differs, both values
 and, for numbers, their relative difference; every other file by bytes.
 The largest relative difference comes last, and the exit code is 1 when
 anything differs.
+
+Run as a script, it sets BLAS to one thread before numpy loads it, as
+``perfbench/run.py`` does: some outputs move in their last bits between one
+and two BLAS threads (up to about 1e-11 relative), so two checkouts run under
+different settings would show moves that no code made. Imported, it changes
+no environment variable.
 """
 
 import argparse
@@ -38,7 +44,12 @@ import sys
 import traceback
 from pathlib import Path
 
-import numpy as np
+if __name__ == "__main__":  # one BLAS thread, before numpy loads BLAS
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["OMP_NUM_THREADS"] = "1"
+    os.environ["MKL_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
 
 GENERATORS = ("trivial", "mobius", "hidden-twist", "noisy-trivial")
 GROUNDINGS = ("padding", "fullrank", "deficient", "zero")
