@@ -18,9 +18,6 @@ from itertools import combinations
 
 from .fileio import _json_text
 
-Cell = tuple  # sorted tuple of vertex ids
-
-
 class GraphValidationError(ValueError):
     """The input graph violates the simple-graph invariants."""
 

@@ -11,7 +11,7 @@ read eigenvalues alone, so they decompose with ``vectors=False``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,9 +85,9 @@ class ChannelReport:
     auxiliary: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiagnosticsConfig:
-    witness: WitnessConfig = field(default_factory=WitnessConfig)
+    witness: WitnessConfig = WitnessConfig()
     normalize: bool = False
     with_local: bool = False
 
@@ -100,35 +100,16 @@ class DiagnosticsReport:
     local_maps: dict
 
 
-def _channel_report(name, operator, lap, spectrum, cfg: DiagnosticsConfig, auxiliary):
-    spectrum_used, flag = spectrum, False
-    if cfg.normalize:
-        normalized = normalize_spectrum(lap, spectrum)
-        spectrum_used, flag = normalized.spectrum, not normalized.was_zero
-    report = ChannelReport(
-        channel=name,
-        operator=operator,
-        kernel_dim=kernel_dim(spectrum),
-        spectral_gap=spectral_gap(spectrum_used),
-        global_witness=global_witness(spectrum_used, cfg.witness),
-        normalized=flag,
-        auxiliary=auxiliary,
-    )
-    return report, spectrum_used
-
-
 def run_diagnostics(sheaf: CellSheaf, grounding: GroundingMorphism,
-                    cfg: DiagnosticsConfig | None = None) -> DiagnosticsReport:
+                    cfg: DiagnosticsConfig = DiagnosticsConfig()) -> DiagnosticsReport:
     """All four taxonomy channels under one normalization policy.
 
     Each operator is built and decomposed once, by the sheaf or the channel
     set; the local maps read those raw spectra, ``spectra`` holds the ones
     the reports read (normalized if asked).
     """
-    cfg = cfg or DiagnosticsConfig()
     channels = channel_set(sheaf, grounding)
-    reports = {}
-    spectra = {}
+    reports, spectra = {}, {}
     for name, operator, lap, spectrum, auxiliary in (
         ("local_feasibility", "base", laplacian(sheaf, 0), laplacian_spectrum(sheaf, 0), False),
         ("intrinsic_obstruction", "base", laplacian(sheaf, 1), laplacian_spectrum(sheaf, 1),
@@ -137,8 +118,13 @@ def run_diagnostics(sheaf: CellSheaf, grounding: GroundingMorphism,
         ("ground_utilization", "channel", channels.utilization, channels.utilization_spectrum,
          True),
     ):
-        reports[name], spectra[name] = _channel_report(name, operator, lap, spectrum, cfg,
-                                                       auxiliary)
+        used, normalized = spectrum, False
+        if cfg.normalize:
+            result = normalize_spectrum(lap, spectrum)
+            used, normalized = result.spectrum, not result.was_zero
+        spectra[name] = used
+        reports[name] = ChannelReport(name, operator, kernel_dim(spectrum), spectral_gap(used),
+                                      global_witness(used, cfg.witness), normalized, auxiliary)
     if grounding.mode == VERTEX_LEVEL:
         defect = incidence_defect(sheaf, grounding)
     else:
@@ -182,17 +168,11 @@ def separation_check(sheaf: CellSheaf, grounding: GroundingMorphism) -> Separati
     channels = channel_set(sheaf, grounding)
     spectrum = channels.relative_spectrum
     dim_a = kernel_dim(spectrum)
-    harmonics = laplacian_spectrum(sheaf, 1).kernel
-    if harmonics.shape[1]:
-        dim_b = harmonics.shape[1] - numerical_rank(channels.eps @ harmonics)
-    else:
-        dim_b = 0
-    relative_kernel = spectrum.kernel
-    if relative_kernel.shape[1] and harmonics.shape[1]:
-        stacked = np.hstack([relative_kernel, harmonics])
-        dim_c = relative_kernel.shape[1] + harmonics.shape[1] - numerical_rank(stacked)
-    else:
-        dim_c = 0
+    # an empty kernel basis has rank 0, so (b) and (c) read 0 without a case of their own
+    harmonics, relative_kernel = laplacian_spectrum(sheaf, 1).kernel, spectrum.kernel
+    dim_b = harmonics.shape[1] - numerical_rank(channels.eps @ harmonics)
+    stacked = np.hstack([relative_kernel, harmonics])
+    dim_c = relative_kernel.shape[1] + harmonics.shape[1] - numerical_rank(stacked)
     gamma = spectral_gap(spectrum) if dim_b == 0 else None
     equivalent = dim_a == dim_b == dim_c
     return SeparationReport("pass" if equivalent else "fail", dim_a, dim_b, dim_c, equivalent,
@@ -327,7 +307,7 @@ def _fixture_maps(sheaf, cfg: WitnessConfig):
 def experiment_localization(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
                             sigma: float = SIGMA_DEFAULT, seed: int = SEED_DEFAULT,
                             num_seeds: int = NUM_SEEDS_DEFAULT,
-                            cfg: WitnessConfig | None = None):
+                            cfg: WitnessConfig = WitnessConfig()):
     """Local witness maps of the twist and noise fixtures, plus localization verdicts.
 
     Returns (result, heatmaps) where heatmaps maps panel names to witness maps
@@ -338,7 +318,6 @@ def experiment_localization(n: int = N_DEFAULT, tau: float = TAU_DEFAULT,
     compute that edge-energy map alone, from L_0 and d_0.
     """
     _check_params(n, tau, sigma, seed, num_seeds)
-    cfg = cfg or WitnessConfig()
     twist_maps = _fixture_maps(hidden_twist_bundle(n, tau), cfg)
     members = _noisy_members(n, sigma, seed, num_seeds)
     noise_maps = _fixture_maps(next(members), cfg)

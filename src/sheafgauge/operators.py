@@ -45,11 +45,8 @@ def zero_threshold(scale: float) -> float:
 
 
 def numerical_rank(matrix) -> int:
-    m = np.asarray(matrix, dtype=float)
-    if min(m.shape) == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > zero_threshold(s[0])))
+    s = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
+    return int(np.count_nonzero(s > zero_threshold(np.max(s, initial=0.0))))
 
 
 class AsymmetricOperatorError(ValueError):
@@ -218,9 +215,9 @@ def betti_numbers(sheaf: CellSheaf) -> tuple[int, ...]:
         count = len(validate_sheaf(sheaf))
         raise ValueError(f"betti_numbers needs d1·d0 = 0, and the sheaf has {count} "
                          "functoriality violation(s)")
-    degrees = sheaf.complex.degrees  # d_{-1} is a zero map, of rank 0
-    ranks = {j: numerical_rank(coboundary(sheaf, j).matrix) for j in degrees}
-    return tuple(sheaf.cochain_dim(j) - ranks[j] - ranks.get(j - 1, 0) for j in degrees)
+    degrees = sheaf.complex.degrees  # d_{-1} is an empty zero map, of rank 0
+    ranks = {j: numerical_rank(coboundary(sheaf, j).matrix) for j in range(-1, degrees.stop)}
+    return tuple(sheaf.cochain_dim(j) - ranks[j] - ranks[j - 1] for j in degrees)
 
 
 # ---------------------------------------------------------------------------

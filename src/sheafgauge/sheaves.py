@@ -316,7 +316,7 @@ def _two_path_defects(e1_t, v_e1, e2_t, v_e2):
 # ---------------------------------------------------------------------------
 
 
-def node_stalks_from_features(features, cfg: FeaturePipelineConfig | None = None):
+def node_stalks_from_features(features, cfg: FeaturePipelineConfig = FeaturePipelineConfig()):
     """Extract one stalk per vertex from its feature matrix by SVD.
 
     Feature matrices are zero-padded along rows to the common ambient
@@ -324,10 +324,6 @@ def node_stalks_from_features(features, cfg: FeaturePipelineConfig | None = None
     ``svd_tol * sigma_max`` form the stalk basis. The vertices whose padded
     features share a shape take one stacked SVD.
     """
-    return _node_stalks(features, cfg or FeaturePipelineConfig())
-
-
-def _node_stalks(features, cfg):
     arrays = {}
     for vertex, raw in features.items():
         f = np.asarray(raw, dtype=float)
@@ -348,7 +344,8 @@ def _node_stalks(features, cfg):
     return {vertex: Stalk(basis) for vertex, basis in zip(vertices, bases)}
 
 
-def edge_stalk_intersection(bu: Stalk, bv: Stalk, cfg: FeaturePipelineConfig | None = None):
+def edge_stalk_intersection(bu: Stalk, bv: Stalk,
+                            cfg: FeaturePipelineConfig = FeaturePipelineConfig()):
     """Near-intersection of two node stalks.
 
     Singular directions of Bu^T Bv with singular value above
@@ -357,7 +354,6 @@ def edge_stalk_intersection(bu: Stalk, bv: Stalk, cfg: FeaturePipelineConfig | N
     restriction matrices are coordinate projections onto that basis, so the
     construction is symmetric in (u, v) up to basis.
     """
-    cfg = cfg or FeaturePipelineConfig()
     if bu.ambient_dim != bv.ambient_dim:
         raise AmbientMismatchError(
             f"ambient dims differ: {bu.ambient_dim} vs {bv.ambient_dim}"
@@ -366,7 +362,8 @@ def edge_stalk_intersection(bu: Stalk, bv: Stalk, cfg: FeaturePipelineConfig | N
     return (Stalk(basis),) + _one_cell_restrictions(basis, (bu, bv))
 
 
-def triangle_stalk_soft_intersection(b_uv, b_vw, b_uw, cfg: FeaturePipelineConfig | None = None):
+def triangle_stalk_soft_intersection(b_uv, b_vw, b_uw,
+                                     cfg: FeaturePipelineConfig = FeaturePipelineConfig()):
     """Symmetric soft intersection of the three edge stalks of a triangle.
 
     Builds T = (P_uv P_vw P_uw)^T (P_uv P_vw P_uw) from the edge-stalk
@@ -374,7 +371,6 @@ def triangle_stalk_soft_intersection(b_uv, b_vw, b_uw, cfg: FeaturePipelineConfi
     ``tri_eig_tol``, largest first. Returns the stalk and the three
     restriction matrices from the edge stalks, in argument order.
     """
-    cfg = cfg or FeaturePipelineConfig()
     dims = {b_uv.ambient_dim, b_vw.ambient_dim, b_uw.ambient_dim}
     if len(dims) != 1:
         raise AmbientMismatchError(f"ambient dims differ: {sorted(dims)}")
@@ -383,11 +379,11 @@ def triangle_stalk_soft_intersection(b_uv, b_vw, b_uw, cfg: FeaturePipelineConfi
     return (Stalk(basis),) + _one_cell_restrictions(basis, edges)
 
 
-def build_sheaf_from_features(g: Graph, features, cfg: FeaturePipelineConfig | None = None):
+def build_sheaf_from_features(g: Graph, features,
+                              cfg: FeaturePipelineConfig = FeaturePipelineConfig()):
     """Run the full feature pipeline over the clique complex of ``g``, one
     stacked pass per degree: the cells whose operands share a shape go
     through each kernel together (see ``_per_shape``)."""
-    cfg = cfg or FeaturePipelineConfig()
     missing = [v for v in range(g.vertex_count) if v not in features]
     if missing:
         raise ValueError(f"features missing for vertices {missing}")
@@ -396,7 +392,7 @@ def build_sheaf_from_features(g: Graph, features, cfg: FeaturePipelineConfig | N
     if extra:
         raise ValueError(f"features given for vertices {extra}, which the graph lacks")
     complex_ = build_clique_complex(g)
-    node_stalks = _node_stalks(features, cfg)
+    node_stalks = node_stalks_from_features(features, cfg)
     stalks = {(v,): node_stalks[v] for v in range(g.vertex_count)}
     nodes = [node_stalks[v].basis for v in range(g.vertex_count)]
     edges, triangles = complex_.cells(1), complex_.cells(2)
@@ -478,11 +474,10 @@ def _edge_bases(bu, bv, align_tol):
     def bases(r, cells):
         if r == 0:
             return np.zeros((cells.size, ambient, 0))
-        pu, pv = (bu, bv) if cells.size == n else (bu[cells], bv[cells])
         # each cell's u[:, keep] and vt[keep].T, in the layout a 2-d mask index gives
         left = np.ascontiguousarray(u[cells, :, :r].transpose(0, 2, 1)).transpose(0, 2, 1)
         right = np.ascontiguousarray(vt[cells, :r]).transpose(0, 2, 1)
-        w, _, zt = np.linalg.svd(np.matmul(pu, left) + np.matmul(pv, right),
+        w, _, zt = np.linalg.svd(np.matmul(bu[cells], left) + np.matmul(bv[cells], right),
                                  full_matrices=False)
         return np.matmul(w, zt)
 
@@ -786,7 +781,11 @@ def sheaf_from_json_dict(data: dict) -> CellSheaf:
     for where, (cell, basis) in _items("stalk", stalk_items, "cell", "basis"):
         cell = _integers(where, "cell", cell)
         _first(given, cell, where, "cell {}", cell)
-        stalks[cell] = Stalk(_matrix_from_payload(where, "basis", basis))
+        basis = _matrix_from_payload(where, "basis", basis)
+        try:
+            stalks[cell] = Stalk(basis)
+        except ValueError as exc:
+            raise ValueError(f"{where} field 'basis': {exc}") from None
     for where, (face, coface, matrix) in _items("restriction", restriction_items,
                                                 "face", "coface", "matrix"):
         face, coface = _integers(where, "face", face), _integers(where, "coface", coface)

@@ -226,14 +226,14 @@ def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray,
 
 def _degree_modes(cfg, spectrum):
     """delta1, admitted eigenvector columns V and their weights w of a spectrum."""
-    cfg = cfg or WitnessConfig()
     vectors = spectrum.vectors()
     delta = cfg.resolve_delta1(spectrum)
     indices, weights = _admitted_modes(spectrum, delta, cfg)
     return delta, vectors[:, indices], np.array(weights, dtype=float)
 
 
-def local_witness(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None) -> LocalWitnessMap:
+def local_witness(sheaf: CellSheaf, j: int,
+                  cfg: WitnessConfig = WitnessConfig()) -> LocalWitnessMap:
     """Per-cell attribution of admitted low-energy mode energy in degree j.
 
     Each admitted eigenvector v contributes, to every cell e of degree j,
@@ -247,7 +247,7 @@ def local_witness(sheaf: CellSheaf, j: int, cfg: WitnessConfig | None = None) ->
 
 
 def coface_energy_map(sheaf: CellSheaf, j: int,
-                      cfg: WitnessConfig | None = None) -> LocalWitnessMap:
+                      cfg: WitnessConfig = WitnessConfig()) -> LocalWitnessMap:
     """Per-coface energy of the admitted degree-j modes, before aggregation.
 
     The degree-j witness attributes ||(d_j v)[c]||^2 to every face of c;
@@ -263,7 +263,7 @@ def coface_energy_map(sheaf: CellSheaf, j: int,
 
 
 def local_witness_relative(channels: ChannelSet,
-                           cfg: WitnessConfig | None = None) -> LocalWitnessMap:
+                           cfg: WitnessConfig = WitnessConfig()) -> LocalWitnessMap:
     """Edge-level witness of the relative cone channel L_1 + eps^T eps.
 
     Each edge e additionally receives ||eps_e x_e||^2 from its own column
@@ -544,16 +544,15 @@ def verify_cone_reduction(side_a: ConeReductionSide,
 
     eta is the measured interleaving of the base filtrations, v the largest
     pairwise gap between corresponding grounding-penalty spectra, theta their
-    profile interleaving. Hypothesis residuals above tolerance yield a
-    hypothesis-not-met report with no bound asserted.
+    profile interleaving. A side whose hypotheses failed has no ``spectra``
+    (``ConeReductionSide.from_blocks``): the report is then hypothesis-not-met.
     """
     residuals = {f"{name}_{label}": value
                  for label, side in (("a", side_a), ("b", side_b))
                  for name, value in side.residuals.items()}
-    if max(residuals.values()) > COMMUTATION_TOL:
-        return ConeReductionReport("hypothesis-not-met", residuals)
-
     a, b = side_a.spectra, side_b.spectra
+    if a is None or b is None:
+        return ConeReductionReport("hypothesis-not-met", residuals)
     eta = max(_profile_eta(a["base_f"], b["base_f"]), _profile_eta(a["base_w"], b["base_w"]))
     v_bound = max(_pairwise_spread(a["gram_f"], b["gram_f"]),
                   _pairwise_spread(a["gram_w"], b["gram_w"]))

@@ -246,7 +246,7 @@ def _set_stalk_shape(shape):
      "restriction (1,) -> (1, 2) contains NaN or inf"),
     (_edit_restriction([1], [1, 2], 1, float("inf")),
      "restriction (1,) -> (1, 2) contains NaN or inf"),
-    (_set_stalk_entry, "stalk basis contains NaN or inf"),
+    (_set_stalk_entry, "stalk item 2 field 'basis': stalk basis contains NaN or inf"),
     (_drop_stalk, "missing stalk for cell (0,)"),
     (_add_stalk, "stalk for (0, 2), not a cell of the complex"),
     (_add_restriction, "restriction (0,) -> (2, 3), not an incidence of the complex"),
@@ -272,12 +272,20 @@ def _set_stalk_shape(shape):
      "stalk item 0 field 'cell' is not a list of integers"),
     (_set_stalk_shape([2, True]),
      "stalk item 0 field 'basis' field 'shape' is not a list of integers"),
+    # a bad basis names its item, as every other sheaf.json error does
+    (_set_field("stalks", 3, "basis", {"shape": [2, 2], "data": [2, 0, 0, 1]}),
+     "stalk item 3 field 'basis': stalk basis is not orthonormal"),
+    (_set_field("stalks", 3, "basis", {"shape": [], "data": [1.0]}),
+     "stalk item 3 field 'basis': stalk basis must be a 2d array"),
+    (_set_field("stalks", 0, "basis", {"shape": [2, 2], "data": [1, 0, 0]}),
+     "stalk item 0 field 'basis': cannot reshape array of size 3 into shape (2,2)"),
 ], ids=["nan-restriction", "inf-restriction", "nan-stalk", "missing-stalk", "extra-stalk",
         "extra-restriction", "stalk-without-basis", "restriction-without-face",
         "document-not-object", "graph-not-object", "basis-not-object", "cell-not-list",
         "stalks-not-list", "sheaf-without-stalks", "sheaf-without-graph",
         "matrix-without-data", "repeated-restriction", "repeated-stalk", "negative-shape",
-        "boolean-cell", "boolean-shape"])
+        "boolean-cell", "boolean-shape", "non-orthonormal-stalk", "stalk-not-2d",
+        "stalk-data-not-shape"])
 def test_mis_keyed_or_non_finite_sheaf_input_is_input_error(tmp_path, capsys, command, edit,
                                                             message):
     from sheafgauge.sheaves import sheaf_to_json_dict, trivial_bundle
@@ -1159,3 +1167,67 @@ def test_cli_matrix_compare_names_each_moved_key(tmp_path):
         "run.stdout: differs",
         "largest relative difference: 2e-07 at run/out.json:/rows[0]/gap",
     ]
+
+
+# ---------------------------------------------------------------------------
+# Input errors: exit 1, one exact line on stderr and no output directory
+# ---------------------------------------------------------------------------
+
+
+def _graph_json(tmp_path, data):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _features_json(tmp_path, features, name="features.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"features": features}))
+    return path
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda tmp: ["diagnose", "--input", str(tmp / "missing" / "x.json")],
+     lambda tmp: (f"error: cannot read {tmp / 'missing' / 'x.json'}: [Errno 2] No such file "
+                  f"or directory: '{tmp / 'missing' / 'x.json'}'")),
+    (lambda tmp: ["diagnose"], lambda tmp: "error: need --input or --generator"),
+    (lambda tmp: ["build", "--input", str(_graph_json(tmp, {"vertices": 1, "edges": []}))],
+     lambda tmp: "error: build needs --input graph.json and --features features.json"),
+    (lambda tmp: ["build", "--input", str(_graph_json(tmp, {"vertices": 1, "edges": []})),
+                  "--features", str(_features_json(tmp, {"0": {"rows": [1.0]}}))],
+     lambda tmp: (f"error: {tmp / 'features.json'}: vertex 0: float() argument must be a "
+                  f"string or a real number, not 'dict'")),
+    (lambda tmp: ["diagnose", "--generator", "hidden-twist", "--tau", "abc"],
+     lambda tmp: "sheafgauge diagnose: error: argument --tau: invalid float value: 'abc'"),
+    (lambda tmp: ["build", "--input", str(_graph_json(tmp, {"vertices": -1, "edges": []})),
+                  "--features", str(_features_json(tmp, {}))],
+     lambda tmp: f"error: {tmp / 'graph.json'}: vertex_count must be non-negative"),
+    (lambda tmp: ["build", "--input", str(_graph_json(tmp, {"vertices": 2.5, "edges": []})),
+                  "--features", str(_features_json(tmp, {}))],
+     lambda tmp: f"error: {tmp / 'graph.json'}: vertex_count must be an integer"),
+    (lambda tmp: ["build", "--input", str(_graph_json(tmp, {"edges": []})),
+                  "--features", str(_features_json(tmp, {}))],
+     lambda tmp: f"error: {tmp / 'graph.json'}: graph JSON must contain 'vertices' and 'edges'"),
+], ids=["unreadable-input", "no-sheaf-source", "build-without-features", "features-object",
+        "tau-not-float", "negative-vertices", "float-vertices", "no-vertices"])
+def test_each_input_error_names_its_cause(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert run(argv(tmp_path) + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == message(tmp_path) + "\n"
+    assert not out.exists()
+
+
+def test_a_vertex_feature_vector_is_read_as_one_column(tmp_path):
+    graph = _graph_json(tmp_path, {"vertices": 2, "edges": [[0, 1]]})
+    column = {"0": [[1.0], [2.0], [0.0]], "1": [[1.0], [0.0], [0.0]]}
+    vector = {**column, "0": [1.0, 2.0, 0.0]}
+    sheaves = []
+    for name, features in (("column", column), ("vector", vector)):
+        path = _features_json(tmp_path, features, f"{name}.json")
+        assert run(["build", "--input", str(graph), "--features", str(path),
+                    "--out", str(tmp_path / name)]) == 0
+        data = json.loads(read(tmp_path / name / "sheaf.json"))
+        sheaves.append({key: data[key] for key in ("stalks", "restrictions")})
+    assert sheaves[0] == sheaves[1]
+    assert sheaves[1]["stalks"][0]["cell"] == [0]
+    assert sheaves[1]["stalks"][0]["basis"]["shape"] == [3, 1]

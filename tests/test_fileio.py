@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sheafgauge.diagnostics import ChannelReport
-from sheafgauge.fileio import json_fields, write_csv, write_json
+from sheafgauge.fileio import atomic_write_text, json_fields, write_csv, write_json
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
@@ -44,3 +44,10 @@ def test_json_is_one_compact_line_that_reads_as_the_indented_text(tmp_path):
 def test_csv_writes_a_numpy_float_as_its_number(tmp_path):
     write_csv(tmp_path / "x.csv", ("a", "b", "c"), [(np.float64(0.1), 0.1, np.int64(3))])
     assert (tmp_path / "x.csv").read_text() == "a,b,c\n0.1,0.1,3\n"
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    # a lone surrogate has no encoding: the write raises after the temp file exists
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(tmp_path / "x.txt", "\udc80")
+    assert list(tmp_path.iterdir()) == []

@@ -9,6 +9,7 @@ the containment residuals off one overlap matrix. Both must agree with
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from sheafgauge.spectral import (
     _EDGE_SLACK,
     InterleavingResult,
     Spectrum,
+    _contained,
     eigendecompose,
     interleaving_shift,
 )
@@ -214,3 +216,31 @@ def test_interleaving_properties_on_shared_bases(pair):
     assert interleaving_shift(a, a).eta == 0.0
     assert result == _reference_interleaving(a, b)
     assert result.eta in _candidates(a, b)
+
+
+# ---------------------------------------------------------------------------
+# The exact norm behind the cheap bounds
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("second, inside", [((0.0, 0.8), True), ((0.8, 0.0), False)],
+                         ids=["orthogonal", "parallel"])
+def test_contained_settles_between_the_bounds_by_the_exact_norm(monkeypatch, second, inside):
+    # rows 1-2 of both columns have norm 0.8 tol: the widest column is within
+    # tol and the Frobenius norm is not, so only the exact 2-norm decides,
+    # 0.8 tol for orthogonal columns and 0.8 sqrt(2) tol = 1.13 tol for parallel ones
+    overlap = np.zeros((3, 2))
+    overlap[1:, 0] = (0.8 * _CONTAIN_TOL, 0.0)
+    overlap[1:, 1] = np.array(second) * _CONTAIN_TOL
+    tail = np.cumsum((overlap * overlap)[::-1], axis=0)[::-1]
+    widest, total = np.maximum.accumulate(tail, axis=1), np.cumsum(tail, axis=1)
+    assert widest[1, 1] <= _CONTAIN_TOL**2 < total[1, 1]
+    norms = []
+
+    def norm(m, *args, norm=np.linalg.norm):
+        norms.append(args)
+        return norm(m, *args)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    assert _contained(overlap, widest, total, 1, 2) is inside
+    assert norms == [(2,)]
