@@ -430,15 +430,16 @@ class MappingCone:
     """Algebraic mapping cone of a vertex-level grounding F -> W.
 
     W is the constant sheaf with stalk R^w (w = ``grounding.target_dim``) on
-    the complex of F, and eps the grounding's block-diagonal cochain maps.
+    the complex of F, held as F itself when F's cochain complex already is
+    W's (``w_sheaf``), and eps the grounding's block-diagonal cochain maps.
     Cone^n = C^{n+1}(F) + C^n(W) with d(a, b) = (-d_F a, -eps a + d_W b).
     The translated cone Cone[1]^n = Cone^{n-1} has differential
     -d^{n-1}: (x, y) -> (d_F x, eps x - d_W y).
 
     The cone holds its sheaf and grounding, and reads its ``degrees`` from
-    the complex. Formed on first read and kept: the constant sheaf
-    ``w_sheaf``, the read-only mapping ``eps`` of cochain blocks (one degree
-    past the cone's at each end, empty outside the complex's), the incidence defect
+    the complex. Formed on first read and kept: ``w_sheaf``, the read-only
+    mapping ``eps`` of cochain blocks (one degree past the cone's at each
+    end, empty outside the complex's), the incidence defect
     ``defect_total`` and the read-only differentials, built from the
     coboundaries that ``sheaf`` and ``w_sheaf`` each assemble once, so every
     certificate reads the same matrices. d^2 = 0 holds when ``sheaf`` is
@@ -455,8 +456,26 @@ class MappingCone:
         return range(degrees.start - 1, degrees.stop)
 
     @cached_property
+    def _square_maps(self) -> bool:
+        """Every stalk of F has dimension ``target_dim``, so every cell map
+        of the grounding is square."""
+        w = self.grounding.target_dim
+        return all(stalk.dim == w for stalk in self.sheaf.stalks.values())
+
+    @cached_property
     def w_sheaf(self) -> CellSheaf:
-        return constant_sheaf(self.sheaf.complex, self.grounding.target_dim)
+        """The constant sheaf W, or ``sheaf`` itself when its cochain complex
+        already is W's: every cell map square and every restriction exactly
+        the identity, bit for bit (a -0.0 entry is not 0.0). Only the
+        restrictions enter W's operators, so the stalk bases do not matter,
+        and W then shares F's coboundaries, Laplacians and spectra."""
+        sheaf, w = self.sheaf, self.grounding.target_dim
+        if self._square_maps:
+            restrictions = sheaf.restrictions.values()
+            entries = np.concatenate([np.zeros(0)] + [m.ravel() for m in restrictions])
+            if entries.tobytes() == np.tile(np.eye(w).ravel(), len(restrictions)).tobytes():
+                return sheaf
+        return constant_sheaf(sheaf.complex, w)
 
     @cached_property
     def eps(self) -> MappingProxyType:
@@ -583,6 +602,22 @@ class LesReport:
     betti_cone: tuple
 
 
+def _cone_kernel(cone: MappingCone, n: int) -> np.ndarray:
+    """Harmonic basis of Cone^n, the kernel of its Laplacian.
+
+    A morphism with square, invertible cell maps (padding's are orthogonal
+    when square) is an isomorphism of cochain complexes, so its cone is
+    acyclic. With square maps the eigenvalues are read first: an empty
+    kernel is an empty ``(dim, 0)`` basis, and no eigenvector is computed. A
+    non-empty one is ``numerical_kernel``, its basis and count from ``eigh``
+    as with non-square maps, whose cones are read from ``eigh`` at once.
+    """
+    lap = cone.laplacian(n)
+    if cone._square_maps and kernel_dim(decompose(lap, vectors=False)) == 0:
+        return np.zeros((lap.dim, 0))
+    return numerical_kernel(lap)
+
+
 def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
     """Rank exactness of ... -> H^j(F) -> H^j(W) -> H^j(cone) -> H^{j+1}(F) -> ...
 
@@ -603,7 +638,7 @@ def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
     # the cone's decompositions are the largest: they run before the sheaves
     # keep their spectra, which lowers the peak memory
     degrees, low, top = cone.sheaf.complex.degrees, cone.degrees[0], cone.degrees[-1]
-    harm_c = {n: numerical_kernel(cone.laplacian(n)) for n in cone.degrees}
+    harm_c = {n: _cone_kernel(cone, n) for n in cone.degrees}
     harm_f = {j: laplacian_spectrum(cone.sheaf, j).kernel for j in degrees}
     harm_w = {j: laplacian_spectrum(cone.w_sheaf, j).kernel for j in degrees}
 

@@ -329,6 +329,8 @@ def node_stalks_from_features(features, cfg: FeaturePipelineConfig = FeaturePipe
         f = np.asarray(raw, dtype=float)
         if f.ndim == 1:
             f = f[:, None]
+        if f.ndim != 2:
+            raise ValueError(f"feature matrix of vertex {vertex} must be a vector or a matrix")
         if f.size == 0:
             raise ValueError(f"feature matrix of vertex {vertex} is empty")
         if not np.isfinite(f).all():

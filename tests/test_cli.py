@@ -1,6 +1,7 @@
 import argparse
 import ast
 import dataclasses
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -772,11 +773,13 @@ ASSEMBLY_FUNCTIONS = ("algebraic_cone", "incidence_defect", "constant_sheaf",
 def _count_assemblies(monkeypatch):
     """Count calls of each assembly function in every sheafgauge module binding
     it, every coboundary a sheaf assembles (not those it hands out again) and
-    every dense eigensolver call."""
+    every dense eigensolver call; also list the shape and sha1 digest of every
+    ``eigh`` input."""
     import sheafgauge.operators as operators
     import sheafgauge.sheaves as sheaves
 
     counts = {"coboundary": 0, "eigh": 0, "eigvalsh": 0}
+    eigh_inputs = []
     assemble = sheaves.CellSheaf._assemble_coboundary
 
     def assembled(sheaf, j):
@@ -787,6 +790,9 @@ def _count_assemblies(monkeypatch):
     for solver in ("eigh", "eigvalsh"):
         def solved(m, _solver=solver, _original=getattr(np.linalg, solver)):
             counts[_solver] += 1
+            if _solver == "eigh":
+                eigh_inputs.append(
+                    (m.shape, hashlib.sha1(np.ascontiguousarray(m).tobytes()).hexdigest()))
             return _original(m)
 
         monkeypatch.setattr(np.linalg, solver, solved)
@@ -801,7 +807,7 @@ def _count_assemblies(monkeypatch):
         for key, module in sorted(sys.modules.items()):
             if key.startswith("sheafgauge") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    return counts
+    return counts, eigh_inputs
 
 
 def test_verify_assembles_one_cone(tmp_path, monkeypatch):
@@ -810,18 +816,25 @@ def test_verify_assembles_one_cone(tmp_path, monkeypatch):
 
     sheaf_path = tmp_path / "k5.json"
     sheaf_path.write_text(sheaf_to_json(constant_sheaf(build_clique_complex(complete_graph(5)), 2)))
-    counts = _count_assemblies(monkeypatch)
+    counts, eigh_inputs = _count_assemblies(monkeypatch)
     assert run(["verify", "--input", str(sheaf_path), "--grounding", "padding",
                 "--out", str(tmp_path / "padding")]) == 0
-    # d_j of F for j = -1..3 and of W for j = -2..2 (the cone's differentials
-    # read one map past each end; the end maps are empty), and d0-d2 of the
-    # geometric cone, each assembled once: the channel set reads F's. L_j of F and of W, each assembled and decomposed once: the LES reads
-    # all six spectra, the cone reduction L_1(F) and L_0(W) with their
-    # spectra, the separation check L_1(F) and its spectrum. eigh: those 6,
-    # the 4 cone Laplacians of the LES and the relative channel; eigvalsh:
-    # the cone reduction's 2 Gram blocks and 2 cone blocks.
-    assert counts == {"algebraic_cone": 1, "incidence_defect": 1, "constant_sheaf": 1,
-                      "_assemble_laplacian": 6, "coboundary": 13, "eigh": 11, "eigvalsh": 4}
+    # the constant sheaf is its own W (identity restrictions, stalks of the
+    # padded dimension), so no constant sheaf is built. d_j of F for
+    # j = -2..3 (the cone's differentials read one map past each end; the
+    # end maps are empty) and d0-d2 of the geometric cone, each assembled
+    # once: the channel set reads F's. L_0-L_2 of F, each assembled and
+    # decomposed once: the LES reads them as F's and as W's spectra, the cone
+    # reduction L_1(F) and L_0(W) with their spectra, the separation check
+    # L_1(F) and its spectrum. eigh: those 3 and the relative channel;
+    # eigvalsh: the 4 cone Laplacians of the LES (square cell maps, so their
+    # values are read first, and the kernels are empty) and the cone
+    # reduction's 2 Gram blocks and 2 cone blocks.
+    assert counts == {"algebraic_cone": 1, "incidence_defect": 1, "constant_sheaf": 0,
+                      "_assemble_laplacian": 3, "coboundary": 9, "eigh": 4, "eigvalsh": 8}
+    # and no eigh input is solved twice. Out of scope here: under the zero
+    # grounding the relative operator R = L_1 + 0 repeats L_1.
+    assert len(set(eigh_inputs)) == len(eigh_inputs) == 4
     counts.update(dict.fromkeys(counts, 0))
     assert run(["verify", "--input", str(sheaf_path), "--grounding", "fullrank",
                 "--out", str(tmp_path / "fullrank")]) == 0
@@ -1208,8 +1221,15 @@ def _features_json(tmp_path, features, name="features.json"):
     (lambda tmp: ["build", "--input", str(_graph_json(tmp, {"edges": []})),
                   "--features", str(_features_json(tmp, {}))],
      lambda tmp: f"error: {tmp / 'graph.json'}: graph JSON must contain 'vertices' and 'edges'"),
+    (lambda tmp: ["build", "--input", str(_graph_json(tmp, {"vertices": 1, "edges": []})),
+                  "--features", str(_features_json(tmp, {"0": 5.0}))],
+     lambda tmp: "error: feature matrix of vertex 0 must be a vector or a matrix"),
+    (lambda tmp: ["build", "--input", str(_graph_json(tmp, {"vertices": 1, "edges": []})),
+                  "--features", str(_features_json(tmp, {"0": [[[1.0]]]}))],
+     lambda tmp: "error: feature matrix of vertex 0 must be a vector or a matrix"),
 ], ids=["unreadable-input", "no-sheaf-source", "build-without-features", "features-object",
-        "tau-not-float", "negative-vertices", "float-vertices", "no-vertices"])
+        "tau-not-float", "negative-vertices", "float-vertices", "no-vertices",
+        "scalar-features", "3d-features"])
 def test_each_input_error_names_its_cause(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
     assert run(argv(tmp_path) + ["--out", str(out)]) == 1

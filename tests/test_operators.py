@@ -50,12 +50,14 @@ from sheafgauge.operators import (
 from sheafgauge.sheaves import (
     CellSheaf,
     Stalk,
+    _read_only,
     build_sheaf_from_features,
     constant_sheaf,
     hidden_twist_bundle,
     make_line_bundle,
     mobius_bundle,
     noisy_trivial_bundle,
+    rotation_matrix,
     sheaf_from_json,
     sheaf_to_json,
     trivial_bundle,
@@ -1048,6 +1050,101 @@ def test_cone_reduction_reads_the_kept_base_spectra():
     side = cone_reduction_side(cone)
     assert side.spectra["base_f"] is laplacian_spectrum(sheaf, 1).eigenvalues
     assert side.spectra["base_w"] is laplacian_spectrum(cone.w_sheaf, 0).eigenvalues
+
+
+def _k5_r2():
+    return constant_sheaf(build_clique_complex(complete_graph(5)), 2)
+
+
+def _k5_line_in_r2():
+    """The constant R^1 sheaf on K5 with every stalk the line e1 of R^2."""
+    line = constant_sheaf(build_clique_complex(complete_graph(5)), 1)
+    return CellSheaf(line.complex, dict.fromkeys(line.stalks, Stalk(np.eye(2, 1))),
+                     line.restrictions)
+
+
+GROUNDINGS = {
+    "k5-padding": grounding_from_padding,
+    "6-cycle-padding": grounding_from_padding,
+    "k5-first-coordinate": lambda sheaf: constant_grounding(sheaf, matrix=[[1.0, 0.0]]),
+    "k5-singular-square": lambda sheaf: constant_grounding(sheaf, matrix=np.diag([1.0, 0.0])),
+}
+
+
+def _les_and_side(name):
+    """The cone of a fresh fixture ``name``, its LES report and its cone-reduction side."""
+    sheaf = trivial_bundle(6, 2) if name == "6-cycle-padding" else _k5_r2()
+    cone = algebraic_cone(sheaf, GROUNDINGS[name](sheaf))
+    return cone, verify_long_exact_sequence(cone), cone_reduction_side(cone)
+
+
+@pytest.mark.parametrize("name, betti_cone", [
+    ("k5-padding", (0, 0, 0, 0)), ("6-cycle-padding", (0, 0, 0, 0)),
+    # non-square maps: the kernels are read from eigh at once
+    ("k5-first-coordinate", (1, 0, 4, 0)),
+    # square maps, singular: the values are read first, then eigh
+    ("k5-singular-square", (1, 1, 4, 4)),
+])
+def test_sharing_w_and_reading_kernel_values_first_change_no_bit(monkeypatch, name, betti_cone):
+    # the certificates of a cone whose W is its own sheaf and whose empty
+    # kernels skip the eigenvectors equal, to the bit, those of a separately
+    # built constant W with every cone kernel read from a full eigh
+    cone, report, side = _les_and_side(name)
+    # every fixture here has identity restrictions: W is F with square maps
+    square = name != "k5-first-coordinate"
+    assert cone._square_maps == square and (cone.w_sheaf is cone.sheaf) == square
+    assert report.betti_cone == betti_cone
+
+    monkeypatch.setattr(MappingCone, "_square_maps", property(lambda cone: False))
+    reference_cone, reference, reference_side = _les_and_side(name)
+    assert reference_cone.w_sheaf is not reference_cone.sheaf
+
+    # repr writes every field, and every float round-trips: -0.0 differs from 0.0
+    assert report == reference and repr(report) == repr(reference)
+    assert repr(side.residuals) == repr(reference_side.residuals)
+    assert side.spectra.keys() == reference_side.spectra.keys()
+    for key, values in side.spectra.items():
+        assert values.tobytes() == reference_side.spectra[key].tobytes(), key
+
+
+def test_a_padded_cone_with_smaller_stalks_solves_each_laplacian_once(monkeypatch):
+    # stalks R^1 in the ambient R^2: padding is a morphism but no isomorphism,
+    # its cone is not acyclic, and each cone Laplacian gets one eigh
+    embedded = _k5_line_in_r2()
+    cone = algebraic_cone(embedded, grounding_from_padding(embedded))
+    counts = dict.fromkeys(("eigh", "eigvalsh"), 0)
+    for solver in counts:
+        def solved(m, _solver=solver, _original=getattr(np.linalg, solver)):
+            counts[_solver] += 1
+            return _original(m)
+
+        monkeypatch.setattr(np.linalg, solver, solved)
+    report = verify_long_exact_sequence(cone)
+    assert report.status == "pass" and report.betti_cone == (0, 1, 0, 4)
+    # the 4 cone Laplacians, L_0-L_2 of F and of W
+    assert counts == {"eigh": 10, "eigvalsh": 0}
+
+
+def test_w_is_the_sheaf_exactly_when_its_complex_is_ws():
+    k5 = _k5_r2()
+    # one restriction negated, or with a -0.0 entry: an equal identity, not the same bits
+    negated, signed_zero = (k5._replacing({((0,), (0, 1)): _read_only(m)})
+                            for m in (-np.eye(2), [[1.0, -0.0], [0.0, 1.0]]))
+    # stalks R^1 in the ambient R^2: the padding W is R^2, not the stalks
+    embedded = _k5_line_in_r2()
+    # the stalk bases do not enter W's operators
+    rotated = CellSheaf(k5.complex, dict.fromkeys(k5.stalks, Stalk(rotation_matrix(0.3))),
+                        k5.restrictions)
+    cases = [(k5, True), (sheaf_from_json(sheaf_to_json(k5)), True), (rotated, True),
+             (negated, False), (signed_zero, False), (embedded, False)]
+    for sheaf, shared in cases:
+        cone = algebraic_cone(sheaf, grounding_from_padding(sheaf))
+        assert (cone.w_sheaf is sheaf) == shared
+        if not shared:
+            w = cone.w_sheaf
+            assert w.complex is sheaf.complex
+            assert all(np.array_equal(m, np.eye(2)) for m in w.restrictions.values())
+    assert algebraic_cone(k5, constant_grounding(k5, target_dim=3)).w_sheaf.stalk_dim((0,)) == 3
 
 
 def test_les_hypothesis_violation():

@@ -82,6 +82,10 @@ def test_node_stalk_errors():
     for bad in (np.inf, -np.inf):
         with pytest.raises(ValueError, match="vertex 5 contains NaN or inf"):
             node_stalks_from_features({0: np.eye(2), 5: np.array([[bad, 1.0]])})
+    for rank_other in (5.0, [[[1.0]]], np.zeros((2, 2, 0))):
+        with pytest.raises(ValueError,
+                           match="^feature matrix of vertex 4 must be a vector or a matrix$"):
+            node_stalks_from_features({0: np.eye(2), 4: rank_other})
 
 
 def test_edge_stalk_identical_planes():
