@@ -107,12 +107,7 @@ def decompose(lap: SheafLaplacian, vectors: bool = True) -> Spectrum:
     spectrum then has no eigenvectors (``Spectrum.vectors``).
     """
     m = lap.matrix
-    # every operator the package assembles is exactly symmetric: the tolerance
-    # and its two temporaries are only needed when the exact test fails
-    if not np.array_equal(m, m.T):
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
-            raise AsymmetricOperatorError("operator is not symmetric within tolerance")
+    _require_symmetric(m)
     eigenvalues, eigenvectors = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     lam_max = float(eigenvalues[-1]) if eigenvalues.size else 0.0
     if eigenvalues.size and eigenvalues[0] < -ZERO_PSD_REL * max(lam_max, 1.0):
@@ -121,6 +116,17 @@ def decompose(lap: SheafLaplacian, vectors: bool = True) -> Spectrum:
     if eigenvectors is not None:
         eigenvectors.flags.writeable = False
     return Spectrum(eigenvalues, eigenvectors, zero_threshold(lam_max))
+
+
+def _require_symmetric(m: np.ndarray) -> None:
+    """AsymmetricOperatorError unless ``m`` is symmetric within 1e-10 of its
+    largest entry (at least 1). Every operator the package assembles is
+    exactly symmetric: the tolerance and its two temporaries are only needed
+    when the exact test fails."""
+    if not np.array_equal(m, m.T):
+        scale = max(1.0, float(np.max(np.abs(m))))
+        if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
+            raise AsymmetricOperatorError("operator is not symmetric within tolerance")
 
 
 def _eigenvalues(matrix) -> np.ndarray:
@@ -164,12 +170,18 @@ class SheafLaplacian:
         return self.matrix.shape[0]
 
 
-def _hodge_laplacian(j: int, down: np.ndarray, up: np.ndarray) -> SheafLaplacian:
-    """down down^T + up^T up, read-only; numpy forms each Gram product by a
+def _gram_sum(down: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """down down^T + up^T up, writeable; numpy forms each Gram product by a
     symmetric rank-k update, so the sum is exactly symmetric. The sum is
     formed in place, so no third n x n array is held."""
     m = down @ down.T
     m += up.T @ up
+    return m
+
+
+def _hodge_laplacian(j: int, down: np.ndarray, up: np.ndarray) -> SheafLaplacian:
+    """The read-only ``_gram_sum`` of ``down`` and ``up``, as the degree-j Laplacian."""
+    m = _gram_sum(down, up)
     m.flags.writeable = False
     return SheafLaplacian(m, j)
 
@@ -456,21 +468,15 @@ class MappingCone:
         return range(degrees.start - 1, degrees.stop)
 
     @cached_property
-    def _square_maps(self) -> bool:
-        """Every stalk of F has dimension ``target_dim``, so every cell map
-        of the grounding is square."""
-        w = self.grounding.target_dim
-        return all(stalk.dim == w for stalk in self.sheaf.stalks.values())
-
-    @cached_property
     def w_sheaf(self) -> CellSheaf:
         """The constant sheaf W, or ``sheaf`` itself when its cochain complex
-        already is W's: every cell map square and every restriction exactly
-        the identity, bit for bit (a -0.0 entry is not 0.0). Only the
-        restrictions enter W's operators, so the stalk bases do not matter,
-        and W then shares F's coboundaries, Laplacians and spectra."""
+        already is W's: every stalk of dimension ``target_dim`` (so every
+        cell map is square) and every restriction exactly the identity, bit
+        for bit (a -0.0 entry is not 0.0). Only the restrictions enter W's
+        operators, so the stalk bases do not matter, and W then shares F's
+        coboundaries, Laplacians and spectra."""
         sheaf, w = self.sheaf, self.grounding.target_dim
-        if self._square_maps:
+        if all(stalk.dim == w for stalk in sheaf.stalks.values()):
             restrictions = sheaf.restrictions.values()
             entries = np.concatenate([np.zeros(0)] + [m.ravel() for m in restrictions])
             if entries.tobytes() == np.tile(np.eye(w).ravel(), len(restrictions)).tobytes():
@@ -602,20 +608,53 @@ class LesReport:
     betti_cone: tuple
 
 
-def _cone_kernel(cone: MappingCone, n: int) -> np.ndarray:
-    """Harmonic basis of Cone^n, the kernel of its Laplacian.
+def _proves_empty_kernel(m: np.ndarray) -> bool:
+    """Whether a floating-point Cholesky factorization of m - sigma I runs
+    to completion, with sigma = zero_threshold(tr m) + 2 (N + 2) eps tr m
+    for an N x N matrix m (eps: the machine epsilon). ``m`` is shifted in
+    place and its saved diagonal written back, so no shifted copy is held
+    and ``m`` is left as it was, bit for bit."""
+    n, trace = m.shape[0], float(np.trace(m))
+    sigma = zero_threshold(trace) + 2 * (n + 2) * np.finfo(float).eps * trace
+    diagonal = m.diagonal().copy()
+    np.fill_diagonal(m, diagonal - sigma)
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.fill_diagonal(m, diagonal)
+    return True
 
-    A morphism with square, invertible cell maps (padding's are orthogonal
-    when square) is an isomorphism of cochain complexes, so its cone is
-    acyclic. With square maps the eigenvalues are read first: an empty
-    kernel is an empty ``(dim, 0)`` basis, and no eigenvector is computed. A
-    non-empty one is ``numerical_kernel``, its basis and count from ``eigh``
-    as with non-square maps, whose cones are read from ``eigh`` at once.
+
+def _cone_kernel(cone: MappingCone, n: int) -> np.ndarray:
+    """Harmonic basis of Cone^n, the kernel of its N x N Laplacian L.
+
+    L is assembled once and passes ``decompose``'s symmetry test. When one
+    shifted Cholesky factorization completes (``_proves_empty_kernel``),
+    the kernel is empty: the ``(N, 0)`` basis, with no eigenvalue computed.
+    Otherwise L, unchanged, is frozen and its kernel is ``numerical_kernel``'s,
+    behind every check of ``decompose``.
+
+    The rule is sound. A completed factorization of fl(L - sigma I) is an
+    exact one of L - sigma I + E, ||E||_2 <= gamma tr L / (1 - gamma) with
+    gamma = (N + 1) u / (1 - (N + 1) u) and u = eps / 2, besides the
+    rounding of the shift, at most u |L_ii - sigma| per diagonal entry
+    (S. M. Rump, "Verification of positive definiteness", BIT 46, 2006).
+    So L is positive definite, lambda_max <= tr L, and lambda_min(L) >
+    zero_threshold(tr L) + (N + 2) eps tr L: above ``decompose``'s cutoff
+    zero_threshold(lambda_max) by more than the backward error of
+    ``eigvalsh``, a modest multiple of eps lambda_max. Every kernel proved
+    empty here is one that ``kernel_dim`` also counts as 0. A padded
+    morphism with square maps is an isomorphism of cochain complexes, so
+    its cone is acyclic and is proved empty in every degree.
     """
-    lap = cone.laplacian(n)
-    if cone._square_maps and kernel_dim(decompose(lap, vectors=False)) == 0:
-        return np.zeros((lap.dim, 0))
-    return numerical_kernel(lap)
+    m = _gram_sum(cone.differential(n - 1), cone.differential(n))
+    _require_symmetric(m)
+    if _proves_empty_kernel(m):
+        return np.zeros((m.shape[0], 0))
+    m.flags.writeable = False
+    return numerical_kernel(SheafLaplacian(m, n))
 
 
 def verify_long_exact_sequence(cone: MappingCone) -> LesReport:

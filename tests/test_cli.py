@@ -772,13 +772,13 @@ ASSEMBLY_FUNCTIONS = ("algebraic_cone", "incidence_defect", "constant_sheaf",
 
 def _count_assemblies(monkeypatch):
     """Count calls of each assembly function in every sheafgauge module binding
-    it, every coboundary a sheaf assembles (not those it hands out again) and
-    every dense eigensolver call; also list the shape and sha1 digest of every
-    ``eigh`` input."""
+    it, every coboundary a sheaf assembles (not those it hands out again),
+    every dense eigensolver call and every Cholesky factorization; also list
+    the shape and sha1 digest of every ``eigh`` input."""
     import sheafgauge.operators as operators
     import sheafgauge.sheaves as sheaves
 
-    counts = {"coboundary": 0, "eigh": 0, "eigvalsh": 0}
+    counts = {"coboundary": 0, "eigh": 0, "eigvalsh": 0, "cholesky": 0}
     eigh_inputs = []
     assemble = sheaves.CellSheaf._assemble_coboundary
 
@@ -787,7 +787,7 @@ def _count_assemblies(monkeypatch):
         return assemble(sheaf, j)
 
     monkeypatch.setattr(sheaves.CellSheaf, "_assemble_coboundary", assembled)
-    for solver in ("eigh", "eigvalsh"):
+    for solver in ("eigh", "eigvalsh", "cholesky"):
         def solved(m, _solver=solver, _original=getattr(np.linalg, solver)):
             counts[_solver] += 1
             if _solver == "eigh":
@@ -827,11 +827,12 @@ def test_verify_assembles_one_cone(tmp_path, monkeypatch):
     # decomposed once: the LES reads them as F's and as W's spectra, the cone
     # reduction L_1(F) and L_0(W) with their spectra, the separation check
     # L_1(F) and its spectrum. eigh: those 3 and the relative channel;
-    # eigvalsh: the 4 cone Laplacians of the LES (square cell maps, so their
-    # values are read first, and the kernels are empty) and the cone
-    # reduction's 2 Gram blocks and 2 cone blocks.
+    # eigvalsh: the cone reduction's 2 Gram blocks and 2 cone blocks;
+    # cholesky: the 4 cone Laplacians of the LES, whose kernels one shifted
+    # factorization each proves empty, so no eigenvalue of theirs is computed.
     assert counts == {"algebraic_cone": 1, "incidence_defect": 1, "constant_sheaf": 0,
-                      "_assemble_laplacian": 3, "coboundary": 9, "eigh": 4, "eigvalsh": 8}
+                      "_assemble_laplacian": 3, "coboundary": 9, "eigh": 4, "eigvalsh": 4,
+                      "cholesky": 4}
     # and no eigh input is solved twice. Out of scope here: under the zero
     # grounding the relative operator R = L_1 + 0 repeats L_1.
     assert len(set(eigh_inputs)) == len(eigh_inputs) == 4
@@ -1131,7 +1132,7 @@ def test_cli_matrix_commands_parse():
     assert {w.__name__ for w in writers} == {"write_inputs", "_random_edges",
                                               "_constant_sheaf", "_matrix"}
     names = [name for name, _ in matrix.COMMANDS]
-    assert len(names) == len(set(names)) == 87
+    assert len(names) == len(set(names)) == 88
     for name, argv in matrix.COMMANDS:
         args = cli._parser().parse_args(argv)
         assert args.out == name

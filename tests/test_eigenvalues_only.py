@@ -219,27 +219,32 @@ def test_experiments_decompose_eigenvalues_only(monkeypatch):
     assert calls == {"eigh": 1, "eigvalsh": 9}
 
 
-_SOLVERS = {"eigh", "eigvalsh"}
-
-
-def _solver_scopes(node, scope):
-    """The innermost enclosing function of every reference to an eigensolver
-    under ``node``, an attribute such as ``np.linalg.eigh`` or an imported name."""
+def _solver_scopes(node, scope, solvers):
+    """The innermost enclosing function of every reference to one of
+    ``solvers`` under ``node``, an attribute such as ``np.linalg.eigh`` or an
+    imported name."""
     for child in ast.iter_child_nodes(node):
-        if (isinstance(child, ast.Attribute) and child.attr in _SOLVERS
-                or isinstance(child, ast.alias) and child.name.split(".")[-1] in _SOLVERS):
+        if (isinstance(child, ast.Attribute) and child.attr in solvers
+                or isinstance(child, ast.alias) and child.name.split(".")[-1] in solvers):
             yield scope
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-        yield from _solver_scopes(child, inner)
+        yield from _solver_scopes(child, inner, solvers)
 
 
 def test_only_decompose_and_the_triangle_bases_reach_the_eigensolvers():
     # every operator spectrum goes through decompose's checks; the feature
-    # pipeline's stacked per-cell eigh is the one other caller
+    # pipeline's stacked per-cell eigh is the one other caller. The one
+    # factorization is the certificate of an empty cone kernel.
     package = Path(sheafgauge.__file__).parent
-    scopes = {(path.name, scope) for path in sorted(package.glob("*.py"))
-              for scope in _solver_scopes(ast.parse(path.read_text()), "<module>")}
-    assert scopes == {("operators.py", "decompose"), ("sheaves.py", "_triangle_bases")}
+    trees = [(path.name, ast.parse(path.read_text())) for path in sorted(package.glob("*.py"))]
+
+    def scopes(*solvers):
+        return {(name, scope) for name, tree in trees
+                for scope in _solver_scopes(tree, "<module>", solvers)}
+
+    assert scopes("eigh", "eigvalsh") == {("operators.py", "decompose"),
+                                          ("sheaves.py", "_triangle_bases")}
+    assert scopes("cholesky") == {("operators.py", "_proves_empty_kernel")}
 
 
 def test_certificate_blocks_are_decomposed_by_decompose(monkeypatch):

@@ -1,9 +1,12 @@
 import dataclasses
 import math
 import re
+from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sheafgauge.complexes import (
     CliqueComplex,
@@ -24,6 +27,8 @@ from sheafgauge.operators import (
     MappingCone,
     SheafLaplacian,
     _assemble_laplacian,
+    _gram_sum,
+    _proves_empty_kernel,
     algebraic_cone,
     betti_numbers,
     channel_set,
@@ -46,6 +51,7 @@ from sheafgauge.operators import (
     verify_block_decomposition,
     verify_cone_equivalence,
     verify_long_exact_sequence,
+    zero_threshold,
 )
 from sheafgauge.sheaves import (
     CellSheaf,
@@ -1080,22 +1086,29 @@ def _les_and_side(name):
 
 @pytest.mark.parametrize("name, betti_cone", [
     ("k5-padding", (0, 0, 0, 0)), ("6-cycle-padding", (0, 0, 0, 0)),
-    # non-square maps: the kernels are read from eigh at once
+    # non-square maps: degrees 0 and 2 are proved empty, -1 and 1 read from eigh
     ("k5-first-coordinate", (1, 0, 4, 0)),
-    # square maps, singular: the values are read first, then eigh
+    # square maps, singular: no factorization completes, every kernel is from eigh
     ("k5-singular-square", (1, 1, 4, 4)),
 ])
 def test_sharing_w_and_reading_kernel_values_first_change_no_bit(monkeypatch, name, betti_cone):
     # the certificates of a cone whose W is its own sheaf and whose empty
-    # kernels skip the eigenvectors equal, to the bit, those of a separately
-    # built constant W with every cone kernel read from a full eigh
+    # kernels are proved by a shifted factorization, with no eigenvalue
+    # computed, equal, to the bit, those of a separately built constant W
+    # with every cone kernel read from a full eigh
     cone, report, side = _les_and_side(name)
     # every fixture here has identity restrictions: W is F with square maps
-    square = name != "k5-first-coordinate"
-    assert cone._square_maps == square and (cone.w_sheaf is cone.sheaf) == square
+    assert (cone.w_sheaf is cone.sheaf) == (name != "k5-first-coordinate")
     assert report.betti_cone == betti_cone
 
-    monkeypatch.setattr(MappingCone, "_square_maps", property(lambda cone: False))
+    from sheafgauge import operators
+
+    separate_w = cached_property(
+        lambda cone: constant_sheaf(cone.sheaf.complex, cone.grounding.target_dim))
+    separate_w.__set_name__(MappingCone, "w_sheaf")
+    monkeypatch.setattr(MappingCone, "w_sheaf", separate_w)
+    monkeypatch.setattr(operators, "_cone_kernel",
+                        lambda cone, n: numerical_kernel(cone.laplacian(n)))
     reference_cone, reference, reference_side = _les_and_side(name)
     assert reference_cone.w_sheaf is not reference_cone.sheaf
 
@@ -1109,10 +1122,11 @@ def test_sharing_w_and_reading_kernel_values_first_change_no_bit(monkeypatch, na
 
 def test_a_padded_cone_with_smaller_stalks_solves_each_laplacian_once(monkeypatch):
     # stalks R^1 in the ambient R^2: padding is a morphism but no isomorphism,
-    # its cone is not acyclic, and each cone Laplacian gets one eigh
+    # its cone is not acyclic. Each cone Laplacian gets one factorization,
+    # and each of the two with a kernel (degrees 0 and 2) one eigh
     embedded = _k5_line_in_r2()
     cone = algebraic_cone(embedded, grounding_from_padding(embedded))
-    counts = dict.fromkeys(("eigh", "eigvalsh"), 0)
+    counts = dict.fromkeys(("eigh", "eigvalsh", "cholesky"), 0)
     for solver in counts:
         def solved(m, _solver=solver, _original=getattr(np.linalg, solver)):
             counts[_solver] += 1
@@ -1121,8 +1135,49 @@ def test_a_padded_cone_with_smaller_stalks_solves_each_laplacian_once(monkeypatc
         monkeypatch.setattr(np.linalg, solver, solved)
     report = verify_long_exact_sequence(cone)
     assert report.status == "pass" and report.betti_cone == (0, 1, 0, 4)
-    # the 4 cone Laplacians, L_0-L_2 of F and of W
-    assert counts == {"eigh": 10, "eigvalsh": 0}
+    # 2 cone Laplacians, L_0-L_2 of F and of W
+    assert counts == {"eigh": 8, "eigvalsh": 0, "cholesky": 4}
+
+
+@st.composite
+def gram_factors(draw):
+    """(kind, D, E) of a Gram sum D D^T + E^T E: full rank, rank-deficient,
+    or with its smallest eigenvalue planted at a multiple ``kind`` of the
+    zero cutoff zero_threshold(lambda_max), over a few larger eigenvalues."""
+    n = draw(st.integers(2, 30))
+    kind = draw(st.sampled_from(("full-rank", "rank-deficient", 0.5, 1.0, 2.0, 1e3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    if isinstance(kind, str):
+        rank = n + draw(st.integers(0, 4)) if kind == "full-rank" else draw(st.integers(0, n - 1))
+        split = draw(st.integers(0, rank))
+        return kind, scale * rng.normal(size=(n, split)), scale * rng.normal(size=(rank - split, n))
+    lam_max = scale ** 2
+    values = np.sort(lam_max * rng.uniform(1e-3, 1.0, size=n))
+    values[-1], values[0] = lam_max, kind * zero_threshold(lam_max)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    split = draw(st.integers(0, n))
+    return (kind, q[:, :split] * np.sqrt(values[:split]),
+            (q[:, split:] * np.sqrt(values[split:])).T)
+
+
+@given(gram_factors())
+def test_a_completed_shifted_factorization_proves_an_empty_kernel(factors):
+    # whenever the factorization completes, the cutoff of decompose counts no
+    # kernel on either solver path; the matrix is left as it was, bit for bit
+    kind, d, e = factors
+    m = _gram_sum(d, e)
+    assembled = m.tobytes()
+    proved = _proves_empty_kernel(m)
+    assert m.tobytes() == assembled
+    if proved:
+        lap = SheafLaplacian(m, 0)
+        assert kernel_dim(decompose(lap)) == kernel_dim(decompose(lap, vectors=False)) == 0
+    # a smallest eigenvalue far above the cutoff is proved, one at or below it never
+    if kind == 1e3:
+        assert proved
+    if kind in (0.5, 1.0, "rank-deficient"):
+        assert not proved
 
 
 def test_w_is_the_sheaf_exactly_when_its_complex_is_ws():

@@ -8,11 +8,13 @@ rank-3 features, a seeded G(8, 0.6) graph whose vertex 7 has features
 orthogonal to the rest (so its edges and triangles get zero-dimensional
 stalks), a seeded G(24, 0.35) graph with features of rank 1, 2 and 3, some
 with fewer rows than the ambient dimension (so every degree has stalks of
-several dimensions), a constant R^2 sheaf on K5, a 3-vertex sheaf with no
-edges, a sheaf with no vertices, and two malformed copies of the K5 sheaf
-(a second item for one incidence, a negative shape entry). Only then does it
-put this checkout's ``src`` first on ``sys.path`` and import the package. It
-runs every command of ``COMMANDS`` in this one process, as
+several dimensions), a constant R^2 sheaf on K5, the constant R^1 sheaf on
+K5 with every stalk the line e1 of R^2 (so its padded cone is not acyclic),
+a 3-vertex sheaf with no edges, a sheaf with no vertices, and two malformed
+copies of the K5 R^2 sheaf (a second item for one incidence, a negative
+shape entry). Only then does it put this checkout's ``src`` first on
+``sys.path`` and import the package. It runs each of the 88 commands of
+``COMMANDS`` in this one process, as
 ``sheafgauge.cli.main(argv)`` from OUT_DIR with a relative ``--out`` named
 after the command, and records ``<name>.exit``, ``<name>.stdout`` and
 ``<name>.stderr``, the streams captured while the command ran. An exception
@@ -83,6 +85,8 @@ def _commands():
     for sheaf, grounding in itertools.product(("k5", "no-edges"), GROUNDINGS):
         runs.append((f"verify-{sheaf}-{grounding}",
                      ["verify", "--input", f"{sheaf}.json", "--grounding", grounding]))
+    runs.append(("verify-k5-line-padding",
+                 ["verify", "--input", "k5-line.json", "--grounding", "padding"]))
     runs.append(("build-zero-stalks", ["build", "--input", "zero-stalks-graph.json",
                                        "--features", "zero-stalks-features.json"]))
     sheaves = (("zero-stalks", "build-zero-stalks/sheaf.json"),
@@ -117,8 +121,9 @@ def _matrix(m):
     return {"shape": list(m.shape), "data": m.reshape(-1).tolist()}
 
 
-def _constant_sheaf(vertices, edges, dim):
-    """sheaf.json of the constant sheaf R^dim on the clique complex of a graph."""
+def _constant_sheaf(vertices, edges, dim, basis=None):
+    """sheaf.json of the constant sheaf R^dim on the clique complex of a
+    graph; every stalk has ``basis`` (by default the identity of R^dim)."""
     adjacent = {tuple(e) for e in edges}
     triangles = [t for t in itertools.combinations(range(vertices), 3)
                  if all(pair in adjacent for pair in itertools.combinations(t, 2))]
@@ -126,11 +131,12 @@ def _constant_sheaf(vertices, edges, dim):
     faces = [(face, cell) for cell in cells if len(cell) > 1
              for face in itertools.combinations(cell, len(cell) - 1)]
     eye = _matrix(np.eye(dim))
+    stalk = eye if basis is None else _matrix(basis)
     return {
         "schema_version": "1",
         "graph": {"vertices": vertices, "edges": [list(e) for e in edges]},
         "validated": True,
-        "stalks": [{"cell": list(cell), "basis": eye} for cell in sorted(cells)],
+        "stalks": [{"cell": list(cell), "basis": stalk} for cell in sorted(cells)],
         "restrictions": [{"face": list(face), "coface": list(coface), "matrix": eye}
                          for face, coface in sorted(faces)],
     }
@@ -177,6 +183,7 @@ def write_inputs(directory: Path):
                                          "edges": _random_edges(mixed_rng, 24, 0.35)},
               "mixed-ranks-features.json": {"features": mixed},
               "k5.json": _constant_sheaf(5, k5, 2),
+              "k5-line.json": _constant_sheaf(5, k5, 1, basis=np.eye(2, 1)),
               "no-edges.json": _constant_sheaf(3, [], 2),
               "no-vertices.json": _constant_sheaf(0, [], 2),
               "repeated-restriction.json": repeated,
