@@ -9,9 +9,11 @@ so does a channel set; every check here reads those.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -57,19 +59,140 @@ class PsdViolationError(ValueError):
     pass
 
 
+class _Lapack:
+    """The LAPACK of the OpenBLAS that numpy's wheel bundles, through ctypes:
+    each routine by name, with 64-bit integers (``scipy_<routine>_64_``)."""
+
+    def __init__(self, functions: dict):
+        self._functions = functions
+
+    def __call__(self, routine: str, *args) -> int:
+        """Run ``routine`` on every argument but INFO and return INFO. A
+        bytes argument is a character flag, an array its data and an int a
+        64-bit integer; the hidden lengths of the flags follow INFO."""
+        info = ctypes.c_int64()
+        pointers = [arg if isinstance(arg, bytes)
+                    else arg.ctypes.data if isinstance(arg, np.ndarray)
+                    else ctypes.byref(ctypes.c_int64(arg)) for arg in args]
+        lengths = [len(arg) for arg in args if isinstance(arg, bytes)]
+        self._functions[routine](*pointers, ctypes.byref(info), *lengths)
+        return info.value
+
+
+@cache
+def _lapack() -> _Lapack | None:
+    """numpy's bundled LAPACK, loaded on first use; None when numpy bundles
+    none (a numpy that is not a wheel) or it lacks a routine called here."""
+    libraries = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    if len(libraries) != 1:
+        return None
+    # each routine called here: its pointer arguments, INFO included, and its character flags
+    signatures = {"dsyevd": (11, 2), "dsytrd": (10, 1), "dstedc": (11, 1), "dormtr": (13, 3),
+                  "dpotrf": (5, 1)}
+    try:
+        library = ctypes.CDLL(str(libraries[0]))
+        functions = {routine: getattr(library, f"scipy_{routine}_64_") for routine in signatures}
+    except (OSError, AttributeError):
+        return None
+    for routine, (pointers, flags) in signatures.items():
+        functions[routine].argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * flags
+        functions[routine].restype = None
+    return _Lapack(functions)
+
+
+#: The range of the largest absolute entry in which LAPACK's ``dsyevd``
+#: does not rescale a matrix: sqrt(safmin / eps) to its inverse.
+_UNSCALED = (math.sqrt(np.finfo(float).tiny / np.finfo(float).eps),
+             math.sqrt(np.finfo(float).eps / np.finfo(float).tiny))
+
+
+class _Eigenbasis:
+    """The eigenvectors of a symmetric n x n matrix as the first two stages
+    of ``np.linalg.eigh`` (LAPACK ``dsyevd('V', 'L')``) leave them: the
+    Householder reflectors of the reduction to tridiagonal form (``dsytrd``,
+    with their scales ``tau``) and the eigenvectors Z of the tridiagonal
+    matrix (``dstedc``), in one 2 n^2 block. The third stage, the
+    back-transform Q Z (``dormtr``), runs on request: ``columns`` transforms
+    only the columns it is asked for, once per range (a kernel is read by
+    several checks), and they agree with ``eigh``'s to a few ulps; ``full``
+    transforms all of Z with ``dsyevd``'s own workspace, so the basis is
+    ``eigh``'s bit for bit, and keeps it in place of the block.
+    """
+
+    def __init__(self, binding: _Lapack, block: np.ndarray, tau: np.ndarray, lwork: int):
+        self._binding, self._block, self._tau, self._lwork = binding, block, tau, lwork
+        self._full, self._columns = None, {}
+
+    @classmethod
+    def solve(cls, binding: _Lapack, m: np.ndarray):
+        """The eigenvalues of ``m``, ``eigh``'s bit for bit, and its factored
+        basis. ``m`` is exactly symmetric, n > 1, and its largest entry lies
+        in the ``_UNSCALED`` range; a non-zero INFO is numpy's LinAlgError."""
+        n = m.shape[0]
+        query, iquery = np.zeros(1), np.zeros(1, dtype=np.int64)
+        binding("dsyevd", b"V", b"L", n, query, n, query, query, -1, iquery, -1)
+        # dsyevd hands dstedc and dormtr its workspace past E, TAU and Z
+        lwork, iwork = int(query[0]) - 2 * n - n * n, np.empty(int(iquery[0]), dtype=np.int64)
+        block = np.empty((2, n, n))  # Fortran order: the reflectors, then Z
+        block[0] = m.T
+        eigenvalues, e, tau = np.empty(n), np.empty(n), np.empty(n)
+        binding("dsytrd", b"L", n, block[0], n, eigenvalues, e, tau, query, -1)
+        info = binding("dsytrd", b"L", n, block[0], n, eigenvalues, e, tau,
+                       np.empty(int(query[0])), int(query[0]))
+        info = info or binding("dstedc", b"I", n, eigenvalues, e, block[1], n,
+                               np.empty(lwork), lwork, iwork, iwork.size)
+        if info:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigenvalues, cls(binding, block, tau, lwork)
+
+    def _back_transform(self, z: np.ndarray, count: int, work: np.ndarray, lwork: int) -> None:
+        """Q z in place, for the ``count`` Fortran-ordered columns ``z``."""
+        n = self._tau.shape[0]
+        if self._binding("dormtr", b"L", b"L", b"N", n, count, self._block[0], n, self._tau,
+                         z, n, work, lwork):
+            raise np.linalg.LinAlgError("the back-transform of the eigenvectors failed")
+
+    def columns(self, start: int, stop: int) -> np.ndarray:
+        if self._full is not None:
+            return self._full[:, start:stop]
+        if (start, stop) not in self._columns:
+            z = self._block[1, start:stop].copy()
+            query = np.zeros(1)
+            self._back_transform(z, z.shape[0], query, -1)
+            self._back_transform(z, z.shape[0], np.empty(int(query[0])), int(query[0]))
+            z.flags.writeable = False
+            self._columns[start, stop] = z.T
+        return self._columns[start, stop]
+
+    def full(self) -> np.ndarray:
+        if self._full is None:
+            z = self._block[1]
+            self._back_transform(z, z.shape[0], np.empty(self._lwork), self._lwork)
+            self._full = np.ascontiguousarray(z.T)
+            self._full.flags.writeable = False
+            self._block = self._tau = self._columns = None
+        return self._full
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Ascending eigenvalues of a PSD operator, its zero cutoff and, unless
-    it was decomposed with ``vectors=False``, the matching eigenvectors.
+    it was decomposed with ``vectors=False``, a basis of matching
+    eigenvectors.
 
-    A values-only spectrum (``eigenvectors`` None) serves every reader of
+    The ``basis`` is an array, or ``decompose``'s factored one
+    (``_Eigenbasis``), which forms eigenvectors on request: ``columns``
+    the range that a reader reads (the kernel, the admitted modes of the
+    witnesses), ``vectors`` and ``eigenvectors`` the whole basis, once. A
+    values-only spectrum (``basis`` None) serves every reader of
     eigenvalues alone: ``kernel_dim``, the gap, the global witness, the
-    profiles and normalization. Every reader of a basis goes through
-    ``vectors``, which raises a ValueError for it.
+    profiles and normalization. ``columns`` and ``vectors`` raise a
+    ValueError for it.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
+    basis: np.ndarray | _Eigenbasis | None
     threshold: float
 
     @property
@@ -82,15 +205,27 @@ class Spectrum:
 
     def vectors(self) -> np.ndarray:
         """The eigenvector columns, in the order of the eigenvalues."""
-        if self.eigenvectors is None:
+        if self.basis is None:
             raise ValueError("the spectrum has no eigenvectors: it was decomposed with "
                              "vectors=False")
-        return self.eigenvectors
+        return self.basis.full() if isinstance(self.basis, _Eigenbasis) else self.basis
+
+    @property
+    def eigenvectors(self) -> np.ndarray | None:
+        """``vectors()``, or None for a values-only spectrum."""
+        return None if self.basis is None else self.vectors()
+
+    def columns(self, start: int, stop: int) -> np.ndarray:
+        """The read-only eigenvector columns [start, stop); a factored basis
+        back-transforms these alone."""
+        if isinstance(self.basis, _Eigenbasis):
+            return self.basis.columns(start, stop)
+        return self.vectors()[:, start:stop]
 
     @property
     def kernel(self) -> np.ndarray:
         """Orthonormal basis of the numerical kernel: the first ``kernel_dim`` modes."""
-        return self.vectors()[:, :kernel_dim(self)]
+        return self.columns(0, kernel_dim(self))
 
 
 def kernel_dim(spectrum: Spectrum) -> int:
@@ -102,31 +237,48 @@ def kernel_dim(spectrum: Spectrum) -> int:
 def decompose(lap: SheafLaplacian, vectors: bool = True) -> Spectrum:
     """Read-only spectrum of a symmetric PSD operator, both properties checked.
 
-    With ``vectors=False`` only the eigenvalues are computed (``eigvalsh``,
-    about half the cost of ``eigh``), behind the same checks and cutoff; the
+    With vectors, the eigenvalues are ``np.linalg.eigh``'s, bit for bit, and
+    the basis is factored (``_Eigenbasis``): ``eigh``'s LAPACK routine
+    ``dsyevd`` runs stage by stage on the LAPACK that numpy bundles
+    (``_lapack``) and stops before the back-transform, which the readers
+    run on the columns they read (``Spectrum.columns``). ``np.linalg.eigh`` itself decomposes an
+    operator of dimension at most 1, one not exactly symmetric or not a
+    matrix of doubles, one that ``dsyevd`` would rescale (``_UNSCALED``),
+    and every operator when numpy bundles no such LAPACK. With
+    ``vectors=False`` only the eigenvalues are computed (``eigvalsh``, about
+    half the cost of ``eigh``), behind the same checks and cutoff; the
     spectrum then has no eigenvectors (``Spectrum.vectors``).
     """
     m = lap.matrix
-    _require_symmetric(m)
-    eigenvalues, eigenvectors = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+    exact = _require_symmetric(m)
+    staged = (vectors and exact and m.ndim == 2 and m.dtype == np.float64 and m.shape[0] > 1
+              and _UNSCALED[0] <= max(m.max(), -m.min()) <= _UNSCALED[1])
+    lapack = _lapack() if staged else None
+    if not vectors:
+        eigenvalues, basis = np.linalg.eigvalsh(m), None
+    elif lapack is not None:
+        eigenvalues, basis = _Eigenbasis.solve(lapack, m)
+    else:
+        eigenvalues, basis = np.linalg.eigh(m)
+        basis.flags.writeable = False
     lam_max = float(eigenvalues[-1]) if eigenvalues.size else 0.0
     if eigenvalues.size and eigenvalues[0] < -ZERO_PSD_REL * max(lam_max, 1.0):
         raise PsdViolationError(f"negative eigenvalue {eigenvalues[0]:.3e}")
     eigenvalues.flags.writeable = False
-    if eigenvectors is not None:
-        eigenvectors.flags.writeable = False
-    return Spectrum(eigenvalues, eigenvectors, zero_threshold(lam_max))
+    return Spectrum(eigenvalues, basis, zero_threshold(lam_max))
 
 
-def _require_symmetric(m: np.ndarray) -> None:
-    """AsymmetricOperatorError unless ``m`` is symmetric within 1e-10 of its
-    largest entry (at least 1). Every operator the package assembles is
-    exactly symmetric: the tolerance and its two temporaries are only needed
-    when the exact test fails."""
-    if not np.array_equal(m, m.T):
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
-            raise AsymmetricOperatorError("operator is not symmetric within tolerance")
+def _require_symmetric(m: np.ndarray) -> bool:
+    """Whether ``m`` is exactly symmetric; an AsymmetricOperatorError unless
+    it is symmetric within 1e-10 of its largest entry (at least 1). Every
+    operator the package assembles is exactly symmetric: the tolerance and
+    its two temporaries are only needed when the exact test fails."""
+    if np.array_equal(m, m.T):
+        return True
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
+        raise AsymmetricOperatorError("operator is not symmetric within tolerance")
+    return False
 
 
 def _eigenvalues(matrix) -> np.ndarray:
@@ -136,7 +288,7 @@ def _eigenvalues(matrix) -> np.ndarray:
 
 def numerical_kernel(lap: SheafLaplacian) -> np.ndarray:
     """Orthonormal basis of the numerical kernel of a symmetric PSD operator,
-    read from ``decompose``; a copy, so the full eigenbasis is freed."""
+    read from ``decompose``; a copy, so no eigenbasis is held."""
     return decompose(lap).kernel.copy()
 
 
@@ -336,9 +488,12 @@ def grounding_killing_kernel(sheaf: CellSheaf) -> GroundingMorphism:
 
     epsilon = I - P where P projects onto ker L_1, so epsilon restricted to
     the intrinsic harmonic space has nontrivial kernel whenever ker L_1 != 0.
-    The kernel is read from the sheaf's spectrum of L_1.
+    The kernel is read from the whole basis of the sheaf's spectrum of L_1,
+    which is ``eigh``'s bit for bit, so the spectra of the operators built
+    on epsilon are too.
     """
-    kernel = laplacian_spectrum(sheaf, 1).kernel
+    spectrum = laplacian_spectrum(sheaf, 1)
+    kernel = spectrum.vectors()[:, :kernel_dim(spectrum)]
     eps = np.eye(sheaf.cochain_dim(1)) - kernel @ kernel.T
     eps.flags.writeable = False
     return GroundingMorphism(c1_matrix=eps)
@@ -611,20 +766,30 @@ class LesReport:
 def _proves_empty_kernel(m: np.ndarray) -> bool:
     """Whether a floating-point Cholesky factorization of m - sigma I runs
     to completion, with sigma = zero_threshold(tr m) + 2 (N + 2) eps tr m
-    for an N x N matrix m (eps: the machine epsilon). ``m`` is shifted in
-    place and its saved diagonal written back, so no shifted copy is held
-    and ``m`` is left as it was, bit for bit."""
+    for an N x N matrix m (eps: the machine epsilon), C-ordered and exactly
+    symmetric. ``m`` is shifted and factored in place by LAPACK's
+    ``dpotrf('L')``, which overwrites its triangle above the diagonal
+    (where numpy bundles no LAPACK, see ``_lapack``, ``np.linalg.cholesky``
+    factors a copy). That triangle is then copied back from its mirror and
+    the saved diagonal written back, so no copy or factor is held and ``m``
+    is left as it was, bit for bit."""
+    assert m.flags.c_contiguous and np.array_equal(m, m.T)
     n, trace = m.shape[0], float(np.trace(m))
     sigma = zero_threshold(trace) + 2 * (n + 2) * np.finfo(float).eps * trace
     diagonal = m.diagonal().copy()
     np.fill_diagonal(m, diagonal - sigma)
+    lapack = _lapack()
     try:
+        if lapack is not None:
+            return lapack("dpotrf", b"L", n, m, max(n, 1)) == 0
         np.linalg.cholesky(m)
+        return True
     except np.linalg.LinAlgError:
         return False
     finally:
+        for i in range(n - 1):
+            m[i, i + 1:] = m[i + 1:, i]
         np.fill_diagonal(m, diagonal)
-    return True
 
 
 def _cone_kernel(cone: MappingCone, n: int) -> np.ndarray:

@@ -50,8 +50,9 @@ def spectral_gap(spectrum: Spectrum) -> float:
 
 
 def harmonic_space(spectrum: Spectrum, delta: float) -> np.ndarray:
-    """Basis of span{v : lambda <= delta}, a view of the eigenvectors; at delta = 0 the kernel."""
-    return spectrum.vectors()[:, :_harmonic_dims(spectrum, delta)]
+    """Read-only basis of span{v : lambda <= delta}, the first eigenvector
+    columns (``Spectrum.columns``); at delta = 0 the kernel."""
+    return spectrum.columns(0, int(_harmonic_dims(spectrum, delta)))
 
 
 def _harmonic_dims(spectrum: Spectrum, deltas) -> np.ndarray:
@@ -158,7 +159,8 @@ def _clusters(eigenvalues: np.ndarray, lam_max: float):
 
 
 def _admitted_modes(spectrum: Spectrum, delta: float, cfg: WitnessConfig):
-    """Indices and weights of the modes admitted at threshold delta, kernel excluded.
+    """The range of the modes admitted at threshold delta, kernel excluded,
+    and their weights.
 
     Only the modes above the kernel, from ``kernel_dim`` on, are clustered,
     so the first cluster starts at the spectral gap. Clusters enter as a
@@ -173,9 +175,10 @@ def _admitted_modes(spectrum: Spectrum, delta: float, cfg: WitnessConfig):
     if cfg.weight == "gap":
         stop = min(stop, 1)
     if stop == 0:
-        return np.zeros(0, dtype=int), []
-    admitted = np.arange(k, k + ends[stop - 1])
-    return admitted, [cfg.weight_value(lam) for lam in spectrum.eigenvalues[admitted].tolist()]
+        return range(k, k), []
+    admitted = range(k, k + int(ends[stop - 1]))
+    lams = spectrum.eigenvalues[k:admitted.stop].tolist()
+    return admitted, [cfg.weight_value(lam) for lam in lams]
 
 
 @dataclass(frozen=True)
@@ -225,11 +228,11 @@ def _witness_scores(sheaf: CellSheaf, j: int, vectors: np.ndarray,
 
 
 def _degree_modes(cfg, spectrum):
-    """delta1, admitted eigenvector columns V and their weights w of a spectrum."""
-    vectors = spectrum.vectors()
+    """delta1, admitted eigenvector columns V and their weights w of a
+    spectrum; only the admitted columns are formed (``Spectrum.columns``)."""
     delta = cfg.resolve_delta1(spectrum)
-    indices, weights = _admitted_modes(spectrum, delta, cfg)
-    return delta, vectors[:, indices], np.array(weights, dtype=float)
+    admitted, weights = _admitted_modes(spectrum, delta, cfg)
+    return delta, spectrum.columns(admitted.start, admitted.stop), np.array(weights, dtype=float)
 
 
 def local_witness(sheaf: CellSheaf, j: int,
@@ -313,7 +316,7 @@ def normalize_spectrum(lap: SheafLaplacian, spectrum: Spectrum) -> Normalization
     if rank == 0:
         return NormalizationResult(1.0, True, spectrum)
     scale = float(np.trace(lap.matrix)) / rank
-    normalized = Spectrum(spectrum.eigenvalues / scale, spectrum.eigenvectors,
+    normalized = Spectrum(spectrum.eigenvalues / scale, spectrum.basis,
                           spectrum.threshold / scale)
     return NormalizationResult(scale, False, normalized)
 

@@ -15,6 +15,7 @@ import pytest
 
 import sheafgauge
 import sheafgauge.cli as cli
+from conftest import count_solvers
 from sheafgauge import diagnostics as diag
 from sheafgauge.cli import EXPERIMENTS, GENERATORS, OPERATOR_NAMES, main
 from sheafgauge.operators import laplacian
@@ -772,14 +773,14 @@ ASSEMBLY_FUNCTIONS = ("algebraic_cone", "incidence_defect", "constant_sheaf",
 
 def _count_assemblies(monkeypatch):
     """Count calls of each assembly function in every sheafgauge module binding
-    it, every coboundary a sheaf assembles (not those it hands out again),
-    every dense eigensolver call and every Cholesky factorization; also list
-    the shape and sha1 digest of every ``eigh`` input."""
+    it, every coboundary a sheaf assembles (not those it hands out again)
+    and every dense solver call on both routes; also list every matrix
+    decomposed with eigenvectors (``conftest.count_solvers``)."""
     import sheafgauge.operators as operators
     import sheafgauge.sheaves as sheaves
 
-    counts = {"coboundary": 0, "eigh": 0, "eigvalsh": 0, "cholesky": 0}
-    eigh_inputs = []
+    counts, decomposed = count_solvers(monkeypatch)
+    counts["coboundary"] = 0
     assemble = sheaves.CellSheaf._assemble_coboundary
 
     def assembled(sheaf, j):
@@ -787,15 +788,6 @@ def _count_assemblies(monkeypatch):
         return assemble(sheaf, j)
 
     monkeypatch.setattr(sheaves.CellSheaf, "_assemble_coboundary", assembled)
-    for solver in ("eigh", "eigvalsh", "cholesky"):
-        def solved(m, _solver=solver, _original=getattr(np.linalg, solver)):
-            counts[_solver] += 1
-            if _solver == "eigh":
-                eigh_inputs.append(
-                    (m.shape, hashlib.sha1(np.ascontiguousarray(m).tobytes()).hexdigest()))
-            return _original(m)
-
-        monkeypatch.setattr(np.linalg, solver, solved)
     for name in ASSEMBLY_FUNCTIONS:
         original = getattr(sheaves if name == "constant_sheaf" else operators, name)
         counts[name] = 0
@@ -807,7 +799,7 @@ def _count_assemblies(monkeypatch):
         for key, module in sorted(sys.modules.items()):
             if key.startswith("sheafgauge") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    return counts, eigh_inputs
+    return counts, decomposed
 
 
 def test_verify_assembles_one_cone(tmp_path, monkeypatch):
@@ -816,7 +808,7 @@ def test_verify_assembles_one_cone(tmp_path, monkeypatch):
 
     sheaf_path = tmp_path / "k5.json"
     sheaf_path.write_text(sheaf_to_json(constant_sheaf(build_clique_complex(complete_graph(5)), 2)))
-    counts, eigh_inputs = _count_assemblies(monkeypatch)
+    counts, decomposed = _count_assemblies(monkeypatch)
     assert run(["verify", "--input", str(sheaf_path), "--grounding", "padding",
                 "--out", str(tmp_path / "padding")]) == 0
     # the constant sheaf is its own W (identity restrictions, stalks of the
@@ -826,30 +818,34 @@ def test_verify_assembles_one_cone(tmp_path, monkeypatch):
     # once: the channel set reads F's. L_0-L_2 of F, each assembled and
     # decomposed once: the LES reads them as F's and as W's spectra, the cone
     # reduction L_1(F) and L_0(W) with their spectra, the separation check
-    # L_1(F) and its spectrum. eigh: those 3 and the relative channel;
+    # L_1(F) and its spectrum. Factored through the bundled LAPACK (dsytrd),
+    # with no np.linalg.eigh call: those 3 and the relative channel;
     # eigvalsh: the cone reduction's 2 Gram blocks and 2 cone blocks;
-    # cholesky: the 4 cone Laplacians of the LES, whose kernels one shifted
-    # factorization each proves empty, so no eigenvalue of theirs is computed.
+    # dpotrf, with no np.linalg.cholesky call: the 4 cone Laplacians of the
+    # LES, whose kernels one shifted factorization each proves empty, so no
+    # eigenvalue of theirs is computed.
     assert counts == {"algebraic_cone": 1, "incidence_defect": 1, "constant_sheaf": 0,
-                      "_assemble_laplacian": 3, "coboundary": 9, "eigh": 4, "eigvalsh": 4,
-                      "cholesky": 4}
-    # and no eigh input is solved twice. Out of scope here: under the zero
+                      "_assemble_laplacian": 3, "coboundary": 9, "eigh": 0, "dsytrd": 4,
+                      "eigvalsh": 4, "cholesky": 0, "dpotrf": 4}
+    # and no input is decomposed twice. Out of scope here: under the zero
     # grounding the relative operator R = L_1 + 0 repeats L_1.
-    assert len(set(eigh_inputs)) == len(eigh_inputs) == 4
+    digests = [(m.shape, hashlib.sha1(m.tobytes()).hexdigest()) for m in decomposed]
+    assert len(set(digests)) == len(digests) == 4
     counts.update(dict.fromkeys(counts, 0))
     assert run(["verify", "--input", str(sheaf_path), "--grounding", "fullrank",
                 "--out", str(tmp_path / "fullrank")]) == 0
     assert counts["algebraic_cone"] == 0
 
 
-@pytest.mark.parametrize("command, grounding, eigh", [
+@pytest.mark.parametrize("command, grounding, factored", [
     (["verify"], "deficient", 2),
     (["diagnose", "--heatmap"], "deficient", 4),
     (["diagnose", "--heatmap"], "padding", 4),
 ])
-def test_commands_decompose_l1_once(tmp_path, monkeypatch, command, grounding, eigh):
+def test_commands_decompose_l1_once(tmp_path, monkeypatch, command, grounding, factored):
     # the deficient grounding, the channels and the separation check all read
-    # the sheaf's one spectrum of L_1
+    # the sheaf's one spectrum of L_1; every decomposition with eigenvectors
+    # is factored through the bundled LAPACK, none is an np.linalg.eigh call
     from sheafgauge.complexes import build_clique_complex, complete_graph
     from sheafgauge.sheaves import constant_sheaf, sheaf_to_json
 
@@ -857,12 +853,10 @@ def test_commands_decompose_l1_once(tmp_path, monkeypatch, command, grounding, e
     sheaf_path = tmp_path / "k5.json"
     sheaf_path.write_text(sheaf_to_json(sheaf))
     l1 = laplacian(sheaf, 1).matrix
-    solved = []
-    original = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(m) or original(m))
+    counts, solved = count_solvers(monkeypatch)
     assert run(command + ["--input", str(sheaf_path), "--grounding", grounding,
                           "--out", str(tmp_path / "out")]) == 0
-    assert len(solved) == eigh
+    assert (counts["eigh"], counts["dsytrd"]) == (0, factored) and len(solved) == factored
     assert sum(m.shape == l1.shape and np.array_equal(m, l1) for m in solved) == 1
 
 

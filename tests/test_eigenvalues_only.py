@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import sheafgauge
+from conftest import count_solvers, feature_sheaf
 from sheafgauge import diagnostics, operators
-from sheafgauge.complexes import Graph, build_clique_complex, complete_graph
+from sheafgauge.complexes import build_clique_complex, complete_graph
 from sheafgauge.operators import (
     AsymmetricOperatorError,
     GroundingMorphism,
@@ -27,7 +28,6 @@ from sheafgauge.operators import (
     verify_block_decomposition,
 )
 from sheafgauge.sheaves import (
-    build_sheaf_from_features,
     constant_sheaf,
     hidden_twist_bundle,
     mobius_bundle,
@@ -60,20 +60,9 @@ def _generators(n):
         yield f"noisy-trivial-{n}-{seed}", noisy_trivial_bundle(n, 0.25, seed)
 
 
-def _feature_sheaf(seed):
-    """A seeded G(30, 0.2) graph with noisy rank-3 features in R^6."""
-    rng = np.random.default_rng(seed)
-    basis, _ = np.linalg.qr(rng.normal(size=(6, 3)))
-    features = {v: basis + 0.05 * rng.normal(size=(6, 3)) for v in range(30)}
-    upper = np.triu_indices(30, 1)
-    keep = rng.random(upper[0].size) < 0.2
-    edges = [(int(u), int(v)) for u, v in zip(upper[0][keep], upper[1][keep])]
-    return build_sheaf_from_features(Graph(30, edges), features)
-
-
 def _operators():
     sheaves = [*_generators(10), *_generators(50),
-               *((f"features-{seed}", _feature_sheaf(seed)) for seed in (0, 1))]
+               *((f"features-{seed}", feature_sheaf(seed)) for seed in (0, 1))]
     return [pytest.param(sheaf, j, id=f"{name}-L{j}") for name, sheaf in sheaves for j in (0, 1)]
 
 
@@ -198,43 +187,42 @@ def test_experiments_match_the_eigh_route(monkeypatch, run):
 
 def test_experiments_decompose_eigenvalues_only(monkeypatch):
     # magnitude sends its twist and every seed's L0 through eigvalsh; the
-    # relativity experiment's one eigh call is the deficient grounding's L1
-    calls = {"eigh": 0, "eigvalsh": 0}
-
-    def counted(name):
-        original = getattr(np.linalg, name)
-
-        def call(m):
-            calls[name] += 1
-            return original(m)
-        return call
-
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counted(name))
+    # relativity experiment's one decomposition with eigenvectors is the
+    # deficient grounding's L1, factored through the bundled LAPACK
+    calls, _ = count_solvers(monkeypatch)
+    none = dict.fromkeys(calls, 0)
     diagnostics.experiment_magnitude(n=12, num_seeds=4)
-    assert calls == {"eigh": 0, "eigvalsh": 5}
+    assert calls == {**none, "eigvalsh": 5}
     diagnostics.experiment_existence(12)
-    assert calls == {"eigh": 0, "eigvalsh": 7}
+    assert calls == {**none, "eigvalsh": 7}
     diagnostics.experiment_relativity(12)
-    assert calls == {"eigh": 1, "eigvalsh": 9}
+    assert calls == {**none, "dsytrd": 1, "eigvalsh": 9}
 
 
 def _solver_scopes(node, scope, solvers):
-    """The innermost enclosing function of every reference to one of
-    ``solvers`` under ``node``, an attribute such as ``np.linalg.eigh`` or an
-    imported name."""
+    """The enclosing function, qualified by its classes and functions, of
+    every reference to one of ``solvers`` under ``node``: an attribute such
+    as ``np.linalg.eigh``, an imported or a loaded name, or a string naming
+    a LAPACK routine."""
     for child in ast.iter_child_nodes(node):
         if (isinstance(child, ast.Attribute) and child.attr in solvers
-                or isinstance(child, ast.alias) and child.name.split(".")[-1] in solvers):
+                or isinstance(child, ast.alias) and child.name.split(".")[-1] in solvers
+                or isinstance(child, ast.Name) and child.id in solvers
+                or isinstance(child, ast.Constant) and child.value in solvers):
             yield scope
-        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
         yield from _solver_scopes(child, inner, solvers)
 
 
 def test_only_decompose_and_the_triangle_bases_reach_the_eigensolvers():
     # every operator spectrum goes through decompose's checks; the feature
     # pipeline's stacked per-cell eigh is the one other caller. The one
-    # factorization is the certificate of an empty cone kernel.
+    # factorization is the certificate of an empty cone kernel. Only those
+    # two load the bundled LAPACK: the stages of eigh run in the factored
+    # basis that decompose builds, dpotrf in the certificate, and the loader
+    # names every routine it binds.
     package = Path(sheafgauge.__file__).parent
     trees = [(path.name, ast.parse(path.read_text())) for path in sorted(package.glob("*.py"))]
 
@@ -245,6 +233,17 @@ def test_only_decompose_and_the_triangle_bases_reach_the_eigensolvers():
     assert scopes("eigh", "eigvalsh") == {("operators.py", "decompose"),
                                           ("sheaves.py", "_triangle_bases")}
     assert scopes("cholesky") == {("operators.py", "_proves_empty_kernel")}
+    assert scopes("_lapack") == {("operators.py", "decompose"),
+                                 ("operators.py", "_proves_empty_kernel")}
+    assert scopes("_Eigenbasis") == {("operators.py", "decompose"),
+                                     ("operators.py", "Spectrum"),
+                                     ("operators.py", "Spectrum.vectors"),
+                                     ("operators.py", "Spectrum.columns")}
+    assert scopes("dsyevd", "dsytrd", "dstedc", "dormtr") == {
+        ("operators.py", "_lapack"), ("operators.py", "_Eigenbasis.solve"),
+        ("operators.py", "_Eigenbasis._back_transform")}
+    assert scopes("dpotrf") == {("operators.py", "_lapack"),
+                                ("operators.py", "_proves_empty_kernel")}
 
 
 def test_certificate_blocks_are_decomposed_by_decompose(monkeypatch):

@@ -5,6 +5,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from conftest import count_solvers
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -1122,21 +1123,16 @@ def test_sharing_w_and_reading_kernel_values_first_change_no_bit(monkeypatch, na
 
 def test_a_padded_cone_with_smaller_stalks_solves_each_laplacian_once(monkeypatch):
     # stalks R^1 in the ambient R^2: padding is a morphism but no isomorphism,
-    # its cone is not acyclic. Each cone Laplacian gets one factorization,
-    # and each of the two with a kernel (degrees 0 and 2) one eigh
+    # its cone is not acyclic. Each cone Laplacian gets one factorization
+    # (dpotrf), and each of the two with a kernel (degrees 0 and 2) one
+    # eigendecomposition, factored through the bundled LAPACK (dsytrd)
     embedded = _k5_line_in_r2()
     cone = algebraic_cone(embedded, grounding_from_padding(embedded))
-    counts = dict.fromkeys(("eigh", "eigvalsh", "cholesky"), 0)
-    for solver in counts:
-        def solved(m, _solver=solver, _original=getattr(np.linalg, solver)):
-            counts[_solver] += 1
-            return _original(m)
-
-        monkeypatch.setattr(np.linalg, solver, solved)
+    counts, _ = count_solvers(monkeypatch)
     report = verify_long_exact_sequence(cone)
     assert report.status == "pass" and report.betti_cone == (0, 1, 0, 4)
     # 2 cone Laplacians, L_0-L_2 of F and of W
-    assert counts == {"eigh": 8, "eigvalsh": 0, "cholesky": 4}
+    assert counts == {"eigh": 0, "dsytrd": 8, "eigvalsh": 0, "cholesky": 0, "dpotrf": 4}
 
 
 @st.composite
@@ -1315,7 +1311,10 @@ def test_channel_set_decomposes_each_grounded_operator_once(monkeypatch):
     assert [lap.degree for lap in decomposed] == [1, 1, 0]
     spectrum = channels.relative_spectrum
     assert not spectrum.eigenvalues.flags.writeable
-    assert not spectrum.eigenvectors.flags.writeable
+    # the kernel is formed alone from the factored basis, then the whole basis
+    assert isinstance(spectrum.basis, operators._Eigenbasis)
+    assert not spectrum.kernel.flags.writeable
+    assert not spectrum.vectors().flags.writeable
 
 
 def test_rank_deficient_grounding_opens_kernel():

@@ -227,12 +227,13 @@ def test_kept_laplacians_and_spectra_are_read_only_and_fresh(sheaf):
     for j in (0, 1, 2):
         lap, spectrum = laplacian(sheaf, j), laplacian_spectrum(sheaf, j)
         assert lap is laplacian(sheaf, j) and spectrum is laplacian_spectrum(sheaf, j)
-        for array in (lap.matrix, spectrum.eigenvalues, spectrum.eigenvectors):
+        for array in (lap.matrix, spectrum.eigenvalues, spectrum.columns(0, spectrum.dim),
+                      spectrum.vectors()):
             assert not array.flags.writeable
         fresh = eigendecompose(laplacian(copy, j))
         _assert_bit_equal(lap.matrix, laplacian(copy, j).matrix)
         _assert_bit_equal(spectrum.eigenvalues, fresh.eigenvalues)
-        _assert_bit_equal(spectrum.eigenvectors, fresh.eigenvectors)
+        _assert_bit_equal(spectrum.vectors(), fresh.vectors())
         assert spectrum.threshold == fresh.threshold
 
 
