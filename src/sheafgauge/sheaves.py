@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -62,15 +64,8 @@ class Stalk:
 
     def __post_init__(self):
         b = _read_only(self.basis)
-        if b.ndim != 2:
-            raise ValueError("stalk basis must be a 2d array")
         object.__setattr__(self, "basis", b)
-        gram = b.T @ b
-        gram.flat[:: b.shape[1] + 1] -= 1.0
-        # a NaN or inf in b makes the Gram test fail too, so the failure picks the message
-        if gram.size and not abs(gram).max() <= ORTHONORMALITY_TOL:
-            raise ValueError("stalk basis contains NaN or inf" if not np.isfinite(b).all()
-                             else "stalk basis is not orthonormal")
+        _check_bases(b[None])
 
     @property
     def dim(self):
@@ -79,6 +74,31 @@ class Stalk:
     @property
     def ambient_dim(self):
         return self.basis.shape[0]
+
+
+def _check_bases(stack):
+    """Raise unless ``stack`` holds 2d orthonormal bases (cells, ambient, dim):
+    one Gram test of the whole stack. A NaN or inf fails it too, and the
+    message says which; on a stack of one it names that basis's fault."""
+    if stack.ndim != 3:
+        raise ValueError("stalk basis must be a 2d array")
+    gram = np.matmul(stack.transpose(0, 2, 1), stack)
+    diagonal = np.arange(stack.shape[2])
+    gram[:, diagonal, diagonal] -= 1.0
+    if gram.size and not abs(gram).max() <= ORTHONORMALITY_TOL:
+        raise ValueError("stalk basis contains NaN or inf" if not np.isfinite(stack).all()
+                         else "stalk basis is not orthonormal")
+
+
+def _stalks(stack):
+    """A ``Stalk`` on each basis of ``stack``, made read-only: each stalk views
+    its basis without a copy, and the stack is tested once."""
+    stack.flags.writeable = False
+    _check_bases(stack)
+    stalks = [object.__new__(Stalk) for _ in range(len(stack))]
+    for stalk, basis in zip(stalks, stack):
+        object.__setattr__(stalk, "basis", basis)
+    return stalks
 
 
 @dataclass(frozen=True)
@@ -343,7 +363,7 @@ def node_stalks_from_features(features, cfg: FeaturePipelineConfig = FeaturePipe
     padded = [np.vstack([f, np.zeros((ambient - f.shape[0], f.shape[1]))])
               if f.shape[0] < ambient else f for f in map(arrays.get, vertices)]
     bases = _per_shape(_node_bases, (padded,), cfg.svd_tol)
-    return {vertex: Stalk(basis) for vertex, basis in zip(vertices, bases)}
+    return dict(zip(vertices, _per_shape(_stalks, (bases,))))
 
 
 def edge_stalk_intersection(bu: Stalk, bv: Stalk,
@@ -412,7 +432,7 @@ def build_sheaf_from_features(g: Graph, features,
     cofaces = [b for b in edge_bases for _ in "uv"] + [b for b in triangle_bases for _ in "uvw"]
     faces = ([nodes[v] for e in edges for v in e]
              + [edge_bases[i] for s in sides for i in s])
-    stalks.update(zip(edges + triangles, map(Stalk, edge_bases + triangle_bases)))
+    stalks.update(zip(edges + triangles, _per_shape(_stalks, (edge_bases + triangle_bases,))))
     return CellSheaf(complex_, stalks, dict(zip(keys, _per_shape(_coordinates, (cofaces, faces)))))
 
 
@@ -686,26 +706,28 @@ def constant_sheaf(complex_: CliqueComplex, dim: int) -> CellSheaf:
 # Serialization
 # ---------------------------------------------------------------------------
 
+# sheaf.json lists the stalks, then the restrictions, each sorted by key. An
+# item gives its key fields (a stalk its ``cell``, a restriction its ``face``
+# and ``coface``: JSON lists of non-negative integers) and one matrix payload
+# ``{"shape": [...], "data": [...]}``, ``data`` a flat row-major list of the
+# shape's length of JSON numbers. The reader tests each field over a whole
+# list, gathers the payloads of one shape into one read-only stack, which
+# every stalk basis or restriction of that shape views, and tests each stack
+# of bases once. Only a failed test walks the list's items in file order,
+# which names the first failing item. The writer forms each payload on its
+# own: a ``tolist()`` per small matrix takes less time than stacking them.
+
 SHEAF_SCHEMA_VERSION = "1"
+
+#: Per sheaf.json list: its key fields, its matrix field, how a repeated key
+#: is named and the value made of each matrix of a stack (a stalk, or the
+#: matrix itself).
+_LISTS = {"stalk": (("cell",), "basis", "cell {}", _stalks),
+          "restriction": (("face", "coface"), "matrix", "incidence {} < {}", list)}
 
 
 def _matrix_payload(m):
-    m = np.asarray(m, dtype=float)
-    return {"shape": list(m.shape), "data": m.reshape(-1).tolist()}
-
-
-def _matrix_from_payload(where, name, payload):
-    """The matrix of a sheaf.json payload, read-only: ``Stalk`` and
-    ``CellSheaf`` keep it without a copy."""
-    where = f"{where} field {name!r}"
-    shape, data = _fields(where, payload, "shape", "data")
-    shape = _integers(where, "shape", shape)
-    try:
-        m = np.asarray(data, dtype=float).reshape(shape)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    m.flags.writeable = False
-    return m
+    return {"shape": list(m.shape), "data": m.ravel().tolist()}
 
 
 def sheaf_to_json_dict(sheaf: CellSheaf) -> dict:
@@ -738,38 +760,116 @@ def _fields(where, value, *names):
         raise ValueError(f"{where} lacks field {exc.args[0]!r}") from None
 
 
-def _items(kind, items, *names):
-    """(name, named fields) of each item of a sheaf.json list."""
-    if not isinstance(items, list):
-        raise ValueError(f"sheaf field '{kind}s' is not a JSON list")
-    for i, item in enumerate(items):
-        where = f"{kind} item {i}"
-        yield where, _fields(where, item, *names)
+def _columns(values, names):
+    """``_fields`` of every value of a list, one tuple per name; None unless
+    each value is a JSON object with every field."""
+    if not all(map(isinstance, values, repeat(dict))):
+        return None
+    try:
+        return list(zip(*map(itemgetter(*names), values))) or [()] * len(names)
+    except KeyError:
+        return None
+
+
+def _lists_of(column, types):
+    """Whether each value of ``column`` is a JSON list of entries of ``types``:
+    a JSON boolean is neither an integer nor a number."""
+    return (all(map(isinstance, column, repeat(list)))
+            and types.issuperset(map(type, chain.from_iterable(column))))
 
 
 def _integers(where, name, value):
     """Field ``name`` of ``where``, a JSON list of non-negative integers (a cell
-    or a shape), as a tuple; a JSON boolean is not an integer."""
-    if not isinstance(value, list) or not {int}.issuperset(map(type, value)):
+    or a shape), as a tuple."""
+    if not _lists_of((value,), {int}):
         raise ValueError(f"{where} field {name!r} is not a list of integers")
     if min(value, default=0) < 0:
         raise ValueError(f"{where} field {name!r} has a negative entry {min(value)}")
     return tuple(value)
 
 
-def _first(given, key, where, label, *parts):
-    """Record in ``given`` that item ``where`` gives ``key``; a second item
-    for one key is an error naming both items and the key, written as
-    ``label.format(*parts)`` only then."""
-    if key in given:
-        raise ValueError(f"{given[key]} and {where} both give {label.format(*parts)}")
-    given[key] = where
+def _read_list(kind, items):
+    """{key: value} of the items of the sheaf.json list of ``kind``, in file
+    order: stacked (``_read_stacked``), or item by item (``_read_walking``) when
+    a stacked test fails."""
+    if not isinstance(items, list):
+        raise ValueError(f"sheaf field '{kind}s' is not a JSON list")
+    read = _read_stacked(kind, items)
+    return read if read is not None else _read_walking(kind, items)
+
+
+def _read_stacked(kind, items):
+    """``_read_list`` by one test of each field over the whole list and one
+    value call per stack of matrices of one shape; None when a test fails."""
+    key_names, name, _, values = _LISTS[kind]
+    columns = _columns(items, key_names + (name,))
+    payloads = columns and _columns(columns[-1], ("shape", "data"))
+    if not payloads:
+        return None
+    shapes, data = payloads
+    integers = columns[:-1] + [shapes]
+    if not (all(_lists_of(column, {int}) for column in integers)
+            and min(chain.from_iterable(chain.from_iterable(integers)), default=0) >= 0
+            and _lists_of(data, {int, float})):
+        return None
+    keys = list(zip(*(map(tuple, column) for column in columns[:-1])))
+    if len(key_names) == 1:
+        keys = [key for (key,) in keys]
+    if len(set(keys)) < len(keys):
+        return None
+    groups = {}
+    for i, shape in enumerate(map(tuple, shapes)):
+        groups.setdefault(shape, []).append(i)
+    read = [None] * len(items)
+    try:
+        for shape, cells in groups.items():
+            stack = _payload_stack([data[i] for i in cells], shape)
+            for i, value in zip(cells, values(stack)):
+                read[i] = value
+    except (ValueError, OverflowError):
+        return None
+    return dict(zip(keys, read))
+
+
+def _payload_stack(rows, shape):
+    """The read-only stack of the data lists ``rows``, each of ``shape``."""
+    stack = np.array(rows, dtype=float).reshape(len(rows), *shape)
+    stack.flags.writeable = False
+    return stack
+
+
+def _read_walking(kind, items):
+    """``_read_list`` item by item, in file order: the first item that fails a
+    test raises, with a message that names it, its field and the fault."""
+    key_names, name, label, values = _LISTS[kind]
+    read, given = {}, {}
+    for i, item in enumerate(items):
+        where = f"{kind} item {i}"
+        *parts, payload = _fields(where, item, *key_names, name)
+        parts = [_integers(where, key, part) for key, part in zip(key_names, parts)]
+        key = tuple(parts) if len(parts) > 1 else parts[0]
+        if key in given:
+            raise ValueError(f"{given[key]} and {where} both give {label.format(*parts)}")
+        given[key] = where
+        where = f"{where} field {name!r}"
+        shape, data = _fields(where, payload, "shape", "data")
+        shape = _integers(where, "shape", shape)
+        if not _lists_of((data,), {int, float}):
+            raise ValueError(f"{where} field 'data' is not a list of numbers")
+        try:
+            m = np.array(data, dtype=float).reshape(shape)
+            m.flags.writeable = False
+            (read[key],) = values(m[None])
+        except (ValueError, OverflowError) as exc:  # an integer beyond the float range
+            raise ValueError(f"{where}: {exc}") from None
+    return read
 
 
 def sheaf_from_json_dict(data: dict) -> CellSheaf:
     """Inverse of ``sheaf_to_json_dict``; the ``validated`` key, for readers, is ignored.
     A missing field or a value of the wrong JSON type is a ValueError naming both,
-    and so are two items for one cell or one incidence."""
+    and so are two items for one cell or one incidence; the first failing item
+    of the stalks, then of the restrictions, is named."""
     if not isinstance(data, dict):
         raise ValueError("sheaf is not a JSON object")
     version = data.get("schema_version")
@@ -779,21 +879,8 @@ def sheaf_from_json_dict(data: dict) -> CellSheaf:
                                                     "restrictions")
     complex_ = build_clique_complex(
         Graph(*_fields("sheaf field 'graph'", graph, "vertices", "edges")))
-    stalks, restrictions, given = {}, {}, {}
-    for where, (cell, basis) in _items("stalk", stalk_items, "cell", "basis"):
-        cell = _integers(where, "cell", cell)
-        _first(given, cell, where, "cell {}", cell)
-        basis = _matrix_from_payload(where, "basis", basis)
-        try:
-            stalks[cell] = Stalk(basis)
-        except ValueError as exc:
-            raise ValueError(f"{where} field 'basis': {exc}") from None
-    for where, (face, coface, matrix) in _items("restriction", restriction_items,
-                                                "face", "coface", "matrix"):
-        face, coface = _integers(where, "face", face), _integers(where, "coface", coface)
-        _first(given, (face, coface), where, "incidence {} < {}", face, coface)
-        restrictions[(face, coface)] = _matrix_from_payload(where, "matrix", matrix)
-    return CellSheaf(complex_, stalks, restrictions)
+    stalks = _read_list("stalk", stalk_items)
+    return CellSheaf(complex_, stalks, _read_list("restriction", restriction_items))
 
 
 def sheaf_to_json(sheaf: CellSheaf) -> str:

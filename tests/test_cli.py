@@ -281,13 +281,25 @@ def _set_stalk_shape(shape):
      "stalk item 3 field 'basis': stalk basis must be a 2d array"),
     (_set_field("stalks", 0, "basis", {"shape": [2, 2], "data": [1, 0, 0]}),
      "stalk item 0 field 'basis': cannot reshape array of size 3 into shape (2,2)"),
+    # data is a flat list of numbers: not a string, a boolean, a scalar, a
+    # nested list or a list holding a boolean or a null
+    *[(_set_field(kind, 1, name, {"shape": [1, 1], "data": data}),
+       f"{kind[:-1]} item 1 field {name!r} field 'data' is not a list of numbers")
+      for kind, name in (("stalks", "basis"), ("restrictions", "matrix"))
+      for data in ("1", True, 1, [True], [[1.0]], [None])],
+    # an integer beyond the float range is an input error, not an OverflowError
+    (_set_field("stalks", 1, "basis", {"shape": [1, 1], "data": [10**400]}),
+     "stalk item 1 field 'basis': int too large to convert to float"),
 ], ids=["nan-restriction", "inf-restriction", "nan-stalk", "missing-stalk", "extra-stalk",
         "extra-restriction", "stalk-without-basis", "restriction-without-face",
         "document-not-object", "graph-not-object", "basis-not-object", "cell-not-list",
         "stalks-not-list", "sheaf-without-stalks", "sheaf-without-graph",
         "matrix-without-data", "repeated-restriction", "repeated-stalk", "negative-shape",
         "boolean-cell", "boolean-shape", "non-orthonormal-stalk", "stalk-not-2d",
-        "stalk-data-not-shape"])
+        "stalk-data-not-shape"]
+    + [f"{kind}-{data}-data" for kind in ("stalk", "restriction")
+       for data in ("string", "boolean", "scalar", "boolean-entry", "nested", "null-entry")]
+    + ["huge-integer-data"])
 def test_mis_keyed_or_non_finite_sheaf_input_is_input_error(tmp_path, capsys, command, edit,
                                                             message):
     from sheafgauge.sheaves import sheaf_to_json_dict, trivial_bundle

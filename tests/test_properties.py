@@ -188,6 +188,23 @@ def feature_sheaves(draw):
     return build_sheaf_from_features(Graph(7, edges), features)
 
 
+@st.composite
+def mixed_feature_sheaves(draw):
+    """A seeded feature sheaf like the CLI matrix's G(8, 0.6) and G(24, 0.35)
+    inputs: features of rank 1, 2 and 3 near one frame, a quarter of them
+    with 4 of the 6 ambient rows, and one vertex orthogonal to the rest, so
+    stalks of several dimensions, zero among them, share each degree."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n, p = draw(st.integers(4, 12)), draw(st.sampled_from([0.35, 0.6]))
+    frame, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    features = {n - 1: frame[:, 3:]}
+    for v in range(n - 1):
+        rows, width = (4 if v % 4 == 3 else 6), v % 3 + 1
+        features[v] = frame[:rows, :width] + 0.05 * rng.normal(size=(rows, width))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return build_sheaf_from_features(Graph(n, edges), features)
+
+
 generator_sheaves = st.one_of(
     cycle_bundles(),
     st.builds(hidden_twist_bundle, st.integers(4, 9),
@@ -201,17 +218,20 @@ def _assert_bit_equal(a, b):
     assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
-@given(st.one_of(generator_sheaves, feature_sheaves()))
+@given(st.one_of(generator_sheaves, feature_sheaves(), mixed_feature_sheaves()))
 def test_json_round_trip_is_bit_exact(sheaf):
     text = sheaf_to_json(sheaf)
     restored = sheaf_from_json(text)
     # serialization sorts the cells, so the key order may change, not the key sets
     assert set(restored.stalks) == set(sheaf.stalks)
     assert set(restored.restrictions) == set(sheaf.restrictions)
+    # each read array is a read-only view of the stack of its shape
     for cell, stalk in sheaf.stalks.items():
         _assert_bit_equal(restored.stalks[cell].basis, stalk.basis)
+        assert not restored.stalks[cell].basis.flags.writeable
     for key, m in sheaf.restrictions.items():
         _assert_bit_equal(restored.restrictions[key], m)
+        assert not restored.restrictions[key].flags.writeable
     assert restored.validated == sheaf.validated
     for j in (0, 1):
         assert coboundary(restored, j).matrix.tobytes() == coboundary(sheaf, j).matrix.tobytes()

@@ -1006,23 +1006,127 @@ def test_sheaf_json_round_trip():
 
 
 def test_sheaf_json_reader_keeps_the_arrays_it_parses(monkeypatch):
-    # each parsed matrix is read-only, and Stalk and CellSheaf keep it without a copy
+    # each list's payloads of one shape are parsed into one read-only stack,
+    # and every Stalk and CellSheaf keeps a view of it without a copy
     made = []
 
-    def recording(where, name, payload, read=sheaves._matrix_from_payload):
-        made.append(read(where, name, payload))
+    def recording(rows, shape, stack=sheaves._payload_stack):
+        made.append(stack(rows, shape))
         return made[-1]
 
     rng = np.random.default_rng(9)
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
     sheaf = build_sheaf_from_features(g, {v: rng.normal(size=(4, 3)) for v in range(4)})
     text = sheaf_to_json(sheaf)
-    monkeypatch.setattr(sheaves, "_matrix_from_payload", recording)
+    monkeypatch.setattr(sheaves, "_payload_stack", recording)
     restored = sheaf_from_json(text)
-    # the file lists stalks, then restrictions, each sorted by key
-    kept = [stalk.basis for _, stalk in sorted(restored.stalks.items())]
-    kept += [m for _, m in sorted(restored.restrictions.items())]
-    assert len(kept) == len(made) == len(sheaf.stalks) + len(sheaf.restrictions)
-    for array, parsed in zip(kept, made):
+    kept = [stalk.basis for stalk in restored.stalks.values()]
+    kept += list(restored.restrictions.values())
+    assert sum(map(len, made)) == len(kept) == len(sheaf.stalks) + len(sheaf.restrictions)
+    assert len(made) < len(kept)
+    for array in kept:
         assert not array.flags.writeable
-        assert np.shares_memory(array, parsed) and array.shape == parsed.shape
+        (parsed,) = [stack for stack in made if np.shares_memory(array, stack)]
+        assert not parsed.flags.writeable and array.shape == parsed.shape[1:]
+
+
+def _count_basis_checks(monkeypatch):
+    """List the shape of every stack that ``sheaves._check_bases`` tests, the
+    one orthonormality test of stalk bases, in call order."""
+    checked, check = [], sheaves._check_bases
+
+    def counted(stack):
+        checked.append(stack.shape)
+        return check(stack)
+
+    monkeypatch.setattr(sheaves, "_check_bases", counted)
+    return checked
+
+
+def test_sheaf_json_reader_tests_each_stalk_shape_once(monkeypatch):
+    k5 = sheaf_to_json_dict(constant_sheaf(build_clique_complex(complete_graph(5)), 2))
+    features = build_sheaf_from_features(*_mixed_features(0))
+    shapes = {stalk.basis.shape for stalk in features.stalks.values()}
+    checked = _count_basis_checks(monkeypatch)
+    sheaf_from_json_dict(k5)
+    # the 25 stalks of K5's 2-truncated clique complex share one shape: one Gram test
+    assert checked == [(25, 2, 2)]
+    checked.clear()
+    sheaf_from_json(sheaf_to_json(features))
+    assert len(checked) == len(shapes) > 1
+    assert {shape[1:] for shape in checked} == shapes
+    assert sum(shape[0] for shape in checked) == len(features.stalks)
+    # a failed stack is walked item by item, which names the first failing item
+    k5["stalks"][3]["basis"]["data"] = [2, 0, 0, 1]
+    k5["stalks"][7]["basis"]["data"] = [float("nan"), 0, 0, 1]
+    checked.clear()
+    with pytest.raises(ValueError, match=r"^stalk item 3 field 'basis': stalk basis is not "
+                                         r"orthonormal$"):
+        sheaf_from_json_dict(k5)
+    assert checked == [(25, 2, 2)] + [(1, 2, 2)] * 4
+
+
+def test_feature_pipeline_tests_each_stalk_shape_once(monkeypatch):
+    g, features = _mixed_features(0)
+    checked = _count_basis_checks(monkeypatch)
+    sheaf = build_sheaf_from_features(g, features)
+    # one Gram test per shape of the vertex stalks, then one per shape of the
+    # edge and triangle stalks, which one pass makes together
+    nodes = {sheaf.stalks[(v,)].basis.shape for v in range(g.vertex_count)}
+    higher = {stalk.basis.shape for cell, stalk in sheaf.stalks.items() if len(cell) > 1}
+    assert len(checked) == len(nodes) + len(higher)
+    assert {shape[1:] for shape in checked[:len(nodes)]} == nodes
+    assert {shape[1:] for shape in checked[len(nodes):]} == higher
+
+
+def test_stacked_and_walking_sheaf_json_readers_agree():
+    # the item-by-item walk, which names a failing item, reads a valid list
+    # as the stacked pass does: the same keys in file order and the same bytes
+    data = sheaf_to_json_dict(build_sheaf_from_features(*_mixed_features(1)))
+    for kind in ("stalk", "restriction"):
+        stacked = sheaves._read_stacked(kind, data[f"{kind}s"])
+        walked = sheaves._read_walking(kind, data[f"{kind}s"])
+        assert list(stacked) == list(walked)
+        for a, b in zip(stacked.values(), walked.values()):
+            a, b = getattr(a, "basis", a), getattr(b, "basis", b)
+            assert _same_array(a, b) and not a.flags.writeable and not b.flags.writeable
+
+
+def _edit_items(*edits):
+    """The trivial R^2 bundle on the 5-cycle as sheaf.json, with field
+    ``name`` of item ``index`` of list ``kind`` set to ``value`` for each
+    ``(kind, index, name, value)`` of ``edits``."""
+    data = sheaf_to_json_dict(trivial_bundle(5, 2))
+    for kind, index, name, value in edits:
+        data[kind][index][name] = value
+    return data
+
+
+_SKEWED = {"shape": [2, 2], "data": [2, 0, 0, 1]}
+
+
+@pytest.mark.parametrize("edits, message", [
+    # the later item fails an earlier test of the stacked pass (cells are
+    # tested before bases), yet the earlier item is named
+    ((("stalks", 3, "basis", _SKEWED), ("stalks", 5, "cell", [True])),
+     "stalk item 3 field 'basis': stalk basis is not orthonormal"),
+    ((("stalks", 5, "basis", _SKEWED), ("stalks", 3, "cell", [True])),
+     "stalk item 3 field 'cell' is not a list of integers"),
+    # within one item, the cell before the basis
+    ((("stalks", 4, "basis", _SKEWED), ("stalks", 4, "cell", [-1])),
+     "stalk item 4 field 'cell' has a negative entry -1"),
+    # every stalk before any restriction
+    ((("restrictions", 0, "face", [True]), ("stalks", 9, "basis", _SKEWED)),
+     "stalk item 9 field 'basis': stalk basis is not orthonormal"),
+    ((("restrictions", 6, "matrix", {"shape": [2, 2], "data": [1, 0, 0]}),
+      ("restrictions", 8, "matrix", {"shape": [2, 2], "data": [1, 0, "0", 1]})),
+     "restriction item 6 field 'matrix': cannot reshape array of size 3 into shape (2,2)"),
+    # a negative entry alone, which no later test of the stacked pass would name
+    ((("stalks", 2, "cell", [-1]),), "stalk item 2 field 'cell' has a negative entry -1"),
+    ((("restrictions", 3, "coface", [0, -2]),),
+     "restriction item 3 field 'coface' has a negative entry -2"),
+], ids=["basis-before-later-cell", "cell-before-later-basis", "cell-before-basis",
+        "stalks-before-restrictions", "first-restriction", "negative-cell", "negative-coface"])
+def test_sheaf_json_reader_names_the_first_failing_item(edits, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sheaf_from_json_dict(_edit_items(*edits))
