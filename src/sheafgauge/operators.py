@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import ctypes
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
@@ -61,10 +63,12 @@ class PsdViolationError(ValueError):
 
 class _Lapack:
     """The LAPACK of the OpenBLAS that numpy's wheel bundles, through ctypes:
-    each routine by name, with 64-bit integers (``scipy_<routine>_64_``)."""
+    each routine by name, with 64-bit integers (``scipy_<routine>_64_``),
+    and ``threads``, the library's count of the threads each call runs on,
+    or None where the library does not export it."""
 
-    def __init__(self, functions: dict):
-        self._functions = functions
+    def __init__(self, functions: dict, threads):
+        self._functions, self.threads = functions, threads
 
     def __call__(self, routine: str, *args) -> int:
         """Run ``routine`` on every argument but INFO and return INFO. A
@@ -98,7 +102,24 @@ def _lapack() -> _Lapack | None:
     for routine, (pointers, flags) in signatures.items():
         functions[routine].argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * flags
         functions[routine].restype = None
-    return _Lapack(functions)
+    threads = getattr(library, "scipy_openblas_get_num_threads64_", None)
+    if threads is not None:
+        threads.argtypes, threads.restype = [], ctypes.c_int
+    return _Lapack(functions, threads)
+
+
+def _overlaps() -> bool:
+    """Whether a decomposition beside the caller's work (``_beside``) has a
+    CPU of its own: the bundled OpenBLAS reports one thread per call
+    (``_Lapack.threads``), and the process may run on at least two CPUs.
+    With more BLAS threads the two contend for the same CPUs, and side by
+    side is slower than one after the other."""
+    lapack = _lapack()
+    if lapack is None or lapack.threads is None or lapack.threads() != 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
 
 
 #: The range of the largest absolute entry in which LAPACK's ``dsyevd``
@@ -292,6 +313,36 @@ def numerical_kernel(lap: SheafLaplacian) -> np.ndarray:
     return decompose(lap).kernel.copy()
 
 
+def _beside(lap: SheafLaplacian, work) -> Spectrum:
+    """``decompose(lap)``, run on a second thread while this one runs
+    ``work()``; the two overlap where LAPACK releases the interpreter lock.
+
+    ``lap`` is assembled and read-only, and ``_overlaps`` has loaded
+    ``_lapack`` on this thread, so the worker reads nothing that the caller
+    forms or changes. The worker is always joined. Then the caller's error
+    is raised first and the worker's next, as ``work()`` and then
+    ``decompose(lap)`` would raise them one after the other; no bit of
+    either result depends on the overlap.
+    """
+    outcome = {}
+
+    def solve():
+        try:
+            outcome["spectrum"] = decompose(lap)
+        except BaseException as error:  # re-raised on the calling thread
+            outcome["error"] = error
+
+    worker = threading.Thread(target=solve)
+    worker.start()
+    try:
+        work()
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["spectrum"]
+
+
 # ---------------------------------------------------------------------------
 # Coboundaries and Laplacians
 # ---------------------------------------------------------------------------
@@ -353,6 +404,11 @@ def laplacian(sheaf: CellSheaf, j: int) -> SheafLaplacian:
 def laplacian_spectrum(sheaf: CellSheaf, j: int) -> Spectrum:
     """Spectrum of ``laplacian(sheaf, j)``, decomposed once per sheaf."""
     return sheaf.derived(("spectrum", j), lambda s: decompose(laplacian(s, j)))
+
+
+def _spectrum_kept(sheaf: CellSheaf, j: int) -> bool:
+    """Whether the sheaf keeps ``laplacian_spectrum(sheaf, j)`` already."""
+    return ("spectrum", j) in sheaf._derived
 
 
 def consistency_energy(lap: SheafLaplacian, x) -> float:

@@ -4,6 +4,7 @@ summary hook."""
 from __future__ import annotations
 
 import sys
+import threading
 
 import numpy as np
 from hypothesis import settings
@@ -77,25 +78,29 @@ def count_solvers(monkeypatch):
     ``operators._lapack`` binds, ``dsytrd`` (the first stage of each
     factored eigendecomposition, its workspace query left out) and
     ``dpotrf``. Also list, in call order, a copy of every matrix decomposed
-    with eigenvectors, by ``eigh`` or by ``dsytrd``."""
+    with eigenvectors, by ``eigh`` or by ``dsytrd``. ``run_diagnostics`` may
+    call a solver from a second thread, so each count is taken under a lock."""
     counts = dict.fromkeys(("eigh", "dsytrd", "eigvalsh", "cholesky", "dpotrf"), 0)
     decomposed = []
+    lock = threading.Lock()
     for solver in ("eigh", "eigvalsh", "cholesky"):
         def solved(m, _solver=solver, _original=getattr(np.linalg, solver)):
-            counts[_solver] += 1
-            if _solver == "eigh":
-                decomposed.append(np.array(m))
+            with lock:
+                counts[_solver] += 1
+                if _solver == "eigh":
+                    decomposed.append(np.array(m))
             return _original(m)
 
         monkeypatch.setattr(np.linalg, solver, solved)
     call = operators._Lapack.__call__
 
     def called(lapack, routine, *args):
-        if routine == "dpotrf":
-            counts[routine] += 1
-        elif routine == "dsytrd" and args[-1] != -1:  # not the workspace query
-            counts[routine] += 1
-            decomposed.append(np.array(args[2].T))  # its matrix, held in Fortran order
+        with lock:
+            if routine == "dpotrf":
+                counts[routine] += 1
+            elif routine == "dsytrd" and args[-1] != -1:  # not the workspace query
+                counts[routine] += 1
+                decomposed.append(np.array(args[2].T))  # its matrix, held in Fortran order
         return call(lapack, routine, *args)
 
     monkeypatch.setattr(operators._Lapack, "__call__", called)

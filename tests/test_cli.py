@@ -872,6 +872,29 @@ def test_commands_decompose_l1_once(tmp_path, monkeypatch, command, grounding, f
     assert sum(m.shape == l1.shape and np.array_equal(m, l1) for m in solved) == 1
 
 
+def test_side_by_side_diagnose_decomposes_each_input_once(tmp_path, monkeypatch):
+    # with R decomposed on a second thread beside L0 and L1 (forced, so the
+    # BLAS thread count of the test run does not decide), diagnose still
+    # makes its 4 factored decompositions, L0, L1, R and the utilization,
+    # none on a repeated input
+    from sheafgauge.complexes import build_clique_complex, complete_graph
+    from sheafgauge.sheaves import constant_sheaf, sheaf_to_json
+
+    sheaf_path = tmp_path / "k5.json"
+    sheaf_path.write_text(sheaf_to_json(constant_sheaf(build_clique_complex(complete_graph(5)), 2)))
+    beside, overlapped = diag._beside, []
+    monkeypatch.setattr(diag, "_overlaps", lambda: True)
+    monkeypatch.setattr(diag, "_beside",
+                        lambda lap, work: overlapped.append(lap) or beside(lap, work))
+    counts, decomposed = count_solvers(monkeypatch)
+    assert run(["diagnose", "--heatmap", "--input", str(sheaf_path), "--grounding", "padding",
+                "--out", str(tmp_path / "out")]) == 0
+    assert len(overlapped) == 1
+    assert (counts["eigh"], counts["dsytrd"]) == (0, 4)
+    digests = [(m.shape, hashlib.sha1(m.tobytes()).hexdigest()) for m in decomposed]
+    assert len(set(digests)) == len(digests) == 4
+
+
 _SHEAF_SOURCE = {"--input", "--generator", "--n", "--stalk-dim", "--tau", "--sigma", "--seed"}
 _ENSEMBLE = {"--n", "--tau", "--sigma", "--seed", "--out"}
 COMMAND_OPTIONS = {

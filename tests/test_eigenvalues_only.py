@@ -220,9 +220,10 @@ def test_only_decompose_and_the_triangle_bases_reach_the_eigensolvers():
     # every operator spectrum goes through decompose's checks; the feature
     # pipeline's stacked per-cell eigh is the one other caller. The one
     # factorization is the certificate of an empty cone kernel. Only those
-    # two load the bundled LAPACK: the stages of eigh run in the factored
-    # basis that decompose builds, dpotrf in the certificate, and the loader
-    # names every routine it binds.
+    # two load the bundled LAPACK, and the overlap decision, which reads the
+    # library's thread count: the stages of eigh run in the factored basis
+    # that decompose builds, dpotrf in the certificate, and the loader names
+    # every routine it binds.
     package = Path(sheafgauge.__file__).parent
     trees = [(path.name, ast.parse(path.read_text())) for path in sorted(package.glob("*.py"))]
 
@@ -234,7 +235,8 @@ def test_only_decompose_and_the_triangle_bases_reach_the_eigensolvers():
                                           ("sheaves.py", "_triangle_bases")}
     assert scopes("cholesky") == {("operators.py", "_proves_empty_kernel")}
     assert scopes("_lapack") == {("operators.py", "decompose"),
-                                 ("operators.py", "_proves_empty_kernel")}
+                                 ("operators.py", "_proves_empty_kernel"),
+                                 ("operators.py", "_overlaps")}
     assert scopes("_Eigenbasis") == {("operators.py", "decompose"),
                                      ("operators.py", "Spectrum"),
                                      ("operators.py", "Spectrum.vectors"),

@@ -32,8 +32,11 @@ anything differs.
 Run as a script, it sets BLAS to one thread before numpy loads it, as
 ``perfbench/run.py`` does: some outputs move in their last bits between one
 and two BLAS threads (up to about 1e-11 relative), so two checkouts run under
-different settings would show moves that no code made. Imported, it changes
-no environment variable.
+different settings would show moves that no code made. On one BLAS thread
+and two or more CPUs, ``run_diagnostics`` solves R = L1 + eps^T eps on a
+second thread beside L0 and L1, so the ``diagnose`` commands under
+``padding`` take that path here.
+Imported, it changes no environment variable.
 """
 
 import argparse
