@@ -20,7 +20,6 @@ from .operators import (
     VERTEX_LEVEL,
     _beside,
     _overlaps,
-    _spectrum_kept,
     channel_set,
     decompose,
     grounding_from_padding,
@@ -110,17 +109,16 @@ def run_diagnostics(sheaf: CellSheaf, grounding: GroundingMorphism,
     Each operator is built and decomposed once, by the sheaf or the channel
     set; the local maps read those raw spectra, ``spectra`` holds the ones
     the reports read (normalized if asked). Under a vertex-level grounding,
-    when the sheaf keeps no spectrum of L_1 yet and one-thread BLAS leaves a
-    CPU idle (``operators._overlaps``), R = L_1 + eps^T eps is decomposed on
-    a second thread while this one decomposes L_0 and L_1
-    (``operators._beside``); every bit is the same either way.
+    when one-thread BLAS leaves a CPU idle (``operators._overlaps``),
+    R = L_1 + eps^T eps is decomposed on a second thread while this one
+    decomposes L_0 and L_1 (``operators._beside``); every bit is the same
+    either way.
     """
     channels = channel_set(sheaf, grounding)
-    if grounding.mode == VERTEX_LEVEL and not _spectrum_kept(sheaf, 1) and _overlaps():
-        # the channel set is new, so R's spectrum is not kept yet: kept here
-        # where its cached property keeps it, so R is still decomposed once
-        vars(channels)["relative_spectrum"] = _beside(
-            channels.relative, lambda: [laplacian_spectrum(sheaf, j) for j in (0, 1)])
+    if grounding.mode == VERTEX_LEVEL and _overlaps():
+        channels.relative  # assembled here, so the worker only decomposes it
+        _beside(lambda: channels.relative_spectrum,
+                lambda: [laplacian_spectrum(sheaf, j) for j in (0, 1)])
     reports, spectra = {}, {}
     for name, operator, lap, spectrum, auxiliary in (
         ("local_feasibility", "base", laplacian(sheaf, 0), laplacian_spectrum(sheaf, 0), False),

@@ -313,26 +313,25 @@ def numerical_kernel(lap: SheafLaplacian) -> np.ndarray:
     return decompose(lap).kernel.copy()
 
 
-def _beside(lap: SheafLaplacian, work) -> Spectrum:
-    """``decompose(lap)``, run on a second thread while this one runs
-    ``work()``; the two overlap where LAPACK releases the interpreter lock.
+def _beside(task, work):
+    """``task()``, run on a second thread while this one runs ``work()``;
+    the two overlap where LAPACK releases the interpreter lock.
 
-    ``lap`` is assembled and read-only, and ``_overlaps`` has loaded
-    ``_lapack`` on this thread, so the worker reads nothing that the caller
-    forms or changes. The worker is always joined. Then the caller's error
-    is raised first and the worker's next, as ``work()`` and then
-    ``decompose(lap)`` would raise them one after the other; no bit of
-    either result depends on the overlap.
+    The caller forms what ``task`` reads before the call (an assembled,
+    read-only operator, ``_lapack`` loaded), so the worker reads nothing that
+    the caller forms or changes. The worker is always joined. Then the
+    caller's error is raised first and the worker's next, as ``work()`` and
+    then ``task()`` would raise them one after the other.
     """
     outcome = {}
 
-    def solve():
+    def run():
         try:
-            outcome["spectrum"] = decompose(lap)
+            outcome["result"] = task()
         except BaseException as error:  # re-raised on the calling thread
             outcome["error"] = error
 
-    worker = threading.Thread(target=solve)
+    worker = threading.Thread(target=run)
     worker.start()
     try:
         work()
@@ -340,7 +339,7 @@ def _beside(lap: SheafLaplacian, work) -> Spectrum:
         worker.join()
     if "error" in outcome:
         raise outcome["error"]
-    return outcome["spectrum"]
+    return outcome["result"]
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +403,6 @@ def laplacian(sheaf: CellSheaf, j: int) -> SheafLaplacian:
 def laplacian_spectrum(sheaf: CellSheaf, j: int) -> Spectrum:
     """Spectrum of ``laplacian(sheaf, j)``, decomposed once per sheaf."""
     return sheaf.derived(("spectrum", j), lambda s: decompose(laplacian(s, j)))
-
-
-def _spectrum_kept(sheaf: CellSheaf, j: int) -> bool:
-    """Whether the sheaf keeps ``laplacian_spectrum(sheaf, j)`` already."""
-    return ("spectrum", j) in sheaf._derived
 
 
 def consistency_energy(lap: SheafLaplacian, x) -> float:

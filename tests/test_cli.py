@@ -885,7 +885,7 @@ def test_side_by_side_diagnose_decomposes_each_input_once(tmp_path, monkeypatch)
     beside, overlapped = diag._beside, []
     monkeypatch.setattr(diag, "_overlaps", lambda: True)
     monkeypatch.setattr(diag, "_beside",
-                        lambda lap, work: overlapped.append(lap) or beside(lap, work))
+                        lambda task, work: overlapped.append(task) or beside(task, work))
     counts, decomposed = count_solvers(monkeypatch)
     assert run(["diagnose", "--heatmap", "--input", str(sheaf_path), "--grounding", "padding",
                 "--out", str(tmp_path / "out")]) == 0

@@ -110,15 +110,19 @@ def test_side_by_side_decomposes_each_channel_once(monkeypatch):
 @pytest.mark.parametrize("failing", [("R",), ("L1",), ("L1", "R")])
 def test_side_by_side_raises_what_the_sequential_path_raises(monkeypatch, failing):
     # L_1 is decomposed before R one after the other, so L_1's error comes first
+    # and neither is tried twice (the overlap may try R where L_1's error
+    # would have stopped the sequential path first)
     original, started = operators.decompose, _count_threads(monkeypatch)
-    errors = {}
+    errors, tried = {}, {}
     for overlap in (False, True):
         _force(monkeypatch, overlap)
         sheaf = feature_sheaf(0)
         l1 = laplacian(sheaf, 1)
+        tried[overlap] = names = []
 
-        def decompose(lap, vectors=True, _l1=l1):
+        def decompose(lap, vectors=True, _l1=l1, _names=names):
             name = "L1" if lap is _l1 else "R" if lap.degree == 1 else None
+            _names.append(name)
             if name in failing:
                 raise PsdViolationError(f"negative eigenvalue of {name}")
             return original(lap, vectors)
@@ -132,6 +136,8 @@ def test_side_by_side_raises_what_the_sequential_path_raises(monkeypatch, failin
         errors[overlap] = type(raised.value), str(raised.value)
     assert errors[True] == errors[False] == (PsdViolationError,
                                              f"negative eigenvalue of {failing[0]}")
+    for overlap in (False, True):
+        assert tried[overlap].count("L1") == 1 and tried[overlap].count("R") <= 1
 
 
 @pytest.mark.parametrize("name", ["fullrank", "deficient", "zero"])
@@ -141,15 +147,6 @@ def test_cochain_groundings_start_no_thread(monkeypatch, name):
     sheaf = feature_sheaf(0)
     run_diagnostics(sheaf, make_grounding(sheaf, name), WITH_LOCAL)
     assert started == []
-
-
-def test_side_by_side_only_while_l1_is_not_kept(monkeypatch):
-    _force(monkeypatch, True)
-    started = _count_threads(monkeypatch)
-    sheaf = feature_sheaf(0)
-    for _ in range(2):  # the second report reads the sheaf's spectrum of L_1
-        run_diagnostics(sheaf, make_grounding(sheaf, "padding"), WITH_LOCAL)
-        assert len(started) == 1
 
 
 @pytest.mark.parametrize("threads, cpus, affinity, overlaps", [
