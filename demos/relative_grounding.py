@@ -36,7 +36,7 @@ print(f"\nbase channels identical across the pair: {identical}")
 
 print("\nseparation check (kernel of the relative channel vs grounding on harmonics):")
 for name, grounding in groundings.items():
-    report = separation_check(sheaves[name], grounding)
+    report = separation_check(channel_set(sheaves[name], grounding))
     gamma = "gap > 0" if report.gamma else "kernel present"
     print(f"  {name:14s} dims (a, b, c) = ({report.kernel_relative_channel}, "
           f"{report.kernel_eps_on_harmonics}, {report.kernel_meet_harmonics})  ->  {gamma}")

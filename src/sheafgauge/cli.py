@@ -27,11 +27,14 @@ from . import diagnostics as diag
 from .complexes import graph_from_json
 from .fileio import json_fields, write_csv, write_json
 from .operators import (
+    COMPATIBILITY_TOL,
     VERTEX_LEVEL,
+    _beside,
     algebraic_cone,
     channel_set,
     coboundary,
     laplacian,
+    laplacian_spectrum,
     verify_cone_equivalence,
     verify_long_exact_sequence,
 )
@@ -48,7 +51,7 @@ from .sheaves import (
 )
 from .spectral import (
     WitnessConfig,
-    cone_reduction_side,
+    _cone_reduction_steps,
     indicator_profile,
     verify_cone_reduction,
 )
@@ -243,19 +246,20 @@ def cmd_experiment(args) -> int:
 def cmd_verify(args) -> int:
     sheaf = _resolve_sheaf(args)
     grounding = diag.make_grounding(sheaf, args.grounding)
+    channels = channel_set(sheaf, grounding)
     checks = {}
 
     if grounding.mode == VERTEX_LEVEL:
         cone = algebraic_cone(sheaf, grounding)
         checks["cone_equivalence"] = verify_cone_equivalence(cone)
+        side = _solve_side_by_side(cone, channels)
         checks["long_exact_sequence"] = verify_long_exact_sequence(cone)
-        side = cone_reduction_side(cone)
         checks["cone_reduction"] = verify_cone_reduction(side, side)
     else:
         reason = "grounding has no per-cell maps (cochain-on-c1 mode)"
         for key in ("cone_equivalence", "long_exact_sequence", "cone_reduction"):
             checks[key] = {"status": "hypothesis-not-met", "reason": reason}
-    checks["separation"] = diag.separation_check(sheaf, grounding)
+    checks["separation"] = diag.separation_check(channels)
 
     write_json(_out(args, "certificates.json"), {"checks": checks, "params": _params(args)})
     # a plain record is a hypothesis not met, never a failure
@@ -264,6 +268,40 @@ def cmd_verify(args) -> int:
         print(f"verification failed: {', '.join(sorted(failed))}", file=sys.stderr)
         return 3
     return 0
+
+
+def _solve_side_by_side(cone, channels):
+    """The solves after the cone equivalence, two pairs side by side
+    (``operators._beside``); returns the cone-reduction side.
+
+    First the cone Laplacians' kernels (``cone.harmonic``) beside the cone
+    reduction's residuals and four blocks, then F's and W's spectra in
+    degrees 0 and 1 beside R = L_1 + eps^T eps and the higher degrees'. A
+    solve runs only where a check reads it: the cone's and the sheaves' in
+    every degree under a compatible grounding, L_1(F) and R in any case.
+    What both lanes of a pair read is formed before it, and so is R, which
+    the worker then only decomposes. The cone equivalence runs alone: its
+    geometric cone is verify's largest transient.
+    """
+    f, w = cone.sheaf, cone.w_sheaf
+    compatible = cone.defect_total <= COMPATIBILITY_TOL
+    if compatible:
+        spectra = [(sheaf, j) for sheaf in dict.fromkeys((f, w)) for j in f.complex.degrees]
+    else:
+        spectra = [(f, 1)]
+    # shared by the first pair: eps and the coboundaries under L_1(F) and
+    # L_0(W), which the cone's differentials also read
+    cone.eps, laplacian(f, 1), laplacian(w, 0)
+    last_step = _beside(lambda: _cone_reduction_steps(cone),
+                        lambda: compatible and cone.harmonic)
+    # the operators of the second pair, formed only now: the first holds less
+    for sheaf, j in spectra:
+        laplacian(sheaf, j)
+    channels.relative
+    _beside(lambda: [channels.relative_spectrum] + [
+                laplacian_spectrum(sheaf, j) for sheaf, j in spectra if j > 1],
+            lambda: [laplacian_spectrum(sheaf, j) for sheaf, j in spectra if j <= 1])
+    return last_step()
 
 
 def cmd_dump(args) -> int:

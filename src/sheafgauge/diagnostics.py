@@ -18,8 +18,8 @@ import numpy as np
 from .operators import (
     GroundingMorphism,
     VERTEX_LEVEL,
+    ChannelSet,
     _beside,
-    _overlaps,
     channel_set,
     decompose,
     grounding_from_padding,
@@ -109,13 +109,13 @@ def run_diagnostics(sheaf: CellSheaf, grounding: GroundingMorphism,
     Each operator is built and decomposed once, by the sheaf or the channel
     set; the local maps read those raw spectra, ``spectra`` holds the ones
     the reports read (normalized if asked). Under a vertex-level grounding,
-    when one-thread BLAS leaves a CPU idle (``operators._overlaps``),
     R = L_1 + eps^T eps is decomposed on a second thread while this one
-    decomposes L_0 and L_1 (``operators._beside``); every bit is the same
+    decomposes L_0 and L_1, when one-thread BLAS leaves a CPU idle, and
+    after them otherwise (``operators._beside``); every bit is the same
     either way.
     """
     channels = channel_set(sheaf, grounding)
-    if grounding.mode == VERTEX_LEVEL and _overlaps():
+    if grounding.mode == VERTEX_LEVEL:
         channels.relative  # assembled here, so the worker only decomposes it
         _beside(lambda: channels.relative_spectrum,
                 lambda: [laplacian_spectrum(sheaf, j) for j in (0, 1)])
@@ -171,15 +171,16 @@ class SeparationReport:
     gamma: float | None
 
 
-def separation_check(sheaf: CellSheaf, grounding: GroundingMorphism) -> SeparationReport:
-    """The three ranks of ``SeparationReport``, from the spectrum of the
-    relative channel and the harmonic space the sheaf keeps (the kernel of
-    its ``laplacian_spectrum`` of L_1); no L_1 is decomposed here."""
-    channels = channel_set(sheaf, grounding)
+def separation_check(channels: ChannelSet) -> SeparationReport:
+    """The three ranks of ``SeparationReport`` for the sheaf and grounding
+    of ``channels`` (``channel_set``), from the spectrum of the relative
+    channel that the channel set keeps and the harmonic space the sheaf keeps
+    (the kernel of its ``laplacian_spectrum`` of L_1)."""
     spectrum = channels.relative_spectrum
     dim_a = kernel_dim(spectrum)
     # an empty kernel basis has rank 0, so (b) and (c) read 0 without a case of their own
-    harmonics, relative_kernel = laplacian_spectrum(sheaf, 1).kernel, spectrum.kernel
+    harmonics = laplacian_spectrum(channels.sheaf, 1).kernel
+    relative_kernel = spectrum.kernel
     dim_b = harmonics.shape[1] - numerical_rank(channels.eps @ harmonics)
     stacked = np.hstack([relative_kernel, harmonics])
     dim_c = relative_kernel.shape[1] + harmonics.shape[1] - numerical_rank(stacked)

@@ -314,15 +314,21 @@ def numerical_kernel(lap: SheafLaplacian) -> np.ndarray:
 
 
 def _beside(task, work):
-    """``task()``, run on a second thread while this one runs ``work()``;
-    the two overlap where LAPACK releases the interpreter lock.
+    """``task()``, run on a second thread while this one runs ``work()``,
+    when one-thread BLAS leaves a CPU idle (``_overlaps``); the two overlap
+    where LAPACK releases the interpreter lock. Otherwise ``work()`` and then
+    ``task()`` run on this thread, so a caller has one schedule either way.
 
-    The caller forms what ``task`` reads before the call (an assembled,
-    read-only operator, ``_lapack`` loaded), so the worker reads nothing that
-    the caller forms or changes. The worker is always joined. Then the
+    The caller forms what both read before the call (assembled, read-only
+    operators, ``_lapack`` loaded, and every ``cached_property`` that both
+    read: Python 3.11 locks one per property), so neither thread forms
+    what the other reads or changes. The worker is always joined. Then the
     caller's error is raised first and the worker's next, as ``work()`` and
     then ``task()`` would raise them one after the other.
     """
+    if not _overlaps():
+        work()
+        return task()
     outcome = {}
 
     def run():
@@ -657,10 +663,11 @@ class MappingCone:
     the complex. Formed on first read and kept: ``w_sheaf``, the read-only
     mapping ``eps`` of cochain blocks (one degree past the cone's at each
     end, empty outside the complex's), the incidence defect
-    ``defect_total`` and the read-only differentials, built from the
+    ``defect_total``, the read-only differentials, built from the
     coboundaries that ``sheaf`` and ``w_sheaf`` each assemble once, so every
-    certificate reads the same matrices. d^2 = 0 holds when ``sheaf`` is
-    functorial and the defect is 0.
+    certificate reads the same matrices, and the ``harmonic`` basis of every
+    cone degree. d^2 = 0 holds when ``sheaf`` is functorial and the defect
+    is 0.
     """
 
     sheaf: CellSheaf
@@ -721,6 +728,11 @@ class MappingCone:
     def laplacian(self, n: int) -> SheafLaplacian:
         return _hodge_laplacian(n, self.differential(n - 1), self.differential(n))
 
+    @cached_property
+    def harmonic(self) -> MappingProxyType:
+        """The harmonic basis of Cone^n for every cone degree n (``_cone_kernel``)."""
+        return MappingProxyType({n: _cone_kernel(self, n) for n in self.degrees})
+
 
 def algebraic_cone(sheaf: CellSheaf, grounding: GroundingMorphism) -> MappingCone:
     """The mapping cone of a vertex-level grounding into constant W; its
@@ -780,9 +792,12 @@ def verify_cone_equivalence(cone: MappingCone) -> ConeEquivalenceReport:
     untranslated = {j: cone.differential(j - 1) for j in sheaf.complex.degrees}
     untranslated[0] = np.hstack([untranslated[0], np.vstack(
         [np.zeros((sheaf.cochain_dim(1), w))] + [np.eye(w)] * len(sheaf.complex.cells(0)))])
-    # d_j + d^{j-1} is d_j - (-d^{j-1}) to the bit, without the negated copy
-    residuals = {j: float(np.max(np.abs(coboundary(geo, j).matrix + d), initial=0.0))
-                 for j, d in untranslated.items()}
+    residuals = {}
+    for j, d in untranslated.items():
+        # d_j + d^{j-1} is d_j - (-d^{j-1}) to the bit, without the negated
+        # copy, and its absolute value is taken in place: one temporary
+        residual = coboundary(geo, j).matrix + d
+        residuals[j] = float(np.max(np.abs(residual, out=residual), initial=0.0))
     worst = max(residuals.values())
     status = "pass" if worst < 1e-12 else "fail"
     return ConeEquivalenceReport(status, cone.defect_total, worst, residuals)
@@ -878,21 +893,22 @@ def verify_long_exact_sequence(cone: MappingCone) -> LesReport:
     Cohomology is represented by harmonic bases: the kernels of the
     Laplacians of ``cone.sheaf`` and ``cone.w_sheaf``, read from the spectra
     each sheaf keeps (``laplacian_spectrum``), and of the cone's own
-    Laplacians. The maps are ``cone.eps``, the inclusion i(c) = (0, c) and
-    the projection q(b, c) = -b, so i and q read the W and the F rows of a
-    cone basis. Exactness at a node means rank(in) + rank(out) = dim and
-    the composite vanishes. An empty zero map closes the chain at each end,
-    so node k sits between ``maps[k]`` and ``maps[k + 1]``, and each map is
-    ranked once. The hypothesis is a compatible grounding, read from
-    ``cone.defect_total``.
+    Laplacians, which the cone keeps (``cone.harmonic``). The maps are
+    ``cone.eps``, the inclusion i(c) = (0, c) and the projection
+    q(b, c) = -b, so i and q read the W and the F rows of a cone basis.
+    Exactness at a node means rank(in) + rank(out) = dim and the composite
+    vanishes. An empty zero map closes the chain at each end, so node k sits
+    between ``maps[k]`` and ``maps[k + 1]``, and each map is ranked once. The
+    hypothesis is a compatible grounding, read from ``cone.defect_total``.
     """
     if cone.defect_total > COMPATIBILITY_TOL:
         return LesReport("hypothesis-not-met", cone.defect_total, (), (), (), ())
 
-    # the cone's decompositions are the largest: they run before the sheaves
-    # keep their spectra, which lowers the peak memory
+    # the cone's Laplacians are the largest: their kernels come first (in
+    # ``cmd_verify`` too), before the sheaves keep their spectra, which
+    # lowers the peak memory
     degrees, low, top = cone.sheaf.complex.degrees, cone.degrees[0], cone.degrees[-1]
-    harm_c = {n: _cone_kernel(cone, n) for n in cone.degrees}
+    harm_c = cone.harmonic
     harm_f = {j: laplacian_spectrum(cone.sheaf, j).kernel for j in degrees}
     harm_w = {j: laplacian_spectrum(cone.w_sheaf, j).kernel for j in degrees}
 

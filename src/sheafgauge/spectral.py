@@ -450,7 +450,16 @@ def interleaving_shift(a: Spectrum, b: Spectrum, mode: str | None = None) -> Int
 
 
 def _max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m), initial=0.0))
+    """The largest absolute entry of ``m``, a temporary: the absolute values
+    are taken in its storage."""
+    return float(np.max(np.abs(m, out=m), initial=0.0))
+
+
+def _max_abs_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """``_max_abs`` of a - b, formed in the storage of ``a``, a temporary, so
+    neither the difference nor its absolute values take an array of their own."""
+    a -= b
+    return _max_abs(a)
 
 
 @dataclass(frozen=True)
@@ -472,31 +481,55 @@ class ConeReductionSide:
         """Each commutator formed once, and no block kept. ``base_eigenvalues``
         returns the eigenvalues of ``base_f`` and ``base_w``; it is a function
         so that a side whose hypotheses fail decomposes nothing: only when
-        they hold is it called and are the other blocks decomposed."""
+        they hold are the other blocks decomposed, and then it is called."""
+        return cls._without_bases(base_f, gram_f, base_w, gram_w, intertwine)._with_bases(
+            base_eigenvalues)
+
+    @classmethod
+    def _without_bases(cls, base_f, gram_f, base_w, gram_w, intertwine: float):
+        """The residuals and, when they hold, the spectra of ``gram_f``,
+        ``gram_w`` and the cone blocks: every spectrum but the two bases'."""
         residuals = {"intertwine": intertwine,
-                     "commutator_f": _max_abs(base_f @ gram_f - gram_f @ base_f),
-                     "commutator_w": _max_abs(base_w @ gram_w - gram_w @ base_w)}
+                     "commutator_f": _max_abs_difference(base_f @ gram_f, gram_f @ base_f),
+                     "commutator_w": _max_abs_difference(base_w @ gram_w, gram_w @ base_w)}
         if max(residuals.values()) > COMMUTATION_TOL:
             return cls(residuals, None)
-        ev_base_f, ev_base_w = base_eigenvalues()
         cone = np.concatenate([_eigenvalues(base_f + gram_f), _eigenvalues(base_w + gram_w)])
-        return cls(residuals, {"base_f": ev_base_f, "gram_f": _eigenvalues(gram_f),
-                               "base_w": ev_base_w, "gram_w": _eigenvalues(gram_w),
+        return cls(residuals, {"gram_f": _eigenvalues(gram_f), "gram_w": _eigenvalues(gram_w),
                                "cone": np.sort(cone)})
+
+    def _with_bases(self, base_eigenvalues: Callable[[], tuple]) -> ConeReductionSide:
+        """This side with the base eigenvalues ``base_eigenvalues`` returns;
+        a side whose hypotheses failed does not call it."""
+        if self.spectra is None:
+            return self
+        ev_base_f, ev_base_w = base_eigenvalues()
+        return ConeReductionSide(self.residuals,
+                                 {"base_f": ev_base_f, "base_w": ev_base_w, **self.spectra})
 
 
 def cone_reduction_side(cone: MappingCone) -> ConeReductionSide:
     """Cone-degree-0 blocks of a grounded sheaf with constant target, read
     from the cone: L_1(F) and L_0(W), with the spectra, that ``cone.sheaf``
     and ``cone.w_sheaf`` keep; the grounding penalties and the intertwining
-    residual from its ``eps`` and the degree-0 coboundaries.
+    residual from its ``eps`` and the degree-0 coboundaries. The spectra of
+    L_1(F) and L_0(W) are read last (``_cone_reduction_steps``).
     """
+    return _cone_reduction_steps(cone)()
+
+
+def _cone_reduction_steps(cone: MappingCone) -> Callable[[], ConeReductionSide]:
+    """The first step of ``cone_reduction_side``: the residuals and, when
+    they hold, the spectra of the four other blocks. Returns the last step,
+    which reads the eigenvalues of L_1(F) and L_0(W) from the spectra their
+    sheaves keep, so that these can be decomposed in between."""
     f, w = cone.sheaf, cone.w_sheaf
     eps0, eps1 = cone.eps[0], cone.eps[1]
     d_f0, d_w0 = coboundary(f, 0).matrix, coboundary(w, 0).matrix
-    return ConeReductionSide.from_blocks(
+    side = ConeReductionSide._without_bases(
         laplacian(f, 1).matrix, eps1.T @ eps1, laplacian(w, 0).matrix, eps0 @ eps0.T,
-        _max_abs(d_w0.T @ eps1 - eps0 @ d_f0.T),
+        _max_abs_difference(d_w0.T @ eps1, eps0 @ d_f0.T))
+    return lambda: side._with_bases(
         lambda: (laplacian_spectrum(f, 1).eigenvalues, laplacian_spectrum(w, 0).eigenvalues))
 
 

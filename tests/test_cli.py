@@ -883,7 +883,7 @@ def test_side_by_side_diagnose_decomposes_each_input_once(tmp_path, monkeypatch)
     sheaf_path = tmp_path / "k5.json"
     sheaf_path.write_text(sheaf_to_json(constant_sheaf(build_clique_complex(complete_graph(5)), 2)))
     beside, overlapped = diag._beside, []
-    monkeypatch.setattr(diag, "_overlaps", lambda: True)
+    monkeypatch.setattr(sheafgauge.operators, "_overlaps", lambda: True)
     monkeypatch.setattr(diag, "_beside",
                         lambda task, work: overlapped.append(task) or beside(task, work))
     counts, decomposed = count_solvers(monkeypatch)

@@ -14,7 +14,12 @@ from sheafgauge.diagnostics import (
     run_diagnostics,
     separation_check,
 )
-from sheafgauge.operators import grounding_identity_c1, grounding_killing_kernel, grounding_zero_c1
+from sheafgauge.operators import (
+    channel_set,
+    grounding_identity_c1,
+    grounding_killing_kernel,
+    grounding_zero_c1,
+)
 from sheafgauge.sheaves import mobius_bundle, trivial_bundle
 from sheafgauge.spectral import WitnessConfig
 
@@ -142,7 +147,7 @@ def test_run_diagnostics_local_maps_equal_standalone(normalize, grounding_name):
 
 def test_separation_full_rank():
     sheaf = trivial_bundle(10)
-    report = separation_check(sheaf, grounding_identity_c1(sheaf))
+    report = separation_check(channel_set(sheaf, grounding_identity_c1(sheaf)))
     assert report.status == "pass"
     assert (report.kernel_relative_channel, report.kernel_eps_on_harmonics,
             report.kernel_meet_harmonics) == (0, 0, 0)
@@ -151,7 +156,7 @@ def test_separation_full_rank():
 
 def test_separation_rank_deficient():
     sheaf = trivial_bundle(10)
-    report = separation_check(sheaf, grounding_killing_kernel(sheaf))
+    report = separation_check(channel_set(sheaf, grounding_killing_kernel(sheaf)))
     assert report.status == "pass"
     assert (report.kernel_relative_channel, report.kernel_eps_on_harmonics,
             report.kernel_meet_harmonics) == (1, 1, 1)
@@ -164,7 +169,7 @@ def test_separation_vacuous_without_harmonics():
     from sheafgauge.sheaves import constant_sheaf
 
     sheaf = constant_sheaf(build_clique_complex(Graph(4, [(0, 1), (1, 2), (2, 3)])), 1)
-    report = separation_check(sheaf, grounding_zero_c1(sheaf))
+    report = separation_check(channel_set(sheaf, grounding_zero_c1(sheaf)))
     assert report.kernel_eps_on_harmonics == 0
     assert report.status == "pass"
 
@@ -254,7 +259,7 @@ def test_run_diagnostics_with_local_assembles_each_coboundary_once(monkeypatch):
         degrees.clear()
         grounding = make_grounding(sheaf, "padding")
         run_diagnostics(sheaf, grounding, DiagnosticsConfig(with_local=True))
-        separation_check(sheaf, grounding)
+        separation_check(channel_set(sheaf, grounding))
         assert sorted(degrees) == [-1, 0, 1]  # L_0 reads the empty end map d_{-1}
 
 

@@ -255,16 +255,16 @@ def test_certificate_blocks_are_decomposed_by_decompose(monkeypatch):
                         lambda lap, vectors=True: seen.append(vectors) or original(lap, vectors))
     sheaf = trivial_bundle(8, 2)
     cone_reduction_side(algebraic_cone(sheaf, grounding_from_padding(sheaf)))
-    # L_1(F) and L_0(W), kept by their sheaves, then the four other blocks
-    assert seen == [True, True] + [False] * 4
+    # the four other blocks, then L_1(F) and L_0(W), kept by their sheaves
+    assert seen == [False] * 4 + [True, True]
     synthetic_commuting_side(0)
-    assert seen == [True, True] + [False] * 10
+    assert seen == [False] * 4 + [True, True] + [False] * 6
     k4 = constant_sheaf(build_clique_complex(complete_graph(4)), 1)
     d1 = coboundary(k4, 1).matrix
     _, _, vt = np.linalg.svd(d1)
     assert verify_block_decomposition(
         k4, GroundingMorphism(c1_matrix=vt[np.linalg.matrix_rank(d1):])).asserted
-    assert seen == [True, True] + [False] * 12
+    assert seen == [False] * 4 + [True, True] + [False] * 8
 
 
 def test_certificate_blocks_pass_the_symmetry_and_psd_checks():

@@ -1,28 +1,33 @@
-"""``run_diagnostics`` decomposes R = L_1 + eps^T eps on a second thread
-while it decomposes L_0 and L_1 (``operators._beside``), when
-``operators._overlaps`` says a CPU is idle. These tests force that decision
-either way: the overlap moves no bit and no byte, raises what the
-sequential path raises, and leaves no thread behind."""
+"""Solves side by side (``operators._beside``), when ``operators._overlaps``
+says one-thread BLAS leaves a CPU idle: ``run_diagnostics`` decomposes
+R = L_1 + eps^T eps on a second thread while it decomposes L_0 and L_1, and
+``verify`` runs the cone Laplacians' kernels beside the cone reduction's
+spectra, then F's and W's spectra in degrees 0 and 1 beside R and the top
+degree's. These tests force that decision either way: the overlap moves no
+bit and no byte, raises what the sequential path raises, holds at most
+1 MiB more at its peak and leaves no thread behind."""
 
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import feature_sheaf
-from sheafgauge import diagnostics, operators
+from sheafgauge import operators
 from sheafgauge.cli import main
+from sheafgauge.complexes import Graph, build_clique_complex, complete_graph
 from sheafgauge.diagnostics import DiagnosticsConfig, make_grounding, run_diagnostics
 from sheafgauge.operators import PsdViolationError, laplacian
-from sheafgauge.sheaves import sheaf_to_json
+from sheafgauge.sheaves import CellSheaf, Stalk, constant_sheaf, sheaf_to_json
 
 WITH_LOCAL = DiagnosticsConfig(with_local=True)
 
 
 def _force(monkeypatch, overlap):
-    monkeypatch.setattr(diagnostics, "_overlaps", lambda: overlap)
+    monkeypatch.setattr(operators, "_overlaps", lambda: overlap)
 
 
 def _count_threads(monkeypatch):
@@ -169,3 +174,148 @@ def test_overlap_needs_one_blas_thread_and_two_cpus(monkeypatch, threads, cpus, 
 def test_no_bundled_lapack_no_overlap(monkeypatch):
     monkeypatch.setattr(operators, "_lapack", lambda: None)
     assert operators._overlaps() is False
+
+
+# ---------------------------------------------------------------------------
+# verify
+# ---------------------------------------------------------------------------
+
+
+def _k5(dim):
+    return constant_sheaf(build_clique_complex(complete_graph(5)), dim)
+
+
+def _k5_line_in_r2():
+    """The constant R^1 sheaf on K5 with every stalk the line e1 of R^2: its
+    padded cone is not acyclic, so cone degrees 0 and 2 are decomposed."""
+    line = _k5(1)
+    return CellSheaf(line.complex, dict.fromkeys(line.stalks, Stalk(np.eye(2, 1))),
+                     line.restrictions)
+
+
+def _gnp_constant_sheaf(seed, n=40, p=0.2, dim=2):
+    """The constant R^dim sheaf on a seeded G(n, p) clique complex."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu_indices(n, 1)
+    keep = rng.random(upper[0].size) < p
+    edges = [(int(u), int(v)) for u, v in zip(upper[0][keep], upper[1][keep])]
+    return constant_sheaf(build_clique_complex(Graph(n, edges)), dim)
+
+
+VERIFY_INPUTS = {
+    "k5-r2": lambda: _k5(2),
+    "k5-r1-in-r2": _k5_line_in_r2,
+    "features": lambda: feature_sheaf(0),
+    "no-vertices": lambda: constant_sheaf(build_clique_complex(Graph(0, [])), 2),
+}
+
+
+def _verify(tmp_path, monkeypatch, name, grounding, overlap):
+    """``verify`` of input ``name``, run from its own directory with the
+    overlap forced: the exit code, stdout, stderr and certificates.json."""
+    _force(monkeypatch, overlap)
+    sheaf_path = tmp_path / f"{name}.json"
+    if not sheaf_path.exists():
+        sheaf_path.write_text(sheaf_to_json(VERIFY_INPUTS[name]()))
+    # the certificates record --out, so each run writes ./out from its own directory
+    directory = tmp_path / f"{name}-{grounding}-{overlap}"
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    code = main(["verify", "--input", str(sheaf_path), "--grounding", grounding,
+                 "--out", "out"])
+    certificates = directory / "out" / "certificates.json"
+    return code, certificates.read_bytes() if certificates.exists() else None
+
+
+@pytest.mark.parametrize("name, grounding", [
+    ("k5-r2", "padding"), ("k5-r1-in-r2", "padding"), ("features", "padding"),
+    ("no-vertices", "padding"), ("k5-r2", "fullrank"), ("k5-r2", "deficient"),
+    ("k5-r2", "zero"),
+])
+def test_side_by_side_verify_writes_the_same_bytes(tmp_path, monkeypatch, capsys, name,
+                                                   grounding):
+    started = _count_threads(monkeypatch)
+    outputs = {}
+    for overlap in (False, True):
+        before = threading.active_count()
+        outputs[overlap] = _verify(tmp_path, monkeypatch, name, grounding, overlap), \
+            capsys.readouterr()
+        assert threading.active_count() == before
+    assert outputs[True][0][1] is not None
+    assert outputs[True] == outputs[False]
+    # two pairs of lanes under a vertex-level grounding, none under the others
+    assert len(started) == (2 if grounding == "padding" else 0)
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_side_by_side_verify_assembles_one_cone(tmp_path, monkeypatch, overlap):
+    import test_cli
+
+    _force(monkeypatch, overlap)
+    test_cli.test_verify_assembles_one_cone(tmp_path, monkeypatch)
+
+
+def _failing_decompose(monkeypatch, failing):
+    """``operators.decompose`` raising for the solves named in ``failing``:
+    ``cone`` (a cone Laplacian's kernel), ``block`` (a cone-reduction block),
+    ``R`` or ``L<j>`` (a sheaf's spectrum). Returns the list of the
+    (name, degree, dimension) of each solve tried, in the order they start."""
+    original, tried, lock = operators.decompose, [], threading.Lock()
+    callers = {"numerical_kernel": "cone", "_eigenvalues": "block", "relative_spectrum": "R"}
+
+    def decompose(lap, vectors=True):
+        name = callers.get(sys._getframe(1).f_code.co_name, f"L{lap.degree}")
+        with lock:
+            tried.append((name, lap.degree, lap.dim))
+        if name in failing:
+            raise PsdViolationError(f"negative eigenvalue of {name}")
+        return original(lap, vectors)
+
+    monkeypatch.setattr(operators, "decompose", decompose)
+    return tried
+
+
+@pytest.mark.parametrize("failing", [
+    ("cone",), ("block",), ("cone", "block"), ("L1",), ("R",), ("L2",), ("L1", "R"),
+])
+def test_side_by_side_verify_raises_what_the_sequential_path_raises(tmp_path, monkeypatch,
+                                                                    capsys, failing):
+    # each lane's error, and the caller's first where both lanes fail, as
+    # the same lanes one after the other raise it: a validation error
+    tried = _failing_decompose(monkeypatch, failing)
+    outputs, solves = {}, {}
+    for overlap in (False, True):
+        tried.clear()
+        before = threading.active_count()
+        outputs[overlap] = _verify(tmp_path, monkeypatch, "k5-r1-in-r2", "padding", overlap), \
+            capsys.readouterr().err
+        assert threading.active_count() == before
+        solves[overlap] = list(tried)
+    assert outputs[True] == outputs[False] == (
+        (2, None), f"validation error: negative eigenvalue of {failing[0]}\n")
+    # no operator is decomposed twice (the four blocks share a name); side by
+    # side, the worker's lane may run where the caller's error stops the
+    # sequential path first
+    for overlap in (False, True):
+        named = [solve for solve in solves[overlap] if solve[0] != "block"]
+        assert len(set(named)) == len(named), solves[overlap]
+    assert set(solves[True]) >= set(solves[False])
+
+
+def test_side_by_side_verify_peak_memory(tmp_path, monkeypatch):
+    # the pairs are chosen so that the two lanes' transients together stay
+    # within 1 MiB of the largest of verify's steps one after the other
+    sheaf_path = tmp_path / "g40.json"
+    sheaf_path.write_text(sheaf_to_json(_gnp_constant_sheaf(0)))
+    peaks = {}
+    for overlap in (False, True, False, True):
+        _force(monkeypatch, overlap)
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--input", str(sheaf_path), "--grounding", "padding",
+                         "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks[overlap] = min(peaks.get(overlap, peak), peak)
+    assert peaks[True] <= peaks[False] + 2**20, peaks

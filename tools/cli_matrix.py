@@ -34,8 +34,10 @@ Run as a script, it sets BLAS to one thread before numpy loads it, as
 and two BLAS threads (up to about 1e-11 relative), so two checkouts run under
 different settings would show moves that no code made. On one BLAS thread
 and two or more CPUs, ``run_diagnostics`` solves R = L1 + eps^T eps on a
-second thread beside L0 and L1, so the ``diagnose`` commands under
-``padding`` take that path here.
+second thread beside L0 and L1, and ``verify`` runs its solves in two such
+lanes (``operators._beside``), so the ``diagnose`` and ``verify`` commands
+under ``padding`` take that path here; on one CPU the same solves run one
+after the other, and every output is the same either way.
 Imported, it changes no environment variable.
 """
 
